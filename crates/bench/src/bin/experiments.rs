@@ -16,18 +16,18 @@
 //!   keysize    SkNN_b cost ratio when the key size doubles (Section 5.1 claim)
 //!   batch      SkNN_b queries/sec through SknnEngine::run_batch at batch
 //!              sizes 1 / 4 / 16 / 64, in-process vs the reactor-
-//!              multiplexed AsyncTcp wire                  (beyond the paper)
+//!              multiplexed Tcp wire                       (beyond the paper)
 //!   inflight-scaling
-//!              SkNN_b queries/sec and thread counts over AsyncTcp at
+//!              SkNN_b queries/sec and thread counts over Tcp at
 //!              1 / 16 / 64 / 256 concurrent queries — one epoll thread
-//!              demuxes every session                      (beyond the paper)
+//!              serves every session                       (beyond the paper)
 //!   shard-scaling
 //!              SkNN_b queries/sec and per-stage/per-shard ciphertext
 //!              counts over the sharded data plane, at shards ∈ {1,2,4}
 //!              × sessions ∈ {1,2}                         (beyond the paper)
 //!   chaos-smoke
 //!              retry / reconnect / failover counters from deterministic
-//!              faulty runs through FaultInjectTransport   (beyond the paper)
+//!              faulty runs through reactor fault plans    (beyond the paper)
 //!   store-io   durable shard store throughput: persist / append+flush /
 //!              reload / compact records-per-second and log bytes
 //!              through the engine lifecycle                (beyond the paper)
@@ -333,8 +333,8 @@ fn bob_cost(scale: Scale, report: &mut BenchReport) {
 /// Beyond the paper: aggregate throughput of `SknnEngine::run_batch` —
 /// whole SkNN_b queries fanned out across worker threads, reported as
 /// queries/sec per batch size. Two series: the in-process baseline and
-/// the reactor-multiplexed `AsyncTcp` wire (real sockets, one epoll
-/// thread demuxing every session).
+/// the reactor-multiplexed `Tcp` wire (real sockets, one epoll
+/// thread serving every session).
 fn batch_throughput(scale: Scale, report: &mut BenchReport) {
     use sknn_core::{
         DataOwner, DatasetOptions, FederationConfig, Protocol, ShardingConfig, SknnEngine,
@@ -354,14 +354,14 @@ fn batch_throughput(scale: Scale, report: &mut BenchReport) {
         "transport", "threads", "batch", "time_s", "queries/s"
     );
 
-    for transport in [TransportKind::InProcess, TransportKind::AsyncTcp] {
+    for transport in [TransportKind::InProcess, TransportKind::Tcp] {
         let mut series: Vec<(usize, f64)> = Vec::new();
         let mut rng = StdRng::seed_from_u64(HARNESS_SEED ^ 0xBA7C);
         let dataset = SyntheticDataset::uniform(n, 6, 12, &mut rng);
         let owner = DataOwner::from_keypair(cached_keypair(small));
         let batches: &[usize] = &[1usize, 4, 16, 64];
         // Threads scale with the largest batch so the outer query fan-out —
-        // not the thread budget — is what the sweep varies; the async wire
+        // not the thread budget — is what the sweep varies; the TCP wire
         // gets enough sessions for the scatter traffic to genuinely overlap.
         let threads = 8;
         let mut engine = SknnEngine::setup_with_owner(
@@ -370,7 +370,7 @@ fn batch_throughput(scale: Scale, report: &mut BenchReport) {
                 key_bits: small,
                 threads,
                 transport,
-                sharding: if transport.is_async() {
+                sharding: if transport == TransportKind::Tcp {
                     ShardingConfig {
                         shards: 4,
                         sessions: 4,
@@ -456,7 +456,7 @@ fn batch_throughput(scale: Scale, report: &mut BenchReport) {
             );
             series.push((batch, qps));
         }
-        if transport.is_async() {
+        if transport == TransportKind::Tcp {
             // The acceptance contract for the reactor: batching must buy
             // throughput. A batch of one cannot overlap round trips, so the
             // saturated throughput (anywhere later in the sweep) exceeding
@@ -469,7 +469,7 @@ fn batch_throughput(scale: Scale, report: &mut BenchReport) {
                 .fold(0.0f64, f64::max);
             assert!(
                 saturated > single,
-                "AsyncTcp throughput must rise with batch: batch-1 {single:.3} q/s, \
+                "Tcp throughput must rise with batch: batch-1 {single:.3} q/s, \
                  best batched {saturated:.3} q/s"
             );
         }
@@ -495,13 +495,13 @@ fn named_threads(name: Option<&str>) -> usize {
     .count()
 }
 
-/// Beyond the paper: in-flight scaling of the async reactor transport.
-/// `c` concurrent SkNN_b queries are pushed through one `AsyncTcp` engine
-/// (4 shards × 4 sessions, one epoll thread demuxing all of them) at
+/// Beyond the paper: in-flight scaling of the reactor transport.
+/// `c` concurrent SkNN_b queries are pushed through one `Tcp` engine
+/// (4 shards × 4 sessions, one epoll thread serving all of them) at
 /// c ∈ {1, 16, 64, 256}; reported are queries/sec, the peak process
 /// thread count while the batch is in flight, and the reactor thread
-/// count (always 1 — the demux cost that used to be one thread per
-/// session is O(1) in both sessions and load).
+/// count (always 1 — C1's transport thread cost is O(1) in both sessions
+/// and load).
 fn inflight_scaling(scale: Scale, report: &mut BenchReport) {
     use sknn_core::{
         DataOwner, DatasetOptions, FederationConfig, Protocol, ShardingConfig, SknnEngine,
@@ -515,7 +515,7 @@ fn inflight_scaling(scale: Scale, report: &mut BenchReport) {
     let n = scale.basic_k_sweep_records();
     let k = 5.min(n);
     println!(
-        "## In-flight scaling: SkNN_b over AsyncTcp, n = {n}, m = 6, k = {k}, K = {small} bits, \
+        "## In-flight scaling: SkNN_b over Tcp, n = {n}, m = 6, k = {k}, K = {small} bits, \
          4 shards x 4 sessions, threads = concurrency"
     );
     println!(
@@ -532,7 +532,7 @@ fn inflight_scaling(scale: Scale, report: &mut BenchReport) {
             FederationConfig {
                 key_bits: small,
                 threads: concurrency,
-                transport: TransportKind::AsyncTcp,
+                transport: TransportKind::Tcp,
                 sharding: ShardingConfig {
                     shards: 4,
                     sessions: 4,
@@ -602,7 +602,7 @@ fn inflight_scaling(scale: Scale, report: &mut BenchReport) {
                 ("m", "6".to_string()),
                 ("k", k.to_string()),
                 ("K", small.to_string()),
-                ("transport", "AsyncTcp".to_string()),
+                ("transport", "Tcp".to_string()),
                 ("concurrency", concurrency.to_string()),
                 ("queries_per_sec", format!("{qps:.3}")),
                 ("peak_threads", peak_threads.to_string()),
@@ -784,7 +784,7 @@ fn keysize(scale: Scale, report: &mut BenchReport) {
 }
 
 /// Beyond the paper: the fault-tolerance layer under deterministic faults.
-/// Two smoke-scale scenarios through `FaultInjectTransport`: a corrupted
+/// Two smoke-scale scenarios through reactor fault plans: a corrupted
 /// frame absorbed by retry-in-place, and a severed session whose shards
 /// fail over to the survivor mid-batch. Every point records the pool's
 /// resilience counters (retries / reconnects / failovers) alongside wall
@@ -795,11 +795,7 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
         ShardingConfig, SknnEngine, TransportKind,
     };
     use sknn_data::{uniform_query, SyntheticDataset};
-    use sknn_protocols::transport::{
-        channel_pair, serve, CoalesceConfig, FaultInjectTransport, FaultPlan, SessionKeyHolder,
-        SessionPool, Transport,
-    };
-    use std::sync::Arc;
+    use sknn_protocols::transport::{FaultPlan, Loopback, SessionPool};
     use std::time::Duration;
 
     let (small, _) = scale.key_sizes();
@@ -826,29 +822,15 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
     // Stands up an engine whose session `i` runs over a fault-injecting
     // wire when `plans[i]` is set; `plans.len()` sessions in total.
     let build = |plans: &[Option<FaultPlan>], shards: usize, rng: &mut StdRng| -> SknnEngine {
-        let mut clients = Vec::new();
-        let mut servers = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            let holder = LocalKeyHolder::new(owner.private_key().clone(), 0xC2_0000 + i as u64);
-            let (client_end, server_end) = channel_pair();
-            servers.push(
-                std::thread::Builder::new()
-                    .name(format!("chaos-smoke-c2-{i}"))
-                    .spawn(move || serve(&server_end, &holder, 2))
-                    .expect("spawn chaos server"),
-            );
-            let raw: Arc<dyn Transport> = Arc::new(client_end);
-            let transport: Arc<dyn Transport> = match plan {
-                Some(p) => Arc::new(FaultInjectTransport::new(raw, *p)),
-                None => raw,
-            };
-            clients.push(SessionKeyHolder::connect(
-                owner.public_key().clone(),
-                transport,
-                CoalesceConfig::disabled(),
-            ));
-        }
-        let pool = SessionPool::from_parts(clients, servers).expect("assemble pool");
+        let holders = (0..plans.len())
+            .map(|i| LocalKeyHolder::new(owner.private_key().clone(), 0xC2_0000 + i as u64))
+            .collect();
+        let loopback = Loopback {
+            workers: 2,
+            faults: plans.to_vec(),
+            ..Loopback::default()
+        };
+        let pool = SessionPool::channel(holders, &loopback).expect("assemble pool");
         let config = FederationConfig {
             key_bits: small,
             max_query_value: dataset.max_value,

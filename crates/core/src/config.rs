@@ -5,47 +5,37 @@ use sknn_paillier::PoolConfig;
 
 /// How cloud C1 talks to the key-holding cloud C2.
 ///
-/// Every remote variant goes through the same pluggable transport stack
-/// ([`sknn_protocols::transport`]): a pipelined, correlation-ID-framed
-/// session client over a swappable frame transport, with byte-accurate
-/// traffic accounting. The protocol code is identical in all cases — only
-/// the wire underneath changes.
+/// Both remote variants go through the same transport stack
+/// ([`sknn_protocols::transport`]): pipelined, correlation-ID-framed
+/// sessions whose connections are all serviced by one readiness-driven
+/// event loop ([`sknn_protocols::transport::Reactor`]), with per-connection
+/// in-flight windows, backpressure and byte-accurate traffic accounting.
+/// The key-holder servers run in background threads of this process. The
+/// protocol code is identical in all cases — only the wire underneath
+/// changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
     /// Direct in-process calls (the configuration matching the paper's
     /// single-machine evaluation; fastest, no traffic accounting).
     #[default]
     InProcess,
-    /// An in-process frame channel
-    /// ([`sknn_protocols::transport::ChannelTransport`]): real wire bytes
-    /// and round-trip counts without sockets.
+    /// An in-process byte channel
+    /// ([`sknn_protocols::transport::Reactor::channel_pair`]): real wire
+    /// bytes and round-trip counts without sockets.
     Channel,
     /// A real TCP socket over loopback
-    /// ([`sknn_protocols::transport::TcpTransport`]); the key-holder server
-    /// runs in a background thread of this process.
+    /// ([`sknn_protocols::transport::Reactor::connect_tcp`]): non-blocking
+    /// client sockets on the reactor, one blocking server per session.
+    /// Socket readiness needs epoll, so this kind works on Linux only;
+    /// elsewhere engine setup fails with a typed transport error
+    /// (`Channel` and `InProcess` work everywhere).
     Tcp,
-    /// The in-process frame channel, multiplexed through the async reactor
-    /// ([`sknn_protocols::transport::Reactor`]): one readiness-driven event
-    /// loop services every session, with per-connection in-flight windows
-    /// and backpressure. Same wire bytes as [`TransportKind::Channel`].
-    AsyncChannel,
-    /// Loopback TCP multiplexed through the async reactor: non-blocking
-    /// sockets, one epoll thread for all sessions, per-connection
-    /// backpressure. Same wire bytes as [`TransportKind::Tcp`], but C1's
-    /// demux cost is O(1) threads instead of one per session.
-    AsyncTcp,
 }
 
 impl TransportKind {
     /// Whether this transport reports [`crate::QueryResult::comm`] traffic.
     pub fn has_accounting(&self) -> bool {
         !matches!(self, TransportKind::InProcess)
-    }
-
-    /// Whether this transport multiplexes its sessions through the shared
-    /// async reactor instead of one blocking demux thread per session.
-    pub fn is_async(&self) -> bool {
-        matches!(self, TransportKind::AsyncChannel | TransportKind::AsyncTcp)
     }
 }
 
@@ -190,19 +180,18 @@ pub struct FederationConfig {
     /// all of it — requests wait forever and the first failure is final —
     /// reproducing the pre-resilience behavior exactly.
     pub retry: RetryPolicy,
-    /// Per-connection in-flight window of the async transports (clamped to
+    /// Per-connection in-flight window of the remote transports (clamped to
     /// ≥ 1): how many requests one session keeps on the wire before new
-    /// submissions start queueing. Ignored by the blocking transports,
-    /// whose pipelining is unbounded.
+    /// submissions start queueing.
     pub inflight_window: usize,
-    /// Per-connection overflow queue of the async transports: submissions
+    /// Per-connection overflow queue of the remote transports: submissions
     /// beyond the window wait here (their deadline clock already running).
     /// When the queue is also full, submitters block briefly and then fail
     /// with a typed `Overloaded` error instead of hanging.
     pub inflight_queue: usize,
     /// Per-query admission control: how many queries may run concurrently
     /// per engine before `run_batch` callers wait at the gate. `0` (the
-    /// default) disables the gate entirely. With async transports this
+    /// default) disables the gate entirely. With remote transports this
     /// bounds the work entering the reactor so the backpressure ladder
     /// (window → queue → `Overloaded`) is reached by bursts, not by a
     /// steady-state workload.
@@ -290,11 +279,5 @@ mod tests {
         assert!(!TransportKind::InProcess.has_accounting());
         assert!(TransportKind::Channel.has_accounting());
         assert!(TransportKind::Tcp.has_accounting());
-        assert!(TransportKind::AsyncChannel.has_accounting());
-        assert!(TransportKind::AsyncTcp.has_accounting());
-        assert!(!TransportKind::Channel.is_async());
-        assert!(!TransportKind::Tcp.is_async());
-        assert!(TransportKind::AsyncChannel.is_async());
-        assert!(TransportKind::AsyncTcp.is_async());
     }
 }

@@ -57,8 +57,7 @@ use sknn_paillier::{
 };
 use sknn_protocols::stats::CommSnapshot;
 use sknn_protocols::transport::{
-    serve, BackpressureConfig, CoalesceConfig, Reactor, SessionHealth, SessionKeyHolder,
-    SessionPool, TcpTransport,
+    BackpressureConfig, CoalesceConfig, Loopback, SessionHealth, SessionPool,
 };
 use sknn_protocols::{KeyHolder, LocalKeyHolder, PackedParams};
 use sknn_store::{
@@ -66,7 +65,6 @@ use sknn_store::{
     RecoveryReport, StoreError, MANIFEST_FILE,
 };
 use std::collections::BTreeMap;
-use std::net::TcpListener;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -349,113 +347,29 @@ impl SknnEngine {
         } else {
             CoalesceConfig::disabled()
         };
+        let loopback = Loopback {
+            workers,
+            coalesce,
+            backpressure: BackpressureConfig {
+                window: config.inflight_window,
+                queue: config.inflight_queue,
+                ..BackpressureConfig::default()
+            },
+            faults: Vec::new(),
+        };
+        // Both remote kinds run every session on one reactor thread; the C2
+        // servers (one per session, each its own wire) stay blocking.
+        let holders = (0..sessions).map(holder_for).collect();
         let c2 = match config.transport {
-            TransportKind::InProcess => C2Handle::Local((0..sessions).map(holder_for).collect()),
-            TransportKind::Channel => C2Handle::Pool(SessionPool::spawn_in_process(
-                holder_for, sessions, workers, coalesce,
-            )),
-            TransportKind::Tcp => {
-                // One listener (and server thread) per session: the
-                // connections are fully independent wires, which is the
-                // point of a multi-session deployment.
-                let mut clients = Vec::with_capacity(sessions);
-                let mut servers = Vec::with_capacity(sessions);
-                for i in 0..sessions {
-                    let holder = holder_for(i);
-                    let listener = TcpListener::bind("127.0.0.1:0")
-                        .map_err(|e| transport_setup_error(&e.to_string()))?;
-                    let addr = listener
-                        .local_addr()
-                        .map_err(|e| transport_setup_error(&e.to_string()))?;
-                    let server = std::thread::Builder::new()
-                        .name(format!("sknn-c2-tcp-{i}"))
-                        .spawn(move || {
-                            let server_end = TcpTransport::accept(&listener)?;
-                            serve(&server_end, &holder, workers)
-                        })
-                        .expect("spawn key-holder server thread");
-                    servers.push(server);
-                    let transport = TcpTransport::connect(addr).map_err(|e| {
-                        // Unblock every pending accept() so no server
-                        // thread (each holding a copy of the private key)
-                        // leaks: a throwaway connection that drops
-                        // immediately reads as a clean hang-up in serve().
-                        // Already-connected sessions hang up when `clients`
-                        // drops below.
-                        let _ = std::net::TcpStream::connect(addr);
-                        transport_setup_error(&e.to_string())
-                    })?;
-                    clients.push(SessionKeyHolder::connect(
-                        public_key.clone(),
-                        Arc::new(transport),
-                        coalesce,
-                    ));
-                }
-                C2Handle::Pool(
-                    SessionPool::from_parts(clients, servers).map_err(SknnError::Protocol)?,
-                )
-            }
-            TransportKind::AsyncChannel | TransportKind::AsyncTcp => {
-                // One reactor thread multiplexes every session; the C2
-                // server side stays blocking (serve() and its worker pool
-                // are unchanged), so async-vs-blocking equivalence compares
-                // only the C1 demux strategy.
-                let backpressure = BackpressureConfig {
-                    window: config.inflight_window,
-                    queue: config.inflight_queue,
-                    ..BackpressureConfig::default()
-                };
-                let reactor = Reactor::new().map_err(|e| transport_setup_error(&e.to_string()))?;
-                let mut clients = Vec::with_capacity(sessions);
-                let mut servers = Vec::with_capacity(sessions);
-                for i in 0..sessions {
-                    let holder = holder_for(i);
-                    let conn = if config.transport == TransportKind::AsyncChannel {
-                        let (conn, server_end) = reactor
-                            .channel_pair(backpressure, None)
-                            .map_err(|e| transport_setup_error(&e.to_string()))?;
-                        let server = std::thread::Builder::new()
-                            .name(format!("sknn-c2-achan-{i}"))
-                            .spawn(move || serve(&server_end, &holder, workers))
-                            .map_err(|e| transport_setup_error(&e.to_string()))?;
-                        servers.push(server);
-                        conn
-                    } else {
-                        let listener = TcpListener::bind("127.0.0.1:0")
-                            .map_err(|e| transport_setup_error(&e.to_string()))?;
-                        let addr = listener
-                            .local_addr()
-                            .map_err(|e| transport_setup_error(&e.to_string()))?;
-                        let server = std::thread::Builder::new()
-                            .name(format!("sknn-c2-atcp-{i}"))
-                            .spawn(move || {
-                                let server_end = TcpTransport::accept(&listener)?;
-                                serve(&server_end, &holder, workers)
-                            })
-                            .map_err(|e| transport_setup_error(&e.to_string()))?;
-                        servers.push(server);
-                        reactor
-                            .dial_tcp(&addr.to_string(), backpressure)
-                            .map_err(|e| {
-                                // Same leak-avoidance as the blocking Tcp
-                                // arm: unblock the pending accept() so the
-                                // server thread exits.
-                                let _ = std::net::TcpStream::connect(addr);
-                                transport_setup_error(&e.to_string())
-                            })?
-                    };
-                    clients.push(SessionKeyHolder::connect_async(
-                        public_key.clone(),
-                        conn,
-                        coalesce,
-                    ));
-                }
-                C2Handle::Pool(
-                    SessionPool::from_parts(clients, servers)
-                        .map_err(SknnError::Protocol)?
-                        .with_reactor(reactor),
-                )
-            }
+            TransportKind::InProcess => C2Handle::Local(holders),
+            TransportKind::Channel => C2Handle::Pool(
+                SessionPool::channel(holders, &loopback)
+                    .map_err(|e| transport_setup_error(&e.to_string()))?,
+            ),
+            TransportKind::Tcp => C2Handle::Pool(
+                SessionPool::tcp(holders, &loopback)
+                    .map_err(|e| transport_setup_error(&e.to_string()))?,
+            ),
         };
         // The per-request deadline is the liveness half of the retry
         // policy: without it a dropped frame parks a worker forever and no
@@ -484,9 +398,9 @@ impl SknnEngine {
     /// already-connected C2 session pool instead of standing up the
     /// transport from [`FederationConfig::transport`]. This is the path for
     /// embedders that bootstrap their own wires — and for fault-injection
-    /// tests, which wrap each session's transport in a
-    /// [`sknn_protocols::transport::FaultInjectTransport`] before handing
-    /// the pool over.
+    /// tests, which attach a [`sknn_protocols::transport::FaultPlan`] to
+    /// session connections (see [`sknn_protocols::transport::Loopback`])
+    /// before handing the pool over.
     ///
     /// The engine installs [`FederationConfig::retry`]'s deadline on every
     /// pool session; C2-side offline randomness pooling is skipped (the

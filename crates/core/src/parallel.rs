@@ -44,7 +44,7 @@ impl ParallelismConfig {
 /// A counting admission gate bounding how many queries run concurrently
 /// per engine (see [`crate::FederationConfig::admission`]).
 ///
-/// The async transports already shed *per-connection* overload through the
+/// The remote transports already shed *per-connection* overload through the
 /// backpressure ladder (window → queue → typed `Overloaded`); this gate
 /// bounds the *aggregate* work entering the reactor, so a steady-state
 /// workload queues at the front door instead of tripping the per-session
@@ -97,7 +97,8 @@ impl Drop for AdmissionPermit<'_> {
 }
 
 /// Maps `f` over `items`, preserving order, using up to `threads` scoped
-/// worker threads. With `threads <= 1` the map runs on the calling thread.
+/// worker threads (named `sknn-c1-par-<i>`). With `threads <= 1` the map
+/// runs on the calling thread.
 ///
 /// `f` receives the item index so callers can derive deterministic per-item
 /// randomness regardless of which thread executes the item.
@@ -119,22 +120,27 @@ where
         for (chunk_index, chunk) in items.chunks(chunk_size).enumerate() {
             let f = &f;
             let base = chunk_index * chunk_size;
-            handles.push(scope.spawn(move || {
+            let work = move || {
                 chunk
                     .iter()
                     .enumerate()
                     .map(|(offset, item)| f(base + offset, item))
                     .collect::<Vec<R>>()
-            }));
+            };
+            let spawned = std::thread::Builder::new()
+                .name(format!("sknn-c1-par-{chunk_index}"))
+                .spawn_scoped(scope, work);
+            // Thread exhaustion degrades to running the chunk inline.
+            handles.push(spawned.map_err(|_| work()));
         }
         for handle in handles {
-            match handle.join() {
-                Ok(chunk) => chunk_outputs.push(chunk),
+            match handle.map(|h| h.join()) {
+                Ok(Ok(chunk)) | Err(chunk) => chunk_outputs.push(chunk),
                 // Re-raise the worker's own payload rather than wrapping it:
                 // typed panics (the session layer's `SessionFailure`) must
                 // stay downcastable at the containment boundary in
                 // `crate::exec::run_contained`.
-                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(Err(payload)) => std::panic::resume_unwind(payload),
             }
         }
     });

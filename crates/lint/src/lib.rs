@@ -10,7 +10,7 @@
 //! machine-checks those properties with a dependency-free lexer and
 //! token-level scanners (the build container is offline, so no `syn`).
 //!
-//! See [`rules`] for the five rules and DESIGN.md for the mapping from
+//! See [`rules`] for the six rules and DESIGN.md for the mapping from
 //! each rule to the paper's threat model.
 //!
 //! # Usage

@@ -1,4 +1,4 @@
-//! The five trust-boundary rules.
+//! The five trust-boundary rules plus one thread-hygiene rule.
 //!
 //! Every rule works on the stripped token stream of [`SourceFile`]s; see
 //! DESIGN.md ("Static trust-boundary analysis") for why each rule exists
@@ -11,6 +11,7 @@
 //! | `panic-free`          | R3: no panic paths in non-test `protocols` + `core` code |
 //! | `wire-conformance`    | R4: every wire tag has encoder, handler, and feature gate |
 //! | `rng-discipline`      | R5: engine/exec RNGs only via the derived-seed helpers |
+//! | `named-thread`        | R6: library threads spawn only through a named `thread::Builder` |
 
 use crate::lexer::find_words;
 use crate::source::{FileKind, SourceFile};
@@ -35,6 +36,7 @@ pub const RULE_IDS: &[&str] = &[
     "panic-free",
     "wire-conformance",
     "rng-discipline",
+    "named-thread",
 ];
 
 // ── R1: decrypt containment ─────────────────────────────────────────────
@@ -117,6 +119,12 @@ const RNG_CONSTRUCTORS: &[&str] = &[
 ];
 const R5_SCOPE: &[&str] = &["crates/core/src/exec/", "crates/core/src/engine/"];
 
+// ── R6: named threads ───────────────────────────────────────────────────
+
+/// Thread-spawning methods: `scope.spawn(..)`, `Builder::spawn(..)`,
+/// `Builder::spawn_scoped(..)`.
+const SPAWN_METHODS: &[&str] = &["spawn", "spawn_scoped"];
+
 /// Runs every rule over `files`; returns surviving findings plus the
 /// number suppressed by inline `allow(...)` comments.
 pub fn run_all(files: &[SourceFile]) -> (Vec<Finding>, usize) {
@@ -129,6 +137,7 @@ pub fn run_all(files: &[SourceFile]) -> (Vec<Finding>, usize) {
         rule_secret_format(file, &mut sink);
         rule_panic_free(file, &mut sink);
         rule_rng_discipline(file, &mut sink);
+        rule_named_thread(file, &mut sink);
     }
     rule_wire_conformance(files, &mut sink);
     sink.findings
@@ -771,6 +780,58 @@ fn rule_rng_discipline(file: &SourceFile, sink: &mut Sink) {
     }
 }
 
+// ── R6 ──────────────────────────────────────────────────────────────────
+
+/// Every thread the library spawns carries an `sknn-` name, so process
+/// introspection (the leak checks, the benchmark's per-role CPU split)
+/// can tell the system's threads from the host's. An unnamed spawn — a
+/// bare `thread::spawn(..)`, `scope.spawn(..)`, or a `Builder` chain
+/// without `.name(..)` — is a finding.
+fn rule_named_thread(file: &SourceFile, sink: &mut Sink) {
+    if file.kind != FileKind::Library {
+        return;
+    }
+    let code = &file.code;
+    let mut hits: Vec<usize> = path_calls(code, "spawn")
+        .filter(|&pos| code[..pos - 2].ends_with("thread"))
+        .collect();
+    for method in SPAWN_METHODS {
+        hits.extend(method_calls(code, method).filter(|&pos| !names_thread(code, pos)));
+    }
+    for pos in hits {
+        if file.in_test(pos) {
+            continue;
+        }
+        let line = file.line_of(pos);
+        sink.push(
+            file,
+            "named-thread",
+            line,
+            "unnamed thread spawn; use std::thread::Builder::new().name(\"sknn-…\")".into(),
+        );
+    }
+}
+
+/// Does the method chain ending at the call at `pos` pass through
+/// `.name(..)`? Walks back over balanced brackets to the start of the
+/// expression (a statement boundary, `=`, or an enclosing open bracket).
+fn names_thread(code: &str, pos: usize) -> bool {
+    let bytes = code.as_bytes();
+    let mut depth = 0usize;
+    let mut start = pos;
+    while start > 0 {
+        match bytes[start - 1] {
+            b')' | b']' => depth += 1,
+            b'(' | b'[' if depth == 0 => break,
+            b'(' | b'[' => depth -= 1,
+            b';' | b'{' | b'}' | b'=' | b',' if depth == 0 => break,
+            _ => {}
+        }
+        start -= 1;
+    }
+    method_calls(&code[start..pos], "name").next().is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,6 +897,21 @@ mod tests {
         let src = "fn f() { let m = format!(\"key {sk:?}\"); }";
         let findings = lint_one("crates/data/src/a.rs", src);
         assert!(findings.iter().any(|f| f.rule == "secret-format"));
+    }
+
+    #[test]
+    fn unnamed_spawns_are_flagged_but_named_builders_are_not() {
+        let bad =
+            "fn f() { std::thread::spawn(|| g()); std::thread::scope(|s| { s.spawn(|| g()); }); }";
+        let findings = lint_one("crates/store/src/a.rs", bad);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == "named-thread"));
+        let good =
+            "fn f() { let h = std::thread::Builder::new()\n.name(n)\n.spawn(move || g(x(1)))?; }";
+        assert!(lint_one("crates/store/src/a.rs", good).is_empty());
+        let unnamed_builder =
+            "fn f() { let _ = Builder::new().stack_size(1).spawn_scoped(s, || g()); }";
+        assert_eq!(lint_one("crates/store/src/a.rs", unnamed_builder).len(), 1);
     }
 
     #[test]

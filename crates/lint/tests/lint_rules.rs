@@ -176,3 +176,17 @@ fn real_workspace_is_clean_modulo_checked_in_baseline() {
             .join("\n")
     );
 }
+
+#[test]
+fn named_thread_flags_unnamed_spawns_but_not_builders_or_tests() {
+    let (findings, _) = fixture_findings();
+    let hits = of_rule(&findings, "named-thread");
+    assert_eq!(hits.len(), 2, "{hits:?}");
+    assert!(hits.iter().all(|f| f.file == "crates/store/src/workers.rs"));
+    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        vec![4, 6],
+        "the named Builder chains and the test-module spawn must not fire"
+    );
+}

@@ -1,35 +1,29 @@
 //! Deterministic fault injection for chaos testing the session layer.
 //!
-//! [`FaultInjectTransport`] wraps any [`Transport`] and applies one
-//! [`FaultPlan`] to the outbound frame stream: the plan names a fault class
-//! and the 0-based index of the frame it strikes. Everything is
-//! deterministic — no clocks, no ambient randomness — so a failing chaos
-//! test replays bit-for-bit from its seed.
+//! A [`FaultPlan`] attached to a reactor connection
+//! ([`Reactor::channel_pair`](super::Reactor::channel_pair) or
+//! [`Reactor::connect_tcp`](super::Reactor::connect_tcp)) strikes one
+//! outbound frame: the plan names a fault class and the 0-based index of
+//! the frame it strikes. Everything is deterministic — no ambient
+//! randomness — so a failing chaos test replays bit-for-bit.
 //!
-//! The wrapper sits on the **client** endpoint, where outbound frames are
+//! The plan sits on the **client** endpoint, where outbound frames are
 //! requests. Fault classes map to real-world failures as follows:
 //!
 //! | Fault | Models | Client-visible symptom |
 //! |-------|--------|------------------------|
-//! | [`FaultKind::Drop`] | a lost packet / silent peer | hang, bounded by the session deadline into [`TransportError::Timeout`] |
+//! | [`FaultKind::Drop`] | a lost packet / silent peer | hang, bounded by the session deadline into [`TransportError::Timeout`](super::TransportError::Timeout) |
 //! | [`FaultKind::Delay`] | congestion | a slow reply (or a timeout, if the delay exceeds the deadline) |
 //! | [`FaultKind::Duplicate`] | retransmission | nothing — the stale second reply is dropped by correlation id |
 //! | [`FaultKind::Corrupt`] | detected payload corruption | a typed error reply for that one request |
-//! | [`FaultKind::Sever`] | connection death | [`TransportError::Closed`] from every call |
+//! | [`FaultKind::Sever`] | connection death | [`TransportError::Closed`](super::TransportError::Closed) from every call |
 //!
-//! Corruption is *detected* corruption: the wrapper clobbers the request
+//! Corruption is *detected* corruption: the reactor clobbers the request
 //! tag, so the server answers with a malformed-request error reply instead
 //! of computing on garbage. (Undetected corruption is out of scope — a real
 //! deployment runs over TCP checksums and TLS records, so flipped bits
 //! surface as framing errors, never as silently wrong ciphertexts.)
 
-use super::wire::{Frame, TransportError};
-use super::Transport;
-use crate::stats::CommStats;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One class of injected transport failure. See the module docs for the
@@ -38,18 +32,18 @@ use std::time::Duration;
 pub enum FaultKind {
     /// Swallow the frame; the peer never sees it.
     Drop,
-    /// Sleep before forwarding the frame.
+    /// Hold the frame in the reactor's timer wheel before forwarding it.
     Delay,
     /// Forward the frame twice.
     Duplicate,
     /// Clobber the request tag so the payload fails to decode server-side.
     Corrupt,
-    /// Close the underlying transport instead of sending.
+    /// Close the connection instead of sending.
     Sever,
 }
 
 impl FaultKind {
-    /// All fault classes, in the order [`FaultPlan::seeded`] draws from.
+    /// All fault classes (the chaos matrix runs each of them).
     pub const ALL: [FaultKind; 5] = [
         FaultKind::Drop,
         FaultKind::Delay,
@@ -69,65 +63,42 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    const DEFAULT_DELAY: Duration = Duration::from_millis(30);
+    /// Strikes the `at`-th outbound frame with `kind`; a
+    /// [`FaultKind::Delay`] holds the frame for 30 ms.
+    pub fn new(kind: FaultKind, at: u64) -> FaultPlan {
+        FaultPlan {
+            kind,
+            at,
+            delay: Duration::from_millis(30),
+        }
+    }
 
     /// Drops the `at`-th outbound frame.
     pub fn drop_at(at: u64) -> FaultPlan {
-        FaultPlan {
-            kind: FaultKind::Drop,
-            at,
-            delay: Duration::ZERO,
-        }
+        FaultPlan::new(FaultKind::Drop, at)
     }
 
     /// Delays the `at`-th outbound frame by `delay`.
     pub fn delay_at(at: u64, delay: Duration) -> FaultPlan {
         FaultPlan {
-            kind: FaultKind::Delay,
-            at,
             delay,
+            ..FaultPlan::new(FaultKind::Delay, at)
         }
     }
 
     /// Sends the `at`-th outbound frame twice.
     pub fn duplicate_at(at: u64) -> FaultPlan {
-        FaultPlan {
-            kind: FaultKind::Duplicate,
-            at,
-            delay: Duration::ZERO,
-        }
+        FaultPlan::new(FaultKind::Duplicate, at)
     }
 
     /// Clobbers the `at`-th outbound frame's payload (detectably).
     pub fn corrupt_at(at: u64) -> FaultPlan {
-        FaultPlan {
-            kind: FaultKind::Corrupt,
-            at,
-            delay: Duration::ZERO,
-        }
+        FaultPlan::new(FaultKind::Corrupt, at)
     }
 
-    /// Closes the underlying transport in place of the `at`-th send.
+    /// Closes the connection in place of the `at`-th send.
     pub fn sever_at(at: u64) -> FaultPlan {
-        FaultPlan {
-            kind: FaultKind::Sever,
-            at,
-            delay: Duration::ZERO,
-        }
-    }
-
-    /// Derives a plan from `seed`: a fault class and a strike position in
-    /// `0..window` frames, both drawn from a seeded generator. Equal seeds
-    /// give equal plans, so a chaos run is reproducible from its seed alone.
-    pub fn seeded(seed: u64, window: u64) -> FaultPlan {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let kind = FaultKind::ALL[rng.gen_range(0..FaultKind::ALL.len())];
-        let at = rng.gen_range(0..window.max(1));
-        FaultPlan {
-            kind,
-            at,
-            delay: FaultPlan::DEFAULT_DELAY,
-        }
+        FaultPlan::new(FaultKind::Sever, at)
     }
 
     /// The fault class this plan injects.
@@ -143,197 +114,5 @@ impl FaultPlan {
     /// How long a [`FaultKind::Delay`] strike holds the frame.
     pub fn delay(&self) -> Duration {
         self.delay
-    }
-}
-
-/// A [`Transport`] wrapper that applies one [`FaultPlan`] to the outbound
-/// frame stream, then behaves transparently. Receiving, stats, and close are
-/// always passed straight through; [`Transport::close`] closes the inner
-/// transport even if the fault never fired.
-pub struct FaultInjectTransport {
-    inner: Arc<dyn Transport>,
-    plan: FaultPlan,
-    sent: AtomicU64,
-}
-
-impl FaultInjectTransport {
-    /// Wraps `inner` with the given fault schedule.
-    pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan) -> FaultInjectTransport {
-        FaultInjectTransport {
-            inner,
-            plan,
-            sent: AtomicU64::new(0),
-        }
-    }
-
-    /// How many outbound frames have passed through (including the struck
-    /// one), for asserting a plan actually fired.
-    pub fn frames_sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-
-    /// Whether the planned fault has fired yet.
-    pub fn fault_fired(&self) -> bool {
-        self.sent.load(Ordering::Relaxed) > self.plan.at
-    }
-}
-
-impl Transport for FaultInjectTransport {
-    fn send_frame(&self, frame: &Frame) -> Result<(), TransportError> {
-        let n = self.sent.fetch_add(1, Ordering::Relaxed);
-        if n != self.plan.at {
-            return self.inner.send_frame(frame);
-        }
-        match self.plan.kind {
-            // The wire ate the frame; the caller learns nothing until its
-            // deadline expires.
-            FaultKind::Drop => Ok(()),
-            FaultKind::Delay => {
-                std::thread::sleep(self.plan.delay);
-                self.inner.send_frame(frame)
-            }
-            FaultKind::Duplicate => {
-                self.inner.send_frame(frame)?;
-                self.inner.send_frame(frame)
-            }
-            FaultKind::Corrupt => {
-                // 0xEE is an unassigned request tag, so the server replies
-                // with a typed malformed-request error for this one frame.
-                let clobbered = Frame {
-                    kind: frame.kind,
-                    correlation_id: frame.correlation_id,
-                    payload: bytes::Bytes::from(vec![0xEEu8]),
-                };
-                self.inner.send_frame(&clobbered)
-            }
-            FaultKind::Sever => {
-                self.inner.close();
-                Err(TransportError::Closed)
-            }
-        }
-    }
-
-    fn recv_frame(&self) -> Result<Frame, TransportError> {
-        self.inner.recv_frame()
-    }
-
-    fn stats(&self) -> Arc<CommStats> {
-        self.inner.stats()
-    }
-
-    fn close(&self) {
-        self.inner.close();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::wire::FEATURE_VERSION;
-    use super::super::{channel_pair, serve, CoalesceConfig, SessionKeyHolder};
-    use super::*;
-    use crate::party::{KeyHolder, LocalKeyHolder};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sknn_paillier::Keypair;
-
-    fn connect_with_plan(
-        plan: FaultPlan,
-    ) -> (
-        sknn_paillier::PublicKey,
-        SessionKeyHolder,
-        Arc<FaultInjectTransport>,
-        std::thread::JoinHandle<Result<(), TransportError>>,
-        StdRng,
-    ) {
-        let mut rng = StdRng::seed_from_u64(991);
-        let (pk, sk) = Keypair::generate(128, &mut rng).split();
-        let (client_end, server_end) = channel_pair();
-        let holder = LocalKeyHolder::new(sk, 992);
-        let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-        let faulty = Arc::new(FaultInjectTransport::new(Arc::new(client_end), plan));
-        let client = SessionKeyHolder::connect(
-            pk.clone(),
-            Arc::clone(&faulty) as Arc<dyn Transport>,
-            CoalesceConfig::disabled(),
-        );
-        (pk, client, faulty, server, rng)
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic() {
-        assert_eq!(FaultPlan::seeded(7, 10), FaultPlan::seeded(7, 10));
-        // Over many seeds every fault class shows up.
-        let kinds: std::collections::HashSet<_> = (0..64u64)
-            .map(|s| format!("{:?}", FaultPlan::seeded(s, 10).kind()))
-            .collect();
-        assert_eq!(kinds.len(), FaultKind::ALL.len());
-    }
-
-    #[test]
-    fn corrupt_frame_gets_typed_error_then_session_recovers() {
-        // Frame 0 is the feature probe; strike frame 1.
-        let (pk, client, faulty, _server, mut rng) = connect_with_plan(FaultPlan::corrupt_at(1));
-        assert_eq!(client.features(), FEATURE_VERSION);
-        let e = pk.encrypt_u64(5, &mut rng);
-        // The struck request surfaces as a typed protocol error…
-        assert!(client.min_selection(std::slice::from_ref(&e)).is_err());
-        assert!(faulty.fault_fired());
-        // …and the session still works afterwards.
-        let dists: Vec<_> = [30u64, 10, 20]
-            .iter()
-            .map(|&v| pk.encrypt_u64(v, &mut rng))
-            .collect();
-        assert_eq!(client.top_k_indices(&dists, 1), vec![1]);
-    }
-
-    #[test]
-    fn dropped_frame_times_out_and_session_stays_usable() {
-        let (pk, client, _faulty, _server, mut rng) = connect_with_plan(FaultPlan::drop_at(1));
-        client.set_deadline(Some(Duration::from_millis(100)));
-        let e = pk.encrypt_u64(5, &mut rng);
-        let err = client.min_selection(std::slice::from_ref(&e)).unwrap_err();
-        assert!(format!("{err}").contains("timed out"), "got: {err}");
-        // The lost request's waiter was unregistered; later requests work.
-        let dists: Vec<_> = [30u64, 10, 20]
-            .iter()
-            .map(|&v| pk.encrypt_u64(v, &mut rng))
-            .collect();
-        assert_eq!(client.top_k_indices(&dists, 1), vec![1]);
-    }
-
-    #[test]
-    fn duplicated_frame_is_harmless() {
-        let (pk, client, faulty, _server, mut rng) = connect_with_plan(FaultPlan::duplicate_at(1));
-        let dists: Vec<_> = [30u64, 10, 20]
-            .iter()
-            .map(|&v| pk.encrypt_u64(v, &mut rng))
-            .collect();
-        // The duplicate reply is discarded by correlation id.
-        assert_eq!(client.top_k_indices(&dists, 2), vec![1, 2]);
-        assert!(faulty.fault_fired());
-        assert_eq!(client.top_k_indices(&dists, 1), vec![1]);
-    }
-
-    #[test]
-    fn delayed_frame_still_answers_within_deadline() {
-        let (pk, client, _faulty, _server, mut rng) =
-            connect_with_plan(FaultPlan::delay_at(1, Duration::from_millis(20)));
-        client.set_deadline(Some(Duration::from_secs(5)));
-        let dists: Vec<_> = [30u64, 10, 20]
-            .iter()
-            .map(|&v| pk.encrypt_u64(v, &mut rng))
-            .collect();
-        assert_eq!(client.top_k_indices(&dists, 1), vec![1]);
-    }
-
-    #[test]
-    fn sever_closes_both_endpoints_and_server_exits() {
-        let (pk, client, _faulty, server, mut rng) = connect_with_plan(FaultPlan::sever_at(1));
-        let e = pk.encrypt_u64(5, &mut rng);
-        let err = client.min_selection(std::slice::from_ref(&e)).unwrap_err();
-        assert_eq!(err, crate::ProtocolError::TransportClosed);
-        // The server's recv woke up with Closed and exited cleanly.
-        assert_eq!(server.join().unwrap(), Ok(()));
-        drop(client);
     }
 }

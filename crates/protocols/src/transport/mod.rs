@@ -1,4 +1,4 @@
-//! The pluggable C1↔C2 transport stack.
+//! The C1↔C2 transport stack.
 //!
 //! The paper assumes C1 and C2 are separate cloud providers exchanging
 //! protocol messages over a network. This module layers that boundary so
@@ -9,17 +9,21 @@
 //!        │
 //!   SessionKeyHolder        pipelining (correlation ids) + request
 //!        │                  coalescing (merge small concurrent batches)
-//!   Transport trait         send_frame / recv_frame / stats / close
-//!        │
-//!   ChannelTransport        in-process MPMC frame queues (byte-accurate
-//!        │                  traffic accounting without sockets)
-//!   TcpTransport            one real socket via std::net
+//!   Conn                    one connection: in-flight window, queue,
+//!        │                  deadlines, fault plans
+//!   Reactor                 one `sknn-reactor` thread services every
+//!        │                  connection; the wire is either
+//!        ├─ channel_pair    in-process byte queues (byte-accurate
+//!        │                  traffic accounting without sockets), or
+//!        └─ connect_tcp     a real non-blocking socket (epoll)
 //! ```
 //!
 //! On the other side, [`serve`] runs the key-holder server loop — over any
-//! [`Transport`] — against a [`crate::LocalKeyHolder`], with a configurable
-//! number of worker threads so concurrent pipelined requests are also
-//! *served* concurrently.
+//! blocking [`Transport`] ([`ChannelServer`], [`TcpTransport`]) — against a
+//! [`crate::LocalKeyHolder`], with a configurable number of worker threads
+//! so concurrent pipelined requests are also *served* concurrently.
+//! [`SessionPool::channel`] and [`SessionPool::tcp`] stand up both sides in
+//! one process.
 //!
 //! The wire format ([`wire`]) is versioned, length-prefixed, and tagged
 //! with correlation ids; malformed peer input surfaces as a typed
@@ -27,7 +31,6 @@
 
 pub mod wire;
 
-mod channel;
 mod fault;
 mod pool;
 mod reactor;
@@ -35,10 +38,9 @@ mod server;
 mod session;
 mod tcp;
 
-pub use channel::{channel_pair, ChannelTransport};
-pub use fault::{FaultInjectTransport, FaultKind, FaultPlan};
-pub use pool::{Reconnector, SessionHealth, SessionPool};
-pub use reactor::{AsyncChannelServer, AsyncConn, BackpressureConfig, Reactor};
+pub use fault::{FaultKind, FaultPlan};
+pub use pool::{Loopback, Reconnector, SessionHealth, SessionPool};
+pub use reactor::{BackpressureConfig, ChannelServer, Conn, Reactor};
 pub use server::{serve, serve_with_features};
 pub use session::{CoalesceConfig, SessionFailure, SessionKeyHolder};
 pub use tcp::TcpTransport;
@@ -72,12 +74,12 @@ pub(crate) fn to_raw(values: &[Ciphertext]) -> Vec<BigUint> {
     values.iter().map(|c| c.as_raw().clone()).collect()
 }
 
-/// A bidirectional, concurrently usable frame connection between the clouds.
+/// The key-holder server's end of a connection: a blocking, concurrently
+/// usable frame wire that [`serve`] runs its workers over.
 ///
 /// Implementations must allow `send_frame` and `recv_frame` from many
-/// threads at once (internal locking is fine; the session layer keeps one
-/// receiver — the demux thread — and many senders, while the server side
-/// runs many receivers). [`Transport::close`] must unblock every thread
+/// threads at once (internal locking is fine; the server runs many
+/// receivers and senders). [`Transport::close`] must unblock every thread
 /// parked in `recv_frame` on **both** endpoints, after which all operations
 /// return [`TransportError::Closed`].
 pub trait Transport: Send + Sync {
@@ -116,31 +118,39 @@ mod tests {
     use sknn_paillier::{Keypair, PublicKey};
     use std::thread::JoinHandle;
 
-    fn setup() -> (
-        PublicKey,
-        LocalKeyHolder,
-        SessionKeyHolder,
-        JoinHandle<Result<(), TransportError>>,
-        StdRng,
-    ) {
+    /// One session over the channel wire, plus an oracle sharing its key.
+    fn setup() -> (PublicKey, LocalKeyHolder, SessionPool, StdRng) {
         let mut rng = StdRng::seed_from_u64(131);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let oracle = LocalKeyHolder::new(sk.clone(), 132);
-        let (client, handle) = SessionKeyHolder::spawn_in_process(
-            LocalKeyHolder::new(sk, 133),
-            1,
-            CoalesceConfig::disabled(),
-        );
-        (pk, oracle, client, handle, rng)
+        let pool =
+            SessionPool::channel(vec![LocalKeyHolder::new(sk, 133)], &Loopback::default()).unwrap();
+        (pk, oracle, pool, rng)
+    }
+
+    /// A channel-wire connection to a server speaking feature revision
+    /// `features`, plus the server's join handle.
+    fn channel_server(
+        reactor: &Reactor,
+        holder: LocalKeyHolder,
+        features: u8,
+    ) -> (Conn, JoinHandle<Result<(), TransportError>>) {
+        let (conn, server_end) = reactor
+            .channel_pair(BackpressureConfig::default(), None)
+            .unwrap();
+        let server =
+            std::thread::spawn(move || serve_with_features(&server_end, &holder, 1, features));
+        (conn, server)
     }
 
     #[test]
     fn protocols_work_over_the_channel() {
-        let (pk, oracle, client, _handle, mut rng) = setup();
+        let (pk, oracle, pool, mut rng) = setup();
+        let client = pool.session(0);
 
         let e_a = pk.encrypt_u64(59, &mut rng);
         let e_b = pk.encrypt_u64(58, &mut rng);
-        let prod = secure_multiply(&pk, &client, &e_a, &e_b, &mut rng);
+        let prod = secure_multiply(&pk, client, &e_a, &e_b, &mut rng);
         assert_eq!(oracle.debug_decrypt_u64(&prod).unwrap(), 3422);
 
         let e_x: Vec<_> = [1u64, 2, 3]
@@ -151,11 +161,11 @@ mod tests {
             .iter()
             .map(|&v| pk.encrypt_u64(v, &mut rng))
             .collect();
-        let d = secure_squared_distance(&pk, &client, &e_x, &e_y, &mut rng).unwrap();
+        let d = secure_squared_distance(&pk, client, &e_x, &e_y, &mut rng).unwrap();
         assert_eq!(oracle.debug_decrypt_u64(&d).unwrap(), 9 + 16 + 25);
 
         let bits =
-            secure_bit_decompose(&pk, &client, &pk.encrypt_u64(55, &mut rng), 6, &mut rng).unwrap();
+            secure_bit_decompose(&pk, client, &pk.encrypt_u64(55, &mut rng), 6, &mut rng).unwrap();
         let plain: Vec<u64> = bits
             .iter()
             .map(|b| oracle.debug_decrypt_u64(b).unwrap())
@@ -165,7 +175,8 @@ mod tests {
 
     #[test]
     fn traffic_is_counted() {
-        let (pk, _oracle, client, _handle, mut rng) = setup();
+        let (pk, _oracle, pool, mut rng) = setup();
+        let client = pool.session(0);
         let stats = client.stats();
         // Connecting costs exactly one round trip: the feature probe.
         assert_eq!(stats.requests(), 1);
@@ -174,7 +185,7 @@ mod tests {
 
         let e_a = pk.encrypt_u64(3, &mut rng);
         let e_b = pk.encrypt_u64(4, &mut rng);
-        let _ = secure_multiply(&pk, &client, &e_a, &e_b, &mut rng);
+        let _ = secure_multiply(&pk, client, &e_a, &e_b, &mut rng);
 
         // SM is a single round trip.
         let delta = stats.snapshot().since(&baseline);
@@ -188,15 +199,22 @@ mod tests {
 
     #[test]
     fn server_exits_when_client_dropped() {
-        let (_pk, _oracle, client, handle, _rng) = setup();
+        let mut rng = StdRng::seed_from_u64(139);
+        let (pk, sk) = Keypair::generate(128, &mut rng).split();
+        let reactor = Reactor::new().unwrap();
+        let (conn, server) =
+            channel_server(&reactor, LocalKeyHolder::new(sk, 140), FEATURE_VERSION);
+        let client = SessionKeyHolder::connect(pk, conn, CoalesceConfig::disabled());
         drop(client);
-        let result = handle.join().expect("server thread exits cleanly");
+        let result = server.join().expect("server thread exits cleanly");
         assert_eq!(result, Ok(()));
+        reactor.shutdown();
     }
 
     #[test]
     fn top_k_and_decrypt_over_channel() {
-        let (pk, _oracle, client, _handle, mut rng) = setup();
+        let (pk, _oracle, pool, mut rng) = setup();
+        let client = pool.session(0);
         let dists: Vec<_> = [30u64, 10, 20]
             .iter()
             .map(|&v| pk.encrypt_u64(v, &mut rng))
@@ -216,21 +234,22 @@ mod tests {
     fn handshake_fetches_the_public_key() {
         let mut rng = StdRng::seed_from_u64(135);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
-        let (client_end, server_end) = channel_pair();
-        let holder = LocalKeyHolder::new(sk, 136);
-        let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-        let client =
-            SessionKeyHolder::connect_handshake(Arc::new(client_end), CoalesceConfig::disabled())
-                .expect("handshake succeeds");
+        let reactor = Reactor::new().unwrap();
+        let (conn, server) =
+            channel_server(&reactor, LocalKeyHolder::new(sk, 136), FEATURE_VERSION);
+        let client = SessionKeyHolder::connect_handshake(conn, CoalesceConfig::disabled())
+            .expect("handshake succeeds");
         assert_eq!(client.public_key().n(), pk.n());
         drop(client);
         assert_eq!(server.join().unwrap(), Ok(()));
+        reactor.shutdown();
     }
 
     #[test]
     fn packed_requests_work_over_the_channel() {
         use crate::packed::{packed_bit_decompose, PackedParams};
-        let (pk, oracle, client, _handle, mut rng) = setup();
+        let (pk, oracle, pool, mut rng) = setup();
+        let client = pool.session(0);
         assert!(client.supports_packing());
         // 128-bit key, 14-bit operands → 28-bit stride → 4 slots.
         let params = PackedParams::derive(pk.bits(), 6, 6, 4).unwrap();
@@ -266,7 +285,7 @@ mod tests {
         let state = pk.encrypt(&params.layout.pack_wide(&vs).unwrap(), &mut rng);
         let bits = packed_bit_decompose(
             &pk,
-            &client,
+            client,
             &[state],
             &[values.len()],
             7,
@@ -302,15 +321,15 @@ mod tests {
         use crate::packed::PackedParams;
         let mut rng = StdRng::seed_from_u64(141);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
-        let (client_end, server_end) = channel_pair();
-        let holder = LocalKeyHolder::new(sk, 142);
+        let reactor = Reactor::new().unwrap();
         // A server pinned to the pre-packing feature revision answers the
         // probe like an old build: with an unknown-tag error reply.
-        let server = std::thread::spawn(move || {
-            serve_with_features(&server_end, &holder, 1, FEATURE_VERSION_SCALAR)
-        });
-        let client =
-            SessionKeyHolder::connect(pk.clone(), Arc::new(client_end), CoalesceConfig::disabled());
+        let (conn, server) = channel_server(
+            &reactor,
+            LocalKeyHolder::new(sk, 142),
+            FEATURE_VERSION_SCALAR,
+        );
+        let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
         assert_eq!(client.features(), FEATURE_VERSION_SCALAR);
         assert!(!client.supports_packing());
 
@@ -338,11 +357,13 @@ mod tests {
         assert_eq!(oracle.debug_decrypt_u64(&prod).unwrap(), 3422);
         drop(client);
         assert_eq!(server.join().unwrap(), Ok(()));
+        reactor.shutdown();
     }
 
     #[test]
     fn min_selection_error_is_typed_across_the_wire() {
-        let (pk, _oracle, client, _handle, mut rng) = setup();
+        let (pk, _oracle, pool, mut rng) = setup();
+        let client = pool.session(0);
         // No zero anywhere: the protocol invariant is violated.
         let beta: Vec<_> = [5u64, 6, 7]
             .iter()
@@ -359,9 +380,15 @@ mod tests {
     fn malformed_request_payload_gets_an_error_reply_not_a_crash() {
         let mut rng = StdRng::seed_from_u64(137);
         let (_pk, sk) = Keypair::generate(128, &mut rng).split();
-        let (client_end, server_end) = channel_pair();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let holder = LocalKeyHolder::new(sk, 138);
-        let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
+        let server = std::thread::spawn(move || {
+            let server_end = TcpTransport::accept(&listener)?;
+            serve(&server_end, &holder, 1)
+        });
+        let client_end =
+            TcpTransport::from_stream(std::net::TcpStream::connect(addr).unwrap()).unwrap();
 
         // Hand-roll a frame whose payload has an unassigned request tag.
         client_end

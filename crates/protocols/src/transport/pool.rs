@@ -2,10 +2,10 @@
 //!
 //! One pipelined [`SessionKeyHolder`] already lets many worker threads
 //! share a single connection, but every request still serializes through
-//! one wire and one demux thread. A sharded query plan wants its per-shard
-//! scatter stages to overlap *on the wire*: [`SessionPool`] stands up
-//! `sessions` fully independent connections — each with its own transport,
-//! demux thread and server-side worker pool — and the executor pins shard
+//! one wire. A sharded query plan wants its per-shard scatter stages to
+//! overlap *on the wire*: [`SessionPool`] holds `sessions` fully
+//! independent connections — each with its own server-side worker pool,
+//! all serviced by one shared [`Reactor`] — and the executor pins shard
 //! `s` to session `s mod sessions`. Every session serves the same logical
 //! C2 (same secret key), so correctness is unaffected by the pinning; the
 //! pool is purely a throughput/latency structure.
@@ -25,18 +25,20 @@
 //!   and deterministic jitter — that can replace a dead session in place,
 //!   re-running feature negotiation on the fresh connection.
 
-use super::reactor::{BackpressureConfig, Reactor};
+use super::fault::FaultPlan;
+use super::reactor::{BackpressureConfig, Conn, Reactor};
+use super::server::serve;
 use super::session::{CoalesceConfig, SessionKeyHolder};
 use super::tcp::TcpTransport;
 use super::wire::TransportError;
 use crate::error::ProtocolError;
-use crate::party::LocalKeyHolder;
+use crate::party::{KeyHolder, LocalKeyHolder};
 use crate::stats::CommSnapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sknn_paillier::PublicKey;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,19 +86,19 @@ impl SessionHealth {
 
 /// A set of ≥ 1 independent key-holder sessions plus the join handles of
 /// their (in-process) server threads. Dropping the pool hangs up every
-/// session and reaps the servers (with a bounded wait — see [`Drop`]), so
-/// no key-holding thread outlives it.
+/// session, stops its reactor and reaps the servers (with a bounded wait —
+/// see [`Drop`]), so no key-holding thread outlives it.
 pub struct SessionPool {
     sessions: Vec<SessionKeyHolder>,
-    servers: Vec<JoinHandle<Result<(), TransportError>>>,
+    servers: Vec<ServerHandle>,
     health: Vec<AtomicU8>,
     retries: AtomicU64,
     reconnects: AtomicU64,
     failovers: AtomicU64,
-    /// The event loop servicing this pool's async sessions, if any. Owned
-    /// here so [`Drop`] can stop and join it after hanging up the sessions:
-    /// the `sknn-reactor` thread obeys the same no-thread-outlives-the-pool
-    /// contract as the demux and server threads.
+    /// The event loop servicing this pool's sessions, if the pool owns it.
+    /// Owned here so [`Drop`] can stop and join it after hanging up the
+    /// sessions: the `sknn-reactor` thread obeys the same
+    /// no-thread-outlives-the-pool contract as the server threads.
     reactor: Option<Reactor>,
 }
 
@@ -107,11 +109,35 @@ pub struct SessionPool {
 /// detached rather than blocking the embedder forever.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
+/// A key-holder server thread's join handle.
+type ServerHandle = JoinHandle<Result<(), TransportError>>;
+
+/// How [`SessionPool::channel`] and [`SessionPool::tcp`] stand up their
+/// in-process key-holder servers and sessions. The default is one worker
+/// per server, no coalescing, default backpressure and no faults.
+#[derive(Clone, Debug, Default)]
+pub struct Loopback {
+    /// Request-handling threads per server (clamped to ≥ 1 by [`serve`]).
+    pub workers: usize,
+    /// Coalescing policy of every session.
+    pub coalesce: CoalesceConfig,
+    /// Flow-control limits of every connection.
+    pub backpressure: BackpressureConfig,
+    /// Fault plan for session `i`'s client connection, by index; sessions
+    /// past the end of the list run fault-free. The chaos suite's hook.
+    pub faults: Vec<Option<FaultPlan>>,
+}
+
+/// Spawns a named key-holder server thread.
+fn spawn_server(
+    name: String,
+    body: impl FnOnce() -> Result<(), TransportError> + Send + 'static,
+) -> Result<ServerHandle, TransportError> {
+    Ok(std::thread::Builder::new().name(name).spawn(body)?)
+}
+
 impl SessionPool {
-    fn assemble(
-        sessions: Vec<SessionKeyHolder>,
-        servers: Vec<JoinHandle<Result<(), TransportError>>>,
-    ) -> SessionPool {
+    fn assemble(sessions: Vec<SessionKeyHolder>, servers: Vec<ServerHandle>) -> SessionPool {
         let health = sessions
             .iter()
             .map(|_| AtomicU8::new(SessionHealth::Healthy.as_u8()))
@@ -127,7 +153,7 @@ impl SessionPool {
         }
     }
 
-    /// Hands the pool ownership of the reactor its async sessions run on;
+    /// Hands the pool ownership of the reactor its sessions run on;
     /// [`Drop`] will shut it down (and join its thread) after the sessions
     /// hang up.
     #[must_use]
@@ -136,38 +162,109 @@ impl SessionPool {
         self
     }
 
-    /// Stands up `sessions` in-process key-holder servers — holder `i`
-    /// produced by `make_holder(i)`, each served by `workers` request
-    /// threads — and connects one client session to each. `sessions` is
-    /// clamped to at least 1.
-    pub fn spawn_in_process(
-        mut make_holder: impl FnMut(usize) -> LocalKeyHolder,
-        sessions: usize,
-        workers: usize,
-        coalesce: CoalesceConfig,
-    ) -> SessionPool {
-        let count = sessions.max(1);
-        let mut clients = Vec::with_capacity(count);
-        let mut servers = Vec::with_capacity(count);
-        for i in 0..count {
-            let (client, server) =
-                SessionKeyHolder::spawn_in_process(make_holder(i), workers, coalesce);
-            clients.push(client);
-            servers.push(server);
+    /// Stands up one in-process key-holder server per holder, each behind
+    /// the reactor's in-process channel wire (`sknn-c2-chan-<i>` threads),
+    /// and connects one session to each.
+    ///
+    /// # Errors
+    /// [`TransportError::Io`] when the reactor or a server thread cannot be
+    /// started, or when `holders` is empty.
+    pub fn channel(
+        holders: Vec<LocalKeyHolder>,
+        options: &Loopback,
+    ) -> Result<SessionPool, TransportError> {
+        SessionPool::loopback(holders, options, |reactor, i, holder, plan| {
+            let (conn, server_end) = reactor.channel_pair(options.backpressure, plan)?;
+            let workers = options.workers;
+            let server = spawn_server(format!("sknn-c2-chan-{i}"), move || {
+                serve(&server_end, &holder, workers)
+            })?;
+            Ok((conn, server))
+        })
+    }
+
+    /// Like [`SessionPool::channel`], but every session is a real loopback
+    /// TCP connection (`sknn-c2-tcp-<i>` server threads, non-blocking
+    /// client sockets on the reactor).
+    ///
+    /// # Errors
+    /// [`TransportError::Io`] when binding, dialing or spawning fails.
+    pub fn tcp(
+        holders: Vec<LocalKeyHolder>,
+        options: &Loopback,
+    ) -> Result<SessionPool, TransportError> {
+        SessionPool::loopback(holders, options, |reactor, i, holder, plan| {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let addr = listener.local_addr()?;
+            let workers = options.workers;
+            let server = spawn_server(format!("sknn-c2-tcp-{i}"), move || {
+                let server_end = TcpTransport::accept(&listener)?;
+                serve(&server_end, &holder, workers)
+            })?;
+            let conn = TcpStream::connect(addr)
+                .map_err(TransportError::from)
+                .and_then(|stream| reactor.connect_tcp(stream, options.backpressure, plan));
+            match conn {
+                Ok(conn) => Ok((conn, server)),
+                Err(e) => {
+                    // Unblock the pending accept() so the server thread
+                    // (holding a copy of the private key) exits: a
+                    // throwaway connection that drops at once reads as a
+                    // clean hang-up in serve(). Its handle is dropped, not
+                    // joined: should this connect fail too, a join would
+                    // hang.
+                    let _ = TcpStream::connect(addr);
+                    Err(e)
+                }
+            }
+        })
+    }
+
+    /// The shared body of [`SessionPool::channel`] and
+    /// [`SessionPool::tcp`]: `attach` wires holder `i` to a fresh
+    /// connection on the pool's reactor. On failure the partly built pool
+    /// is dropped, which hangs up and reaps everything started so far.
+    fn loopback(
+        holders: Vec<LocalKeyHolder>,
+        options: &Loopback,
+        attach: impl Fn(
+            &Reactor,
+            usize,
+            LocalKeyHolder,
+            Option<FaultPlan>,
+        ) -> Result<(Conn, ServerHandle), TransportError>,
+    ) -> Result<SessionPool, TransportError> {
+        if holders.is_empty() {
+            return Err(TransportError::Io(
+                "a SessionPool needs at least one key holder".to_string(),
+            ));
         }
-        SessionPool::assemble(clients, servers)
+        let reactor = Reactor::new()?;
+        let mut pool = SessionPool::assemble(Vec::new(), Vec::new()).with_reactor(reactor.clone());
+        for (i, holder) in holders.into_iter().enumerate() {
+            let pk = holder.public_key().clone();
+            let plan = options.faults.get(i).copied().flatten();
+            let (conn, server) = attach(&reactor, i, holder, plan)?;
+            pool.servers.push(server);
+            pool.sessions
+                .push(SessionKeyHolder::connect(pk, conn, options.coalesce));
+            pool.health
+                .push(AtomicU8::new(SessionHealth::Healthy.as_u8()));
+        }
+        Ok(pool)
     }
 
     /// Assembles a pool from already-connected sessions and their server
-    /// join handles — the path for transports the embedder bootstraps
-    /// itself (e.g. one TCP connection per session).
+    /// join handles — the path for wires the embedder bootstraps itself
+    /// (e.g. a remote key holder per session). Pair it with
+    /// [`SessionPool::with_reactor`] to hand over the reactor as well.
     ///
     /// # Errors
     /// [`ProtocolError::Invariant`] on an empty session list — a pool with
     /// zero sessions has nowhere to send work.
     pub fn from_parts(
         sessions: Vec<SessionKeyHolder>,
-        servers: Vec<JoinHandle<Result<(), TransportError>>>,
+        servers: Vec<ServerHandle>,
     ) -> Result<SessionPool, ProtocolError> {
         if sessions.is_empty() {
             return Err(ProtocolError::Invariant {
@@ -258,7 +355,7 @@ impl SessionPool {
     /// Replaces dead session `i` with a fresh connection dialed through
     /// `reconnector` (feature negotiation runs again on the new wire), marks
     /// it `Healthy`, and counts one reconnect. The old session object is
-    /// dropped, which closes its transport and reaps its demux thread.
+    /// dropped, which closes its connection.
     ///
     /// # Errors
     /// The last dial error once the reconnector's attempt budget is spent;
@@ -304,7 +401,7 @@ impl Drop for SessionPool {
         // With the clients gone the reactor has no live connections left;
         // stopping it joins the `sknn-reactor` thread (and fails any
         // connection a leaked clone might still hold), keeping the pool's
-        // zero-leaked-threads guarantee under the async backends.
+        // zero-leaked-threads guarantee.
         if let Some(reactor) = self.reactor.take() {
             reactor.shutdown();
         }
@@ -357,26 +454,12 @@ impl Reconnector {
         }
     }
 
-    /// A reconnector that redials `addr` over TCP and attaches with the
-    /// known public key `pk` (feature negotiation runs on every dial).
-    pub fn tcp(addr: impl Into<String>, pk: PublicKey, coalesce: CoalesceConfig) -> Reconnector {
-        let addr = addr.into();
-        Reconnector::new(Box::new(move || {
-            let transport = TcpTransport::connect(addr.as_str())?;
-            Ok(SessionKeyHolder::connect(
-                pk.clone(),
-                Arc::new(transport),
-                coalesce,
-            ))
-        }))
-    }
-
-    /// A reconnector that redials `addr` and registers the fresh socket
-    /// with the shared `reactor` — the async-backend counterpart of
-    /// [`Reconnector::tcp`]. The dialer holds a reactor handle, so a
-    /// re-pinned shard's replacement session lands on the same event loop
-    /// as every other connection.
-    pub fn async_tcp(
+    /// A reconnector that redials `addr` over TCP, registers the fresh
+    /// socket with the shared `reactor` and attaches with the known public
+    /// key `pk` (feature negotiation runs on every dial). The dialer holds
+    /// a reactor handle, so a re-pinned shard's replacement session lands
+    /// on the same event loop as every other connection.
+    pub fn tcp(
         reactor: Reactor,
         addr: impl Into<String>,
         pk: PublicKey,
@@ -386,7 +469,7 @@ impl Reconnector {
         let addr = addr.into();
         Reconnector::new(Box::new(move || {
             let conn = reactor.dial_tcp(addr.as_str(), backpressure)?;
-            Ok(SessionKeyHolder::connect_async(pk.clone(), conn, coalesce))
+            Ok(SessionKeyHolder::connect(pk.clone(), conn, coalesce))
         }))
     }
 
@@ -450,24 +533,25 @@ impl Reconnector {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{channel_pair, serve};
     use super::*;
-    use crate::KeyHolder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sknn_paillier::Keypair;
-    use std::net::TcpListener;
+    use sknn_paillier::{Keypair, PrivateKey};
+
+    /// `sessions` in-process servers over the channel wire, seeded from
+    /// `seed`.
+    fn channel_pool(sk: &PrivateKey, sessions: u64, seed: u64) -> SessionPool {
+        let holders = (0..sessions)
+            .map(|i| LocalKeyHolder::new(sk.clone(), seed + i))
+            .collect();
+        SessionPool::channel(holders, &Loopback::default()).unwrap()
+    }
 
     #[test]
     fn independent_sessions_answer_requests_and_account_traffic() {
         let mut rng = StdRng::seed_from_u64(801);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
-        let pool = SessionPool::spawn_in_process(
-            |i| LocalKeyHolder::new(sk.clone(), 900 + i as u64),
-            3,
-            1,
-            CoalesceConfig::disabled(),
-        );
+        let pool = channel_pool(&sk, 3, 900);
         assert_eq!(pool.len(), 3);
         assert!(!pool.is_empty());
         assert_eq!(pool.sessions().len(), 3);
@@ -512,12 +596,7 @@ mod tests {
     fn health_marks_probe_and_counters() {
         let mut rng = StdRng::seed_from_u64(821);
         let (_pk, sk) = Keypair::generate(128, &mut rng).split();
-        let pool = SessionPool::spawn_in_process(
-            |i| LocalKeyHolder::new(sk.clone(), 920 + i as u64),
-            2,
-            1,
-            CoalesceConfig::disabled(),
-        );
+        let pool = channel_pool(&sk, 2, 920);
         assert_eq!(pool.health(0), SessionHealth::Healthy);
         assert_eq!(pool.live_sessions(), vec![0, 1]);
 
@@ -551,18 +630,10 @@ mod tests {
     fn probe_marks_a_severed_session_dead() {
         let mut rng = StdRng::seed_from_u64(831);
         let (_pk, sk) = Keypair::generate(128, &mut rng).split();
-        let pool = SessionPool::spawn_in_process(
-            |i| LocalKeyHolder::new(sk.clone(), 930 + i as u64),
-            2,
-            1,
-            CoalesceConfig::disabled(),
-        );
-        // Kill session 1's wire out from under it.
-        pool.session(1).stats(); // touch it first so the session is live
+        let pool = channel_pool(&sk, 2, 930);
+        // Kill session 1's wire out from under it (the in-process server
+        // exits when the connection closes).
         pool.sessions[1].set_deadline(Some(Duration::from_millis(200)));
-        // Closing via the session's own transport handle: simulate by
-        // dropping nothing — instead sever through ping after close.
-        // (The in-process server exits when the transport closes.)
         pool.sessions[1].close();
         assert_eq!(pool.probe(1), SessionHealth::Dead);
         assert_eq!(pool.live_sessions(), vec![0]);
@@ -592,15 +663,24 @@ mod tests {
             }
         });
 
-        let reconnector = Reconnector::tcp(addr, pk.clone(), CoalesceConfig::disabled())
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(8))
-            .with_jitter_seed(7)
-            .with_max_attempts(4);
+        let reactor = Reactor::new().unwrap();
+        let reconnector = Reconnector::tcp(
+            reactor.clone(),
+            addr,
+            pk.clone(),
+            CoalesceConfig::disabled(),
+            BackpressureConfig::default(),
+        )
+        .with_backoff(Duration::from_millis(1), Duration::from_millis(8))
+        .with_jitter_seed(7)
+        .with_max_attempts(4);
 
         // First dial: establishes a session with negotiated features.
         let first = reconnector.dial().unwrap();
         assert_eq!(first.features(), super::super::wire::FEATURE_VERSION);
-        let mut pool = SessionPool::from_parts(vec![first], Vec::new()).unwrap();
+        let mut pool = SessionPool::from_parts(vec![first], Vec::new())
+            .unwrap()
+            .with_reactor(reactor);
 
         // Kill it, then reconnect the slot: the fresh session re-negotiates.
         pool.sessions[0].close();
@@ -655,13 +735,17 @@ mod tests {
     fn drop_reaps_promptly_even_with_a_dead_session() {
         let mut rng = StdRng::seed_from_u64(851);
         let (_pk, sk) = Keypair::generate(128, &mut rng).split();
-        let (client_end, server_end) = channel_pair();
+        let reactor = Reactor::new().unwrap();
+        let (conn, server_end) = reactor
+            .channel_pair(BackpressureConfig::default(), None)
+            .unwrap();
         let holder = LocalKeyHolder::new(sk, 950);
         let server = std::thread::spawn(move || serve(&server_end, &holder, 2));
         let session =
-            SessionKeyHolder::connect_handshake(Arc::new(client_end), CoalesceConfig::disabled())
-                .unwrap();
-        let pool = SessionPool::from_parts(vec![session], vec![server]).unwrap();
+            SessionKeyHolder::connect_handshake(conn, CoalesceConfig::disabled()).unwrap();
+        let pool = SessionPool::from_parts(vec![session], vec![server])
+            .unwrap()
+            .with_reactor(reactor);
         // Sever the wire mid-life, then drop: the bounded reap must finish
         // fast (the close wakes the workers), well under DRAIN_DEADLINE.
         pool.sessions[0].close();

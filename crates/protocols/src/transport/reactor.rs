@@ -1,11 +1,10 @@
-//! A single-threaded readiness reactor multiplexing every async session.
+//! A single-threaded readiness reactor multiplexing every C1 session.
 //!
-//! The blocking backends spend one demux thread per connection and park one
-//! OS thread per in-flight request on the server side. The paper's
-//! protocols are *round-trip bound* — dozens of small C1↔C2 exchanges per
-//! query — so at high concurrency the scheduler, not Paillier, becomes the
-//! ceiling. This module replaces the per-connection demux with **one**
-//! event-loop thread (`sknn-reactor`) that owns every async connection:
+//! The paper's protocols are *round-trip bound* — dozens of small C1↔C2
+//! exchanges per query — so at high concurrency a thread per connection
+//! would make the scheduler, not Paillier, the ceiling. Every client
+//! connection is therefore owned by **one** event-loop thread
+//! (`sknn-reactor`), whatever the number of sessions or in-flight requests:
 //!
 //! * **Readiness, not threads.** TCP sockets run non-blocking and are
 //!   registered with an epoll instance (a hand-rolled shim over the raw
@@ -15,14 +14,14 @@
 //! * **Ring buffers + partial-frame reassembly.** Each connection keeps a
 //!   byte ring per direction. Reads append whatever the socket yields;
 //!   frames are peeled off the front with the same
-//!   [`parse_header`](super::wire) validation every blocking wire uses, so
-//!   a frame split across arbitrarily many TCP segments reassembles
+//!   [`parse_header`](super::wire) validation the server's wire uses, so a
+//!   frame split across arbitrarily many TCP segments reassembles
 //!   correctly. Writes drain opportunistically (submitters flush inline
 //!   while the socket has room; `EPOLLOUT` is armed only while bytes
 //!   remain).
 //! * **Completion slots, not socket waits.** Callers keep the synchronous
 //!   [`SessionKeyHolder`](super::SessionKeyHolder) API: a request registers
-//!   its correlation id in the session's pending map and blocks on a
+//!   its correlation id in the connection's completion slots and blocks on a
 //!   channel. The reactor routes each response frame to that slot. Nothing
 //!   but the reactor ever touches the socket.
 //! * **Bounded in-flight windows with backpressure.** Each connection
@@ -31,36 +30,31 @@
 //!   then block up to [`BackpressureConfig::block`], then fail with the
 //!   typed [`TransportError::Overloaded`]. Responses free window slots and
 //!   promote queued requests in order, so per-correlation-stream frame
-//!   order is exactly what a blocking wire would produce.
+//!   order is submission order.
 //! * **Deadlines in a timer wheel.** A request deadline becomes a heap
 //!   entry in the loop; when it fires, the waiter is completed with
 //!   [`TransportError::Timeout`] and the correlation id forgotten, so the
-//!   straggling reply (if it ever lands) is dropped by id — identical
-//!   semantics to the blocking `recv_timeout` path, without a thread
-//!   parked per request.
+//!   straggling reply (if it ever lands) is dropped by id — without a
+//!   thread parked per request.
 //! * **Fault injection at the frame boundary.** A [`FaultPlan`] attached
-//!   at connect time strikes the N-th *outbound* frame exactly as
-//!   [`FaultInjectTransport`](super::FaultInjectTransport) does for the
-//!   blocking wires (drop / delay via the timer wheel / duplicate /
-//!   corrupt / sever), so the chaos suite exercises the same fault classes
-//!   on both backend families.
+//!   at connect time strikes the N-th *outbound* frame (drop / delay via
+//!   the timer wheel / duplicate / corrupt / sever), so the chaos suite
+//!   exercises every fault class on the real wire code.
 //!
 //! The reactor is deliberately *client-side only*: the key-holder server
-//! keeps its blocking worker loop (its per-request work is CPU-bound
-//! Paillier, where a readiness loop buys nothing), and the blocking
-//! transports are untouched — equivalence stays provable backend against
-//! backend.
+//! keeps its blocking worker loop ([`super::serve`] over a
+//! [`super::Transport`]), because its per-request work is CPU-bound
+//! Paillier, where a readiness loop buys nothing.
 
 use super::fault::{FaultKind, FaultPlan};
 use super::record_frame;
-use super::session::PendingMap;
-use super::wire::{parse_header, Frame, TransportError, FRAME_HEADER_LEN};
+use super::wire::{parse_header, Frame, Response, TransportError, FRAME_HEADER_LEN};
 use crate::stats::CommStats;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -70,7 +64,7 @@ fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Per-connection flow-control limits for the async backend.
+/// Per-connection flow-control limits of a reactor connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackpressureConfig {
     /// Requests allowed on the wire at once (clamped to ≥ 1). Responses
@@ -102,7 +96,7 @@ type Token = u64;
 /// What a due timer does.
 enum TimerAction {
     /// A request deadline: complete the waiter with `Timeout` and drop the
-    /// correlation id, exactly like the blocking `recv_timeout` path.
+    /// correlation id.
     Deadline {
         token: Token,
         corr: u64,
@@ -164,7 +158,7 @@ struct Inner {
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// Handle to the shared event-loop thread. Cheap to clone; every async
+/// Handle to the shared event-loop thread. Cheap to clone; every
 /// connection created through it is serviced by the same single thread.
 ///
 /// Shutdown is explicit ([`Reactor::shutdown`]) because the loop thread
@@ -226,7 +220,7 @@ impl Reactor {
         stream: TcpStream,
         backpressure: BackpressureConfig,
         fault: Option<FaultPlan>,
-    ) -> Result<AsyncConn, TransportError> {
+    ) -> Result<Conn, TransportError> {
         let io_err = |e: std::io::Error| TransportError::Io(e.to_string());
         stream.set_nodelay(true).map_err(io_err)?;
         stream.set_nonblocking(true).map_err(io_err)?;
@@ -253,16 +247,17 @@ impl Reactor {
         &self,
         addr: &str,
         backpressure: BackpressureConfig,
-    ) -> Result<AsyncConn, TransportError> {
+    ) -> Result<Conn, TransportError> {
         let stream = TcpStream::connect(addr).map_err(|e| TransportError::Io(e.to_string()))?;
         self.connect_tcp(stream, backpressure, None)
     }
 
-    /// An in-process wire for tests: the client side is a reactor-serviced
-    /// [`AsyncConn`], the server side a blocking [`super::Transport`] that
+    /// An in-process wire: the client side is a reactor-serviced
+    /// [`Conn`], the server side a blocking [`super::Transport`] that
     /// plugs straight into [`super::serve`]. Frames cross as encoded bytes
-    /// and the client side runs them through the same reassembly path as
-    /// TCP, so everything but the socket syscalls is exercised.
+    /// (byte-accurate traffic accounting without sockets) and the client
+    /// side runs them through the same reassembly path as TCP, so
+    /// everything but the socket syscalls is exercised.
     ///
     /// # Errors
     /// Currently infallible; the `Result` keeps the signature uniform with
@@ -271,7 +266,7 @@ impl Reactor {
         &self,
         backpressure: BackpressureConfig,
         fault: Option<FaultPlan>,
-    ) -> Result<(AsyncConn, AsyncChannelServer), TransportError> {
+    ) -> Result<(Conn, ChannelServer), TransportError> {
         let to_server = Arc::new(ByteQueue::new());
         let to_client = Arc::new(ByteQueue::new());
         let conn = self.new_conn(
@@ -282,7 +277,7 @@ impl Reactor {
             backpressure,
             fault,
         );
-        let server = AsyncChannelServer {
+        let server = ChannelServer {
             reactor: Arc::clone(&self.inner),
             token: conn.shared.token,
             inc: to_server,
@@ -297,13 +292,13 @@ impl Reactor {
         source: Source,
         backpressure: BackpressureConfig,
         fault: Option<FaultPlan>,
-    ) -> AsyncConn {
+    ) -> Conn {
         let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(ConnShared {
             token,
             reactor: Arc::clone(&self.inner),
             stats: CommStats::new_shared(),
-            pending: PendingMap::new(),
+            waiters: Mutex::new(HashMap::new()),
             backpressure: BackpressureConfig {
                 window: backpressure.window.max(1),
                 ..backpressure
@@ -326,13 +321,13 @@ impl Reactor {
         lock(&self.inner.state)
             .conns
             .insert(token, Arc::clone(&shared));
-        AsyncConn { shared }
+        Conn { shared }
     }
 }
 
-/// A byte-chunk queue for the in-process async wire. Chunks pushed by the
-/// blocking server side survive a close (matching the blocking channel
-/// transport: queued frames are still deliverable after hang-up).
+/// A byte-chunk queue for the in-process wire. Chunks pushed by the
+/// blocking server side survive a close (queued frames are still
+/// deliverable after hang-up, like bytes already in a socket buffer).
 struct ByteQueue {
     state: Mutex<ByteQueueState>,
     readable: Condvar,
@@ -394,7 +389,7 @@ impl ByteQueue {
 }
 
 /// The blocking server end of [`Reactor::channel_pair`].
-pub struct AsyncChannelServer {
+pub struct ChannelServer {
     reactor: Arc<Inner>,
     token: Token,
     inc: Arc<ByteQueue>,
@@ -402,7 +397,7 @@ pub struct AsyncChannelServer {
     stats: Arc<CommStats>,
 }
 
-impl super::Transport for AsyncChannelServer {
+impl super::Transport for ChannelServer {
     fn send_frame(&self, frame: &Frame) -> Result<(), TransportError> {
         let bytes = frame.encode()?;
         let len = bytes.len();
@@ -443,6 +438,9 @@ enum Source {
     },
 }
 
+/// Where the reactor delivers one request's outcome.
+type Waiter = mpsc::Sender<Result<Response, TransportError>>;
+
 struct FaultState {
     plan: FaultPlan,
     sent: AtomicU64,
@@ -469,7 +467,8 @@ struct ConnShared {
     token: Token,
     reactor: Arc<Inner>,
     stats: Arc<CommStats>,
-    pending: Arc<PendingMap>,
+    /// Completion slots: correlation id → the caller blocked on its reply.
+    waiters: Mutex<HashMap<u64, Waiter>>,
     backpressure: BackpressureConfig,
     fault: Option<FaultState>,
     io: Mutex<ConnIo>,
@@ -477,15 +476,15 @@ struct ConnShared {
     space: Condvar,
 }
 
-/// One async client connection. Handed to
-/// [`SessionKeyHolder::connect_async`](super::SessionKeyHolder::connect_async),
-/// which layers the request/response session protocol on top.
+/// One client connection serviced by the reactor. Handed to
+/// [`SessionKeyHolder::connect`](super::SessionKeyHolder::connect), which
+/// layers the request/response session protocol on top.
 #[derive(Clone)]
-pub struct AsyncConn {
+pub struct Conn {
     shared: Arc<ConnShared>,
 }
 
-impl AsyncConn {
+impl Conn {
     /// Traffic counters of this endpoint.
     pub fn stats(&self) -> Arc<CommStats> {
         Arc::clone(&self.shared.stats)
@@ -498,17 +497,37 @@ impl AsyncConn {
         self.shared.teardown(TransportError::Closed);
     }
 
-    /// The completion-slot map shared with the session layer.
-    pub(super) fn pending(&self) -> Arc<PendingMap> {
-        Arc::clone(&self.shared.pending)
+    /// One round trip: registers a completion slot for `frame`'s
+    /// correlation id, submits the frame and blocks until the slot is
+    /// completed — by the response, the deadline timer (when
+    /// `deadline_ms > 0`), or connection teardown — so it cannot hang.
+    pub(crate) fn round_trip(
+        &self,
+        frame: &Frame,
+        deadline_ms: u64,
+    ) -> Result<Response, TransportError> {
+        let corr = frame.correlation_id;
+        let rx = self.register(corr);
+        if let Err(e) = self.submit(frame, deadline_ms) {
+            lock(&self.shared.waiters).remove(&corr);
+            return Err(e);
+        }
+        rx.recv().unwrap_or(Err(TransportError::Closed))
+    }
+
+    /// Opens the completion slot for correlation id `corr`.
+    fn register(&self, corr: u64) -> mpsc::Receiver<Result<Response, TransportError>> {
+        let (tx, rx) = mpsc::channel();
+        lock(&self.shared.waiters).insert(corr, tx);
+        rx
     }
 
     /// Submits one already-encoded request frame, enforcing the window /
     /// queue / block / `Overloaded` backpressure ladder. On success the
     /// response (or a typed failure) is guaranteed to eventually complete
-    /// the caller's pending slot: via a response frame, the deadline timer
-    /// (when `deadline_ms > 0`), or `fail_all` on teardown.
-    pub(crate) fn submit(&self, frame: &Frame, deadline_ms: u64) -> Result<(), TransportError> {
+    /// the caller's slot: via a response frame, the deadline timer (when
+    /// `deadline_ms > 0`), or teardown.
+    fn submit(&self, frame: &Frame, deadline_ms: u64) -> Result<(), TransportError> {
         let shared = &self.shared;
         let bytes = frame.encode()?;
         let corr = frame.correlation_id;
@@ -563,9 +582,8 @@ impl AsyncConn {
 
 impl ConnShared {
     /// Commits one encoded frame to the wire (applying the fault plan at
-    /// exactly this boundary — the async analogue of
-    /// [`FaultInjectTransport::send_frame`](super::FaultInjectTransport)),
-    /// then flushes opportunistically. Caller holds the `io` lock.
+    /// exactly this boundary), then flushes opportunistically. Caller holds
+    /// the `io` lock.
     ///
     /// `Err` means the connection must be torn down with that error (the
     /// caller does it after releasing the lock).
@@ -590,9 +608,8 @@ impl ConnShared {
                         return Ok(());
                     }
                     FaultKind::Corrupt => {
-                        // Same clobber the blocking injector sends: an
-                        // unassigned tag the server answers with a typed
-                        // malformed-request error.
+                        // An unassigned tag the server answers with a
+                        // typed malformed-request error.
                         let header = &bytes[..FRAME_HEADER_LEN];
                         let mut clobbered = Vec::with_capacity(FRAME_HEADER_LEN + 1);
                         clobbered.extend_from_slice(&header[..FRAME_HEADER_LEN - 4]);
@@ -712,6 +729,14 @@ impl ConnShared {
         Ok(())
     }
 
+    /// Hands `result` to the caller waiting on `corr`, if it still waits.
+    fn complete(&self, corr: u64, result: Result<Response, TransportError>) {
+        if let Some(tx) = lock(&self.waiters).remove(&corr) {
+            // The caller may have given up; a dead receiver is fine.
+            let _ = tx.send(result);
+        }
+    }
+
     /// Fails every waiter, closes the source, and removes the connection
     /// from the loop. Safe to call from any thread, repeatedly.
     fn teardown(&self, err: TransportError) {
@@ -737,7 +762,9 @@ impl ConnShared {
             io.inflight.clear();
         }
         self.space.notify_all();
-        self.pending.fail_all(err);
+        for (_, tx) in lock(&self.waiters).drain() {
+            let _ = tx.send(Err(err.clone()));
+        }
         lock(&self.reactor.state).conns.remove(&self.token);
         // Leftover timers for this token fire into a missing connection
         // and no-op; nothing to cancel eagerly.
@@ -798,8 +825,7 @@ fn event_loop(inner: &Arc<Inner>) {
 
         // Timers before readiness: an expired deadline reclaims its window
         // slot even if the response raced into this same wake-up (the
-        // straggler finds its correlation id gone and is dropped — the
-        // contract deadlines already have on the blocking backends).
+        // straggler finds its correlation id gone and is dropped).
         let now = Instant::now();
         let mut due = Vec::new();
         {
@@ -836,8 +862,7 @@ fn event_loop(inner: &Arc<Inner>) {
                         was_inflight || was_queued
                     };
                     if expired {
-                        conn.pending
-                            .complete(corr, Err(TransportError::Timeout { after_ms }));
+                        conn.complete(corr, Err(TransportError::Timeout { after_ms }));
                     }
                 }
                 TimerAction::Release { token, bytes } => {
@@ -994,10 +1019,9 @@ fn service_conn(conn: &Arc<ConnShared>) {
     }
 }
 
-/// Decodes a routed frame into the session-level completion value —
-/// mirrors the blocking demux loop byte for byte.
+/// Decodes a routed frame into the session-level completion value.
 fn complete_frame(conn: &ConnShared, corr: u64, frame: Result<Frame, TransportError>) {
-    use super::wire::{FrameKind, Response, WireError};
+    use super::wire::{FrameKind, WireError};
     let result = match frame {
         Ok(frame) => match frame.kind {
             FrameKind::Response => Response::decode(frame.payload),
@@ -1009,19 +1033,18 @@ fn complete_frame(conn: &ConnShared, corr: u64, frame: Result<Frame, TransportEr
         },
         Err(e) => Err(e),
     };
-    conn.pending.complete(corr, result);
+    conn.complete(corr, result);
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::serve;
-    use super::super::wire::{FrameKind, Request, Response};
+    use super::super::wire::{FrameKind, Request};
     use super::*;
     use crate::party::LocalKeyHolder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sknn_paillier::Keypair;
-    use std::sync::mpsc;
 
     fn small_holder(seed: u64) -> (sknn_paillier::PublicKey, LocalKeyHolder) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1029,20 +1052,9 @@ mod tests {
         (pk, LocalKeyHolder::new(sk, seed ^ 0xC2))
     }
 
-    /// One raw round trip through a conn: register, submit, wait.
-    fn ping_once(
-        conn: &AsyncConn,
-        corr: u64,
-        deadline_ms: u64,
-    ) -> Result<Response, TransportError> {
-        let (tx, rx) = mpsc::channel();
-        conn.pending().register(corr, tx)?;
-        let frame = Frame::request(corr, Request::Ping.encode());
-        conn.submit(&frame, deadline_ms)?;
-        match rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(TransportError::Closed),
-        }
+    /// One raw ping round trip through a conn.
+    fn ping_once(conn: &Conn, corr: u64, deadline_ms: u64) -> Result<Response, TransportError> {
+        conn.round_trip(&Frame::request(corr, Request::Ping.encode()), deadline_ms)
     }
 
     #[test]
@@ -1117,15 +1129,13 @@ mod tests {
         let mut rxs = Vec::new();
         // 2 in the window + 2 queued all accept...
         for corr in 0..4u64 {
-            let (tx, rx) = mpsc::channel();
-            conn.pending().register(corr, tx).unwrap();
+            let rx = conn.register(corr);
             conn.submit(&Frame::request(corr, Request::Ping.encode()), 0)
                 .unwrap();
             rxs.push(rx);
         }
         // ...the fifth blocks for `block`, then fails typed — never hangs.
-        let (tx, _rx) = mpsc::channel();
-        conn.pending().register(9, tx).unwrap();
+        let _rx = conn.register(9);
         let start = Instant::now();
         let err = conn
             .submit(&Frame::request(9, Request::Ping.encode()), 0)
@@ -1161,8 +1171,7 @@ mod tests {
         // 16 concurrent submissions through a window of 1: all complete.
         let mut rxs = Vec::new();
         for corr in 0..16u64 {
-            let (tx, rx) = mpsc::channel();
-            conn.pending().register(corr, tx).unwrap();
+            let rx = conn.register(corr);
             conn.submit(&Frame::request(corr, Request::Ping.encode()), 5_000)
                 .unwrap();
             rxs.push(rx);
@@ -1181,8 +1190,7 @@ mod tests {
         let (conn, _server_end) = reactor
             .channel_pair(BackpressureConfig::default(), None)
             .unwrap();
-        let (tx, rx) = mpsc::channel();
-        conn.pending().register(1, tx).unwrap();
+        let rx = conn.register(1);
         conn.submit(&Frame::request(1, Request::Ping.encode()), 0)
             .unwrap();
         reactor.shutdown();
@@ -1193,12 +1201,16 @@ mod tests {
 
     #[test]
     fn fault_sever_closes_with_typed_error() {
+        let (_pk, holder) = small_holder(45);
         let reactor = Reactor::new().unwrap();
-        let (conn, _server_end) = reactor
+        let (conn, server_end) = reactor
             .channel_pair(BackpressureConfig::default(), Some(FaultPlan::sever_at(0)))
             .unwrap();
+        let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         let err = ping_once(&conn, 1, 1_000).unwrap_err();
         assert_eq!(err, TransportError::Closed);
+        // The sever reaches the server too: its loop exits cleanly.
+        assert_eq!(server.join().unwrap(), Ok(()));
         reactor.shutdown();
     }
 
@@ -1261,6 +1273,8 @@ mod tests {
             !matches!(err, TransportError::Closed | TransportError::Timeout { .. }),
             "a corrupt frame draws an error reply, not a dead wire: {err}"
         );
+        // Only the struck request failed: the connection still serves.
+        assert!(matches!(ping_once(&conn, 2, 2_000), Ok(Response::Pong)));
         conn.close();
         let _ = server.join().unwrap();
         reactor.shutdown();

@@ -194,10 +194,22 @@ pub fn serve_with_features(
         return worker_loop(transport, holder, features);
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| scope.spawn(|| worker_loop(transport, holder, features)))
-            .collect();
         let mut result = Ok(());
+        let mut handles = Vec::with_capacity(workers);
+        for i in 0..workers {
+            let spawned = std::thread::Builder::new()
+                .name(format!("sknn-c2-work-{i}"))
+                .spawn_scoped(scope, || worker_loop(transport, holder, features));
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // Hang up so the workers already running exit too.
+                    transport.close();
+                    result = Err(TransportError::from(e));
+                    break;
+                }
+            }
+        }
         for handle in handles {
             // A worker that panicked (it should never — handlers reply with
             // typed errors) is reported as an I/O-class failure instead of

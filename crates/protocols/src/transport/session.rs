@@ -1,12 +1,13 @@
 //! The client side of a key-holder connection: pipelining and coalescing.
 //!
-//! [`SessionKeyHolder`] implements [`KeyHolder`] over any [`Transport`]. Two
-//! mechanisms let many concurrent protocol executions share one connection —
-//! the capability the paper's record-parallel evaluation (Figure 3) needs
-//! from a real two-cloud deployment:
+//! [`SessionKeyHolder`] implements [`KeyHolder`] over one reactor-serviced
+//! connection ([`Conn`]). Two mechanisms let many concurrent protocol
+//! executions share that connection — the capability the paper's
+//! record-parallel evaluation (Figure 3) needs from a real two-cloud
+//! deployment:
 //!
-//! * **Pipelining.** Every request carries a fresh correlation id; a
-//!   background demultiplexer thread routes each response to the waiting
+//! * **Pipelining.** Every request carries a fresh correlation id; the
+//!   shared [`Reactor`](super::Reactor) routes each response to the waiting
 //!   caller. Callers never serialize on a request/response lock, so six
 //!   worker threads keep six requests in flight on one connection.
 //!
@@ -19,24 +20,21 @@
 //!   holder is stateless across batch boundaries — so coalescing is purely a
 //!   round-trip optimization.
 
-use super::reactor::AsyncConn;
-use super::server::serve;
+use super::reactor::Conn;
 use super::wire::{
-    Frame, FrameKind, Request, Response, TransportError, WireError, FEATURE_VERSION,
-    FEATURE_VERSION_LIVENESS, FEATURE_VERSION_PACKED, FEATURE_VERSION_SCALAR,
+    Frame, Request, Response, TransportError, FEATURE_VERSION, FEATURE_VERSION_LIVENESS,
+    FEATURE_VERSION_PACKED, FEATURE_VERSION_SCALAR,
 };
-use super::{channel_pair, to_ciphertexts, to_raw, Transport};
+use super::{to_ciphertexts, to_raw};
 use crate::error::ProtocolError;
-use crate::party::{KeyHolder, LocalKeyHolder, SminRoundResponse};
+use crate::party::{KeyHolder, SminRoundResponse};
 use crate::stats::CommStats;
 use parking_lot::Mutex;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Policy for merging concurrent small batch requests into one round trip.
@@ -74,176 +72,6 @@ impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig::disabled()
     }
-}
-
-pub(super) type PendingSender = mpsc::Sender<Result<Response, TransportError>>;
-
-/// Correlation-id → waiting caller map, shared with whichever component
-/// routes responses: the per-connection demux thread (blocking backends) or
-/// the process-wide reactor (async backends).
-pub(super) struct PendingMap {
-    state: Mutex<PendingState>,
-}
-
-struct PendingState {
-    waiters: HashMap<u64, PendingSender>,
-    /// Set once the demux thread exits; all further round trips fail fast.
-    dead: Option<TransportError>,
-}
-
-impl PendingMap {
-    pub(super) fn new() -> Arc<PendingMap> {
-        Arc::new(PendingMap {
-            state: Mutex::new(PendingState {
-                waiters: HashMap::new(),
-                dead: None,
-            }),
-        })
-    }
-
-    pub(super) fn register(&self, id: u64, tx: PendingSender) -> Result<(), TransportError> {
-        let mut state = self.state.lock();
-        if let Some(err) = &state.dead {
-            return Err(err.clone());
-        }
-        state.waiters.insert(id, tx);
-        Ok(())
-    }
-
-    pub(super) fn forget(&self, id: u64) {
-        self.state.lock().waiters.remove(&id);
-    }
-
-    pub(super) fn complete(&self, id: u64, result: Result<Response, TransportError>) {
-        let waiter = self.state.lock().waiters.remove(&id);
-        if let Some(tx) = waiter {
-            // The caller may have given up; a dead receiver is fine.
-            let _ = tx.send(result);
-        }
-    }
-
-    pub(super) fn fail_all(&self, err: TransportError) {
-        let mut state = self.state.lock();
-        state.dead = Some(err.clone());
-        for (_, tx) in state.waiters.drain() {
-            let _ = tx.send(Err(err.clone()));
-        }
-    }
-}
-
-/// How a session reaches its peer: a blocking [`Transport`] with a
-/// dedicated demux thread, or a reactor-serviced async connection.
-enum Link {
-    Blocking(Arc<dyn Transport>),
-    Async(AsyncConn),
-}
-
-impl Link {
-    fn stats(&self) -> Arc<CommStats> {
-        match self {
-            Link::Blocking(transport) => transport.stats(),
-            Link::Async(conn) => conn.stats(),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            Link::Blocking(transport) => transport.close(),
-            Link::Async(conn) => conn.close(),
-        }
-    }
-}
-
-/// The connection state shared by callers and the response router.
-struct SessionCore {
-    link: Link,
-    next_id: AtomicU64,
-    pending: Arc<PendingMap>,
-    /// Per-request deadline in milliseconds; `0` means wait forever (the
-    /// pre-deadline behavior). Atomic so callers can tighten or clear it on
-    /// a live session without a lock on the hot path.
-    deadline_ms: AtomicU64,
-}
-
-impl SessionCore {
-    /// One pipelined round trip: register, send, block for the routed reply.
-    ///
-    /// With a deadline configured, a silent peer surfaces as a typed
-    /// [`TransportError::Timeout`] instead of blocking forever; the waiter
-    /// is unregistered first, so a straggling response is dropped by
-    /// correlation id and the session stays usable for later requests.
-    fn round_trip(&self, request: &Request) -> Result<Response, TransportError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        self.pending.register(id, tx)?;
-        let frame = Frame::request(id, request.encode());
-        let deadline_ms = self.deadline_ms.load(Ordering::Relaxed);
-        let transport = match &self.link {
-            Link::Blocking(transport) => transport,
-            Link::Async(conn) => {
-                if let Err(e) = conn.submit(&frame, deadline_ms) {
-                    self.pending.forget(id);
-                    return Err(e);
-                }
-                // The reactor's timer wheel enforces the deadline (and
-                // drops the straggler by correlation id); the completion
-                // slot is always eventually completed — by a response, the
-                // deadline timer, or connection teardown — so a plain
-                // blocking receive cannot hang.
-                return match rx.recv() {
-                    Ok(result) => result,
-                    Err(_) => Err(TransportError::Closed),
-                };
-            }
-        };
-        if let Err(e) = transport.send_frame(&frame) {
-            self.pending.forget(id);
-            return Err(e);
-        }
-        if deadline_ms == 0 {
-            return match rx.recv() {
-                Ok(result) => result,
-                // The demux thread dropped the sender without answering.
-                Err(_) => Err(TransportError::Closed),
-            };
-        }
-        match rx.recv_timeout(Duration::from_millis(deadline_ms)) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.pending.forget(id);
-                Err(TransportError::Timeout {
-                    after_ms: deadline_ms,
-                })
-            }
-            // The demux thread dropped the sender without answering.
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
-        }
-    }
-}
-
-fn demux_loop(transport: &dyn Transport, pending: &PendingMap) {
-    let exit_error = loop {
-        match transport.recv_frame() {
-            Ok(frame) => match frame.kind {
-                FrameKind::Response => {
-                    let result = Response::decode(frame.payload);
-                    pending.complete(frame.correlation_id, result);
-                }
-                FrameKind::Error => {
-                    let result = match WireError::decode(frame.payload) {
-                        Ok(wire_err) => Err(wire_err.into_transport_error()),
-                        Err(decode_err) => Err(decode_err),
-                    };
-                    pending.complete(frame.correlation_id, result);
-                }
-                // A client never receives requests; drop the frame rather
-                // than tearing the session down over a confused peer.
-                FrameKind::Request => continue,
-            },
-            Err(e) => break e,
-        }
-    };
-    pending.fail_all(exit_error);
 }
 
 /// One lane of the coalescer: accumulates items of one request shape.
@@ -350,13 +178,12 @@ impl<Item: Send> CoalesceLane<Item> {
 }
 
 /// A [`KeyHolder`] client multiplexing concurrent protocol executions over
-/// one [`Transport`] connection.
+/// one reactor-serviced connection.
 ///
 /// Construction: [`SessionKeyHolder::connect`] when the public key is known
-/// out of band, [`SessionKeyHolder::connect_handshake`] to fetch it from the
-/// server (the TCP bootstrap path), or
-/// [`SessionKeyHolder::spawn_in_process`] to stand up a connected in-process
-/// server in one call.
+/// out of band, or [`SessionKeyHolder::connect_handshake`] to fetch it from
+/// the server (the TCP bootstrap path). [`super::SessionPool::channel`] and
+/// [`super::SessionPool::tcp`] stand up connected in-process servers.
 ///
 /// # Failure behavior
 ///
@@ -368,8 +195,12 @@ impl<Item: Send> CoalesceLane<Item> {
 /// surface as values there.
 pub struct SessionKeyHolder {
     pk: PublicKey,
-    core: Arc<SessionCore>,
-    demux: Mutex<Option<JoinHandle<()>>>,
+    conn: Conn,
+    next_id: AtomicU64,
+    /// Per-request deadline in milliseconds; `0` means wait forever (the
+    /// pre-deadline behavior). Atomic so callers can tighten or clear it on
+    /// a live session without a lock on the hot path.
+    deadline_ms: AtomicU64,
     coalesce: CoalesceConfig,
     sm_lane: CoalesceLane<(BigUint, BigUint)>,
     lsb_lane: CoalesceLane<BigUint>,
@@ -378,153 +209,69 @@ pub struct SessionKeyHolder {
     features: u8,
 }
 
-/// Probes the peer's feature revision with one [`Request::Features`] round
-/// trip. A peer from before capability negotiation answers with an
-/// unknown-tag error reply, which reads as "scalar requests only"; genuine
-/// transport failures also degrade to scalar — the next real request will
-/// surface them properly.
-fn negotiate_features(core: &SessionCore) -> u8 {
-    match core.round_trip(&Request::Features {
-        max: FEATURE_VERSION,
-    }) {
-        Ok(Response::Features { version }) => version.min(FEATURE_VERSION),
-        _ => FEATURE_VERSION_SCALAR,
-    }
-}
-
-/// Builds the shared connection state and starts the demux thread — the
-/// common bootstrap of every session constructor.
-fn bootstrap(transport: Arc<dyn Transport>) -> (Arc<SessionCore>, JoinHandle<()>) {
-    let core = Arc::new(SessionCore {
-        link: Link::Blocking(Arc::clone(&transport)),
-        next_id: AtomicU64::new(1),
-        pending: PendingMap::new(),
-        deadline_ms: AtomicU64::new(0),
-    });
-    let demux = {
-        let pending = Arc::clone(&core.pending);
-        std::thread::Builder::new()
-            .name("sknn-session-demux".into())
-            .spawn(move || demux_loop(transport.as_ref(), &pending))
-            // sknn-lint: allow(panic-free, "thread spawn fails only on OS resource exhaustion; connect has no error channel")
-            .expect("spawn demux thread")
-    };
-    (core, demux)
-}
-
 impl SessionKeyHolder {
-    fn assemble(
-        pk: PublicKey,
-        core: Arc<SessionCore>,
-        demux: Option<JoinHandle<()>>,
-        coalesce: CoalesceConfig,
-        features: u8,
-    ) -> SessionKeyHolder {
-        SessionKeyHolder {
+    /// Attaches to a reactor-serviced connection with a locally known
+    /// public key, probing the peer's feature revision with one extra round
+    /// trip. No thread is spawned: the shared reactor routes responses into
+    /// this session's completion slots, so a pool of N sessions costs one
+    /// event-loop thread, not N.
+    pub fn connect(pk: PublicKey, conn: Conn, coalesce: CoalesceConfig) -> SessionKeyHolder {
+        let mut session = SessionKeyHolder {
             pk,
-            core,
-            demux: Mutex::new(demux),
+            conn,
+            next_id: AtomicU64::new(1),
+            deadline_ms: AtomicU64::new(0),
             coalesce,
             sm_lane: CoalesceLane::new(),
             lsb_lane: CoalesceLane::new(),
-            features,
-        }
+            features: FEATURE_VERSION_SCALAR,
+        };
+        session.features = session.negotiate_features();
+        session
     }
 
-    /// Attaches to `transport` with a locally known public key, probing the
-    /// peer's feature revision with one extra round trip.
-    pub fn connect(
-        pk: PublicKey,
-        transport: Arc<dyn Transport>,
-        coalesce: CoalesceConfig,
-    ) -> SessionKeyHolder {
-        let (core, demux) = bootstrap(transport);
-        let features = negotiate_features(&core);
-        SessionKeyHolder::assemble(pk, core, Some(demux), coalesce, features)
-    }
-
-    /// Attaches to a reactor-serviced async connection with a locally known
-    /// public key. No demux thread is spawned: the shared reactor routes
-    /// responses into this session's completion slots, so a pool of N async
-    /// sessions costs O(1) event-loop threads instead of N demux threads.
-    /// The synchronous [`KeyHolder`] surface is unchanged.
-    pub fn connect_async(
-        pk: PublicKey,
-        conn: AsyncConn,
-        coalesce: CoalesceConfig,
-    ) -> SessionKeyHolder {
-        let core = Arc::new(SessionCore {
-            pending: conn.pending(),
-            link: Link::Async(conn),
-            next_id: AtomicU64::new(1),
-            deadline_ms: AtomicU64::new(0),
-        });
-        let features = negotiate_features(&core);
-        SessionKeyHolder::assemble(pk, core, None, coalesce, features)
-    }
-
-    /// Attaches to `transport` and fetches the public key from the server
-    /// with a [`Request::PublicKey`] round trip.
+    /// Attaches to `conn` and fetches the public key from the server with a
+    /// [`Request::PublicKey`] round trip (the bootstrap path for a client
+    /// that knows only the server's address).
     ///
     /// # Errors
     /// Returns the transport error when the handshake round trip fails.
     pub fn connect_handshake(
-        transport: Arc<dyn Transport>,
+        conn: Conn,
         coalesce: CoalesceConfig,
     ) -> Result<SessionKeyHolder, TransportError> {
-        let (core, demux) = bootstrap(transport);
-        let pk = match core.round_trip(&Request::PublicKey) {
-            Ok(Response::PublicKey(n)) => PublicKey::from_n(n),
-            Ok(other) => {
-                core.link.close();
-                return Err(TransportError::ResponseMismatch {
-                    expected: "PublicKey",
-                    got: other.name(),
-                });
-            }
+        // Correlation id 0 is never issued by a session (ids start at 1).
+        let reply = conn.round_trip(&Frame::request(0, Request::PublicKey.encode()), 0);
+        let pk = match Self::expect("PublicKey", reply, |r| match r {
+            Response::PublicKey(n) => Some(PublicKey::from_n(n)),
+            _ => None,
+        }) {
+            Ok(pk) => pk,
             Err(e) => {
-                core.link.close();
+                conn.close();
                 return Err(e);
             }
         };
-        let features = negotiate_features(&core);
-        Ok(SessionKeyHolder::assemble(
-            pk,
-            core,
-            Some(demux),
-            coalesce,
-            features,
-        ))
+        Ok(SessionKeyHolder::connect(pk, conn, coalesce))
     }
 
-    /// Stands up an in-process key-holder server around `holder` (with
-    /// `workers` request-handling threads) and returns the connected client
-    /// plus the server's join handle. The server exits when the client is
-    /// dropped.
-    pub fn spawn_in_process(
-        holder: LocalKeyHolder,
-        workers: usize,
-        coalesce: CoalesceConfig,
-    ) -> (SessionKeyHolder, JoinHandle<Result<(), TransportError>>) {
-        let (client_end, server_end) = channel_pair();
-        let pk = holder.public_key().clone();
-        let server = std::thread::Builder::new()
-            .name("sknn-keyholder-server".into())
-            .spawn(move || serve(&server_end, &holder, workers))
-            // sknn-lint: allow(panic-free, "thread spawn fails only on OS resource exhaustion; test-harness constructor")
-            .expect("spawn key-holder server thread");
-        let client = SessionKeyHolder::connect(pk, Arc::new(client_end), coalesce);
-        (client, server)
+    /// Probes the peer's feature revision with one [`Request::Features`]
+    /// round trip. A peer from before capability negotiation answers with
+    /// an unknown-tag error reply, which reads as "scalar requests only";
+    /// genuine transport failures also degrade to scalar — the next real
+    /// request will surface them properly.
+    fn negotiate_features(&self) -> u8 {
+        match self.round_trip(&Request::Features {
+            max: FEATURE_VERSION,
+        }) {
+            Ok(Response::Features { version }) => version.min(FEATURE_VERSION),
+            _ => FEATURE_VERSION_SCALAR,
+        }
     }
 
     /// Traffic counters of the underlying transport (this endpoint's view).
     pub fn stats(&self) -> Arc<CommStats> {
-        self.core.link.stats()
-    }
-
-    /// The coalescing policy this session was built with.
-    pub fn coalesce_config(&self) -> CoalesceConfig {
-        self.coalesce
+        self.conn.stats()
     }
 
     /// The feature revision negotiated with the peer.
@@ -537,7 +284,7 @@ impl SessionKeyHolder {
     /// [`TransportError::Closed`], and the peer's serving loop exits — the
     /// supervisor-side way to retire a session that is being replaced.
     pub fn close(&self) {
-        self.core.link.close();
+        self.conn.close();
     }
 
     /// Sets (or clears, with `None`) the per-request deadline. With a
@@ -550,15 +297,7 @@ impl SessionKeyHolder {
         let ms = deadline.map_or(0, |d| {
             u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(1)
         });
-        self.core.deadline_ms.store(ms, Ordering::Relaxed);
-    }
-
-    /// The per-request deadline currently in force, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        match self.core.deadline_ms.load(Ordering::Relaxed) {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        }
+        self.deadline_ms.store(ms, Ordering::Relaxed);
     }
 
     /// Liveness probe: one round trip that proves the peer is alive and
@@ -591,8 +330,18 @@ impl SessionKeyHolder {
         }
     }
 
+    /// One pipelined round trip under a fresh correlation id.
+    ///
+    /// With a deadline configured, a silent peer surfaces as a typed
+    /// [`TransportError::Timeout`] instead of blocking forever; the
+    /// reactor forgets the correlation id, so a straggling response is
+    /// dropped and the session stays usable for later requests.
     fn round_trip(&self, request: &Request) -> Result<Response, TransportError> {
-        self.core.round_trip(request)
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.conn.round_trip(
+            &Frame::request(id, request.encode()),
+            self.deadline_ms.load(Ordering::Relaxed),
+        )
     }
 
     /// Narrows a round-trip result to the expected response variant;
@@ -670,10 +419,7 @@ fn unwrap_or_die<T>(operation: &'static str, result: Result<T, TransportError>) 
 
 impl Drop for SessionKeyHolder {
     fn drop(&mut self) {
-        self.core.link.close();
-        if let Some(handle) = self.demux.lock().take() {
-            let _ = handle.join();
-        }
+        self.conn.close();
     }
 }
 

@@ -1,8 +1,10 @@
 //! TCP socket transport (`std::net`).
 //!
-//! The real deployment the paper assumes: C1 and C2 are separate cloud
-//! providers exchanging protocol frames over a network connection. One
-//! [`TcpTransport`] wraps one connected socket; concurrent senders serialize
+//! The key-holder server's end of a TCP connection (C1's end is a
+//! non-blocking socket on the [`super::Reactor`]). The real deployment the
+//! paper assumes: C1 and C2 are separate cloud providers exchanging
+//! protocol frames over a network connection. One [`TcpTransport`] wraps
+//! one connected socket; concurrent senders serialize
 //! on a write lock, concurrent receivers on a read lock, and the
 //! correlation-ID framing (see [`super::wire`]) lets responses return in any
 //! order — which is what makes one connection enough for the record-parallel
@@ -17,7 +19,7 @@ use crate::stats::CommStats;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 
 /// A frame transport over one TCP connection.
@@ -31,16 +33,6 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects to a listening key-holder server.
-    ///
-    /// # Errors
-    /// Returns [`TransportError::Io`] when the connection cannot be
-    /// established.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<TcpTransport, TransportError> {
-        let stream = TcpStream::connect(addr)?;
-        TcpTransport::from_stream(stream)
-    }
-
     /// Accepts one connection from a listener.
     ///
     /// # Errors
@@ -127,7 +119,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let server = std::thread::spawn(move || TcpTransport::accept(&listener).expect("accept"));
-        let client = TcpTransport::connect(addr).expect("connect");
+        let client = TcpTransport::from_stream(TcpStream::connect(addr).expect("connect"))
+            .expect("wrap stream");
         (client, server.join().expect("accept thread"))
     }
 

@@ -146,7 +146,7 @@ pub enum TransportError {
     },
     /// The connection's in-flight window and submit queue were both full
     /// and no slot freed up within the backpressure blocking budget — the
-    /// async transport's typed "slow down" signal. The connection itself is
+    /// reactor's typed "slow down" signal. The connection itself is
     /// healthy; the caller submitted faster than the peer drains.
     Overloaded {
         /// Requests in flight on the wire when the submission gave up.

@@ -7,9 +7,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, Keypair, PrivateKey, PublicKey};
-use sknn_protocols::transport::{serve, CoalesceConfig, SessionKeyHolder, TcpTransport};
+use sknn_protocols::transport::wire::TransportError;
+use sknn_protocols::transport::{
+    serve, BackpressureConfig, CoalesceConfig, Conn, Reactor, SessionKeyHolder, TcpTransport,
+};
 use sknn_protocols::{secure_multiply, KeyHolder, LocalKeyHolder, ProtocolError};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
+use std::thread::JoinHandle;
+
+type Server = JoinHandle<Result<(), TransportError>>;
 
 struct Fixture {
     pk: PublicKey,
@@ -34,10 +40,13 @@ fn beta_without_zero(rng: &mut StdRng) -> Vec<Ciphertext> {
         .collect()
 }
 
-/// Asserts the full relay contract against an already-connected client:
-/// typed error surfaced, session alive afterwards.
-fn assert_min_selection_relay(client: &SessionKeyHolder, rng: &mut StdRng) {
+/// Asserts the full relay contract over `conn`: typed error surfaced,
+/// session alive afterwards, and — once the client hangs up — the server
+/// loop returning `Ok(())`.
+fn assert_min_selection_relay(reactor: Reactor, conn: Conn, server: Server, seed: u64) {
     let f = fixture();
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let client = SessionKeyHolder::connect(f.pk.clone(), conn, CoalesceConfig::disabled());
     let beta = beta_without_zero(rng);
     assert_eq!(
         client.min_selection(&beta),
@@ -49,7 +58,7 @@ fn assert_min_selection_relay(client: &SessionKeyHolder, rng: &mut StdRng) {
     // answering (no hang, no torn-down connection, no poisoned server).
     let e_a = f.pk.encrypt_u64(6, rng);
     let e_b = f.pk.encrypt_u64(7, rng);
-    let product = secure_multiply(&f.pk, client, &e_a, &e_b, rng);
+    let product = secure_multiply(&f.pk, &client, &e_a, &e_b, rng);
     assert_eq!(f.sk.decrypt(&product), BigUint::from_u64(42));
 
     // And a well-formed min-selection still succeeds afterwards.
@@ -57,41 +66,35 @@ fn assert_min_selection_relay(client: &SessionKeyHolder, rng: &mut StdRng) {
     beta.push(f.pk.encrypt_u64(0, rng));
     let u = client.min_selection(&beta).expect("a zero is present");
     assert_eq!(u.len(), 4);
+
+    drop(client);
+    assert_eq!(server.join().unwrap(), Ok(()), "server exits cleanly");
+    reactor.shutdown();
 }
 
 #[test]
 fn min_selection_failure_relays_over_channel_transport() {
-    let f = fixture();
-    let mut rng = StdRng::seed_from_u64(1);
-    let (client, server) = SessionKeyHolder::spawn_in_process(
-        LocalKeyHolder::new(f.sk.clone(), 0xBAD0),
-        2,
-        CoalesceConfig::disabled(),
-    );
-    assert_min_selection_relay(&client, &mut rng);
-    drop(client);
-    assert_eq!(server.join().unwrap(), Ok(()), "server exits cleanly");
+    let reactor = Reactor::new().expect("reactor");
+    let (conn, server_end) = reactor
+        .channel_pair(BackpressureConfig::default(), None)
+        .expect("channel");
+    let holder = LocalKeyHolder::new(fixture().sk.clone(), 0xBAD0);
+    let server = std::thread::spawn(move || serve(&server_end, &holder, 2));
+    assert_min_selection_relay(reactor, conn, server, 1);
 }
 
 #[test]
 fn min_selection_failure_relays_over_tcp_transport() {
-    let f = fixture();
-    let mut rng = StdRng::seed_from_u64(2);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let holder = LocalKeyHolder::new(f.sk.clone(), 0xBAD1);
+    let holder = LocalKeyHolder::new(fixture().sk.clone(), 0xBAD1);
     let server = std::thread::spawn(move || {
         let transport = TcpTransport::accept(&listener)?;
         serve(&transport, &holder, 2)
     });
-
-    let transport = TcpTransport::connect(addr).expect("connect");
-    let client = SessionKeyHolder::connect(
-        f.pk.clone(),
-        Arc::new(transport),
-        CoalesceConfig::disabled(),
-    );
-    assert_min_selection_relay(&client, &mut rng);
-    drop(client);
-    assert_eq!(server.join().unwrap(), Ok(()), "server exits cleanly");
+    let reactor = Reactor::new().expect("reactor");
+    let conn = reactor
+        .dial_tcp(&addr.to_string(), BackpressureConfig::default())
+        .expect("dial");
+    assert_min_selection_relay(reactor, conn, server, 2);
 }

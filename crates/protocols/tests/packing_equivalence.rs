@@ -1,6 +1,6 @@
 //! Equivalence suite: the slot-packed SM/SBD paths decrypt to bit-identical
-//! results vs the scalar paths, over both `ChannelTransport` and
-//! `TcpTransport` sessions.
+//! results vs the scalar paths, over both the in-process channel wire and
+//! loopback TCP sessions.
 //!
 //! Packing must change *how many* ciphertexts cross the wire, never *what*
 //! they decrypt to — these tests pin that contract at the transport level,
@@ -11,59 +11,45 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, Keypair, PrivateKey, PublicKey};
-use sknn_protocols::transport::{
-    channel_pair, serve, CoalesceConfig, SessionKeyHolder, TcpTransport, TransportError,
-};
+use sknn_protocols::transport::{Loopback, SessionKeyHolder, SessionPool};
 use sknn_protocols::{
     packed_bit_decompose, secure_bit_decompose_batch, secure_multiply_batch, KeyHolder,
     LocalKeyHolder, PackedParams,
 };
-use std::net::TcpListener;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 struct Fixture {
     pk: PublicKey,
     sk: PrivateKey,
-    client: SessionKeyHolder,
-    _server: JoinHandle<Result<(), TransportError>>,
+    pool: SessionPool,
+}
+
+impl Fixture {
+    fn client(&self) -> &SessionKeyHolder {
+        self.pool.session(0)
+    }
+}
+
+/// A one-session fixture over the channel wire (`tcp = false`) or a
+/// loopback socket.
+fn fixture(tcp: bool, seed: u64) -> Fixture {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (pk, sk) = Keypair::generate(192, &mut rng).split();
+    let holders = vec![LocalKeyHolder::new(sk.clone(), seed + 1)];
+    let pool = if tcp {
+        SessionPool::tcp(holders, &Loopback::default())
+    } else {
+        SessionPool::channel(holders, &Loopback::default())
+    }
+    .expect("loopback session");
+    Fixture { pk, sk, pool }
 }
 
 fn channel_fixture() -> Fixture {
-    let mut rng = StdRng::seed_from_u64(0xEC_01);
-    let (pk, sk) = Keypair::generate(192, &mut rng).split();
-    let (client_end, server_end) = channel_pair();
-    let holder = LocalKeyHolder::new(sk.clone(), 0xEC_02);
-    let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-    let client =
-        SessionKeyHolder::connect(pk.clone(), Arc::new(client_end), CoalesceConfig::disabled());
-    Fixture {
-        pk,
-        sk,
-        client,
-        _server: server,
-    }
+    fixture(false, 0xEC_01)
 }
 
 fn tcp_fixture() -> Fixture {
-    let mut rng = StdRng::seed_from_u64(0xEC_03);
-    let (pk, sk) = Keypair::generate(192, &mut rng).split();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let holder = LocalKeyHolder::new(sk.clone(), 0xEC_04);
-    let server = std::thread::spawn(move || {
-        let server_end = TcpTransport::accept(&listener)?;
-        serve(&server_end, &holder, 1)
-    });
-    let transport = TcpTransport::connect(addr).expect("connect loopback");
-    let client =
-        SessionKeyHolder::connect(pk.clone(), Arc::new(transport), CoalesceConfig::disabled());
-    Fixture {
-        pk,
-        sk,
-        client,
-        _server: server,
-    }
+    fixture(true, 0xEC_03)
 }
 
 fn params(pk: &PublicKey) -> PackedParams {
@@ -88,7 +74,7 @@ fn assert_sm_equivalence(f: &Fixture) {
         .map(|&v| f.pk.encrypt_u64(v, &mut rng))
         .collect();
     let pairs: Vec<(Ciphertext, Ciphertext)> = cts.iter().map(|c| (c.clone(), c.clone())).collect();
-    let scalar_squares = secure_multiply_batch(&f.pk, &f.client, &pairs, &mut rng);
+    let scalar_squares = secure_multiply_batch(&f.pk, f.client(), &pairs, &mut rng);
     let scalar_plain: Vec<BigUint> = scalar_squares.iter().map(|c| f.sk.decrypt(c)).collect();
 
     // Packed: the same values as plaintext slots, squared by C2 slot-wise.
@@ -97,7 +83,7 @@ fn assert_sm_equivalence(f: &Fixture) {
         let slots: Vec<BigUint> = chunk.iter().map(|&v| BigUint::from_u64(v)).collect();
         let ct = f.pk.encrypt(&p.layout.pack(&slots).unwrap(), &mut rng);
         let squared = f
-            .client
+            .client()
             .sm_packed_square_batch(&p.layout, std::slice::from_ref(&ct))
             .expect("packed squares over the wire");
         packed_plain.extend(
@@ -121,7 +107,7 @@ fn assert_sm_equivalence(f: &Fixture) {
     let ct_a = pack_u64(&a, &mut rng);
     let ct_b = pack_u64(&b, &mut rng);
     let products = f
-        .client
+        .client()
         .sm_packed_multiply_batch(&p.layout, &[(ct_a, ct_b)])
         .expect("packed pairs over the wire");
     let slots = p
@@ -147,7 +133,7 @@ fn assert_sbd_equivalence(f: &Fixture) {
         .map(|&v| f.pk.encrypt_u64(v, &mut rng))
         .collect();
     let scalar_bits =
-        secure_bit_decompose_batch(&f.pk, &f.client, &cts, l, &mut rng).expect("scalar SBD");
+        secure_bit_decompose_batch(&f.pk, f.client(), &cts, l, &mut rng).expect("scalar SBD");
 
     let mut packed = Vec::new();
     let mut counts = Vec::new();
@@ -157,7 +143,7 @@ fn assert_sbd_equivalence(f: &Fixture) {
         counts.push(chunk.len());
     }
     let packed_bits =
-        packed_bit_decompose(&f.pk, &f.client, &packed, &counts, l, &p, &mut rng, None)
+        packed_bit_decompose(&f.pk, f.client(), &packed, &counts, l, &p, &mut rng, None)
             .expect("packed SBD over the wire");
 
     assert_eq!(packed_bits.len(), scalar_bits.len());
@@ -174,7 +160,7 @@ fn assert_sbd_equivalence(f: &Fixture) {
 #[test]
 fn packed_paths_match_scalar_over_channel_transport() {
     let f = channel_fixture();
-    assert!(f.client.supports_packing());
+    assert!(f.client().supports_packing());
     assert_sm_equivalence(&f);
     assert_sbd_equivalence(&f);
 }
@@ -182,7 +168,7 @@ fn packed_paths_match_scalar_over_channel_transport() {
 #[test]
 fn packed_paths_match_scalar_over_tcp_transport() {
     let f = tcp_fixture();
-    assert!(f.client.supports_packing());
+    assert!(f.client().supports_packing());
     assert_sm_equivalence(&f);
     assert_sbd_equivalence(&f);
 }

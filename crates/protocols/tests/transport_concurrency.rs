@@ -8,12 +8,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, Keypair, PrivateKey, PublicKey};
+use sknn_protocols::transport::wire::TransportError;
 use sknn_protocols::transport::{
-    serve, CoalesceConfig, SessionKeyHolder, TcpTransport, TransportError,
+    serve, BackpressureConfig, CoalesceConfig, Reactor, SessionKeyHolder, TcpTransport,
 };
 use sknn_protocols::{secure_multiply, KeyHolder, LocalKeyHolder};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
+use std::thread::JoinHandle;
 
 struct Fixture {
     pk: PublicKey,
@@ -29,15 +31,36 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn spawn_session(
-    workers: usize,
-    coalesce: CoalesceConfig,
-) -> (
-    SessionKeyHolder,
-    std::thread::JoinHandle<Result<(), TransportError>>,
-) {
+/// One session over the reactor's in-process channel, with the server
+/// thread kept so a test can check how the server itself ended.
+struct Served {
+    client: SessionKeyHolder,
+    server: JoinHandle<Result<(), TransportError>>,
+    reactor: Reactor,
+}
+
+impl Served {
+    /// Hangs up and asserts the server loop returned `Ok(())`.
+    fn finish(self) {
+        drop(self.client);
+        assert_eq!(self.server.join().unwrap(), Ok(()), "server exits cleanly");
+        self.reactor.shutdown();
+    }
+}
+
+fn spawn_session(workers: usize, coalesce: CoalesceConfig) -> Served {
     let f = fixture();
-    SessionKeyHolder::spawn_in_process(LocalKeyHolder::new(f.sk.clone(), 0xDA7A), workers, coalesce)
+    let reactor = Reactor::new().expect("reactor");
+    let (conn, server_end) = reactor
+        .channel_pair(BackpressureConfig::default(), None)
+        .expect("channel");
+    let holder = LocalKeyHolder::new(f.sk.clone(), 0xDA7A);
+    let server = std::thread::spawn(move || serve(&server_end, &holder, workers));
+    Served {
+        client: SessionKeyHolder::connect(f.pk.clone(), conn, coalesce),
+        server,
+        reactor,
+    }
 }
 
 /// Many threads hammer one pipelined session concurrently; every thread must
@@ -46,15 +69,14 @@ fn spawn_session(
 #[test]
 fn concurrent_clients_share_one_session() {
     let f = fixture();
-    let (client, server) = spawn_session(4, CoalesceConfig::disabled());
-    let client = Arc::new(client);
+    let session = spawn_session(4, CoalesceConfig::disabled());
+    let client = &session.client;
     let threads = 8;
     let per_thread = 12;
     let mismatches = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let client = Arc::clone(&client);
             let mismatches = &mismatches;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(1000 + t as u64);
@@ -65,7 +87,7 @@ fn concurrent_clients_share_one_session() {
                     let b = (t * 77 + 3 * i + 5) as u64;
                     let e_a = f.pk.encrypt_u64(a, &mut rng);
                     let e_b = f.pk.encrypt_u64(b, &mut rng);
-                    let product = secure_multiply(&f.pk, client.as_ref(), &e_a, &e_b, &mut rng);
+                    let product = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng);
                     if f.sk.decrypt(&product) != BigUint::from_u64(a * b) {
                         mismatches.fetch_add(1, Ordering::Relaxed);
                     }
@@ -82,9 +104,7 @@ fn concurrent_clients_share_one_session() {
     assert_eq!(stats.responses(), stats.requests());
     assert_eq!(stats.round_trips(), stats.requests());
     assert!(stats.request_bytes() > 0 && stats.response_bytes() > 0);
-
-    drop(client);
-    assert_eq!(server.join().unwrap(), Ok(()));
+    session.finish();
 }
 
 /// Same hammering with coalescing on: results stay correct per caller, and
@@ -98,13 +118,12 @@ fn concurrent_clients_with_coalescing_stay_correct() {
     let threads = 6;
     let per_thread = 8;
     for attempt in 0.. {
-        let (client, _server) = spawn_session(4, CoalesceConfig::enabled());
-        let client = Arc::new(client);
+        let session = spawn_session(4, CoalesceConfig::enabled());
+        let client = &session.client;
         let mismatches = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let client = Arc::clone(&client);
                 let mismatches = &mismatches;
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(2000 + t as u64);
@@ -113,7 +132,7 @@ fn concurrent_clients_with_coalescing_stay_correct() {
                         let b = (i * 13 + t + 2) as u64;
                         let e_a = f.pk.encrypt_u64(a, &mut rng);
                         let e_b = f.pk.encrypt_u64(b, &mut rng);
-                        let product = secure_multiply(&f.pk, client.as_ref(), &e_a, &e_b, &mut rng);
+                        let product = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng);
                         if f.sk.decrypt(&product) != BigUint::from_u64(a * b) {
                             mismatches.fetch_add(1, Ordering::Relaxed);
                         }
@@ -126,6 +145,7 @@ fn concurrent_clients_with_coalescing_stay_correct() {
         // With 6 threads submitting concurrently, some SmBatch calls should
         // have merged; never *more* round trips than calls, though.
         let requests = client.stats().requests();
+        session.finish();
         assert!(requests <= (threads * per_thread) as u64);
         if requests < (threads * per_thread) as u64 {
             break;
@@ -148,13 +168,12 @@ fn concurrent_clients_with_coalescing_stay_correct() {
 #[test]
 fn heterogeneous_concurrent_workloads_share_one_session() {
     let f = fixture();
-    let (client, server) = spawn_session(4, CoalesceConfig::enabled());
-    let client = Arc::new(client);
+    let session = spawn_session(4, CoalesceConfig::enabled());
+    let client = &session.client;
     let mismatches = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
         for t in 0..6usize {
-            let client = Arc::clone(&client);
             let mismatches = &mismatches;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(3000 + t as u64);
@@ -165,7 +184,7 @@ fn heterogeneous_concurrent_workloads_share_one_session() {
                             let (a, b) = ((t * 31 + i + 2) as u64, (i * 17 + t + 3) as u64);
                             let e_a = f.pk.encrypt_u64(a, &mut rng);
                             let e_b = f.pk.encrypt_u64(b, &mut rng);
-                            let p = secure_multiply(&f.pk, client.as_ref(), &e_a, &e_b, &mut rng);
+                            let p = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng);
                             f.sk.decrypt(&p) == BigUint::from_u64(a * b)
                         }
                         // LSB of a masked value.
@@ -206,9 +225,7 @@ fn heterogeneous_concurrent_workloads_share_one_session() {
     );
     let stats = client.stats();
     assert_eq!(stats.responses(), stats.requests());
-
-    drop(client);
-    assert_eq!(server.join().unwrap(), Ok(()));
+    session.finish();
 }
 
 /// The full KeyHolder surface over a real TCP socket, including the
@@ -224,10 +241,12 @@ fn tcp_transport_round_trip() {
         serve(&transport, &holder, 2)
     });
 
-    let transport = TcpTransport::connect(addr).expect("connect");
+    let reactor = Reactor::new().expect("reactor");
+    let conn = reactor
+        .dial_tcp(&addr.to_string(), BackpressureConfig::default())
+        .expect("dial");
     let client =
-        SessionKeyHolder::connect_handshake(Arc::new(transport), CoalesceConfig::enabled())
-            .expect("handshake");
+        SessionKeyHolder::connect_handshake(conn, CoalesceConfig::enabled()).expect("handshake");
     assert_eq!(client.public_key().n(), f.pk.n());
 
     let mut rng = StdRng::seed_from_u64(0x7C9 + 1);
@@ -242,10 +261,13 @@ fn tcp_transport_round_trip() {
         .collect();
     assert_eq!(client.top_k_indices(&dists, 2), vec![1, 2]);
 
-    let stats = client.stats();
-    assert!(stats.round_trips() >= 3); // handshake + SM + top-k
-    drop(client);
-    assert_eq!(server.join().unwrap(), Ok(()));
+    assert!(client.stats().round_trips() >= 3); // handshake + SM + top-k
+    Served {
+        client,
+        server,
+        reactor,
+    }
+    .finish();
 }
 
 proptest! {
@@ -260,8 +282,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let f = fixture();
-        let (plain_client, _s1) = spawn_session(2, CoalesceConfig::disabled());
-        let (coalesced_client, _s2) = spawn_session(2, CoalesceConfig::enabled());
+        let plain = spawn_session(2, CoalesceConfig::disabled());
+        let coalesced = spawn_session(2, CoalesceConfig::enabled());
+        let (plain_client, coalesced_client) = (&plain.client, &coalesced.client);
 
         let mut rng = StdRng::seed_from_u64(seed);
         let pairs: Vec<(Ciphertext, Ciphertext)> = values
@@ -290,5 +313,7 @@ proptest! {
             prop_assert_eq!(f.sk.decrypt(d), expected.clone());
             prop_assert_eq!(f.sk.decrypt(m), expected);
         }
+        plain.finish();
+        coalesced.finish();
     }
 }

@@ -87,14 +87,14 @@
 //! `shards = 1` *is* the monolithic code path, not a parallel
 //! implementation of it. Each shard's stages talk to the C2 session the
 //! shard is pinned to — [`protocols::transport::SessionPool`] stands up
-//! `sessions` fully independent connections (own wire, demux thread and
-//! server workers) — so scatter stages overlap on the wire instead of
-//! pipelining through one connection. [`QueryProfile`] reports per-shard,
-//! per-stage ciphertext/decryption counters (`shard_stage_ops`), and the
-//! `shard-scaling` experiment tracks queries/sec and scatter/gather
-//! volume in `BENCH_results.json` per PR. What sharding changes about
-//! C2's view — per-shard candidate counts and nothing else — is analyzed
-//! in `DESIGN.md` ("Sharded data plane").
+//! `sessions` fully independent connections (own wire and server workers,
+//! one shared reactor thread) — so scatter stages overlap on the wire
+//! instead of pipelining through one connection. [`QueryProfile`] reports
+//! per-shard, per-stage ciphertext/decryption counters (`shard_stage_ops`),
+//! and the `shard-scaling` experiment tracks queries/sec and scatter/gather
+//! volume in `BENCH_results.json` per PR. What sharding changes about C2's
+//! view — per-shard candidate counts and nothing else — is analyzed in
+//! `DESIGN.md` ("Sharded data plane").
 //!
 //! ## Architecture: the C1↔C2 transport stack
 //!
@@ -110,21 +110,24 @@
 //!  SkNN_b / SkNN_m, SM, SBD, SMIN_n, …        work against &dyn KeyHolder
 //!       │
 //!  SessionKeyHolder                           protocols::transport::SessionKeyHolder
-//!       │   · pipelining: every request gets a correlation id; a demux
-//!       │     thread routes responses, so N worker threads keep N
+//!       │   · pipelining: every request gets a correlation id; the
+//!       │     reactor routes responses, so N worker threads keep N
 //!       │     requests in flight on ONE connection
 //!       │   · coalescing: concurrent small SmBatch/LsbBatch requests
 //!       │     merge into one round trip (CoalesceConfig); the paper's
 //!       │     dominant cost is round trips, not bytes
 //!       │
-//!  Transport trait                            protocols::transport::Transport
-//!       │   send_frame / recv_frame / stats / close
+//!  Reactor                                    protocols::transport::Reactor
+//!       │   one `sknn-reactor` thread services every connection:
+//!       │   in-flight windows, backpressure, deadlines, fault plans
 //!       │
-//!       ├─ ChannelTransport                   in-process MPMC frame queues:
+//!       ├─ channel_pair                       in-process byte queues:
 //!       │                                     real wire bytes + traffic
 //!       │                                     accounting without sockets
-//!       └─ TcpTransport                       one TCP socket (std::net),
-//!                                             TCP_NODELAY, same framing
+//!       └─ connect_tcp                        one non-blocking TCP socket
+//!                                             (epoll), TCP_NODELAY
+//!
+//!  C2: serve() over a blocking Transport      ChannelServer / TcpTransport
 //! ```
 //!
 //! Frames are versioned and length-prefixed (`protocols::transport::wire`);
@@ -138,7 +141,8 @@
 //! [`TransportKind::InProcess`] (direct calls, the paper's single-machine
 //! evaluation), [`TransportKind::Channel`] (in-process frames with
 //! byte-accurate accounting) or [`TransportKind::Tcp`] (a real loopback
-//! socket with the key-holder server on a background thread); `threads`
+//! socket with the key-holder server on a background thread) — both remote
+//! kinds run on the one reactor thread; `threads`
 //! sets both C1's record-parallel workers and C2's serving workers; and
 //! `coalesce` toggles request coalescing on the remote transports.
 //! [`QueryResult::comm`] then reports per-query round trips and bytes for

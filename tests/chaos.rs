@@ -2,29 +2,25 @@
 //!
 //! Every fault class a real deployment sees — dropped frames, slow frames,
 //! duplicated frames, corrupted frames, severed connections — is injected
-//! at a deterministic frame index through
-//! [`sknn::protocols::transport::FaultInjectTransport`], across
+//! at a deterministic frame index through a reactor
+//! [`FaultPlan`](sknn::protocols::transport::FaultPlan), across
 //! {Channel, Tcp} × {Basic, Secure} × shards {1, 4}. The contract under
 //! test is the fault-tolerance layer's headline guarantee: a query under
 //! fault either returns **exactly the fault-free result** or a **typed
 //! error** — never a hang (per-request deadlines bound every wait), never
-//! a wrong answer, never a panic.
+//! a wrong answer, never a panic, never a leaked `sknn-` thread.
 //!
 //! The suite serializes through one mutex: several tests assert on
 //! process-wide thread counts, which concurrent engines would distort.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sknn::protocols::transport::{
-    channel_pair, serve, BackpressureConfig, CoalesceConfig, FaultInjectTransport, FaultKind,
-    FaultPlan, Reactor, SessionKeyHolder, SessionPool, TcpTransport, Transport,
-};
+use sknn::protocols::transport::{FaultKind, FaultPlan, Loopback, SessionPool};
 use sknn::{
     plain_knn_records, DataOwner, FederationConfig, LocalKeyHolder, PoolConfig, Protocol,
     RetryPolicy, ShardingConfig, SknnEngine, SknnError, Table, TransportKind,
 };
-use std::net::TcpListener;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Serializes the whole suite (thread-count assertions need the process to
@@ -57,53 +53,8 @@ fn table() -> Table {
 const QUERY: [u64; 2] = [3, 3];
 const MAX_VALUE: u64 = 22;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Wire {
-    Channel,
-    Tcp,
-    /// The in-process channel multiplexed through the async reactor.
-    AsyncChannel,
-    /// Loopback TCP multiplexed through the async reactor.
-    AsyncTcp,
-}
-
-impl Wire {
-    const ALL: [Wire; 4] = [Wire::Channel, Wire::Tcp, Wire::AsyncChannel, Wire::AsyncTcp];
-
-    fn is_async(self) -> bool {
-        matches!(self, Wire::AsyncChannel | Wire::AsyncTcp)
-    }
-}
-
-/// The wires the matrix tests run over, narrowed by the `SKNN_WIRE_FILTER`
-/// environment variable (CI uses it to split blocking and async backends
-/// into separate jobs). Comma-separated tokens, case-insensitive: a wire
-/// name (`channel`, `tcp`, `asyncchannel`, `asynctcp`) or the groups
-/// `blocking` / `async`. Unset or empty runs everything.
-fn wires() -> Vec<Wire> {
-    let filter = std::env::var("SKNN_WIRE_FILTER").unwrap_or_default();
-    if filter.trim().is_empty() {
-        return Wire::ALL.to_vec();
-    }
-    let tokens: Vec<String> = filter
-        .split(',')
-        .map(|t| t.trim().to_ascii_lowercase())
-        .filter(|t| !t.is_empty())
-        .collect();
-    let selected: Vec<Wire> = Wire::ALL
-        .into_iter()
-        .filter(|w| {
-            let name = format!("{w:?}").to_ascii_lowercase();
-            let group = if w.is_async() { "async" } else { "blocking" };
-            tokens.iter().any(|t| t == &name || t == group)
-        })
-        .collect();
-    assert!(
-        !selected.is_empty(),
-        "SKNN_WIRE_FILTER={filter:?} matches no wire"
-    );
-    selected
-}
+/// The remote wires the matrix runs over.
+const WIRES: [TransportKind; 2] = [TransportKind::Channel, TransportKind::Tcp];
 
 /// The suite's policy: enough attempts to absorb any single fault, a short
 /// backoff, and a deadline that converts dropped frames into typed
@@ -117,116 +68,34 @@ fn policy() -> RetryPolicy {
 }
 
 /// Stands up an engine over `plans.len()` sessions; session `i`'s client
-/// transport is wrapped in a [`FaultInjectTransport`] when `plans[i]` is
-/// set. Offline randomness pooling is off so the only long-lived threads
-/// are the sessions' own (servers + demux), which the leak check counts.
+/// connection carries `plans[i]` when it is set. Offline randomness
+/// pooling is off so the only long-lived threads are the sessions' own
+/// (servers + reactor), which the leak check counts.
 fn build_engine(
-    wire: Wire,
+    wire: TransportKind,
     shards: usize,
     plans: &[Option<FaultPlan>],
     retry: RetryPolicy,
     rng: &mut StdRng,
 ) -> SknnEngine {
     let owner = owner();
-    let mut clients = Vec::new();
-    let mut servers = Vec::new();
-    // Async wires share one reactor; fault plans are installed on the
-    // reactor connection itself (the reactor owns the wire end the blocking
-    // backends would wrap in a FaultInjectTransport).
-    let reactor = wire.is_async().then(|| Reactor::new().expect("reactor"));
-    let backpressure = BackpressureConfig::default();
-    for (i, plan) in plans.iter().enumerate() {
-        let holder = LocalKeyHolder::new(owner.private_key().clone(), 9_000 + i as u64);
-        if let Some(reactor) = &reactor {
-            let conn = match wire {
-                Wire::AsyncChannel => {
-                    let (conn, server_end) = reactor
-                        .channel_pair(backpressure, *plan)
-                        .expect("channel pair");
-                    servers.push(
-                        std::thread::Builder::new()
-                            .name(format!("chaos-c2-achan-{i}"))
-                            .spawn(move || serve(&server_end, &holder, 2))
-                            .expect("spawn chaos async server"),
-                    );
-                    conn
-                }
-                Wire::AsyncTcp => {
-                    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-                    let addr = listener.local_addr().expect("local addr");
-                    servers.push(
-                        std::thread::Builder::new()
-                            .name(format!("chaos-c2-atcp-{i}"))
-                            .spawn(move || {
-                                let server_end = TcpTransport::accept(&listener)?;
-                                serve(&server_end, &holder, 2)
-                            })
-                            .expect("spawn chaos async tcp server"),
-                    );
-                    let stream = std::net::TcpStream::connect(addr).expect("connect");
-                    reactor
-                        .connect_tcp(stream, backpressure, *plan)
-                        .expect("register with reactor")
-                }
-                Wire::Channel | Wire::Tcp => unreachable!("blocking wire with a reactor"),
-            };
-            clients.push(SessionKeyHolder::connect_async(
-                owner.public_key().clone(),
-                conn,
-                CoalesceConfig::disabled(),
-            ));
-            continue;
-        }
-        let raw: Arc<dyn Transport> = match wire {
-            Wire::Channel => {
-                let (client_end, server_end) = channel_pair();
-                servers.push(
-                    std::thread::Builder::new()
-                        .name(format!("chaos-c2-{i}"))
-                        .spawn(move || serve(&server_end, &holder, 2))
-                        .expect("spawn chaos server"),
-                );
-                Arc::new(client_end)
-            }
-            Wire::Tcp => {
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-                let addr = listener.local_addr().expect("local addr");
-                servers.push(
-                    std::thread::Builder::new()
-                        .name(format!("chaos-c2-tcp-{i}"))
-                        .spawn(move || {
-                            let server_end = TcpTransport::accept(&listener)?;
-                            serve(&server_end, &holder, 2)
-                        })
-                        .expect("spawn chaos tcp server"),
-                );
-                Arc::new(TcpTransport::connect(addr).expect("connect"))
-            }
-            Wire::AsyncChannel | Wire::AsyncTcp => unreachable!("async wire without a reactor"),
-        };
-        let transport: Arc<dyn Transport> = match plan {
-            Some(p) => Arc::new(FaultInjectTransport::new(raw, *p)),
-            None => raw,
-        };
-        clients.push(SessionKeyHolder::connect(
-            owner.public_key().clone(),
-            transport,
-            CoalesceConfig::disabled(),
-        ));
+    let holders = (0..plans.len())
+        .map(|i| LocalKeyHolder::new(owner.private_key().clone(), 9_000 + i as u64))
+        .collect();
+    let loopback = Loopback {
+        workers: 2,
+        faults: plans.to_vec(),
+        ..Loopback::default()
+    };
+    let pool = match wire {
+        TransportKind::Tcp => SessionPool::tcp(holders, &loopback),
+        _ => SessionPool::channel(holders, &loopback),
     }
-    let mut pool = SessionPool::from_parts(clients, servers).expect("assemble pool");
-    if let Some(reactor) = reactor {
-        pool = pool.with_reactor(reactor);
-    }
+    .expect("assemble pool");
     let config = FederationConfig {
         key_bits: 96,
         max_query_value: MAX_VALUE,
-        transport: match wire {
-            Wire::Channel => TransportKind::Channel,
-            Wire::Tcp => TransportKind::Tcp,
-            Wire::AsyncChannel => TransportKind::AsyncChannel,
-            Wire::AsyncTcp => TransportKind::AsyncTcp,
-        },
+        transport: wire,
         threads: 2,
         sharding: ShardingConfig {
             shards,
@@ -247,27 +116,19 @@ fn build_engine(
     engine
 }
 
-/// One plan per fault class, striking frame `at` (frame 0 is the feature
-/// negotiation the session constructor performs, so `at ≥ 2` lands inside
-/// query traffic).
-fn plan_for(kind: FaultKind, at: u64) -> FaultPlan {
-    match kind {
-        FaultKind::Drop => FaultPlan::drop_at(at),
-        FaultKind::Delay => FaultPlan::delay_at(at, Duration::from_millis(30)),
-        FaultKind::Duplicate => FaultPlan::duplicate_at(at),
-        FaultKind::Corrupt => FaultPlan::corrupt_at(at),
-        FaultKind::Sever => FaultPlan::sever_at(at),
-    }
-}
-
+/// Live threads the library spawned: every library thread is named
+/// `sknn-…`, while the test harness's own threads (one per queued test)
+/// are not, so the count is independent of `--test-threads`.
 fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("read task dir")
+        .filter_map(|entry| std::fs::read_to_string(entry.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("sknn-"))
         .count()
 }
 
-/// Polls until the process thread count drops back to `baseline` (session
-/// demux and server threads are reaped on engine drop with a bounded
+/// Polls until the library thread count drops back to `baseline` (the
+/// reactor and server threads are reaped on engine drop with a bounded
 /// join), failing after a generous deadline.
 fn assert_threads_return_to(baseline: usize) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -293,13 +154,20 @@ fn fault_matrix_recovers_or_errors_typed() {
     let _guard = lock();
     let expected = plain_knn_records(&table(), &QUERY, 2);
     let baseline = thread_count();
-    for wire in wires() {
+    for wire in WIRES {
         for protocol in [Protocol::Basic, Protocol::Secure] {
             for shards in [1usize, 4] {
                 for kind in FaultKind::ALL {
+                    // Frame 0 is the connect-time feature probe; frame 3
+                    // lands inside query traffic.
                     let mut rng = StdRng::seed_from_u64(0xC4A0_5000);
-                    let engine =
-                        build_engine(wire, shards, &[Some(plan_for(kind, 3))], policy(), &mut rng);
+                    let engine = build_engine(
+                        wire,
+                        shards,
+                        &[Some(FaultPlan::new(kind, 3))],
+                        policy(),
+                        &mut rng,
+                    );
                     let run = engine
                         .query("t")
                         .k(2)
@@ -341,7 +209,7 @@ fn sever_without_survivor_is_a_typed_error() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0x5E4E);
     let engine = build_engine(
-        Wire::Channel,
+        TransportKind::Channel,
         4,
         &[Some(FaultPlan::sever_at(2))],
         policy(),
@@ -370,7 +238,7 @@ fn sever_one_of_two_sessions_completes_batch_on_survivor() {
     let mut rng = StdRng::seed_from_u64(0xBA7C);
     let baseline = thread_count();
     let engine = build_engine(
-        Wire::Channel,
+        TransportKind::Channel,
         4,
         &[None, Some(FaultPlan::sever_at(2))],
         policy(),
@@ -424,7 +292,7 @@ fn secure_failover_matches_reference() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0x5EC2);
     let engine = build_engine(
-        Wire::Tcp,
+        TransportKind::Tcp,
         4,
         &[None, Some(FaultPlan::sever_at(2))],
         policy(),
@@ -453,7 +321,7 @@ fn disabled_policy_fails_fast_with_typed_error() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0x0FF);
     let engine = build_engine(
-        Wire::Channel,
+        TransportKind::Channel,
         1,
         &[Some(FaultPlan::corrupt_at(2))],
         RetryPolicy::none(),
@@ -483,7 +351,7 @@ fn clean_run_reports_clean() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0xC1EA);
     let engine = build_engine(
-        Wire::Channel,
+        TransportKind::Channel,
         4,
         // Strike far beyond the traffic this test generates.
         &[Some(FaultPlan::drop_at(1_000_000))],
@@ -503,16 +371,16 @@ fn clean_run_reports_clean() {
     assert_eq!((comm.retries, comm.reconnects, comm.failovers), (0, 0, 0));
 }
 
-/// Failover on the async backend: two reactor-multiplexed sessions, one
-/// severed mid-query. The shard re-pinning and retry machinery must work
-/// unchanged over the reactor — and dropping the engine must reap the
-/// reactor thread along with the servers (zero leaked threads).
+/// Failover on both wires: two reactor-multiplexed sessions, one severed
+/// mid-query. The shard re-pinning and retry machinery must recover the
+/// exact answer — and dropping the engine must reap the reactor thread
+/// along with the servers (zero leaked threads).
 #[test]
 fn async_sever_fails_over_and_leaks_no_threads() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0xA51C);
     let baseline = thread_count();
-    for wire in [Wire::AsyncChannel, Wire::AsyncTcp] {
+    for wire in WIRES {
         let engine = build_engine(
             wire,
             4,
@@ -543,7 +411,7 @@ fn async_sever_fails_over_and_leaks_no_threads() {
 }
 
 /// A full engine stood up purely through [`FederationConfig::transport`]
-/// (no hand-built pool): the `AsyncTcp` arm in the engine itself must
+/// (no hand-built pool): the engine's own `Channel` and `Tcp` setup must
 /// produce correct answers and reap every thread — servers, workers and
 /// the reactor — on drop.
 #[test]
@@ -551,7 +419,7 @@ fn engine_configured_async_tcp_round_trips_and_reaps() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0xE2E1);
     let baseline = thread_count();
-    for transport in [TransportKind::AsyncChannel, TransportKind::AsyncTcp] {
+    for transport in WIRES {
         let mut engine = SknnEngine::setup_with_owner(
             owner(),
             FederationConfig {
@@ -571,7 +439,7 @@ fn engine_configured_async_tcp_round_trips_and_reaps() {
                 ..Default::default()
             },
         )
-        .expect("async engine");
+        .expect("remote engine");
         engine
             .register_dataset("t", &table(), &mut rng)
             .expect("register");

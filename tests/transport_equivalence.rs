@@ -1,34 +1,40 @@
-//! Backend-equivalence suite: the async reactor transport against the
-//! blocking per-session demux it replaces.
+//! Transport-equivalence suite: the remote wires against the in-process
+//! reference and the plaintext oracle.
 //!
-//! The reactor changes *scheduling only* — one readiness-driven thread
-//! multiplexes every session where the blocking backends park one demux
-//! thread per session. The frames, their payloads and their per-stream
-//! order are identical, so the contract under test is strict:
+//! `Channel` and `Tcp` run every C1 session on one readiness-driven reactor
+//! thread; only the bytes' path differs (in-process queues vs loopback
+//! sockets). The contract under test is strict:
 //!
-//! 1. **Bit-identical answers** across {Basic, Secure} × shards {1, 4}
-//!    for the channel and TCP wires, from identical seeds.
-//! 2. **Byte-identical traffic** in the serial case: a serial C1 issues
-//!    the same frames in the same order on either backend, so the comm
-//!    counters must agree exactly.
-//! 3. **Backpressure is typed, never a hang**: a full window and queue
-//!    produce `TransportError::Overloaded` after a bounded block.
-//! 4. **O(1) demux threads**: hundreds of concurrent queries are served
-//!    by exactly one `sknn-reactor` thread, not one thread per session.
+//! 1. **Identical answers**: both wires return exactly what `InProcess`
+//!    and `plain_knn_records` return, across {Basic, Secure} × shards
+//!    {1, 4} × k {1, 3}.
+//! 2. **Identical traffic** in the serial case: a serial C1 issues the same
+//!    frames in the same order on either wire, so the comm counters must
+//!    agree exactly — and each client's counters must equal its server
+//!    endpoint's.
+//! 3. **Backpressure is typed, never a hang**: a window of one still
+//!    completes; the admission gate composes with the reactor.
+//! 4. **O(1) C1 transport threads**: every session — and hundreds of
+//!    concurrent queries — are served by exactly one `sknn-reactor`
+//!    thread.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sknn::protocols::stats::CommStats;
 use sknn::protocols::transport::{
-    serve, BackpressureConfig, CoalesceConfig, Reactor, SessionKeyHolder, SessionPool,
+    serve, BackpressureConfig, CoalesceConfig, Loopback, Reactor, SessionKeyHolder, SessionPool,
+    TcpTransport, Transport,
 };
 use sknn::{
     plain_knn_records, DataOwner, FederationConfig, LocalKeyHolder, PoolConfig, Protocol,
     ShardingConfig, SknnEngine, Table, TransportKind,
 };
-use std::sync::{Mutex, OnceLock};
+use std::net::TcpListener;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
-/// Serializes the suite: the reactor-thread-count assertions need the
-/// process to themselves, and engines are thread-hungry anyway.
+/// Serializes the suite: the thread-count assertions need the process to
+/// themselves, and engines are thread-hungry anyway.
 static LOCK: Mutex<()> = Mutex::new(());
 static OWNER: OnceLock<DataOwner> = OnceLock::new();
 
@@ -57,32 +63,36 @@ fn table() -> Table {
 const QUERY: [u64; 2] = [4, 4];
 const MAX_VALUE: u64 = 28;
 
-fn engine(transport: TransportKind, shards: usize, threads: usize) -> SknnEngine {
-    let mut rng = StdRng::seed_from_u64(0xD47A);
-    let mut engine = SknnEngine::setup_with_owner(
-        owner(),
-        FederationConfig {
-            key_bits: 96,
-            max_query_value: MAX_VALUE,
-            transport,
-            threads,
-            sharding: ShardingConfig {
-                shards,
-                sessions: shards.min(2),
-            },
-            pool: PoolConfig {
-                capacity: 0,
-                ..Default::default()
-            },
-            pool_prewarm: 0,
+fn config(transport: TransportKind, shards: usize, sessions: usize) -> FederationConfig {
+    FederationConfig {
+        key_bits: 96,
+        max_query_value: MAX_VALUE,
+        transport,
+        threads: 2,
+        sharding: ShardingConfig { shards, sessions },
+        pool: PoolConfig {
+            capacity: 0,
             ..Default::default()
         },
-    )
-    .expect("engine");
+        pool_prewarm: 0,
+        ..Default::default()
+    }
+}
+
+fn register(mut engine: SknnEngine) -> SknnEngine {
+    let mut rng = StdRng::seed_from_u64(0xD47A);
     engine
         .register_dataset("t", &table(), &mut rng)
         .expect("register");
     engine
+}
+
+fn engine(transport: TransportKind, shards: usize, threads: usize) -> SknnEngine {
+    let config = FederationConfig {
+        threads,
+        ..config(transport, shards, shards.min(2))
+    };
+    register(SknnEngine::setup_with_owner(owner(), config).expect("engine"))
 }
 
 fn run_one(engine: &SknnEngine, protocol: Protocol, k: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -97,91 +107,184 @@ fn run_one(engine: &SknnEngine, protocol: Protocol, k: usize, seed: u64) -> Vec<
         .result
 }
 
-/// Async and blocking backends return bit-identical results from
-/// identical seeds, across both protocols and sharded/unsharded layouts,
-/// on both the in-process and the TCP wire.
+/// Names of this process's live threads that the library spawned (every
+/// library thread is named `sknn-…`; test-harness threads are not).
+fn sknn_threads() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("read task dir")
+        .filter_map(|entry| std::fs::read_to_string(entry.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .filter(|comm| comm.starts_with("sknn-"))
+        .collect()
+}
+
+fn reactor_thread_count() -> usize {
+    sknn_threads()
+        .iter()
+        .filter(|name| *name == "sknn-reactor")
+        .count()
+}
+
+/// Both remote wires return exactly the in-process answer and the
+/// plaintext oracle's, across both protocols, sharded and unsharded
+/// layouts, and two values of k.
 #[test]
-fn async_backends_match_blocking_bit_identical() {
+fn channel_and_tcp_match_in_process_and_plaintext() {
     let _guard = lock();
-    let pairs = [
-        (TransportKind::Channel, TransportKind::AsyncChannel),
-        (TransportKind::Tcp, TransportKind::AsyncTcp),
-    ];
-    for (blocking, asynch) in pairs {
-        for shards in [1usize, 4] {
-            let reference = engine(blocking, shards, 2);
-            let candidate = engine(asynch, shards, 2);
+    for shards in [1usize, 4] {
+        let reference = engine(TransportKind::InProcess, shards, 2);
+        for transport in [TransportKind::Channel, TransportKind::Tcp] {
+            let candidate = engine(transport, shards, 2);
             for protocol in [Protocol::Basic, Protocol::Secure] {
                 for k in [1usize, 3] {
                     let seed = 0x9000 + k as u64;
                     let expected = run_one(&reference, protocol, k, seed);
-                    let got = run_one(&candidate, protocol, k, seed);
-                    assert_eq!(
-                        got, expected,
-                        "{asynch:?} vs {blocking:?} / {protocol:?} / shards={shards} / k={k}"
-                    );
-                    // Both must also match the plaintext reference — equal
-                    // wrong answers would otherwise pass.
-                    assert_eq!(expected, plain_knn_records(&table(), &QUERY, k));
+                    let label = format!("{transport:?} / {protocol:?} / shards={shards} / k={k}");
+                    assert_eq!(run_one(&candidate, protocol, k, seed), expected, "{label}");
+                    // Equal wrong answers would otherwise pass.
+                    assert_eq!(expected, plain_knn_records(&table(), &QUERY, k), "{label}");
                 }
             }
         }
     }
 }
 
-/// A serial C1 issues the same frames in the same order on either
-/// backend, so the traffic counters — requests, responses, bytes each
-/// way — must agree exactly. This is the strongest cheap proxy for
-/// "byte-identical wire" the public API exposes.
+/// A single-session serial engine over `transport` whose server endpoint's
+/// traffic counters arrive on the returned channel once it is connected.
+fn engine_with_server_stats(
+    transport: TransportKind,
+) -> (SknnEngine, mpsc::Receiver<Arc<CommStats>>) {
+    let owner = owner();
+    let holder = LocalKeyHolder::new(owner.private_key().clone(), 0x5E4);
+    let (stats_tx, stats_rx) = mpsc::channel();
+    let reactor = Reactor::new().expect("reactor");
+    let backpressure = BackpressureConfig::default();
+    let (conn, server) = match transport {
+        TransportKind::Channel => {
+            let (conn, server_end) = reactor.channel_pair(backpressure, None).expect("pair");
+            let server = std::thread::Builder::new()
+                .name("sknn-c2-chan-0".into())
+                .spawn(move || {
+                    let _ = stats_tx.send(server_end.stats());
+                    serve(&server_end, &holder, 1)
+                })
+                .expect("spawn server");
+            (conn, server)
+        }
+        TransportKind::Tcp => {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = std::thread::Builder::new()
+                .name("sknn-c2-tcp-0".into())
+                .spawn(move || {
+                    let server_end = TcpTransport::accept(&listener)?;
+                    let _ = stats_tx.send(server_end.stats());
+                    serve(&server_end, &holder, 1)
+                })
+                .expect("spawn server");
+            let conn = reactor
+                .dial_tcp(&addr.to_string(), backpressure)
+                .expect("dial");
+            (conn, server)
+        }
+        TransportKind::InProcess => unreachable!("no wire to count"),
+    };
+    let client =
+        SessionKeyHolder::connect(owner.public_key().clone(), conn, CoalesceConfig::disabled());
+    let pool = SessionPool::from_parts(vec![client], vec![server])
+        .expect("pool")
+        .with_reactor(reactor);
+    let config = FederationConfig {
+        threads: 1,
+        ..config(transport, 1, 1)
+    };
+    let engine = SknnEngine::setup_with_sessions(owner, config, pool).expect("engine");
+    (register(engine), stats_rx)
+}
+
+/// A serial C1 issues the same frames in the same order on either wire,
+/// so the traffic counters — requests, responses, bytes each way — must
+/// agree exactly between `Channel` and `Tcp`, and every client's counters
+/// must equal its server endpoint's byte for byte.
 #[test]
 fn serial_traffic_counters_are_identical() {
     let _guard = lock();
-    for (blocking, asynch) in [
-        (TransportKind::Channel, TransportKind::AsyncChannel),
-        (TransportKind::Tcp, TransportKind::AsyncTcp),
-    ] {
-        for protocol in [Protocol::Basic, Protocol::Secure] {
-            let reference = engine(blocking, 1, 1);
-            let candidate = engine(asynch, 1, 1);
-            let expected = run_one(&reference, protocol, 2, 0x7E57);
-            let got = run_one(&candidate, protocol, 2, 0x7E57);
-            assert_eq!(got, expected, "{asynch:?} {protocol:?}");
-            let ref_comm = reference.comm_stats().expect("accounting");
-            let cand_comm = candidate.comm_stats().expect("accounting");
+    for protocol in [Protocol::Basic, Protocol::Secure] {
+        let mut per_wire = Vec::new();
+        for transport in [TransportKind::Channel, TransportKind::Tcp] {
+            let (engine, server_stats) = engine_with_server_stats(transport);
+            let result = run_one(&engine, protocol, 2, 0x7E57);
+            assert_eq!(result, plain_knn_records(&table(), &QUERY, 2));
+            let client = engine.comm_stats().expect("accounting");
+            let server = server_stats.recv().expect("server connected");
+            // Dropping the engine joins the server, so its last response
+            // is counted before the comparison.
+            drop(engine);
+            let server = server.snapshot();
+            let label = format!("{transport:?} {protocol:?}");
             assert_eq!(
-                (ref_comm.requests, ref_comm.request_bytes),
-                (cand_comm.requests, cand_comm.request_bytes),
-                "{asynch:?} {protocol:?}: request traffic diverged"
+                (client.requests, client.request_bytes),
+                (server.requests, server.request_bytes),
+                "{label}: client and server disagree on requests"
             );
             assert_eq!(
-                (ref_comm.responses, ref_comm.response_bytes),
-                (cand_comm.responses, cand_comm.response_bytes),
-                "{asynch:?} {protocol:?}: response traffic diverged"
+                (client.responses, client.response_bytes),
+                (server.responses, server.response_bytes),
+                "{label}: client and server disagree on responses"
             );
+            per_wire.push(server);
         }
+        assert_eq!(
+            per_wire[0], per_wire[1],
+            "{protocol:?}: Channel vs Tcp traffic diverged"
+        );
     }
 }
 
-fn reactor_thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("read task dir")
-        .filter(|entry| {
-            let Ok(entry) = entry else { return false };
-            std::fs::read_to_string(entry.path().join("comm"))
-                .map(|comm| comm.trim() == "sknn-reactor")
-                .unwrap_or(false)
-        })
-        .count()
+/// Four `Tcp` sessions run on exactly one `sknn-reactor` thread: apart
+/// from the C2 servers and their workers, the reactor is the only library
+/// thread — no per-session transport thread exists — and dropping the
+/// engine reaps every one of them.
+#[test]
+fn tcp_sessions_share_one_reactor_thread() {
+    let _guard = lock();
+    let baseline = sknn_threads().len();
+    let engine = register(
+        SknnEngine::setup_with_owner(owner(), config(TransportKind::Tcp, 4, 4)).expect("engine"),
+    );
+    assert_eq!(engine.num_sessions(), 4);
+    assert_eq!(
+        run_one(&engine, Protocol::Basic, 2, 0x4EAC),
+        plain_knn_records(&table(), &QUERY, 2)
+    );
+    let c1_side: Vec<String> = sknn_threads()
+        .into_iter()
+        .filter(|name| !name.starts_with("sknn-c2-"))
+        .collect();
+    assert_eq!(
+        c1_side,
+        vec!["sknn-reactor".to_string()],
+        "C1 transport threads"
+    );
+    drop(engine);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while sknn_threads().len() > baseline {
+        assert!(
+            Instant::now() < deadline,
+            "leaked threads: {:?}",
+            sknn_threads()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// The headline scaling claim: hundreds of concurrent in-flight queries
-/// across several sessions are demultiplexed by **one** reactor thread.
-/// (The blocking backends dedicate one demux thread per session; the
-/// reactor's thread count is independent of both sessions and load.)
+/// across several sessions are demultiplexed by **one** reactor thread,
+/// whose count is independent of both sessions and load.
 #[test]
 fn many_inflight_queries_one_reactor_thread() {
     let _guard = lock();
-    let engine = engine(TransportKind::AsyncTcp, 4, 256);
+    let engine = engine(TransportKind::Tcp, 4, 256);
     assert_eq!(
         reactor_thread_count(),
         1,
@@ -240,56 +343,28 @@ fn many_inflight_queries_one_reactor_thread() {
 fn window_of_one_serializes_but_never_hangs() {
     let _guard = lock();
     let owner = owner();
-    let reactor = Reactor::new().expect("reactor");
-    let backpressure = BackpressureConfig {
-        window: 1,
-        queue: 256,
-        ..Default::default()
-    };
-    let mut clients = Vec::new();
-    let mut servers = Vec::new();
-    for i in 0..2usize {
-        let holder = LocalKeyHolder::new(owner.private_key().clone(), 7_000 + i as u64);
-        let (conn, server_end) = reactor
-            .channel_pair(backpressure, None)
-            .expect("channel pair");
-        servers.push(
-            std::thread::Builder::new()
-                .name(format!("equiv-c2-{i}"))
-                .spawn(move || serve(&server_end, &holder, 2))
-                .expect("spawn server"),
-        );
-        clients.push(SessionKeyHolder::connect_async(
-            owner.public_key().clone(),
-            conn,
-            CoalesceConfig::disabled(),
-        ));
-    }
-    let pool = SessionPool::from_parts(clients, servers)
-        .expect("pool")
-        .with_reactor(reactor);
-    let mut rng = StdRng::seed_from_u64(0x11AE);
-    let mut engine = SknnEngine::setup_with_sessions(
-        owner,
-        FederationConfig {
-            key_bits: 96,
-            max_query_value: MAX_VALUE,
-            transport: TransportKind::AsyncChannel,
-            threads: 16,
-            sharding: ShardingConfig {
-                shards: 2,
-                sessions: 2,
-            },
-            pool: PoolConfig {
-                capacity: 0,
+    let holders = (0..2u64)
+        .map(|i| LocalKeyHolder::new(owner.private_key().clone(), 7_000 + i))
+        .collect();
+    let pool = SessionPool::channel(
+        holders,
+        &Loopback {
+            workers: 2,
+            backpressure: BackpressureConfig {
+                window: 1,
+                queue: 256,
                 ..Default::default()
             },
-            pool_prewarm: 0,
-            ..Default::default()
+            ..Loopback::default()
         },
-        pool,
     )
-    .expect("engine");
+    .expect("pool");
+    let mut rng = StdRng::seed_from_u64(0x11AE);
+    let config = FederationConfig {
+        threads: 16,
+        ..config(TransportKind::Channel, 2, 2)
+    };
+    let mut engine = SknnEngine::setup_with_sessions(owner, config, pool).expect("engine");
     engine
         .register_dataset("t", &table(), &mut rng)
         .expect("register");
@@ -315,34 +390,19 @@ fn window_of_one_serializes_but_never_hangs() {
     }
 }
 
-/// Admission control composes with the async backend: a gate of 4 bounds
-/// the engine's concurrency below the batch width, every query still
+/// Admission control composes with the reactor: a gate of 4 bounds the
+/// engine's concurrency below the batch width, every query still
 /// completes correctly, and nothing deadlocks.
 #[test]
 fn admission_gate_bounds_async_batches() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0xAD31);
-    let mut engine = SknnEngine::setup_with_owner(
-        owner(),
-        FederationConfig {
-            key_bits: 96,
-            max_query_value: MAX_VALUE,
-            transport: TransportKind::AsyncChannel,
-            threads: 16,
-            admission: 4,
-            sharding: ShardingConfig {
-                shards: 1,
-                sessions: 2,
-            },
-            pool: PoolConfig {
-                capacity: 0,
-                ..Default::default()
-            },
-            pool_prewarm: 0,
-            ..Default::default()
-        },
-    )
-    .expect("engine");
+    let config = FederationConfig {
+        threads: 16,
+        admission: 4,
+        ..config(TransportKind::Channel, 1, 2)
+    };
+    let mut engine = SknnEngine::setup_with_owner(owner(), config).expect("engine");
     engine
         .register_dataset("t", &table(), &mut rng)
         .expect("register");
