@@ -43,8 +43,11 @@ fn bench_homomorphic_ops(c: &mut Criterion) {
     group.bench_function("mul_plain_small", |bench| {
         bench.iter(|| black_box(pk.mul_plain_u64(&a, 42)))
     });
+    group.bench_function("negate", |bench| bench.iter(|| black_box(pk.negate(&a))));
+    // Ablation: the paper's negation, E(a)^{N−1}, that `negate` replaced.
+    let n_minus_1 = pk.n().sub_ref(&BigUint::one());
     group.bench_function("negate_full_exponent", |bench| {
-        bench.iter(|| black_box(pk.negate(&a)))
+        bench.iter(|| black_box(pk.mul_plain(&a, &n_minus_1)))
     });
     group.bench_function("rerandomize", |bench| {
         bench.iter(|| black_box(pk.rerandomize(&a, &mut rng)))

@@ -125,11 +125,14 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
             .map(|bits| recompose_bits(pk, bits))
             .collect();
 
-        // τ_i = E(d_min − d_i), randomized and permuted before C2 sees it.
+        // τ_i = E(d_i − d_min), randomized and permuted before C2 sees it.
+        // C2 only tests for zero, so the sign is free and E(d_min) is
+        // negated once per round instead of every E(d_i).
+        let e_neg_dmin = pk.negate(&e_dmin);
         let tau_prime: Vec<Ciphertext> = e_dist
             .iter()
             .map(|e_di| {
-                let tau = pk.sub(&e_dmin, e_di);
+                let tau = pk.add(e_di, &e_neg_dmin);
                 let r_i = random_range(rng, &one, pk.n());
                 pk.mul_plain(&tau, &r_i)
             })

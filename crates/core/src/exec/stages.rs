@@ -11,7 +11,7 @@ use rand::RngCore;
 use sknn_paillier::Ciphertext;
 use sknn_protocols::{
     packed_bit_decompose, packed_squared_distances, secure_bit_decompose_with,
-    secure_squared_distance, KeyHolder, PackedParams,
+    secure_squared_distance_to_negated, KeyHolder, PackedParams,
 };
 
 /// The encrypted distances of a record set, in the representation the
@@ -76,17 +76,22 @@ pub(crate) fn compute_distances<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
             })
         }
         None => {
+            // E(−q) once per run: each record's differences are then one
+            // mod-mul per attribute, E(t_ij)·E(−q_j).
+            let neg_query = query
+                .attributes()
+                .iter()
+                .map(|q| pk.negate(q))
+                .collect::<Vec<_>>();
             let seeds = derive_seeds(rng, n);
-            Ok(Distances::Scalar(parallel_map(
-                parallelism.threads,
-                live,
-                |i, &physical| {
-                    let mut thread_rng = derived_rng(seeds[i]);
-                    let record = c1.database().record(physical);
-                    secure_squared_distance(pk, c2, query.attributes(), record, &mut thread_rng)
-                        .expect("database and query dimensions were validated")
-                },
-            )))
+            let distances = parallel_map(parallelism.threads, live, |i, &physical| {
+                let mut thread_rng = derived_rng(seeds[i]);
+                let record = c1.database().record(physical);
+                secure_squared_distance_to_negated(pk, c2, &neg_query, record, &mut thread_rng)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+            Ok(Distances::Scalar(distances))
         }
     }
 }
@@ -291,14 +296,19 @@ impl TopKStage {
                 .collect()),
             Distances::Packed { .. } => {
                 let pk = c1.public_key();
+                let neg_query = query
+                    .attributes()
+                    .iter()
+                    .map(|q| pk.negate(q))
+                    .collect::<Vec<_>>();
                 winners
                     .into_iter()
                     .map(|i| {
                         let physical = distances.live[i];
-                        let distance = secure_squared_distance(
+                        let distance = secure_squared_distance_to_negated(
                             pk,
                             c2,
-                            query.attributes(),
+                            &neg_query,
                             c1.database().record(physical),
                             rng,
                         )?;

@@ -5,7 +5,12 @@
 //!
 //! * `E(a + b) ← E(a) · E(b) mod N²`
 //! * `E(a · k) ← E(a)^k mod N²`
-//! * `E(−a)   ← E(a)^{N−1} mod N²` ("N − x is equivalent to −x under Z_N")
+//! * `E(−a)   ← E(a)^{−1} mod N²`: the product with `E(a)` is `1 = E(0)`.
+//!   The paper writes it as `E(a)^{N−1}` ("N − x is equivalent to −x under
+//!   Z_N"), a full-size exponentiation; [`PublicKey::negate`] instead
+//!   inverts mod `N` and lifts the inverse to `N²` with one Newton step.
+//!   A raw value that is not a unit mod `N` (never an honest ciphertext)
+//!   falls back to the exponentiation.
 
 use crate::{Ciphertext, PublicKey};
 use rand::RngCore;
@@ -37,10 +42,24 @@ impl PublicKey {
     }
 
     /// Homomorphic negation: returns an encryption of `−a mod N`,
-    /// computed as `E(a)^{N−1}`.
+    /// computed as `E(a)^{−1} mod N²`.
+    ///
+    /// `x₀ = c⁻¹ mod N` is lifted to `N²` by one Newton step,
+    /// `x = x₀·(2 − c·x₀)`: with `c·x₀ = 1 + kN` the product `c·x` is
+    /// `1 − k²N² ≡ 1`. That costs one extended-Euclid inverse mod `N` and
+    /// two mod-muls instead of an `|N|`-bit exponentiation. A `c` that is
+    /// not a unit mod `N` has no inverse; it gets `E(a)^{N−1}`, so the
+    /// operation stays total on malformed peer values.
     pub fn negate(&self, a: &Ciphertext) -> Ciphertext {
-        let n_minus_1 = self.n.sub_ref(&BigUint::one());
-        self.mul_plain(a, &n_minus_1)
+        let c = a.as_raw();
+        match c.mod_inverse(&self.n) {
+            Some(x0) => {
+                let cx0 = c.mod_mul(&x0, &self.n_squared);
+                let lift = BigUint::two().mod_sub(&cx0, &self.n_squared);
+                Ciphertext(x0.mod_mul(&lift, &self.n_squared))
+            }
+            None => self.mul_plain(a, &self.n.sub_ref(&BigUint::one())),
+        }
     }
 
     /// Homomorphic subtraction: returns an encryption of `a − b mod N`.
@@ -124,6 +143,33 @@ mod tests {
             sk.try_decrypt_u64(&pk.sub_plain(&a, &BigUint::from_u64(4))),
             Ok(6)
         );
+    }
+
+    #[test]
+    fn negation_by_inverse_is_an_involution_at_real_key_sizes() {
+        for key_bits in [128usize, 512] {
+            let mut rng = StdRng::seed_from_u64(43);
+            let (pk, sk) = Keypair::generate(key_bits, &mut rng).split();
+            for a in [0u64, 1, 10, u64::MAX] {
+                let a = BigUint::from_u64(a);
+                let c = pk.encrypt(&a, &mut rng);
+                let neg = pk.negate(&c);
+                assert_eq!(sk.decrypt(&neg), a.mod_neg(pk.n()));
+                assert_eq!(sk.decrypt(&pk.negate(&neg)), a);
+                // The inverse really is the inverse mod N².
+                assert!(c.as_raw().mod_mul(neg.as_raw(), pk.n_squared()).is_one());
+            }
+        }
+    }
+
+    #[test]
+    fn negation_of_a_non_unit_falls_back_to_the_exponentiation() {
+        let (pk, _sk, _rng) = setup();
+        let n_minus_1 = pk.n().sub_ref(&BigUint::one());
+        for raw in [BigUint::zero(), pk.n().clone(), pk.n().mul_u64(3)] {
+            let c = Ciphertext::from_raw(raw);
+            assert_eq!(pk.negate(&c), pk.mul_plain(&c, &n_minus_1));
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use sbor::{secure_bit_and, secure_bit_or};
 pub use sm::{secure_multiply, secure_multiply_batch};
 pub use smin::secure_min;
 pub use smin_n::secure_min_n;
-pub use ssed::secure_squared_distance;
+pub use ssed::{secure_squared_distance, secure_squared_distance_to_negated};
 
 /// Encrypted bit vector (`[z]` in the paper): most-significant bit first.
 pub type EncryptedBits = Vec<sknn_paillier::Ciphertext>;

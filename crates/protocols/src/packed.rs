@@ -160,16 +160,19 @@ pub fn packed_squared_distances<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     let two = BigUint::two();
 
     // Per attribute: pack the per-record differences (blinded) into one
-    // request ciphertext. dᵢ = qⱼ − tᵢⱼ is a signed value of at most
+    // request ciphertext. dᵢ = tᵢⱼ − qⱼ is a signed value of at most
     // `value_bits` bits; the mask rᵢ = 2^value_bits + u (u uniform with
-    // value_bits + κ bits) recenters it into [0, 2^slot_bits).
+    // value_bits + κ bits) recenters it into [0, 2^slot_bits) whatever its
+    // sign. The query is negated once per attribute, so each difference is
+    // the mod-mul E(tᵢⱼ)·E(−qⱼ).
     let mut requests = Vec::with_capacity(m);
     let mut diffs_per_attr = Vec::with_capacity(m);
     let mut masks_per_attr = Vec::with_capacity(m);
-    for j in 0..m {
+    for (j, q_j) in query.iter().enumerate() {
+        let neg_q_j = pk.negate(q_j);
         let diffs: Vec<Ciphertext> = records
             .iter()
-            .map(|record| pk.sub(&query[j], &record[j]))
+            .map(|record| pk.add(&record[j], &neg_q_j))
             .collect();
         let masks: Vec<BigUint> = (0..records.len())
             .map(|_| value_offset.add_ref(&random_bits(rng, params.value_bits + params.blind_bits)))

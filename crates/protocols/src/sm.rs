@@ -13,7 +13,7 @@
 
 use crate::KeyHolder;
 use rand::RngCore;
-use sknn_bigint::random_below;
+use sknn_bigint::{random_below, BigUint};
 use sknn_paillier::{Ciphertext, PublicKey};
 
 /// Runs the SM protocol for a single pair: returns `E(a·b mod N)`.
@@ -40,21 +40,8 @@ pub fn secure_multiply_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pairs: &[(Ciphertext, Ciphertext)],
     rng: &mut R,
 ) -> Vec<Ciphertext> {
-    // Step 1: mask each operand with fresh randomness known only to P1.
-    let mut masks = Vec::with_capacity(pairs.len());
-    let mut masked = Vec::with_capacity(pairs.len());
-    for (e_a, e_b) in pairs {
-        let r_a = random_below(rng, pk.n());
-        let r_b = random_below(rng, pk.n());
-        let a_masked = pk.add_plain(e_a, &r_a);
-        let b_masked = pk.add_plain(e_b, &r_b);
-        masked.push((a_masked, b_masked));
-        masks.push((r_a, r_b));
-    }
-
-    // Step 2: P2 decrypts, multiplies and re-encrypts h = (a+r_a)(b+r_b).
-    let products = key_holder.sm_mask_multiply_batch(&masked);
-    debug_assert_eq!(products.len(), pairs.len());
+    let (products, masks) =
+        mask_and_multiply(pk, key_holder, pairs.iter().map(|(a, b)| (a, b)), rng);
 
     // Step 3: remove the cross terms: E(ab) = h · E(a)^{-r_b} · E(b)^{-r_a} · E(-r_a·r_b).
     pairs
@@ -72,13 +59,66 @@ pub fn secure_multiply_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         .collect()
 }
 
+/// Squares many ciphertexts with one SM round trip: `SM(E(d), E(d))` for
+/// each input, with the same request pairs `(d + r_a, d + r_b)`, the same
+/// randomness draws and the same decrypted outputs as
+/// [`secure_multiply_batch`].
+///
+/// Both operands being the same `E(d)`, the two cross terms merge into one
+/// exponentiation, `E(d)^{−(r_a + r_b)}`, so C1 pays one full-size
+/// `mul_plain` per square instead of two.
+pub(crate) fn secure_square_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+    pk: &PublicKey,
+    key_holder: &K,
+    values: &[Ciphertext],
+    rng: &mut R,
+) -> Vec<Ciphertext> {
+    let (products, masks) = mask_and_multiply(pk, key_holder, values.iter().map(|d| (d, d)), rng);
+
+    // E(d²) = h · E(d)^{-(r_a + r_b)} · E(-r_a·r_b). The mask sum is
+    // reduced before it is negated: r_a + r_b may reach N.
+    values
+        .iter()
+        .zip(products)
+        .zip(masks)
+        .map(|((e_d, h), (r_a, r_b))| {
+            let minus_sum = r_a.mod_add(&r_b, pk.n()).mod_neg(pk.n());
+            let s = pk.add(&h, &pk.mul_plain(e_d, &minus_sum));
+            let r_a_r_b = r_a.mod_mul(&r_b, pk.n());
+            pk.sub_plain(&s, &r_a_r_b)
+        })
+        .collect()
+}
+
+/// Steps 1–2 of SM for a batch: masks each operand pair with fresh
+/// randomness known only to P1 (`r_a` then `r_b` per pair), and has P2
+/// return `E(h)` with `h = (a + r_a)(b + r_b)`. Returns the products and
+/// the masks, parallel to the input.
+fn mask_and_multiply<'a, K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+    pk: &PublicKey,
+    key_holder: &K,
+    pairs: impl ExactSizeIterator<Item = (&'a Ciphertext, &'a Ciphertext)>,
+    rng: &mut R,
+) -> (Vec<Ciphertext>, Vec<(BigUint, BigUint)>) {
+    let mut masks = Vec::with_capacity(pairs.len());
+    let mut masked = Vec::with_capacity(pairs.len());
+    for (e_a, e_b) in pairs {
+        let r_a = random_below(rng, pk.n());
+        let r_b = random_below(rng, pk.n());
+        masked.push((pk.add_plain(e_a, &r_a), pk.add_plain(e_b, &r_b)));
+        masks.push((r_a, r_b));
+    }
+    let products = key_holder.sm_mask_multiply_batch(&masked);
+    debug_assert_eq!(products.len(), masked.len());
+    (products, masks)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LocalKeyHolder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sknn_bigint::BigUint;
     use sknn_paillier::Keypair;
 
     fn setup() -> (PublicKey, LocalKeyHolder, StdRng) {

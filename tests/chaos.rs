@@ -376,7 +376,7 @@ fn clean_run_reports_clean() {
 /// exact answer — and dropping the engine must reap the reactor thread
 /// along with the servers (zero leaked threads).
 #[test]
-fn async_sever_fails_over_and_leaks_no_threads() {
+fn sever_fails_over_and_leaks_no_threads() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0xA51C);
     let baseline = thread_count();
@@ -415,7 +415,7 @@ fn async_sever_fails_over_and_leaks_no_threads() {
 /// produce correct answers and reap every thread — servers, workers and
 /// the reactor — on drop.
 #[test]
-fn engine_configured_async_tcp_round_trips_and_reaps() {
+fn engine_configured_remote_round_trips_and_reaps() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0xE2E1);
     let baseline = thread_count();

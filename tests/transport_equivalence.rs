@@ -394,7 +394,7 @@ fn window_of_one_serializes_but_never_hangs() {
 /// engine's concurrency below the batch width, every query still
 /// completes correctly, and nothing deadlocks.
 #[test]
-fn admission_gate_bounds_async_batches() {
+fn admission_gate_bounds_remote_batches() {
     let _guard = lock();
     let mut rng = StdRng::seed_from_u64(0xAD31);
     let config = FederationConfig {
