@@ -1075,7 +1075,8 @@ impl SknnEngine {
         };
         let holders = self.c2.key_holders();
         // Whole-query retry: the executor recovers failed *scatter* stages
-        // itself; what reaches here is a failed monolithic or gather stage.
+        // itself (at every shard count); what reaches here is a failed
+        // gather or finalize stage.
         // Each re-run excludes sessions found dead, so it lands on the
         // survivors, and re-derives nothing — the query ciphertexts are
         // reused as-is, so a successful re-run answers exactly like a

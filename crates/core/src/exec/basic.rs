@@ -1,36 +1,35 @@
 //! SkNN_b as a staged plan (Algorithm 5, scatter–gather form).
 //!
 //! The paper's protocol ships every encrypted distance to C2 in one
-//! exchange; the sharded plan scatters SSED and a per-shard top-k exchange
-//! across the shard-pinned sessions, then gathers: one more top-k over the
+//! exchange; the plan scatters SSED and a per-shard top-k exchange across
+//! the shard-pinned sessions, then gathers: one more top-k over the
 //! ≤ k·S surviving candidates' *scalar* distance ciphertexts on the
 //! primary session. Because C2 decrypts the same distance values either
 //! way and both the per-shard and the merge selections order by
 //! (distance, physical index), the result — including tie-breaks — is
-//! identical to the monolithic scan.
+//! identical to the paper's single scan. With one populated shard the
+//! shard's winners are the answer and the gather is elided.
 //!
 //! Every stage runs inside [`super::run_contained`], so a dying session
 //! surfaces as a typed error instead of an unwind; a failed scatter task is
 //! a pure function of its derived seed and shard view, so
-//! [`super::retry_shard_stage`] can re-run it — on the same session or
-//! re-pinned onto a survivor — with bit-identical protocol behavior.
+//! [`super::scatter`] can re-run it — on the same session or re-pinned onto
+//! a survivor — with bit-identical protocol behavior.
 
-use super::stages::{BasicCandidate, FinalizeStage, SsedStage, TopKStage};
-use super::{retry_shard_stage, run_contained, SessionSet};
+use super::stages::{FinalizeStage, SsedStage, TopKStage};
+use super::{record_ops, run_contained, scatter, SessionSet};
 use crate::meter::OpMeter;
-use crate::parallel::{parallel_map, ParallelismConfig};
+use crate::parallel::ParallelismConfig;
 use crate::profile::{QueryProfile, Stage};
 use crate::retry::{RetryPolicy, RetryReport};
 use crate::roles::CloudC1;
-use crate::seed::{derive_seeds, derived_rng};
-use crate::{AccessPatternAudit, EncryptedQuery, MaskedResult, ShardView, SknnError};
+use crate::{AccessPatternAudit, EncryptedQuery, MaskedResult, SknnError};
 use rand::RngCore;
 use sknn_paillier::Ciphertext;
 use sknn_protocols::KeyHolder;
 
 /// Runs the full SkNN_b plan over the given sessions (see the module
-/// docs): monolithic when at most one shard holds live records,
-/// scatter–gather otherwise.
+/// docs).
 pub(crate) fn execute_basic<R: RngCore + ?Sized>(
     c1: &CloudC1,
     sessions: &SessionSet<'_>,
@@ -44,132 +43,82 @@ pub(crate) fn execute_basic<R: RngCore + ?Sized>(
     let db = c1.database();
     let mut profile = QueryProfile::new();
 
-    // Tombstoned records are excluded before any protocol message is
-    // formed: the protocol run is indistinguishable from one over a
-    // database that never contained them. Shards tombstoning emptied drop
-    // out of the plan.
-    let views: Vec<_> = db
-        .shard_views()
-        .into_iter()
-        .filter(|v| v.num_live() > 0)
-        .collect();
-
-    // ── Monolithic plan: one populated shard is the paper's Algorithm 5 ──
-    // There is no per-shard stage to retry here; failures surface as typed
-    // errors and the engine's whole-query retry handles them.
-    if views.len() <= 1 {
-        let rng = &mut *rng;
-        let profile_ref = &mut profile;
-        let (masked, audit) = run_contained(move || {
-            let c2 = sessions.primary();
+    // ── Scatter: per-shard SSED + top-k on pinned sessions. Each shard
+    // yields its winners' physical indices and, when a gather follows,
+    // their scalar distance ciphertexts.
+    let (shards, report) = scatter(
+        db,
+        sessions,
+        parallelism,
+        retry,
+        rng,
+        &mut profile,
+        |task, c2| {
+            let mut rng = task.rng();
+            let shard = task.attributed_shard();
             let meter = OpMeter::new(c2);
-            let live = db.live_indices();
+            let mut p = QueryProfile::new();
 
             // Step 2: E(d_i) ← SSED(E(Q), E(t_i)) for every live record.
-            let distances = profile_ref.time(Stage::DistanceComputation, || {
-                SsedStage::for_basic(c1, parallelism).run(&meter, query, live, rng)
+            let distances = p.time(Stage::DistanceComputation, || {
+                SsedStage::for_basic(c1, task.parallelism).run(
+                    &meter,
+                    query,
+                    task.view.live_indices(),
+                    &mut rng,
+                )
             })?;
-            profile_ref.record_ops(Stage::DistanceComputation, meter.take());
+            record_ops(&mut p, shard, Stage::DistanceComputation, meter.take());
 
             // Step 3: C2 decrypts the distances and returns the top-k index
-            // list δ.
-            let top_k = profile_ref.time(Stage::RecordSelection, || {
-                TopKStage::new(k).run(c1, &meter, &distances)
+            // list δ — the answer itself, or this shard's candidates.
+            let stage = if task.gathered {
+                Stage::ShardCandidates
+            } else {
+                Stage::RecordSelection
+            };
+            let winners = p.time(stage, || {
+                let top = TopKStage::new(k).run(&meter, &distances)?;
+                let cts = if task.gathered {
+                    TopKStage::scalar_distances(c1, &meter, query, &distances, &top, &mut rng)?
+                } else {
+                    Vec::new()
+                };
+                let physical: Vec<usize> = top.iter().map(|&i| distances.live[i]).collect();
+                Ok::<_, SknnError>((physical, cts))
             })?;
-            profile_ref.record_ops(Stage::RecordSelection, meter.take());
+            record_ops(&mut p, shard, stage, meter.take());
+            Ok((p, winners))
+        },
+    )?;
 
-            // Steps 4–6: mask the chosen records and produce Bob's two
-            // shares. `top_k` indexes the live view; map back to physical
-            // indices.
-            let top_k_physical: Vec<usize> = top_k.iter().map(|&i| distances.live[i]).collect();
-            let chosen: Vec<Vec<Ciphertext>> = top_k_physical
-                .iter()
-                .map(|&i| db.record(i).clone())
-                .collect();
-            let masked = profile_ref.time(Stage::Finalization, || {
-                FinalizeStage.run(c1, &meter, &chosen, rng)
-            });
-            profile_ref.record_ops(Stage::Finalization, meter.take());
-
-            let audit = AccessPatternAudit::basic_protocol(&top_k_physical);
-            Ok((masked, audit))
-        })?;
-        return Ok((masked, profile, audit, RetryReport::default()));
-    }
-
-    // ── Scatter: per-shard SSED + top-k candidates on pinned sessions ──
-    let seeds = derive_seeds(rng, views.len());
-    // Ceiling for the same reason run_batch uses it: floor would strand
-    // threads whenever shards don't divide the budget evenly.
-    let inner = ParallelismConfig {
-        threads: parallelism.threads.div_ceil(views.len()).max(1),
-    };
-    // The scatter task: a pure function of (derived seed, shard view,
-    // session), so a re-run on any session is bit-identical.
-    let run_shard = |i: usize,
-                     view: &ShardView,
-                     c2: &dyn KeyHolder|
-     -> Result<(QueryProfile, Vec<BasicCandidate>), SknnError> {
-        let mut shard_rng = derived_rng(seeds[i]);
-        let shard = view.shard();
-        let meter = OpMeter::new(c2);
-        let mut p = QueryProfile::new();
-
-        let distances = p.time(Stage::DistanceComputation, || {
-            SsedStage::for_basic(c1, inner).run(&meter, query, view.live_indices(), &mut shard_rng)
-        })?;
-        p.record_shard_ops(shard, Stage::DistanceComputation, meter.take());
-
-        let candidates = p.time(Stage::ShardCandidates, || {
-            TopKStage::new(k).candidates(c1, &meter, query, &distances, &mut shard_rng)
-        })?;
-        p.record_shard_ops(shard, Stage::ShardCandidates, meter.take());
-        Ok((p, candidates))
-    };
-    let shard_outs = parallel_map(parallelism.threads, &views, |i, view| {
-        run_contained(|| run_shard(i, view, sessions.for_shard(view.shard())))
-    });
-
-    // Serial recovery pass: re-run failed scatter tasks per the policy,
-    // re-pinning dead sessions' shards onto survivors.
-    let mut report = RetryReport::default();
-    let mut dead: Vec<usize> = Vec::new();
-    let mut candidates: Vec<BasicCandidate> = Vec::new();
-    for (i, out) in shard_outs.into_iter().enumerate() {
-        let view = &views[i];
-        let (p, shard_candidates) = match out {
-            Ok(ok) => ok,
-            Err(e) => retry_shard_stage(
-                sessions,
-                view.shard(),
-                retry,
-                &mut dead,
-                &mut report,
-                e,
-                |c2| run_shard(i, view, c2),
-            )?,
-        };
-        profile.merge(&p);
-        candidates.extend(shard_candidates);
-    }
-    report.dead_sessions = dead;
-
-    // ── Gather: one top-k over the ≤ k·S candidates on the primary
-    // session. Sorting by physical index restores the monolithic scan's
-    // (distance, storage position) total order, so equal-distance
-    // tie-breaks match it exactly.
-    candidates.sort_by_key(|c| c.physical);
     let profile_ref = &mut profile;
     let (masked, top_k_physical) = run_contained(move || {
-        let c2 = sessions.primary();
-        let meter = OpMeter::new(c2);
-        let merge_cts: Vec<Ciphertext> = candidates.iter().map(|c| c.distance.clone()).collect();
-        let top = profile_ref.time(Stage::RecordSelection, || {
-            meter.top_k_indices(&merge_cts, k)
-        });
-        profile_ref.record_ops(Stage::RecordSelection, meter.take());
+        let meter = OpMeter::new(sessions.primary());
+        let top_k_physical: Vec<usize> = match <[_; 1]>::try_from(shards) {
+            // One shard: its top-k is the answer.
+            Ok([(winners, _)]) => winners,
+            // ── Gather: one top-k over the ≤ k·S candidates on the primary
+            // session. Sorting by physical index restores the single scan's
+            // (distance, storage position) total order, so equal-distance
+            // tie-breaks match it exactly.
+            Err(shards) => {
+                let mut candidates: Vec<(usize, Ciphertext)> = shards
+                    .into_iter()
+                    .flat_map(|(physical, cts)| physical.into_iter().zip(cts))
+                    .collect();
+                candidates.sort_by_key(|&(physical, _)| physical);
+                let merge_cts: Vec<Ciphertext> =
+                    candidates.iter().map(|(_, ct)| ct.clone()).collect();
+                let top = profile_ref.time(Stage::RecordSelection, || {
+                    meter.top_k_indices(&merge_cts, k)
+                });
+                profile_ref.record_ops(Stage::RecordSelection, meter.take());
+                top.iter().map(|&i| candidates[i].0).collect()
+            }
+        };
 
-        let top_k_physical: Vec<usize> = top.iter().map(|&i| candidates[i].physical).collect();
+        // Steps 4–6: mask the chosen records and produce Bob's two shares.
         let chosen: Vec<Vec<Ciphertext>> = top_k_physical
             .iter()
             .map(|&i| db.record(i).clone())

@@ -29,10 +29,11 @@
 //! for SkNN_b a plain top-k over the surviving candidates' distance
 //! ciphertexts, for SkNN_m the same oblivious SMIN_n/selection rounds as
 //! the paper — but over the `k·S` candidates instead of all `n` records.
-//! Results are bit-identical to the monolithic scan (ties aside — see the
-//! driver docs), and a database with one shard takes the monolithic path
-//! unchanged, so the paper's shape is the `shards = 1` special case rather
-//! than separate code. The leakage delta of the sharded plan (per-shard
+//! Results are bit-identical to the paper's linear scan (ties aside — see
+//! the driver docs). Each protocol has exactly one plan: with a single
+//! populated shard the scatter task's output already is the answer, so the
+//! gather is elided and the paper's shape is the `shards = 1` special case
+//! of the same code. The leakage delta of the sharded plan (per-shard
 //! candidate counts, and nothing else) is analyzed in `DESIGN.md`
 //! ("Sharded data plane").
 
@@ -45,11 +46,14 @@ pub use stages::{FinalizeStage, SbdStage, ShardDistances, SsedStage, TopKStage};
 pub(crate) use basic::execute_basic;
 pub(crate) use secure::execute_secure;
 
+use crate::parallel::{parallel_map, ParallelismConfig};
+use crate::profile::{OpCounters, QueryProfile, Stage};
 use crate::retry::{RetryPolicy, RetryReport, ShardRetry};
-use crate::SknnError;
-use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
+use crate::seed::{derive_seeds, derived_rng};
+use crate::{EncryptedDatabase, ShardView, SknnError};
+use rand::RngCore;
 use sknn_protocols::transport::SessionFailure;
-use sknn_protocols::{KeyHolder, ProtocolError, SminRoundResponse};
+use sknn_protocols::{KeyHolder, ProtocolError};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// The C2 key-holder sessions a query plan executes over, with the
@@ -107,8 +111,7 @@ impl<'a> SessionSet<'a> {
         self.sessions[idx % self.sessions.len()]
     }
 
-    /// The primary session: runs unsharded queries, the gather merge and
-    /// the finalize stage.
+    /// The primary session: runs the gather merge and the finalize stage.
     pub fn primary(&self) -> &'a dyn KeyHolder {
         self.sessions[0]
     }
@@ -166,7 +169,7 @@ fn next_live(len: usize, from: usize, dead: &[usize]) -> Option<usize> {
 /// backoff between attempts, records every re-run in `report`, and returns
 /// the last error once the attempt budget (or the supply of live sessions)
 /// is exhausted.
-pub(crate) fn retry_shard_stage<T>(
+fn retry_shard_stage<T>(
     sessions: &SessionSet<'_>,
     shard: usize,
     policy: &RetryPolicy,
@@ -212,83 +215,115 @@ pub(crate) fn retry_shard_stage<T>(
     Err(error)
 }
 
-/// Adapts any `&K` into a [`Sized`] value that implements [`KeyHolder`],
-/// so generic `?Sized` entry points (the legacy `CloudC1::process_*`
-/// signatures) can build a `&dyn KeyHolder`-based [`SessionSet`] without
-/// an unsized coercion.
-pub(crate) struct DynKeyHolder<'a, K: KeyHolder + ?Sized>(pub &'a K);
+/// One scatter task: a populated shard, its share of the thread budget,
+/// its derived seed, and whether a gather merges its output with other
+/// shards'.
+pub(crate) struct ShardTask<'v> {
+    pub(crate) view: ShardView<'v>,
+    pub(crate) parallelism: ParallelismConfig,
+    seed: u64,
+    /// `false` when this is the only populated shard: its output is the
+    /// answer and no gather runs.
+    pub(crate) gathered: bool,
+}
 
-impl<K: KeyHolder + ?Sized> KeyHolder for DynKeyHolder<'_, K> {
-    fn public_key(&self) -> &PublicKey {
-        self.0.public_key()
+impl ShardTask<'_> {
+    /// The task's C1-side randomness, rebuilt from the derived seed on
+    /// every attempt so a re-run replays the same coins.
+    pub(crate) fn rng(&self) -> impl RngCore {
+        derived_rng(self.seed)
     }
 
-    fn sm_mask_multiply_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext> {
-        self.0.sm_mask_multiply_batch(pairs)
+    /// The shard this task's op counters are credited to: its own when a
+    /// gather follows, none when its work is the whole query (then it
+    /// records under the paper's stage names, like the gather does).
+    pub(crate) fn attributed_shard(&self) -> Option<usize> {
+        self.gathered.then(|| self.view.shard())
     }
+}
 
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
-        self.0.lsb_of_masked_batch(masked)
+/// Records `counters` under `stage`, per shard when `shard` is set.
+pub(crate) fn record_ops(
+    profile: &mut QueryProfile,
+    shard: Option<usize>,
+    stage: Stage,
+    counters: OpCounters,
+) {
+    match shard {
+        Some(shard) => profile.record_shard_ops(shard, stage, counters),
+        None => profile.record_ops(stage, counters),
     }
+}
 
-    fn smin_round(
-        &self,
-        gamma_permuted: &[Ciphertext],
-        l_permuted: &[Ciphertext],
-    ) -> Result<SminRoundResponse, ProtocolError> {
-        self.0.smin_round(gamma_permuted, l_permuted)
-    }
+/// The scatter half every plan shares: runs `run_shard` once per populated
+/// shard of `db` — in parallel, each against the session its shard is
+/// pinned to — then re-runs failed tasks serially per `retry`
+/// ([`retry_shard_stage`]). Each task is a pure function of (its
+/// [`ShardTask`], the session), so a re-run on any session is
+/// bit-identical. Task profiles are merged into `profile`; outputs come
+/// back in shard order, one per populated shard.
+pub(crate) fn scatter<T: Send, R: RngCore + ?Sized>(
+    db: &EncryptedDatabase,
+    sessions: &SessionSet<'_>,
+    parallelism: ParallelismConfig,
+    retry: &RetryPolicy,
+    rng: &mut R,
+    profile: &mut QueryProfile,
+    run_shard: impl Fn(&ShardTask<'_>, &dyn KeyHolder) -> Result<(QueryProfile, T), SknnError> + Sync,
+) -> Result<(Vec<T>, RetryReport), SknnError> {
+    // Tombstoned records are excluded before any protocol message is
+    // formed: the protocol run is indistinguishable from one over a
+    // database that never contained them. Shards tombstoning emptied drop
+    // out of the plan.
+    let views: Vec<_> = db
+        .shard_views()
+        .into_iter()
+        .filter(|v| v.num_live() > 0)
+        .collect();
+    let seeds = derive_seeds(rng, views.len());
+    // Ceiling for the same reason run_batch uses it: floor would strand
+    // threads whenever shards don't divide the budget evenly.
+    let inner = ParallelismConfig {
+        threads: parallelism.threads.div_ceil(views.len()).max(1),
+    };
+    let gathered = views.len() > 1;
+    let tasks: Vec<ShardTask<'_>> = views
+        .into_iter()
+        .zip(seeds)
+        .map(|(view, seed)| ShardTask {
+            view,
+            parallelism: inner,
+            seed,
+            gathered,
+        })
+        .collect();
+    let outs = parallel_map(parallelism.threads, &tasks, |_, task| {
+        run_contained(|| run_shard(task, sessions.for_shard(task.view.shard())))
+    });
 
-    fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.0.min_selection(beta)
+    // Serial recovery pass: re-run failed tasks per the policy, re-pinning
+    // dead sessions' shards onto survivors.
+    let mut report = RetryReport::default();
+    let mut dead: Vec<usize> = Vec::new();
+    let mut results = Vec::with_capacity(tasks.len());
+    for (task, out) in tasks.iter().zip(outs) {
+        let (p, value) = match out {
+            Ok(ok) => ok,
+            Err(e) => retry_shard_stage(
+                sessions,
+                task.view.shard(),
+                retry,
+                &mut dead,
+                &mut report,
+                e,
+                |c2| run_shard(task, c2),
+            )?,
+        };
+        profile.merge(&p);
+        results.push(value);
     }
-
-    fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize> {
-        self.0.top_k_indices(distances, k)
-    }
-
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<sknn_bigint::BigUint> {
-        self.0.decrypt_masked_batch(masked)
-    }
-
-    fn supports_packing(&self) -> bool {
-        self.0.supports_packing()
-    }
-
-    fn sm_packed_square_batch(
-        &self,
-        layout: &SlotLayout,
-        packed: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.0.sm_packed_square_batch(layout, packed)
-    }
-
-    fn sm_packed_multiply_batch(
-        &self,
-        layout: &SlotLayout,
-        pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.0.sm_packed_multiply_batch(layout, pairs)
-    }
-
-    fn lsb_packed_batch(
-        &self,
-        layout: &SlotLayout,
-        masked: &[Ciphertext],
-        slot_counts: &[usize],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.0.lsb_packed_batch(layout, masked, slot_counts)
-    }
-
-    fn top_k_indices_packed(
-        &self,
-        layout: &SlotLayout,
-        packed: &[Ciphertext],
-        count: usize,
-        k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
-        self.0.top_k_indices_packed(layout, packed, count, k)
-    }
+    report.dead_sessions = dead;
+    Ok((results, report))
 }
 
 #[cfg(test)]

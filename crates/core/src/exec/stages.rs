@@ -17,11 +17,13 @@ use sknn_protocols::{
 /// The encrypted distances of a record set, in the representation the
 /// configured path produced: one ciphertext per record (scalar) or one per
 /// σ-record group (packed).
-pub(crate) enum Distances {
+pub(crate) enum Distances<'p> {
     /// `distances[i] = E(dᵢ)`.
     Scalar(Vec<Ciphertext>),
     /// `groups[g]` packs the distances of records `g·σ .. g·σ + counts[g]`.
     Packed {
+        /// The packing the groups were produced under.
+        params: &'p PackedParams,
         /// One packed ciphertext per record group.
         groups: Vec<Ciphertext>,
         /// Used slots per group (all σ except possibly the last).
@@ -34,15 +36,15 @@ pub(crate) enum Distances {
 /// `packing` is set. Record groups (packed) or records (scalar) are
 /// independent, so both paths are parallel (Figure 3). Distance `i` of the
 /// output corresponds to the record at physical index `live[i]`.
-pub(crate) fn compute_distances<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+pub(crate) fn compute_distances<'p, K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     c1: &CloudC1,
     c2: &K,
     query: &EncryptedQuery,
-    packing: Option<&PackedParams>,
+    packing: Option<&'p PackedParams>,
     parallelism: ParallelismConfig,
     live: &[usize],
     rng: &mut R,
-) -> Result<Distances, SknnError> {
+) -> Result<Distances<'p>, SknnError> {
     let pk = c1.public_key();
     let n = live.len();
     match packing {
@@ -71,6 +73,7 @@ pub(crate) fn compute_distances<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
             Ok(Distances::Packed {
+                params,
                 groups,
                 counts: group_ranges.iter().map(|&(lo, hi)| hi - lo).collect(),
             })
@@ -100,13 +103,13 @@ pub(crate) fn compute_distances<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
 /// one shard's live records, plus the physical indices they belong to.
 /// Opaque — the representation (scalar vs slot-packed) is an executor
 /// detail the downstream stages resolve themselves.
-pub struct ShardDistances {
+pub struct ShardDistances<'p> {
     /// Physical indices, parallel to the distances.
     pub(crate) live: Vec<usize>,
-    pub(crate) distances: Distances,
+    pub(crate) distances: Distances<'p>,
 }
 
-impl ShardDistances {
+impl ShardDistances<'_> {
     /// Number of records the distances cover.
     pub fn num_records(&self) -> usize {
         self.live.len()
@@ -154,7 +157,7 @@ impl<'a> SsedStage<'a> {
         query: &EncryptedQuery,
         live: Vec<usize>,
         rng: &mut R,
-    ) -> Result<ShardDistances, SknnError> {
+    ) -> Result<ShardDistances<'a>, SknnError> {
         let packing = self.c1.effective_packing(c2, self.distance_bits);
         let distances =
             compute_distances(self.c1, c2, query, packing, self.parallelism, &live, rng)?;
@@ -192,14 +195,12 @@ impl<'a> SbdStage<'a> {
         match &distances.distances {
             // Packed state: all groups advance in lockstep, one packed
             // request per group per round.
-            Distances::Packed { groups, counts } => {
-                let params = self
-                    .c1
-                    .packing()
-                    .expect("packed distances imply packing parameters");
-                packed_bit_decompose(pk, c2, groups, counts, l, params, rng, self.c1.encryptor())
-                    .map_err(SknnError::from)
-            }
+            Distances::Packed {
+                params,
+                groups,
+                counts,
+            } => packed_bit_decompose(pk, c2, groups, counts, l, params, rng, self.c1.encryptor())
+                .map_err(SknnError::from),
             Distances::Scalar(scalar) => {
                 let seeds = derive_seeds(rng, scalar.len());
                 let decomposed = parallel_map(self.parallelism.threads, scalar, |i, dist| {
@@ -215,17 +216,6 @@ impl<'a> SbdStage<'a> {
             }
         }
     }
-}
-
-/// One SkNN_b candidate surviving a shard's top-k stage: a physical record
-/// index plus the scalar ciphertext of its squared distance, ready for the
-/// gather merge.
-pub(crate) struct BasicCandidate {
-    /// Physical index of the record in the database.
-    pub physical: usize,
-    /// `E(dᵢ)` as a scalar ciphertext (recomputed from the record when the
-    /// shard's distances only exist slot-packed).
-    pub distance: Ciphertext,
 }
 
 /// Stage operator: SkNN_b record selection — C2 decrypts distances and
@@ -249,17 +239,17 @@ impl TopKStage {
     /// Propagates packed-path failures.
     pub fn run<K: KeyHolder + ?Sized>(
         &self,
-        c1: &CloudC1,
         c2: &K,
-        distances: &ShardDistances,
+        distances: &ShardDistances<'_>,
     ) -> Result<Vec<usize>, SknnError> {
         let k = self.k.min(distances.live.len());
         match &distances.distances {
             Distances::Scalar(cts) => Ok(c2.top_k_indices(cts, k)),
-            Distances::Packed { groups, counts } => {
-                let params = c1
-                    .packing()
-                    .expect("packed distances imply packing parameters");
+            Distances::Packed {
+                params,
+                groups,
+                counts,
+            } => {
                 let count: usize = counts.iter().sum();
                 c2.top_k_indices_packed(&params.layout, groups, count, k)
                     .map_err(SknnError::from)
@@ -267,33 +257,25 @@ impl TopKStage {
         }
     }
 
-    /// Runs the per-shard candidate selection of a scatter plan: the
-    /// shard's `min(k, shard size)` nearest records, each with a *scalar*
-    /// distance ciphertext for the gather merge. When the shard's
+    /// The *scalar* distance ciphertexts of the records at `positions`
+    /// within `distances`, for a scatter plan's gather merge. When the
     /// distances only exist slot-packed (no per-record ciphertext to
-    /// reuse), the winners' distances are recomputed with scalar SSED —
-    /// `min(k, shard size)·m` extra secure multiplications, negligible
-    /// against the shard scan for `n ≫ k·S`.
+    /// reuse), they are recomputed with scalar SSED — `positions.len()·m`
+    /// extra secure multiplications, negligible against the shard scan for
+    /// `n ≫ k·S`.
     ///
     /// # Errors
-    /// Propagates packed-path and SSED failures.
-    pub(crate) fn candidates<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
-        &self,
+    /// Propagates SSED failures.
+    pub(crate) fn scalar_distances<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         c1: &CloudC1,
         c2: &K,
         query: &EncryptedQuery,
-        distances: &ShardDistances,
+        distances: &ShardDistances<'_>,
+        positions: &[usize],
         rng: &mut R,
-    ) -> Result<Vec<BasicCandidate>, SknnError> {
-        let winners = self.run(c1, c2, distances)?;
+    ) -> Result<Vec<Ciphertext>, SknnError> {
         match &distances.distances {
-            Distances::Scalar(cts) => Ok(winners
-                .into_iter()
-                .map(|i| BasicCandidate {
-                    physical: distances.live[i],
-                    distance: cts[i].clone(),
-                })
-                .collect()),
+            Distances::Scalar(cts) => Ok(positions.iter().map(|&i| cts[i].clone()).collect()),
             Distances::Packed { .. } => {
                 let pk = c1.public_key();
                 let neg_query = query
@@ -301,18 +283,12 @@ impl TopKStage {
                     .iter()
                     .map(|q| pk.negate(q))
                     .collect::<Vec<_>>();
-                winners
-                    .into_iter()
-                    .map(|i| {
-                        let physical = distances.live[i];
-                        let distance = secure_squared_distance_to_negated(
-                            pk,
-                            c2,
-                            &neg_query,
-                            c1.database().record(physical),
-                            rng,
-                        )?;
-                        Ok(BasicCandidate { physical, distance })
+                positions
+                    .iter()
+                    .map(|&i| {
+                        let record = c1.database().record(distances.live[i]);
+                        secure_squared_distance_to_negated(pk, c2, &neg_query, record, rng)
+                            .map_err(SknnError::from)
                     })
                     .collect()
             }

@@ -98,8 +98,8 @@ impl ShardRetry {
 pub struct RetryReport {
     /// Per-shard scatter stages that re-ran, in the order they were retried.
     pub shard_retries: Vec<ShardRetry>,
-    /// Whole-query re-runs (the monolithic path has no per-shard stages to
-    /// retry, so its failures re-run the query).
+    /// Whole-query re-runs: failures in the gather or finalize stage,
+    /// which run once per query rather than per shard, re-run the query.
     pub query_retries: usize,
     /// Sessions found dead and excluded from the re-run's session set.
     pub dead_sessions: Vec<usize>,

@@ -11,12 +11,13 @@
 //! learns every plaintext distance, and both clouds learn which records were
 //! returned (the data-access pattern).
 //!
-//! The implementation lives in the staged executor ([`crate::exec`]): a
-//! single-shard database runs the monolithic scan above, a sharded one runs
-//! the scatter–gather plan (per-shard SSED + top-k candidates, then a merge
-//! over the ≤ k·S survivors) with bit-identical results.
+//! The implementation lives in the staged executor ([`crate::exec`]) as one
+//! scatter–gather plan: per-shard SSED + top-k, then a merge over the
+//! ≤ k·S survivors. A single-shard database is the scan above — its one
+//! shard's top-k is the answer and the merge is skipped — and every shard
+//! count returns bit-identical results.
 
-use crate::exec::{execute_basic, DynKeyHolder, SessionSet};
+use crate::exec::{execute_basic, SessionSet};
 use crate::parallel::ParallelismConfig;
 use crate::profile::QueryProfile;
 use crate::retry::{RetryPolicy, RetryReport};
@@ -40,18 +41,17 @@ impl CloudC1 {
     /// # Errors
     /// Returns an error when the query dimensionality does not match the
     /// database or `k` is out of range.
-    pub fn process_basic<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+    pub fn process_basic<R: RngCore + ?Sized>(
         &self,
-        c2: &K,
+        c2: &dyn KeyHolder,
         query: &EncryptedQuery,
         k: usize,
         parallelism: ParallelismConfig,
         rng: &mut R,
     ) -> Result<(MaskedResult, QueryProfile, AccessPatternAudit), SknnError> {
-        let adapter = DynKeyHolder(c2);
         let (masked, profile, audit, _report) = execute_basic(
             self,
-            &SessionSet::single(&adapter),
+            &SessionSet::single(c2),
             query,
             k,
             parallelism,
@@ -157,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_plan_matches_the_monolithic_scan() {
+    fn sharded_plan_matches_the_single_shard_plan() {
         let table = heart_disease_table();
         let query = [58u64, 1, 4, 133, 196, 1, 2, 1, 6, 0];
         let (mono_c1, c2, user, mut rng) = setup(&table);

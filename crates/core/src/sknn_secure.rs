@@ -14,14 +14,14 @@
 //! how the returned set maps to stored records — the hidden-access-pattern
 //! guarantee the paper's Section 4.3 argues for.
 //!
-//! The implementation lives in the staged executor ([`crate::exec`]): a
-//! single-shard database runs the paper's loop unchanged, a sharded one
-//! runs the scatter–gather plan — per-shard SSED + SBD + oblivious
-//! candidate extraction, then the same SMIN_n/selection rounds over only
-//! the ≤ k·S surviving candidates (leakage analysis in `DESIGN.md`).
+//! The implementation lives in the staged executor ([`crate::exec`]) as one
+//! scatter–gather plan — per-shard SSED + SBD + oblivious candidate
+//! extraction, then the same SMIN_n/selection rounds over only the ≤ k·S
+//! surviving candidates (leakage analysis in `DESIGN.md`). A single-shard
+//! database runs the paper's loop as its one scatter task, with no gather.
 
 use crate::config::SecureQueryParams;
-use crate::exec::{execute_secure, DynKeyHolder, SessionSet};
+use crate::exec::{execute_secure, SessionSet};
 use crate::parallel::ParallelismConfig;
 use crate::profile::QueryProfile;
 use crate::retry::{RetryPolicy, RetryReport};
@@ -40,18 +40,17 @@ impl CloudC1 {
     /// # Errors
     /// Returns an error when the query dimensionality does not match the
     /// database, `k` is out of range, or `l` is invalid for the key in use.
-    pub fn process_secure<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+    pub fn process_secure<R: RngCore + ?Sized>(
         &self,
-        c2: &K,
+        c2: &dyn KeyHolder,
         query: &EncryptedQuery,
         params: SecureQueryParams,
         parallelism: ParallelismConfig,
         rng: &mut R,
     ) -> Result<(MaskedResult, QueryProfile, AccessPatternAudit), SknnError> {
-        let adapter = DynKeyHolder(c2);
         let (masked, profile, audit, _report) = execute_secure(
             self,
-            &SessionSet::single(&adapter),
+            &SessionSet::single(c2),
             query,
             params,
             parallelism,
@@ -175,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_plan_matches_the_monolithic_scan() {
+    fn sharded_plan_matches_the_single_shard_plan() {
         // Distinct distances, so the expected set and its nearest-first
         // order are unique for every shard count.
         let table = Table::new(vec![

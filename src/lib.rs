@@ -81,15 +81,17 @@
 //!    FinalizeStage: the usual two-share reveal to Bob
 //! ```
 //!
-//! Results are bit-identical to the monolithic scan for every shard count
-//! (the global k nearest are each among their shard's k nearest; the
-//! merge orders by the same (distance, storage index) total order), and
-//! `shards = 1` *is* the monolithic code path, not a parallel
-//! implementation of it. Each shard's stages talk to the C2 session the
-//! shard is pinned to — [`protocols::transport::SessionPool`] stands up
-//! `sessions` fully independent connections (own wire and server workers,
-//! one shared reactor thread) — so scatter stages overlap on the wire
-//! instead of pipelining through one connection. [`QueryProfile`] reports
+//! Results are bit-identical to the paper's linear scan for every shard
+//! count (the global k nearest are each among their shard's k nearest; the
+//! merge orders by the same (distance, storage index) total order). There
+//! is one plan per protocol: with one populated shard the scatter task's
+//! output is the answer and the gather is skipped, so `shards = 1` is the
+//! paper's scan on the same code path, not a parallel implementation of
+//! it. Each shard's stages talk to the C2 session the shard is pinned to
+//! — [`protocols::transport::SessionPool`] stands up `sessions` fully
+//! independent connections (own wire and server workers, one shared
+//! reactor thread) — so scatter stages overlap on the wire instead of
+//! pipelining through one connection. [`QueryProfile`] reports
 //! per-shard, per-stage ciphertext/decryption counters (`shard_stage_ops`),
 //! and the `shard-scaling` experiment tracks queries/sec and scatter/gather
 //! volume in `BENCH_results.json` per PR. What sharding changes about C2's

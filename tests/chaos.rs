@@ -178,6 +178,22 @@ fn fault_matrix_recovers_or_errors_typed() {
                     match run {
                         Ok(outcome) => {
                             assert_eq!(outcome.result, expected, "{label}: wrong answer");
+                            // Frame 3 lands in a scatter task, which the
+                            // executor re-runs in place at every shard
+                            // count; the engine's whole-query retry is only
+                            // for gather and finalize failures.
+                            if matches!(kind, FaultKind::Drop | FaultKind::Corrupt) {
+                                assert_eq!(
+                                    outcome.retries.query_retries, 0,
+                                    "{label}: {:?}",
+                                    outcome.retries
+                                );
+                                assert!(
+                                    !outcome.retries.shard_retries.is_empty(),
+                                    "{label}: {:?}",
+                                    outcome.retries
+                                );
+                            }
                         }
                         Err(e) => {
                             // Only a severed wire with no surviving session

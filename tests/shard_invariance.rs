@@ -330,6 +330,76 @@ fn appends_and_tombstones_land_in_the_owning_shard() {
     }
 }
 
+/// A sharded dataset whose live records all sit in one shard runs the
+/// single-shard plan: the gather is elided, nothing is attributed per
+/// shard, and every stage's op counters equal an unsharded engine's over
+/// the same live rows.
+#[test]
+fn one_populated_shard_elides_the_gather() {
+    let mut rng = StdRng::seed_from_u64(0x5AB2);
+    let mut sharded = engine_with(
+        ShardingConfig {
+            shards: 4,
+            sessions: 1,
+        },
+        TransportKind::InProcess,
+        1,
+        &mut rng,
+    );
+    // Keep only shard 2 (indices 2, 6, 10, 14).
+    for i in (0..16).filter(|i| i % 4 != 2) {
+        sharded.tombstone_record("t", i).unwrap();
+    }
+    let live = Table::new(
+        table()
+            .records()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 4 == 2)
+            .map(|(_, r)| r.to_vec())
+            .collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let mut unsharded = engine_with(
+        ShardingConfig {
+            shards: 1,
+            sessions: 1,
+        },
+        TransportKind::InProcess,
+        1,
+        &mut rng,
+    );
+    unsharded
+        .register_dataset("live", &live, &mut rng)
+        .expect("register dataset");
+
+    let k = 2;
+    let expected = plain_knn_records(&live, &QUERY, k);
+    for protocol in [Protocol::Basic, Protocol::Secure] {
+        let mut run = |engine: &SknnEngine, dataset: &str| {
+            engine
+                .query(dataset)
+                .k(k)
+                .point(&QUERY)
+                .protocol(protocol)
+                .run(&mut rng)
+                .unwrap()
+        };
+        let one_shard = run(&sharded, "t");
+        let reference = run(&unsharded, "live");
+        assert_eq!(one_shard.result, expected, "{protocol:?}");
+        assert_eq!(reference.result, expected, "{protocol:?}");
+        assert!(one_shard.profile.shards().is_empty(), "{protocol:?}");
+        for stage in Stage::ALL {
+            assert_eq!(
+                one_shard.profile.ops(stage),
+                reference.profile.ops(stage),
+                "{protocol:?} {stage:?}"
+            );
+        }
+    }
+}
+
 /// Batches schedule shard-stage tasks: a mixed batch over a sharded
 /// dataset with two sessions returns exactly the per-query results.
 #[test]
