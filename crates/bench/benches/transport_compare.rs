@@ -30,12 +30,12 @@ fn spec(transport: TransportKind, threads: usize, coalesce: bool) -> InstanceSpe
     }
 }
 
-/// One measured query's round trips and bytes, from the federation's
+/// One measured query's round trips and bytes, from the engine's
 /// cumulative counters.
 fn query_comm(instance: &Instance) -> Option<(u64, u64)> {
-    let before = instance.federation.comm_stats()?;
+    let before = instance.engine.comm_stats()?;
     let _ = time_basic(instance, K);
-    let after = instance.federation.comm_stats()?;
+    let after = instance.engine.comm_stats()?;
     let delta = after.since(&before);
     Some((delta.requests, delta.total_bytes()))
 }

@@ -624,8 +624,8 @@ fn inflight_scaling(scale: Scale, report: &mut BenchReport) {
 /// real independent wires with traffic accounting.
 fn shard_scaling(scale: Scale, report: &mut BenchReport) {
     use sknn_core::{
-        DataOwner, DatasetOptions, FederationConfig, Protocol, QueryResult, ShardingConfig,
-        SknnEngine, TransportKind,
+        DataOwner, DatasetOptions, FederationConfig, Protocol, ShardingConfig, SknnEngine,
+        TransportKind,
     };
     use sknn_data::{uniform_query, SyntheticDataset};
 
@@ -708,7 +708,7 @@ fn shard_scaling(scale: Scale, report: &mut BenchReport) {
                 "shard-scaling-profile",
                 &config_params(&[]),
                 profile_elapsed,
-                &QueryResult::from(outcome),
+                &outcome,
             );
 
             // Batch throughput over the shard-stage scheduler, from the

@@ -13,7 +13,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sknn_core::{DataOwner, Federation, FederationConfig, Keypair, TransportKind};
+use sknn_core::{
+    DataOwner, FederationConfig, Keypair, Protocol, QueryOutcome, SknnEngine, TransportKind,
+};
 use sknn_data::{uniform_query, SyntheticDataset};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -105,8 +107,9 @@ impl Scale {
 /// One prepared benchmark instance: an outsourced synthetic dataset and a
 /// query drawn from the same domain.
 pub struct Instance {
-    /// The ready-to-query federation (clouds already hold the data/keys).
-    pub federation: Federation,
+    /// The ready-to-query engine (clouds already hold the data/keys); the
+    /// table is registered as [`Instance::DATASET`].
+    pub engine: SknnEngine,
     /// The plaintext query used against it.
     pub query: Vec<u64>,
     /// The number of records outsourced.
@@ -117,6 +120,11 @@ pub struct Instance {
     pub distance_bits: usize,
     /// The Paillier key size in bits.
     pub key_bits: usize,
+}
+
+impl Instance {
+    /// The name the instance's table is registered under.
+    pub const DATASET: &'static str = "synthetic";
 }
 
 /// Parameters describing an instance to prepare.
@@ -187,9 +195,8 @@ pub fn build_instance(spec: InstanceSpec) -> Instance {
         SyntheticDataset::uniform(spec.records, spec.attributes, spec.distance_bits, &mut rng);
     let query = uniform_query(spec.attributes, dataset.max_value, &mut rng);
     let owner = DataOwner::from_keypair(cached_keypair(spec.key_bits));
-    let federation = Federation::setup_with_owner(
+    let mut engine = SknnEngine::setup_with_owner(
         owner,
-        &dataset.table,
         FederationConfig {
             key_bits: spec.key_bits,
             distance_bits: Some(spec.distance_bits),
@@ -199,11 +206,13 @@ pub fn build_instance(spec: InstanceSpec) -> Instance {
             coalesce: spec.coalesce,
             ..Default::default()
         },
-        &mut rng,
     )
     .expect("benchmark instance setup");
+    engine
+        .register_dataset(Instance::DATASET, &dataset.table, &mut rng)
+        .expect("benchmark dataset registration");
     Instance {
-        federation,
+        engine,
         query,
         records: spec.records,
         attributes: spec.attributes,
@@ -214,12 +223,16 @@ pub fn build_instance(spec: InstanceSpec) -> Instance {
 
 /// Runs one SkNN_b query on the instance, returning the full result (the
 /// profile carries per-stage wall time and ciphertext/decryption counts).
-pub fn run_basic(instance: &Instance, k: usize) -> (Duration, sknn_core::QueryResult) {
+pub fn run_basic(instance: &Instance, k: usize) -> (Duration, QueryOutcome) {
     let mut rng = StdRng::seed_from_u64(HARNESS_SEED ^ 0xB);
     let start = Instant::now();
     let result = instance
-        .federation
-        .query_basic(&instance.query, k, &mut rng)
+        .engine
+        .query(Instance::DATASET)
+        .k(k)
+        .point(&instance.query)
+        .protocol(Protocol::Basic)
+        .run(&mut rng)
         .expect("basic query");
     (start.elapsed(), result)
 }
@@ -227,19 +240,17 @@ pub fn run_basic(instance: &Instance, k: usize) -> (Duration, sknn_core::QueryRe
 /// Runs one SkNN_m query on the instance with an explicit `l` (the
 /// engine builder's `distance_bits` knob, sweeping `l` as in Figures
 /// 2(d)–(e)).
-pub fn run_secure(instance: &Instance, k: usize, l: usize) -> (Duration, sknn_core::QueryResult) {
+pub fn run_secure(instance: &Instance, k: usize, l: usize) -> (Duration, QueryOutcome) {
     let mut rng = StdRng::seed_from_u64(HARNESS_SEED ^ 0x5);
     let start = Instant::now();
     let result = instance
-        .federation
-        .engine()
-        .query(Federation::DATASET)
+        .engine
+        .query(Instance::DATASET)
         .k(k)
         .point(&instance.query)
-        .protocol(sknn_core::Protocol::Secure)
+        .protocol(Protocol::Secure)
         .distance_bits(l)
         .run(&mut rng)
-        .map(sknn_core::QueryResult::from)
         .expect("secure query");
     (start.elapsed(), result)
 }
@@ -271,7 +282,7 @@ pub mod report {
     //! stable: one `entries` array of `{experiment, params, total_s,
     //! stages[]}` objects.
 
-    use sknn_core::{QueryResult, Stage};
+    use sknn_core::{QueryOutcome, Stage};
     use std::io::Write;
     use std::time::Duration;
 
@@ -357,7 +368,7 @@ pub mod report {
             experiment: &str,
             params: &[(&str, String)],
             elapsed: Duration,
-            result: &QueryResult,
+            result: &QueryOutcome,
         ) {
             let stages = Stage::ALL
                 .iter()
@@ -561,8 +572,7 @@ pub mod report {
             use rand::rngs::StdRng;
             use rand::SeedableRng;
             use sknn_core::{
-                DataOwner, FederationConfig, Protocol, QueryResult, ShardingConfig, SknnEngine,
-                Table,
+                DataOwner, FederationConfig, Protocol, ShardingConfig, SknnEngine, Table,
             };
 
             let mut rng = StdRng::seed_from_u64(42);
@@ -594,7 +604,7 @@ pub mod report {
                 "shard-scaling",
                 &[("shards", "2".into())],
                 Duration::from_millis(1),
-                &QueryResult::from(outcome),
+                &outcome,
             );
             let json = report.to_json();
             assert!(json.contains("\"shard_stages\": ["));

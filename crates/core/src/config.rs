@@ -33,7 +33,7 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Whether this transport reports [`crate::QueryResult::comm`] traffic.
+    /// Whether this transport reports [`crate::QueryOutcome::comm`] traffic.
     pub fn has_accounting(&self) -> bool {
         !matches!(self, TransportKind::InProcess)
     }
@@ -58,9 +58,10 @@ pub enum PackingKind {
     /// or the key holder lacks the fast path. The deployment-friendly
     /// choice.
     Auto(usize),
-    /// Pack exactly σ values per ciphertext; [`crate::Federation::setup`]
-    /// fails with [`crate::SknnError::PackingInfeasible`] when the key
-    /// cannot hold σ slots. For experiments where the packing factor is
+    /// Pack exactly σ values per ciphertext;
+    /// [`crate::SknnEngine::register_dataset`] fails with
+    /// [`crate::SknnError::PackingInfeasible`] when the key cannot hold σ
+    /// slots for the dataset's distance domain. For experiments where the packing factor is
     /// part of the measurement.
     Fixed(usize),
 }
@@ -114,7 +115,7 @@ impl Default for ShardingConfig {
     }
 }
 
-/// Configuration for [`crate::Federation::setup`].
+/// Configuration for [`crate::SknnEngine::setup`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FederationConfig {
     /// Paillier modulus size in bits (the paper's `K`; 512 and 1024 in the
@@ -156,7 +157,7 @@ pub struct FederationConfig {
     /// combined with a per-cloud salt so the two pools never replay the
     /// same `r` sequence.
     pub pool: PoolConfig,
-    /// Entries [`crate::Federation::setup`] precomputes synchronously per
+    /// Entries [`crate::SknnEngine::setup`] precomputes synchronously per
     /// cloud before the first query (clamped to `pool.capacity`); the
     /// background refill thread tops the pools up from there.
     pub pool_prewarm: usize,

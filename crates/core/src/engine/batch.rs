@@ -22,8 +22,8 @@ use crate::{AccessPatternAudit, SknnError};
 use rand::RngCore;
 use sknn_protocols::stats::CommSnapshot;
 
-/// The result of one engine query — what [`crate::QueryResult`] is to the
-/// legacy `Federation` façade.
+/// The result of one query: the records Bob recovers plus the measurement
+/// artifacts the evaluation harness needs.
 #[derive(Debug)]
 pub struct QueryOutcome {
     /// The k nearest records, nearest first (ties may appear in either

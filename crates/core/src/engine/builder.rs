@@ -59,25 +59,6 @@ impl PreparedQuery {
     pub fn requested_distance_bits(&self) -> Option<usize> {
         self.distance_bits
     }
-
-    /// Assembles a prepared query without builder validation. Used by the
-    /// deprecated [`crate::Federation`] shim, whose historical contract
-    /// was to defer all validation to the protocol layer.
-    pub(crate) fn unvalidated(
-        dataset: String,
-        point: Vec<u64>,
-        k: usize,
-        protocol: Protocol,
-        distance_bits: Option<usize>,
-    ) -> PreparedQuery {
-        PreparedQuery {
-            dataset,
-            point,
-            k,
-            protocol,
-            distance_bits,
-        }
-    }
 }
 
 /// Builds one validated query against an [`SknnEngine`] dataset:
@@ -108,7 +89,6 @@ pub struct QueryBuilder<'e> {
     point: Option<Vec<u64>>,
     protocol: Protocol,
     distance_bits: Option<usize>,
-    check_values: bool,
 }
 
 impl<'e> QueryBuilder<'e> {
@@ -120,7 +100,6 @@ impl<'e> QueryBuilder<'e> {
             point: None,
             protocol: Protocol::default(),
             distance_bits: None,
-            check_values: true,
         }
     }
 
@@ -143,22 +122,11 @@ impl<'e> QueryBuilder<'e> {
     }
 
     /// Overrides the distance-domain bit length `l` for this (secure)
-    /// query, replacing the deprecated
-    /// `Federation::query_secure_with_bits`. An expert knob for sweeping
-    /// `l` as in Figures 2(d)–(e) of the paper; the value is passed to the
-    /// protocol as-is, whose own validation rejects unusable lengths.
+    /// query. An expert knob for sweeping `l` as in Figures 2(d)–(e) of the
+    /// paper; the value is passed to the protocol as-is, whose own
+    /// validation rejects unusable lengths.
     pub fn distance_bits(mut self, l: usize) -> Self {
         self.distance_bits = Some(l);
-        self
-    }
-
-    /// Disables the per-attribute value-bound check. The bound exists
-    /// because values above the registered domain can overflow the
-    /// dataset's `l`-bit distance domain and corrupt the ranking without
-    /// any error; only disable it when `distance_bits` is sized for the
-    /// actual query domain by other means.
-    pub fn unchecked_values(mut self) -> Self {
-        self.check_values = false;
         self
     }
 
@@ -179,7 +147,6 @@ impl<'e> QueryBuilder<'e> {
             point,
             protocol,
             distance_bits,
-            check_values,
         } = self;
         let dataset = engine
             .dataset(&name)
@@ -204,15 +171,13 @@ impl<'e> QueryBuilder<'e> {
                 l,
             }));
         }
-        if check_values {
-            let bound = dataset.value_bound();
-            if let Some((attribute, &value)) = point.iter().enumerate().find(|(_, &v)| v > bound) {
-                return Err(invalid(InvalidQueryReason::ValueOutOfRange {
-                    attribute,
-                    value,
-                    bound,
-                }));
-            }
+        let bound = dataset.value_bound();
+        if let Some((attribute, &value)) = point.iter().enumerate().find(|(_, &v)| v > bound) {
+            return Err(invalid(InvalidQueryReason::ValueOutOfRange {
+                attribute,
+                value,
+                bound,
+            }));
         }
         Ok(PreparedQuery {
             dataset: name,
@@ -299,16 +264,6 @@ mod tests {
                 bound: 10
             }
         );
-
-        // The same point passes with the bound check disabled.
-        let q = engine
-            .query("d")
-            .k(1)
-            .point(&[1, 999])
-            .unchecked_values()
-            .build()
-            .unwrap();
-        assert_eq!(q.point(), &[1, 999]);
 
         // The l override only exists on the secure protocol; a basic query
         // would silently ignore it, so the builder rejects the combination.

@@ -30,10 +30,8 @@
 //! secret key and sees exactly the request set the Section 4.3 security
 //! argument reasons about. Each dataset keeps its own distance-bit sizing
 //! `l` and its own slot-packing parameters, derived from its value domain
-//! at registration.
-//!
-//! The legacy [`crate::Federation`] façade is a thin shim over a
-//! one-dataset engine; new code should use [`SknnEngine`] directly.
+//! at registration. The paper's single-table deployment is an engine with
+//! one registered dataset.
 
 mod batch;
 mod builder;
@@ -523,8 +521,7 @@ impl SknnEngine {
     /// Encrypts `table` under the deployment's key and registers it as the
     /// dataset `name`, using the engine-wide defaults from
     /// [`FederationConfig`]: `distance_bits` (derived from the table when
-    /// `None`) and `max_query_value` — exactly what the one-dataset
-    /// [`crate::Federation`] shim applies to its table.
+    /// `None`) and `max_query_value`.
     ///
     /// # Errors
     /// See [`SknnEngine::register_dataset_with`].
@@ -1052,11 +1049,11 @@ impl SknnEngine {
         parallelism: ParallelismConfig,
         rng: &mut R,
     ) -> Result<QueryOutcome, SknnError> {
-        // Admission control (opt-in): every query path — run, run_batch,
-        // the Federation facade — funnels through here, so one gate bounds
-        // the engine's aggregate concurrency. The permit is held for the
-        // whole query, including its scatter fan-out, and returns on every
-        // exit path (it is an RAII guard).
+        // Admission control (opt-in): every query path — run and
+        // run_batch — funnels through here, so one gate bounds the
+        // engine's aggregate concurrency. The permit is held for the whole
+        // query, including its scatter fan-out, and returns on every exit
+        // path (it is an RAII guard).
         let _admission = self.admission.as_ref().map(|gate| gate.acquire());
         let dataset = self
             .dataset(query.dataset())
@@ -1170,7 +1167,7 @@ impl SknnEngine {
             }
         };
         profile.record_pool(pool_delta(&pool_before, &self.pool_stats()));
-        let result = self.user.recover_records(&masked);
+        let result = self.user.recover_records(&masked)?;
         Ok(QueryOutcome {
             result,
             profile,
@@ -1326,6 +1323,7 @@ fn transport_setup_error(message: &str) -> SknnError {
 mod tests {
     use super::*;
     use crate::plain_knn_records;
+    use crate::profile::Stage;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1344,6 +1342,28 @@ mod tests {
 
     fn engine(config: FederationConfig, rng: &mut StdRng) -> SknnEngine {
         SknnEngine::setup(config, rng).unwrap()
+    }
+
+    /// The paper's deployment: an engine with `table()` as its one dataset.
+    fn single(config: FederationConfig, rng: &mut StdRng) -> SknnEngine {
+        let mut engine = engine(config, rng);
+        engine.register_dataset("d", &table(), rng).unwrap();
+        engine
+    }
+
+    fn run(engine: &SknnEngine, protocol: Protocol, k: usize, rng: &mut StdRng) -> QueryOutcome {
+        engine
+            .query("d")
+            .k(k)
+            .point(&[2, 2])
+            .protocol(protocol)
+            .run(rng)
+            .unwrap()
+    }
+
+    fn sorted(mut records: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+        records.sort();
+        records
     }
 
     #[test]
@@ -1531,6 +1551,221 @@ mod tests {
             fixed.register_dataset("d", &table(), &mut rng),
             Err(SknnError::PackingInfeasible { requested: 64, .. })
         ));
+
+        // Without an override, l is derived from the table's domain; an
+        // override with headroom is taken as given.
+        engine
+            .register_dataset("derived", &table(), &mut rng)
+            .unwrap();
+        let derived = engine.dataset("derived").unwrap();
+        assert_eq!(derived.distance_bits(), table().required_distance_bits(10));
+        assert_eq!((derived.num_records(), derived.num_attributes()), (5, 2));
+        let custom = DatasetOptions {
+            distance_bits: Some(12),
+            max_query_value: 10,
+        };
+        engine
+            .register_dataset_with("custom", &table(), custom, &mut rng)
+            .unwrap();
+        assert_eq!(engine.dataset("custom").unwrap().distance_bits(), 12);
+
+        // Auto degrades to scalar instead of failing (the default κ = 40
+        // cannot fit a single slot in a 64-bit key).
+        let auto = single(
+            FederationConfig {
+                key_bits: 64,
+                max_query_value: 10,
+                packing: PackingKind::Auto(64),
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        assert!(auto.dataset("d").unwrap().packing().is_none());
+        let result = run(&auto, Protocol::Basic, 2, &mut rng).result;
+        assert_eq!(result, plain_knn_records(&table(), &[2, 2], 2));
+
+        // Auto clamps σ to what the key holds: a 192-bit key at κ = 10 fits
+        // a few slots but not the eight requested, and the clamped layout
+        // answers both protocols exactly as a scalar engine does.
+        let config = |packing| FederationConfig {
+            key_bits: 192,
+            max_query_value: 10,
+            packing,
+            packing_blind_bits: 10,
+            ..Default::default()
+        };
+        let scalar = single(config(PackingKind::Off), &mut rng);
+        let clamped = single(config(PackingKind::Auto(8)), &mut rng);
+        let slots = clamped.dataset("d").unwrap().packing().unwrap().slots();
+        assert!((2..8).contains(&slots), "σ = {slots}");
+        let scalar_basic = run(&scalar, Protocol::Basic, 3, &mut rng);
+        let clamped_basic = run(&clamped, Protocol::Basic, 3, &mut rng);
+        assert_eq!(clamped_basic.result, scalar_basic.result);
+        assert_eq!(
+            clamped_basic.result,
+            plain_knn_records(&table(), &[2, 2], 3)
+        );
+        // The packed SSED stage moves σ× fewer ciphertexts.
+        let scalar_ops = scalar_basic.profile.ops(Stage::DistanceComputation);
+        let clamped_ops = clamped_basic.profile.ops(Stage::DistanceComputation);
+        assert!(
+            clamped_ops.ciphertexts_on_wire() * slots as u64 <= scalar_ops.ciphertexts_on_wire(),
+            "SSED wire: clamped {clamped_ops:?} vs scalar {scalar_ops:?} at σ = {slots}"
+        );
+        let scalar_secure = run(&scalar, Protocol::Secure, 2, &mut rng).result;
+        let clamped_secure = run(&clamped, Protocol::Secure, 2, &mut rng).result;
+        assert_eq!(sorted(clamped_secure), sorted(scalar_secure));
+    }
+
+    #[test]
+    fn packed_queries_work_over_remote_transports() {
+        let mut rng = StdRng::seed_from_u64(422);
+        for transport in [TransportKind::Channel, TransportKind::Tcp] {
+            let engine = single(
+                FederationConfig {
+                    key_bits: 192,
+                    max_query_value: 10,
+                    transport,
+                    packing: PackingKind::Fixed(2),
+                    packing_blind_bits: 10,
+                    ..Default::default()
+                },
+                &mut rng,
+            );
+            let slots = engine.dataset("d").unwrap().packing().unwrap().slots();
+            assert_eq!(slots, 2, "{transport:?}");
+            let basic = run(&engine, Protocol::Basic, 3, &mut rng).result;
+            assert_eq!(
+                basic,
+                plain_knn_records(&table(), &[2, 2], 3),
+                "{transport:?}"
+            );
+            let secure = run(&engine, Protocol::Secure, 2, &mut rng).result;
+            assert_eq!(
+                sorted(secure),
+                sorted(plain_knn_records(&table(), &[2, 2], 2)),
+                "{transport:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn coalescing_reduces_round_trips() {
+        let mut rng = StdRng::seed_from_u64(408);
+        let round_trips = |coalesce: bool, rng: &mut StdRng| {
+            let config = FederationConfig {
+                key_bits: 96,
+                max_query_value: 10,
+                transport: TransportKind::Channel,
+                threads: 6,
+                coalesce,
+                ..Default::default()
+            };
+            let outcome = run(&single(config, rng), Protocol::Basic, 2, rng);
+            assert_eq!(outcome.result, plain_knn_records(&table(), &[2, 2], 2));
+            outcome.comm.expect("traffic").requests
+        };
+        // Merging depends on workers overlapping inside the coalescing
+        // window, so on a heavily loaded machine a single attempt can
+        // legitimately see no overlap; retry a few times before declaring
+        // the mechanism broken.
+        let without = round_trips(false, &mut rng);
+        for attempt in 0.. {
+            let with = round_trips(true, &mut rng);
+            assert!(
+                with <= without,
+                "coalescing must never add round trips: {with} vs {without}"
+            );
+            if with < without {
+                break;
+            }
+            assert!(
+                attempt < 5,
+                "coalescing never merged a single batch in {attempt} attempts \
+                 ({with} vs {without} round trips)"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_randomness_serves_queries_and_is_accounted() {
+        let mut rng = StdRng::seed_from_u64(409);
+        let engine = single(
+            FederationConfig {
+                key_bits: 96,
+                max_query_value: 10,
+                pool: PoolConfig {
+                    capacity: 64,
+                    background_refill: false,
+                    ..Default::default()
+                },
+                pool_prewarm: 64,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        assert!(
+            engine.pool_stats().precomputed >= 128,
+            "both pools pre-warmed"
+        );
+
+        let basic = run(&engine, Protocol::Basic, 2, &mut rng);
+        assert_eq!(basic.result, plain_knn_records(&table(), &[2, 2], 2));
+        assert!(
+            basic.profile.pool().hits > 0,
+            "C2's response encryptions must hit the pool"
+        );
+
+        // A secure query drains far more units than the prewarm supplied;
+        // with refill off, hits can never exceed what was precomputed, and
+        // the overflow must show up as synchronous fallbacks.
+        let secure = run(&engine, Protocol::Secure, 2, &mut rng);
+        let activity = secure.profile.pool();
+        assert!(activity.hits + activity.fallbacks > 0);
+        let totals = engine.pool_stats();
+        assert!(totals.hits <= totals.precomputed);
+        assert!(
+            totals.fallbacks > 0,
+            "draining 2×64 prewarmed entries without refill must fall back"
+        );
+
+        // With pooling disabled, nothing is drawn or accounted.
+        let unpooled = single(
+            FederationConfig {
+                key_bits: 96,
+                max_query_value: 10,
+                pool: PoolConfig {
+                    capacity: 0,
+                    ..Default::default()
+                },
+                pool_prewarm: 0,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        let outcome = run(&unpooled, Protocol::Basic, 3, &mut rng);
+        assert_eq!(outcome.result, plain_knn_records(&table(), &[2, 2], 3));
+        assert_eq!(outcome.profile.pool(), PoolActivity::default());
+        assert_eq!(unpooled.pool_stats(), PoolStats::default());
+    }
+
+    #[test]
+    fn threads_can_be_adjusted() {
+        let mut rng = StdRng::seed_from_u64(405);
+        let mut engine = single(
+            FederationConfig {
+                key_bits: 96,
+                max_query_value: 10,
+                threads: 4,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        let a = run(&engine, Protocol::Basic, 2, &mut rng);
+        engine.set_threads(1);
+        assert_eq!(engine.parallelism().threads, 1);
+        let b = run(&engine, Protocol::Basic, 2, &mut rng);
+        assert_eq!(a.result, b.result);
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub(crate) fn execute_basic<R: RngCore + ?Sized>(
             .collect();
         let masked = profile_ref.time(Stage::Finalization, || {
             FinalizeStage.run(c1, &meter, &chosen, rng)
-        });
+        })?;
         profile_ref.record_ops(Stage::Finalization, meter.take());
         Ok((masked, top_k_physical))
     })?;

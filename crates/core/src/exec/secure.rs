@@ -255,7 +255,7 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
 
         let masked = profile_ref.time(Stage::Finalization, || {
             FinalizeStage.run(c1, &meter, &results, rng)
-        });
+        })?;
         profile_ref.record_ops(Stage::Finalization, meter.take());
         Ok(masked)
     })?;

@@ -304,13 +304,17 @@ pub struct FinalizeStage;
 impl FinalizeStage {
     /// Runs the reveal over the selected encrypted records, against the
     /// primary session.
+    ///
+    /// # Errors
+    /// Returns a typed protocol error when C2's reply does not carry one
+    /// plaintext per masked attribute.
     pub fn run<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         &self,
         c1: &CloudC1,
         c2: &K,
         results: &[Vec<Ciphertext>],
         rng: &mut R,
-    ) -> MaskedResult {
+    ) -> Result<MaskedResult, SknnError> {
         c1.mask_and_reveal(c2, results, rng)
     }
 }

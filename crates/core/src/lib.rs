@@ -30,9 +30,9 @@
 //! a deployment: it hosts many named encrypted datasets behind one pair of
 //! clouds, validates queries up front through a typed [`QueryBuilder`],
 //! runs [batches](SknnEngine::run_batch) of them over one shared key-holder
-//! session, and accepts dynamic appends and tombstones. The single-table
-//! [`Federation`] façade is kept as a thin shim over a one-dataset engine
-//! for existing embedders.
+//! session, and accepts dynamic appends and tombstones. The paper's
+//! deployment — one table, one query user — is an engine with one
+//! registered dataset.
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -67,7 +67,6 @@ mod encdb;
 pub mod engine;
 mod error;
 pub mod exec;
-mod federation;
 mod meter;
 mod parallel;
 mod plain;
@@ -88,7 +87,6 @@ pub use engine::{
 };
 pub use error::{DurableUpdateError, InvalidQueryReason, SknnError, UpdateRejected};
 pub use exec::SessionSet;
-pub use federation::{Federation, QueryResult};
 pub use parallel::ParallelismConfig;
 pub use plain::{plain_knn, plain_knn_records, squared_euclidean_distance};
 pub use profile::{OpCounters, PoolActivity, QueryProfile, Stage};

@@ -63,9 +63,9 @@ impl Stage {
 /// (`fallbacks`). Aggregated across both clouds' pools.
 ///
 /// The per-query numbers are deltas of the deployment-wide pool counters,
-/// so when several queries run concurrently on one `Federation` their
-/// windows overlap and each profile may include draws issued by the others;
-/// `Federation::pool_stats` totals stay exact. Use serial queries when a
+/// so when several queries run concurrently on one engine their windows
+/// overlap and each profile may include draws issued by the others;
+/// [`crate::SknnEngine::pool_stats`] totals stay exact. Use serial queries when a
 /// per-query attribution must be precise.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolActivity {

@@ -9,7 +9,8 @@ use crate::{EncryptedDatabase, EncryptedQuery, MaskedResult, SknnError, Table};
 use rand::RngCore;
 use sknn_bigint::{random_below, BigUint};
 use sknn_paillier::{Keypair, PooledEncryptor, PrivateKey, PublicKey};
-use sknn_protocols::{KeyHolder, PackedParams};
+use sknn_protocols::transport::TransportError;
+use sknn_protocols::{KeyHolder, PackedParams, ProtocolError};
 
 /// Alice: generates the key pair, encrypts her database attribute-wise and
 /// outsources it.
@@ -123,25 +124,37 @@ impl QueryUser {
     /// Combines the masks received from C1 with the masked plaintexts received
     /// from C2: `t′_{j,h} = γ′_{j,h} − r_{j,h} mod N`.
     ///
-    /// # Panics
-    /// Panics if a recovered attribute does not fit in a `u64` — this cannot
-    /// happen when both shares come from an honest execution over a table of
-    /// `u64` attributes.
-    pub fn recover_records(&self, result: &MaskedResult) -> Vec<Vec<u64>> {
+    /// # Errors
+    /// Returns [`ProtocolError::Transport`] (a batch mismatch) when the two
+    /// shares differ in shape, and [`ProtocolError::Invariant`] when a
+    /// recovered attribute does not fit in a `u64`. Neither can happen when
+    /// both shares come from an honest execution over a table of `u64`
+    /// attributes; both are what a faulty or malicious C2 reply produces.
+    pub fn recover_records(&self, result: &MaskedResult) -> Result<Vec<Vec<u64>>, SknnError> {
         let n = self.pk.n();
+        let shape = |v: &[Vec<BigUint>]| v.iter().map(Vec::len).collect::<Vec<_>>();
+        let (sent, received) = (shape(&result.masks), shape(&result.masked_values));
+        if sent != received {
+            return Err(batch_mismatch(sent.iter().sum(), received.iter().sum()));
+        }
         result
             .masked_values
             .iter()
-            .zip(result.masks.iter())
+            .zip(&result.masks)
             .map(|(values, masks)| {
                 values
                     .iter()
-                    .zip(masks.iter())
+                    .zip(masks)
                     .map(|(gamma, r)| {
-                        gamma
-                            .mod_sub(&r.rem_ref(n), n)
-                            .to_u64()
-                            .expect("recovered attribute does not fit in u64")
+                        let t = gamma.mod_sub(&r.rem_ref(n), n);
+                        t.to_u64().ok_or_else(|| {
+                            SknnError::Protocol(ProtocolError::Invariant {
+                                message: format!(
+                                    "recovered attribute of {} bits does not fit in u64",
+                                    t.bits()
+                                ),
+                            })
+                        })
                     })
                     .collect()
             })
@@ -269,12 +282,16 @@ impl CloudC1 {
     /// Final step shared by both protocols (steps 4–6 of Algorithm 5): mask
     /// every result attribute with fresh randomness, let C2 decrypt the masked
     /// values, and return the two shares Bob needs.
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::Transport`] (a batch mismatch) when C2's
+    /// reply does not carry exactly one plaintext per masked attribute.
     pub(crate) fn mask_and_reveal<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         &self,
         c2: &K,
         encrypted_results: &[Vec<sknn_paillier::Ciphertext>],
         rng: &mut R,
-    ) -> MaskedResult {
+    ) -> Result<MaskedResult, SknnError> {
         let pk = self.public_key();
         let mut masks = Vec::with_capacity(encrypted_results.len());
         let mut gammas_flat = Vec::new();
@@ -284,9 +301,8 @@ impl CloudC1 {
                 let r = random_below(rng, pk.n());
                 // γ_{j,h} = E(t′_{j,h}) · E(r_{j,h}): a fresh encryption of the
                 // mask re-randomizes the ciphertext C2 is about to decrypt.
-                // r < N by construction, so pooled encryption cannot fail.
                 let e_r = match &self.encryptor {
-                    Some(enc) => enc.encrypt(&r).expect("mask is below N"),
+                    Some(enc) => enc.encrypt(&r)?,
                     None => pk.encrypt(&r, rng),
                 };
                 gammas_flat.push(pk.add(attr, &e_r));
@@ -295,20 +311,29 @@ impl CloudC1 {
             masks.push(record_masks);
         }
 
-        let decrypted_flat = c2.decrypt_masked_batch(&gammas_flat);
-
-        let m = encrypted_results.first().map_or(0, |r| r.len());
-        let masked_values: Vec<Vec<BigUint>> = decrypted_flat
-            .chunks(m.max(1))
-            .map(|chunk| chunk.to_vec())
-            .take(encrypted_results.len())
+        let mut decrypted = c2.decrypt_masked_batch(&gammas_flat).into_iter();
+        if decrypted.len() != gammas_flat.len() {
+            return Err(batch_mismatch(gammas_flat.len(), decrypted.len()));
+        }
+        let masked_values = masks
+            .iter()
+            .map(|record| decrypted.by_ref().take(record.len()).collect())
             .collect();
 
-        MaskedResult {
+        Ok(MaskedResult {
             masks,
             masked_values,
-        }
+        })
     }
+}
+
+/// A C2 reply whose plaintext count differs from the request's: the same
+/// typed error the session layer raises for a short batched reply.
+fn batch_mismatch(sent: usize, received: usize) -> SknnError {
+    SknnError::Protocol(ProtocolError::from(TransportError::BatchMismatch {
+        sent,
+        received,
+    }))
 }
 
 #[cfg(test)]
@@ -349,10 +374,125 @@ mod tests {
             c1.database().record(2).clone(),
             c1.database().record(0).clone(),
         ];
-        let masked = c1.mask_and_reveal(&c2, &results, &mut rng);
+        let masked = c1.mask_and_reveal(&c2, &results, &mut rng).unwrap();
         assert_eq!(masked.num_neighbors(), 2);
-        let recovered = user.recover_records(&masked);
+        let recovered = user.recover_records(&masked).unwrap();
         assert_eq!(recovered, vec![vec![5, 6], vec![1, 2]]);
+    }
+
+    /// C2 with a tampered `decrypt_masked_batch` reply; every other request
+    /// is answered honestly.
+    struct TamperedReveal<F> {
+        inner: LocalKeyHolder,
+        tamper: F,
+    }
+
+    impl<F: Fn(&PublicKey, &mut Vec<BigUint>) + Send + Sync> KeyHolder for TamperedReveal<F> {
+        fn public_key(&self) -> &PublicKey {
+            self.inner.public_key()
+        }
+        fn sm_mask_multiply_batch(
+            &self,
+            pairs: &[(sknn_paillier::Ciphertext, sknn_paillier::Ciphertext)],
+        ) -> Vec<sknn_paillier::Ciphertext> {
+            self.inner.sm_mask_multiply_batch(pairs)
+        }
+        fn lsb_of_masked_batch(
+            &self,
+            masked: &[sknn_paillier::Ciphertext],
+        ) -> Vec<sknn_paillier::Ciphertext> {
+            self.inner.lsb_of_masked_batch(masked)
+        }
+        fn smin_round(
+            &self,
+            gamma: &[sknn_paillier::Ciphertext],
+            l: &[sknn_paillier::Ciphertext],
+        ) -> Result<sknn_protocols::SminRoundResponse, ProtocolError> {
+            self.inner.smin_round(gamma, l)
+        }
+        fn min_selection(
+            &self,
+            beta: &[sknn_paillier::Ciphertext],
+        ) -> Result<Vec<sknn_paillier::Ciphertext>, ProtocolError> {
+            self.inner.min_selection(beta)
+        }
+        fn top_k_indices(&self, distances: &[sknn_paillier::Ciphertext], k: usize) -> Vec<usize> {
+            self.inner.top_k_indices(distances, k)
+        }
+        fn decrypt_masked_batch(&self, masked: &[sknn_paillier::Ciphertext]) -> Vec<BigUint> {
+            let mut reply = self.inner.decrypt_masked_batch(masked);
+            (self.tamper)(self.inner.public_key(), &mut reply);
+            reply
+        }
+    }
+
+    fn tampered_reveal(
+        seed: u64,
+        tamper: impl Fn(&PublicKey, &mut Vec<BigUint>) + Send + Sync,
+    ) -> Result<Vec<Vec<u64>>, SknnError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let owner = DataOwner::new(96, &mut rng);
+        let db = owner.encrypt_table(&small_table(), &mut rng).unwrap();
+        let c1 = CloudC1::new(db);
+        let c2 = TamperedReveal {
+            inner: LocalKeyHolder::new(owner.private_key().clone(), seed + 1),
+            tamper,
+        };
+        let user = QueryUser::new(owner.public_key().clone());
+        let results = vec![
+            c1.database().record(2).clone(),
+            c1.database().record(0).clone(),
+        ];
+        let masked = c1.mask_and_reveal(&c2, &results, &mut rng)?;
+        user.recover_records(&masked)
+    }
+
+    #[test]
+    fn short_reveal_reply_is_a_typed_error() {
+        // One plaintext too few used to be chunked into a silently
+        // truncated last record.
+        let err = tampered_reveal(9, |_, reply| {
+            reply.pop();
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SknnError::Protocol(ProtocolError::from(TransportError::BatchMismatch {
+                sent: 4,
+                received: 3
+            }))
+        );
+    }
+
+    #[test]
+    fn out_of_range_reveal_reply_is_a_typed_error() {
+        // γ′ = N − 1 leaves γ′ − r mod N far above 2⁶⁴ for a 96-bit N; Bob
+        // used to panic converting it.
+        let err = tampered_reveal(10, |pk, reply| {
+            reply[0] = pk.n().sub_ref(&BigUint::one());
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, SknnError::Protocol(ProtocolError::Invariant { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn recovery_rejects_shares_of_different_shapes() {
+        let user = QueryUser::new(
+            DataOwner::new(96, &mut StdRng::seed_from_u64(11))
+                .public_key()
+                .clone(),
+        );
+        let masked = MaskedResult {
+            masks: vec![vec![BigUint::one(), BigUint::one()]],
+            masked_values: vec![vec![BigUint::one()]],
+        };
+        assert!(matches!(
+            user.recover_records(&masked),
+            Err(SknnError::Protocol(ProtocolError::Transport { .. }))
+        ));
     }
 
     #[test]
@@ -364,7 +504,7 @@ mod tests {
         let c2 = LocalKeyHolder::new(owner.private_key().clone(), 5);
 
         let results = vec![c1.database().record(0).clone()];
-        let masked = c1.mask_and_reveal(&c2, &results, &mut rng);
+        let masked = c1.mask_and_reveal(&c2, &results, &mut rng).unwrap();
         // Neither share should equal the plaintext attribute values
         // (probability of coincidence ≈ 2^-96 per attribute).
         assert_ne!(masked.masked_values[0][0], BigUint::from_u64(1));

@@ -124,7 +124,7 @@ mod tests {
         let (masked, _profile, audit) = c1
             .process_basic(&c2, &enc_q, 2, ParallelismConfig::serial(), &mut rng)
             .unwrap();
-        let records = user.recover_records(&masked);
+        let records = user.recover_records(&masked).unwrap();
         assert_eq!(records, plain_knn_records(&table, &query, 2));
         // t5 (index 4, distance 127) is nearest, then t4 (index 3, distance 148).
         assert_eq!(records[0], table.record(4).to_vec());
@@ -151,7 +151,7 @@ mod tests {
             let (masked, _, _) = c1
                 .process_basic(&c2, &enc_q, k, ParallelismConfig::serial(), &mut rng)
                 .unwrap();
-            let records = user.recover_records(&masked);
+            let records = user.recover_records(&masked).unwrap();
             assert_eq!(records, plain_knn_records(&table, &query, k), "k = {k}");
         }
     }
@@ -172,8 +172,8 @@ mod tests {
                 .process_basic(&c2, &enc_q, 3, ParallelismConfig::serial(), &mut rng)
                 .unwrap();
             assert_eq!(
-                user.recover_records(&masked),
-                user.recover_records(&mono),
+                user.recover_records(&masked).unwrap(),
+                user.recover_records(&mono).unwrap(),
                 "shards = {shards}"
             );
             // Same physical winners in the same order, so the leaked
@@ -201,8 +201,8 @@ mod tests {
             .process_basic(&c2, &enc_q, 3, ParallelismConfig { threads: 4 }, &mut rng)
             .unwrap();
         assert_eq!(
-            user.recover_records(&serial),
-            user.recover_records(&parallel)
+            user.recover_records(&serial).unwrap(),
+            user.recover_records(&parallel).unwrap()
         );
     }
 

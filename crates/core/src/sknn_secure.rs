@@ -128,7 +128,7 @@ mod tests {
                     &mut rng,
                 )
                 .unwrap();
-            let mut records = user.recover_records(&masked);
+            let mut records = user.recover_records(&masked).unwrap();
             let mut expected = plain_knn_records(&table, &query, k);
             // SkNN_m hides which stored record each result corresponds to, so
             // ties may legitimately come back in either order; compare as sets.
@@ -163,7 +163,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-        let mut records = user.recover_records(&masked);
+        let mut records = user.recover_records(&masked).unwrap();
         records.sort();
         let mut expected = vec![table.record(3).to_vec(), table.record(4).to_vec()];
         expected.sort();
@@ -203,7 +203,11 @@ mod tests {
                     &mut rng,
                 )
                 .unwrap();
-            assert_eq!(user.recover_records(&masked), expected, "shards = {shards}");
+            assert_eq!(
+                user.recover_records(&masked).unwrap(),
+                expected,
+                "shards = {shards}"
+            );
             assert!(audit.is_oblivious());
             // Scatter work is attributed per shard; the gather SMIN_n runs
             // over the k·S candidates only.
@@ -228,7 +232,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-        let records = user.recover_records(&masked);
+        let records = user.recover_records(&masked).unwrap();
         // Both returned records must be the duplicate (4, 4) rows.
         assert_eq!(records, vec![vec![4, 4], vec![4, 4]]);
     }
@@ -257,7 +261,7 @@ mod tests {
                     rng,
                 )
                 .unwrap();
-            let mut r = user.recover_records(&masked);
+            let mut r = user.recover_records(&masked).unwrap();
             r.sort();
             r
         };
@@ -279,7 +283,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-        let mut records = user.recover_records(&masked);
+        let mut records = user.recover_records(&masked).unwrap();
         records.sort();
         assert_eq!(records, vec![vec![1], vec![3], vec![5]]);
     }
@@ -302,7 +306,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-        let mut records = user.recover_records(&masked);
+        let mut records = user.recover_records(&masked).unwrap();
         records.sort();
         assert_eq!(records, vec![vec![1], vec![3], vec![5], vec![9]]);
     }

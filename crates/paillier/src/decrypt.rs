@@ -55,18 +55,6 @@ impl PrivateKey {
             target_bits: 64,
         })
     }
-
-    /// Decrypts and converts to `u64`, panicking on overflow.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_decrypt_u64`, which surfaces an oversized plaintext as a typed error \
-                instead of panicking — see the \"Deprecation registry\" section of the `sknn` \
-                facade crate docs"
-    )]
-    pub fn decrypt_u64(&self, c: &Ciphertext) -> u64 {
-        self.try_decrypt_u64(c)
-            .expect("plaintext does not fit in u64")
-    }
 }
 
 #[cfg(test)]
@@ -123,15 +111,5 @@ mod tests {
                 target_bits: 64
             })
         );
-    }
-
-    #[test]
-    fn deprecated_wrapper_still_works() {
-        let mut rng = StdRng::seed_from_u64(35);
-        let (pk, sk) = Keypair::generate(96, &mut rng).split();
-        let c = pk.encrypt_u64(77, &mut rng);
-        #[allow(deprecated)]
-        let v = sk.decrypt_u64(&c);
-        assert_eq!(v, 77);
     }
 }

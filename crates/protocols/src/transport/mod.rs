@@ -317,6 +317,30 @@ mod tests {
     }
 
     #[test]
+    fn severed_smin_round_is_a_typed_error() {
+        // smin_round has an error channel, so a dead wire comes back
+        // through it instead of unwinding.
+        let mut rng = StdRng::seed_from_u64(143);
+        let (pk, sk) = Keypair::generate(128, &mut rng).split();
+        let reactor = Reactor::new().unwrap();
+        let (conn, server_end) = reactor
+            .channel_pair(BackpressureConfig::default(), Some(FaultPlan::sever_at(0)))
+            .unwrap();
+        let holder = LocalKeyHolder::new(sk, 144);
+        let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
+        let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
+        let gamma = vec![pk.encrypt_u64(1, &mut rng)];
+        let l = vec![pk.encrypt_u64(0, &mut rng)];
+        assert!(matches!(
+            client.smin_round(&gamma, &l),
+            Err(crate::ProtocolError::TransportClosed)
+        ));
+        drop(client);
+        assert_eq!(server.join().unwrap(), Ok(()));
+        reactor.shutdown();
+    }
+
+    #[test]
     fn old_server_negotiates_down_to_scalar() {
         use crate::packed::PackedParams;
         let mut rng = StdRng::seed_from_u64(141);

@@ -464,19 +464,14 @@ impl KeyHolder for SessionKeyHolder {
             gamma: to_raw(gamma_permuted),
             l_vec: to_raw(l_permuted),
         });
-        // Transport failures still unwind (the session pool's failover
-        // catches the panic and re-pins the shard); only a *protocol-level*
-        // refusal from the peer would surface here as Err.
-        Ok(unwrap_or_die(
-            "SminRound",
-            Self::expect("SminRound", result, |r| match r {
-                Response::SminRound { m_prime, alpha } => Some(SminRoundResponse {
-                    m_prime: to_ciphertexts(m_prime),
-                    alpha: Ciphertext::from_raw(alpha),
-                }),
-                _ => None,
+        Self::expect("SminRound", result, |r| match r {
+            Response::SminRound { m_prime, alpha } => Some(SminRoundResponse {
+                m_prime: to_ciphertexts(m_prime),
+                alpha: Ciphertext::from_raw(alpha),
             }),
-        ))
+            _ => None,
+        })
+        .map_err(ProtocolError::from)
     }
 
     fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {

@@ -18,9 +18,9 @@
 
 use rand::SeedableRng;
 use sknn::data::{perturbed_query, SyntheticDataset};
-use sknn::{Federation, FederationConfig, QueryResult, TransportKind};
+use sknn::{FederationConfig, Protocol, QueryOutcome, SknnEngine, TransportKind};
 
-fn describe(label: &str, result: &QueryResult) {
+fn describe(label: &str, result: &QueryOutcome) {
     println!("── {label} ──");
     println!("  time                    : {:?}", result.profile.total());
     let audit = &result.audit;
@@ -73,8 +73,7 @@ fn main() {
     let query = perturbed_query(&dataset.table, 2, dataset.max_value, &mut rng);
     let k = 3;
 
-    let federation = Federation::setup(
-        &dataset.table,
+    let mut engine = SknnEngine::setup(
         FederationConfig {
             key_bits: 256,
             max_query_value: dataset.max_value,
@@ -84,18 +83,27 @@ fn main() {
         &mut rng,
     )
     .expect("setup");
+    engine
+        .register_dataset("synthetic", &dataset.table, &mut rng)
+        .expect("outsource");
 
     println!(
         "querying {} encrypted records for the {k} nearest neighbors\n",
         dataset.table.num_records()
     );
 
-    let basic = federation.query_basic(&query, k, &mut rng).expect("SkNN_b");
+    let mut run = |protocol: Protocol| {
+        engine
+            .query("synthetic")
+            .k(k)
+            .point(&query)
+            .protocol(protocol)
+            .run(&mut rng)
+    };
+    let basic = run(Protocol::Basic).expect("SkNN_b");
     describe("SkNN_b — basic protocol", &basic);
 
-    let secure = federation
-        .query_secure(&query, k, &mut rng)
-        .expect("SkNN_m");
+    let secure = run(Protocol::Secure).expect("SkNN_m");
     describe("SkNN_m — fully secure protocol", &secure);
 
     // The two protocols return equally-near neighbor sets (ties between
@@ -109,8 +117,8 @@ fn main() {
         d
     };
     assert_eq!(
-        distances(&basic.records),
-        distances(&secure.records),
+        distances(&basic.result),
+        distances(&secure.result),
         "both protocols return k neighbors at the same distances"
     );
     assert!(!basic.audit.is_oblivious());

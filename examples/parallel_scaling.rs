@@ -15,7 +15,7 @@
 
 use rand::SeedableRng;
 use sknn::data::{uniform_query, SyntheticDataset};
-use sknn::{Federation, FederationConfig, TransportKind};
+use sknn::{FederationConfig, Protocol, SknnEngine, TransportKind};
 use std::time::Instant;
 
 fn main() {
@@ -36,8 +36,7 @@ fn main() {
         ("channel", TransportKind::Channel),
         ("tcp", TransportKind::Tcp),
     ] {
-        let mut federation = Federation::setup(
-            &dataset.table,
+        let mut engine = SknnEngine::setup(
             FederationConfig {
                 key_bits: 256,
                 max_query_value: dataset.max_value,
@@ -50,6 +49,9 @@ fn main() {
             &mut rng,
         )
         .expect("setup");
+        engine
+            .register_dataset("synthetic", &dataset.table, &mut rng)
+            .expect("outsource");
 
         println!("SkNN_b over n = {n}, m = {m}, k = {k}, K = 256 bits — {label} transport\n");
         println!(
@@ -59,13 +61,19 @@ fn main() {
 
         let mut baseline = None;
         for threads in [1usize, 2, 4, 6, 8] {
-            federation.set_threads(threads);
-            let before = federation.comm_stats();
+            engine.set_threads(threads);
+            let before = engine.comm_stats();
             let start = Instant::now();
-            let result = federation.query_basic(&query, k, &mut rng).expect("query");
+            let result = engine
+                .query("synthetic")
+                .k(k)
+                .point(&query)
+                .protocol(Protocol::Basic)
+                .run(&mut rng)
+                .expect("query");
             let elapsed = start.elapsed();
             let base = *baseline.get_or_insert(elapsed);
-            let round_trips = match (before, federation.comm_stats()) {
+            let round_trips = match (before, engine.comm_stats()) {
                 (Some(b), Some(a)) => format!("{}", a.since(&b).requests),
                 _ => "-".to_string(),
             };
@@ -76,8 +84,8 @@ fn main() {
 
             // Neither parallelism nor the transport may change the answer.
             match &reference_records {
-                None => reference_records = Some(result.records),
-                Some(reference) => assert_eq!(&result.records, reference),
+                None => reference_records = Some(result.result),
+                Some(reference) => assert_eq!(&result.result, reference),
             }
         }
         println!();

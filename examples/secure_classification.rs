@@ -16,7 +16,7 @@
 
 use rand::SeedableRng;
 use sknn::data::heart::HeartDiseaseGenerator;
-use sknn::{plain_knn_records, Federation, FederationConfig};
+use sknn::{plain_knn_records, FederationConfig, Protocol, SknnEngine};
 
 /// Index of the diagnosis attribute (`num`, 0 = no disease, 1–4 = disease).
 const LABEL: usize = 9;
@@ -37,12 +37,15 @@ fn main() {
         max_query_value: 564,
         ..Default::default()
     };
-    let federation = Federation::setup(&training, config, &mut rng).expect("setup");
+    let mut engine = SknnEngine::setup(config, &mut rng).expect("setup");
+    engine
+        .register_dataset("training", &training, &mut rng)
+        .expect("outsource");
     println!(
         "outsourced {} encrypted training records ({} attributes, {}-bit key)",
         training.num_records(),
         training.num_attributes(),
-        federation.public_key().bits()
+        engine.public_key().bits()
     );
 
     // ── Classify a handful of test patients ────────────────────────────────
@@ -51,10 +54,14 @@ fn main() {
     let trials = 4;
     for trial in 0..trials {
         let patient = HeartDiseaseGenerator.query(&mut rng);
-        let result = federation
-            .query_secure(&patient, k, &mut rng)
+        let result = engine
+            .query("training")
+            .k(k)
+            .point(&patient)
+            .protocol(Protocol::Secure)
+            .run(&mut rng)
             .expect("secure query");
-        let secure_prediction = classify(&result.records);
+        let secure_prediction = classify(&result.result);
 
         // The same classification computed on plaintext, as ground truth.
         let plain_prediction = classify(&plain_knn_records(&training, &patient, k));

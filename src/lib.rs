@@ -51,11 +51,10 @@
 //!                                             skip tombstones
 //! ```
 //!
-//! The legacy [`Federation`] single-table façade is a thin shim over a
-//! one-dataset engine (its table lives under `Federation::DATASET`), so
-//! existing embedders keep working; `Federation::engine()` is the
-//! incremental migration path. See `DESIGN.md` ("Engine façade & dataset
-//! lifecycle") for what dynamic updates do and do not leak to the clouds.
+//! The paper's deployment — one outsourced table, one query user — is an
+//! engine with one registered dataset; there is no second front door. See
+//! `DESIGN.md` ("Engine façade & dataset lifecycle") for what dynamic
+//! updates do and do not leak to the clouds.
 //!
 //! ## Architecture: the sharded encrypted data plane
 //!
@@ -147,7 +146,7 @@
 //! kinds run on the one reactor thread; `threads`
 //! sets both C1's record-parallel workers and C2's serving workers; and
 //! `coalesce` toggles request coalescing on the remote transports.
-//! [`QueryResult::comm`] then reports per-query round trips and bytes for
+//! [`QueryOutcome::comm`] then reports per-query round trips and bytes for
 //! any remote transport.
 //!
 //! ## Architecture: offline/online Paillier precomputation
@@ -210,24 +209,6 @@
 //! connection (`Features` probe) so pre-packing peers interoperate
 //! untouched.
 //!
-//! ## Deprecation registry
-//!
-//! Every deprecated item in the workspace is gated with a
-//! `#[deprecated(since, note)]` attribute whose note points here; this
-//! list is the single place to check what is scheduled for removal and
-//! what replaces it. No internal code calls a deprecated item except the
-//! equivalence test that pins the deprecated path to its replacement —
-//! and `sknn-lint`'s `decrypt-containment` rule now enforces this
-//! statically for the decrypt surface: every `decrypt*` method
-//! (deprecated or not) may only be called from the key-holder modules on
-//! the rule's allowlist, so a stray `decrypt_u64` caller fails CI rather
-//! than just emitting a deprecation warning.
-//!
-//! | Deprecated | Since | Use instead |
-//! |------------|-------|-------------|
-//! | `Federation::query_secure_with_bits` | 0.1.0 | the engine's [`QueryBuilder`] with `.distance_bits(l)` |
-//! | `PrivateKey::decrypt_u64` | 0.1.0 | [`PrivateKey::try_decrypt_u64`] (typed error instead of a panic) |
-//!
 //! ## Quickstart
 //!
 //! ```
@@ -284,11 +265,11 @@ pub use sknn_store as store;
 // The most commonly used types, flattened for convenience.
 pub use sknn_core::{
     plain_knn, plain_knn_records, squared_euclidean_distance, AccessPatternAudit, CloudC1,
-    CompactionReport, DataOwner, Dataset, DatasetOptions, DurableUpdateError, Federation,
-    FederationConfig, InvalidQueryReason, KeyHolder, LocalKeyHolder, OpCounters, ParallelismConfig,
-    PoolActivity, PreparedQuery, Protocol, QueryBuilder, QueryOutcome, QueryProfile, QueryResult,
-    QueryUser, RecoveryReport, RetryPolicy, RetryReport, SessionSet, ShardRetry, ShardView,
-    ShardingConfig, SknnEngine, SknnError, Stage, StoreError, Table, TransportKind, UpdateRejected,
+    CompactionReport, DataOwner, Dataset, DatasetOptions, DurableUpdateError, FederationConfig,
+    InvalidQueryReason, KeyHolder, LocalKeyHolder, OpCounters, ParallelismConfig, PoolActivity,
+    PreparedQuery, Protocol, QueryBuilder, QueryOutcome, QueryProfile, QueryUser, RecoveryReport,
+    RetryPolicy, RetryReport, SessionSet, ShardRetry, ShardView, ShardingConfig, SknnEngine,
+    SknnError, Stage, StoreError, Table, TransportKind, UpdateRejected,
 };
 pub use sknn_paillier::{
     Ciphertext, Keypair, PoolConfig, PoolStats, PooledEncryptor, PrivateKey, PublicKey,

@@ -2,10 +2,16 @@
 //! generation (`sknn-data`) → outsourcing and querying (`sknn-core`) →
 //! plaintext verification, over both transports.
 
+mod common;
+
+use common::{run, setup};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::data::{perturbed_query, uniform_query, SyntheticDataset};
-use sknn::{plain_knn_records, Federation, FederationConfig, SknnError, TransportKind};
+use sknn::{
+    plain_knn_records, FederationConfig, InvalidQueryReason, Protocol, QueryOutcome, SknnError,
+    TransportKind,
+};
 
 fn config(key_bits: usize, max_query_value: u64) -> FederationConfig {
     FederationConfig {
@@ -15,23 +21,29 @@ fn config(key_bits: usize, max_query_value: u64) -> FederationConfig {
     }
 }
 
+fn reason(result: Result<QueryOutcome, SknnError>) -> InvalidQueryReason {
+    match result {
+        Err(SknnError::InvalidQuery { reason, .. }) => reason,
+        other => panic!("expected InvalidQuery, got {other:?}"),
+    }
+}
+
 #[test]
 fn synthetic_dataset_queries_match_plaintext_knn() {
     let mut rng = StdRng::seed_from_u64(1001);
     let dataset = SyntheticDataset::uniform(40, 4, 10, &mut rng);
-    let federation =
-        Federation::setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
 
     for trial in 0..5 {
         let query = uniform_query(4, dataset.max_value, &mut rng);
         for k in [1usize, 3, 7] {
-            let result = federation.query_basic(&query, k, &mut rng).unwrap();
+            let result = run(&engine, Protocol::Basic, &query, k, &mut rng).unwrap();
             assert_eq!(
-                result.records,
+                result.result,
                 plain_knn_records(&dataset.table, &query, k),
                 "trial {trial}, k = {k}"
             );
-            assert_eq!(result.records.len(), k);
+            assert_eq!(result.result.len(), k);
         }
     }
 }
@@ -40,7 +52,7 @@ fn synthetic_dataset_queries_match_plaintext_knn() {
 fn perturbed_queries_over_channel_transport() {
     let mut rng = StdRng::seed_from_u64(1002);
     let dataset = SyntheticDataset::uniform(30, 6, 12, &mut rng);
-    let federation = Federation::setup(
+    let engine = setup(
         &dataset.table,
         FederationConfig {
             key_bits: 128,
@@ -53,8 +65,8 @@ fn perturbed_queries_over_channel_transport() {
     .unwrap();
 
     let query = perturbed_query(&dataset.table, 2, dataset.max_value, &mut rng);
-    let result = federation.query_basic(&query, 4, &mut rng).unwrap();
-    assert_eq!(result.records, plain_knn_records(&dataset.table, &query, 4));
+    let result = run(&engine, Protocol::Basic, &query, 4, &mut rng).unwrap();
+    assert_eq!(result.result, plain_knn_records(&dataset.table, &query, 4));
 
     // The channel transport must report traffic, and the basic protocol's
     // round count is small: one SSED round per record batch… in our
@@ -68,10 +80,9 @@ fn perturbed_queries_over_channel_transport() {
 fn basic_protocol_leaks_access_pattern_by_design() {
     let mut rng = StdRng::seed_from_u64(1003);
     let dataset = SyntheticDataset::uniform(20, 3, 10, &mut rng);
-    let federation =
-        Federation::setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
     let query = uniform_query(3, dataset.max_value, &mut rng);
-    let result = federation.query_basic(&query, 5, &mut rng).unwrap();
+    let result = run(&engine, Protocol::Basic, &query, 5, &mut rng).unwrap();
 
     assert!(result.audit.distances_revealed_to_c2);
     assert!(result.audit.access_pattern_revealed);
@@ -87,38 +98,39 @@ fn basic_protocol_leaks_access_pattern_by_design() {
 fn query_validation_errors_are_reported() {
     let mut rng = StdRng::seed_from_u64(1004);
     let dataset = SyntheticDataset::uniform(10, 3, 10, &mut rng);
-    let federation =
-        Federation::setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
 
-    assert!(matches!(
-        federation.query_basic(&[1, 2], 3, &mut rng),
-        Err(SknnError::QueryDimensionMismatch { .. })
-    ));
-    assert!(matches!(
-        federation.query_basic(&[1, 2, 3], 0, &mut rng),
-        Err(SknnError::InvalidK { .. })
-    ));
-    assert!(matches!(
-        federation.query_basic(&[1, 2, 3], 11, &mut rng),
-        Err(SknnError::InvalidK { .. })
-    ));
+    assert_eq!(
+        reason(run(&engine, Protocol::Basic, &[1, 2], 3, &mut rng)),
+        InvalidQueryReason::WrongArity {
+            expected: 3,
+            got: 2
+        }
+    );
+    assert_eq!(
+        reason(run(&engine, Protocol::Basic, &[1, 2, 3], 0, &mut rng)),
+        InvalidQueryReason::KOutOfRange { k: 0, n: 10 }
+    );
+    assert_eq!(
+        reason(run(&engine, Protocol::Basic, &[1, 2, 3], 11, &mut rng)),
+        InvalidQueryReason::KOutOfRange { k: 11, n: 10 }
+    );
 }
 
 #[test]
 fn repeated_queries_reuse_the_same_outsourced_database() {
     let mut rng = StdRng::seed_from_u64(1005);
     let dataset = SyntheticDataset::uniform(25, 3, 10, &mut rng);
-    let federation =
-        Federation::setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
 
     // Ask the same query twice and a different query once; results must be
     // consistent and independent.
     let q1 = uniform_query(3, dataset.max_value, &mut rng);
     let q2 = uniform_query(3, dataset.max_value, &mut rng);
-    let first = federation.query_basic(&q1, 3, &mut rng).unwrap();
-    let second = federation.query_basic(&q1, 3, &mut rng).unwrap();
-    let third = federation.query_basic(&q2, 3, &mut rng).unwrap();
-    assert_eq!(first.records, second.records);
-    assert_eq!(first.records, plain_knn_records(&dataset.table, &q1, 3));
-    assert_eq!(third.records, plain_knn_records(&dataset.table, &q2, 3));
+    let first = run(&engine, Protocol::Basic, &q1, 3, &mut rng).unwrap();
+    let second = run(&engine, Protocol::Basic, &q1, 3, &mut rng).unwrap();
+    let third = run(&engine, Protocol::Basic, &q2, 3, &mut rng).unwrap();
+    assert_eq!(first.result, second.result);
+    assert_eq!(first.result, plain_knn_records(&dataset.table, &q1, 3));
+    assert_eq!(third.result, plain_knn_records(&dataset.table, &q2, 3));
 }

@@ -5,11 +5,14 @@
 //! baseline; the assertions therefore compare *distance multisets* (which must
 //! match exactly) and record membership.
 
+mod common;
+
+use common::{run, setup};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::data::{perturbed_query, uniform_query, SyntheticDataset};
 use sknn::{
-    plain_knn_records, squared_euclidean_distance, Federation, FederationConfig, Stage, Table,
+    plain_knn_records, squared_euclidean_distance, FederationConfig, Protocol, Stage, Table,
     TransportKind,
 };
 
@@ -43,7 +46,7 @@ fn assert_valid_knn(table: &Table, query: &[u64], k: usize, records: &[Vec<u64>]
 fn secure_queries_match_plaintext_knn_distances() {
     let mut rng = StdRng::seed_from_u64(2001);
     let dataset = SyntheticDataset::uniform(15, 3, 8, &mut rng);
-    let federation = Federation::setup(
+    let engine = setup(
         &dataset.table,
         FederationConfig {
             key_bits: 128,
@@ -56,8 +59,8 @@ fn secure_queries_match_plaintext_knn_distances() {
 
     for k in [1usize, 2, 5] {
         let query = uniform_query(3, dataset.max_value, &mut rng);
-        let result = federation.query_secure(&query, k, &mut rng).unwrap();
-        assert_valid_knn(&dataset.table, &query, k, &result.records);
+        let result = run(&engine, Protocol::Secure, &query, k, &mut rng).unwrap();
+        assert_valid_knn(&dataset.table, &query, k, &result.result);
         assert!(result.audit.is_oblivious(), "SkNN_m must not leak");
     }
 }
@@ -66,7 +69,7 @@ fn secure_queries_match_plaintext_knn_distances() {
 fn secure_and_basic_protocols_agree() {
     let mut rng = StdRng::seed_from_u64(2002);
     let dataset = SyntheticDataset::uniform(12, 4, 10, &mut rng);
-    let federation = Federation::setup(
+    let engine = setup(
         &dataset.table,
         FederationConfig {
             key_bits: 128,
@@ -78,11 +81,11 @@ fn secure_and_basic_protocols_agree() {
     .unwrap();
     let query = perturbed_query(&dataset.table, 1, dataset.max_value, &mut rng);
 
-    let basic = federation.query_basic(&query, 4, &mut rng).unwrap();
-    let secure = federation.query_secure(&query, 4, &mut rng).unwrap();
+    let basic = run(&engine, Protocol::Basic, &query, 4, &mut rng).unwrap();
+    let secure = run(&engine, Protocol::Secure, &query, 4, &mut rng).unwrap();
     assert_eq!(
-        sorted_distances(&basic.records, &query),
-        sorted_distances(&secure.records, &query)
+        sorted_distances(&basic.result, &query),
+        sorted_distances(&secure.result, &query)
     );
 }
 
@@ -90,7 +93,7 @@ fn secure_and_basic_protocols_agree() {
 fn secure_query_over_channel_transport_counts_traffic_and_hides_pattern() {
     let mut rng = StdRng::seed_from_u64(2003);
     let dataset = SyntheticDataset::uniform(10, 3, 8, &mut rng);
-    let federation = Federation::setup(
+    let engine = setup(
         &dataset.table,
         FederationConfig {
             key_bits: 128,
@@ -103,10 +106,10 @@ fn secure_query_over_channel_transport_counts_traffic_and_hides_pattern() {
     .unwrap();
 
     let query = uniform_query(3, dataset.max_value, &mut rng);
-    let basic = federation.query_basic(&query, 2, &mut rng).unwrap();
-    let secure = federation.query_secure(&query, 2, &mut rng).unwrap();
+    let basic = run(&engine, Protocol::Basic, &query, 2, &mut rng).unwrap();
+    let secure = run(&engine, Protocol::Secure, &query, 2, &mut rng).unwrap();
 
-    assert_valid_knn(&dataset.table, &query, 2, &secure.records);
+    assert_valid_knn(&dataset.table, &query, 2, &secure.result);
     assert!(secure.audit.is_oblivious());
 
     // Security costs bandwidth: the secure protocol exchanges strictly more
@@ -122,7 +125,7 @@ fn profile_shows_smin_dominating_as_in_the_paper() {
     // Section 5.2: "around 69.7% of cost in SkNN_m is accounted due to SMIN_n".
     let mut rng = StdRng::seed_from_u64(2004);
     let dataset = SyntheticDataset::uniform(20, 6, 8, &mut rng);
-    let federation = Federation::setup(
+    let engine = setup(
         &dataset.table,
         FederationConfig {
             key_bits: 128,
@@ -133,7 +136,7 @@ fn profile_shows_smin_dominating_as_in_the_paper() {
     )
     .unwrap();
     let query = uniform_query(6, dataset.max_value, &mut rng);
-    let result = federation.query_secure(&query, 3, &mut rng).unwrap();
+    let result = run(&engine, Protocol::Secure, &query, 3, &mut rng).unwrap();
 
     let smin_fraction = result.profile.fraction(Stage::SecureMinimum);
     assert!(
@@ -163,7 +166,7 @@ fn all_records_identical_edge_case() {
     // the protocol must still terminate and return k copies.
     let mut rng = StdRng::seed_from_u64(2005);
     let table = Table::new(vec![vec![7, 7]; 6]).unwrap();
-    let federation = Federation::setup(
+    let engine = setup(
         &table,
         FederationConfig {
             key_bits: 128,
@@ -173,15 +176,15 @@ fn all_records_identical_edge_case() {
         &mut rng,
     )
     .unwrap();
-    let result = federation.query_secure(&[1, 2], 3, &mut rng).unwrap();
-    assert_eq!(result.records, vec![vec![7, 7]; 3]);
+    let result = run(&engine, Protocol::Secure, &[1, 2], 3, &mut rng).unwrap();
+    assert_eq!(result.result, vec![vec![7, 7]; 3]);
 }
 
 #[test]
 fn query_identical_to_a_record_returns_it_first() {
     let mut rng = StdRng::seed_from_u64(2006);
     let table = Table::new(vec![vec![9, 1], vec![3, 4], vec![8, 8], vec![0, 2]]).unwrap();
-    let federation = Federation::setup(
+    let engine = setup(
         &table,
         FederationConfig {
             key_bits: 128,
@@ -191,6 +194,6 @@ fn query_identical_to_a_record_returns_it_first() {
         &mut rng,
     )
     .unwrap();
-    let result = federation.query_secure(&[3, 4], 1, &mut rng).unwrap();
-    assert_eq!(result.records, vec![vec![3, 4]]);
+    let result = run(&engine, Protocol::Secure, &[3, 4], 1, &mut rng).unwrap();
+    assert_eq!(result.result, vec![vec![3, 4]]);
 }

@@ -1,14 +1,15 @@
 //! End-to-end acceptance tests for the `SknnEngine` façade: one engine
 //! hosting two datasets answers a 16-query mixed batch over the Channel
-//! transport with results identical to per-query `Federation` runs, builder
+//! transport with results identical to per-query runs on one-dataset
+//! engines (the paper's single-table deployment), builder
 //! validation returns typed errors over both transports, and dynamic
 //! append/tombstone updates are reflected in subsequent query results.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::{
-    plain_knn_records, Federation, FederationConfig, InvalidQueryReason, PreparedQuery, Protocol,
-    SknnEngine, SknnError, Table, TransportKind,
+    plain_knn_records, FederationConfig, InvalidQueryReason, PreparedQuery, Protocol, SknnEngine,
+    SknnError, Table, TransportKind,
 };
 
 /// Distances from the query (2, 2) are 68, 29, 18, 98, 2 — all distinct,
@@ -49,7 +50,7 @@ fn config(transport: TransportKind) -> FederationConfig {
 }
 
 #[test]
-fn two_dataset_mixed_batch_over_channel_matches_federation() {
+fn two_dataset_mixed_batch_over_channel_matches_single_dataset_engines() {
     let mut rng = StdRng::seed_from_u64(7001);
     let vitals = vitals_table();
     let labs = labs_table();
@@ -95,23 +96,30 @@ fn two_dataset_mixed_batch_over_channel_matches_federation() {
     let outcomes = engine.run_batch(&queries, &mut rng);
     assert_eq!(outcomes.len(), 16);
 
-    // Per-query reference runs through the legacy single-dataset façade,
-    // each on its own deployment — the shim and the engine must agree
-    // record for record.
-    let vitals_fed = Federation::setup(&vitals, config(TransportKind::Channel), &mut rng).unwrap();
-    let labs_fed = Federation::setup(&labs, config(TransportKind::Channel), &mut rng).unwrap();
+    // Per-query reference runs, each table on its own one-dataset
+    // deployment: the shared engine and the single-table engines must
+    // agree record for record.
+    let mut single = |name: &str, table: &Table| {
+        let mut engine = SknnEngine::setup(config(TransportKind::Channel), &mut rng).unwrap();
+        engine.register_dataset(name, table, &mut rng).unwrap();
+        engine
+    };
+    let vitals_only = single("vitals", &vitals);
+    let labs_only = single("labs", &labs);
     for (&(dataset, point, k, protocol), outcome) in specs.iter().zip(&outcomes) {
         let outcome = outcome.as_ref().expect("batch query succeeds");
-        let federation = match dataset {
-            "vitals" => &vitals_fed,
-            _ => &labs_fed,
-        };
-        let reference = match protocol {
-            Protocol::Basic => federation.query_basic(point, k, &mut rng).unwrap(),
-            Protocol::Secure => federation.query_secure(point, k, &mut rng).unwrap(),
-        };
+        let reference = match dataset {
+            "vitals" => &vitals_only,
+            _ => &labs_only,
+        }
+        .query(dataset)
+        .k(k)
+        .point(point)
+        .protocol(protocol)
+        .run(&mut rng)
+        .unwrap();
         assert_eq!(
-            outcome.result, reference.records,
+            outcome.result, reference.result,
             "{dataset} k={k} {protocol:?}"
         );
         let table = if dataset == "vitals" { &vitals } else { &labs };

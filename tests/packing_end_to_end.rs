@@ -16,11 +16,14 @@
 //! request side, C2's decryptions, and SSED's responses all shrink by ~σ.
 //! See DESIGN.md ("Slot-packed batching") for the full argument.
 
+mod common;
+
+use common::{run, DATASET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sknn::core::{OpCounters, PackingKind, Stage};
 use sknn::data::heart::{example_query, heart_disease_fixture, HeartDiseaseGenerator};
-use sknn::{DataOwner, Federation, FederationConfig, QueryResult, Table};
+use sknn::{DataOwner, FederationConfig, Protocol, QueryOutcome, SknnEngine, Table};
 
 const KEY_BITS: usize = 1024;
 const SIGMA: usize = 8;
@@ -37,7 +40,7 @@ fn heart_table() -> Table {
     Table::new(rows).expect("well-formed heart table")
 }
 
-fn setup(owner: DataOwner, table: &Table, packing: PackingKind) -> Federation {
+fn setup(owner: DataOwner, table: &Table, packing: PackingKind) -> SknnEngine {
     let mut rng = StdRng::seed_from_u64(0x4EA8);
     let config = FederationConfig {
         key_bits: KEY_BITS,
@@ -45,10 +48,10 @@ fn setup(owner: DataOwner, table: &Table, packing: PackingKind) -> Federation {
         packing,
         ..Default::default()
     };
-    Federation::setup_with_owner(owner, table, config, &mut rng).expect("federation setup")
+    common::setup_with_owner(owner, table, config, &mut rng).expect("engine setup")
 }
 
-fn ssed_sbd_ops(result: &QueryResult) -> OpCounters {
+fn ssed_sbd_ops(result: &QueryOutcome) -> OpCounters {
     let mut ops = result.profile.ops(Stage::DistanceComputation);
     ops.add(result.profile.ops(Stage::BitDecomposition));
     ops
@@ -67,27 +70,28 @@ fn fixed_8_packing_at_1024_bits_on_heart_data() {
 
     let scalar = setup(owner.clone(), &table, PackingKind::Off);
     let packed = setup(owner, &table, PackingKind::Fixed(SIGMA));
-    assert!(scalar.packing().is_none());
+    assert!(scalar.dataset(DATASET).unwrap().packing().is_none());
     assert_eq!(
-        packed.packing().expect("Fixed(8) must derive").slots(),
+        packed
+            .dataset(DATASET)
+            .unwrap()
+            .packing()
+            .expect("Fixed(8) must derive")
+            .slots(),
         SIGMA
     );
 
     let mut rng = StdRng::seed_from_u64(0x4EAA);
 
     // ── SkNN_b: identical records, ≥4× cheaper SSED ────────────────────
-    let scalar_basic = scalar
-        .query_basic(&query, k, &mut rng)
-        .expect("scalar basic");
-    let packed_basic = packed
-        .query_basic(&query, k, &mut rng)
-        .expect("packed basic");
+    let scalar_basic = run(&scalar, Protocol::Basic, &query, k, &mut rng).unwrap();
+    let packed_basic = run(&packed, Protocol::Basic, &query, k, &mut rng).unwrap();
     assert_eq!(
-        packed_basic.records, scalar_basic.records,
+        packed_basic.result, scalar_basic.result,
         "packed and scalar SkNN_b must return identical records"
     );
     assert_eq!(
-        packed_basic.records,
+        packed_basic.result,
         sknn::plain_knn_records(&table, &query, k)
     );
 
@@ -107,14 +111,10 @@ fn fixed_8_packing_at_1024_bits_on_heart_data() {
     assert!(packed_sel.c2_decryptions * 4 <= scalar_sel.c2_decryptions);
 
     // ── SkNN_m: identical result sets, ≥4× cheaper SSED+SBD ────────────
-    let scalar_secure = scalar
-        .query_secure(&query, k, &mut rng)
-        .expect("scalar secure");
-    let packed_secure = packed
-        .query_secure(&query, k, &mut rng)
-        .expect("packed secure");
-    let mut scalar_records = scalar_secure.records.clone();
-    let mut packed_records = packed_secure.records.clone();
+    let scalar_secure = run(&scalar, Protocol::Secure, &query, k, &mut rng).unwrap();
+    let packed_secure = run(&packed, Protocol::Secure, &query, k, &mut rng).unwrap();
+    let mut scalar_records = scalar_secure.result.clone();
+    let mut packed_records = packed_secure.result.clone();
     scalar_records.sort();
     packed_records.sort();
     assert_eq!(

@@ -2,12 +2,15 @@
 //! protocols must return a correct k-nearest-neighbor set (verified against
 //! the plaintext baseline by distance multiset, which is tie-insensitive).
 
+mod common;
+
+use common::run;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::{
-    plain_knn_records, squared_euclidean_distance, DataOwner, Federation, FederationConfig,
-    Keypair, Table,
+    plain_knn_records, squared_euclidean_distance, DataOwner, FederationConfig, Keypair, Protocol,
+    SknnEngine, Table,
 };
 use std::sync::OnceLock;
 
@@ -18,6 +21,17 @@ fn shared_keypair() -> &'static Keypair {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
         Keypair::generate(128, &mut rng)
     })
+}
+
+/// A one-dataset engine over `table` under the shared key pair.
+fn setup(table: &Table, rng: &mut StdRng) -> SknnEngine {
+    let owner = DataOwner::from_keypair(shared_keypair().clone());
+    let config = FederationConfig {
+        key_bits: 128,
+        max_query_value: 16,
+        ..Default::default()
+    };
+    common::setup_with_owner(owner, table, config, rng).unwrap()
 }
 
 fn sorted_distances(records: &[Vec<u64>], query: &[u64]) -> Vec<u128> {
@@ -47,42 +61,30 @@ proptest! {
     fn basic_protocol_is_correct_on_random_instances((rows, query, k) in arb_instance(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let table = Table::new(rows).unwrap();
-        let owner = DataOwner::from_keypair(shared_keypair().clone());
-        let federation = Federation::setup_with_owner(
-            owner,
-            &table,
-            FederationConfig { key_bits: 128, max_query_value: 16, ..Default::default() },
-            &mut rng,
-        ).unwrap();
+        let engine = setup(&table, &mut rng);
 
-        let result = federation.query_basic(&query, k, &mut rng).unwrap();
+        let result = run(&engine, Protocol::Basic, &query, k, &mut rng).unwrap();
         // SkNN_b uses the same tie-breaking as the plaintext baseline, so the
         // records must match exactly, in order.
-        prop_assert_eq!(result.records, plain_knn_records(&table, &query, k));
+        prop_assert_eq!(result.result, plain_knn_records(&table, &query, k));
     }
 
     #[test]
     fn secure_protocol_is_correct_on_random_instances((rows, query, k) in arb_instance(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let table = Table::new(rows).unwrap();
-        let owner = DataOwner::from_keypair(shared_keypair().clone());
-        let federation = Federation::setup_with_owner(
-            owner,
-            &table,
-            FederationConfig { key_bits: 128, max_query_value: 16, ..Default::default() },
-            &mut rng,
-        ).unwrap();
+        let engine = setup(&table, &mut rng);
 
-        let result = federation.query_secure(&query, k, &mut rng).unwrap();
-        prop_assert_eq!(result.records.len(), k);
+        let result = run(&engine, Protocol::Secure, &query, k, &mut rng).unwrap();
+        prop_assert_eq!(result.result.len(), k);
         // Every record returned must be a table row.
-        for r in &result.records {
+        for r in &result.result {
             prop_assert!(table.records().iter().any(|row| row == r));
         }
         // Distance multiset must equal the plaintext baseline's.
         let expected = plain_knn_records(&table, &query, k);
         prop_assert_eq!(
-            sorted_distances(&result.records, &query),
+            sorted_distances(&result.result, &query),
             sorted_distances(&expected, &query)
         );
         // And nothing was leaked.
