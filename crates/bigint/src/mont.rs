@@ -1,23 +1,48 @@
 //! Montgomery modular multiplication and exponentiation (CIOS variant).
 //!
 //! Paillier spends essentially all of its time in `mod_pow` with a fixed odd
-//! modulus (`N` or `N²`), which is exactly the workload Montgomery arithmetic
-//! is designed for: one up-front inversion of the low limb, then every modular
-//! multiplication costs two schoolbook passes and no division.
+//! modulus (`N`, `N²`, or `p²`/`q²` in CRT decryption), which is exactly the
+//! workload Montgomery arithmetic is designed for: one up-front inversion of
+//! the low limb, then every modular multiplication costs two schoolbook
+//! passes and no division.
+//!
+//! Two kernels implement the same arithmetic:
+//!
+//! * a **fixed-width** kernel over `[u64; L]` for moduli of exactly 8, 16 or
+//!   32 limbs — `N` and `p²`/`q²` at 512/1024-bit keys and `N²` at both. The
+//!   limb count is a const generic, so every loop has a compile-time trip
+//!   count, the odd-power table lives on the stack, and no multiply
+//!   allocates or bounds-checks in its inner loop;
+//! * a **slice** kernel over `Vec<u64>` of runtime length for every other
+//!   width, which also serves as the in-crate test oracle for the first.
+//!
+//! [`Montgomery::new`] picks the kernel once from the modulus' limb count.
+//! Both run the same algorithms (CIOS multiplication, a dedicated squaring,
+//! the same sliding-window schedule) and return fully reduced values, so the
+//! results are bit-identical whichever kernel serves a context.
 
 use crate::BigUint;
+
+/// Largest sliding window [`sliding_window_width`] picks.
+const MAX_WINDOW: usize = 6;
+
+/// Odd powers `base^1, base^3, …` tabulated for the widest window.
+const MAX_ODD_POWERS: usize = 1 << (MAX_WINDOW - 1);
 
 /// A reusable Montgomery context for a fixed odd modulus.
 #[derive(Clone, Debug)]
 pub struct Montgomery {
     modulus: BigUint,
-    /// Number of limbs in the modulus.
-    limbs: usize,
-    /// `-modulus[0]^{-1} mod 2^64`.
-    n0_inv: u64,
-    /// `R^2 mod modulus` where `R = 2^(64·limbs)`; used to convert into
-    /// Montgomery form with a single `mont_mul`.
-    r2: Vec<u64>,
+    kernel: Kernel,
+}
+
+/// The kernel serving one context, chosen by the modulus' limb count.
+#[derive(Clone, Debug)]
+enum Kernel {
+    W8(Box<Fixed<8, 16>>),
+    W16(Box<Fixed<16, 32>>),
+    W32(Box<Fixed<32, 64>>),
+    Slice(Slice),
 }
 
 impl Montgomery {
@@ -26,29 +51,51 @@ impl Montgomery {
     /// # Panics
     /// Panics when the modulus is zero, one, or even.
     pub fn new(modulus: BigUint) -> Self {
+        Self::build(modulus, true)
+    }
+
+    /// Creates a context, on the fixed-width kernel when `fixed` is set and
+    /// the modulus has a supported width, on the slice kernel otherwise.
+    fn build(modulus: BigUint, fixed: bool) -> Self {
         assert!(modulus > BigUint::one(), "modulus must be > 1");
         assert!(
             modulus.is_odd(),
             "Montgomery arithmetic requires an odd modulus"
         );
-        let limbs = modulus.limbs().len();
-        let n0_inv = inv64(modulus.limbs()[0]).wrapping_neg();
+        let n = modulus.limbs();
+        let n0_inv = inv64(n[0]).wrapping_neg();
 
         // R = 2^(64·limbs);  R² mod m via plain division.
-        let r = BigUint::one().shl_bits(64 * limbs);
-        let r2 = pad(&r.mul_ref(&r).rem_ref(&modulus), limbs);
+        let r = BigUint::one().shl_bits(64 * n.len());
+        let r2 = r.mul_ref(&r).rem_ref(&modulus);
 
-        Montgomery {
-            modulus,
-            limbs,
-            n0_inv,
-            r2,
-        }
+        let kernel = match n.len() {
+            8 if fixed => Kernel::W8(Box::new(Fixed::new(n, n0_inv, &r2))),
+            16 if fixed => Kernel::W16(Box::new(Fixed::new(n, n0_inv, &r2))),
+            32 if fixed => Kernel::W32(Box::new(Fixed::new(n, n0_inv, &r2))),
+            len => Kernel::Slice(Slice {
+                n: n.to_vec(),
+                n0_inv,
+                r2: pad(&r2, len),
+            }),
+        };
+        Montgomery { modulus, kernel }
     }
 
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> &BigUint {
         &self.modulus
+    }
+
+    /// The limb count of the fixed-width kernel serving this context, or
+    /// `None` when it runs on the runtime-length slice kernel.
+    pub fn fixed_limbs(&self) -> Option<usize> {
+        match self.kernel {
+            Kernel::W8(_) => Some(8),
+            Kernel::W16(_) => Some(16),
+            Kernel::W32(_) => Some(32),
+            Kernel::Slice(_) => None,
+        }
     }
 
     /// Computes `base^exp mod modulus` with a left-to-right sliding window.
@@ -57,101 +104,329 @@ impl Montgomery {
     /// odd powers `base^1, base^3, …` are tabulated, so compared to a fixed
     /// window the precomputation is halved and runs of zero exponent bits
     /// cost squarings only. All square steps go through the dedicated
-    /// [`Montgomery::sqr`] path, which skips the duplicated cross products a
-    /// general multiplication would compute. Contexts are reusable: callers
-    /// that exponentiate repeatedly modulo the same value (Paillier's `N²`
-    /// in particular) should construct one [`Montgomery`] and call `pow` on
-    /// it, skipping the per-call `R²`/limb-inverse setup that
-    /// [`BigUint::mod_pow`] pays.
+    /// squaring, which computes each cross product once instead of twice.
+    /// Contexts are reusable: callers that exponentiate repeatedly modulo
+    /// the same value (Paillier's `N²` in particular) should construct one
+    /// [`Montgomery`] and call `pow` on it, skipping the per-call
+    /// `R²`/limb-inverse setup that [`BigUint::mod_pow`] pays.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one().rem_ref(&self.modulus);
         }
         let base = base.rem_ref(&self.modulus);
-        let base_m = self.to_mont(&base);
-
-        let total_bits = exp.bits();
-        let w = sliding_window_width(total_bits);
-        // table[k] = base^(2k+1) in Montgomery form (odd powers only).
-        let base_sq = self.mont_sqr(&base_m);
-        let mut table = Vec::with_capacity(1 << (w - 1));
-        table.push(base_m);
-        for k in 1..(1usize << (w - 1)) {
-            let next = self.mont_mul(&table[k - 1], &base_sq);
-            table.push(next);
-        }
-
-        let mut acc: Option<Vec<u64>> = None;
-        let mut i = total_bits as isize - 1;
-        while i >= 0 {
-            if !exp.bit(i as usize) {
-                if let Some(a) = acc.as_mut() {
-                    *a = self.mont_sqr(a);
-                }
-                i -= 1;
-                continue;
-            }
-            // Widest window [s, i] of at most w bits whose lowest bit is set,
-            // so the tabulated power is odd.
-            let mut s = (i - (w as isize - 1)).max(0);
-            while !exp.bit(s as usize) {
-                s += 1;
-            }
-            let width = (i - s + 1) as usize;
-            let mut value = 0usize;
-            for j in (s..=i).rev() {
-                value = (value << 1) | exp.bit(j as usize) as usize;
-            }
-            acc = Some(match acc {
-                Some(mut a) => {
-                    for _ in 0..width {
-                        a = self.mont_sqr(&a);
-                    }
-                    self.mont_mul(&a, &table[value >> 1])
-                }
-                None => table[value >> 1].clone(),
-            });
-            i = s - 1;
-        }
-        match acc {
-            Some(a) => self.from_mont(&a),
-            // Unreachable: exp != 0 guarantees at least one set bit.
-            None => BigUint::one().rem_ref(&self.modulus),
+        match &self.kernel {
+            Kernel::W8(k) => window_pow(&**k, &mut [[0; 8]; MAX_ODD_POWERS], &base, exp),
+            Kernel::W16(k) => window_pow(&**k, &mut [[0; 16]; MAX_ODD_POWERS], &base, exp),
+            Kernel::W32(k) => window_pow(&**k, &mut [[0; 32]; MAX_ODD_POWERS], &base, exp),
+            Kernel::Slice(k) => window_pow(k, &mut vec![Vec::new(); MAX_ODD_POWERS], &base, exp),
         }
     }
 
     /// Computes `(a * b) mod modulus` through the Montgomery domain.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(&a.rem_ref(&self.modulus));
-        let bm = self.to_mont(&b.rem_ref(&self.modulus));
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let (a, b) = (a.rem_ref(&self.modulus), b.rem_ref(&self.modulus));
+        match &self.kernel {
+            Kernel::W8(k) => mul(&**k, &a, &b),
+            Kernel::W16(k) => mul(&**k, &a, &b),
+            Kernel::W32(k) => mul(&**k, &a, &b),
+            Kernel::Slice(k) => mul(k, &a, &b),
+        }
     }
 
     /// Computes `a² mod modulus` through the Montgomery domain, using the
     /// dedicated squaring path.
     pub fn sqr(&self, a: &BigUint) -> BigUint {
-        let am = self.to_mont(&a.rem_ref(&self.modulus));
-        self.from_mont(&self.mont_sqr(&am))
+        let a = a.rem_ref(&self.modulus);
+        match &self.kernel {
+            Kernel::W8(k) => sqr(&**k, &a),
+            Kernel::W16(k) => sqr(&**k, &a),
+            Kernel::W32(k) => sqr(&**k, &a),
+            Kernel::Slice(k) => sqr(k, &a),
+        }
+    }
+}
+
+/// Montgomery arithmetic at one operand width. Every value handed in is
+/// already reduced below the modulus, and every value handed out is too.
+trait Arith {
+    /// One residue, as limbs of the modulus' width.
+    type Elem: Clone;
+    /// Pads a value below the modulus out to a residue.
+    fn load(&self, x: &BigUint) -> Self::Elem;
+    /// `R² mod m`, which a single `mont_mul` turns into the Montgomery
+    /// factor `R` (or cancels the `R⁻¹` a previous product left).
+    fn r2(&self) -> &Self::Elem;
+    /// `a·b·R⁻¹ mod m`.
+    fn mont_mul(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
+    /// `a²·R⁻¹ mod m`.
+    fn mont_sqr(&self, a: &Self::Elem) -> Self::Elem;
+    /// The residue as a normalized integer.
+    fn store(&self, x: &Self::Elem) -> BigUint;
+}
+
+/// `a·b mod m` in two Montgomery products: `(a·b·R⁻¹)·R²·R⁻¹`.
+fn mul<A: Arith>(k: &A, a: &BigUint, b: &BigUint) -> BigUint {
+    let ab = k.mont_mul(&k.load(a), &k.load(b));
+    k.store(&k.mont_mul(&ab, k.r2()))
+}
+
+/// `a² mod m` in one squaring and one product: `(a²·R⁻¹)·R²·R⁻¹`.
+fn sqr<A: Arith>(k: &A, a: &BigUint) -> BigUint {
+    let aa = k.mont_sqr(&k.load(a));
+    k.store(&k.mont_mul(&aa, k.r2()))
+}
+
+/// `base^exp mod m` for `base < m` and `exp ≠ 0` by the left-to-right
+/// sliding window; `table` holds at least [`MAX_ODD_POWERS`] scratch
+/// residues for the odd powers.
+fn window_pow<A: Arith>(k: &A, table: &mut [A::Elem], base: &BigUint, exp: &BigUint) -> BigUint {
+    let total_bits = exp.bits();
+    let w = sliding_window_width(total_bits);
+    // table[j] = base^(2j+1) in Montgomery form (odd powers only).
+    let table = &mut table[..1 << (w - 1)];
+    table[0] = k.mont_mul(&k.load(base), k.r2());
+    let base_sq = k.mont_sqr(&table[0]);
+    for j in 1..table.len() {
+        table[j] = k.mont_mul(&table[j - 1], &base_sq);
     }
 
-    /// Converts into Montgomery form (`x·R mod m`).
-    fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        self.mont_mul(&pad(x, self.limbs), &self.r2)
+    let mut acc: Option<A::Elem> = None;
+    let mut i = total_bits as isize - 1;
+    while i >= 0 {
+        if !exp.bit(i as usize) {
+            if let Some(a) = acc.as_mut() {
+                *a = k.mont_sqr(a);
+            }
+            i -= 1;
+            continue;
+        }
+        // Widest window [s, i] of at most w bits whose lowest bit is set,
+        // so the tabulated power is odd.
+        let mut s = (i - (w as isize - 1)).max(0);
+        while !exp.bit(s as usize) {
+            s += 1;
+        }
+        let width = (i - s + 1) as usize;
+        let mut value = 0usize;
+        for j in (s..=i).rev() {
+            value = (value << 1) | exp.bit(j as usize) as usize;
+        }
+        acc = Some(match acc {
+            Some(mut a) => {
+                for _ in 0..width {
+                    a = k.mont_sqr(&a);
+                }
+                k.mont_mul(&a, &table[value >> 1])
+            }
+            None => table[value >> 1].clone(),
+        });
+        i = s - 1;
+    }
+    match acc {
+        // Leaving the Montgomery domain is a product with plain 1.
+        Some(a) => k.store(&k.mont_mul(&a, &k.load(&BigUint::one()))),
+        // Unreachable: exp != 0 guarantees at least one set bit.
+        None => BigUint::one(),
+    }
+}
+
+/// `a + b·c + carry` as `(low, high)` limbs; cannot overflow 128 bits.
+#[inline(always)]
+fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 * c as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
+}
+
+/// The fixed-width kernel for moduli of exactly `L` limbs; `D = 2L` is the
+/// width of a square before reduction (stable Rust cannot spell `2 * L` as
+/// an array length).
+#[derive(Clone, Debug)]
+struct Fixed<const L: usize, const D: usize> {
+    n: [u64; L],
+    /// `-n[0]^{-1} mod 2^64`.
+    n0_inv: u64,
+    /// `R² mod n` where `R = 2^(64·L)`.
+    r2: [u64; L],
+}
+
+impl<const L: usize, const D: usize> Fixed<L, D> {
+    fn new(n: &[u64], n0_inv: u64, r2: &BigUint) -> Self {
+        const { assert!(D == 2 * L) };
+        let mut out = Fixed {
+            n: [0; L],
+            n0_inv,
+            r2: [0; L],
+        };
+        out.n.copy_from_slice(n);
+        out.r2 = out.load(r2);
+        out
     }
 
-    /// Converts out of Montgomery form (`x·R^{-1} mod m`).
-    #[allow(clippy::wrong_self_convention)]
-    fn from_mont(&self, x: &[u64]) -> BigUint {
-        let one = pad(&BigUint::one(), self.limbs);
-        let limbs = self.mont_mul(x, &one);
-        BigUint::from_limbs(limbs)
+    /// Subtracts the modulus once from `t + hi·2^(64·L)` when that value is
+    /// `≥ n`; the caller guarantees it is `< 2n`.
+    #[inline(always)]
+    fn reduce_once(&self, t: [u64; L], hi: u64) -> [u64; L] {
+        let mut d = [0u64; L];
+        let mut borrow = false;
+        for j in 0..L {
+            let (x, b1) = t[j].overflowing_sub(self.n[j]);
+            let (x, b2) = x.overflowing_sub(borrow as u64);
+            d[j] = x;
+            borrow = b1 | b2;
+        }
+        // With hi = 1 the value is ≥ 2^(64·L) > n, and the borrow out of
+        // the L limbs is exactly the dropped high limb.
+        if hi != 0 || !borrow {
+            d
+        } else {
+            t
+        }
+    }
+}
+
+impl<const L: usize, const D: usize> Arith for Fixed<L, D> {
+    type Elem = [u64; L];
+
+    fn load(&self, x: &BigUint) -> [u64; L] {
+        let mut out = [0u64; L];
+        out[..x.limbs().len()].copy_from_slice(x.limbs());
+        out
     }
 
-    /// CIOS Montgomery multiplication of two `limbs`-long values, returning a
-    /// `limbs`-long value `< modulus`.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let l = self.limbs;
-        let n = self.modulus.limbs();
+    fn r2(&self) -> &[u64; L] {
+        &self.r2
+    }
+
+    /// CIOS with the multiply and reduce passes fused: each round adds
+    /// `aᵢ·b` and `m·n` to `t` in one sweep and shifts it down a limb. With
+    /// `a, b < n` the running value stays below `2n`, so one spare bit
+    /// (`t_hi ≤ 1`) holds its top.
+    fn mont_mul(&self, a: &[u64; L], b: &[u64; L]) -> [u64; L] {
+        let n = &self.n;
+        let mut t = [0u64; L];
+        let mut t_hi = 0u64;
+        for &ai in a {
+            let (lo, mut c1) = mac(t[0], ai, b[0], 0);
+            let m = lo.wrapping_mul(self.n0_inv);
+            let (_, mut c2) = mac(lo, m, n[0], 0);
+            for j in 1..L {
+                let (x, c) = mac(t[j], ai, b[j], c1);
+                c1 = c;
+                let (y, c) = mac(x, m, n[j], c2);
+                c2 = c;
+                t[j - 1] = y;
+            }
+            let top = t_hi as u128 + c1 as u128 + c2 as u128;
+            t[L - 1] = top as u64;
+            t_hi = (top >> 64) as u64;
+        }
+        self.reduce_once(t, t_hi)
+    }
+
+    /// Squaring as the upper-triangle product, doubled, plus the diagonal,
+    /// then a separated reduction: `L(L−1)/2` cross products and `L` squares
+    /// where CIOS would spend `L²` products on the square. The triangle and
+    /// the reduction both run two rows per sweep, so the rows' carry chains
+    /// interleave the way `mont_mul`'s multiply and reduce chains do.
+    fn mont_sqr(&self, a: &[u64; L]) -> [u64; L] {
+        let mut t = [0u64; D];
+
+        // Cross products: row i adds aᵢ·aⱼ (j > i) at limb i + j. Rows i and
+        // i + 1 share the window w = t[2i+1 ..= i+L+1], where row i's aⱼ
+        // lands at w[j−i−1] and row i+1's aⱼ₋₁ on the same limb.
+        for i in (0..L - 2).step_by(2) {
+            let (x, y) = (a[i], a[i + 1]);
+            let w = &mut t[2 * i + 1..i + L + 2];
+            let (mut c0, mut c1) = (0, 0);
+            (w[0], c0) = mac(w[0], x, y, c0);
+            (w[1], c0) = mac(w[1], x, a[i + 2], c0);
+            for ((wp, &aj), &aj1) in w[2..L - i - 1].iter_mut().zip(&a[i + 3..]).zip(&a[i + 2..]) {
+                let (u, c) = mac(*wp, x, aj, c0);
+                c0 = c;
+                (*wp, c1) = mac(u, y, aj1, c1);
+            }
+            // Limbs i+L and i+L+1 are still untouched.
+            (w[L - i - 1], w[L - i]) = mac(c0, y, a[L - 1], c1);
+        }
+        // The last cross product has no partner row.
+        (t[2 * L - 3], t[2 * L - 2]) = mac(t[2 * L - 3], a[L - 2], a[L - 1], 0);
+
+        // Double the cross products and add the diagonal squares, two limbs
+        // at a time; the total is exactly a² < R², so it fits the D limbs.
+        let mut top_bit = 0u128;
+        let mut carry = false;
+        for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+            let w = pair[0] as u128 | (pair[1] as u128) << 64;
+            let (s, c1) = ((w << 1) | top_bit).overflowing_add(ai as u128 * ai as u128);
+            let (s, c2) = s.overflowing_add(carry as u128);
+            top_bit = w >> 127;
+            carry = c1 | c2;
+            pair[0] = s as u64;
+            pair[1] = (s >> 64) as u64;
+        }
+
+        // Montgomery reduction, rows i and i + 1 per sweep: row i adds
+        // mᵢ·n at limb i, and row i+1's m is known once row i has reached
+        // limb i + 1. The sweep's carry out lands in limb i+L+1 and its
+        // overflow (`top`, at most 1) in limb i+L+2, the next sweep's
+        // landing limb. Input < n·R, so the result is < 2n.
+        let n = &self.n;
+        let mut top = 0u64;
+        for i in (0..L).step_by(2) {
+            let w = &mut t[i..i + L + 2];
+            let m0 = w[0].wrapping_mul(self.n0_inv);
+            let (_, c0) = mac(w[0], m0, n[0], 0);
+            let (w1, mut c0) = mac(w[1], m0, n[1], c0);
+            let m1 = w1.wrapping_mul(self.n0_inv);
+            let (_, mut c1) = mac(w1, m1, n[0], 0);
+            for ((wj, &nj), &nj1) in w[2..L].iter_mut().zip(&n[2..]).zip(&n[1..]) {
+                let (u, c) = mac(*wj, m0, nj, c0);
+                c0 = c;
+                (*wj, c1) = mac(u, m1, nj1, c1);
+            }
+            let s = w[L] as u128 + c0 as u128 + top as u128;
+            let c;
+            (w[L], c) = mac(s as u64, m1, n[L - 1], c1);
+            let s = w[L + 1] as u128 + c as u128 + (s >> 64);
+            w[L + 1] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        let mut out = [0u64; L];
+        out.copy_from_slice(&t[L..]);
+        self.reduce_once(out, top)
+    }
+
+    fn store(&self, x: &[u64; L]) -> BigUint {
+        BigUint::from_limbs(x.to_vec())
+    }
+}
+
+/// The runtime-length kernel for every modulus width without a fixed one.
+#[derive(Clone, Debug)]
+struct Slice {
+    n: Vec<u64>,
+    /// `-n[0]^{-1} mod 2^64`.
+    n0_inv: u64,
+    /// `R² mod n` where `R = 2^(64·n.len())`, padded to the modulus width.
+    r2: Vec<u64>,
+}
+
+impl Arith for Slice {
+    type Elem = Vec<u64>;
+
+    fn load(&self, x: &BigUint) -> Vec<u64> {
+        pad(x, self.n.len())
+    }
+
+    fn r2(&self) -> &Vec<u64> {
+        &self.r2
+    }
+
+    /// CIOS Montgomery multiplication of two `limbs`-long values, returning
+    /// a `limbs`-long value `< modulus`.
+    fn mont_mul(&self, a: &Vec<u64>, b: &Vec<u64>) -> Vec<u64> {
+        let n = &self.n;
+        let l = n.len();
         debug_assert_eq!(a.len(), l);
         debug_assert_eq!(b.len(), l);
 
@@ -186,35 +461,16 @@ impl Montgomery {
 
         // Result is t[0..=l]; subtract the modulus once if needed.
         let mut out: Vec<u64> = t[..l].to_vec();
-        let overflow = t[l] != 0;
-        if overflow || crate::limbs::cmp_limbs(&out, n) != core::cmp::Ordering::Less {
-            // out = out + t[l]·2^(64·l) − n   (the high limb is at most 1)
-            let mut borrow = 0u64;
-            for j in 0..l {
-                let (d, b1) = out[j].overflowing_sub(n[j]);
-                let (d2, b2) = d.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            debug_assert!(t[l] >= borrow);
-        }
+        sub_modulus_if_needed(&mut out, t[l], n);
         out
     }
 
     /// Montgomery squaring of a `limbs`-long value, returning a `limbs`-long
-    /// value `< modulus`.
-    ///
-    /// A square's cross products are symmetric (`aᵢ·aⱼ` appears twice), so
-    /// instead of CIOS's interleaved `l²` multiplications this computes the
-    /// upper-triangle product once, doubles it with a one-bit shift, adds the
-    /// `l` diagonal squares, and finishes with a separated Montgomery
-    /// reduction pass — `l(l+1)/2 + l` word multiplications for the product
-    /// phase instead of `l²`, which is what makes the square steps inside
-    /// [`Montgomery::pow`]'s window loop (the bulk of every exponentiation)
-    /// ~1.3× cheaper than going through [`Montgomery::mont_mul`].
-    fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
-        let l = self.limbs;
-        let n = self.modulus.limbs();
+    /// value `< modulus`: the upper-triangle product, doubled, plus the
+    /// diagonal, then a separated reduction, like the fixed-width kernel.
+    fn mont_sqr(&self, a: &Vec<u64>) -> Vec<u64> {
+        let n = &self.n;
+        let l = n.len();
         debug_assert_eq!(a.len(), l);
 
         // Phase 1a: upper-triangle products t += aᵢ·aⱼ for j > i.
@@ -271,18 +527,27 @@ impl Montgomery {
         }
 
         let mut out: Vec<u64> = t[l..2 * l].to_vec();
-        let overflow = t[2 * l] != 0;
-        if overflow || crate::limbs::cmp_limbs(&out, n) != core::cmp::Ordering::Less {
-            let mut borrow = 0u64;
-            for j in 0..l {
-                let (d, b1) = out[j].overflowing_sub(n[j]);
-                let (d2, b2) = d.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            debug_assert!(t[2 * l] as u128 >= borrow as u128);
-        }
+        sub_modulus_if_needed(&mut out, t[2 * l], n);
         out
+    }
+
+    fn store(&self, x: &Vec<u64>) -> BigUint {
+        BigUint::from_limbs(x.clone())
+    }
+}
+
+/// Subtracts `n` from `out + hi·2^(64·l)` when that value is `≥ n`; the
+/// caller guarantees it is `< 2n`, so the high limb is at most 1.
+fn sub_modulus_if_needed(out: &mut [u64], hi: u64, n: &[u64]) {
+    if hi != 0 || crate::limbs::cmp_limbs(out, n) != core::cmp::Ordering::Less {
+        let mut borrow = 0u64;
+        for (o, &nj) in out.iter_mut().zip(n) {
+            let (d, b1) = o.overflowing_sub(nj);
+            let (d2, b2) = d.overflowing_sub(borrow);
+            *o = d2;
+            borrow = (b1 as u64) + (b2 as u64);
+        }
+        debug_assert!(hi >= borrow);
     }
 }
 
@@ -295,7 +560,7 @@ fn sliding_window_width(exp_bits: usize) -> usize {
         24..=79 => 3,
         80..=239 => 4,
         240..=671 => 5,
-        _ => 6,
+        _ => MAX_WINDOW,
     }
 }
 
@@ -322,6 +587,8 @@ fn pad(x: &BigUint, len: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn bu(v: u128) -> BigUint {
         BigUint::from_u128(v)
@@ -429,6 +696,56 @@ mod tests {
             assert_eq!(ctx.sqr(&big), big.mod_mul(&big, &m));
             assert_eq!(ctx.sqr(&BigUint::zero()), BigUint::zero());
             assert_eq!(ctx.sqr(&BigUint::one()), BigUint::one());
+        }
+    }
+
+    #[test]
+    fn kernel_follows_the_limb_count() {
+        for (limbs, fixed) in [(1, None), (7, None), (8, Some(8)), (9, None)] {
+            let m = BigUint::from_limbs(vec![u64::MAX; limbs]);
+            assert_eq!(Montgomery::new(m).fixed_limbs(), fixed, "{limbs} limbs");
+        }
+        for limbs in [16, 32] {
+            let m = BigUint::from_limbs(vec![u64::MAX; limbs]);
+            assert_eq!(Montgomery::new(m.clone()).fixed_limbs(), Some(limbs));
+            assert_eq!(Montgomery::build(m, false).fixed_limbs(), None);
+        }
+    }
+
+    #[test]
+    fn fixed_kernel_matches_slice_kernel() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for limbs in [8usize, 16, 32] {
+            // A random odd modulus, one whose top limb is 1, and all ones.
+            let mut random = crate::random_bits_exact(&mut rng, 64 * limbs);
+            random.set_bit(0, true);
+            let mut top_one = vec![u64::MAX - 4; limbs];
+            top_one[limbs - 1] = 1;
+            for m in [
+                random,
+                BigUint::from_limbs(top_one),
+                BigUint::from_limbs(vec![u64::MAX; limbs]),
+            ] {
+                let fixed = Montgomery::new(m.clone());
+                let slice = Montgomery::build(m.clone(), false);
+                assert_eq!(fixed.fixed_limbs(), Some(limbs));
+                let a = crate::random_below(&mut rng, &m);
+                let b = crate::random_below(&mut rng, &m);
+                let big = m.add_ref(&a); // ≥ modulus: reduced first
+                let top = m.sub_ref(&BigUint::one());
+                for x in [&a, &b, &big, &top, &BigUint::zero(), &BigUint::one()] {
+                    assert_eq!(fixed.mul(x, &b), slice.mul(x, &b));
+                    assert_eq!(fixed.sqr(x), slice.sqr(x));
+                    assert_eq!(fixed.mul(x, &top), slice.mul(x, &top));
+                }
+                let full = crate::random_bits_exact(&mut rng, 64 * limbs);
+                let sparse = BigUint::one().shl_bits(300).add_ref(&BigUint::one());
+                for e in [&full, &sparse, &BigUint::one(), &BigUint::two()] {
+                    assert_eq!(fixed.pow(&a, e), slice.pow(&a, e));
+                    assert_eq!(fixed.pow(&big, e), slice.pow(&big, e));
+                    assert_eq!(fixed.pow(&top, e), slice.pow(&top, e));
+                }
+            }
         }
     }
 

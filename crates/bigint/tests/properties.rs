@@ -129,6 +129,49 @@ proptest! {
     }
 
     #[test]
+    fn fixed_width_kernel_matches_reference(
+        (limbs, m_limbs, a_limbs) in (0usize..3).prop_flat_map(|w| {
+            let l = [8usize, 16, 32][w];
+            (
+                Just(l),
+                prop::collection::vec(any::<u64>(), l),
+                prop::collection::vec(any::<u64>(), 2 * l),
+            )
+        }),
+        e_limbs in prop::collection::vec(any::<u64>(), 4),
+        (m_kind, a_kind, e_kind) in (0u8..3, 0u8..4, 0u8..4),
+    ) {
+        let m = fixed_width_modulus(limbs, m_limbs, m_kind);
+        let ctx = Montgomery::new(m.clone());
+        prop_assert_eq!(ctx.fixed_limbs(), Some(limbs));
+        let wide = BigUint::from_limbs(a_limbs);
+        let a = match a_kind {
+            0 => wide.rem_ref(&m),
+            1 => wide.rem_ref(&m).add_ref(&m), // base ≥ modulus
+            2 => BigUint::zero(),
+            _ => BigUint::one(),
+        };
+        let e = match e_kind {
+            // Up to 256 bits: every window width but the widest.
+            0 => BigUint::from_limbs(e_limbs),
+            1 => BigUint::zero(),
+            2 => BigUint::one(),
+            // Long runs of zeros between a few set bits.
+            _ => e_limbs.iter().take(3).fold(BigUint::zero(), |acc, &x| {
+                let mut bit = BigUint::zero();
+                bit.set_bit((x % 256) as usize, true);
+                acc.add_ref(&bit)
+            }),
+        };
+        let b = m.sub_ref(&BigUint::one()).sub_ref(&a.rem_ref(&m));
+        prop_assert_eq!(ctx.pow(&a, &e), a.mod_pow_basic(&e, &m));
+        prop_assert_eq!(ctx.mul(&a, &b), a.mod_mul(&b, &m));
+        prop_assert_eq!(ctx.mul(&a, &a), a.mod_mul(&a, &m));
+        prop_assert_eq!(ctx.sqr(&a), a.mod_mul(&a, &m));
+        prop_assert_eq!(ctx.sqr(&b), b.mod_mul(&b, &m));
+    }
+
+    #[test]
     fn mod_inverse_is_inverse(a in any::<u64>(), m in 2u64..) {
         let a_big = BigUint::from_u64(a);
         let m_big = BigUint::from_u64(m);
@@ -163,6 +206,18 @@ proptest! {
         let s = a_big.mod_add(&b_big, &m_big);
         prop_assert_eq!(s.mod_sub(&b_big, &m_big), a_big);
     }
+}
+
+/// An odd modulus of exactly `limbs` limbs: random, with a top limb of 1
+/// (the smallest top limb a modulus of that width can have), or all ones.
+fn fixed_width_modulus(limbs: usize, mut random: Vec<u64>, kind: u8) -> BigUint {
+    match kind {
+        0 => random[limbs - 1] |= 1 << 63,
+        1 => random[limbs - 1] = 1,
+        _ => random.iter_mut().for_each(|x| *x = u64::MAX),
+    }
+    random[0] |= 1;
+    BigUint::from_limbs(random)
 }
 
 #[test]

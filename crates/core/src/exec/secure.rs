@@ -101,15 +101,16 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
             })
             .collect();
         let pi = Permutation::random(rng, n);
-        let beta = pi.apply(&tau_prime);
+        let beta = pi.apply(&tau_prime)?;
 
         // 3(c): C2 marks exactly one zero position — obliviously,
         // because of the permutation and randomization. A missing
         // zero violates the protocol invariant and surfaces as a
         // typed error instead of a silent all-zero indicator.
         let u = meter.min_selection(&beta)?;
-        // 3(d): undo the permutation; V has E(1) at the winning record.
-        let v = pi.apply_inverse(&u);
+        // 3(d): undo the permutation; V has E(1) at the winning record. A
+        // reply of the wrong length is a typed error here.
+        let v = pi.apply_inverse(&u)?;
 
         // V′_{i,j} = SM(V_i, E(t_{i,j})); E(t′_{s,j}) = Π_i V′_{i,j}.
         let pairs: Vec<(Ciphertext, Ciphertext)> = (0..n)

@@ -90,7 +90,10 @@ mod tests {
     use crate::{plain_knn_records, DataOwner, QueryUser, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sknn_protocols::LocalKeyHolder;
+    use sknn_bigint::BigUint;
+    use sknn_paillier::{Ciphertext, PublicKey};
+    use sknn_protocols::transport::TransportError;
+    use sknn_protocols::{LocalKeyHolder, ProtocolError, SminRoundResponse};
 
     fn setup(table: &Table) -> (CloudC1, LocalKeyHolder, QueryUser, StdRng) {
         let mut rng = StdRng::seed_from_u64(301);
@@ -326,5 +329,85 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SknnError::Protocol(_)));
+    }
+
+    /// Which C2 reply [`ShortReply`] cuts one ciphertext from.
+    #[derive(Clone, Copy)]
+    enum Cut {
+        MinSelection,
+        SminRound,
+    }
+
+    /// C2 that answers every request honestly, then drops the last
+    /// ciphertext of one kind of reply.
+    struct ShortReply {
+        inner: LocalKeyHolder,
+        cut: Cut,
+    }
+
+    impl KeyHolder for ShortReply {
+        fn public_key(&self) -> &PublicKey {
+            self.inner.public_key()
+        }
+        fn sm_mask_multiply_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext> {
+            self.inner.sm_mask_multiply_batch(pairs)
+        }
+        fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
+            self.inner.lsb_of_masked_batch(masked)
+        }
+        fn smin_round(
+            &self,
+            gamma: &[Ciphertext],
+            l: &[Ciphertext],
+        ) -> Result<SminRoundResponse, ProtocolError> {
+            let mut response = self.inner.smin_round(gamma, l)?;
+            if let Cut::SminRound = self.cut {
+                response.m_prime.pop();
+            }
+            Ok(response)
+        }
+        fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
+            let mut reply = self.inner.min_selection(beta)?;
+            if let Cut::MinSelection = self.cut {
+                reply.pop();
+            }
+            Ok(reply)
+        }
+        fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize> {
+            self.inner.top_k_indices(distances, k)
+        }
+        fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<BigUint> {
+            self.inner.decrypt_masked_batch(masked)
+        }
+    }
+
+    #[test]
+    fn short_selection_replies_are_typed_errors() {
+        // Both replies are un-permuted by C1, which used to panic on a
+        // length mismatch; now the short reply surfaces as a batch
+        // mismatch: n = 4 indicator entries, or one M′ entry per bit of l.
+        let table = Table::new(vec![vec![1], vec![3], vec![5], vec![9]]).unwrap();
+        let l = table.required_distance_bits(10);
+        for (cut, sent) in [(Cut::MinSelection, 4), (Cut::SminRound, l)] {
+            let (c1, honest, user, mut rng) = setup(&table);
+            let c2 = ShortReply { inner: honest, cut };
+            let enc_q = user.encrypt_query(&[4], &mut rng).unwrap();
+            let err = c1
+                .process_secure(
+                    &c2,
+                    &enc_q,
+                    SecureQueryParams { k: 1, l },
+                    ParallelismConfig::serial(),
+                    &mut rng,
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SknnError::Protocol(ProtocolError::from(TransportError::BatchMismatch {
+                    sent,
+                    received: sent - 1
+                }))
+            );
+        }
     }
 }

@@ -166,6 +166,28 @@ mod tests {
     }
 
     #[test]
+    fn paper_key_sizes_run_on_the_fixed_width_kernel() {
+        // Every exponentiation of encryption, `mul_plain` and CRT
+        // decryption runs modulo N, N², p² or q²; at the paper's key sizes
+        // each must land on a fixed-width Montgomery kernel, not fall back
+        // to the slower runtime-length one.
+        let mut rng = StdRng::seed_from_u64(14);
+        for (bits, half, full) in [(512usize, 8, 16), (1024, 16, 32)] {
+            let kp = Keypair::generate(bits, &mut rng);
+            let sk = kp.private_key();
+            for (modulus, limbs) in [
+                (kp.public_key().n(), half),
+                (kp.public_key().n_squared(), full),
+                (&sk.p_squared, half),
+                (&sk.q_squared, half),
+            ] {
+                let ctx = sknn_bigint::Montgomery::new(modulus.clone());
+                assert_eq!(ctx.fixed_limbs(), Some(limbs), "{bits}-bit key");
+            }
+        }
+    }
+
+    #[test]
     fn from_primes_textbook_example() {
         // Classic toy example p = 7, q = 11, N = 77.
         let kp = Keypair::from_primes(BigUint::from_u64(7), BigUint::from_u64(11));

@@ -5,6 +5,8 @@
 //! before handing it to C2, and undo the permutation on what comes back, so
 //! that the position C2 observes carries no information.
 
+use crate::transport::TransportError;
+use crate::ProtocolError;
 use rand::Rng;
 
 /// A permutation of `0..len` together with its inverse.
@@ -44,32 +46,40 @@ impl Permutation {
 
     /// Applies the permutation: output position `i` receives `items[forward[i]]`.
     ///
-    /// # Panics
-    /// Panics when `items.len()` differs from the permutation length.
-    pub fn apply<T: Clone>(&self, items: &[T]) -> Vec<T> {
-        assert_eq!(
-            items.len(),
-            self.forward.len(),
-            "permutation length mismatch"
-        );
-        self.forward.iter().map(|&src| items[src].clone()).collect()
+    /// # Errors
+    /// [`ProtocolError::DimensionMismatch`] when `items.len()` differs from
+    /// the permutation length.
+    pub fn apply<T: Clone>(&self, items: &[T]) -> Result<Vec<T>, ProtocolError> {
+        if items.len() != self.len() {
+            return Err(ProtocolError::DimensionMismatch {
+                left: self.len(),
+                right: items.len(),
+            });
+        }
+        Ok(self.forward.iter().map(|&src| items[src].clone()).collect())
     }
 
     /// Applies the inverse permutation, undoing [`Permutation::apply`].
     ///
-    /// # Panics
-    /// Panics when `items.len()` differs from the permutation length.
-    pub fn apply_inverse<T: Clone>(&self, items: &[T]) -> Vec<T> {
-        assert_eq!(
-            items.len(),
-            self.forward.len(),
-            "permutation length mismatch"
-        );
-        let mut out: Vec<Option<T>> = vec![None; items.len()];
-        for (dest, &src) in self.forward.iter().enumerate() {
-            out[src] = Some(items[dest].clone());
+    /// The items are the key holder's reply to a permuted request, so a
+    /// length mismatch is a short or long batched reply.
+    ///
+    /// # Errors
+    /// [`TransportError::BatchMismatch`] (as a [`ProtocolError`]) when
+    /// `items.len()` differs from the permutation length.
+    pub fn apply_inverse<T: Clone>(&self, items: &[T]) -> Result<Vec<T>, ProtocolError> {
+        if items.len() != self.len() {
+            return Err(ProtocolError::from(TransportError::BatchMismatch {
+                sent: self.len(),
+                received: items.len(),
+            }));
         }
-        out.into_iter().map(|x| x.expect("bijection")).collect()
+        // inverse[src] is the output position `src` was moved to.
+        let mut inverse = vec![0; self.len()];
+        for (dest, &src) in self.forward.iter().enumerate() {
+            inverse[src] = dest;
+        }
+        Ok(inverse.iter().map(|&dest| items[dest].clone()).collect())
     }
 
     /// Maps an output position back to the input position it came from.
@@ -90,8 +100,8 @@ mod tests {
         for len in [0usize, 1, 2, 7, 64] {
             let p = Permutation::random(&mut rng, len);
             let items: Vec<u32> = (0..len as u32).collect();
-            let permuted = p.apply(&items);
-            assert_eq!(p.apply_inverse(&permuted), items);
+            let permuted = p.apply(&items).unwrap();
+            assert_eq!(p.apply_inverse(&permuted).unwrap(), items);
         }
     }
 
@@ -112,7 +122,7 @@ mod tests {
     fn identity_permutation() {
         let p = Permutation::identity(5);
         let items = vec![10, 20, 30, 40, 50];
-        assert_eq!(p.apply(&items), items);
+        assert_eq!(p.apply(&items).unwrap(), items);
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
         assert!(Permutation::identity(0).is_empty());
@@ -127,9 +137,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_length_panics() {
+    fn mismatched_lengths_are_typed_errors() {
         let p = Permutation::identity(3);
-        let _ = p.apply(&[1, 2]);
+        assert_eq!(
+            p.apply(&[1, 2]),
+            Err(ProtocolError::DimensionMismatch { left: 3, right: 2 })
+        );
+        assert_eq!(
+            p.apply_inverse(&[1, 2]),
+            Err(ProtocolError::from(TransportError::BatchMismatch {
+                sent: 3,
+                received: 2
+            }))
+        );
     }
 }

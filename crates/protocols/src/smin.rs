@@ -21,7 +21,8 @@ use sknn_paillier::{Ciphertext, PublicKey};
 ///
 /// # Errors
 /// Returns [`ProtocolError::DimensionMismatch`] when the two bit vectors have
-/// different lengths.
+/// different lengths, the key holder's error when its SMIN round fails, and
+/// a batch mismatch when its `M′` reply is not one ciphertext per bit.
 pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pk: &PublicKey,
     key_holder: &K,
@@ -99,15 +100,15 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     // Step 1(c)-(d): permute Γ and L with two independent permutations.
     let pi1 = Permutation::random(rng, l);
     let pi2 = Permutation::random(rng, l);
-    let gamma_permuted = pi1.apply(&gamma);
-    let l_permuted = pi2.apply(&l_vec);
+    let gamma_permuted = pi1.apply(&gamma)?;
+    let l_permuted = pi2.apply(&l_vec)?;
 
     // Step 2: P2 decides α obliviously and exponentiates Γ′ by it.
     let response = key_holder.smin_round(&gamma_permuted, &l_permuted)?;
-    debug_assert_eq!(response.m_prime.len(), l);
 
     // Step 3: undo the permutation, strip the r̂ masks, and select the bits.
-    let m_tilde = pi1.apply_inverse(&response.m_prime);
+    // A reply of the wrong length is a typed error here.
+    let m_tilde = pi1.apply_inverse(&response.m_prime)?;
     let e_alpha = response.alpha;
 
     let min_bits = (0..l)
