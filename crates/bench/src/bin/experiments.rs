@@ -26,7 +26,7 @@
 //!              counts over the sharded data plane, at shards ∈ {1,2,4}
 //!              × sessions ∈ {1,2}                         (beyond the paper)
 //!   chaos-smoke
-//!              retry / reconnect / failover counters from deterministic
+//!              retry / failover counters from deterministic
 //!              faulty runs through reactor fault plans    (beyond the paper)
 //!   store-io   durable shard store throughput: persist / append+flush /
 //!              reload / compact records-per-second and log bytes
@@ -787,7 +787,7 @@ fn keysize(scale: Scale, report: &mut BenchReport) {
 /// Two smoke-scale scenarios through reactor fault plans: a corrupted
 /// frame absorbed by retry-in-place, and a severed session whose shards
 /// fail over to the survivor mid-batch. Every point records the pool's
-/// resilience counters (retries / reconnects / failovers) alongside wall
+/// resilience counters (retries / failovers) alongside wall
 /// time, so the recovery cost is tracked across PRs like any other curve.
 fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
     use sknn_core::{
@@ -811,8 +811,8 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
          K = {small} bits, Channel transport"
     );
     println!(
-        "{:>16} {:>12} {:>9} {:>12} {:>10}",
-        "scenario", "time_s", "retries", "reconnects", "failovers"
+        "{:>16} {:>12} {:>9} {:>10}",
+        "scenario", "time_s", "retries", "failovers"
     );
 
     let mut rng = StdRng::seed_from_u64(HARNESS_SEED ^ 0xC4A0);
@@ -887,11 +887,11 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
         let outcomes = engine.run_batch(&queries, &mut rng);
         let elapsed = start.elapsed();
         let mut shard_failovers = 0usize;
-        let mut shard_retries = 0usize;
+        let mut stage_retries = 0usize;
         for outcome in &outcomes {
             let outcome = outcome.as_ref().expect("every chaos-smoke query recovers");
             shard_failovers += outcome.retries.failed_over_shards().len();
-            shard_retries += outcome.retries.shard_retries.len();
+            stage_retries += outcome.retries.stage_retries.len();
         }
         let comm = engine
             .comm_stats()
@@ -907,18 +907,16 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
                 ("shards", shards.to_string()),
                 ("batch", batch.to_string()),
                 ("retries", comm.retries.to_string()),
-                ("reconnects", comm.reconnects.to_string()),
                 ("failovers", comm.failovers.to_string()),
-                ("shard_retries", shard_retries.to_string()),
+                ("stage_retries", stage_retries.to_string()),
                 ("shard_failovers", shard_failovers.to_string()),
             ],
             elapsed,
         );
         println!(
-            "{name:>16} {:>12} {:>9} {:>12} {:>10}",
+            "{name:>16} {:>12} {:>9} {:>10}",
             secs(elapsed),
             comm.retries,
-            comm.reconnects,
             comm.failovers
         );
     }

@@ -40,9 +40,9 @@ pub struct QueryOutcome {
     /// traffic issued by the others; [`SknnEngine::comm_stats`] totals stay
     /// exact (the same caveat as [`crate::PoolActivity`]).
     pub comm: Option<CommSnapshot>,
-    /// What failure handling this query performed — shard stages re-run or
-    /// re-pinned onto surviving sessions, whole-query re-runs, sessions
-    /// found dead. Empty ([`crate::RetryReport::is_clean`]) for a fault-free
+    /// What failure handling this query performed — scatter tasks and the
+    /// gather re-run or re-pinned onto surviving sessions, sessions found
+    /// dead. Empty ([`crate::RetryReport::is_clean`]) for a fault-free
     /// run, and always empty when [`crate::FederationConfig::retry`] is
     /// [`crate::RetryPolicy::none`].
     pub retries: crate::RetryReport,

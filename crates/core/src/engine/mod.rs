@@ -41,10 +41,9 @@ pub use builder::{PreparedQuery, Protocol, QueryBuilder};
 
 use crate::config::{FederationConfig, PackingKind, SecureQueryParams, TransportKind};
 use crate::error::DurableUpdateError;
-use crate::exec::{classify_session_failure, SessionSet};
+use crate::exec::SessionSet;
 use crate::parallel::{Admission, ParallelismConfig};
 use crate::profile::PoolActivity;
-use crate::retry::RetryReport;
 use crate::roles::{CloudC1, DataOwner, QueryUser};
 use crate::storage::{BackingStore, DatasetStoreHandle};
 use crate::{EncryptedDatabase, EncryptedRecord, SknnError, Table, UpdateRejected};
@@ -54,9 +53,7 @@ use sknn_paillier::{
     Ciphertext, PoolConfig, PoolStats, PooledEncryptor, PublicKey, RandomnessPool,
 };
 use sknn_protocols::stats::CommSnapshot;
-use sknn_protocols::transport::{
-    BackpressureConfig, CoalesceConfig, Loopback, SessionHealth, SessionPool,
-};
+use sknn_protocols::transport::{BackpressureConfig, CoalesceConfig, Loopback, SessionPool};
 use sknn_protocols::{KeyHolder, LocalKeyHolder, PackedParams};
 use sknn_store::{
     key_fingerprint, validate_dataset_name, CompactionReport, DatasetMeta, DatasetStore, Manifest,
@@ -107,8 +104,8 @@ impl C2Handle {
         }
     }
 
-    /// The session pool, when C2 is behind a transport (health marks and
-    /// resilience counters live there; in-process holders need neither).
+    /// The session pool, when C2 is behind a transport (its resilience
+    /// counters live there; in-process holders keep none).
     pub(crate) fn pool(&self) -> Option<&SessionPool> {
         match self {
             C2Handle::Local(_) => None,
@@ -1070,102 +1067,36 @@ impl SknnEngine {
                 .requested_distance_bits()
                 .unwrap_or(dataset.distance_bits),
         };
-        let holders = self.c2.key_holders();
-        // Whole-query retry: the executor recovers failed *scatter* stages
-        // itself (at every shard count); what reaches here is a failed
-        // gather or finalize stage.
-        // Each re-run excludes sessions found dead, so it lands on the
-        // survivors, and re-derives nothing — the query ciphertexts are
-        // reused as-is, so a successful re-run answers exactly like a
-        // fault-free run would.
-        let mut report = RetryReport::default();
-        let mut excluded: Vec<usize> = Vec::new();
-        let mut attempt = 0usize;
-        let (masked, mut profile, audit) = loop {
-            attempt += 1;
-            // Indices into `holders` that are still in play, so the shard
-            // report below can be translated back to pool positions.
-            let live_idx: Vec<usize> = (0..holders.len())
-                .filter(|i| !excluded.contains(i))
-                .collect();
-            let live: Vec<&dyn KeyHolder> = live_idx.iter().map(|&i| holders[i]).collect();
-            let sessions = SessionSet::new(live);
-            let run = match query.protocol() {
-                Protocol::Basic => dataset.c1.process_basic_sharded(
-                    &sessions,
-                    &enc_q,
-                    query.k(),
-                    parallelism,
-                    &policy,
-                    rng,
-                ),
-                Protocol::Secure => dataset.c1.process_secure_sharded(
-                    &sessions,
-                    &enc_q,
-                    secure_params,
-                    parallelism,
-                    &policy,
-                    rng,
-                ),
-            };
-            match run {
-                Ok((masked, profile, audit, mut shard_report)) => {
-                    // The executor reports session-set positions; map them
-                    // back to pool indices before publishing.
-                    for r in &mut shard_report.shard_retries {
-                        r.from_session = live_idx[r.from_session % live_idx.len()];
-                        r.to_session = live_idx[r.to_session % live_idx.len()];
-                    }
-                    for s in &mut shard_report.dead_sessions {
-                        *s = live_idx[*s % live_idx.len()];
-                    }
-                    if let Some(pool) = self.c2.pool() {
-                        for s in &shard_report.dead_sessions {
-                            pool.mark(*s, SessionHealth::Dead);
-                        }
-                        for r in &shard_report.shard_retries {
-                            if r.is_failover() {
-                                pool.record_failover();
-                            } else {
-                                pool.record_retry();
-                            }
-                        }
-                    }
-                    report.absorb(shard_report);
-                    break (masked, profile, audit);
-                }
-                Err(e) => {
-                    let retryable = classify_session_failure(&e).is_some();
-                    if !retryable || attempt >= policy.max_attempts.max(1) {
-                        return Err(e);
-                    }
-                    // Probe before re-running: dead sessions are excluded
-                    // so the re-run lands on survivors only.
-                    if let Some(pool) = self.c2.pool() {
-                        for i in 0..pool.len() {
-                            if pool.probe(i) == SessionHealth::Dead && !excluded.contains(&i) {
-                                excluded.push(i);
-                            }
-                        }
-                        pool.record_retry();
-                    }
-                    if excluded.len() >= holders.len() {
-                        // Nothing left to fail over to.
-                        return Err(e);
-                    }
-                    for &i in &excluded {
-                        if !report.dead_sessions.contains(&i) {
-                            report.dead_sessions.push(i);
-                        }
-                    }
-                    report.query_retries += 1;
-                    let backoff = policy.backoff_before(attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
+        // The executor owns all failure handling: failed stages re-run per
+        // the policy, re-pinned off sessions it finds dead.
+        let sessions = SessionSet::new(self.c2.key_holders())?;
+        let (masked, mut profile, audit, report) = match query.protocol() {
+            Protocol::Basic => dataset.c1.process_basic_sharded(
+                &sessions,
+                &enc_q,
+                query.k(),
+                parallelism,
+                &policy,
+                rng,
+            )?,
+            Protocol::Secure => dataset.c1.process_secure_sharded(
+                &sessions,
+                &enc_q,
+                secure_params,
+                parallelism,
+                &policy,
+                rng,
+            )?,
+        };
+        if let Some(pool) = self.c2.pool() {
+            for r in &report.stage_retries {
+                if r.is_failover() {
+                    pool.record_failover();
+                } else {
+                    pool.record_retry();
                 }
             }
-        };
+        }
         profile.record_pool(pool_delta(&pool_before, &self.pool_stats()));
         let result = self.user.recover_records(&masked)?;
         Ok(QueryOutcome {

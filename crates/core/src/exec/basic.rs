@@ -10,14 +10,14 @@
 //! identical to the paper's single scan. With one populated shard the
 //! shard's winners are the answer and the gather is elided.
 //!
-//! Every stage runs inside [`super::run_contained`], so a dying session
-//! surfaces as a typed error instead of an unwind; a failed scatter task is
-//! a pure function of its derived seed and shard view, so
-//! [`super::scatter`] can re-run it — on the same session or re-pinned onto
-//! a survivor — with bit-identical protocol behavior.
+//! A dying session surfaces as a typed error from the stage that called
+//! it. Each scatter task and the gather + finalize tail is a pure function
+//! of its derived seed and inputs, so [`super::run_plan`] can re-run a
+//! failed one — on the same session or re-pinned onto a survivor — with
+//! bit-identical protocol behavior.
 
 use super::stages::{FinalizeStage, SsedStage, TopKStage};
-use super::{record_ops, run_contained, scatter, SessionSet};
+use super::{record_ops, run_plan, SessionSet};
 use crate::meter::OpMeter;
 use crate::parallel::ParallelismConfig;
 use crate::profile::{QueryProfile, Stage};
@@ -41,18 +41,16 @@ pub(crate) fn execute_basic<R: RngCore + ?Sized>(
 ) -> Result<(MaskedResult, QueryProfile, AccessPatternAudit, RetryReport), SknnError> {
     c1.validate_query(query, k)?;
     let db = c1.database();
-    let mut profile = QueryProfile::new();
 
     // ── Scatter: per-shard SSED + top-k on pinned sessions. Each shard
     // yields its winners' physical indices and, when a gather follows,
     // their scalar distance ciphertexts.
-    let (shards, report) = scatter(
+    let ((masked, top_k_physical), profile, report) = run_plan(
         db,
         sessions,
         parallelism,
         retry,
         rng,
-        &mut profile,
         |task, c2| {
             let mut rng = task.rng();
             let shard = task.attributed_shard();
@@ -90,45 +88,45 @@ pub(crate) fn execute_basic<R: RngCore + ?Sized>(
             record_ops(&mut p, shard, stage, meter.take());
             Ok((p, winners))
         },
+        |shards, rng, c2| {
+            let meter = OpMeter::new(c2);
+            let mut p = QueryProfile::new();
+            let top_k_physical: Vec<usize> = match shards {
+                // One shard: its top-k is the answer.
+                [(winners, _)] => winners.clone(),
+                // ── Gather: one top-k over the ≤ k·S candidates. Sorting
+                // by physical index restores the single scan's (distance,
+                // storage position) total order, so equal-distance
+                // tie-breaks match it exactly.
+                shards => {
+                    let mut candidates: Vec<(usize, &Ciphertext)> = shards
+                        .iter()
+                        .flat_map(|(physical, cts)| physical.iter().copied().zip(cts))
+                        .collect();
+                    candidates.sort_by_key(|&(physical, _)| physical);
+                    let merge_cts: Vec<Ciphertext> =
+                        candidates.iter().map(|&(_, ct)| ct.clone()).collect();
+                    let top = p.time(Stage::RecordSelection, || {
+                        meter.top_k_indices(&merge_cts, k)
+                    })?;
+                    p.record_ops(Stage::RecordSelection, meter.take());
+                    top.iter().map(|&i| candidates[i].0).collect()
+                }
+            };
+
+            // Steps 4–6: mask the chosen records and produce Bob's two
+            // shares.
+            let chosen: Vec<Vec<Ciphertext>> = top_k_physical
+                .iter()
+                .map(|&i| db.record(i).clone())
+                .collect();
+            let masked = p.time(Stage::Finalization, || {
+                FinalizeStage.run(c1, &meter, &chosen, rng)
+            })?;
+            p.record_ops(Stage::Finalization, meter.take());
+            Ok((p, (masked, top_k_physical)))
+        },
     )?;
-
-    let profile_ref = &mut profile;
-    let (masked, top_k_physical) = run_contained(move || {
-        let meter = OpMeter::new(sessions.primary());
-        let top_k_physical: Vec<usize> = match <[_; 1]>::try_from(shards) {
-            // One shard: its top-k is the answer.
-            Ok([(winners, _)]) => winners,
-            // ── Gather: one top-k over the ≤ k·S candidates on the primary
-            // session. Sorting by physical index restores the single scan's
-            // (distance, storage position) total order, so equal-distance
-            // tie-breaks match it exactly.
-            Err(shards) => {
-                let mut candidates: Vec<(usize, Ciphertext)> = shards
-                    .into_iter()
-                    .flat_map(|(physical, cts)| physical.into_iter().zip(cts))
-                    .collect();
-                candidates.sort_by_key(|&(physical, _)| physical);
-                let merge_cts: Vec<Ciphertext> =
-                    candidates.iter().map(|(_, ct)| ct.clone()).collect();
-                let top = profile_ref.time(Stage::RecordSelection, || {
-                    meter.top_k_indices(&merge_cts, k)
-                });
-                profile_ref.record_ops(Stage::RecordSelection, meter.take());
-                top.iter().map(|&i| candidates[i].0).collect()
-            }
-        };
-
-        // Steps 4–6: mask the chosen records and produce Bob's two shares.
-        let chosen: Vec<Vec<Ciphertext>> = top_k_physical
-            .iter()
-            .map(|&i| db.record(i).clone())
-            .collect();
-        let masked = profile_ref.time(Stage::Finalization, || {
-            FinalizeStage.run(c1, &meter, &chosen, rng)
-        })?;
-        profile_ref.record_ops(Stage::Finalization, meter.take());
-        Ok((masked, top_k_physical))
-    })?;
 
     let audit = AccessPatternAudit::basic_protocol(&top_k_physical);
     Ok((masked, profile, audit, report))

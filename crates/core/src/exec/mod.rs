@@ -36,6 +36,12 @@
 //! of the same code. The leakage delta of the sharded plan (per-shard
 //! candidate counts, and nothing else) is analyzed in `DESIGN.md`
 //! ("Sharded data plane").
+//!
+//! Failure handling is one loop (`run_plan`): every unit of the plan —
+//! each scatter task, and the gather + finalize tail — is a pure function
+//! of its derived seed and its inputs, so a unit whose C2 call failed is
+//! re-run, on the same session or re-pinned onto a survivor, with
+//! bit-identical protocol behavior.
 
 mod basic;
 mod secure;
@@ -48,21 +54,20 @@ pub(crate) use secure::execute_secure;
 
 use crate::parallel::{parallel_map, ParallelismConfig};
 use crate::profile::{OpCounters, QueryProfile, Stage};
-use crate::retry::{RetryPolicy, RetryReport, ShardRetry};
+use crate::retry::{RetryPolicy, RetryReport, RetryUnit, StageRetry};
 use crate::seed::{derive_seeds, derived_rng};
 use crate::{EncryptedDatabase, ShardView, SknnError};
 use rand::RngCore;
-use sknn_protocols::transport::SessionFailure;
 use sknn_protocols::{KeyHolder, ProtocolError};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// The C2 key-holder sessions a query plan executes over, with the
 /// shard-to-session pinning.
 ///
 /// Shard `s` is pinned to session `s mod sessions.len()`; the *primary*
-/// session (index 0) additionally runs the gather and finalize stages.
-/// A [`SessionSet::single`] set reproduces the pre-sharding behavior of
-/// one conversation carrying the whole query.
+/// session (index 0) additionally runs the gather and finalize stages
+/// unless it was found dead during the scatter. A [`SessionSet::single`]
+/// set reproduces the pre-sharding behavior of one conversation carrying
+/// the whole query.
 pub struct SessionSet<'a> {
     sessions: Vec<&'a dyn KeyHolder>,
 }
@@ -70,14 +75,16 @@ pub struct SessionSet<'a> {
 impl<'a> SessionSet<'a> {
     /// Wraps an explicit list of sessions.
     ///
-    /// # Panics
-    /// Panics on an empty list — a query cannot run without C2.
-    pub fn new(sessions: Vec<&'a dyn KeyHolder>) -> Self {
-        assert!(
-            !sessions.is_empty(),
-            "a SessionSet needs at least one session"
-        );
-        SessionSet { sessions }
+    /// # Errors
+    /// [`ProtocolError::Invariant`] on an empty list — a query cannot run
+    /// without C2.
+    pub fn new(sessions: Vec<&'a dyn KeyHolder>) -> Result<Self, SknnError> {
+        if sessions.is_empty() {
+            return Err(SknnError::Protocol(ProtocolError::Invariant {
+                message: "a SessionSet needs at least one session".to_string(),
+            }));
+        }
+        Ok(SessionSet { sessions })
     }
 
     /// A set of one session: every shard (and the gather) uses `c2`.
@@ -106,14 +113,9 @@ impl<'a> SessionSet<'a> {
         shard % self.sessions.len()
     }
 
-    /// The session at set index `idx` (wrapping), for failover re-pinning.
+    /// The session at set index `idx` (wrapping).
     pub fn session_at(&self, idx: usize) -> &'a dyn KeyHolder {
         self.sessions[idx % self.sessions.len()]
-    }
-
-    /// The primary session: runs the gather merge and the finalize stage.
-    pub fn primary(&self) -> &'a dyn KeyHolder {
-        self.sessions[0]
     }
 }
 
@@ -139,22 +141,6 @@ pub(crate) fn classify_session_failure(e: &SknnError) -> Option<FailureClass> {
     }
 }
 
-/// Runs `f`, converting the session layer's documented fail-stop — an
-/// unwind carrying a typed [`SessionFailure`] payload — into a typed
-/// [`SknnError`]. Any other panic payload is a genuine bug and is
-/// propagated unchanged. This is the boundary that makes scatter tasks
-/// restartable: transport death inside a `KeyHolder` method (whose trait
-/// signature has no error channel) surfaces here as a value.
-pub(crate) fn run_contained<T>(f: impl FnOnce() -> Result<T, SknnError>) -> Result<T, SknnError> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(result) => result,
-        Err(payload) => match payload.downcast::<SessionFailure>() {
-            Ok(failure) => Err(SknnError::Protocol(ProtocolError::from(failure.error))),
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
 /// The next session index after `from` (wrapping) not listed in `dead`.
 fn next_live(len: usize, from: usize, dead: &[usize]) -> Option<usize> {
     (1..=len)
@@ -162,23 +148,22 @@ fn next_live(len: usize, from: usize, dead: &[usize]) -> Option<usize> {
         .find(|i| !dead.contains(i))
 }
 
-/// Serial recovery for one failed scatter task: re-executes `run` — a pure
-/// function of the shard's derived seed, so a re-run is bit-identical —
-/// against the same session for transient failures, or re-pinned onto the
-/// next live session when the pinned one is dead. Sleeps the policy's
-/// backoff between attempts, records every re-run in `report`, and returns
-/// the last error once the attempt budget (or the supply of live sessions)
-/// is exhausted.
-fn retry_shard_stage<T>(
+/// Serial recovery for one failed unit of the plan: re-executes `run` — a
+/// pure function of the unit's derived seed and inputs, so a re-run is
+/// bit-identical — against the same session for transient failures, or
+/// re-pinned onto the next live session when the current one is dead.
+/// Sleeps the policy's backoff between attempts, records dead sessions and
+/// the successful re-run in `report`, and returns the last error once the
+/// attempt budget (or the supply of live sessions) is exhausted.
+fn retry_stage<T>(
     sessions: &SessionSet<'_>,
-    shard: usize,
+    unit: RetryUnit,
+    pinned: usize,
     policy: &RetryPolicy,
-    dead: &mut Vec<usize>,
     report: &mut RetryReport,
     first_error: SknnError,
     mut run: impl FnMut(&dyn KeyHolder) -> Result<T, SknnError>,
 ) -> Result<T, SknnError> {
-    let pinned = sessions.index_for_shard(shard);
     let mut current = pinned;
     let mut error = first_error;
     for attempt in 1..policy.max_attempts.max(1) {
@@ -186,6 +171,7 @@ fn retry_shard_stage<T>(
             return Err(error);
         };
         if class == FailureClass::Dead {
+            let dead = &mut report.dead_sessions;
             if !dead.contains(&current) {
                 dead.push(current);
             }
@@ -199,10 +185,10 @@ fn retry_shard_stage<T>(
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
-        match run_contained(|| run(sessions.session_at(current))) {
+        match run(sessions.session_at(current)) {
             Ok(value) => {
-                report.shard_retries.push(ShardRetry {
-                    shard,
+                report.stage_retries.push(StageRetry {
+                    unit,
                     from_session: pinned,
                     to_session: current,
                     error: error.to_string(),
@@ -255,22 +241,24 @@ pub(crate) fn record_ops(
     }
 }
 
-/// The scatter half every plan shares: runs `run_shard` once per populated
-/// shard of `db` — in parallel, each against the session its shard is
-/// pinned to — then re-runs failed tasks serially per `retry`
-/// ([`retry_shard_stage`]). Each task is a pure function of (its
-/// [`ShardTask`], the session), so a re-run on any session is
-/// bit-identical. Task profiles are merged into `profile`; outputs come
-/// back in shard order, one per populated shard.
-pub(crate) fn scatter<T: Send, R: RngCore + ?Sized>(
+/// The plan both protocols run. The scatter runs `run_shard` once per
+/// populated shard of `db` — in parallel, each against the session its
+/// shard is pinned to — and the tail runs `run_gather` once over the
+/// shards' outputs (in shard order) on the primary session, or on the
+/// first session the scatter did not find dead. Every unit draws its
+/// C1-side randomness from its own seed, derived from `rng` up front, and
+/// a failed unit re-runs per `retry` ([`retry_stage`]): failed scatter
+/// tasks serially after the parallel pass, the tail in place. Each unit's
+/// profile is merged into the returned one only when it succeeds.
+pub(crate) fn run_plan<S: Send, T, R: RngCore + ?Sized>(
     db: &EncryptedDatabase,
     sessions: &SessionSet<'_>,
     parallelism: ParallelismConfig,
     retry: &RetryPolicy,
     rng: &mut R,
-    profile: &mut QueryProfile,
-    run_shard: impl Fn(&ShardTask<'_>, &dyn KeyHolder) -> Result<(QueryProfile, T), SknnError> + Sync,
-) -> Result<(Vec<T>, RetryReport), SknnError> {
+    run_shard: impl Fn(&ShardTask<'_>, &dyn KeyHolder) -> Result<(QueryProfile, S), SknnError> + Sync,
+    run_gather: impl Fn(&[S], &mut dyn RngCore, &dyn KeyHolder) -> Result<(QueryProfile, T), SknnError>,
+) -> Result<(T, QueryProfile, RetryReport), SknnError> {
     // Tombstoned records are excluded before any protocol message is
     // formed: the protocol run is indistinguishable from one over a
     // database that never contained them. Shards tombstoning emptied drop
@@ -280,7 +268,8 @@ pub(crate) fn scatter<T: Send, R: RngCore + ?Sized>(
         .into_iter()
         .filter(|v| v.num_live() > 0)
         .collect();
-    let seeds = derive_seeds(rng, views.len());
+    // One seed per scatter task, then the tail's.
+    let seeds = derive_seeds(rng, views.len() + 1);
     // Ceiling for the same reason run_batch uses it: floor would strand
     // threads whenever shards don't divide the budget evenly.
     let inner = ParallelismConfig {
@@ -289,8 +278,8 @@ pub(crate) fn scatter<T: Send, R: RngCore + ?Sized>(
     let gathered = views.len() > 1;
     let tasks: Vec<ShardTask<'_>> = views
         .into_iter()
-        .zip(seeds)
-        .map(|(view, seed)| ShardTask {
+        .zip(&seeds)
+        .map(|(view, &seed)| ShardTask {
             view,
             parallelism: inner,
             seed,
@@ -298,32 +287,55 @@ pub(crate) fn scatter<T: Send, R: RngCore + ?Sized>(
         })
         .collect();
     let outs = parallel_map(parallelism.threads, &tasks, |_, task| {
-        run_contained(|| run_shard(task, sessions.for_shard(task.view.shard())))
+        run_shard(task, sessions.for_shard(task.view.shard()))
     });
 
     // Serial recovery pass: re-run failed tasks per the policy, re-pinning
     // dead sessions' shards onto survivors.
+    let mut profile = QueryProfile::new();
     let mut report = RetryReport::default();
-    let mut dead: Vec<usize> = Vec::new();
-    let mut results = Vec::with_capacity(tasks.len());
+    let mut shards = Vec::with_capacity(tasks.len());
     for (task, out) in tasks.iter().zip(outs) {
         let (p, value) = match out {
             Ok(ok) => ok,
-            Err(e) => retry_shard_stage(
-                sessions,
-                task.view.shard(),
-                retry,
-                &mut dead,
-                &mut report,
-                e,
-                |c2| run_shard(task, c2),
-            )?,
+            Err(e) => {
+                let shard = task.view.shard();
+                retry_stage(
+                    sessions,
+                    RetryUnit::Shard(shard),
+                    sessions.index_for_shard(shard),
+                    retry,
+                    &mut report,
+                    e,
+                    |c2| run_shard(task, c2),
+                )?
+            }
         };
         profile.merge(&p);
-        results.push(value);
+        shards.push(value);
     }
-    report.dead_sessions = dead;
-    Ok((results, report))
+
+    // The tail: pinned to the primary session unless the scatter found it
+    // dead, and rebuilt from its own seed on every attempt.
+    let gather_seed = seeds[tasks.len()];
+    let gather = |c2: &dyn KeyHolder| run_gather(&shards, &mut derived_rng(gather_seed), c2);
+    let pinned = (0..sessions.len())
+        .find(|i| !report.dead_sessions.contains(i))
+        .unwrap_or(0);
+    let (p, value) = match gather(sessions.session_at(pinned)) {
+        Ok(ok) => ok,
+        Err(e) => retry_stage(
+            sessions,
+            RetryUnit::Gather,
+            pinned,
+            retry,
+            &mut report,
+            e,
+            gather,
+        )?,
+    };
+    profile.merge(&p);
+    Ok((value, profile, report))
 }
 
 #[cfg(test)]
@@ -340,25 +352,35 @@ mod tests {
         let (_, sk) = Keypair::generate(96, &mut rng).split();
         let a = LocalKeyHolder::new(sk.clone(), 1);
         let b = LocalKeyHolder::new(sk, 2);
-        let set = SessionSet::new(vec![&a, &b]);
+        let set = SessionSet::new(vec![&a, &b]).unwrap();
         let thin = |k: &dyn KeyHolder| k as *const dyn KeyHolder as *const ();
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
-        assert_eq!(thin(set.for_shard(0)), thin(set.primary()));
+        assert_eq!(thin(set.for_shard(0)), thin(set.session_at(0)));
         assert_eq!(
             thin(set.for_shard(1)),
             &b as *const LocalKeyHolder as *const ()
         );
-        assert_eq!(thin(set.for_shard(2)), thin(set.primary()));
+        assert_eq!(thin(set.for_shard(2)), thin(set.session_at(0)));
 
         let single = SessionSet::single(&a);
         assert_eq!(single.len(), 1);
-        assert_eq!(thin(single.for_shard(7)), thin(single.primary()));
+        assert_eq!(thin(single.for_shard(7)), thin(single.session_at(0)));
     }
 
     #[test]
-    #[should_panic(expected = "at least one session")]
     fn empty_session_set_rejected() {
-        let _ = SessionSet::new(Vec::new());
+        assert!(matches!(
+            SessionSet::new(Vec::new()),
+            Err(SknnError::Protocol(ProtocolError::Invariant { .. }))
+        ));
+    }
+
+    #[test]
+    fn next_live_skips_dead_sessions_and_wraps() {
+        assert_eq!(next_live(3, 2, &[]), Some(0));
+        assert_eq!(next_live(3, 2, &[0]), Some(1));
+        assert_eq!(next_live(3, 0, &[1]), Some(2));
+        assert_eq!(next_live(2, 1, &[0, 1]), None);
     }
 }

@@ -24,7 +24,7 @@
 //! kNN sets.
 
 use super::stages::{FinalizeStage, SbdStage, SsedStage};
-use super::{record_ops, run_contained, scatter, SessionSet};
+use super::{record_ops, run_plan, SessionSet};
 use crate::config::SecureQueryParams;
 use crate::meter::OpMeter;
 use crate::parallel::ParallelismConfig;
@@ -122,7 +122,7 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
                     .collect::<Vec<_>>()
             })
             .collect();
-        let products = secure_multiply_batch(pk, meter, &pairs, rng);
+        let products = secure_multiply_batch(pk, meter, &pairs, rng)?;
         let record: Vec<Ciphertext> = (0..m)
             .map(|j| pk.sum((0..n).map(|i| &products[i * m + j])))
             .collect();
@@ -134,7 +134,7 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     // 3(e): freeze the winner's distance at the all-ones maximum via
     // SBOR so it can never win again. One batched SM round covers all
     // n·l bit positions.
-    profile.time(stage(Stage::DistanceFreezing), || {
+    let frozen = profile.time(stage(Stage::DistanceFreezing), || {
         let pairs: Vec<(Ciphertext, Ciphertext)> = (0..n)
             .flat_map(|i| {
                 let v_i = indicator[i].clone();
@@ -144,7 +144,7 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
                     .collect::<Vec<_>>()
             })
             .collect();
-        let products = secure_multiply_batch(pk, meter, &pairs, rng);
+        let products = secure_multiply_batch(pk, meter, &pairs, rng)?;
         for i in 0..n {
             for gamma in 0..l {
                 // o₁ ∨ o₂ = o₁ + o₂ − o₁·o₂ with o₁ = V_i, o₂ = d_{i,γ}.
@@ -152,8 +152,10 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
                 distance_bits[i][gamma] = pk.sub(&sum, &products[i * l + gamma]);
             }
         }
+        Ok::<_, SknnError>(())
     });
     record_ops(profile, shard, stage(Stage::DistanceFreezing), meter.take());
+    frozen?;
 
     Ok((selected_record, dmin_bits))
 }
@@ -173,16 +175,14 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
     let db = c1.database();
     let k = params.k;
     let l = params.l;
-    let mut profile = QueryProfile::new();
 
     // ── Scatter: each shard extracts its k nearest as encrypted candidates ──
-    let (shards, report) = scatter(
+    let (masked, profile, report) = run_plan(
         db,
         sessions,
         parallelism,
         retry,
         rng,
-        &mut profile,
         |task, c2| {
             let mut rng = task.rng();
             let shard = task.attributed_shard();
@@ -222,44 +222,43 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
             }
             Ok((p, candidates))
         },
-    )?;
-
-    let profile_ref = &mut profile;
-    let masked = run_contained(move || {
-        let meter = OpMeter::new(sessions.primary());
-        let results: Vec<Vec<Ciphertext>> = match <[_; 1]>::try_from(shards) {
-            // One shard's k rounds already extracted the answer.
-            Ok([candidates]) => candidates.into_iter().map(|c| c.record).collect(),
-            // ── Gather: the same oblivious rounds over the ≤ k·S candidates ──
-            Err(shards) => {
-                let candidates: Vec<SecureCandidate> = shards.into_iter().flatten().collect();
-                let mut candidate_bits: Vec<Vec<Ciphertext>> =
-                    candidates.iter().map(|c| c.bits.clone()).collect();
-                let candidate_records: Vec<&[Ciphertext]> =
-                    candidates.iter().map(|c| c.record.as_slice()).collect();
-                let mut results = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let (record, _bits) = oblivious_select_round(
-                        c1,
-                        &meter,
-                        &candidate_records,
-                        &mut candidate_bits,
-                        profile_ref,
-                        None,
-                        rng,
-                    )?;
-                    results.push(record);
+        |shards, rng, c2| {
+            let meter = OpMeter::new(c2);
+            let mut p = QueryProfile::new();
+            let results: Vec<Vec<Ciphertext>> = match shards {
+                // One shard's k rounds already extracted the answer.
+                [candidates] => candidates.iter().map(|c| c.record.clone()).collect(),
+                // ── Gather: the same oblivious rounds over the ≤ k·S candidates ──
+                shards => {
+                    let candidates: Vec<&SecureCandidate> = shards.iter().flatten().collect();
+                    let mut candidate_bits: Vec<Vec<Ciphertext>> =
+                        candidates.iter().map(|c| c.bits.clone()).collect();
+                    let candidate_records: Vec<&[Ciphertext]> =
+                        candidates.iter().map(|c| c.record.as_slice()).collect();
+                    let mut results = Vec::with_capacity(k);
+                    for _ in 0..k {
+                        let (record, _bits) = oblivious_select_round(
+                            c1,
+                            &meter,
+                            &candidate_records,
+                            &mut candidate_bits,
+                            &mut p,
+                            None,
+                            rng,
+                        )?;
+                        results.push(record);
+                    }
+                    results
                 }
-                results
-            }
-        };
+            };
 
-        let masked = profile_ref.time(Stage::Finalization, || {
-            FinalizeStage.run(c1, &meter, &results, rng)
-        })?;
-        profile_ref.record_ops(Stage::Finalization, meter.take());
-        Ok(masked)
-    })?;
+            let masked = p.time(Stage::Finalization, || {
+                FinalizeStage.run(c1, &meter, &results, rng)
+            })?;
+            p.record_ops(Stage::Finalization, meter.take());
+            Ok((p, masked))
+        },
+    )?;
     Ok((
         masked,
         profile,

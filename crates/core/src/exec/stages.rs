@@ -236,25 +236,25 @@ impl TopKStage {
     /// position, exactly as the key holder documents), nearest first.
     ///
     /// # Errors
-    /// Propagates packed-path failures.
+    /// Propagates the key holder's error.
     pub fn run<K: KeyHolder + ?Sized>(
         &self,
         c2: &K,
         distances: &ShardDistances<'_>,
     ) -> Result<Vec<usize>, SknnError> {
         let k = self.k.min(distances.live.len());
-        match &distances.distances {
-            Distances::Scalar(cts) => Ok(c2.top_k_indices(cts, k)),
+        let top = match &distances.distances {
+            Distances::Scalar(cts) => c2.top_k_indices(cts, k)?,
             Distances::Packed {
                 params,
                 groups,
                 counts,
             } => {
                 let count: usize = counts.iter().sum();
-                c2.top_k_indices_packed(&params.layout, groups, count, k)
-                    .map_err(SknnError::from)
+                c2.top_k_indices_packed(&params.layout, groups, count, k)?
             }
-        }
+        };
+        Ok(top)
     }
 
     /// The *scalar* distance ciphertexts of the records at `positions`
@@ -302,12 +302,11 @@ impl TopKStage {
 pub struct FinalizeStage;
 
 impl FinalizeStage {
-    /// Runs the reveal over the selected encrypted records, against the
-    /// primary session.
+    /// Runs the reveal over the selected encrypted records.
     ///
     /// # Errors
-    /// Returns a typed protocol error when C2's reply does not carry one
-    /// plaintext per masked attribute.
+    /// Returns a typed protocol error when the C2 call fails or its reply
+    /// does not carry one plaintext per masked attribute.
     pub fn run<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         &self,
         c1: &CloudC1,

@@ -90,7 +90,7 @@ pub use exec::SessionSet;
 pub use parallel::ParallelismConfig;
 pub use plain::{plain_knn, plain_knn_records, squared_euclidean_distance};
 pub use profile::{OpCounters, PoolActivity, QueryProfile, Stage};
-pub use retry::{RetryPolicy, RetryReport, ShardRetry};
+pub use retry::{RetryPolicy, RetryReport, RetryUnit, StageRetry};
 pub use roles::{CloudC1, DataOwner, QueryUser};
 pub use storage::{BackingStore, DatasetStoreHandle};
 pub use table::Table;

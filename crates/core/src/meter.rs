@@ -54,14 +54,17 @@ impl<K: KeyHolder + ?Sized> KeyHolder for OpMeter<'_, K> {
         self.inner.public_key()
     }
 
-    fn sm_mask_multiply_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext> {
+    fn sm_mask_multiply_batch(
+        &self,
+        pairs: &[(Ciphertext, Ciphertext)],
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
         // Two masked operands out and two decryptions per pair, one
         // product ciphertext back.
         self.record(2 * pairs.len(), pairs.len(), 2 * pairs.len());
         self.inner.sm_mask_multiply_batch(pairs)
     }
 
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
+    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
         self.record(masked.len(), masked.len(), masked.len());
         self.inner.lsb_of_masked_batch(masked)
     }
@@ -85,13 +88,17 @@ impl<K: KeyHolder + ?Sized> KeyHolder for OpMeter<'_, K> {
         self.inner.min_selection(beta)
     }
 
-    fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize> {
+    fn top_k_indices(
+        &self,
+        distances: &[Ciphertext],
+        k: usize,
+    ) -> Result<Vec<usize>, ProtocolError> {
         // The reply is a plain index list — no ciphertexts come back.
         self.record(distances.len(), 0, distances.len());
         self.inner.top_k_indices(distances, k)
     }
 
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<BigUint> {
+    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
         // The reply is plaintexts, not ciphertexts.
         self.record(masked.len(), 0, masked.len());
         self.inner.decrypt_masked_batch(masked)

@@ -136,10 +136,9 @@ where
         for handle in handles {
             match handle.map(|h| h.join()) {
                 Ok(Ok(chunk)) | Err(chunk) => chunk_outputs.push(chunk),
-                // Re-raise the worker's own payload rather than wrapping it:
-                // typed panics (the session layer's `SessionFailure`) must
-                // stay downcastable at the containment boundary in
-                // `crate::exec::run_contained`.
+                // A worker panic is a bug, never a C2 failure (those come
+                // back as values): re-raise it on the caller's thread.
+                // sknn-lint: allow(panic-free, "re-raises a worker's panic, which is a bug; C2 failures are values")
                 Ok(Err(payload)) => std::panic::resume_unwind(payload),
             }
         }

@@ -1,25 +1,27 @@
 //! Retry policy and failover reporting for query execution.
 //!
-//! The transport layer turns failures into typed values
-//! ([`sknn_protocols::transport::TransportError`], surfaced through
+//! Every C2 call returns its failure as a typed value
+//! ([`sknn_protocols::ProtocolError`], surfaced through
 //! [`crate::SknnError::Protocol`]); this module holds the *policy* for what
 //! the executor does with them — how many times a failed stage may re-run,
 //! how long to back off between attempts, how long one request may wait —
 //! and the *report* of what failure handling a query actually performed.
 //!
-//! Retrying is sound because every scatter task is a pure function of the
-//! query's derived seed and its shard view: re-running it on any session of
-//! the pool (same logical C2, same key) reproduces bit-identical
-//! ciphertext-level behavior, so a retried query returns exactly what the
-//! fault-free run would have. See `DESIGN.md`, "Failure model & failover".
+//! Retrying is sound because every unit of a plan — each scatter task, and
+//! the gather + finalize tail — is a pure function of its own derived seed
+//! and its inputs: re-running it on any session of the pool (same logical
+//! C2, same key) reproduces bit-identical ciphertext-level behavior, so a
+//! retried query returns exactly what the fault-free run would have. See
+//! `DESIGN.md`, "Failure model & failover".
 
 use std::time::Duration;
 
 /// How the executor responds to transport failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per failed unit of work (the first run counts as
-    /// attempt 1, so `1` means "never retry"). Clamped to ≥ 1 in use.
+    /// Total attempts per stage — each scatter task, and the gather +
+    /// finalize tail, has its own budget (the first run counts as attempt
+    /// 1, so `1` means "never retry"). Clamped to ≥ 1 in use.
     pub max_attempts: usize,
     /// Backoff before re-attempt `n` (1-based): `base_backoff · n`, a
     /// linear ramp — failover already moves work to a different session, so
@@ -71,11 +73,21 @@ impl Default for RetryPolicy {
     }
 }
 
-/// One shard stage that was re-executed after a failure.
+/// The unit of a query plan that a retry re-ran.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RetryUnit {
+    /// One shard's scatter task.
+    Shard(usize),
+    /// The query's tail: the gather over the shards' candidates (when more
+    /// than one shard is populated) and the finalize stage.
+    Gather,
+}
+
+/// One plan stage that was re-executed after a failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardRetry {
-    /// The shard whose scatter stage re-ran.
-    pub shard: usize,
+pub struct StageRetry {
+    /// What re-ran.
+    pub unit: RetryUnit,
     /// Session index the stage was originally pinned to.
     pub from_session: usize,
     /// Session index the re-run used (`== from_session` for a same-session
@@ -85,8 +97,8 @@ pub struct ShardRetry {
     pub error: String,
 }
 
-impl ShardRetry {
-    /// Whether this retry moved the shard to a different session.
+impl StageRetry {
+    /// Whether this retry moved the stage to a different session.
     pub fn is_failover(&self) -> bool {
         self.from_session != self.to_session
     }
@@ -96,40 +108,28 @@ impl ShardRetry {
 /// [`Default`]) for a fault-free run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RetryReport {
-    /// Per-shard scatter stages that re-ran, in the order they were retried.
-    pub shard_retries: Vec<ShardRetry>,
-    /// Whole-query re-runs: failures in the gather or finalize stage,
-    /// which run once per query rather than per shard, re-run the query.
-    pub query_retries: usize,
-    /// Sessions found dead and excluded from the re-run's session set.
+    /// Stages that re-ran, in the order they were retried.
+    pub stage_retries: Vec<StageRetry>,
+    /// Sessions found dead, in the order they were found.
     pub dead_sessions: Vec<usize>,
 }
 
 impl RetryReport {
     /// Whether any failure handling happened at all.
     pub fn is_clean(&self) -> bool {
-        self.shard_retries.is_empty() && self.query_retries == 0 && self.dead_sessions.is_empty()
+        self.stage_retries.is_empty() && self.dead_sessions.is_empty()
     }
 
     /// Shards that ended up on a different session than their original pin.
     pub fn failed_over_shards(&self) -> Vec<usize> {
-        self.shard_retries
+        self.stage_retries
             .iter()
             .filter(|r| r.is_failover())
-            .map(|r| r.shard)
+            .filter_map(|r| match r.unit {
+                RetryUnit::Shard(shard) => Some(shard),
+                RetryUnit::Gather => None,
+            })
             .collect()
-    }
-
-    /// Folds another report into this one (used when a query is re-run and
-    /// both runs did failure handling).
-    pub fn absorb(&mut self, other: RetryReport) {
-        self.shard_retries.extend(other.shard_retries);
-        self.query_retries += other.query_retries;
-        for s in other.dead_sessions {
-            if !self.dead_sessions.contains(&s) {
-                self.dead_sessions.push(s);
-            }
-        }
     }
 }
 
@@ -159,32 +159,29 @@ mod tests {
     }
 
     #[test]
-    fn report_tracks_failovers_and_absorbs() {
+    fn report_tracks_failovers() {
         let mut report = RetryReport::default();
         assert!(report.is_clean());
-        report.shard_retries.push(ShardRetry {
-            shard: 2,
+        report.stage_retries.push(StageRetry {
+            unit: RetryUnit::Shard(2),
             from_session: 1,
             to_session: 0,
             error: "connection closed".into(),
         });
-        report.shard_retries.push(ShardRetry {
-            shard: 3,
+        report.stage_retries.push(StageRetry {
+            unit: RetryUnit::Shard(3),
             from_session: 0,
             to_session: 0,
             error: "request timed out after 10 ms".into(),
         });
+        report.stage_retries.push(StageRetry {
+            unit: RetryUnit::Gather,
+            from_session: 1,
+            to_session: 0,
+            error: "connection closed".into(),
+        });
         assert!(!report.is_clean());
         assert_eq!(report.failed_over_shards(), vec![2]);
-
-        let other = RetryReport {
-            shard_retries: vec![],
-            query_retries: 1,
-            dead_sessions: vec![1],
-        };
-        report.absorb(other.clone());
-        report.absorb(other);
-        assert_eq!(report.query_retries, 2);
-        assert_eq!(report.dead_sessions, vec![1]);
+        assert!(report.stage_retries[2].is_failover());
     }
 }

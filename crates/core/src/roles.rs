@@ -311,7 +311,7 @@ impl CloudC1 {
             masks.push(record_masks);
         }
 
-        let mut decrypted = c2.decrypt_masked_batch(&gammas_flat).into_iter();
+        let mut decrypted = c2.decrypt_masked_batch(&gammas_flat)?.into_iter();
         if decrypted.len() != gammas_flat.len() {
             return Err(batch_mismatch(gammas_flat.len(), decrypted.len()));
         }
@@ -394,13 +394,13 @@ mod tests {
         fn sm_mask_multiply_batch(
             &self,
             pairs: &[(sknn_paillier::Ciphertext, sknn_paillier::Ciphertext)],
-        ) -> Vec<sknn_paillier::Ciphertext> {
+        ) -> Result<Vec<sknn_paillier::Ciphertext>, ProtocolError> {
             self.inner.sm_mask_multiply_batch(pairs)
         }
         fn lsb_of_masked_batch(
             &self,
             masked: &[sknn_paillier::Ciphertext],
-        ) -> Vec<sknn_paillier::Ciphertext> {
+        ) -> Result<Vec<sknn_paillier::Ciphertext>, ProtocolError> {
             self.inner.lsb_of_masked_batch(masked)
         }
         fn smin_round(
@@ -416,13 +416,20 @@ mod tests {
         ) -> Result<Vec<sknn_paillier::Ciphertext>, ProtocolError> {
             self.inner.min_selection(beta)
         }
-        fn top_k_indices(&self, distances: &[sknn_paillier::Ciphertext], k: usize) -> Vec<usize> {
+        fn top_k_indices(
+            &self,
+            distances: &[sknn_paillier::Ciphertext],
+            k: usize,
+        ) -> Result<Vec<usize>, ProtocolError> {
             self.inner.top_k_indices(distances, k)
         }
-        fn decrypt_masked_batch(&self, masked: &[sknn_paillier::Ciphertext]) -> Vec<BigUint> {
-            let mut reply = self.inner.decrypt_masked_batch(masked);
+        fn decrypt_masked_batch(
+            &self,
+            masked: &[sknn_paillier::Ciphertext],
+        ) -> Result<Vec<BigUint>, ProtocolError> {
+            let mut reply = self.inner.decrypt_masked_batch(masked)?;
             (self.tamper)(self.inner.public_key(), &mut reply);
-            reply
+            Ok(reply)
         }
     }
 

@@ -65,9 +65,9 @@ impl CloudC1 {
     /// pinned to sessions round-robin, so a sharded database's scatter
     /// stages overlap on the wire when the set holds more than one
     /// session. The extra `retry` policy and [`RetryReport`] return value
-    /// are the failure-handling surface: failed scatter stages re-run per
-    /// the policy (re-pinned onto surviving sessions when theirs died),
-    /// and the report says what recovery actually happened.
+    /// are the failure-handling surface: failed scatter tasks and a failed
+    /// gather re-run per the policy (re-pinned onto surviving sessions when
+    /// theirs died), and the report says what recovery actually happened.
     ///
     /// # Errors
     /// See [`CloudC1::process_basic`].

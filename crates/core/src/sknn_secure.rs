@@ -64,9 +64,9 @@ impl CloudC1 {
     /// are pinned to sessions round-robin, so a sharded database's scatter
     /// stages overlap on the wire when the set holds more than one
     /// session. The extra `retry` policy and [`RetryReport`] return value
-    /// are the failure-handling surface: failed scatter stages re-run per
-    /// the policy (re-pinned onto surviving sessions when theirs died),
-    /// and the report says what recovery actually happened.
+    /// are the failure-handling surface: failed scatter tasks and a failed
+    /// gather re-run per the policy (re-pinned onto surviving sessions when
+    /// theirs died), and the report says what recovery actually happened.
     ///
     /// # Errors
     /// See [`CloudC1::process_secure`].
@@ -349,10 +349,16 @@ mod tests {
         fn public_key(&self) -> &PublicKey {
             self.inner.public_key()
         }
-        fn sm_mask_multiply_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext> {
+        fn sm_mask_multiply_batch(
+            &self,
+            pairs: &[(Ciphertext, Ciphertext)],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
             self.inner.sm_mask_multiply_batch(pairs)
         }
-        fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
+        fn lsb_of_masked_batch(
+            &self,
+            masked: &[Ciphertext],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
             self.inner.lsb_of_masked_batch(masked)
         }
         fn smin_round(
@@ -373,10 +379,17 @@ mod tests {
             }
             Ok(reply)
         }
-        fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize> {
+        fn top_k_indices(
+            &self,
+            distances: &[Ciphertext],
+            k: usize,
+        ) -> Result<Vec<usize>, ProtocolError> {
             self.inner.top_k_indices(distances, k)
         }
-        fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<BigUint> {
+        fn decrypt_masked_batch(
+            &self,
+            masked: &[Ciphertext],
+        ) -> Result<Vec<BigUint>, ProtocolError> {
             self.inner.decrypt_masked_batch(masked)
         }
     }

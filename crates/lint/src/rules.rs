@@ -95,6 +95,9 @@ const PANIC_MACROS: &[&str] = &[
     "todo",
     "unimplemented",
 ];
+/// Functions that start or continue an unwind with an arbitrary payload:
+/// a typed panic is still a panic, however a caller may catch it.
+const PANIC_FNS: &[&str] = &["resume_unwind", "panic_any"];
 const R3_SCOPE: &[&str] = &["crates/protocols/src/", "crates/core/src/"];
 
 // ── R4: wire conformance ────────────────────────────────────────────────
@@ -421,6 +424,21 @@ fn rule_panic_free(file: &SourceFile, sink: &mut Sink) {
                 "panic-free",
                 line,
                 format!("`{mac}!` on a protocol path; return a typed error instead"),
+            );
+        }
+    }
+    for func in PANIC_FNS {
+        let hits: Vec<usize> = any_calls(&file.code, func).collect();
+        for pos in hits {
+            if file.in_test(pos) {
+                continue;
+            }
+            let line = file.line_of(pos);
+            sink.push(
+                file,
+                "panic-free",
+                line,
+                format!("`{func}()` unwinds on a protocol path; return a typed error instead"),
             );
         }
     }
@@ -855,6 +873,16 @@ mod tests {
     fn unwrap_or_variants_are_not_flagged() {
         let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 0); z.unwrap_or_default(); }";
         assert!(lint_one("crates/protocols/src/a.rs", src).is_empty());
+    }
+
+    #[test]
+    fn typed_unwinds_are_flagged() {
+        let src = "use std::panic::resume_unwind;\nfn f() { resume_unwind(p); }\n\
+                   fn g() { std::panic::panic_any(e); }";
+        let findings = lint_one("crates/protocols/src/a.rs", src);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 3], "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == "panic-free"));
     }
 
     #[test]

@@ -76,20 +76,42 @@ fn secret_format_catches_print_interpolation_and_derive_debug() {
     // println must not fire (they would be extra findings above).
 }
 
+/// The `panic-free` findings in one fixture file.
+fn panic_free_in<'a>(findings: &'a [Finding], file: &str) -> Vec<&'a Finding> {
+    of_rule(findings, "panic-free")
+        .into_iter()
+        .filter(|f| f.file == file)
+        .collect()
+}
+
 #[test]
 fn panic_free_flags_library_sites_but_not_test_modules() {
     let (findings, _) = fixture_findings();
     let hits = of_rule(&findings, "panic-free");
-    assert_eq!(hits.len(), 2, "two non-test unwrap/expect sites: {hits:?}");
-    assert!(hits
+    assert_eq!(hits.len(), 4, "unwrap/expect + two typed unwinds: {hits:?}");
+    let lines: Vec<usize> = panic_free_in(&findings, "crates/protocols/src/proto.rs")
         .iter()
-        .all(|f| f.file == "crates/protocols/src/proto.rs"));
-    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
+        .map(|f| f.line)
+        .collect();
     assert_eq!(
         lines,
         vec![5, 9],
         "unwrap_or and the test-mod unwraps must not fire"
     );
+}
+
+#[test]
+fn panic_free_flags_typed_unwinds() {
+    let (findings, _) = fixture_findings();
+    let hits = panic_free_in(&findings, "crates/core/src/unwind.rs");
+    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        vec![7, 11],
+        "the import and the test-mod unwind must not fire: {hits:?}"
+    );
+    assert!(hits[0].message.contains("resume_unwind"));
+    assert!(hits[1].message.contains("panic_any"));
 }
 
 #[test]
@@ -127,7 +149,7 @@ fn baseline_diffing_accepts_budget_and_fails_regressions() {
     let (findings, _) = fixture_findings();
     let panics: Vec<Finding> = findings
         .into_iter()
-        .filter(|f| f.rule == "panic-free")
+        .filter(|f| f.rule == "panic-free" && f.file == "crates/protocols/src/proto.rs")
         .collect();
     assert_eq!(panics.len(), 2);
 

@@ -49,7 +49,7 @@
 //!
 //! let ea = pk.encrypt_u64(59, &mut rng);
 //! let eb = pk.encrypt_u64(58, &mut rng);
-//! let product = secure_multiply(&pk, &holder, &ea, &eb, &mut rng);
+//! let product = secure_multiply(&pk, &holder, &ea, &eb, &mut rng).unwrap();
 //! assert_eq!(holder.debug_decrypt_u64(&product).unwrap(), 59 * 58);
 //! ```
 

@@ -485,10 +485,13 @@ mod tests {
             fn sm_mask_multiply_batch(
                 &self,
                 pairs: &[(Ciphertext, Ciphertext)],
-            ) -> Vec<Ciphertext> {
+            ) -> Result<Vec<Ciphertext>, ProtocolError> {
                 self.0.sm_mask_multiply_batch(pairs)
             }
-            fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
+            fn lsb_of_masked_batch(
+                &self,
+                masked: &[Ciphertext],
+            ) -> Result<Vec<Ciphertext>, ProtocolError> {
                 self.0.lsb_of_masked_batch(masked)
             }
             fn smin_round(
@@ -501,10 +504,17 @@ mod tests {
             fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
                 self.0.min_selection(beta)
             }
-            fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize> {
+            fn top_k_indices(
+                &self,
+                distances: &[Ciphertext],
+                k: usize,
+            ) -> Result<Vec<usize>, ProtocolError> {
                 self.0.top_k_indices(distances, k)
             }
-            fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<BigUint> {
+            fn decrypt_masked_batch(
+                &self,
+                masked: &[Ciphertext],
+            ) -> Result<Vec<BigUint>, ProtocolError> {
                 self.0.decrypt_masked_batch(masked)
             }
         }

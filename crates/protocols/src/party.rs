@@ -37,12 +37,22 @@ pub trait KeyHolder: Send + Sync {
     /// SM, step 2 (Algorithm 1): for each pair `(a′, b′)` of masked
     /// ciphertexts, decrypt both, multiply the plaintexts modulo `N` and
     /// return a fresh encryption of the product.
-    fn sm_mask_multiply_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext>;
+    ///
+    /// # Errors
+    /// A remote key holder returns its transport failure (or a reply of
+    /// the wrong shape) as a typed error; the in-process one never fails.
+    fn sm_mask_multiply_batch(
+        &self,
+        pairs: &[(Ciphertext, Ciphertext)],
+    ) -> Result<Vec<Ciphertext>, ProtocolError>;
 
     /// SBD's Encrypted-LSB oracle: for each masked ciphertext `E(z + r)`,
     /// decrypt and return a fresh encryption of the least-significant bit of
     /// the plaintext.
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext>;
+    ///
+    /// # Errors
+    /// See [`KeyHolder::sm_mask_multiply_batch`].
+    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError>;
 
     /// SMIN, step 2 (Algorithm 3): decrypt the permuted `L′` vector, decide
     /// `α` (1 if any entry decrypts to exactly 1), exponentiate the permuted
@@ -76,43 +86,23 @@ pub trait KeyHolder: Send + Sync {
     /// indices of the `k` smallest (ties broken by index). This deliberately
     /// leaks the distances and the access pattern — that is the documented
     /// weakness of the basic protocol.
-    fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize>;
+    ///
+    /// # Errors
+    /// See [`KeyHolder::sm_mask_multiply_batch`].
+    fn top_k_indices(
+        &self,
+        distances: &[Ciphertext],
+        k: usize,
+    ) -> Result<Vec<usize>, ProtocolError>;
 
     /// Final step of both protocols (steps 5 of Algorithm 5): decrypt the
     /// masked result attributes `γ` so they can be forwarded to Bob. The
     /// plaintexts are uniformly random values masked by C1, so nothing about
     /// the real records is revealed to the key holder.
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<BigUint>;
-
-    /// Single-pair convenience wrapper over [`KeyHolder::sm_mask_multiply_batch`].
     ///
     /// # Errors
-    /// [`ProtocolError::Invariant`] when the batch implementation violates
-    /// its one-result-per-pair contract.
-    fn sm_mask_multiply(
-        &self,
-        a_masked: &Ciphertext,
-        b_masked: &Ciphertext,
-    ) -> Result<Ciphertext, ProtocolError> {
-        self.sm_mask_multiply_batch(std::slice::from_ref(&(a_masked.clone(), b_masked.clone())))
-            .pop()
-            .ok_or_else(|| ProtocolError::Invariant {
-                message: "sm_mask_multiply_batch returned nothing for a batch of one".to_string(),
-            })
-    }
-
-    /// Single-item convenience wrapper over [`KeyHolder::lsb_of_masked_batch`].
-    ///
-    /// # Errors
-    /// [`ProtocolError::Invariant`] when the batch implementation violates
-    /// its one-result-per-input contract.
-    fn lsb_of_masked(&self, masked: &Ciphertext) -> Result<Ciphertext, ProtocolError> {
-        self.lsb_of_masked_batch(std::slice::from_ref(masked))
-            .pop()
-            .ok_or_else(|| ProtocolError::Invariant {
-                message: "lsb_of_masked_batch returned nothing for a batch of one".to_string(),
-            })
-    }
+    /// See [`KeyHolder::sm_mask_multiply_batch`].
+    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError>;
 
     // ── Slot-packed fast paths ──────────────────────────────────────────
     //
@@ -361,13 +351,16 @@ impl KeyHolder for LocalKeyHolder {
         &self.pk
     }
 
-    fn sm_mask_multiply_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext> {
+    fn sm_mask_multiply_batch(
+        &self,
+        pairs: &[(Ciphertext, Ciphertext)],
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
         // Draw all encryption units up front (one queue lock with a pool, a
         // short rng lock without) so concurrent protocol executions (the
         // record-parallel stages of Figure 3) are not serialized behind the
         // expensive decrypt/encrypt work.
         let units = self.fresh_units(pairs.len());
-        pairs
+        Ok(pairs
             .iter()
             .zip(units)
             .map(|((a, b), unit)| {
@@ -376,12 +369,12 @@ impl KeyHolder for LocalKeyHolder {
                 let h = ha.mod_mul(&hb, self.pk.n());
                 self.encrypt_own(&h, &unit)
             })
-            .collect()
+            .collect())
     }
 
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
+    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
         let units = self.fresh_units(masked.len());
-        masked
+        Ok(masked
             .iter()
             .zip(units)
             .map(|(y, unit)| {
@@ -393,7 +386,7 @@ impl KeyHolder for LocalKeyHolder {
                 };
                 self.encrypt_own(&bit, &unit)
             })
-            .collect()
+            .collect())
     }
 
     fn smin_round(
@@ -475,18 +468,22 @@ impl KeyHolder for LocalKeyHolder {
             .collect())
     }
 
-    fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize> {
+    fn top_k_indices(
+        &self,
+        distances: &[Ciphertext],
+        k: usize,
+    ) -> Result<Vec<usize>, ProtocolError> {
         let mut decrypted: Vec<(BigUint, usize)> = distances
             .iter()
             .enumerate()
             .map(|(i, c)| (self.sk.decrypt(c), i))
             .collect();
         decrypted.sort();
-        decrypted.into_iter().take(k).map(|(_, i)| i).collect()
+        Ok(decrypted.into_iter().take(k).map(|(_, i)| i).collect())
     }
 
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<BigUint> {
-        masked.iter().map(|c| self.sk.decrypt(c)).collect()
+    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
+        Ok(masked.iter().map(|c| self.sk.decrypt(c)).collect())
     }
 
     fn supports_packing(&self) -> bool {
@@ -634,8 +631,9 @@ mod tests {
         let (pk, holder, mut rng) = setup();
         let a = pk.encrypt_u64(60, &mut rng); // a + ra from Example 2
         let b = pk.encrypt_u64(61, &mut rng); // b + rb from Example 2
-        let h = holder.sm_mask_multiply(&a, &b).unwrap();
-        assert_eq!(holder.debug_decrypt_u64(&h).unwrap(), 3660);
+        let h = holder.sm_mask_multiply_batch(&[(a, b)]).unwrap();
+        assert_eq!(h.len(), 1);
+        assert_eq!(holder.debug_decrypt_u64(&h[0]).unwrap(), 3660);
     }
 
     #[test]
@@ -643,7 +641,7 @@ mod tests {
         let (pk, holder, mut rng) = setup();
         let evens = pk.encrypt_u64(44, &mut rng);
         let odds = pk.encrypt_u64(45, &mut rng);
-        let bits = holder.lsb_of_masked_batch(&[evens, odds]);
+        let bits = holder.lsb_of_masked_batch(&[evens, odds]).unwrap();
         assert_eq!(holder.debug_decrypt_u64(&bits[0]).unwrap(), 0);
         assert_eq!(holder.debug_decrypt_u64(&bits[1]).unwrap(), 1);
     }
@@ -726,8 +724,8 @@ mod tests {
             .iter()
             .map(|&d| pk.encrypt_u64(d, &mut rng))
             .collect();
-        assert_eq!(holder.top_k_indices(&dists, 3), vec![1, 3, 4]);
-        assert_eq!(holder.top_k_indices(&dists, 1), vec![1]);
+        assert_eq!(holder.top_k_indices(&dists, 3).unwrap(), vec![1, 3, 4]);
+        assert_eq!(holder.top_k_indices(&dists, 1).unwrap(), vec![1]);
     }
 
     #[test]
@@ -760,19 +758,11 @@ mod tests {
         // same plaintext semantics as the unpooled path.
         let a = pk.encrypt_u64(60, &mut rng);
         let b = pk.encrypt_u64(61, &mut rng);
-        assert_eq!(
-            holder
-                .debug_decrypt_u64(&holder.sm_mask_multiply(&a, &b).unwrap())
-                .unwrap(),
-            3660
-        );
+        let product = holder.sm_mask_multiply_batch(&[(a, b)]).unwrap();
+        assert_eq!(holder.debug_decrypt_u64(&product[0]).unwrap(), 3660);
         let odd = pk.encrypt_u64(45, &mut rng);
-        assert_eq!(
-            holder
-                .debug_decrypt_u64(&holder.lsb_of_masked(&odd).unwrap())
-                .unwrap(),
-            1
-        );
+        let bit = holder.lsb_of_masked_batch(&[odd]).unwrap();
+        assert_eq!(holder.debug_decrypt_u64(&bit[0]).unwrap(), 1);
         let beta = vec![pk.encrypt_u64(5, &mut rng), pk.encrypt_u64(0, &mut rng)];
         let u = holder.min_selection(&beta).unwrap();
         assert_eq!(holder.debug_decrypt_u64(&u[0]).unwrap(), 0);
@@ -790,7 +780,7 @@ mod tests {
             .iter()
             .map(|&v| pk.encrypt_u64(v, &mut rng))
             .collect();
-        let plain = holder.decrypt_masked_batch(&masked);
+        let plain = holder.decrypt_masked_batch(&masked).unwrap();
         assert_eq!(
             plain,
             vec![

@@ -131,7 +131,7 @@ pub fn secure_bit_decompose_batch_with<K: KeyHolder + ?Sized, R: RngCore + ?Size
             masked.push(pk.add(c, &e_r));
             masks.push(r);
         }
-        let parities = key_holder.lsb_of_masked_batch(&masked);
+        let parities = key_holder.lsb_of_masked_batch(&masked)?;
 
         // Un-mask the parity: x₀ = y₀ ⊕ r₀ = y₀ + r₀ − 2·y₀·r₀; since P1 knows
         // r₀ in the clear this is linear in the encrypted y₀.

@@ -5,31 +5,37 @@
 //! product comes from one SM invocation. The AND (`o₁ ∧ o₂ = o₁·o₂`) is the
 //! SM output itself and is exposed for completeness.
 
-use crate::{secure_multiply, KeyHolder};
+use crate::{secure_multiply, KeyHolder, ProtocolError};
 use rand::RngCore;
 use sknn_paillier::{Ciphertext, PublicKey};
 
 /// Computes `E(o₁ ∨ o₂)` for two encrypted bits.
+///
+/// # Errors
+/// Propagates the SM invocation's error (see [`secure_multiply`]).
 pub fn secure_bit_or<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pk: &PublicKey,
     key_holder: &K,
     e_o1: &Ciphertext,
     e_o2: &Ciphertext,
     rng: &mut R,
-) -> Ciphertext {
-    let e_and = secure_multiply(pk, key_holder, e_o1, e_o2, rng);
+) -> Result<Ciphertext, ProtocolError> {
+    let e_and = secure_multiply(pk, key_holder, e_o1, e_o2, rng)?;
     // E(o₁ + o₂) · E(o₁∧o₂)^{N−1}
-    pk.sub(&pk.add(e_o1, e_o2), &e_and)
+    Ok(pk.sub(&pk.add(e_o1, e_o2), &e_and))
 }
 
 /// Computes `E(o₁ ∧ o₂)` for two encrypted bits (a single SM invocation).
+///
+/// # Errors
+/// Propagates the SM invocation's error (see [`secure_multiply`]).
 pub fn secure_bit_and<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pk: &PublicKey,
     key_holder: &K,
     e_o1: &Ciphertext,
     e_o2: &Ciphertext,
     rng: &mut R,
-) -> Ciphertext {
+) -> Result<Ciphertext, ProtocolError> {
     secure_multiply(pk, key_holder, e_o1, e_o2, rng)
 }
 
@@ -54,7 +60,7 @@ mod tests {
             for o2 in [0u64, 1] {
                 let e1 = pk.encrypt_u64(o1, &mut rng);
                 let e2 = pk.encrypt_u64(o2, &mut rng);
-                let or = secure_bit_or(&pk, &holder, &e1, &e2, &mut rng);
+                let or = secure_bit_or(&pk, &holder, &e1, &e2, &mut rng).unwrap();
                 assert_eq!(
                     holder.debug_decrypt_u64(&or).unwrap(),
                     o1 | o2,
@@ -71,7 +77,7 @@ mod tests {
             for o2 in [0u64, 1] {
                 let e1 = pk.encrypt_u64(o1, &mut rng);
                 let e2 = pk.encrypt_u64(o2, &mut rng);
-                let and = secure_bit_and(&pk, &holder, &e1, &e2, &mut rng);
+                let and = secure_bit_and(&pk, &holder, &e1, &e2, &mut rng).unwrap();
                 assert_eq!(
                     holder.debug_decrypt_u64(&and).unwrap(),
                     o1 & o2,
@@ -87,10 +93,10 @@ mod tests {
         // SkNN_m "freezes" the already-selected record's distance at all ones.
         let (pk, holder, mut rng) = setup();
         let e1 = pk.encrypt_u64(1, &mut rng);
-        let or = secure_bit_or(&pk, &holder, &e1, &e1, &mut rng);
+        let or = secure_bit_or(&pk, &holder, &e1, &e1, &mut rng).unwrap();
         assert_eq!(holder.debug_decrypt_u64(&or).unwrap(), 1);
         let e0 = pk.encrypt_u64(0, &mut rng);
-        let or = secure_bit_or(&pk, &holder, &e0, &e0, &mut rng);
+        let or = secure_bit_or(&pk, &holder, &e0, &e0, &mut rng).unwrap();
         assert_eq!(holder.debug_decrypt_u64(&or).unwrap(), 0);
     }
 }

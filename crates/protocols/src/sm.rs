@@ -11,40 +11,49 @@
 //! multiplies the masked values, and P1 removes the cross terms
 //! homomorphically.
 
-use crate::KeyHolder;
+use crate::{KeyHolder, ProtocolError};
 use rand::RngCore;
 use sknn_bigint::{random_below, BigUint};
 use sknn_paillier::{Ciphertext, PublicKey};
 
 /// Runs the SM protocol for a single pair: returns `E(a·b mod N)`.
+///
+/// # Errors
+/// Propagates the key holder's error (a remote C2's transport failure);
+/// [`ProtocolError::Invariant`] when it answers a batch of one with
+/// nothing.
 pub fn secure_multiply<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pk: &PublicKey,
     key_holder: &K,
     e_a: &Ciphertext,
     e_b: &Ciphertext,
     rng: &mut R,
-) -> Ciphertext {
-    secure_multiply_batch(pk, key_holder, &[(e_a.clone(), e_b.clone())], rng)
+) -> Result<Ciphertext, ProtocolError> {
+    secure_multiply_batch(pk, key_holder, &[(e_a.clone(), e_b.clone())], rng)?
         .pop()
-        // sknn-lint: allow(panic-free, "batch of one returns exactly one product; the scalar API has no error channel")
-        .expect("batch of one returns one result")
+        .ok_or_else(|| ProtocolError::Invariant {
+            message: "SM returned nothing for a batch of one".to_string(),
+        })
 }
 
 /// Runs the SM protocol for many pairs in a single round trip to the key
 /// holder. The per-pair masking and unmasking is identical to
 /// [`secure_multiply`]; batching only changes how many messages cross the
 /// C1↔C2 boundary (an optimization the paper appeals to in Section 5.3).
+///
+/// # Errors
+/// Propagates the key holder's error (a remote C2's transport failure).
 pub fn secure_multiply_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pk: &PublicKey,
     key_holder: &K,
     pairs: &[(Ciphertext, Ciphertext)],
     rng: &mut R,
-) -> Vec<Ciphertext> {
+) -> Result<Vec<Ciphertext>, ProtocolError> {
     let (products, masks) =
-        mask_and_multiply(pk, key_holder, pairs.iter().map(|(a, b)| (a, b)), rng);
+        mask_and_multiply(pk, key_holder, pairs.iter().map(|(a, b)| (a, b)), rng)?;
 
     // Step 3: remove the cross terms: E(ab) = h · E(a)^{-r_b} · E(b)^{-r_a} · E(-r_a·r_b).
-    pairs
+    Ok(pairs
         .iter()
         .zip(products)
         .zip(masks)
@@ -56,7 +65,7 @@ pub fn secure_multiply_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
             let r_a_r_b = r_a.mod_mul(&r_b, pk.n());
             pk.sub_plain(&s, &r_a_r_b)
         })
-        .collect()
+        .collect())
 }
 
 /// Squares many ciphertexts with one SM round trip: `SM(E(d), E(d))` for
@@ -72,12 +81,12 @@ pub(crate) fn secure_square_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     key_holder: &K,
     values: &[Ciphertext],
     rng: &mut R,
-) -> Vec<Ciphertext> {
-    let (products, masks) = mask_and_multiply(pk, key_holder, values.iter().map(|d| (d, d)), rng);
+) -> Result<Vec<Ciphertext>, ProtocolError> {
+    let (products, masks) = mask_and_multiply(pk, key_holder, values.iter().map(|d| (d, d)), rng)?;
 
     // E(d²) = h · E(d)^{-(r_a + r_b)} · E(-r_a·r_b). The mask sum is
     // reduced before it is negated: r_a + r_b may reach N.
-    values
+    Ok(values
         .iter()
         .zip(products)
         .zip(masks)
@@ -87,19 +96,23 @@ pub(crate) fn secure_square_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
             let r_a_r_b = r_a.mod_mul(&r_b, pk.n());
             pk.sub_plain(&s, &r_a_r_b)
         })
-        .collect()
+        .collect())
 }
+
+/// P1's masks `(r_a, r_b)` for one pair.
+type Masks = (BigUint, BigUint);
 
 /// Steps 1–2 of SM for a batch: masks each operand pair with fresh
 /// randomness known only to P1 (`r_a` then `r_b` per pair), and has P2
 /// return `E(h)` with `h = (a + r_a)(b + r_b)`. Returns the products and
-/// the masks, parallel to the input.
+/// the masks, parallel to the input (the key holder checks the reply's
+/// length).
 fn mask_and_multiply<'a, K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pk: &PublicKey,
     key_holder: &K,
     pairs: impl ExactSizeIterator<Item = (&'a Ciphertext, &'a Ciphertext)>,
     rng: &mut R,
-) -> (Vec<Ciphertext>, Vec<(BigUint, BigUint)>) {
+) -> Result<(Vec<Ciphertext>, Vec<Masks>), ProtocolError> {
     let mut masks = Vec::with_capacity(pairs.len());
     let mut masked = Vec::with_capacity(pairs.len());
     for (e_a, e_b) in pairs {
@@ -108,9 +121,8 @@ fn mask_and_multiply<'a, K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         masked.push((pk.add_plain(e_a, &r_a), pk.add_plain(e_b, &r_b)));
         masks.push((r_a, r_b));
     }
-    let products = key_holder.sm_mask_multiply_batch(&masked);
-    debug_assert_eq!(products.len(), masked.len());
-    (products, masks)
+    let products = key_holder.sm_mask_multiply_batch(&masked)?;
+    Ok((products, masks))
 }
 
 #[cfg(test)]
@@ -133,7 +145,7 @@ mod tests {
         let (pk, holder, mut rng) = setup();
         let e_a = pk.encrypt_u64(59, &mut rng);
         let e_b = pk.encrypt_u64(58, &mut rng);
-        let product = secure_multiply(&pk, &holder, &e_a, &e_b, &mut rng);
+        let product = secure_multiply(&pk, &holder, &e_a, &e_b, &mut rng).unwrap();
         assert_eq!(holder.debug_decrypt_u64(&product).unwrap(), 3422);
     }
 
@@ -145,13 +157,13 @@ mod tests {
         let e_x = pk.encrypt_u64(987654, &mut rng);
         assert_eq!(
             holder
-                .debug_decrypt_u64(&secure_multiply(&pk, &holder, &e_zero, &e_x, &mut rng))
+                .debug_decrypt_u64(&secure_multiply(&pk, &holder, &e_zero, &e_x, &mut rng).unwrap())
                 .unwrap(),
             0
         );
         assert_eq!(
             holder
-                .debug_decrypt_u64(&secure_multiply(&pk, &holder, &e_one, &e_x, &mut rng))
+                .debug_decrypt_u64(&secure_multiply(&pk, &holder, &e_one, &e_x, &mut rng).unwrap())
                 .unwrap(),
             987654
         );
@@ -165,7 +177,7 @@ mod tests {
             .iter()
             .map(|&(a, b)| (pk.encrypt_u64(a, &mut rng), pk.encrypt_u64(b, &mut rng)))
             .collect();
-        let results = secure_multiply_batch(&pk, &holder, &pairs, &mut rng);
+        let results = secure_multiply_batch(&pk, &holder, &pairs, &mut rng).unwrap();
         for (&(a, b), c) in inputs.iter().zip(&results) {
             assert_eq!(holder.debug_decrypt_u64(c).unwrap(), a * b);
         }
@@ -178,7 +190,7 @@ mod tests {
         let big = pk.n().sub_ref(&BigUint::one()); // N − 1 ≡ −1
         let e_big = pk.encrypt(&big, &mut rng);
         let e_two = pk.encrypt_u64(2, &mut rng);
-        let product = secure_multiply(&pk, &holder, &e_big, &e_two, &mut rng);
+        let product = secure_multiply(&pk, &holder, &e_big, &e_two, &mut rng).unwrap();
         // (−1)·2 ≡ N − 2 (mod N)
         assert_eq!(
             holder.debug_decrypt(&product),
@@ -189,6 +201,8 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let (pk, holder, mut rng) = setup();
-        assert!(secure_multiply_batch(&pk, &holder, &[], &mut rng).is_empty());
+        assert!(secure_multiply_batch(&pk, &holder, &[], &mut rng)
+            .unwrap()
+            .is_empty());
     }
 }

@@ -54,7 +54,7 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         .zip(v_bits.iter())
         .map(|(u, v)| (u.clone(), v.clone()))
         .collect();
-    let uv_products = crate::secure_multiply_batch(pk, key_holder, &pairs, rng);
+    let uv_products = crate::secure_multiply_batch(pk, key_holder, &pairs, rng)?;
 
     let mut gamma = Vec::with_capacity(l);
     let mut gamma_masks = Vec::with_capacity(l);

@@ -68,7 +68,7 @@ pub fn secure_squared_distance_to_negated<K: KeyHolder + ?Sized, R: RngCore + ?S
         .collect();
 
     // Step 2: E((x_i − y_i)²) with one batched SM round.
-    let squares = secure_square_batch(pk, key_holder, &diffs, rng);
+    let squares = secure_square_batch(pk, key_holder, &diffs, rng)?;
 
     // Step 3: sum the squares homomorphically.
     Ok(pk.sum(squares.iter()))

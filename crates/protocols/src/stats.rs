@@ -102,11 +102,9 @@ pub struct CommSnapshot {
     pub responses: u64,
     /// Serialized C2→C1 bytes.
     pub response_bytes: u64,
-    /// Requests re-issued after a transport failure (same session).
+    /// Executor stages re-run on the session they failed on.
     pub retries: u64,
-    /// Sessions re-dialed and re-negotiated after dying.
-    pub reconnects: u64,
-    /// Shard stages re-pinned from a dead session onto a survivor.
+    /// Executor stages re-pinned from a dead session onto a survivor.
     pub failovers: u64,
 }
 
@@ -124,7 +122,6 @@ impl CommSnapshot {
             responses: self.responses - earlier.responses,
             response_bytes: self.response_bytes - earlier.response_bytes,
             retries: self.retries - earlier.retries,
-            reconnects: self.reconnects - earlier.reconnects,
             failovers: self.failovers - earlier.failovers,
         }
     }

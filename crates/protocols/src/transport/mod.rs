@@ -39,10 +39,10 @@ mod session;
 mod tcp;
 
 pub use fault::{FaultKind, FaultPlan};
-pub use pool::{Loopback, Reconnector, SessionHealth, SessionPool};
+pub use pool::{Loopback, SessionPool};
 pub use reactor::{BackpressureConfig, ChannelServer, Conn, Reactor};
 pub use server::{serve, serve_with_features};
-pub use session::{CoalesceConfig, SessionFailure, SessionKeyHolder};
+pub use session::{CoalesceConfig, SessionKeyHolder};
 pub use tcp::TcpTransport;
 pub use wire::{
     Frame, FrameKind, TransportError, FEATURE_VERSION, FEATURE_VERSION_LIVENESS,
@@ -115,7 +115,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sknn_bigint::BigUint;
-    use sknn_paillier::{Keypair, PublicKey};
+    use sknn_paillier::{Ciphertext, Keypair, PublicKey};
     use std::thread::JoinHandle;
 
     /// One session over the channel wire, plus an oracle sharing its key.
@@ -150,7 +150,7 @@ mod tests {
 
         let e_a = pk.encrypt_u64(59, &mut rng);
         let e_b = pk.encrypt_u64(58, &mut rng);
-        let prod = secure_multiply(&pk, client, &e_a, &e_b, &mut rng);
+        let prod = secure_multiply(&pk, client, &e_a, &e_b, &mut rng).unwrap();
         assert_eq!(oracle.debug_decrypt_u64(&prod).unwrap(), 3422);
 
         let e_x: Vec<_> = [1u64, 2, 3]
@@ -185,7 +185,7 @@ mod tests {
 
         let e_a = pk.encrypt_u64(3, &mut rng);
         let e_b = pk.encrypt_u64(4, &mut rng);
-        let _ = secure_multiply(&pk, client, &e_a, &e_b, &mut rng);
+        secure_multiply(&pk, client, &e_a, &e_b, &mut rng).unwrap();
 
         // SM is a single round trip.
         let delta = stats.snapshot().since(&baseline);
@@ -219,13 +219,13 @@ mod tests {
             .iter()
             .map(|&v| pk.encrypt_u64(v, &mut rng))
             .collect();
-        assert_eq!(client.top_k_indices(&dists, 2), vec![1, 2]);
+        assert_eq!(client.top_k_indices(&dists, 2).unwrap(), vec![1, 2]);
         let masked: Vec<_> = [7u64, 8]
             .iter()
             .map(|&v| pk.encrypt_u64(v, &mut rng))
             .collect();
         assert_eq!(
-            client.decrypt_masked_batch(&masked),
+            client.decrypt_masked_batch(&masked).unwrap(),
             vec![BigUint::from_u64(7), BigUint::from_u64(8)]
         );
     }
@@ -240,6 +240,7 @@ mod tests {
         let client = SessionKeyHolder::connect_handshake(conn, CoalesceConfig::disabled())
             .expect("handshake succeeds");
         assert_eq!(client.public_key().n(), pk.n());
+        assert_eq!(client.ping(), Ok(()));
         drop(client);
         assert_eq!(server.join().unwrap(), Ok(()));
         reactor.shutdown();
@@ -316,27 +317,201 @@ mod tests {
         );
     }
 
+    /// One call per [`KeyHolder`] request kind, each reduced to its error.
+    type Call = (
+        &'static str,
+        Box<dyn Fn(&SessionKeyHolder) -> Result<(), crate::ProtocolError>>,
+    );
+
+    /// Every [`KeyHolder`] request over three distances (or operands).
+    fn every_request(pk: &PublicKey, rng: &mut StdRng) -> Vec<Call> {
+        use crate::packed::PackedParams;
+        let cts: Vec<Ciphertext> = (0..3u64).map(|v| pk.encrypt_u64(v, rng)).collect();
+        let pairs: Vec<(Ciphertext, Ciphertext)> =
+            cts.iter().map(|c| (c.clone(), c.clone())).collect();
+        let layout = PackedParams::derive(pk.bits(), 6, 6, 4).unwrap().layout;
+        let (c, p) = (cts.clone(), pairs.clone());
+        let mut calls: Vec<Call> = vec![
+            (
+                "SmBatch",
+                Box::new(move |s| s.sm_mask_multiply_batch(&p).map(drop)),
+            ),
+            (
+                "LsbBatch",
+                Box::new(move |s| s.lsb_of_masked_batch(&c).map(drop)),
+            ),
+        ];
+        let c = cts.clone();
+        calls.push((
+            "SminRound",
+            Box::new(move |s| s.smin_round(&c, &c).map(drop)),
+        ));
+        let c = cts.clone();
+        calls.push((
+            "MinSelection",
+            Box::new(move |s| s.min_selection(&c).map(drop)),
+        ));
+        let c = cts.clone();
+        calls.push(("TopK", Box::new(move |s| s.top_k_indices(&c, 2).map(drop))));
+        let c = cts.clone();
+        calls.push((
+            "DecryptBatch",
+            Box::new(move |s| s.decrypt_masked_batch(&c).map(drop)),
+        ));
+        let c = cts.clone();
+        calls.push((
+            "SmPackedSquares",
+            Box::new(move |s| s.sm_packed_square_batch(&layout, &c).map(drop)),
+        ));
+        calls.push((
+            "SmPackedPairs",
+            Box::new(move |s| s.sm_packed_multiply_batch(&layout, &pairs).map(drop)),
+        ));
+        let c = cts.clone();
+        calls.push((
+            "LsbPacked",
+            Box::new(move |s| s.lsb_packed_batch(&layout, &c, &[1, 1, 1]).map(drop)),
+        ));
+        calls.push((
+            "TopKPacked",
+            Box::new(move |s| s.top_k_indices_packed(&layout, &cts, 3, 2).map(drop)),
+        ));
+        calls
+    }
+
     #[test]
-    fn severed_smin_round_is_a_typed_error() {
-        // smin_round has an error channel, so a dead wire comes back
-        // through it instead of unwinding.
+    fn severed_wire_is_a_typed_error_for_every_request() {
+        // Frame 0 (the feature probe) goes through, so the session
+        // negotiates packing; the sever then strikes the first real
+        // request, and every request after it finds the wire closed.
         let mut rng = StdRng::seed_from_u64(143);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let reactor = Reactor::new().unwrap();
         let (conn, server_end) = reactor
-            .channel_pair(BackpressureConfig::default(), Some(FaultPlan::sever_at(0)))
+            .channel_pair(BackpressureConfig::default(), Some(FaultPlan::sever_at(1)))
             .unwrap();
         let holder = LocalKeyHolder::new(sk, 144);
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
-        let gamma = vec![pk.encrypt_u64(1, &mut rng)];
-        let l = vec![pk.encrypt_u64(0, &mut rng)];
-        assert!(matches!(
-            client.smin_round(&gamma, &l),
-            Err(crate::ProtocolError::TransportClosed)
-        ));
+        assert!(client.supports_packing());
+        for (name, call) in every_request(&pk, &mut rng) {
+            assert_eq!(
+                call(&client),
+                Err(crate::ProtocolError::TransportClosed),
+                "{name}"
+            );
+        }
+        assert_eq!(client.ping(), Err(TransportError::Closed));
         drop(client);
         assert_eq!(server.join().unwrap(), Ok(()));
+        reactor.shutdown();
+    }
+
+    /// A hand-written C2 end that answers the feature probe honestly and
+    /// every other request with `reply(request)`, until the client hangs
+    /// up.
+    fn misbehaving_server(
+        reactor: &Reactor,
+        reply: fn(wire::Request) -> wire::Response,
+    ) -> (Conn, JoinHandle<()>) {
+        let (conn, server_end) = reactor
+            .channel_pair(BackpressureConfig::default(), None)
+            .unwrap();
+        let server = std::thread::spawn(move || {
+            while let Ok(frame) = server_end.recv_frame() {
+                let response = match wire::Request::decode(frame.payload).unwrap() {
+                    wire::Request::Features { max } => wire::Response::Features {
+                        version: max.min(FEATURE_VERSION),
+                    },
+                    request => reply(request),
+                };
+                let sent = server_end
+                    .send_frame(&Frame::response(frame.correlation_id, response.encode()));
+                if sent.is_err() {
+                    break;
+                }
+            }
+        });
+        (conn, server)
+    }
+
+    /// One result fewer than the request had items.
+    fn one_short(request: wire::Request) -> wire::Response {
+        let n = match request {
+            wire::Request::DecryptBatch(values) => {
+                return wire::Response::Plaintexts(vec![BigUint::one(); values.len() - 1])
+            }
+            wire::Request::SminRound { gamma, .. } => {
+                return wire::Response::SminRound {
+                    m_prime: vec![BigUint::one(); gamma.len() - 1],
+                    alpha: BigUint::one(),
+                }
+            }
+            wire::Request::TopK { k, .. } | wire::Request::TopKPacked { k, .. } => {
+                return wire::Response::Indices((0..k - 1).collect())
+            }
+            wire::Request::SmBatch(pairs) | wire::Request::SmPackedPairs { pairs, .. } => {
+                pairs.len()
+            }
+            wire::Request::LsbBatch(values)
+            | wire::Request::MinSelection(values)
+            | wire::Request::SmPackedSquares { packed: values, .. } => values.len(),
+            wire::Request::LsbPacked { slot_counts, .. } => {
+                slot_counts.iter().sum::<u32>() as usize
+            }
+            other => panic!("unexpected request {}", other.name()),
+        };
+        wire::Response::Ciphertexts(vec![BigUint::one(); n - 1])
+    }
+
+    #[test]
+    fn short_replies_are_typed_errors_for_every_request() {
+        let mut rng = StdRng::seed_from_u64(145);
+        let (pk, _sk) = Keypair::generate(128, &mut rng).split();
+        let reactor = Reactor::new().unwrap();
+        for coalesce in [CoalesceConfig::disabled(), CoalesceConfig::enabled()] {
+            let (conn, server) = misbehaving_server(&reactor, one_short);
+            let client = SessionKeyHolder::connect(pk.clone(), conn, coalesce);
+            for (name, call) in every_request(&pk, &mut rng) {
+                let result = call(&client);
+                assert!(
+                    matches!(result, Err(crate::ProtocolError::Transport { .. })),
+                    "{name}: {result:?}"
+                );
+            }
+            drop(client);
+            server.join().unwrap();
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn bad_top_k_indices_are_typed_errors() {
+        // Over three distances: index 3 is out of range and [1, 1] names
+        // one record twice. Either would make C1 index past its records or
+        // reveal one record twice.
+        let mut rng = StdRng::seed_from_u64(147);
+        let (pk, _sk) = Keypair::generate(128, &mut rng).split();
+        let reactor = Reactor::new().unwrap();
+        let replies: [fn(wire::Request) -> wire::Response; 2] = [
+            |_| wire::Response::Indices(vec![0, 3]),
+            |_| wire::Response::Indices(vec![1, 1]),
+        ];
+        for reply in replies {
+            let (conn, server) = misbehaving_server(&reactor, reply);
+            let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
+            for (name, call) in every_request(&pk, &mut rng) {
+                if name.starts_with("TopK") {
+                    let result = call(&client);
+                    assert!(
+                        matches!(result, Err(crate::ProtocolError::Invariant { .. })),
+                        "{name}: {result:?}"
+                    );
+                }
+            }
+            drop(client);
+            server.join().unwrap();
+        }
         reactor.shutdown();
     }
 
@@ -356,6 +531,9 @@ mod tests {
         let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
         assert_eq!(client.features(), FEATURE_VERSION_SCALAR);
         assert!(!client.supports_packing());
+        // The liveness probe falls back to the capability probe, whose
+        // unknown-tag error reply still proves the peer alive.
+        assert_eq!(client.ping(), Ok(()));
 
         // Packed calls surface the typed fallback error without touching
         // the wire…
@@ -371,7 +549,7 @@ mod tests {
         // …while every scalar protocol still works against the old peer.
         let e_a = pk.encrypt_u64(59, &mut rng);
         let e_b = pk.encrypt_u64(58, &mut rng);
-        let prod = secure_multiply(&pk, &client, &e_a, &e_b, &mut rng);
+        let prod = secure_multiply(&pk, &client, &e_a, &e_b, &mut rng).unwrap();
         let oracle = LocalKeyHolder::new(
             Keypair::generate(128, &mut StdRng::seed_from_u64(141))
                 .split()

@@ -34,11 +34,11 @@ fn handle(
                 .into_iter()
                 .map(|(a, b)| (Ciphertext::from_raw(a), Ciphertext::from_raw(b)))
                 .collect();
-            Response::Ciphertexts(to_raw(&holder.sm_mask_multiply_batch(&pairs)))
+            Response::Ciphertexts(to_raw(&holder.sm_mask_multiply_batch(&pairs)?))
         }
-        Request::LsbBatch(values) => {
-            Response::Ciphertexts(to_raw(&holder.lsb_of_masked_batch(&to_ciphertexts(values))))
-        }
+        Request::LsbBatch(values) => Response::Ciphertexts(to_raw(
+            &holder.lsb_of_masked_batch(&to_ciphertexts(values))?,
+        )),
         Request::SminRound { gamma, l_vec } => {
             let resp = holder.smin_round(&to_ciphertexts(gamma), &to_ciphertexts(l_vec))?;
             Response::SminRound {
@@ -51,13 +51,13 @@ fn handle(
         }
         Request::TopK { distances, k } => Response::Indices(
             holder
-                .top_k_indices(&to_ciphertexts(distances), k as usize)
+                .top_k_indices(&to_ciphertexts(distances), k as usize)?
                 .into_iter()
                 .map(|i| i as u32)
                 .collect(),
         ),
         Request::DecryptBatch(values) => {
-            Response::Plaintexts(holder.decrypt_masked_batch(&to_ciphertexts(values)))
+            Response::Plaintexts(holder.decrypt_masked_batch(&to_ciphertexts(values))?)
         }
         Request::PublicKey => Response::PublicKey(holder.public_key().n().clone()),
         Request::SmPackedSquares { layout, packed } => Response::Ciphertexts(to_raw(

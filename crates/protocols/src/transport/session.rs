@@ -32,7 +32,6 @@ use crate::stats::CommStats;
 use parking_lot::Mutex;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -145,16 +144,7 @@ impl<Item: Send> CoalesceLane<Item> {
                 )
             };
             let sent = batch.len();
-            let result = send_merged(batch).and_then(|values| {
-                if values.len() == sent {
-                    Ok(values)
-                } else {
-                    Err(TransportError::BatchMismatch {
-                        sent,
-                        received: values.len(),
-                    })
-                }
-            });
+            let result = send_merged(batch).and_then(|values| check_batch(sent, values));
             match result {
                 Ok(values) => {
                     for w in waiters {
@@ -187,12 +177,15 @@ impl<Item: Send> CoalesceLane<Item> {
 ///
 /// # Failure behavior
 ///
-/// [`KeyHolder`]'s batch methods return plain values; when the transport
-/// fails mid-call they **panic** with the underlying [`TransportError`] —
-/// C1 cannot make progress without its key holder. The exception is
-/// [`KeyHolder::min_selection`], whose signature carries a typed
-/// [`ProtocolError`], so both remote protocol errors and transport failures
-/// surface as values there.
+/// Every [`KeyHolder`] method returns its failure as a value: a transport
+/// failure becomes [`ProtocolError::TransportClosed`] (the connection is
+/// gone) or [`ProtocolError::Transport`] (timeout, corrupted exchange,
+/// remote error reply), and a reply of the wrong shape — a batch with more
+/// or fewer results than the request had items, or a top-k index list
+/// with the wrong length, an index out of range or a repeated index — is
+/// refused here, once, before any caller can index into it. Deciding what
+/// to do about a failed call (retry, fail over, give up) is the
+/// executor's job.
 pub struct SessionKeyHolder {
     pk: PublicKey,
     conn: Conn,
@@ -356,13 +349,17 @@ impl SessionKeyHolder {
         extract(response).ok_or(TransportError::ResponseMismatch { expected, got })
     }
 
-    fn expect_ciphertexts(
-        result: Result<Response, TransportError>,
+    /// One round trip whose reply must be `sent` ciphertexts.
+    fn batch_round_trip(
+        &self,
+        sent: usize,
+        request: Request,
     ) -> Result<Vec<BigUint>, TransportError> {
-        Self::expect("Ciphertexts", result, |r| match r {
+        let values = Self::expect("Ciphertexts", self.round_trip(&request), |r| match r {
             Response::Ciphertexts(values) => Some(values),
             _ => None,
-        })
+        })?;
+        check_batch(sent, values)
     }
 }
 
@@ -380,43 +377,6 @@ fn peer_answered(e: &TransportError) -> bool {
     )
 }
 
-/// The panic payload of the session's documented fail-stop: a [`KeyHolder`]
-/// method whose trait signature has no error channel hit a transport
-/// failure. Carrying the typed [`TransportError`] (instead of a formatted
-/// string) lets a supervising executor `catch_unwind` at a task boundary,
-/// recover the exact failure class, and retry the task on a surviving
-/// session — see the "Failure behavior" section of [`SessionKeyHolder`]'s
-/// docs.
-#[derive(Debug, Clone)]
-pub struct SessionFailure {
-    /// The request kind that failed (diagnostics).
-    pub operation: &'static str,
-    /// The underlying transport failure.
-    pub error: TransportError,
-}
-
-impl fmt::Display for SessionFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "key-holder {} failed: {}", self.operation, self.error)
-    }
-}
-
-/// Unwraps a session result inside a `KeyHolder` method whose signature has
-/// no error channel — see the "Failure behavior" section of
-/// [`SessionKeyHolder`]'s docs. The documented fail-stop unwinds with a
-/// typed [`SessionFailure`] payload so a supervising executor can catch it
-/// at a task boundary and fail over; anything that does not catch it still
-/// dies, exactly as before.
-fn unwrap_or_die<T>(operation: &'static str, result: Result<T, TransportError>) -> T {
-    // `resume_unwind`, not `panic_any`: the unwind carries the same typed
-    // payload but skips the panic hook, so an *expected* session failure —
-    // one a supervising executor catches and recovers from — does not spray
-    // a backtrace on stderr. An uncaught one still aborts the thread.
-    result.unwrap_or_else(|error| {
-        std::panic::resume_unwind(Box::new(SessionFailure { operation, error }))
-    })
-}
-
 impl Drop for SessionKeyHolder {
     fn drop(&mut self) {
         self.conn.close();
@@ -428,31 +388,34 @@ impl KeyHolder for SessionKeyHolder {
         &self.pk
     }
 
-    fn sm_mask_multiply_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext> {
+    fn sm_mask_multiply_batch(
+        &self,
+        pairs: &[(Ciphertext, Ciphertext)],
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
         let raw: Vec<(BigUint, BigUint)> = pairs
             .iter()
             .map(|(a, b)| (a.as_raw().clone(), b.as_raw().clone()))
             .collect();
         let result = if self.coalesce.enabled {
             self.sm_lane.submit(raw, self.coalesce.window, |merged| {
-                Self::expect_ciphertexts(self.round_trip(&Request::SmBatch(merged)))
+                self.batch_round_trip(merged.len(), Request::SmBatch(merged))
             })
         } else {
-            Self::expect_ciphertexts(self.round_trip(&Request::SmBatch(raw)))
+            self.batch_round_trip(raw.len(), Request::SmBatch(raw))
         };
-        to_ciphertexts(unwrap_or_die("SmBatch", result))
+        Ok(to_ciphertexts(result?))
     }
 
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
+    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
         let raw = to_raw(masked);
         let result = if self.coalesce.enabled {
             self.lsb_lane.submit(raw, self.coalesce.window, |merged| {
-                Self::expect_ciphertexts(self.round_trip(&Request::LsbBatch(merged)))
+                self.batch_round_trip(merged.len(), Request::LsbBatch(merged))
             })
         } else {
-            Self::expect_ciphertexts(self.round_trip(&Request::LsbBatch(raw)))
+            self.batch_round_trip(raw.len(), Request::LsbBatch(raw))
         };
-        to_ciphertexts(unwrap_or_die("LsbBatch", result))
+        Ok(to_ciphertexts(result?))
     }
 
     fn smin_round(
@@ -464,50 +427,40 @@ impl KeyHolder for SessionKeyHolder {
             gamma: to_raw(gamma_permuted),
             l_vec: to_raw(l_permuted),
         });
-        Self::expect("SminRound", result, |r| match r {
-            Response::SminRound { m_prime, alpha } => Some(SminRoundResponse {
-                m_prime: to_ciphertexts(m_prime),
-                alpha: Ciphertext::from_raw(alpha),
-            }),
+        let (m_prime, alpha) = Self::expect("SminRound", result, |r| match r {
+            Response::SminRound { m_prime, alpha } => Some((m_prime, alpha)),
             _ => None,
+        })?;
+        Ok(SminRoundResponse {
+            m_prime: to_ciphertexts(check_batch(gamma_permuted.len(), m_prime)?),
+            alpha: Ciphertext::from_raw(alpha),
         })
-        .map_err(ProtocolError::from)
     }
 
     fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let result =
-            Self::expect_ciphertexts(self.round_trip(&Request::MinSelection(to_raw(beta))));
-        match result {
-            Ok(values) => Ok(to_ciphertexts(values)),
-            Err(e) => Err(ProtocolError::from(e)),
-        }
+        let values = self.batch_round_trip(beta.len(), Request::MinSelection(to_raw(beta)))?;
+        Ok(to_ciphertexts(values))
     }
 
-    fn top_k_indices(&self, distances: &[Ciphertext], k: usize) -> Vec<usize> {
+    fn top_k_indices(
+        &self,
+        distances: &[Ciphertext],
+        k: usize,
+    ) -> Result<Vec<usize>, ProtocolError> {
         let result = self.round_trip(&Request::TopK {
             distances: to_raw(distances),
             k: k as u32,
         });
-        unwrap_or_die(
-            "TopK",
-            Self::expect("Indices", result, |r| match r {
-                Response::Indices(indices) => {
-                    Some(indices.into_iter().map(|i| i as usize).collect())
-                }
-                _ => None,
-            }),
-        )
+        check_indices(result, distances.len(), k)
     }
 
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Vec<BigUint> {
+    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
         let result = self.round_trip(&Request::DecryptBatch(to_raw(masked)));
-        unwrap_or_die(
-            "DecryptBatch",
-            Self::expect("Plaintexts", result, |r| match r {
-                Response::Plaintexts(values) => Some(values),
-                _ => None,
-            }),
-        )
+        let values = Self::expect("Plaintexts", result, |r| match r {
+            Response::Plaintexts(values) => Some(values),
+            _ => None,
+        })?;
+        Ok(check_batch(masked.len(), values)?)
     }
 
     fn supports_packing(&self) -> bool {
@@ -522,13 +475,14 @@ impl KeyHolder for SessionKeyHolder {
         if !self.supports_packing() {
             return Err(ProtocolError::PackingUnsupported);
         }
-        let sent = packed.len();
-        let result = Self::expect_ciphertexts(self.round_trip(&Request::SmPackedSquares {
-            layout: *layout,
-            packed: to_raw(packed),
-        }))
-        .and_then(|values| check_batch(sent, values));
-        result.map(to_ciphertexts).map_err(ProtocolError::from)
+        let values = self.batch_round_trip(
+            packed.len(),
+            Request::SmPackedSquares {
+                layout: *layout,
+                packed: to_raw(packed),
+            },
+        )?;
+        Ok(to_ciphertexts(values))
     }
 
     fn sm_packed_multiply_batch(
@@ -543,13 +497,14 @@ impl KeyHolder for SessionKeyHolder {
             .iter()
             .map(|(a, b)| (a.as_raw().clone(), b.as_raw().clone()))
             .collect();
-        let sent = pairs.len();
-        let result = Self::expect_ciphertexts(self.round_trip(&Request::SmPackedPairs {
-            layout: *layout,
-            pairs: raw,
-        }))
-        .and_then(|values| check_batch(sent, values));
-        result.map(to_ciphertexts).map_err(ProtocolError::from)
+        let values = self.batch_round_trip(
+            pairs.len(),
+            Request::SmPackedPairs {
+                layout: *layout,
+                pairs: raw,
+            },
+        )?;
+        Ok(to_ciphertexts(values))
     }
 
     fn lsb_packed_batch(
@@ -561,14 +516,15 @@ impl KeyHolder for SessionKeyHolder {
         if !self.supports_packing() {
             return Err(ProtocolError::PackingUnsupported);
         }
-        let expected: usize = slot_counts.iter().sum();
-        let result = Self::expect_ciphertexts(self.round_trip(&Request::LsbPacked {
-            layout: *layout,
-            masked: to_raw(masked),
-            slot_counts: slot_counts.iter().map(|&c| c as u32).collect(),
-        }))
-        .and_then(|values| check_batch(expected, values));
-        result.map(to_ciphertexts).map_err(ProtocolError::from)
+        let values = self.batch_round_trip(
+            slot_counts.iter().sum(),
+            Request::LsbPacked {
+                layout: *layout,
+                masked: to_raw(masked),
+                slot_counts: slot_counts.iter().map(|&c| c as u32).collect(),
+            },
+        )?;
+        Ok(to_ciphertexts(values))
     }
 
     fn top_k_indices_packed(
@@ -587,16 +543,12 @@ impl KeyHolder for SessionKeyHolder {
             count: count as u32,
             k: k as u32,
         });
-        Self::expect("Indices", result, |r| match r {
-            Response::Indices(indices) => Some(indices.into_iter().map(|i| i as usize).collect()),
-            _ => None,
-        })
-        .map_err(ProtocolError::from)
+        check_indices(result, count, k)
     }
 }
 
 /// Verifies a batched reply has one result per request item.
-fn check_batch(sent: usize, values: Vec<BigUint>) -> Result<Vec<BigUint>, TransportError> {
+fn check_batch<T>(sent: usize, values: Vec<T>) -> Result<Vec<T>, TransportError> {
     if values.len() == sent {
         Ok(values)
     } else {
@@ -605,4 +557,31 @@ fn check_batch(sent: usize, values: Vec<BigUint>) -> Result<Vec<BigUint>, Transp
             received: values.len(),
         })
     }
+}
+
+/// Narrows a top-k reply over `count` distances to its index list and
+/// verifies its shape: `min(k, count)` distinct indices, each `< count`.
+/// C1 indexes its records with these, so a bad one must stop here.
+fn check_indices(
+    result: Result<Response, TransportError>,
+    count: usize,
+    k: usize,
+) -> Result<Vec<usize>, ProtocolError> {
+    let indices = SessionKeyHolder::expect("Indices", result, |r| match r {
+        Response::Indices(indices) => Some(indices),
+        _ => None,
+    })?;
+    let indices = check_batch(k.min(count), indices)?;
+    let mut seen = vec![false; count];
+    for &i in &indices {
+        match seen.get_mut(i as usize) {
+            Some(slot) if !*slot => *slot = true,
+            _ => {
+                return Err(ProtocolError::Invariant {
+                    message: format!("top-k reply names index {i} twice or outside 0..{count}"),
+                })
+            }
+        }
+    }
+    Ok(indices.into_iter().map(|i| i as usize).collect())
 }

@@ -58,7 +58,7 @@ fn assert_min_selection_relay(reactor: Reactor, conn: Conn, server: Server, seed
     // answering (no hang, no torn-down connection, no poisoned server).
     let e_a = f.pk.encrypt_u64(6, rng);
     let e_b = f.pk.encrypt_u64(7, rng);
-    let product = secure_multiply(&f.pk, &client, &e_a, &e_b, rng);
+    let product = secure_multiply(&f.pk, &client, &e_a, &e_b, rng).unwrap();
     assert_eq!(f.sk.decrypt(&product), BigUint::from_u64(42));
 
     // And a well-formed min-selection still succeeds afterwards.

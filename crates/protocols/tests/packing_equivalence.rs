@@ -74,7 +74,7 @@ fn assert_sm_equivalence(f: &Fixture) {
         .map(|&v| f.pk.encrypt_u64(v, &mut rng))
         .collect();
     let pairs: Vec<(Ciphertext, Ciphertext)> = cts.iter().map(|c| (c.clone(), c.clone())).collect();
-    let scalar_squares = secure_multiply_batch(&f.pk, f.client(), &pairs, &mut rng);
+    let scalar_squares = secure_multiply_batch(&f.pk, f.client(), &pairs, &mut rng).unwrap();
     let scalar_plain: Vec<BigUint> = scalar_squares.iter().map(|c| f.sk.decrypt(c)).collect();
 
     // Packed: the same values as plaintext slots, squared by C2 slot-wise.

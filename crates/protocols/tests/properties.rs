@@ -50,7 +50,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let ea = f.pk.encrypt_u64(a, &mut rng);
         let eb = f.pk.encrypt_u64(b, &mut rng);
-        let prod = secure_multiply(&f.pk, &f.holder, &ea, &eb, &mut rng);
+        let prod = secure_multiply(&f.pk, &f.holder, &ea, &eb, &mut rng).unwrap();
         prop_assert_eq!(f.sk.decrypt(&prod).to_u128().unwrap(), a as u128 * b as u128);
     }
 
@@ -113,7 +113,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let e1 = f.pk.encrypt_u64(o1, &mut rng);
         let e2 = f.pk.encrypt_u64(o2, &mut rng);
-        let or = secure_bit_or(&f.pk, &f.holder, &e1, &e2, &mut rng);
+        let or = secure_bit_or(&f.pk, &f.holder, &e1, &e2, &mut rng).unwrap();
         prop_assert_eq!(f.sk.decrypt(&or).to_u64().unwrap(), o1 | o2);
     }
 

@@ -87,7 +87,7 @@ fn concurrent_clients_share_one_session() {
                     let b = (t * 77 + 3 * i + 5) as u64;
                     let e_a = f.pk.encrypt_u64(a, &mut rng);
                     let e_b = f.pk.encrypt_u64(b, &mut rng);
-                    let product = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng);
+                    let product = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng).unwrap();
                     if f.sk.decrypt(&product) != BigUint::from_u64(a * b) {
                         mismatches.fetch_add(1, Ordering::Relaxed);
                     }
@@ -132,7 +132,7 @@ fn concurrent_clients_with_coalescing_stay_correct() {
                         let b = (i * 13 + t + 2) as u64;
                         let e_a = f.pk.encrypt_u64(a, &mut rng);
                         let e_b = f.pk.encrypt_u64(b, &mut rng);
-                        let product = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng);
+                        let product = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng).unwrap();
                         if f.sk.decrypt(&product) != BigUint::from_u64(a * b) {
                             mismatches.fetch_add(1, Ordering::Relaxed);
                         }
@@ -184,21 +184,25 @@ fn heterogeneous_concurrent_workloads_share_one_session() {
                             let (a, b) = ((t * 31 + i + 2) as u64, (i * 17 + t + 3) as u64);
                             let e_a = f.pk.encrypt_u64(a, &mut rng);
                             let e_b = f.pk.encrypt_u64(b, &mut rng);
-                            let p = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng);
+                            let p = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng).unwrap();
                             f.sk.decrypt(&p) == BigUint::from_u64(a * b)
                         }
                         // LSB of a masked value.
                         1 => {
                             let v = (t * 7 + i) as u64;
                             let masked = f.pk.encrypt_u64(v, &mut rng);
-                            let bits = client.lsb_of_masked_batch(std::slice::from_ref(&masked));
+                            let bits = client
+                                .lsb_of_masked_batch(std::slice::from_ref(&masked))
+                                .unwrap();
                             f.sk.decrypt(&bits[0]) == BigUint::from_u64(v & 1)
                         }
                         // Masked decryption (the finalization exchange).
                         2 => {
                             let v = (t * 1009 + i * 13) as u64;
                             let ct = f.pk.encrypt_u64(v, &mut rng);
-                            let plain = client.decrypt_masked_batch(std::slice::from_ref(&ct));
+                            let plain = client
+                                .decrypt_masked_batch(std::slice::from_ref(&ct))
+                                .unwrap();
                             plain[0] == BigUint::from_u64(v)
                         }
                         // Top-k index exchange (the SkNN_b selection step).
@@ -208,7 +212,7 @@ fn heterogeneous_concurrent_workloads_share_one_session() {
                                 .iter()
                                 .map(|&v| f.pk.encrypt_u64(v, &mut rng))
                                 .collect();
-                            client.top_k_indices(&cts, 2) == vec![1, 2]
+                            client.top_k_indices(&cts, 2).unwrap() == vec![1, 2]
                         }
                     };
                     if !ok {
@@ -252,14 +256,14 @@ fn tcp_transport_round_trip() {
     let mut rng = StdRng::seed_from_u64(0x7C9 + 1);
     let e_a = f.pk.encrypt_u64(123, &mut rng);
     let e_b = f.pk.encrypt_u64(45, &mut rng);
-    let product = secure_multiply(&f.pk, &client, &e_a, &e_b, &mut rng);
+    let product = secure_multiply(&f.pk, &client, &e_a, &e_b, &mut rng).unwrap();
     assert_eq!(f.sk.decrypt(&product), BigUint::from_u64(123 * 45));
 
     let dists: Vec<Ciphertext> = [9u64, 1, 5]
         .iter()
         .map(|&v| f.pk.encrypt_u64(v, &mut rng))
         .collect();
-    assert_eq!(client.top_k_indices(&dists, 2), vec![1, 2]);
+    assert_eq!(client.top_k_indices(&dists, 2).unwrap(), vec![1, 2]);
 
     assert!(client.stats().round_trips() >= 3); // handshake + SM + top-k
     Served {
@@ -294,8 +298,8 @@ proptest! {
             })
             .collect();
 
-        let direct = plain_client.sm_mask_multiply_batch(&pairs);
-        let merged = coalesced_client.sm_mask_multiply_batch(&pairs);
+        let direct = plain_client.sm_mask_multiply_batch(&pairs).unwrap();
+        let merged = coalesced_client.sm_mask_multiply_batch(&pairs).unwrap();
         prop_assert_eq!(direct.len(), merged.len());
         for (d, m) in direct.iter().zip(&merged) {
             prop_assert_eq!(f.sk.decrypt(d), f.sk.decrypt(m));
@@ -306,8 +310,8 @@ proptest! {
             .iter()
             .map(|&(a, _)| f.pk.encrypt_u64(a, &mut rng))
             .collect();
-        let direct_bits = plain_client.lsb_of_masked_batch(&masked);
-        let merged_bits = coalesced_client.lsb_of_masked_batch(&masked);
+        let direct_bits = plain_client.lsb_of_masked_batch(&masked).unwrap();
+        let merged_bits = coalesced_client.lsb_of_masked_batch(&masked).unwrap();
         for ((d, m), &(a, _)) in direct_bits.iter().zip(&merged_bits).zip(&values) {
             let expected = BigUint::from_u64(a & 1);
             prop_assert_eq!(f.sk.decrypt(d), expected.clone());

@@ -268,8 +268,8 @@ pub use sknn_core::{
     CompactionReport, DataOwner, Dataset, DatasetOptions, DurableUpdateError, FederationConfig,
     InvalidQueryReason, KeyHolder, LocalKeyHolder, OpCounters, ParallelismConfig, PoolActivity,
     PreparedQuery, Protocol, QueryBuilder, QueryOutcome, QueryProfile, QueryUser, RecoveryReport,
-    RetryPolicy, RetryReport, SessionSet, ShardRetry, ShardView, ShardingConfig, SknnEngine,
-    SknnError, Stage, StoreError, Table, TransportKind, UpdateRejected,
+    RetryPolicy, RetryReport, RetryUnit, SessionSet, ShardView, ShardingConfig, SknnEngine,
+    SknnError, Stage, StageRetry, StoreError, Table, TransportKind, UpdateRejected,
 };
 pub use sknn_paillier::{
     Ciphertext, Keypair, PoolConfig, PoolStats, PooledEncryptor, PrivateKey, PublicKey,

@@ -16,9 +16,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::protocols::transport::{FaultKind, FaultPlan, Loopback, SessionPool};
+use sknn::protocols::ProtocolError;
 use sknn::{
     plain_knn_records, DataOwner, FederationConfig, LocalKeyHolder, PoolConfig, Protocol,
-    RetryPolicy, ShardingConfig, SknnEngine, SknnError, Table, TransportKind,
+    RetryPolicy, RetryUnit, ShardingConfig, SknnEngine, SknnError, StageRetry, Table,
+    TransportKind,
 };
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -78,6 +80,11 @@ fn build_engine(
     retry: RetryPolicy,
     rng: &mut StdRng,
 ) -> SknnEngine {
+    engine_over(build_pool(wire, plans), wire, shards, retry, rng)
+}
+
+/// The sessions [`build_engine`] runs over.
+fn build_pool(wire: TransportKind, plans: &[Option<FaultPlan>]) -> SessionPool {
     let owner = owner();
     let holders = (0..plans.len())
         .map(|i| LocalKeyHolder::new(owner.private_key().clone(), 9_000 + i as u64))
@@ -87,11 +94,21 @@ fn build_engine(
         faults: plans.to_vec(),
         ..Loopback::default()
     };
-    let pool = match wire {
+    match wire {
         TransportKind::Tcp => SessionPool::tcp(holders, &loopback),
         _ => SessionPool::channel(holders, &loopback),
     }
-    .expect("assemble pool");
+    .expect("assemble pool")
+}
+
+/// An engine over `pool` hosting [`table`] as dataset `"t"`.
+fn engine_over(
+    pool: SessionPool,
+    wire: TransportKind,
+    shards: usize,
+    retry: RetryPolicy,
+    rng: &mut StdRng,
+) -> SknnEngine {
     let config = FederationConfig {
         key_bits: 96,
         max_query_value: MAX_VALUE,
@@ -99,7 +116,7 @@ fn build_engine(
         threads: 2,
         sharding: ShardingConfig {
             shards,
-            sessions: plans.len(),
+            sessions: pool.len(),
         },
         pool: PoolConfig {
             capacity: 0,
@@ -109,7 +126,7 @@ fn build_engine(
         retry,
         ..Default::default()
     };
-    let mut engine = SknnEngine::setup_with_sessions(owner, config, pool).expect("engine");
+    let mut engine = SknnEngine::setup_with_sessions(owner(), config, pool).expect("engine");
     engine
         .register_dataset("t", &table(), rng)
         .expect("register");
@@ -180,16 +197,16 @@ fn fault_matrix_recovers_or_errors_typed() {
                             assert_eq!(outcome.result, expected, "{label}: wrong answer");
                             // Frame 3 lands in a scatter task, which the
                             // executor re-runs in place at every shard
-                            // count; the engine's whole-query retry is only
-                            // for gather and finalize failures.
+                            // count; the gather never re-runs.
                             if matches!(kind, FaultKind::Drop | FaultKind::Corrupt) {
-                                assert_eq!(
-                                    outcome.retries.query_retries, 0,
-                                    "{label}: {:?}",
-                                    outcome.retries
-                                );
+                                let units: Vec<RetryUnit> = outcome
+                                    .retries
+                                    .stage_retries
+                                    .iter()
+                                    .map(|r| r.unit)
+                                    .collect();
                                 assert!(
-                                    !outcome.retries.shard_retries.is_empty(),
+                                    !units.is_empty() && !units.contains(&RetryUnit::Gather),
                                     "{label}: {:?}",
                                     outcome.retries
                                 );
@@ -329,6 +346,58 @@ fn secure_failover_matches_reference() {
     );
 }
 
+/// A sever that lands in the gather: two sessions, four shards, session 0
+/// severed right after its scatter traffic. The scatter completes on both
+/// sessions; the gather's first request on session 0 finds the wire
+/// closed, and the gather re-runs on session 1 from its own seed with the
+/// same answer.
+#[test]
+fn sever_in_the_gather_re_pins_it_to_the_survivor() {
+    let _guard = lock();
+    let seed = 0x6A7E;
+    let run = |engine: &SknnEngine, rng: &mut StdRng| {
+        engine
+            .query("t")
+            .k(2)
+            .point(&QUERY)
+            .protocol(Protocol::Basic)
+            .run(rng)
+    };
+
+    // Fault-free: every frame session 0 sends over the engine's life.
+    // Its last two are the gather's top-k and the finalize decryption.
+    let pool = build_pool(TransportKind::Channel, &[None, None]);
+    let session0 = pool.session(0).stats();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let engine = engine_over(pool, TransportKind::Channel, 4, policy(), &mut rng);
+    run(&engine, &mut rng).expect("fault-free run");
+    let scatter_frames = session0.requests() - 2;
+    drop(engine);
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let engine = build_engine(
+        TransportKind::Channel,
+        4,
+        &[Some(FaultPlan::sever_at(scatter_frames)), None],
+        policy(),
+        &mut rng,
+    );
+    let outcome = run(&engine, &mut rng).expect("the gather survives the sever");
+    assert_eq!(outcome.result, plain_knn_records(&table(), &QUERY, 2));
+    assert_eq!(
+        outcome.retries.stage_retries,
+        vec![StageRetry {
+            unit: RetryUnit::Gather,
+            from_session: 0,
+            to_session: 1,
+            error: SknnError::Protocol(ProtocolError::TransportClosed).to_string(),
+        }],
+        "{:?}",
+        outcome.retries
+    );
+    assert_eq!(outcome.retries.dead_sessions, vec![0]);
+}
+
 /// With the default policy ([`RetryPolicy::none`]) nothing retries: a
 /// corrupted exchange surfaces as a typed error immediately — the exact
 /// pre-resilience behavior, just with a typed error instead of a panic.
@@ -384,7 +453,7 @@ fn clean_run_reports_clean() {
     assert_eq!(outcome.result, plain_knn_records(&table(), &QUERY, 2));
     assert!(outcome.retries.is_clean(), "{:?}", outcome.retries);
     let comm = engine.comm_stats().expect("accounting");
-    assert_eq!((comm.retries, comm.reconnects, comm.failovers), (0, 0, 0));
+    assert_eq!((comm.retries, comm.failovers), (0, 0));
 }
 
 /// Failover on both wires: two reactor-multiplexed sessions, one severed

@@ -61,7 +61,7 @@ fn full_primitive_pipeline_mirrors_algorithm_6_inner_loop() {
     let one = pk.encrypt_u64(1, &mut rng);
     let frozen: Vec<_> = bits[1]
         .iter()
-        .map(|b| secure_bit_or(&pk, &holder, &one, b, &mut rng))
+        .map(|b| secure_bit_or(&pk, &holder, &one, b, &mut rng).unwrap())
         .collect();
     let frozen_value = frozen
         .iter()
@@ -80,7 +80,7 @@ fn batched_secure_multiplication_scales_to_hundreds_of_pairs() {
         .iter()
         .map(|&(a, b)| (pk.encrypt_u64(a, &mut rng), pk.encrypt_u64(b, &mut rng)))
         .collect();
-    let products = secure_multiply_batch(&pk, &holder, &enc_pairs, &mut rng);
+    let products = secure_multiply_batch(&pk, &holder, &enc_pairs, &mut rng).unwrap();
     assert_eq!(products.len(), 200);
     for (&(a, b), c) in pairs.iter().zip(&products) {
         assert_eq!(sk.decrypt(c).to_u64().unwrap(), a * b);
