@@ -53,11 +53,16 @@ fn bench_modinv_and_primes(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
-    let modulus = gen_prime_with_bit_exact(&mut rng, 256, 16);
-    let value = random_bits_exact(&mut rng, 255);
-    group.bench_function("mod_inverse_256", |bench| {
-        bench.iter(|| black_box(value.mod_inverse(&modulus)))
-    });
+    // Odd 512- and 1024-bit moduli: N at K = 512 and 1024, the inverse
+    // under every `PublicKey::negate`.
+    for bits in [512usize, 1024] {
+        let mut modulus = random_bits_exact(&mut rng, bits);
+        modulus.set_bit(0, true);
+        let value = random_bits_exact(&mut rng, bits - 1);
+        group.bench_with_input(BenchmarkId::new("mod_inverse", bits), &bits, |bench, _| {
+            bench.iter(|| black_box(value.mod_inverse(&modulus)))
+        });
+    }
     group.bench_function("gen_prime_128", |bench| {
         let mut rng = StdRng::seed_from_u64(4);
         bench.iter(|| black_box(gen_prime_with_bit_exact(&mut rng, 128, 8)))

@@ -565,7 +565,7 @@ fn sliding_window_width(exp_bits: usize) -> usize {
 }
 
 /// Returns the inverse of `x` modulo 2^64 (`x` must be odd).
-fn inv64(x: u64) -> u64 {
+pub(crate) fn inv64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     // Newton–Hensel iteration doubles the number of correct bits each round.
     let mut inv = x;

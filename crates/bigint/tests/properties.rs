@@ -188,6 +188,46 @@ proptest! {
     }
 
     #[test]
+    fn binary_inverse_matches_euclid(
+        (limbs, m_limbs, a_limbs) in (0usize..4).prop_flat_map(|w| {
+            let l = [1usize, 2, 8, 16][w];
+            (
+                Just(l),
+                prop::collection::vec(any::<u64>(), l),
+                prop::collection::vec(any::<u64>(), l + 1),
+            )
+        }),
+        (m_kind, a_kind) in (0u8..4, 0u8..6),
+    ) {
+        let m = match m_kind {
+            3 => BigUint::from_u64(3),
+            kind => fixed_width_modulus(limbs, m_limbs, kind),
+        };
+        let low = BigUint::from_u64(a_limbs[0]);
+        let wide = BigUint::from_limbs(a_limbs);
+        let a = match a_kind {
+            0 => wide.rem_ref(&m),
+            1 => wide.rem_ref(&m).add_ref(&m), // a ≥ m
+            2 => BigUint::one(),
+            // Shares its top bits with m, so the one-word approximations
+            // misjudge which is larger about half the time.
+            3 => m.sub_ref(&low.rem_ref(&m)),
+            // A non-unit: shares the factor 3 with m·3 (or is 0 mod m).
+            4 => wide.rem_ref(&m).mul_u64(3),
+            _ => m.clone(),
+        };
+        let m = if a_kind == 4 { m.mul_u64(3) } else { m };
+        let inverse = a.mod_inverse(&m);
+        prop_assert_eq!(&inverse, &a.mod_inverse_euclid(&m));
+        if a_kind >= 4 {
+            prop_assert_eq!(inverse, None);
+        } else if let Some(inv) = inverse {
+            prop_assert!(inv < m);
+            prop_assert!(a.mod_mul(&inv, &m).is_one());
+        }
+    }
+
+    #[test]
     fn gcd_divides_both(a in arb_biguint(4), b in arb_biguint(4)) {
         let g = a.gcd(&b);
         if !g.is_zero() {

@@ -159,19 +159,6 @@ impl EncryptedDatabase {
         i % self.shards
     }
 
-    /// Borrows one shard's view of the database.
-    ///
-    /// # Panics
-    /// Panics when `shard >= self.shard_count()`.
-    pub fn shard(&self, shard: usize) -> ShardView<'_> {
-        assert!(
-            shard < self.shards,
-            "shard {shard} out of range for {} shards",
-            self.shards
-        );
-        ShardView { db: self, shard }
-    }
-
     /// All shard views, in shard order.
     pub fn shard_views(&self) -> Vec<ShardView<'_>> {
         (0..self.shards)
@@ -530,9 +517,9 @@ mod tests {
         assert_eq!(db.shard_count(), 3);
         assert_eq!(db.shard_of(0), 0);
         assert_eq!(db.shard_of(4), 1);
-        assert_eq!(db.shard(0).live_indices(), vec![0, 3, 6]);
-        assert_eq!(db.shard(1).live_indices(), vec![1, 4]);
-        assert_eq!(db.shard(2).live_indices(), vec![2, 5]);
+        assert_eq!(db.shard_views()[0].live_indices(), vec![0, 3, 6]);
+        assert_eq!(db.shard_views()[1].live_indices(), vec![1, 4]);
+        assert_eq!(db.shard_views()[2].live_indices(), vec![2, 5]);
 
         // The shard views partition the global live view exactly.
         let mut union: Vec<usize> = db
@@ -547,15 +534,14 @@ mod tests {
         // reflected in that shard's view only.
         let idx = db.append_record(enc(7, &mut rng)).unwrap();
         assert_eq!(db.shard_of(idx), 1);
-        assert_eq!(db.shard(1).live_indices(), vec![1, 4, 7]);
+        assert_eq!(db.shard_views()[1].live_indices(), vec![1, 4, 7]);
         db.tombstone(4).unwrap();
-        assert_eq!(db.shard(1).live_indices(), vec![1, 7]);
-        assert_eq!(db.shard(1).num_live(), 2);
-        assert_eq!(db.shard(0).live_indices(), vec![0, 3, 6]);
+        assert_eq!(db.shard_views()[1].live_indices(), vec![1, 7]);
+        assert_eq!(db.shard_views()[1].num_live(), 2);
+        assert_eq!(db.shard_views()[0].live_indices(), vec![0, 3, 6]);
 
         // Iteration yields (physical index, record) pairs in order.
-        let pairs: Vec<usize> = db
-            .shard(1)
+        let pairs: Vec<usize> = db.shard_views()[1]
             .records()
             .map(|(i, r)| {
                 assert_eq!(r.len(), 1);
@@ -563,22 +549,12 @@ mod tests {
             })
             .collect();
         assert_eq!(pairs, vec![1, 7]);
-        assert_eq!(db.shard(1).database().num_records(), 8);
+        assert_eq!(db.shard_views()[1].database().num_records(), 8);
 
         // Degenerate shard counts clamp to one shard spanning everything.
         let db = db.with_shards(0);
         assert_eq!(db.shard_count(), 1);
-        assert_eq!(db.shard(0).live_indices(), db.live_indices());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_shard_panics() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let (pk, _) = Keypair::generate(64, &mut rng).split();
-        let db =
-            EncryptedDatabase::from_records(vec![vec![pk.encrypt_u64(1, &mut rng)]], pk.clone());
-        let _ = db.shard(1);
+        assert_eq!(db.shard_views()[0].live_indices(), db.live_indices());
     }
 
     #[test]

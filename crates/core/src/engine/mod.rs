@@ -579,7 +579,7 @@ impl SknnEngine {
             .with_shards(self.config.sharding.shards);
         let mut c1 = CloudC1::new(db);
         if let Some(pool) = &self.c1_pool {
-            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)));
+            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)))?;
         }
         if let Some(params) = packing {
             c1 = c1.with_packing(params);
@@ -709,7 +709,7 @@ impl SknnEngine {
         let db = db.with_backing(Arc::clone(&handle) as Arc<dyn BackingStore>);
         let mut c1 = CloudC1::new(db);
         if let Some(pool) = &self.c1_pool {
-            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)));
+            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)))?;
         }
         if let Some(params) = packing {
             c1 = c1.with_packing(params);
@@ -786,7 +786,7 @@ impl SknnEngine {
         .with_backing(Arc::clone(&handle) as Arc<dyn BackingStore>);
         let mut c1 = CloudC1::new(db);
         if let Some(pool) = &self.c1_pool {
-            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)));
+            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)))?;
         }
         if let Some(params) = packing {
             c1 = c1.with_packing(params);

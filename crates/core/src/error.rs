@@ -72,6 +72,9 @@ pub enum SknnError {
         /// Why the update was rejected.
         rejected: UpdateRejected,
     },
+    /// A pooled encryptor built for a different Paillier key was attached to
+    /// a cloud: a deployment wiring error.
+    ForeignEncryptor,
     /// An error bubbled up from the durable shard store: an I/O failure, a
     /// corrupt log or manifest, or a dataset directory persisted under a
     /// different key pair or sharding configuration.
@@ -260,6 +263,9 @@ impl fmt::Display for SknnError {
             }
             SknnError::InvalidUpdate { dataset, rejected } => {
                 write!(f, "invalid update to dataset {dataset:?}: {rejected}")
+            }
+            SknnError::ForeignEncryptor => {
+                write!(f, "pooled encryptor belongs to a different Paillier key")
             }
             SknnError::Storage(e) => write!(f, "storage error: {e}"),
             SknnError::Protocol(e) => write!(f, "protocol error: {e}"),

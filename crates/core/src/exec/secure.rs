@@ -53,14 +53,21 @@ struct SecureCandidate {
 /// the winner's distance bits; `distance_bits` is updated in place (the
 /// winner's row is saturated to all-ones).
 ///
+/// The `last` round of a loop skips the freeze: nothing reads
+/// `distance_bits` after it. The round count is public (k, or a shard's
+/// `min(k, size)`), so C2 learns only a request count it could already
+/// compute, and every answer stays exact.
+///
 /// Rounds that produce the answer (`shard: None`) record under the paper's
 /// stage names; a shard's candidate-extraction rounds ahead of a gather
 /// record everything under [`Stage::ShardCandidates`], credited to it.
+#[allow(clippy::too_many_arguments)] // the round of both the scatter and the gather loop
 fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     c1: &CloudC1,
     meter: &OpMeter<'_, K>,
     records: &[&[Ciphertext]],
     distance_bits: &mut [Vec<Ciphertext>],
+    last: bool,
     profile: &mut QueryProfile,
     shard: Option<usize>,
     rng: &mut R,
@@ -130,6 +137,9 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     });
     record_ops(profile, shard, stage(Stage::RecordSelection), meter.take());
     let (selected_record, indicator) = selection?;
+    if last {
+        return Ok((selected_record, dmin_bits));
+    }
 
     // 3(e): freeze the winner's distance at the all-ones maximum via
     // SBOR so it can never win again. One batched SM round covers all
@@ -211,9 +221,16 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
                 .collect();
             let rounds = k.min(records.len());
             let mut candidates = Vec::with_capacity(rounds);
-            for _ in 0..rounds {
+            for round in 0..rounds {
                 let (record, dmin_bits) = oblivious_select_round(
-                    c1, &meter, &records, &mut bits, &mut p, shard, &mut rng,
+                    c1,
+                    &meter,
+                    &records,
+                    &mut bits,
+                    round + 1 == rounds,
+                    &mut p,
+                    shard,
+                    &mut rng,
                 )?;
                 candidates.push(SecureCandidate {
                     record,
@@ -236,12 +253,13 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
                     let candidate_records: Vec<&[Ciphertext]> =
                         candidates.iter().map(|c| c.record.as_slice()).collect();
                     let mut results = Vec::with_capacity(k);
-                    for _ in 0..k {
+                    for round in 0..k {
                         let (record, _bits) = oblivious_select_round(
                             c1,
                             &meter,
                             &candidate_records,
                             &mut candidate_bits,
+                            round + 1 == k,
                             &mut p,
                             None,
                             rng,

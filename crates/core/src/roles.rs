@@ -189,17 +189,15 @@ impl CloudC1 {
     /// masks and the final result-masking step) consume precomputed
     /// `r^N mod N²` units instead of exponentiating online.
     ///
-    /// # Panics
-    /// Panics when the encryptor was built for a different public key — a
-    /// deployment wiring error, not a runtime condition.
-    pub fn with_encryptor(mut self, encryptor: PooledEncryptor) -> Self {
-        assert_eq!(
-            encryptor.public_key().n(),
-            self.db.public_key().n(),
-            "pooled encryptor belongs to a different Paillier key"
-        );
+    /// # Errors
+    /// Returns [`SknnError::ForeignEncryptor`] when the encryptor was built
+    /// for a different public key than the hosted database's.
+    pub fn with_encryptor(mut self, encryptor: PooledEncryptor) -> Result<Self, SknnError> {
+        if encryptor.public_key().n() != self.db.public_key().n() {
+            return Err(SknnError::ForeignEncryptor);
+        }
         self.encryptor = Some(encryptor);
-        self
+        Ok(self)
     }
 
     /// The attached pooled encryptor, if any.
@@ -378,6 +376,32 @@ mod tests {
         assert_eq!(masked.num_neighbors(), 2);
         let recovered = user.recover_records(&masked).unwrap();
         assert_eq!(recovered, vec![vec![5, 6], vec![1, 2]]);
+    }
+
+    #[test]
+    fn foreign_key_encryptor_is_a_typed_error() {
+        use sknn_paillier::{PoolConfig, RandomnessPool};
+        let mut rng = StdRng::seed_from_u64(4);
+        let owner = DataOwner::new(96, &mut rng);
+        let other = DataOwner::new(96, &mut rng);
+        let pool = |pk: &PublicKey| {
+            PooledEncryptor::new(RandomnessPool::new(
+                pk.clone(),
+                PoolConfig {
+                    background_refill: false,
+                    ..PoolConfig::default()
+                },
+            ))
+        };
+        let db = owner.encrypt_table(&small_table(), &mut rng).unwrap();
+        assert!(matches!(
+            CloudC1::new(db.clone()).with_encryptor(pool(other.public_key())),
+            Err(SknnError::ForeignEncryptor)
+        ));
+        let own = CloudC1::new(db)
+            .with_encryptor(pool(owner.public_key()))
+            .unwrap();
+        assert!(own.encryptor().is_some());
     }
 
     /// C2 with a tampered `decrypt_masked_batch` reply; every other request

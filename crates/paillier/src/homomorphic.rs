@@ -46,8 +46,8 @@ impl PublicKey {
     ///
     /// `x₀ = c⁻¹ mod N` is lifted to `N²` by one Newton step,
     /// `x = x₀·(2 − c·x₀)`: with `c·x₀ = 1 + kN` the product `c·x` is
-    /// `1 − k²N² ≡ 1`. That costs one extended-Euclid inverse mod `N` and
-    /// two mod-muls instead of an `|N|`-bit exponentiation. A `c` that is
+    /// `1 − k²N² ≡ 1`. That costs one binary-GCD inverse mod `N` and two
+    /// mod-muls instead of an `|N|`-bit exponentiation. A `c` that is
     /// not a unit mod `N` has no inverse; it gets `E(a)^{N−1}`, so the
     /// operation stays total on malformed peer values.
     pub fn negate(&self, a: &Ciphertext) -> Ciphertext {
@@ -156,6 +156,7 @@ mod tests {
                 let neg = pk.negate(&c);
                 assert_eq!(sk.decrypt(&neg), a.mod_neg(pk.n()));
                 assert_eq!(sk.decrypt(&pk.negate(&neg)), a);
+                assert_eq!(sk.try_decrypt_u64(&pk.add(&c, &neg)), Ok(0));
                 // The inverse really is the inverse mod N².
                 assert!(c.as_raw().mod_mul(neg.as_raw(), pk.n_squared()).is_one());
             }
@@ -164,11 +165,14 @@ mod tests {
 
     #[test]
     fn negation_of_a_non_unit_falls_back_to_the_exponentiation() {
-        let (pk, _sk, _rng) = setup();
-        let n_minus_1 = pk.n().sub_ref(&BigUint::one());
-        for raw in [BigUint::zero(), pk.n().clone(), pk.n().mul_u64(3)] {
-            let c = Ciphertext::from_raw(raw);
-            assert_eq!(pk.negate(&c), pk.mul_plain(&c, &n_minus_1));
+        for key_bits in [128usize, 512] {
+            let mut rng = StdRng::seed_from_u64(43);
+            let (pk, _sk) = Keypair::generate(key_bits, &mut rng).split();
+            let n_minus_1 = pk.n().sub_ref(&BigUint::one());
+            for raw in [BigUint::zero(), pk.n().clone(), pk.n().mul_u64(3)] {
+                let c = Ciphertext::from_raw(raw);
+                assert_eq!(pk.negate(&c), pk.mul_plain(&c, &n_minus_1));
+            }
         }
     }
 

@@ -43,7 +43,6 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
 
     let n = pk.n();
     let one = BigUint::one();
-    let n_minus_2 = n.sub_ref(&BigUint::two());
 
     // Step 1(a): P1 picks the functionality F by a private coin flip.
     let f_is_u_gt_v: bool = rng.gen();
@@ -58,31 +57,41 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
 
     let mut gamma = Vec::with_capacity(l);
     let mut gamma_masks = Vec::with_capacity(l);
-    let mut h_prev: Ciphertext = Ciphertext::from_raw(BigUint::one()); // E(0), H₀
+    let mut h_prev: Option<Ciphertext> = None;
     let mut l_vec = Vec::with_capacity(l);
 
     for i in 0..l {
         let e_u = &u_bits[i];
         let e_v = &v_bits[i];
-        let e_uv = &uv_products[i];
+
+        // E(uᵢ − uᵢvᵢ) and E(vᵢ − uᵢvᵢ) from one negation of E(uᵢvᵢ).
+        let e_neg_uv = pk.negate(&uv_products[i]);
+        let u_not_v = pk.add(e_u, &e_neg_uv);
+        let v_not_u = pk.add(e_v, &e_neg_uv);
+
+        // Gᵢ = E(uᵢ ⊕ vᵢ) = E(uᵢ + vᵢ − 2·uᵢ·vᵢ)
+        let g_i = pk.add(&u_not_v, &v_not_u);
 
         // Wᵢ and the randomized bit difference Γᵢ depend on F.
         let (w_i, diff) = if f_is_u_gt_v {
             // Wᵢ = E(uᵢ·(1 − vᵢ)),  Γᵢ = E(vᵢ − uᵢ + r̂ᵢ)
-            (pk.sub(e_u, e_uv), pk.sub(e_v, e_u))
+            (u_not_v, pk.sub(e_v, e_u))
         } else {
             // Wᵢ = E(vᵢ·(1 − uᵢ)),  Γᵢ = E(uᵢ − vᵢ + r̂ᵢ)
-            (pk.sub(e_v, e_uv), pk.sub(e_u, e_v))
+            (v_not_u, pk.sub(e_u, e_v))
         };
         let r_hat = random_below(rng, n);
         let gamma_i = pk.add_plain(&diff, &r_hat);
 
-        // Gᵢ = E(uᵢ ⊕ vᵢ) = E(uᵢ + vᵢ − 2·uᵢ·vᵢ)
-        let g_i = pk.add(&pk.add(e_u, e_v), &pk.mul_plain(e_uv, &n_minus_2));
-
         // Hᵢ = H_{i−1}^{rᵢ} · Gᵢ with rᵢ ∈ [1, N): preserves the first 1 in G.
-        let r_i = random_range(rng, &one, n);
-        let h_i = pk.add(&pk.mul_plain(&h_prev, &r_i), &g_i);
+        // H₀ = E(0) with randomness 1, so H₁ = 1^{r₁} · G₁ = G₁.
+        let h_i = match h_prev {
+            None => g_i,
+            Some(h_prev) => {
+                let r_i = random_range(rng, &one, n);
+                pk.add(&pk.mul_plain(&h_prev, &r_i), &g_i)
+            }
+        };
 
         // Φᵢ = E(−1) · Hᵢ = E(Hᵢ − 1): zero exactly at the first differing bit.
         let phi_i = pk.sub_plain(&h_i, &one);
@@ -93,7 +102,7 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
 
         gamma.push(gamma_i);
         gamma_masks.push(r_hat);
-        h_prev = h_i;
+        h_prev = Some(h_i);
         l_vec.push(l_i);
     }
 

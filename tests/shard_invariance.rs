@@ -195,6 +195,57 @@ fn secure_gather_runs_smin_over_candidates_only() {
     assert_eq!(per_shard, scatter.ciphertexts_to_c2);
 }
 
+/// The last selection round of every loop skips its SBOR freeze: the
+/// unsharded loop, each shard's candidate rounds and the gather. At k = n
+/// every record is selected, and with 2 shards of 3 and 2 records k = 4
+/// exceeds every shard's size; both still match the oracle. An unsharded
+/// query's freeze traffic is exactly (k − 1)·n·l SM pairs, each two
+/// masked operands out, two decryptions and one product back.
+#[test]
+fn last_selection_round_skips_the_freeze() {
+    let mut rng = StdRng::seed_from_u64(0x5AB3);
+    let small = Table::new(table().records()[..5].to_vec()).unwrap();
+    let n = small.records().len();
+    for (shards, k) in [(1usize, 1usize), (1, 3), (1, n), (2, 4)] {
+        let mut engine = engine_with(
+            ShardingConfig {
+                shards,
+                sessions: 1,
+            },
+            TransportKind::InProcess,
+            1,
+            &mut rng,
+        );
+        engine
+            .register_dataset("small", &small, &mut rng)
+            .expect("register dataset");
+        let outcome = engine
+            .query("small")
+            .k(k)
+            .point(&QUERY)
+            .protocol(Protocol::Secure)
+            .run(&mut rng)
+            .unwrap();
+        assert_eq!(
+            outcome.result,
+            plain_knn_records(&small, &QUERY, k),
+            "shards={shards} k={k}"
+        );
+        if shards == 1 {
+            let pairs = ((k - 1) * n * engine.dataset("small").unwrap().distance_bits()) as u64;
+            let freeze = outcome.profile.ops(Stage::DistanceFreezing);
+            assert_eq!(freeze.ciphertexts_to_c2, 2 * pairs, "k={k}");
+            assert_eq!(freeze.ciphertexts_from_c2, pairs, "k={k}");
+            assert_eq!(freeze.c2_decryptions, 2 * pairs, "k={k}");
+            assert_eq!(
+                outcome.profile.stage(Stage::DistanceFreezing).is_zero(),
+                k == 1,
+                "k={k}"
+            );
+        }
+    }
+}
+
 /// The same drop holds for SkNN_b: the gather merge ships only the k·S
 /// candidate distances instead of all n.
 #[test]
@@ -253,9 +304,9 @@ fn appends_and_tombstones_land_in_the_owning_shard() {
     {
         let db = engine.dataset("t").unwrap().cloud().database();
         assert_eq!(db.shard_of(16), 0);
-        assert!(db.shard(0).live_indices().contains(&16));
+        assert!(db.shard_views()[0].live_indices().contains(&16));
         for s in 1..shards {
-            assert!(!db.shard(s).live_indices().contains(&16));
+            assert!(!db.shard_views()[s].live_indices().contains(&16));
         }
     }
 
@@ -277,7 +328,7 @@ fn appends_and_tombstones_land_in_the_owning_shard() {
     engine.tombstone_record("t", 16).unwrap();
     {
         let db = engine.dataset("t").unwrap().cloud().database();
-        assert!(!db.shard(0).live_indices().contains(&16));
+        assert!(!db.shard_views()[0].live_indices().contains(&16));
         assert_eq!(db.num_live(), 16);
     }
     let expected = plain_knn_records(&table(), &QUERY, 2);
@@ -303,7 +354,7 @@ fn appends_and_tombstones_land_in_the_owning_shard() {
             .unwrap()
             .cloud()
             .database()
-            .shard(1)
+            .shard_views()[1]
             .num_live(),
         0
     );
