@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sknn_bigint::{gen_prime_with_bit_exact, random_bits_exact, BigUint};
+use sknn_bigint::{gen_prime_with_bit_exact, random_bits_exact, BigUint, Montgomery};
 use std::hint::black_box;
 
 fn bench_mul_div(c: &mut Criterion) {
@@ -47,6 +47,36 @@ fn bench_modexp(c: &mut Criterion) {
     group.finish();
 }
 
+/// SSED's per-record cross terms at K = 512: six 512-bit exponents (one per
+/// attribute, each below N) on bases mod the 1024-bit N², as one
+/// interleaved multi-exponentiation against six `pow`s and their product.
+fn bench_multi_pow(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut group = c.benchmark_group("bigint/multi_pow");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    let mut modulus = random_bits_exact(&mut rng, 1024);
+    modulus.set_bit(0, true);
+    let ctx = Montgomery::new(modulus.clone());
+    let bases: Vec<BigUint> = (0..6).map(|_| random_bits_exact(&mut rng, 1023)).collect();
+    let exps: Vec<BigUint> = (0..6).map(|_| random_bits_exact(&mut rng, 512)).collect();
+    let terms: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
+    group.bench_function("straus_6x512_mod_1024", |bench| {
+        bench.iter(|| black_box(ctx.multi_pow(&terms)))
+    });
+    group.bench_function("six_pows_6x512_mod_1024", |bench| {
+        bench.iter(|| {
+            black_box(
+                terms
+                    .iter()
+                    .fold(BigUint::one(), |acc, (b, e)| ctx.mul(&acc, &ctx.pow(b, e))),
+            )
+        })
+    });
+    group.finish();
+}
+
 fn bench_modinv_and_primes(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let mut group = c.benchmark_group("bigint/number_theory");
@@ -80,6 +110,7 @@ criterion_group!(
     benches,
     bench_mul_div,
     bench_modexp,
+    bench_multi_pow,
     bench_modinv_and_primes
 );
 criterion_main!(benches);

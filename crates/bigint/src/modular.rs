@@ -82,7 +82,31 @@ impl BigUint {
     }
 
     /// Returns the greatest common divisor of `self` and `rhs`.
+    ///
+    /// When either operand is odd (always, for the Paillier callers: `N`
+    /// is odd) this runs the batched binary GCD under
+    /// [`BigUint::mod_inverse`] after one reduction by the odd operand;
+    /// two even operands fall back to [`BigUint::gcd_euclid`].
     pub fn gcd(&self, rhs: &BigUint) -> BigUint {
+        let (odd, other) = if rhs.is_odd() {
+            (rhs, self)
+        } else if self.is_odd() {
+            (self, rhs)
+        } else {
+            return self.gcd_euclid(rhs);
+        };
+        if odd.is_one() {
+            return BigUint::one();
+        }
+        let (gcd, _) = binary_gcd_odd(&other.rem_ref(odd), odd, false);
+        BigUint::from_limbs(gcd)
+    }
+
+    /// Returns the greatest common divisor of `self` and `rhs` by Euclid's
+    /// division-based algorithm, for any operands. [`BigUint::gcd`] calls it
+    /// when both are even; it is exposed as the reference the binary
+    /// algorithm is tested against.
+    pub fn gcd_euclid(&self, rhs: &BigUint) -> BigUint {
         let mut a = self.clone();
         let mut b = rhs.clone();
         while !b.is_zero() {
@@ -156,7 +180,14 @@ impl BigUint {
 /// Inner steps per outer round of [`mod_inverse_odd`].
 const ROUND: u32 = 31;
 
-/// Inverse of `y < m` modulo an odd `m > 1` by the binary extended GCD,
+/// Inverse of `y < m` modulo an odd `m > 1`, or `None` when they share a
+/// factor.
+fn mod_inverse_odd(y: &BigUint, m: &BigUint) -> Option<BigUint> {
+    let (gcd, v) = binary_gcd_odd(y, m, true);
+    (gcd[0] == 1 && gcd[1..].iter().all(|&limb| limb == 0)).then(|| BigUint::from_limbs(v))
+}
+
+/// `gcd(y, m)` for `y < m` and an odd `m > 1` by the binary extended GCD,
 /// batched 31 steps at a time (Pornin, "Optimized Binary GCD for Modular
 /// Inversion", 2020, algorithm 2).
 ///
@@ -169,7 +200,11 @@ const ROUND: u32 = 31;
 /// wrong guess at which approximation is larger only makes a value
 /// negative, which the sweep detects and flips. Every buffer is `m`'s
 /// width and is allocated once, before the loop.
-fn mod_inverse_odd(y: &BigUint, m: &BigUint) -> Option<BigUint> {
+///
+/// Returns the gcd and `v`, both as limb buffers of `m`'s width; when the
+/// gcd is 1, `v` is `y⁻¹ mod m`. Without `track` the Bézout factors `u`
+/// and `v` are never updated, which is all a plain gcd needs.
+fn binary_gcd_odd(y: &BigUint, m: &BigUint, track: bool) -> (Vec<u64>, Vec<u64>) {
     let m = m.limbs.as_slice();
     let len = m.len();
     let m_neg_inv = inv64(m[0]).wrapping_neg();
@@ -206,15 +241,17 @@ fn mod_inverse_odd(y: &BigUint, m: &BigUint) -> Option<BigUint> {
         if combine_shr(&a, &b, f1, g1, &mut b2) {
             (f1, g1) = (-f1, -g1);
         }
-        combine_mod_shr(&u, &v, f0, g0, m, m_neg_inv, &mut u2);
-        combine_mod_shr(&u, &v, f1, g1, m, m_neg_inv, &mut v2);
+        if track {
+            combine_mod_shr(&u, &v, f0, g0, m, m_neg_inv, &mut u2);
+            combine_mod_shr(&u, &v, f1, g1, m, m_neg_inv, &mut v2);
+            core::mem::swap(&mut u, &mut u2);
+            core::mem::swap(&mut v, &mut v2);
+        }
         core::mem::swap(&mut a, &mut a2);
         core::mem::swap(&mut b, &mut b2);
-        core::mem::swap(&mut u, &mut u2);
-        core::mem::swap(&mut v, &mut v2);
     }
     // a = 0 leaves b = gcd(y, m).
-    (b[0] == 1 && b[1..].iter().all(|&limb| limb == 0)).then(|| BigUint::from_limbs(v))
+    (b, v)
 }
 
 /// Bit length of a limb buffer.

@@ -23,11 +23,21 @@
 
 use crate::BigUint;
 
-/// Largest sliding window [`sliding_window_width`] picks.
-const MAX_WINDOW: usize = 6;
+/// Largest sliding window [`sliding_window_width`] picks. Each base of a
+/// [`Montgomery::multi_pow`] pays its own table, and a sixth bit would save
+/// under 1 % of the multiplications even on a lone 1024-bit exponent.
+const MAX_WINDOW: usize = 5;
 
-/// Odd powers `base^1, base^3, …` tabulated for the widest window.
-const MAX_ODD_POWERS: usize = 1 << (MAX_WINDOW - 1);
+/// Odd powers `base^1, base^3, …` tabulated per base for the widest window.
+const ODD_POWERS: usize = 1 << (MAX_WINDOW - 1);
+
+/// Bases sharing one squaring chain in [`Montgomery::multi_pow`]; longer
+/// products run one chain per group, so the tables fit a fixed stack
+/// buffer.
+const MULTI_BASES: usize = 8;
+
+/// Scratch residues [`Montgomery::multi_pow`]'s tables take.
+const MULTI_TABLE: usize = MULTI_BASES * ODD_POWERS;
 
 /// A reusable Montgomery context for a fixed odd modulus.
 #[derive(Clone, Debug)]
@@ -98,9 +108,10 @@ impl Montgomery {
         }
     }
 
-    /// Computes `base^exp mod modulus` with a left-to-right sliding window.
+    /// Computes `base^exp mod modulus` with a left-to-right sliding window:
+    /// [`Montgomery::multi_pow`] of one term.
     ///
-    /// The window width adapts to the exponent size (2–6 bits), and only the
+    /// The window width adapts to the exponent size (2–5 bits), and only the
     /// odd powers `base^1, base^3, …` are tabulated, so compared to a fixed
     /// window the precomputation is halved and runs of zero exponent bits
     /// cost squarings only. All square steps go through the dedicated
@@ -110,15 +121,33 @@ impl Montgomery {
     /// [`Montgomery`] and call `pow` on it, skipping the per-call
     /// `R²`/limb-inverse setup that [`BigUint::mod_pow`] pays.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one().rem_ref(&self.modulus);
-        }
-        let base = base.rem_ref(&self.modulus);
+        let (m, term) = (&self.modulus, [(base, exp)]);
         match &self.kernel {
-            Kernel::W8(k) => window_pow(&**k, &mut [[0; 8]; MAX_ODD_POWERS], &base, exp),
-            Kernel::W16(k) => window_pow(&**k, &mut [[0; 16]; MAX_ODD_POWERS], &base, exp),
-            Kernel::W32(k) => window_pow(&**k, &mut [[0; 32]; MAX_ODD_POWERS], &base, exp),
-            Kernel::Slice(k) => window_pow(k, &mut vec![Vec::new(); MAX_ODD_POWERS], &base, exp),
+            Kernel::W8(k) => multi_pow(&**k, &mut [[0; 8]; ODD_POWERS], m, &term),
+            Kernel::W16(k) => multi_pow(&**k, &mut [[0; 16]; ODD_POWERS], m, &term),
+            Kernel::W32(k) => multi_pow(&**k, &mut [[0; 32]; ODD_POWERS], m, &term),
+            Kernel::Slice(k) => multi_pow(k, &mut vec![Vec::new(); ODD_POWERS], m, &term),
+        }
+    }
+
+    /// Computes `Π baseᵢ^expᵢ mod modulus` with one shared squaring chain
+    /// (Straus' interleaved multi-exponentiation, with a sliding window per
+    /// base as in Möller, "Algorithms for multi-exponentiation", SAC 2001).
+    ///
+    /// Every base gets its own odd-power table and window schedule, exactly
+    /// as in [`Montgomery::pow`]; the squarings of the longest exponent are
+    /// paid once for the whole product instead of once per base. Bases may
+    /// be `≥ modulus` (they are reduced first), zero exponents contribute a
+    /// factor 1, and the empty product is 1. The tables live in a fixed
+    /// stack buffer; products of more than eight bases run one squaring
+    /// chain per group of eight.
+    pub fn multi_pow(&self, terms: &[(&BigUint, &BigUint)]) -> BigUint {
+        let m = &self.modulus;
+        match &self.kernel {
+            Kernel::W8(k) => multi_pow(&**k, &mut [[0; 8]; MULTI_TABLE], m, terms),
+            Kernel::W16(k) => multi_pow(&**k, &mut [[0; 16]; MULTI_TABLE], m, terms),
+            Kernel::W32(k) => multi_pow(&**k, &mut [[0; 32]; MULTI_TABLE], m, terms),
+            Kernel::Slice(k) => multi_pow(k, &mut vec![Vec::new(); MULTI_TABLE], m, terms),
         }
     }
 
@@ -176,58 +205,118 @@ fn sqr<A: Arith>(k: &A, a: &BigUint) -> BigUint {
     k.store(&k.mont_mul(&aa, k.r2()))
 }
 
-/// `base^exp mod m` for `base < m` and `exp ≠ 0` by the left-to-right
-/// sliding window; `table` holds at least [`MAX_ODD_POWERS`] scratch
-/// residues for the odd powers.
-fn window_pow<A: Arith>(k: &A, table: &mut [A::Elem], base: &BigUint, exp: &BigUint) -> BigUint {
-    let total_bits = exp.bits();
-    let w = sliding_window_width(total_bits);
-    // table[j] = base^(2j+1) in Montgomery form (odd powers only).
-    let table = &mut table[..1 << (w - 1)];
-    table[0] = k.mont_mul(&k.load(base), k.r2());
-    let base_sq = k.mont_sqr(&table[0]);
-    for j in 1..table.len() {
-        table[j] = k.mont_mul(&table[j - 1], &base_sq);
-    }
-
+/// `Π baseᵢ^expᵢ mod m`, one interleaved squaring chain per group of
+/// [`MULTI_BASES`] terms; `tables` holds [`ODD_POWERS`] scratch residues
+/// per term of the largest group.
+fn multi_pow<A: Arith>(
+    k: &A,
+    tables: &mut [A::Elem],
+    m: &BigUint,
+    terms: &[(&BigUint, &BigUint)],
+) -> BigUint {
     let mut acc: Option<A::Elem> = None;
-    let mut i = total_bits as isize - 1;
-    while i >= 0 {
-        if !exp.bit(i as usize) {
-            if let Some(a) = acc.as_mut() {
-                *a = k.mont_sqr(a);
-            }
-            i -= 1;
-            continue;
+    for group in terms.chunks(MULTI_BASES) {
+        if let Some(part) = interleaved_pow(k, tables, m, group) {
+            acc = Some(match acc {
+                Some(a) => k.mont_mul(&a, &part),
+                None => part,
+            });
         }
-        // Widest window [s, i] of at most w bits whose lowest bit is set,
-        // so the tabulated power is odd.
-        let mut s = (i - (w as isize - 1)).max(0);
-        while !exp.bit(s as usize) {
-            s += 1;
-        }
-        let width = (i - s + 1) as usize;
-        let mut value = 0usize;
-        for j in (s..=i).rev() {
-            value = (value << 1) | exp.bit(j as usize) as usize;
-        }
-        acc = Some(match acc {
-            Some(mut a) => {
-                for _ in 0..width {
-                    a = k.mont_sqr(&a);
-                }
-                k.mont_mul(&a, &table[value >> 1])
-            }
-            None => table[value >> 1].clone(),
-        });
-        i = s - 1;
     }
     match acc {
         // Leaving the Montgomery domain is a product with plain 1.
         Some(a) => k.store(&k.mont_mul(&a, &k.load(&BigUint::one()))),
-        // Unreachable: exp != 0 guarantees at least one set bit.
+        // Every exponent zero: the empty product, 1 (m > 1).
         None => BigUint::one(),
     }
+}
+
+/// The Montgomery form of `Π baseᵢ^expᵢ` for at most [`MULTI_BASES`]
+/// terms, or `None` when every exponent is zero.
+///
+/// Each term's exponent is cut into sliding windows independently: the
+/// widest run of at most [`sliding_window_width`] bits that starts at the
+/// highest unprocessed set bit and ends on a set bit, so the tabulated
+/// power is odd. Walking down from the top bit, the accumulator is squared
+/// once per bit position, and every term whose current window ends at a
+/// position multiplies in its tabulated odd power there.
+fn interleaved_pow<A: Arith>(
+    k: &A,
+    tables: &mut [A::Elem],
+    m: &BigUint,
+    group: &[(&BigUint, &BigUint)],
+) -> Option<A::Elem> {
+    debug_assert!(group.len() <= MULTI_BASES);
+    // Per term: window width and the next window as (lowest bit, digit).
+    let mut widths = [0usize; MULTI_BASES];
+    let mut next = [None::<(usize, usize)>; MULTI_BASES];
+    let mut top = 0;
+    for (j, &(base, exp)) in group.iter().enumerate() {
+        let bits = exp.bits();
+        if bits == 0 {
+            continue;
+        }
+        let w = sliding_window_width(bits);
+        let table = &mut tables[j * ODD_POWERS..][..1 << (w - 1)];
+        table[0] = k.mont_mul(&k.load(&base.rem_ref(m)), k.r2());
+        let base_sq = k.mont_sqr(&table[0]);
+        for i in 1..table.len() {
+            table[i] = k.mont_mul(&table[i - 1], &base_sq);
+        }
+        widths[j] = w;
+        next[j] = next_window(exp, bits - 1, w);
+        top = top.max(bits);
+    }
+    // `acc` holds the product of the windows above bit `pos`, shifted down
+    // to `pos`. Each step jumps to the highest pending window's lowest bit.
+    let mut acc: Option<A::Elem> = None;
+    let mut pos = top;
+    while let Some(low) = next.iter().flatten().map(|&(low, _)| low).max() {
+        if let Some(a) = acc.as_mut() {
+            for _ in low..pos {
+                *a = k.mont_sqr(a);
+            }
+        }
+        pos = low;
+        for (j, &(_, exp)) in group.iter().enumerate() {
+            let Some((at, digit)) = next[j] else {
+                continue;
+            };
+            if at != low {
+                continue;
+            }
+            let power = &tables[j * ODD_POWERS + (digit >> 1)];
+            acc = Some(match acc {
+                Some(a) => k.mont_mul(&a, power),
+                None => power.clone(),
+            });
+            next[j] = low
+                .checked_sub(1)
+                .and_then(|from| next_window(exp, from, widths[j]));
+        }
+    }
+    // The bits below the lowest window are zeros: squarings only.
+    let mut acc = acc?;
+    for _ in 0..pos {
+        acc = k.mont_sqr(&acc);
+    }
+    Some(acc)
+}
+
+/// The highest sliding window of `exp` at or below bit `from`: the widest
+/// run of at most `w` bits that starts at the highest set bit and ends on a
+/// set bit, as `(lowest bit position, odd digit)`; `None` when no bit at
+/// or below `from` is set.
+fn next_window(exp: &BigUint, from: usize, w: usize) -> Option<(usize, usize)> {
+    let high = (0..=from).rev().find(|&i| exp.bit(i))?;
+    let mut low = (high + 1).saturating_sub(w);
+    while !exp.bit(low) {
+        low += 1;
+    }
+    let digit = (low..=high)
+        .rev()
+        .fold(0, |acc, j| (acc << 1) | exp.bit(j) as usize);
+    Some((low, digit))
 }
 
 /// `a + b·c + carry` as `(low, high)` limbs; cannot overflow 128 bits.
@@ -553,13 +642,12 @@ fn sub_modulus_if_needed(out: &mut [u64], hi: u64, n: &[u64]) {
 
 /// Window width for sliding-window exponentiation, chosen by the classical
 /// break-even points (precomputation of `2^(w−1)` entries vs one multiply
-/// saved per window).
+/// saved per window), capped at [`MAX_WINDOW`].
 fn sliding_window_width(exp_bits: usize) -> usize {
     match exp_bits {
         0..=23 => 2,
         24..=79 => 3,
         80..=239 => 4,
-        240..=671 => 5,
         _ => MAX_WINDOW,
     }
 }
@@ -747,6 +835,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn multi_pow_matches_product_of_pows_on_both_kernels() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for limbs in [3usize, 8, 16] {
+            let mut m = crate::random_bits_exact(&mut rng, 64 * limbs);
+            m.set_bit(0, true);
+            for ctx in [
+                Montgomery::new(m.clone()),
+                Montgomery::build(m.clone(), false),
+            ] {
+                // Twelve terms: two squaring chains, the second one short.
+                let bases: Vec<BigUint> = (0..12)
+                    .map(|i| match i {
+                        0 => m.add_ref(&BigUint::from_u64(5)), // ≥ modulus
+                        1 => BigUint::zero(),
+                        _ => crate::random_below(&mut rng, &m),
+                    })
+                    .collect();
+                let exps: Vec<BigUint> = (0..12)
+                    .map(|i| match i {
+                        1 | 3 => BigUint::zero(),
+                        4 => BigUint::one(),
+                        5 => BigUint::one().shl_bits(200),
+                        _ => crate::random_bits(&mut rng, 32 * i + 1),
+                    })
+                    .collect();
+                let terms: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
+                for n in [0, 1, 2, 6, 8, 9, 12] {
+                    let expected = terms[..n]
+                        .iter()
+                        .fold(BigUint::one(), |acc, (b, e)| ctx.mul(&acc, &ctx.pow(b, e)));
+                    assert_eq!(
+                        ctx.multi_pow(&terms[..n]),
+                        expected,
+                        "{limbs} limbs, {n} terms"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_window_reads_odd_digits_top_down() {
+        // 0b1_0110_0001: windows of width 3 are 101 (bits 8..6), then a
+        // window of one bit at 5 (bits 4 and 3 are clear), then bit 0.
+        let e = bu(0b1_0110_0001);
+        assert_eq!(next_window(&e, 8, 3), Some((6, 0b101)));
+        assert_eq!(next_window(&e, 5, 3), Some((5, 1)));
+        assert_eq!(next_window(&e, 4, 3), Some((0, 1)));
+        assert_eq!(next_window(&bu(0b1101), 3, 3), Some((2, 0b11)));
+        assert_eq!(next_window(&BigUint::zero(), 10, 3), None);
     }
 
     #[test]

@@ -228,6 +228,58 @@ proptest! {
     }
 
     #[test]
+    fn multi_pow_matches_product_of_pows(
+        (limbs, m_limbs) in (0usize..4).prop_flat_map(|w| {
+            let l = [3usize, 8, 16, 32][w];
+            (Just(l), prop::collection::vec(any::<u64>(), l))
+        }),
+        bases in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..=33), 1..=10),
+        exps in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..=8), 10),
+        m_kind in 0u8..3,
+    ) {
+        // Limb counts 8/16/32 run the fixed-width kernels and 3 the slice
+        // kernel; bases up to 33 limbs are often ≥ the modulus, exponents
+        // of 0–8 limbs are often zero and never all the same length.
+        let m = fixed_width_modulus(limbs, m_limbs, m_kind);
+        let ctx = Montgomery::new(m.clone());
+        let bases: Vec<BigUint> = bases.into_iter().map(BigUint::from_limbs).collect();
+        let exps: Vec<BigUint> = exps.into_iter().map(BigUint::from_limbs).collect();
+        let terms: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
+        let expected = terms
+            .iter()
+            .fold(BigUint::one(), |acc, (b, e)| ctx.mul(&acc, &ctx.pow(b, e)));
+        prop_assert_eq!(ctx.multi_pow(&terms), expected);
+        prop_assert_eq!(ctx.multi_pow(&terms[..1]), ctx.pow(terms[0].0, terms[0].1));
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid(
+        (a_limbs, b_limbs) in (0usize..4).prop_flat_map(|w| {
+            let l = [1usize, 2, 8, 16][w];
+            (
+                prop::collection::vec(any::<u64>(), 0..=l + 1),
+                prop::collection::vec(any::<u64>(), l),
+            )
+        }),
+        (odd_side, shared) in (0u8..3, 0usize..4),
+    ) {
+        // One operand forced odd (either side) or neither, times a shared
+        // factor so the gcd is often not 1; the even factor 6 sends some
+        // cases down the Euclid fallback.
+        let mut a = BigUint::from_limbs(a_limbs);
+        let mut b = BigUint::from_limbs(b_limbs);
+        match odd_side {
+            0 => b.set_bit(0, true),
+            1 => a.set_bit(0, true),
+            _ => {}
+        }
+        let factor = BigUint::from_u64([1, 3, 6, 15][shared]);
+        let (a, b) = (a.mul_ref(&factor), b.mul_ref(&factor));
+        prop_assert_eq!(a.gcd(&b), a.gcd_euclid(&b));
+        prop_assert_eq!(b.gcd(&a), b.gcd_euclid(&a));
+    }
+
+    #[test]
     fn gcd_divides_both(a in arb_biguint(4), b in arb_biguint(4)) {
         let g = a.gcd(&b);
         if !g.is_zero() {

@@ -149,13 +149,13 @@ pub struct FederationConfig {
     pub c2_seed: u64,
     /// Offline Paillier randomness precomputation
     /// ([`sknn_paillier::RandomnessPool`]): each cloud gets its own pool of
-    /// precomputed `(r, r^N mod N²)` pairs so online encryption and
+    /// precomputed units `r^N mod N²` (C2's by CRT) so online encryption and
     /// re-randomization cost one modular multiplication. `capacity: 0`
     /// disables pooling entirely (every encryption pays its exponentiation
     /// inline). `seed: None` (the default) draws pool randomness from OS
     /// entropy; an explicit seed — for reproducible experiments — is
     /// combined with a per-cloud salt so the two pools never replay the
-    /// same `r` sequence.
+    /// same randomness.
     pub pool: PoolConfig,
     /// Entries [`crate::SknnEngine::setup`] precomputes synchronously per
     /// cloud before the first query (clamped to `pool.capacity`); the

@@ -2,6 +2,7 @@
 
 use crate::error::{DurableUpdateError, UpdateRejected};
 use crate::storage::BackingStore;
+use crate::SknnError;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, PublicKey};
 use sknn_store::StoreError;
@@ -53,16 +54,20 @@ impl EncryptedDatabase {
     /// [`crate::DataOwner::encrypt_table`]; exposed for advanced integrations
     /// that obtain ciphertexts from elsewhere.
     ///
-    /// # Panics
-    /// Panics when records have inconsistent widths.
-    pub fn from_records(records: Vec<EncryptedRecord>, public_key: PublicKey) -> Self {
+    /// # Errors
+    /// [`SknnError::MalformedTable`] when records have inconsistent widths.
+    pub fn from_records(
+        records: Vec<EncryptedRecord>,
+        public_key: PublicKey,
+    ) -> Result<Self, SknnError> {
         let attributes = records.first().map_or(0, |r| r.len());
-        assert!(
-            records.iter().all(|r| r.len() == attributes),
-            "encrypted records have inconsistent widths"
-        );
+        if records.iter().any(|r| r.len() != attributes) {
+            return Err(SknnError::MalformedTable {
+                reason: "encrypted records have inconsistent widths",
+            });
+        }
         let live = vec![true; records.len()];
-        EncryptedDatabase {
+        Ok(EncryptedDatabase {
             records,
             live,
             tombstones: 0,
@@ -70,7 +75,7 @@ impl EncryptedDatabase {
             shards: 1,
             public_key,
             backing: None,
-        }
+        })
     }
 
     /// Assembles a database from explicit parts — the reload path of the
@@ -453,7 +458,7 @@ mod tests {
             vec![pk.encrypt_u64(1, &mut rng), pk.encrypt_u64(2, &mut rng)],
             vec![pk.encrypt_u64(3, &mut rng), pk.encrypt_u64(4, &mut rng)],
         ];
-        let db = EncryptedDatabase::from_records(records, pk.clone());
+        let db = EncryptedDatabase::from_records(records, pk.clone()).unwrap();
         assert_eq!(db.num_records(), 2);
         assert_eq!(db.num_attributes(), 2);
         assert_eq!(db.record(0).len(), 2);
@@ -467,7 +472,8 @@ mod tests {
         let (pk, _) = Keypair::generate(64, &mut rng).split();
         let enc = |v: u64, rng: &mut StdRng| vec![pk.encrypt_u64(v, rng)];
         let mut db =
-            EncryptedDatabase::from_records(vec![enc(1, &mut rng), enc(2, &mut rng)], pk.clone());
+            EncryptedDatabase::from_records(vec![enc(1, &mut rng), enc(2, &mut rng)], pk.clone())
+                .unwrap();
         assert_eq!(db.num_live(), 2);
         assert_eq!(db.live_indices(), vec![0, 1]);
 
@@ -513,7 +519,9 @@ mod tests {
         let (pk, _) = Keypair::generate(64, &mut rng).split();
         let enc = |v: u64, rng: &mut StdRng| vec![pk.encrypt_u64(v, rng)];
         let records: Vec<_> = (0..7).map(|v| enc(v, &mut rng)).collect();
-        let mut db = EncryptedDatabase::from_records(records, pk.clone()).with_shards(3);
+        let mut db = EncryptedDatabase::from_records(records, pk.clone())
+            .unwrap()
+            .with_shards(3);
         assert_eq!(db.shard_count(), 3);
         assert_eq!(db.shard_of(0), 0);
         assert_eq!(db.shard_of(4), 1);
@@ -558,7 +566,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inconsistent")]
     fn ragged_records_rejected() {
         let mut rng = StdRng::seed_from_u64(2);
         let (pk, _) = Keypair::generate(64, &mut rng).split();
@@ -566,7 +573,10 @@ mod tests {
             vec![pk.encrypt_u64(1, &mut rng)],
             vec![pk.encrypt_u64(1, &mut rng), pk.encrypt_u64(2, &mut rng)],
         ];
-        let _ = EncryptedDatabase::from_records(records, pk);
+        assert!(matches!(
+            EncryptedDatabase::from_records(records, pk),
+            Err(SknnError::MalformedTable { reason }) if reason.contains("inconsistent")
+        ));
     }
 
     #[test]

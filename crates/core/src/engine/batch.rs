@@ -153,7 +153,10 @@ mod tests {
             let outcome = outcome.as_ref().expect("batch query succeeds");
             let sequential = engine.run(query, &mut rng).unwrap();
             assert_eq!(outcome.result, sequential.result, "k = {}", query.k());
-            assert_eq!(outcome.result, plain_knn_records(&t, &[2, 2], query.k()));
+            assert_eq!(
+                outcome.result,
+                plain_knn_records(&t, &[2, 2], query.k()).unwrap()
+            );
         }
     }
 

@@ -43,7 +43,7 @@ use crate::config::{FederationConfig, PackingKind, SecureQueryParams, TransportK
 use crate::error::DurableUpdateError;
 use crate::exec::SessionSet;
 use crate::parallel::{Admission, ParallelismConfig};
-use crate::profile::PoolActivity;
+use crate::profile::{Cloud, PoolActivity};
 use crate::roles::{CloudC1, DataOwner, QueryUser};
 use crate::storage::{BackingStore, DatasetStoreHandle};
 use crate::{EncryptedDatabase, EncryptedRecord, SknnError, Table, UpdateRejected};
@@ -235,11 +235,13 @@ pub struct SknnEngine {
     owner: DataOwner,
     user: QueryUser,
     c2: C2Handle,
-    /// Offline randomness pools (C1's, C2's), kept for hit/fallback
-    /// accounting; empty when pooling is disabled.
-    pools: Vec<Arc<RandomnessPool>>,
-    /// C1's pool, attached to every registered dataset's encryptor.
+    /// C1's offline randomness pool, attached to every registered
+    /// dataset's encryptor; `None` when pooling is disabled.
     c1_pool: Option<Arc<RandomnessPool>>,
+    /// C2's pool of CRT units, shared by every in-process key holder and
+    /// kept here for hit/fallback accounting; `None` when pooling is
+    /// disabled or C2 lives on the far side of caller-supplied sessions.
+    c2_pool: Option<Arc<RandomnessPool>>,
     datasets: BTreeMap<String, Dataset>,
     /// What crash recovery had to do per dataset reloaded by
     /// [`SknnEngine::open_dir`].
@@ -277,7 +279,9 @@ impl SknnEngine {
     /// with the key would corrupt results silently.
     ///
     /// # Errors
-    /// See [`SknnEngine::setup`].
+    /// See [`SknnEngine::setup`]; also [`SknnError::Paillier`] when pooling
+    /// is on and the owner's key fails C2's CRT-unit check
+    /// `gcd(N, φ(N)) = 1` (no generated key does).
     pub fn setup_with_owner(
         owner: DataOwner,
         mut config: FederationConfig,
@@ -288,30 +292,22 @@ impl SknnEngine {
 
         // Offline/online split: one randomness pool per cloud, pre-warmed so
         // the first query already encrypts with one multiplication per unit.
-        // `seed: None` keeps the PoolConfig contract — OS entropy, the right
-        // default for anything security-relevant. An explicit seed (for
-        // reproducible experiments) is derived per cloud, because two pools
-        // replaying the same `r` sequence would produce correlated
-        // ciphertexts across the clouds.
-        let mut pools = Vec::new();
-        let mut pool_for = |salt: u64| -> Arc<RandomnessPool> {
-            let pool = RandomnessPool::new(
-                public_key.clone(),
-                PoolConfig {
-                    seed: config.pool.seed.map(|s| s ^ salt),
-                    ..config.pool
-                },
-            );
-            pool.prewarm(config.pool_prewarm);
-            pools.push(Arc::clone(&pool));
-            pool
-        };
-        let pooling = config.pool.capacity > 0;
-        let c1_pool = pooling.then(|| pool_for(0xC1));
+        let c1_pool = c1_pool(&config, &public_key);
         // One offline pool serves every C2 session: the holders share the
         // secret key, so sharing the precomputed `r^N` units is safe and
-        // keeps the prewarm cost independent of the session count.
-        let c2_pool = pooling.then(|| pool_for(0xC2));
+        // keeps the prewarm cost independent of the session count. C2 holds
+        // the factorization, so its units are computed by CRT.
+        let c2_pool = match config.pool.capacity {
+            0 => None,
+            _ => {
+                let pool = RandomnessPool::for_key_holder(
+                    owner.private_key(),
+                    pool_config(&config, 0xC2),
+                )?;
+                pool.prewarm(config.pool_prewarm);
+                Some(pool)
+            }
+        };
 
         let sessions = config.sharding.sessions.max(1);
         // Session 0 keeps the configured seed exactly (bit-compatible with
@@ -377,8 +373,8 @@ impl SknnEngine {
             owner,
             user,
             c2,
-            pools,
             c1_pool,
+            c2_pool,
             datasets: BTreeMap::new(),
             recovery: BTreeMap::new(),
             parallelism: ParallelismConfig {
@@ -413,27 +409,14 @@ impl SknnEngine {
         config.key_bits = owner.public_key().bits();
         let public_key = owner.public_key().clone();
         let user = QueryUser::new(public_key.clone());
-        let mut pools = Vec::new();
-        let pooling = config.pool.capacity > 0;
-        let c1_pool = pooling.then(|| {
-            let pool = RandomnessPool::new(
-                public_key.clone(),
-                PoolConfig {
-                    seed: config.pool.seed.map(|s| s ^ 0xC1),
-                    ..config.pool
-                },
-            );
-            pool.prewarm(config.pool_prewarm);
-            pools.push(Arc::clone(&pool));
-            pool
-        });
+        let c1_pool = c1_pool(&config, &public_key);
         sessions.set_deadline(config.retry.deadline);
         Ok(SknnEngine {
             owner,
             user,
             c2: C2Handle::Pool(sessions),
-            pools,
             c1_pool,
+            c2_pool: None,
             datasets: BTreeMap::new(),
             recovery: BTreeMap::new(),
             parallelism: ParallelismConfig {
@@ -1058,7 +1041,7 @@ impl SknnEngine {
                 name: query.dataset().to_string(),
             })?;
         let comm_before = self.comm_stats();
-        let pool_before = self.pool_stats();
+        let pools_before = Cloud::ALL.map(|cloud| self.pool_stats_of(cloud));
         let enc_q = self.user.encrypt_query(query.point(), rng)?;
         let policy = self.config.retry;
         let secure_params = SecureQueryParams {
@@ -1097,7 +1080,9 @@ impl SknnEngine {
                 }
             }
         }
-        profile.record_pool(pool_delta(&pool_before, &self.pool_stats()));
+        for (cloud, before) in Cloud::ALL.into_iter().zip(&pools_before) {
+            profile.record_pool(cloud, pool_delta(before, &self.pool_stats_of(cloud)));
+        }
         let result = self.user.recover_records(&masked)?;
         Ok(QueryOutcome {
             result,
@@ -1151,7 +1136,7 @@ impl SknnEngine {
     /// measurement starts from the same warm-pool state instead of the
     /// drained state the previous configuration left behind.
     pub fn prewarm_pools(&self, entries: usize) {
-        for pool in &self.pools {
+        for pool in self.c1_pool.iter().chain(&self.c2_pool) {
             pool.prewarm(entries);
         }
     }
@@ -1159,14 +1144,18 @@ impl SknnEngine {
     /// Cumulative offline-randomness-pool counters, summed over both
     /// clouds' pools (all zero when pooling is disabled).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pools.iter().fold(PoolStats::default(), |acc, pool| {
-            let s = pool.stats();
-            PoolStats {
-                hits: acc.hits + s.hits,
-                fallbacks: acc.fallbacks + s.fallbacks,
-                precomputed: acc.precomputed + s.precomputed,
-            }
-        })
+        self.pool_stats_of(Cloud::C1)
+            .plus(&self.pool_stats_of(Cloud::C2))
+    }
+
+    /// Cumulative counters of one cloud's offline randomness pool (all
+    /// zero when it has none).
+    pub fn pool_stats_of(&self, cloud: Cloud) -> PoolStats {
+        let pool = match cloud {
+            Cloud::C1 => &self.c1_pool,
+            Cloud::C2 => &self.c2_pool,
+        };
+        pool.as_ref().map(|p| p.stats()).unwrap_or_default()
     }
 
     /// The parallelism configuration queries currently run with.
@@ -1224,6 +1213,27 @@ fn derive_packing(
         (_, Ok(p)) => Ok(Some(p)),
         (_, Err(_)) => Ok(None),
     }
+}
+
+/// The pool configuration of one cloud. `seed: None` keeps the PoolConfig
+/// contract — OS entropy, the right default for anything
+/// security-relevant. An explicit seed (for reproducible experiments) is
+/// derived per cloud by `salt`, because two pools replaying the same
+/// randomness would produce correlated ciphertexts across the clouds.
+fn pool_config(config: &FederationConfig, salt: u64) -> PoolConfig {
+    PoolConfig {
+        seed: config.pool.seed.map(|s| s ^ salt),
+        ..config.pool
+    }
+}
+
+/// C1's pre-warmed public-key pool, or `None` when pooling is disabled.
+fn c1_pool(config: &FederationConfig, pk: &PublicKey) -> Option<Arc<RandomnessPool>> {
+    (config.pool.capacity > 0).then(|| {
+        let pool = RandomnessPool::new(pk.clone(), pool_config(config, 0xC1));
+        pool.prewarm(config.pool_prewarm);
+        pool
+    })
 }
 
 pub(crate) fn pool_delta(before: &PoolStats, after: &PoolStats) -> PoolActivity {
@@ -1362,7 +1372,7 @@ mod tests {
             .protocol(Protocol::Basic)
             .run(&mut rng)
             .unwrap();
-        assert_eq!(near.result, plain_knn_records(&t, &[2, 2], 3));
+        assert_eq!(near.result, plain_knn_records(&t, &[2, 2], 3).unwrap());
         assert!(!near.audit.is_oblivious());
 
         let far = engine
@@ -1414,7 +1424,7 @@ mod tests {
             .run(&mut rng)
             .unwrap();
         assert!(!all.result.contains(&vec![2, 2]));
-        assert_eq!(all.result, plain_knn_records(&table(), &[2, 2], 5));
+        assert_eq!(all.result, plain_knn_records(&table(), &[2, 2], 5).unwrap());
 
         // Typed errors for bad updates.
         assert!(matches!(
@@ -1513,7 +1523,7 @@ mod tests {
         );
         assert!(auto.dataset("d").unwrap().packing().is_none());
         let result = run(&auto, Protocol::Basic, 2, &mut rng).result;
-        assert_eq!(result, plain_knn_records(&table(), &[2, 2], 2));
+        assert_eq!(result, plain_knn_records(&table(), &[2, 2], 2).unwrap());
 
         // Auto clamps σ to what the key holds: a 192-bit key at κ = 10 fits
         // a few slots but not the eight requested, and the clamped layout
@@ -1534,7 +1544,7 @@ mod tests {
         assert_eq!(clamped_basic.result, scalar_basic.result);
         assert_eq!(
             clamped_basic.result,
-            plain_knn_records(&table(), &[2, 2], 3)
+            plain_knn_records(&table(), &[2, 2], 3).unwrap()
         );
         // The packed SSED stage moves σ× fewer ciphertexts.
         let scalar_ops = scalar_basic.profile.ops(Stage::DistanceComputation);
@@ -1568,13 +1578,13 @@ mod tests {
             let basic = run(&engine, Protocol::Basic, 3, &mut rng).result;
             assert_eq!(
                 basic,
-                plain_knn_records(&table(), &[2, 2], 3),
+                plain_knn_records(&table(), &[2, 2], 3).unwrap(),
                 "{transport:?}"
             );
             let secure = run(&engine, Protocol::Secure, 2, &mut rng).result;
             assert_eq!(
                 sorted(secure),
-                sorted(plain_knn_records(&table(), &[2, 2], 2)),
+                sorted(plain_knn_records(&table(), &[2, 2], 2).unwrap()),
                 "{transport:?}"
             );
         }
@@ -1593,7 +1603,10 @@ mod tests {
                 ..Default::default()
             };
             let outcome = run(&single(config, rng), Protocol::Basic, 2, rng);
-            assert_eq!(outcome.result, plain_knn_records(&table(), &[2, 2], 2));
+            assert_eq!(
+                outcome.result,
+                plain_knn_records(&table(), &[2, 2], 2).unwrap()
+            );
             outcome.comm.expect("traffic").requests
         };
         // Merging depends on workers overlapping inside the coalescing
@@ -1641,7 +1654,10 @@ mod tests {
         );
 
         let basic = run(&engine, Protocol::Basic, 2, &mut rng);
-        assert_eq!(basic.result, plain_knn_records(&table(), &[2, 2], 2));
+        assert_eq!(
+            basic.result,
+            plain_knn_records(&table(), &[2, 2], 2).unwrap()
+        );
         assert!(
             basic.profile.pool().hits > 0,
             "C2's response encryptions must hit the pool"
@@ -1675,9 +1691,51 @@ mod tests {
             &mut rng,
         );
         let outcome = run(&unpooled, Protocol::Basic, 3, &mut rng);
-        assert_eq!(outcome.result, plain_knn_records(&table(), &[2, 2], 3));
+        assert_eq!(
+            outcome.result,
+            plain_knn_records(&table(), &[2, 2], 3).unwrap()
+        );
         assert_eq!(outcome.profile.pool(), PoolActivity::default());
         assert_eq!(unpooled.pool_stats(), PoolStats::default());
+    }
+
+    #[test]
+    fn pool_activity_is_split_per_cloud() {
+        // In process, every ciphertext C2 sends back in SkNN_b is a fresh
+        // encryption with one unit from C2's pool, and C2 draws nothing
+        // else. SkNN_m's SMIN rounds also return C1's own Γ′ (or its
+        // zeroth power) without a fresh unit, so there C2 draws fewer.
+        let mut rng = StdRng::seed_from_u64(411);
+        let engine = single(
+            FederationConfig {
+                key_bits: 96,
+                max_query_value: 10,
+                ..Default::default()
+            },
+            &mut rng,
+        );
+        for protocol in [Protocol::Basic, Protocol::Secure] {
+            let outcome = run(&engine, protocol, 2, &mut rng);
+            let profile = &outcome.profile;
+            let (c1, c2) = (profile.pool_of(Cloud::C1), profile.pool_of(Cloud::C2));
+            let sent = profile.total_ops().ciphertexts_from_c2;
+            match protocol {
+                Protocol::Basic => assert_eq!(c2.hits + c2.fallbacks, sent),
+                Protocol::Secure => assert!(c2.hits + c2.fallbacks < sent),
+            }
+            assert!(
+                c1.hits + c1.fallbacks > 0,
+                "C1 masks the result with fresh units"
+            );
+            assert_eq!(profile.pool().hits, c1.hits + c2.hits);
+            assert_eq!(profile.pool().fallbacks, c1.fallbacks + c2.fallbacks);
+        }
+        assert_eq!(
+            engine.pool_stats(),
+            engine
+                .pool_stats_of(Cloud::C1)
+                .plus(&engine.pool_stats_of(Cloud::C2))
+        );
     }
 
     #[test]

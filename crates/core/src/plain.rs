@@ -4,43 +4,60 @@
 //! against, and (b) the "no cryptography" performance baseline in the
 //! benchmark harness.
 
-use crate::Table;
+use crate::{SknnError, Table};
 
-/// Squared Euclidean distance between two equal-length attribute vectors.
+/// Squared Euclidean distance between a record `a` and a query `b`.
 ///
-/// # Panics
-/// Panics when the vectors have different lengths.
-pub fn squared_euclidean_distance(a: &[u64], b: &[u64]) -> u128 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter()
+/// # Errors
+/// [`SknnError::QueryDimensionMismatch`] when the vectors have different
+/// lengths (`table` is `a`'s, `query` is `b`'s).
+pub fn squared_euclidean_distance(a: &[u64], b: &[u64]) -> Result<u128, SknnError> {
+    if a.len() != b.len() {
+        return Err(SknnError::QueryDimensionMismatch {
+            table: a.len(),
+            query: b.len(),
+        });
+    }
+    Ok(a.iter()
         .zip(b.iter())
         .map(|(&x, &y)| {
             let d = x.abs_diff(y) as u128;
             d * d
         })
-        .sum()
+        .sum())
 }
 
 /// Returns the indices of the `k` records of `table` closest to `query` in
 /// squared Euclidean distance, ties broken by record index (the same
 /// tie-breaking rule the basic protocol's key holder uses).
-pub fn plain_knn(table: &Table, query: &[u64], k: usize) -> Vec<usize> {
-    let mut scored: Vec<(u128, usize)> = table
+///
+/// # Errors
+/// [`SknnError::QueryDimensionMismatch`] when `query` is not as wide as the
+/// table's records.
+pub fn plain_knn(table: &Table, query: &[u64], k: usize) -> Result<Vec<usize>, SknnError> {
+    let mut scored = table
         .records()
         .iter()
         .enumerate()
-        .map(|(i, r)| (squared_euclidean_distance(r, query), i))
-        .collect();
+        .map(|(i, r)| Ok((squared_euclidean_distance(r, query)?, i)))
+        .collect::<Result<Vec<(u128, usize)>, SknnError>>()?;
     scored.sort();
-    scored.into_iter().take(k).map(|(_, i)| i).collect()
+    Ok(scored.into_iter().take(k).map(|(_, i)| i).collect())
 }
 
 /// Like [`plain_knn`] but returns the records themselves.
-pub fn plain_knn_records(table: &Table, query: &[u64], k: usize) -> Vec<Vec<u64>> {
-    plain_knn(table, query, k)
+///
+/// # Errors
+/// See [`plain_knn`].
+pub fn plain_knn_records(
+    table: &Table,
+    query: &[u64],
+    k: usize,
+) -> Result<Vec<Vec<u64>>, SknnError> {
+    Ok(plain_knn(table, query, k)?
         .into_iter()
         .map(|i| table.record(i).to_vec())
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -62,19 +79,28 @@ mod tests {
 
     #[test]
     fn distance_basics() {
-        assert_eq!(squared_euclidean_distance(&[0, 0], &[3, 4]), 25);
-        assert_eq!(squared_euclidean_distance(&[7, 7], &[7, 7]), 0);
+        assert_eq!(squared_euclidean_distance(&[0, 0], &[3, 4]).unwrap(), 25);
+        assert_eq!(squared_euclidean_distance(&[7, 7], &[7, 7]).unwrap(), 0);
         // Order does not matter.
         assert_eq!(
-            squared_euclidean_distance(&[1, 200], &[100, 2]),
-            squared_euclidean_distance(&[100, 2], &[1, 200])
+            squared_euclidean_distance(&[1, 200], &[100, 2]).unwrap(),
+            squared_euclidean_distance(&[100, 2], &[1, 200]).unwrap()
         );
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn mismatched_dimensions_panic() {
-        squared_euclidean_distance(&[1], &[1, 2]);
+    fn mismatched_dimensions_are_a_typed_error() {
+        assert_eq!(
+            squared_euclidean_distance(&[1], &[1, 2]),
+            Err(SknnError::QueryDimensionMismatch { table: 1, query: 2 })
+        );
+        assert_eq!(
+            plain_knn_records(&heart_disease_table(), &[1, 2], 1),
+            Err(SknnError::QueryDimensionMismatch {
+                table: 10,
+                query: 2
+            })
+        );
     }
 
     #[test]
@@ -87,7 +113,7 @@ mod tests {
         // slightly closer than t4: 127 vs 148).
         let table = heart_disease_table();
         let query = [58, 1, 4, 133, 196, 1, 2, 1, 6, 0];
-        let knn = plain_knn(&table, &query, 2);
+        let knn = plain_knn(&table, &query, 2).unwrap();
         assert_eq!(knn, vec![4, 3], "t4 and t5 are the two nearest neighbors");
     }
 
@@ -96,7 +122,7 @@ mod tests {
         // |t1 − t2|² = 813 as computed in Example 3.
         let table = heart_disease_table();
         assert_eq!(
-            squared_euclidean_distance(table.record(0), table.record(1)),
+            squared_euclidean_distance(table.record(0), table.record(1)).unwrap(),
             813
         );
     }
@@ -105,7 +131,7 @@ mod tests {
     fn k_equal_n_returns_everything() {
         let table = heart_disease_table();
         let query = [58, 1, 4, 133, 196, 1, 2, 1, 6, 0];
-        let all = plain_knn(&table, &query, 6);
+        let all = plain_knn(&table, &query, 6).unwrap();
         assert_eq!(all.len(), 6);
         let mut sorted = all.clone();
         sorted.sort_unstable();
@@ -116,14 +142,14 @@ mod tests {
     fn ties_break_by_index() {
         // Distances are 9, 1, 9, 1: the two ties are ordered by record index.
         let table = Table::new(vec![vec![5], vec![1], vec![5], vec![1]]).unwrap();
-        assert_eq!(plain_knn(&table, &[2], 4), vec![1, 3, 0, 2]);
+        assert_eq!(plain_knn(&table, &[2], 4).unwrap(), vec![1, 3, 0, 2]);
     }
 
     #[test]
     fn records_variant_returns_rows() {
         let table = heart_disease_table();
         let query = [58, 1, 4, 133, 196, 1, 2, 1, 6, 0];
-        let recs = plain_knn_records(&table, &query, 1);
+        let recs = plain_knn_records(&table, &query, 1).unwrap();
         assert_eq!(recs, vec![table.record(4).to_vec()]);
     }
 }

@@ -57,10 +57,24 @@ impl Stage {
     }
 }
 
+/// One of the two clouds, for per-cloud accounting.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Cloud {
+    /// The cloud hosting the encrypted database and driving the protocols.
+    C1,
+    /// The key-holding cloud.
+    C2,
+}
+
+impl Cloud {
+    /// Both clouds, C1 first.
+    pub const ALL: [Cloud; 2] = [Cloud::C1, Cloud::C2];
+}
+
 /// Offline-randomness pool activity during one query: how many encryption
 /// units came from the precomputed pools (`hits`) versus how many had to be
 /// exponentiated synchronously because a pool was drained or absent
-/// (`fallbacks`). Aggregated across both clouds' pools.
+/// (`fallbacks`). A [`QueryProfile`] keeps one per cloud.
 ///
 /// The per-query numbers are deltas of the deployment-wide pool counters,
 /// so when several queries run concurrently on one engine their windows
@@ -135,7 +149,8 @@ impl OpCounters {
 pub struct QueryProfile {
     durations: Vec<(Stage, Duration)>,
     total: Duration,
-    pool: PoolActivity,
+    /// Pool activity per cloud, indexed like [`Cloud::ALL`].
+    pools: [PoolActivity; 2],
     ops: Vec<(Stage, OpCounters)>,
     /// Per-shard attribution of `ops`, populated by sharded plans.
     shard_ops: Vec<(usize, Stage, OpCounters)>,
@@ -197,17 +212,29 @@ impl QueryProfile {
         v
     }
 
-    /// Adds offline-pool counters (hits vs synchronous fallbacks) observed
-    /// during this query.
-    pub fn record_pool(&mut self, activity: PoolActivity) {
-        self.pool.hits += activity.hits;
-        self.pool.fallbacks += activity.fallbacks;
+    /// Adds one cloud's offline-pool counters (hits vs synchronous
+    /// fallbacks) observed during this query.
+    pub fn record_pool(&mut self, cloud: Cloud, activity: PoolActivity) {
+        let pool = &mut self.pools[cloud as usize];
+        pool.hits += activity.hits;
+        pool.fallbacks += activity.fallbacks;
     }
 
-    /// Offline-pool activity during this query (zero when pooling is
-    /// disabled or the deployment does not track it).
+    /// Offline-pool activity during this query, summed over both clouds
+    /// (zero when pooling is disabled or the deployment does not track it).
     pub fn pool(&self) -> PoolActivity {
-        self.pool
+        let [c1, c2] = self.pools;
+        PoolActivity {
+            hits: c1.hits + c2.hits,
+            fallbacks: c1.fallbacks + c2.fallbacks,
+        }
+    }
+
+    /// One cloud's offline-pool activity during this query. C2 draws one
+    /// unit per ciphertext it sends back, so in-process its draws equal
+    /// [`OpCounters::ciphertexts_from_c2`].
+    pub fn pool_of(&self, cloud: Cloud) -> PoolActivity {
+        self.pools[cloud as usize]
     }
 
     /// Adds protocol-operation counters observed during `stage`.
@@ -311,7 +338,9 @@ impl QueryProfile {
                 self.shard_ops.push((*shard, *stage, *c));
             }
         }
-        self.record_pool(other.pool);
+        for cloud in Cloud::ALL {
+            self.record_pool(cloud, other.pool_of(cloud));
+        }
     }
 }
 
@@ -363,16 +392,24 @@ mod tests {
         let mut a = QueryProfile::new();
         assert_eq!(a.pool(), PoolActivity::default());
         assert_eq!(a.pool().hit_rate(), 0.0);
-        a.record_pool(PoolActivity {
-            hits: 3,
-            fallbacks: 1,
-        });
+        a.record_pool(
+            Cloud::C1,
+            PoolActivity {
+                hits: 3,
+                fallbacks: 1,
+            },
+        );
         let mut b = QueryProfile::new();
-        b.record_pool(PoolActivity {
-            hits: 5,
-            fallbacks: 1,
-        });
+        b.record_pool(
+            Cloud::C2,
+            PoolActivity {
+                hits: 5,
+                fallbacks: 1,
+            },
+        );
         a.merge(&b);
+        assert_eq!(a.pool_of(Cloud::C1).hits, 3);
+        assert_eq!(a.pool_of(Cloud::C2).hits, 5);
         assert_eq!(
             a.pool(),
             PoolActivity {

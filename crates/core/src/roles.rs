@@ -8,28 +8,35 @@
 use crate::{EncryptedDatabase, EncryptedQuery, MaskedResult, SknnError, Table};
 use rand::RngCore;
 use sknn_bigint::{random_below, BigUint};
-use sknn_paillier::{Keypair, PooledEncryptor, PrivateKey, PublicKey};
+use sknn_paillier::{Keypair, PooledEncryptor, PrivateKey, PublicKey, UnitSampler};
 use sknn_protocols::transport::TransportError;
 use sknn_protocols::{KeyHolder, PackedParams, ProtocolError};
 
 /// Alice: generates the key pair, encrypts her database attribute-wise and
 /// outsources it.
+///
+/// Alice holds the factorization, so her encryptions draw their randomness
+/// units by CRT ([`UnitSampler`]): the distribution of the public-key
+/// `r^N mod N²` from two half-size exponentiations instead of one
+/// full-size one.
 #[derive(Clone, Debug)]
 pub struct DataOwner {
     keypair: Keypair,
+    /// `None` only for a key failing `gcd(N, φ(N)) = 1`, which no generated
+    /// key does; such a key encrypts with the public key alone.
+    units: Option<UnitSampler>,
 }
 
 impl DataOwner {
     /// Creates a data owner with a fresh key pair of `key_bits` bits.
     pub fn new<R: RngCore + ?Sized>(key_bits: usize, rng: &mut R) -> Self {
-        DataOwner {
-            keypair: Keypair::generate(key_bits, rng),
-        }
+        Self::from_keypair(Keypair::generate(key_bits, rng))
     }
 
     /// Wraps an existing key pair (useful for reproducible tests).
     pub fn from_keypair(keypair: Keypair) -> Self {
-        DataOwner { keypair }
+        let units = keypair.private_key().unit_sampler().ok();
+        DataOwner { keypair, units }
     }
 
     /// The public key that Bob and both clouds operate under.
@@ -61,7 +68,7 @@ impl DataOwner {
             .iter()
             .map(|row| self.encrypt_record(row, rng))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(EncryptedDatabase::from_records(records, pk.clone()))
+        EncryptedDatabase::from_records(records, pk.clone())
     }
 
     /// Encrypts one record attribute-wise — the owner-side half of a dynamic
@@ -80,7 +87,14 @@ impl DataOwner {
         let pk = self.public_key();
         record
             .iter()
-            .map(|&v| pk.try_encrypt_u64(v, rng).map_err(SknnError::from))
+            .map(|&v| {
+                let m = BigUint::from_u64(v);
+                match &self.units {
+                    Some(units) => pk.encrypt_with_unit(&m, &units.sample(rng)),
+                    None => pk.try_encrypt(&m, rng),
+                }
+                .map_err(SknnError::from)
+            })
             .collect()
     }
 }

@@ -125,7 +125,7 @@ mod tests {
             .process_basic(&c2, &enc_q, 2, ParallelismConfig::serial(), &mut rng)
             .unwrap();
         let records = user.recover_records(&masked).unwrap();
-        assert_eq!(records, plain_knn_records(&table, &query, 2));
+        assert_eq!(records, plain_knn_records(&table, &query, 2).unwrap());
         // t5 (index 4, distance 127) is nearest, then t4 (index 3, distance 148).
         assert_eq!(records[0], table.record(4).to_vec());
         assert_eq!(records[1], table.record(3).to_vec());
@@ -152,7 +152,11 @@ mod tests {
                 .process_basic(&c2, &enc_q, k, ParallelismConfig::serial(), &mut rng)
                 .unwrap();
             let records = user.recover_records(&masked).unwrap();
-            assert_eq!(records, plain_knn_records(&table, &query, k), "k = {k}");
+            assert_eq!(
+                records,
+                plain_knn_records(&table, &query, k).unwrap(),
+                "k = {k}"
+            );
         }
     }
 

@@ -132,7 +132,7 @@ mod tests {
                 )
                 .unwrap();
             let mut records = user.recover_records(&masked).unwrap();
-            let mut expected = plain_knn_records(&table, &query, k);
+            let mut expected = plain_knn_records(&table, &query, k).unwrap();
             // SkNN_m hides which stored record each result corresponds to, so
             // ties may legitimately come back in either order; compare as sets.
             records.sort();
@@ -193,7 +193,7 @@ mod tests {
         let query = [2u64, 2];
         let (c1, c2, user, mut rng) = setup(&table);
         let enc_q = user.encrypt_query(&query, &mut rng).unwrap();
-        let expected = plain_knn_records(&table, &query, 2);
+        let expected = plain_knn_records(&table, &query, 2).unwrap();
 
         for shards in [2usize, 3] {
             let sharded = c1.clone().with_shards(shards);

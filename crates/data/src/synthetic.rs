@@ -172,7 +172,7 @@ mod tests {
             for a in ds.table.records() {
                 for b in ds.table.records() {
                     assert!(
-                        squared_euclidean_distance(a, b) < limit,
+                        squared_euclidean_distance(a, b).unwrap() < limit,
                         "distance exceeds 2^{l} − 1"
                     );
                 }
@@ -228,7 +228,7 @@ mod tests {
             .records()
             .iter()
             .skip(1)
-            .map(|r| squared_euclidean_distance(first, r))
+            .map(|r| squared_euclidean_distance(first, r).unwrap())
             .min()
             .unwrap();
         let span = ds.max_value as u128;

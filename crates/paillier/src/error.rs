@@ -19,6 +19,10 @@ pub enum PaillierError {
     MalformedCiphertext,
     /// A signed value was outside the encodable range `(−N/2, N/2]`.
     SignedOutOfRange,
+    /// `gcd(N, φ(N)) ≠ 1`: the key's CRT randomness units
+    /// ([`crate::UnitSampler`]) would not have the distribution of
+    /// `r^N mod N²`. No generated key fails this.
+    TotientNotCoprime,
     /// A decrypted plaintext did not fit the requested narrow integer type.
     PlaintextTooLarge {
         /// Bit length of the decrypted plaintext.
@@ -44,6 +48,10 @@ impl fmt::Display for PaillierError {
             PaillierError::SignedOutOfRange => {
                 write!(f, "signed value cannot be encoded in (−N/2, N/2]")
             }
+            PaillierError::TotientNotCoprime => write!(
+                f,
+                "gcd(N, φ(N)) ≠ 1: CRT randomness units would not match r^N mod N²"
+            ),
             PaillierError::PlaintextTooLarge { bits, target_bits } => write!(
                 f,
                 "decrypted plaintext is {bits} bits wide and does not fit a u{target_bits}"
@@ -74,6 +82,9 @@ mod tests {
         assert!(PaillierError::SignedOutOfRange
             .to_string()
             .contains("signed"));
+        assert!(PaillierError::TotientNotCoprime
+            .to_string()
+            .contains("gcd(N, φ(N))"));
         assert!(PaillierError::PlaintextTooLarge {
             bits: 100,
             target_bits: 64

@@ -14,7 +14,7 @@
 
 use crate::{Ciphertext, PublicKey};
 use rand::RngCore;
-use sknn_bigint::BigUint;
+use sknn_bigint::{BigUint, Montgomery};
 
 impl PublicKey {
     /// Homomorphic addition: returns an encryption of `a + b mod N`.
@@ -34,6 +34,22 @@ impl PublicKey {
     /// Plaintext multiplication: returns an encryption of `a · k mod N`.
     pub fn mul_plain(&self, a: &Ciphertext, k: &BigUint) -> Ciphertext {
         Ciphertext(a.as_raw().mod_pow(&k.rem_ref(&self.n), &self.n_squared))
+    }
+
+    /// Plaintext linear combination: returns an encryption of
+    /// `Σ aⱼ·kⱼ mod N` as `Π E(aⱼ)^{kⱼ mod N} mod N²`, bit-identical to
+    /// [`PublicKey::sum`] over [`PublicKey::mul_plain`]s but computed as one
+    /// multi-exponentiation ([`Montgomery::multi_pow`]), which shares the
+    /// squarings across every term. The empty combination is `E(0)` with
+    /// randomness 1.
+    pub fn mul_plain_sum(&self, terms: &[(&Ciphertext, &BigUint)]) -> Ciphertext {
+        let ks: Vec<BigUint> = terms.iter().map(|(_, k)| k.rem_ref(&self.n)).collect();
+        let pairs: Vec<(&BigUint, &BigUint)> = terms
+            .iter()
+            .zip(&ks)
+            .map(|((c, _), k)| (c.as_raw(), k))
+            .collect();
+        Ciphertext(Montgomery::new(self.n_squared.clone()).multi_pow(&pairs))
     }
 
     /// Plaintext multiplication by a `u64` constant.
@@ -183,6 +199,29 @@ mod tests {
         let b = pk.rerandomize(&a, &mut rng);
         assert_ne!(a, b);
         assert_eq!(sk.try_decrypt_u64(&b).unwrap(), 77);
+    }
+
+    #[test]
+    fn mul_plain_sum_is_the_sum_of_mul_plains_bit_for_bit() {
+        let (pk, sk, mut rng) = setup();
+        let cts: Vec<Ciphertext> = (0..7).map(|v| pk.encrypt_u64(v * 11, &mut rng)).collect();
+        // Scalars below N, zero, and ≥ N (reduced mod N like `mul_plain`).
+        let ks: Vec<BigUint> = (0..7u64)
+            .map(|i| match i {
+                0 => BigUint::zero(),
+                1 => pk.n().add_ref(&BigUint::from_u64(3)),
+                _ => sknn_bigint::random_below(&mut rng, pk.n()),
+            })
+            .collect();
+        let terms: Vec<(&Ciphertext, &BigUint)> = cts.iter().zip(&ks).collect();
+        let direct: Vec<Ciphertext> = terms.iter().map(|(c, k)| pk.mul_plain(c, k)).collect();
+        let combined = pk.mul_plain_sum(&terms);
+        assert_eq!(combined, pk.sum(direct.iter()));
+        let expected = (0..7u64).fold(BigUint::zero(), |acc, i| {
+            acc.add_ref(&BigUint::from_u64(i * 11).mul_ref(&ks[i as usize]))
+        });
+        assert_eq!(sk.decrypt(&combined), expected.rem_ref(pk.n()));
+        assert_eq!(pk.mul_plain_sum(&[]), pk.sum([]));
     }
 
     #[test]

@@ -5,17 +5,25 @@
 //! protocols, which issue thousands of fresh encryptions per query. The
 //! exponentiation depends only on the randomness `r`, never on the
 //! plaintext, so it can be done *offline*: a [`RandomnessPool`] precomputes
-//! `(r, r^N mod N²)` pairs into a thread-safe queue (optionally kept full by
-//! a background refill thread), and a [`PooledEncryptor`] drains them at
+//! units `r^N mod N²` into a thread-safe queue (optionally kept full by a
+//! background refill thread), and a [`PooledEncryptor`] drains them at
 //! query time, making online encryption a single modular multiplication.
+//!
+//! A pool built with [`RandomnessPool::new`] needs only the public key. The
+//! key holder builds its pool with [`RandomnessPool::for_key_holder`],
+//! which computes each unit by CRT from the factorization
+//! ([`crate::UnitSampler`]): two half-size exponentiations on half-width
+//! moduli instead of one full-size one.
 //!
 //! ## Security
 //!
-//! Pool entries are sampled exactly like direct encryption randomness —
-//! `r` uniform over the units of `Z_N` — and each entry is consumed at most
-//! once, so the ciphertext distribution is *identical* to
-//! [`PublicKey::encrypt`]: precomputation changes when the exponentiation
-//! happens, not what is computed. See `DESIGN.md` for the full argument.
+//! Public-key units are sampled exactly like direct encryption randomness —
+//! `r` uniform over the units of `Z_N` — and CRT units have the same
+//! distribution (the argument is in [`crate::UnitSampler`]'s module). Each
+//! unit is consumed at most once, so the ciphertext distribution is
+//! *identical* to [`PublicKey::encrypt`]: precomputation changes when the
+//! exponentiation happens, not what is computed. See `DESIGN.md` for the
+//! full argument.
 //!
 //! ## Example
 //!
@@ -32,20 +40,20 @@
 //! assert_eq!(sk.try_decrypt_u64(&c).unwrap(), 42);
 //! ```
 
-use crate::{Ciphertext, PaillierError, PublicKey};
+use crate::{Ciphertext, PaillierError, PrivateKey, PublicKey, UnitSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn_bigint::{BigUint, Montgomery};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::Duration;
 
 /// Sizing and refill policy for a [`RandomnessPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Maximum number of precomputed `(r, r^N)` pairs held at once.
+    /// Maximum number of precomputed units held at once.
     pub capacity: usize,
     /// Entries the refill thread computes per pass before re-checking
     /// demand (smaller = more responsive to shutdown, larger = less lock
@@ -70,15 +78,6 @@ impl Default for PoolConfig {
             seed: None,
         }
     }
-}
-
-/// One precomputed encryption-randomness pair.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PrecomputedRandomness {
-    /// The randomness `r`, uniform over the units of `Z_N`.
-    pub r: BigUint,
-    /// The offline-computed unit `r^N mod N²` — a fresh encryption of zero.
-    pub unit: BigUint,
 }
 
 /// Cumulative pool counters.
@@ -111,6 +110,15 @@ impl PoolStats {
     pub fn draws(&self) -> u64 {
         self.hits + self.fallbacks
     }
+
+    /// Component-wise sum.
+    pub fn plus(&self, other: &PoolStats) -> PoolStats {
+        PoolStats {
+            hits: self.hits + other.hits,
+            fallbacks: self.fallbacks + other.fallbacks,
+            precomputed: self.precomputed + other.precomputed,
+        }
+    }
 }
 
 /// How long an idle (full-pool) refill thread parks before re-checking.
@@ -119,26 +127,29 @@ impl PoolStats {
 /// pool; half a second keeps idle wakeups negligible.
 const REFILL_PARK: Duration = Duration::from_millis(500);
 
-struct PoolInner {
-    queue: VecDeque<PrecomputedRandomness>,
-    rng: StdRng,
+/// How a pool turns randomness into units.
+enum Source {
+    /// `r^N mod N²` with the public key, on a reusable `N²` context.
+    Public(Montgomery),
+    /// `CRT(x^p mod p², y^q mod q²)` with the factorization.
+    KeyHolder(UnitSampler),
 }
 
-/// A thread-safe queue of precomputed `(r, r^N mod N²)` pairs.
+/// A thread-safe queue of precomputed units `r^N mod N²`.
 ///
 /// Construction spawns a background refill thread when
 /// [`PoolConfig::background_refill`] is set; the thread holds only a [`Weak`]
 /// reference and exits on its own shortly after the last [`Arc`] to the pool
 /// is dropped. Draws never block on the refill thread: an empty queue falls
-/// back to computing the entry synchronously (counted in
-/// [`PoolStats::fallbacks`]).
+/// back to computing the unit synchronously (counted in
+/// [`PoolStats::fallbacks`]). The queue and the RNG have separate locks, so
+/// a draw waits neither behind sampling nor behind an exponentiation.
 pub struct RandomnessPool {
     pk: PublicKey,
-    /// Reusable Montgomery context for `N²`: refills and fallbacks skip the
-    /// per-exponentiation setup that `BigUint::mod_pow` pays.
-    mont: Montgomery,
+    source: Source,
     config: PoolConfig,
-    inner: Mutex<PoolInner>,
+    queue: Mutex<VecDeque<BigUint>>,
+    rng: Mutex<StdRng>,
     /// Signaled on every draw so a parked refill thread wakes promptly.
     demand: Condvar,
     shutdown: AtomicBool,
@@ -153,18 +164,38 @@ impl RandomnessPool {
     /// to fill it synchronously before the first query.
     pub fn new(pk: PublicKey, config: PoolConfig) -> Arc<RandomnessPool> {
         let mont = Montgomery::new(pk.n_squared().clone());
+        Self::start(pk, Source::Public(mont), config)
+    }
+
+    /// Creates the key holder's pool: like [`RandomnessPool::new`], but
+    /// every unit is computed by CRT from the factorization
+    /// ([`PrivateKey::unit_sampler`]), with the same distribution.
+    ///
+    /// # Errors
+    /// [`PaillierError::TotientNotCoprime`] when `gcd(N, φ(N)) ≠ 1`.
+    pub fn for_key_holder(
+        sk: &PrivateKey,
+        config: PoolConfig,
+    ) -> Result<Arc<RandomnessPool>, PaillierError> {
+        let units = sk.unit_sampler()?;
+        Ok(Self::start(
+            sk.public_key().clone(),
+            Source::KeyHolder(units),
+            config,
+        ))
+    }
+
+    fn start(pk: PublicKey, source: Source, config: PoolConfig) -> Arc<RandomnessPool> {
         let rng = match config.seed {
             Some(seed) => StdRng::seed_from_u64(seed),
             None => StdRng::from_entropy(),
         };
         let pool = Arc::new(RandomnessPool {
             pk,
-            mont,
+            source,
             config,
-            inner: Mutex::new(PoolInner {
-                queue: VecDeque::with_capacity(config.capacity),
-                rng,
-            }),
+            queue: Mutex::new(VecDeque::with_capacity(config.capacity)),
+            rng: Mutex::new(rng),
             demand: Condvar::new(),
             shutdown: AtomicBool::new(false),
             hits: AtomicU64::new(0),
@@ -193,7 +224,7 @@ impl RandomnessPool {
 
     /// Number of precomputed entries currently queued.
     pub fn available(&self) -> usize {
-        self.lock_inner().queue.len()
+        lock(&self.queue).len()
     }
 
     /// Snapshot of the cumulative counters.
@@ -210,65 +241,43 @@ impl RandomnessPool {
     pub fn prewarm(&self, count: usize) -> usize {
         let target = count.min(self.config.capacity);
         let mut added = 0;
-        loop {
-            let r = {
-                let mut inner = self.lock_inner();
-                if inner.queue.len() >= target {
-                    return added;
-                }
-                self.pk.sample_randomness(&mut inner.rng)
-            };
-            // The exponentiation runs outside the lock so concurrent draws
-            // are never serialized behind the prewarm.
-            let entry = self.compute_entry(r);
-            self.lock_inner().queue.push_back(entry);
+        while self.available() < target {
+            // The exponentiation runs outside both locks so concurrent
+            // draws are never serialized behind the prewarm.
+            let unit = self.fresh(1);
+            lock(&self.queue).extend(unit);
             self.precomputed.fetch_add(1, Ordering::Relaxed);
             added += 1;
         }
+        added
     }
 
-    /// Takes one precomputed pair, falling back to computing it
+    /// Takes one precomputed unit, falling back to computing it
     /// synchronously when the queue is empty (never blocks on the refill
     /// thread).
-    pub fn draw(&self) -> PrecomputedRandomness {
-        let popped = self.lock_inner().queue.pop_front();
-        self.demand.notify_one();
-        match popped {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                entry
-            }
-            None => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                let r = {
-                    let mut inner = self.lock_inner();
-                    self.pk.sample_randomness(&mut inner.rng)
-                };
-                self.compute_entry(r)
-            }
-        }
+    pub fn draw(&self) -> BigUint {
+        // `draw_batch(1)` always returns exactly one unit.
+        self.draw_batch(1).pop().unwrap_or_else(BigUint::one)
     }
 
-    /// Takes `count` pairs in one queue lock, synchronously computing
+    /// Takes `count` units in one queue lock, synchronously computing
     /// whatever the queue could not supply.
-    pub fn draw_batch(&self, count: usize) -> Vec<PrecomputedRandomness> {
+    pub fn draw_batch(&self, count: usize) -> Vec<BigUint> {
         if count == 0 {
             return Vec::new();
         }
-        let (mut out, missing_rs) = {
-            let mut inner = self.lock_inner();
-            let take = count.min(inner.queue.len());
-            let out: Vec<PrecomputedRandomness> = inner.queue.drain(..take).collect();
-            let missing: Vec<BigUint> = (0..count - take)
-                .map(|_| self.pk.sample_randomness(&mut inner.rng))
-                .collect();
-            (out, missing)
+        let mut out: Vec<BigUint> = {
+            let mut queue = lock(&self.queue);
+            let take = count.min(queue.len());
+            queue.drain(..take).collect()
         };
-        self.hits.fetch_add(out.len() as u64, Ordering::Relaxed);
-        self.fallbacks
-            .fetch_add(missing_rs.len() as u64, Ordering::Relaxed);
         self.demand.notify_one();
-        out.extend(missing_rs.into_iter().map(|r| self.compute_entry(r)));
+        let missing = count - out.len();
+        self.hits.fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.fallbacks.fetch_add(missing as u64, Ordering::Relaxed);
+        if missing > 0 {
+            out.extend(self.fresh(missing));
+        }
         out
     }
 
@@ -279,16 +288,34 @@ impl RandomnessPool {
         self.demand.notify_all();
     }
 
-    fn compute_entry(&self, r: BigUint) -> PrecomputedRandomness {
-        let unit = self.mont.pow(&r, self.pk.n());
-        PrecomputedRandomness { r, unit }
+    /// Computes `count` fresh units: their randomness is drawn under the
+    /// RNG lock alone, and the exponentiations run holding no lock.
+    fn fresh(&self, count: usize) -> Vec<BigUint> {
+        match &self.source {
+            Source::Public(mont) => {
+                let rs: Vec<BigUint> = {
+                    let mut rng = lock(&self.rng);
+                    (0..count)
+                        .map(|_| self.pk.sample_randomness(&mut *rng))
+                        .collect()
+                };
+                rs.iter().map(|r| mont.pow(r, self.pk.n())).collect()
+            }
+            Source::KeyHolder(units) => {
+                let xys: Vec<(BigUint, BigUint)> = {
+                    let mut rng = lock(&self.rng);
+                    (0..count).map(|_| units.draw(&mut *rng)).collect()
+                };
+                xys.iter().map(|(x, y)| units.unit(x, y)).collect()
+            }
+        }
     }
+}
 
-    fn lock_inner(&self) -> std::sync::MutexGuard<'_, PoolInner> {
-        // The pool never panics while holding the lock; treat poison as
-        // still-usable to match the rest of the workspace's lock policy.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
+/// Locks a pool mutex. The pool never panics while holding a lock; treat
+/// poison as still-usable to match the rest of the workspace's lock policy.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl fmt::Debug for RandomnessPool {
@@ -311,29 +338,23 @@ fn refill_loop(weak: Weak<RandomnessPool>) {
             return;
         }
         let deficit = {
-            let inner = pool.lock_inner();
-            pool.config.capacity.saturating_sub(inner.queue.len())
+            let queue = lock(&pool.queue);
+            let deficit = pool.config.capacity.saturating_sub(queue.len());
+            if deficit == 0 {
+                // Full: park until a draw signals demand (or briefly, so
+                // the `Arc` is released and a dropped pool is noticed).
+                drop(pool.demand.wait_timeout(queue, REFILL_PARK));
+                continue;
+            }
+            deficit
         };
-        if deficit == 0 {
-            // Full: park until a draw signals demand (or briefly, so the
-            // `Arc` is released and a dropped pool is noticed).
-            let inner = pool.lock_inner();
-            drop(pool.demand.wait_timeout(inner, REFILL_PARK));
-            continue;
-        }
-        let batch = deficit.min(pool.config.refill_batch.max(1));
-        let rs: Vec<BigUint> = {
-            let mut inner = pool.lock_inner();
-            (0..batch)
-                .map(|_| pool.pk.sample_randomness(&mut inner.rng))
-                .collect()
-        };
-        for r in rs {
+        // One unit at a time, so draws see each as soon as it exists.
+        for _ in 0..deficit.min(pool.config.refill_batch.max(1)) {
             if pool.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            let entry = pool.compute_entry(r);
-            pool.lock_inner().queue.push_back(entry);
+            let unit = pool.fresh(1);
+            lock(&pool.queue).extend(unit);
             pool.precomputed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -375,7 +396,7 @@ impl PooledEncryptor {
     /// # Errors
     /// Returns [`PaillierError::PlaintextOutOfRange`] when `m ≥ N`.
     pub fn encrypt(&self, m: &BigUint) -> Result<Ciphertext, PaillierError> {
-        self.pk.encrypt_with_unit(m, &self.pool.draw().unit)
+        self.pk.encrypt_with_unit(m, &self.pool.draw())
     }
 
     /// Encrypts a `u64` convenience value with pooled randomness.
@@ -386,15 +407,15 @@ impl PooledEncryptor {
         self.encrypt(&BigUint::from_u64(m))
     }
 
-    /// Encrypts zero: the pool entry's unit `r^N mod N²` *is* `E(0, r)`, so
-    /// this is a queue pop with no arithmetic at all.
+    /// Encrypts zero: a pool unit `r^N mod N²` *is* `E(0, r)`, so this is
+    /// a queue pop with no arithmetic at all.
     pub fn encrypt_zero(&self) -> Ciphertext {
-        Ciphertext::from_raw(self.pool.draw().unit)
+        Ciphertext::from_raw(self.pool.draw())
     }
 
     /// Re-randomizes `a` with one pooled unit (one modular multiplication).
     pub fn rerandomize(&self, a: &Ciphertext) -> Ciphertext {
-        self.pk.rerandomize_with_unit(a, &self.pool.draw().unit)
+        self.pk.rerandomize_with_unit(a, &self.pool.draw())
     }
 
     /// Encrypts a batch, drawing all randomness in one queue lock.
@@ -405,7 +426,7 @@ impl PooledEncryptor {
         let units = self.pool.draw_batch(ms.len());
         ms.iter()
             .zip(units)
-            .map(|(m, entry)| self.pk.encrypt_with_unit(m, &entry.unit))
+            .map(|(m, unit)| self.pk.encrypt_with_unit(m, &unit))
             .collect()
     }
 
@@ -414,7 +435,7 @@ impl PooledEncryptor {
         let units = self.pool.draw_batch(cs.len());
         cs.iter()
             .zip(units)
-            .map(|(c, entry)| self.pk.rerandomize_with_unit(c, &entry.unit))
+            .map(|(c, unit)| self.pk.rerandomize_with_unit(c, &unit))
             .collect()
     }
 
@@ -423,7 +444,7 @@ impl PooledEncryptor {
         self.pool
             .draw_batch(count)
             .into_iter()
-            .map(|entry| Ciphertext::from_raw(entry.unit))
+            .map(Ciphertext::from_raw)
             .collect()
     }
 }
@@ -456,8 +477,7 @@ mod tests {
         assert_eq!(pool.prewarm(5), 5);
         assert_eq!(pool.available(), 5);
         for _ in 0..5 {
-            let entry = pool.draw();
-            assert!(!entry.r.is_zero());
+            assert!(!pool.draw().is_zero());
         }
         let stats = pool.stats();
         assert_eq!(stats.hits, 5);
@@ -474,13 +494,51 @@ mod tests {
         let (pk, sk) = keypair().split();
         let pool = RandomnessPool::new(pk.clone(), quiet_config());
         pool.prewarm(3);
+        // The pool's seed replayed: its units are r^N mod N² for the r it
+        // samples, in order.
+        let mut replay = StdRng::seed_from_u64(quiet_config().seed.unwrap());
         for _ in 0..4 {
-            // 3 hits + 1 fallback, all must satisfy unit = r^N mod N².
-            let entry = pool.draw();
-            assert_eq!(entry.unit, entry.r.mod_pow(pk.n(), pk.n_squared()));
+            // 3 hits + 1 fallback.
+            let unit = pool.draw();
+            let r = pk.sample_randomness(&mut replay);
+            assert_eq!(unit, r.mod_pow(pk.n(), pk.n_squared()));
             // The unit is a fresh encryption of zero.
-            assert!(sk.decrypt(&Ciphertext::from_raw(entry.unit)).is_zero());
+            assert!(sk.decrypt(&Ciphertext::from_raw(unit)).is_zero());
         }
+    }
+
+    #[test]
+    fn key_holder_pool_serves_crt_units() {
+        let (pk, sk) = keypair().split();
+        let pool = RandomnessPool::for_key_holder(&sk, quiet_config()).unwrap();
+        assert_eq!(pool.public_key(), &pk);
+        pool.prewarm(3);
+        let one = BigUint::one();
+        let phi = sk.p.sub_ref(&one).mul_ref(&sk.q.sub_ref(&one));
+        let units = pool.draw_batch(5); // 3 hits + 2 fallbacks
+        for unit in &units {
+            assert!(sk.decrypt(&Ciphertext::from_raw(unit.clone())).is_zero());
+            assert!(unit.mod_pow(&phi, pk.n_squared()).is_one());
+        }
+        assert_ne!(units[0], units[1]);
+        assert_eq!(pool.stats().hits, 3);
+        assert_eq!(pool.stats().fallbacks, 2);
+        let enc = PooledEncryptor::new(pool);
+        assert_eq!(sk.try_decrypt_u64(&enc.encrypt_u64(31).unwrap()), Ok(31));
+    }
+
+    #[test]
+    fn key_holder_pool_rejects_a_key_failing_the_totient_check() {
+        // gcd(21, φ(21)) = 3; patched by hand, as no generated key fails.
+        let mut sk = keypair().private_key().clone();
+        sk.p = BigUint::from_u64(3);
+        sk.q = BigUint::from_u64(7);
+        sk.p_squared = BigUint::from_u64(9);
+        sk.q_squared = BigUint::from_u64(49);
+        assert_eq!(
+            RandomnessPool::for_key_holder(&sk, quiet_config()).map(|_| ()),
+            Err(PaillierError::TotientNotCoprime)
+        );
     }
 
     #[test]
@@ -523,10 +581,8 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.fallbacks, 3);
-        for entry in &entries {
-            assert!(sk
-                .decrypt(&Ciphertext::from_raw(entry.unit.clone()))
-                .is_zero());
+        for unit in &entries {
+            assert!(sk.decrypt(&Ciphertext::from_raw(unit.clone())).is_zero());
         }
         assert!(pool.draw_batch(0).is_empty());
     }

@@ -10,9 +10,13 @@ use crate::error::ProtocolError;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sknn_bigint::{BigUint, Montgomery};
-use sknn_paillier::{Ciphertext, PrivateKey, PublicKey, RandomnessPool, SlotLayout};
+use sknn_bigint::BigUint;
+use sknn_paillier::{Ciphertext, PoolConfig, PrivateKey, PublicKey, RandomnessPool, SlotLayout};
 use std::sync::Arc;
+
+/// Derives the seed of a seeded key holder's unpooled unit stream from its
+/// own seed.
+const UNIT_SEED_SALT: u64 = 0xC2C2_0000_5EED_0001;
 
 /// The response to one SMIN evaluation round (Algorithm 3, step 2).
 #[derive(Clone, Debug)]
@@ -205,39 +209,47 @@ pub struct LocalKeyHolder {
     sk: PrivateKey,
     pk: PublicKey,
     rng: Mutex<StdRng>,
-    /// Reusable Montgomery context for `N²`, so unpooled fresh encryptions
-    /// skip the per-exponentiation setup.
-    mont_n2: Montgomery,
     /// Precomputed `r^N mod N²` units for the fresh encryptions in every
-    /// response; `None` pays the exponentiation inline on each reply.
+    /// response; `None` computes each unit on demand from `unpooled`.
     pool: Option<Arc<RandomnessPool>>,
+    /// An empty, never-refilled pool of CRT units
+    /// ([`RandomnessPool::for_key_holder`]): every draw is computed
+    /// synchronously, from the factorization.
+    unpooled: Arc<RandomnessPool>,
 }
 
 impl LocalKeyHolder {
     /// Creates a key holder from the secret key, seeding its internal
     /// randomness from `seed` (deterministic for reproducible experiments).
     pub fn new(sk: PrivateKey, seed: u64) -> Self {
-        let pk = sk.public_key().clone();
-        let mont_n2 = Montgomery::new(pk.n_squared().clone());
-        LocalKeyHolder {
-            sk,
-            pk,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            mont_n2,
-            pool: None,
-        }
+        // The unit stream gets its own derived seed, so it does not replay
+        // the holder's other randomness.
+        Self::build(sk, StdRng::seed_from_u64(seed), Some(seed ^ UNIT_SEED_SALT))
     }
 
     /// Creates a key holder seeded from the operating-system entropy source.
     pub fn from_entropy(sk: PrivateKey) -> Self {
+        Self::build(sk, StdRng::from_entropy(), None)
+    }
+
+    fn build(sk: PrivateKey, rng: StdRng, unit_seed: Option<u64>) -> Self {
         let pk = sk.public_key().clone();
-        let mont_n2 = Montgomery::new(pk.n_squared().clone());
+        let config = PoolConfig {
+            capacity: 0,
+            refill_batch: 1,
+            background_refill: false,
+            seed: unit_seed,
+        };
+        // A key failing the CRT condition (no generated key does) still
+        // gets correct units, from the public-key exponentiation.
+        let unpooled = RandomnessPool::for_key_holder(&sk, config)
+            .unwrap_or_else(|_| RandomnessPool::new(pk.clone(), config));
         LocalKeyHolder {
             sk,
             pk,
-            rng: Mutex::new(StdRng::from_entropy()),
-            mont_n2,
+            rng: Mutex::new(rng),
             pool: None,
+            unpooled,
         }
     }
 
@@ -307,27 +319,15 @@ impl LocalKeyHolder {
 
     /// Produces `count` fresh encryption units (`r^N mod N²`). With a pool
     /// attached this is one queue lock (precomputed entries, synchronous
-    /// fallback only when drained); without one, randomness is drawn under a
-    /// short lock and the exponentiations run outside it, so concurrent
-    /// protocol executions are never serialized behind the expensive work.
+    /// fallback only when drained); without one, every unit is computed by
+    /// CRT on the spot. Either way randomness is drawn under a short lock
+    /// and the exponentiations run outside it, so concurrent protocol
+    /// executions are never serialized behind the expensive work.
     fn fresh_units(&self, count: usize) -> Vec<BigUint> {
-        if let Some(pool) = &self.pool {
-            return pool
-                .draw_batch(count)
-                .into_iter()
-                .map(|entry| entry.unit)
-                .collect();
-        }
-        let randomness: Vec<BigUint> = {
-            let mut rng = self.rng.lock();
-            (0..count)
-                .map(|_| self.pk.sample_randomness(&mut *rng))
-                .collect()
-        };
-        randomness
-            .into_iter()
-            .map(|r| self.mont_n2.pow(&r, self.pk.n()))
-            .collect()
+        self.pool
+            .as_ref()
+            .unwrap_or(&self.unpooled)
+            .draw_batch(count)
     }
 
     /// Fresh encryption of a value this key holder itself computed (a

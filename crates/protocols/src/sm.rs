@@ -68,37 +68,6 @@ pub fn secure_multiply_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         .collect())
 }
 
-/// Squares many ciphertexts with one SM round trip: `SM(E(d), E(d))` for
-/// each input, with the same request pairs `(d + r_a, d + r_b)`, the same
-/// randomness draws and the same decrypted outputs as
-/// [`secure_multiply_batch`].
-///
-/// Both operands being the same `E(d)`, the two cross terms merge into one
-/// exponentiation, `E(d)^{−(r_a + r_b)}`, so C1 pays one full-size
-/// `mul_plain` per square instead of two.
-pub(crate) fn secure_square_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
-    pk: &PublicKey,
-    key_holder: &K,
-    values: &[Ciphertext],
-    rng: &mut R,
-) -> Result<Vec<Ciphertext>, ProtocolError> {
-    let (products, masks) = mask_and_multiply(pk, key_holder, values.iter().map(|d| (d, d)), rng)?;
-
-    // E(d²) = h · E(d)^{-(r_a + r_b)} · E(-r_a·r_b). The mask sum is
-    // reduced before it is negated: r_a + r_b may reach N.
-    Ok(values
-        .iter()
-        .zip(products)
-        .zip(masks)
-        .map(|((e_d, h), (r_a, r_b))| {
-            let minus_sum = r_a.mod_add(&r_b, pk.n()).mod_neg(pk.n());
-            let s = pk.add(&h, &pk.mul_plain(e_d, &minus_sum));
-            let r_a_r_b = r_a.mod_mul(&r_b, pk.n());
-            pk.sub_plain(&s, &r_a_r_b)
-        })
-        .collect())
-}
-
 /// P1's masks `(r_a, r_b)` for one pair.
 type Masks = (BigUint, BigUint);
 
@@ -107,7 +76,7 @@ type Masks = (BigUint, BigUint);
 /// return `E(h)` with `h = (a + r_a)(b + r_b)`. Returns the products and
 /// the masks, parallel to the input (the key holder checks the reply's
 /// length).
-fn mask_and_multiply<'a, K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+pub(crate) fn mask_and_multiply<'a, K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     pk: &PublicKey,
     key_holder: &K,
     pairs: impl ExactSizeIterator<Item = (&'a Ciphertext, &'a Ciphertext)>,

@@ -5,6 +5,20 @@
 //! homomorphically, squared with one batched SM invocation, and summed
 //! homomorphically.
 //!
+//! The squaring and the sum are fused. With SM's masks `(r_aⱼ, r_bⱼ)` and
+//! C2's products `hⱼ = E((dⱼ + r_aⱼ)(dⱼ + r_bⱼ))`, each square is
+//! `hⱼ · E(dⱼ)^{−(r_aⱼ + r_bⱼ)} · E(−r_aⱼ·r_bⱼ)`, so the distance is
+//!
+//! ```text
+//! E(|X − Y|²) = Π hⱼ · Π E(dⱼ)^{−(r_aⱼ + r_bⱼ)} · E(−Σ r_aⱼ·r_bⱼ)
+//! ```
+//!
+//! with the m cross terms as one multi-exponentiation
+//! ([`PublicKey::mul_plain_sum`]) instead of m separate `mul_plain`s. The
+//! result is bit-identical to squaring each difference and summing: the
+//! factors are the same, and `(1 + aN)(1 + bN) ≡ 1 + (a + b)N (mod N²)`
+//! merges the m plaintext offsets into one.
+//!
 //! A query is compared against every record, so callers that scan a table
 //! negate the query once and form each difference as
 //! `E(t_j)·E(−q_j) = E(t_j − q_j)` with
@@ -12,9 +26,10 @@
 //! instead of a negation per record-attribute. The sign of a difference
 //! does not survive squaring.
 
-use crate::sm::secure_square_batch;
+use crate::sm::mask_and_multiply;
 use crate::{KeyHolder, ProtocolError};
 use rand::RngCore;
+use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, PublicKey};
 
 /// Computes `E(|X − Y|²)` for two encrypted `m`-dimensional vectors.
@@ -67,11 +82,22 @@ pub fn secure_squared_distance_to_negated<K: KeyHolder + ?Sized, R: RngCore + ?S
         .map(|(x, neg_y)| pk.add(x, neg_y))
         .collect();
 
-    // Step 2: E((x_i − y_i)²) with one batched SM round.
-    let squares = secure_square_batch(pk, key_holder, &diffs, rng)?;
+    // Step 2: one batched SM round, SM(E(d_i), E(d_i)) for every i.
+    let (products, masks) = mask_and_multiply(pk, key_holder, diffs.iter().map(|d| (d, d)), rng)?;
 
-    // Step 3: sum the squares homomorphically.
-    Ok(pk.sum(squares.iter()))
+    // Step 3: the squares' sum, fused (module docs). Each mask sum is
+    // reduced before it is negated: r_a + r_b may reach N.
+    let n = pk.n();
+    let exponents: Vec<BigUint> = masks
+        .iter()
+        .map(|(r_a, r_b)| r_a.mod_add(r_b, n).mod_neg(n))
+        .collect();
+    let offset = masks.iter().fold(BigUint::zero(), |acc, (r_a, r_b)| {
+        acc.mod_add(&r_a.mod_mul(r_b, n), n)
+    });
+    let terms: Vec<(&Ciphertext, &BigUint)> = diffs.iter().zip(&exponents).collect();
+    let cross = pk.mul_plain_sum(&terms);
+    Ok(pk.sub_plain(&pk.add(&pk.sum(products.iter()), &cross), &offset))
 }
 
 #[cfg(test)]
@@ -91,6 +117,29 @@ mod tests {
 
     fn encrypt_vec(pk: &PublicKey, values: &[u64], rng: &mut StdRng) -> Vec<Ciphertext> {
         values.iter().map(|&v| pk.encrypt_u64(v, rng)).collect()
+    }
+
+    /// Squares each difference with its own SM product and sums the squares
+    /// one `mul_plain` per attribute: the unfused form of step 3, kept as the
+    /// oracle the fused form is tested bit-for-bit against.
+    fn square_then_sum(
+        pk: &PublicKey,
+        diffs: &[Ciphertext],
+        products: &[Ciphertext],
+        masks: &[(BigUint, BigUint)],
+    ) -> Ciphertext {
+        let n = pk.n();
+        let squares: Vec<Ciphertext> = diffs
+            .iter()
+            .zip(products)
+            .zip(masks)
+            .map(|((d, h), (r_a, r_b))| {
+                let minus_sum = r_a.mod_add(r_b, n).mod_neg(n);
+                let s = pk.add(h, &pk.mul_plain(d, &minus_sum));
+                pk.sub_plain(&s, &r_a.mod_mul(r_b, n))
+            })
+            .collect();
+        pk.sum(squares.iter())
     }
 
     #[test]
@@ -201,6 +250,45 @@ mod tests {
             secure_squared_distance_to_negated(&pk, &holder, &e_neg_q, &record, &mut rng),
             Err(ProtocolError::DimensionMismatch { left: 3, right: 2 })
         );
+    }
+
+    #[test]
+    fn fused_sum_is_bit_identical_to_square_then_sum() {
+        let (pk, holder, mut rng) = setup();
+        for m in [1usize, 6, 11] {
+            let xs: Vec<u64> = (0..m).map(|_| rng.next_u64() >> 44).collect();
+            let ys: Vec<u64> = (0..m).map(|_| rng.next_u64() >> 44).collect();
+            let e_x = encrypt_vec(&pk, &xs, &mut rng);
+            let e_neg_y: Vec<_> = encrypt_vec(&pk, &ys, &mut rng)
+                .iter()
+                .map(|y| pk.negate(y))
+                .collect();
+            // Replay the entry's SM round (a clone of the RNG, a twin key
+            // holder with the same seed) to recover its masks and C2's
+            // products.
+            let twin = || LocalKeyHolder::new(holder.private_key().clone(), 82);
+            let mut replay = rng.clone();
+            let fused =
+                secure_squared_distance_to_negated(&pk, &twin(), &e_neg_y, &e_x, &mut rng).unwrap();
+            let diffs: Vec<Ciphertext> = e_x
+                .iter()
+                .zip(&e_neg_y)
+                .map(|(x, y)| pk.add(x, y))
+                .collect();
+            let (products, masks) =
+                mask_and_multiply(&pk, &twin(), diffs.iter().map(|d| (d, d)), &mut replay).unwrap();
+            assert_eq!(
+                fused,
+                square_then_sum(&pk, &diffs, &products, &masks),
+                "m = {m}"
+            );
+            let expected: u64 = xs
+                .iter()
+                .zip(&ys)
+                .map(|(&a, &b)| a.abs_diff(b).pow(2))
+                .sum();
+            assert_eq!(holder.debug_decrypt_u64(&fused).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn main() {
     let distances = |records: &[Vec<u64>]| {
         let mut d: Vec<u128> = records
             .iter()
-            .map(|r| sknn::squared_euclidean_distance(r, &query))
+            .map(|r| sknn::squared_euclidean_distance(r, &query).unwrap())
             .collect();
         d.sort_unstable();
         d

@@ -134,7 +134,7 @@ fn main() {
         );
         assert_eq!(
             outcome.result,
-            sknn::plain_knn_records(&cohort, query, k),
+            sknn::plain_knn_records(&cohort, query, k).unwrap(),
             "the basic protocol matches the plaintext baseline"
         );
     }

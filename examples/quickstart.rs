@@ -130,7 +130,7 @@ fn main() {
 
     // Both protocols return the same set of nearest neighbors; the plaintext
     // baseline confirms it.
-    let expected = sknn::plain_knn_records(&table, &query, k);
+    let expected = sknn::plain_knn_records(&table, &query, k).unwrap();
     assert_eq!(basic.result, expected);
     let mut secure_sorted = secure.result.clone();
     let mut expected_sorted = expected;

@@ -64,7 +64,7 @@ fn main() {
         let secure_prediction = classify(&result.result);
 
         // The same classification computed on plaintext, as ground truth.
-        let plain_prediction = classify(&plain_knn_records(&training, &patient, k));
+        let plain_prediction = classify(&plain_knn_records(&training, &patient, k).unwrap());
 
         println!(
             "patient {trial}: secure prediction = {:<5} plaintext prediction = {:<5} ({} in {:?}, oblivious = {})",

@@ -160,7 +160,7 @@
 //!  offline                                 online (query path)
 //!  ───────                                 ───────────────────
 //!  RandomnessPool                          PooledEncryptor
-//!    · queue of precomputed (r, r^N mod N²)  · encrypt      = 1 mod-mul
+//!    · queue of precomputed r^N mod N²       · encrypt      = 1 mod-mul
 //!    · background refill thread              · encrypt_zero = queue pop
 //!    · synchronous fallback when drained     · rerandomize  = 1 mod-mul
 //!    · reusable sliding-window Montgomery
@@ -171,12 +171,14 @@
 //! ([`FederationConfig`]'s `pool` / `pool_prewarm` knobs; `capacity: 0`
 //! disables pooling). C2's pool backs every fresh encryption in a
 //! key-holder response — locally or behind the transport server — and C1's
-//! pool backs the SBD round masks and result masking. Per-query pool hits
-//! vs synchronous fallbacks are reported by [`QueryProfile::pool`]
-//! ([`PoolActivity`]). Pool entries are sampled exactly like direct
-//! encryption randomness and consumed at most once, so the ciphertext
-//! distribution — and with it the paper's security argument — is unchanged
-//! (see `DESIGN.md`).
+//! pool backs the SBD round masks and result masking. C2 holds the
+//! factorization, so its pool computes units by CRT ([`UnitSampler`]),
+//! about 2–6× cheaper. Per-query pool hits vs synchronous fallbacks are
+//! reported by [`QueryProfile::pool`] ([`PoolActivity`]), per cloud by
+//! [`QueryProfile::pool_of`]. Pool entries have exactly the distribution of
+//! direct encryption randomness and are consumed at most once, so the
+//! ciphertext distribution — and with it the paper's security argument —
+//! is unchanged (see `DESIGN.md`).
 //!
 //! ## Architecture: slot-packed Paillier batching (SIMD)
 //!
@@ -264,7 +266,7 @@ pub use sknn_store as store;
 
 // The most commonly used types, flattened for convenience.
 pub use sknn_core::{
-    plain_knn, plain_knn_records, squared_euclidean_distance, AccessPatternAudit, CloudC1,
+    plain_knn, plain_knn_records, squared_euclidean_distance, AccessPatternAudit, Cloud, CloudC1,
     CompactionReport, DataOwner, Dataset, DatasetOptions, DurableUpdateError, FederationConfig,
     InvalidQueryReason, KeyHolder, LocalKeyHolder, OpCounters, ParallelismConfig, PoolActivity,
     PreparedQuery, Protocol, QueryBuilder, QueryOutcome, QueryProfile, QueryUser, RecoveryReport,
@@ -273,5 +275,5 @@ pub use sknn_core::{
 };
 pub use sknn_paillier::{
     Ciphertext, Keypair, PoolConfig, PoolStats, PooledEncryptor, PrivateKey, PublicKey,
-    RandomnessPool,
+    RandomnessPool, UnitSampler,
 };

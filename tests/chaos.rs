@@ -169,7 +169,7 @@ fn assert_threads_return_to(baseline: usize) {
 #[test]
 fn fault_matrix_recovers_or_errors_typed() {
     let _guard = lock();
-    let expected = plain_knn_records(&table(), &QUERY, 2);
+    let expected = plain_knn_records(&table(), &QUERY, 2).unwrap();
     let baseline = thread_count();
     for wire in WIRES {
         for protocol in [Protocol::Basic, Protocol::Secure] {
@@ -295,7 +295,7 @@ fn sever_one_of_two_sessions_completes_batch_on_survivor() {
         let outcome = outcome.as_ref().expect("batch query survives the sever");
         assert_eq!(
             outcome.result,
-            plain_knn_records(&table(), &QUERY, k),
+            plain_knn_records(&table(), &QUERY, k).unwrap(),
             "k = {k}"
         );
         failed_over.extend(outcome.retries.failed_over_shards());
@@ -338,7 +338,10 @@ fn secure_failover_matches_reference() {
         .protocol(Protocol::Secure)
         .run(&mut rng)
         .expect("secure query survives the sever");
-    assert_eq!(outcome.result, plain_knn_records(&table(), &QUERY, 2));
+    assert_eq!(
+        outcome.result,
+        plain_knn_records(&table(), &QUERY, 2).unwrap()
+    );
     assert!(
         !outcome.retries.failed_over_shards().is_empty(),
         "no failover recorded: {:?}",
@@ -383,7 +386,10 @@ fn sever_in_the_gather_re_pins_it_to_the_survivor() {
         &mut rng,
     );
     let outcome = run(&engine, &mut rng).expect("the gather survives the sever");
-    assert_eq!(outcome.result, plain_knn_records(&table(), &QUERY, 2));
+    assert_eq!(
+        outcome.result,
+        plain_knn_records(&table(), &QUERY, 2).unwrap()
+    );
     assert_eq!(
         outcome.retries.stage_retries,
         vec![StageRetry {
@@ -450,7 +456,10 @@ fn clean_run_reports_clean() {
         .protocol(Protocol::Basic)
         .run(&mut rng)
         .expect("clean run");
-    assert_eq!(outcome.result, plain_knn_records(&table(), &QUERY, 2));
+    assert_eq!(
+        outcome.result,
+        plain_knn_records(&table(), &QUERY, 2).unwrap()
+    );
     assert!(outcome.retries.is_clean(), "{:?}", outcome.retries);
     let comm = engine.comm_stats().expect("accounting");
     assert_eq!((comm.retries, comm.failovers), (0, 0));
@@ -482,7 +491,7 @@ fn sever_fails_over_and_leaks_no_threads() {
             .unwrap_or_else(|e| panic!("{wire:?}: query must survive the sever: {e}"));
         assert_eq!(
             outcome.result,
-            plain_knn_records(&table(), &QUERY, 2),
+            plain_knn_records(&table(), &QUERY, 2).unwrap(),
             "{wire:?}"
         );
         assert!(
@@ -537,7 +546,7 @@ fn engine_configured_remote_round_trips_and_reaps() {
             .expect("query");
         assert_eq!(
             outcome.result,
-            plain_knn_records(&table(), &QUERY, 2),
+            plain_knn_records(&table(), &QUERY, 2).unwrap(),
             "{transport:?}"
         );
         assert!(outcome.comm.is_some(), "{transport:?} must account traffic");

@@ -40,7 +40,7 @@ fn synthetic_dataset_queries_match_plaintext_knn() {
             let result = run(&engine, Protocol::Basic, &query, k, &mut rng).unwrap();
             assert_eq!(
                 result.result,
-                plain_knn_records(&dataset.table, &query, k),
+                plain_knn_records(&dataset.table, &query, k).unwrap(),
                 "trial {trial}, k = {k}"
             );
             assert_eq!(result.result.len(), k);
@@ -66,7 +66,10 @@ fn perturbed_queries_over_channel_transport() {
 
     let query = perturbed_query(&dataset.table, 2, dataset.max_value, &mut rng);
     let result = run(&engine, Protocol::Basic, &query, 4, &mut rng).unwrap();
-    assert_eq!(result.result, plain_knn_records(&dataset.table, &query, 4));
+    assert_eq!(
+        result.result,
+        plain_knn_records(&dataset.table, &query, 4).unwrap()
+    );
 
     // The channel transport must report traffic, and the basic protocol's
     // round count is small: one SSED round per record batch… in our
@@ -90,7 +93,7 @@ fn basic_protocol_leaks_access_pattern_by_design() {
     // The leaked indices are exactly the plaintext kNN indices.
     assert_eq!(
         result.audit.record_indices_revealed_to_c1,
-        sknn::plain_knn(&dataset.table, &query, 5)
+        sknn::plain_knn(&dataset.table, &query, 5).unwrap()
     );
 }
 
@@ -131,6 +134,12 @@ fn repeated_queries_reuse_the_same_outsourced_database() {
     let second = run(&engine, Protocol::Basic, &q1, 3, &mut rng).unwrap();
     let third = run(&engine, Protocol::Basic, &q2, 3, &mut rng).unwrap();
     assert_eq!(first.result, second.result);
-    assert_eq!(first.result, plain_knn_records(&dataset.table, &q1, 3));
-    assert_eq!(third.result, plain_knn_records(&dataset.table, &q2, 3));
+    assert_eq!(
+        first.result,
+        plain_knn_records(&dataset.table, &q1, 3).unwrap()
+    );
+    assert_eq!(
+        third.result,
+        plain_knn_records(&dataset.table, &q2, 3).unwrap()
+    );
 }

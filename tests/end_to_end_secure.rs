@@ -12,14 +12,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::data::{perturbed_query, uniform_query, SyntheticDataset};
 use sknn::{
-    plain_knn_records, squared_euclidean_distance, FederationConfig, Protocol, Stage, Table,
-    TransportKind,
+    plain_knn_records, squared_euclidean_distance, FederationConfig, Protocol, Table, TransportKind,
 };
 
 fn sorted_distances(records: &[Vec<u64>], query: &[u64]) -> Vec<u128> {
     let mut d: Vec<u128> = records
         .iter()
-        .map(|r| squared_euclidean_distance(r, query))
+        .map(|r| squared_euclidean_distance(r, query).unwrap())
         .collect();
     d.sort_unstable();
     d
@@ -35,7 +34,7 @@ fn assert_valid_knn(table: &Table, query: &[u64], k: usize, records: &[Vec<u64>]
         );
     }
     // The returned distance multiset must equal the plaintext kNN's.
-    let expected = plain_knn_records(table, query, k);
+    let expected = plain_knn_records(table, query, k).unwrap();
     assert_eq!(
         sorted_distances(records, query),
         sorted_distances(&expected, query)
@@ -118,46 +117,6 @@ fn secure_query_over_channel_transport_counts_traffic_and_hides_pattern() {
     let s = secure.comm.unwrap();
     assert!(s.requests > b.requests);
     assert!(s.total_bytes() > b.total_bytes());
-}
-
-#[test]
-fn profile_shows_smin_dominating_as_in_the_paper() {
-    // Section 5.2: "around 69.7% of cost in SkNN_m is accounted due to SMIN_n".
-    let mut rng = StdRng::seed_from_u64(2004);
-    let dataset = SyntheticDataset::uniform(20, 6, 8, &mut rng);
-    let engine = setup(
-        &dataset.table,
-        FederationConfig {
-            key_bits: 128,
-            max_query_value: dataset.max_value,
-            ..Default::default()
-        },
-        &mut rng,
-    )
-    .unwrap();
-    let query = uniform_query(6, dataset.max_value, &mut rng);
-    let result = run(&engine, Protocol::Secure, &query, 3, &mut rng).unwrap();
-
-    let smin_fraction = result.profile.fraction(Stage::SecureMinimum);
-    assert!(
-        smin_fraction > 0.4,
-        "SMIN_n should dominate the secure protocol, got {:.1}%",
-        smin_fraction * 100.0
-    );
-    // All stages of the secure pipeline actually ran.
-    for stage in [
-        Stage::DistanceComputation,
-        Stage::BitDecomposition,
-        Stage::SecureMinimum,
-        Stage::RecordSelection,
-        Stage::DistanceFreezing,
-        Stage::Finalization,
-    ] {
-        assert!(
-            result.profile.stage(stage) > std::time::Duration::ZERO,
-            "stage {stage:?} did not run"
-        );
-    }
 }
 
 #[test]

@@ -125,7 +125,7 @@ fn two_dataset_mixed_batch_over_channel_matches_single_dataset_engines() {
         let table = if dataset == "vitals" { &vitals } else { &labs };
         assert_eq!(
             outcome.result,
-            plain_knn_records(table, point, k),
+            plain_knn_records(table, point, k).unwrap(),
             "{dataset} k={k} {protocol:?} vs plaintext"
         );
         // Channel transport accounts traffic for every query in the batch.
@@ -258,7 +258,7 @@ fn append_and_tombstone_round_trips_are_reflected_in_queries() {
         );
         let mut got = all.result.clone();
         got.sort();
-        let mut want = plain_knn_records(&vitals, &[2, 2], 5);
+        let mut want = plain_knn_records(&vitals, &[2, 2], 5).unwrap();
         want.sort();
         assert_eq!(got, want, "{protocol:?}");
     }

@@ -92,7 +92,7 @@ fn fixed_8_packing_at_1024_bits_on_heart_data() {
     );
     assert_eq!(
         packed_basic.result,
-        sknn::plain_knn_records(&table, &query, k)
+        sknn::plain_knn_records(&table, &query, k).unwrap()
     );
 
     let scalar_ssed = scalar_basic.profile.ops(Stage::DistanceComputation);

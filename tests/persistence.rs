@@ -64,7 +64,7 @@ fn live_knn(dead: &[usize], k: usize) -> Vec<Vec<u64>> {
         .filter(|(i, _)| !dead.contains(i))
         .map(|(_, r)| r.to_vec())
         .collect();
-    plain_knn_records(&Table::new(rows).unwrap(), &QUERY, k)
+    plain_knn_records(&Table::new(rows).unwrap(), &QUERY, k).unwrap()
 }
 
 /// register → tombstone → append → flush → drop → reload: both protocols

@@ -37,7 +37,7 @@ fn setup(table: &Table, rng: &mut StdRng) -> SknnEngine {
 fn sorted_distances(records: &[Vec<u64>], query: &[u64]) -> Vec<u128> {
     let mut d: Vec<u128> = records
         .iter()
-        .map(|r| squared_euclidean_distance(r, query))
+        .map(|r| squared_euclidean_distance(r, query).unwrap())
         .collect();
     d.sort_unstable();
     d
@@ -66,7 +66,7 @@ proptest! {
         let result = run(&engine, Protocol::Basic, &query, k, &mut rng).unwrap();
         // SkNN_b uses the same tie-breaking as the plaintext baseline, so the
         // records must match exactly, in order.
-        prop_assert_eq!(result.result, plain_knn_records(&table, &query, k));
+        prop_assert_eq!(result.result, plain_knn_records(&table, &query, k).unwrap());
     }
 
     #[test]
@@ -82,7 +82,7 @@ proptest! {
             prop_assert!(table.records().iter().any(|row| row == r));
         }
         // Distance multiset must equal the plaintext baseline's.
-        let expected = plain_knn_records(&table, &query, k);
+        let expected = plain_knn_records(&table, &query, k).unwrap();
         prop_assert_eq!(
             sorted_distances(&result.result, &query),
             sorted_distances(&expected, &query)

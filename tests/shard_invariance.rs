@@ -63,7 +63,7 @@ fn distances_are_distinct() {
     let mut dists: Vec<u128> = t
         .records()
         .iter()
-        .map(|r| sknn::squared_euclidean_distance(r, &QUERY))
+        .map(|r| sknn::squared_euclidean_distance(r, &QUERY).unwrap())
         .collect();
     dists.sort_unstable();
     dists.dedup();
@@ -76,7 +76,7 @@ fn distances_are_distinct() {
 fn results_and_ordering_are_shard_count_invariant() {
     let mut rng = StdRng::seed_from_u64(0x5AAD);
     let k = 3;
-    let expected = plain_knn_records(&table(), &QUERY, k);
+    let expected = plain_knn_records(&table(), &QUERY, k).unwrap();
 
     for transport in [TransportKind::Channel, TransportKind::Tcp] {
         for shards in [1usize, 2, 4] {
@@ -228,7 +228,7 @@ fn last_selection_round_skips_the_freeze() {
             .unwrap();
         assert_eq!(
             outcome.result,
-            plain_knn_records(&small, &QUERY, k),
+            plain_knn_records(&small, &QUERY, k).unwrap(),
             "shards={shards} k={k}"
         );
         if shards == 1 {
@@ -331,7 +331,7 @@ fn appends_and_tombstones_land_in_the_owning_shard() {
         assert!(!db.shard_views()[0].live_indices().contains(&16));
         assert_eq!(db.num_live(), 16);
     }
-    let expected = plain_knn_records(&table(), &QUERY, 2);
+    let expected = plain_knn_records(&table(), &QUERY, 2).unwrap();
     for protocol in [Protocol::Basic, Protocol::Secure] {
         let outcome = engine
             .query("t")
@@ -368,7 +368,7 @@ fn appends_and_tombstones_land_in_the_owning_shard() {
             .collect::<Vec<_>>(),
     )
     .unwrap();
-    let expected = plain_knn_records(&survivors, &QUERY, 3);
+    let expected = plain_knn_records(&survivors, &QUERY, 3).unwrap();
     for protocol in [Protocol::Basic, Protocol::Secure] {
         let outcome = engine
             .query("t")
@@ -425,7 +425,7 @@ fn one_populated_shard_elides_the_gather() {
         .expect("register dataset");
 
     let k = 2;
-    let expected = plain_knn_records(&live, &QUERY, k);
+    let expected = plain_knn_records(&live, &QUERY, k).unwrap();
     for protocol in [Protocol::Basic, Protocol::Secure] {
         let mut run = |engine: &SknnEngine, dataset: &str| {
             engine
@@ -487,7 +487,7 @@ fn sharded_batches_match_sequential_runs() {
         let outcome = outcome.as_ref().expect("batch query succeeds");
         assert_eq!(
             outcome.result,
-            plain_knn_records(&table(), &QUERY, query.k()),
+            plain_knn_records(&table(), &QUERY, query.k()).unwrap(),
             "k = {}",
             query.k()
         );

@@ -142,7 +142,11 @@ fn channel_and_tcp_match_in_process_and_plaintext() {
                     let label = format!("{transport:?} / {protocol:?} / shards={shards} / k={k}");
                     assert_eq!(run_one(&candidate, protocol, k, seed), expected, "{label}");
                     // Equal wrong answers would otherwise pass.
-                    assert_eq!(expected, plain_knn_records(&table(), &QUERY, k), "{label}");
+                    assert_eq!(
+                        expected,
+                        plain_knn_records(&table(), &QUERY, k).unwrap(),
+                        "{label}"
+                    );
                 }
             }
         }
@@ -214,7 +218,7 @@ fn serial_traffic_counters_are_identical() {
         for transport in [TransportKind::Channel, TransportKind::Tcp] {
             let (engine, server_stats) = engine_with_server_stats(transport);
             let result = run_one(&engine, protocol, 2, 0x7E57);
-            assert_eq!(result, plain_knn_records(&table(), &QUERY, 2));
+            assert_eq!(result, plain_knn_records(&table(), &QUERY, 2).unwrap());
             let client = engine.comm_stats().expect("accounting");
             let server = server_stats.recv().expect("server connected");
             // Dropping the engine joins the server, so its last response
@@ -255,7 +259,7 @@ fn tcp_sessions_share_one_reactor_thread() {
     assert_eq!(engine.num_sessions(), 4);
     assert_eq!(
         run_one(&engine, Protocol::Basic, 2, 0x4EAC),
-        plain_knn_records(&table(), &QUERY, 2)
+        plain_knn_records(&table(), &QUERY, 2).unwrap()
     );
     let c1_side: Vec<String> = sknn_threads()
         .into_iter()
@@ -325,7 +329,7 @@ fn many_inflight_queries_one_reactor_thread() {
         let k = 1 + i % 3;
         assert_eq!(
             outcome.result,
-            plain_knn_records(&table(), &QUERY, k),
+            plain_knn_records(&table(), &QUERY, k).unwrap(),
             "query {i}"
         );
     }
@@ -380,7 +384,7 @@ fn window_of_one_serializes_but_never_hangs() {
         })
         .collect();
     let outcomes = engine.run_batch(&queries, &mut rng);
-    let expected = plain_knn_records(&table(), &QUERY, 2);
+    let expected = plain_knn_records(&table(), &QUERY, 2).unwrap();
     for (i, outcome) in outcomes.iter().enumerate() {
         assert_eq!(
             outcome.as_ref().expect("query completes").result,
@@ -418,7 +422,7 @@ fn admission_gate_bounds_remote_batches() {
         })
         .collect();
     let outcomes = engine.run_batch(&queries, &mut rng);
-    let expected = plain_knn_records(&table(), &QUERY, 2);
+    let expected = plain_knn_records(&table(), &QUERY, 2).unwrap();
     for outcome in &outcomes {
         assert_eq!(outcome.as_ref().expect("admitted query").result, expected);
     }
