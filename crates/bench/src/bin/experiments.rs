@@ -861,10 +861,10 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
     // Scenario 2: two sessions, session 1 severed mid-batch — its shards
     // re-pin onto the survivor and every query in the batch completes.
     let scenarios: [(&str, Vec<Option<FaultPlan>>, usize, usize); 2] = [
-        ("corrupt-retry", vec![Some(FaultPlan::corrupt_at(3))], 1, 1),
+        ("corrupt-retry", vec![Some(FaultPlan::corrupt_at(2))], 1, 1),
         (
             "sever-failover",
-            vec![None, Some(FaultPlan::sever_at(2))],
+            vec![None, Some(FaultPlan::sever_at(1))],
             4,
             3,
         ),

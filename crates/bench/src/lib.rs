@@ -6,7 +6,9 @@
 //! does not require that scale, so the harness supports three presets
 //! ([`Scale`]): `smoke` for CI, `paper-shape` (default) for down-scaled sweeps
 //! that preserve every reported trend, and `paper` for the exact parameters of
-//! the paper.
+//! the paper. Measured on a 2-vCPU VM: `fig2a --scale paper-shape` runs in
+//! about 19 s, SkNN_b at `paper` scale takes minutes, and only SkNN_m's full
+//! `paper` grid still takes hours.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +30,8 @@ pub enum Scale {
     Smoke,
     /// Down-scaled sweeps that preserve the paper's trends (default).
     PaperShape,
-    /// The exact parameters of the paper (hours of compute).
+    /// The exact parameters of the paper: minutes for SkNN_b, hours for
+    /// SkNN_m's full grid.
     Paper,
 }
 

@@ -44,8 +44,7 @@ impl TransportKind {
 ///
 /// Packing puts σ guard-banded values into one plaintext, dividing the
 /// C1↔C2 ciphertext volume and C2's decryption count for those stages by
-/// ~σ. It requires a key large enough to hold σ product-safe slots and a
-/// key holder that speaks the packed requests (feature revision ≥ 2);
+/// ~σ. It requires a key large enough to hold σ product-safe slots;
 /// otherwise the queries fall back to — or [`PackingKind::Fixed`] refuses
 /// at setup instead of silently degrading — the scalar paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -54,9 +53,8 @@ pub enum PackingKind {
     #[default]
     Off,
     /// Pack up to σ values per ciphertext, silently clamping to what the
-    /// key supports and falling back to scalar when packing is infeasible
-    /// or the key holder lacks the fast path. The deployment-friendly
-    /// choice.
+    /// key supports and falling back to scalar when packing is infeasible.
+    /// The deployment-friendly choice.
     Auto(usize),
     /// Pack exactly σ values per ciphertext;
     /// [`crate::SknnEngine::register_dataset`] fails with

@@ -1701,10 +1701,8 @@ mod tests {
 
     #[test]
     fn pool_activity_is_split_per_cloud() {
-        // In process, every ciphertext C2 sends back in SkNN_b is a fresh
-        // encryption with one unit from C2's pool, and C2 draws nothing
-        // else. SkNN_m's SMIN rounds also return C1's own Γ′ (or its
-        // zeroth power) without a fresh unit, so there C2 draws fewer.
+        // In process, every ciphertext C2 sends back is a fresh encryption
+        // with one unit from C2's pool, and C2 draws nothing else.
         let mut rng = StdRng::seed_from_u64(411);
         let engine = single(
             FederationConfig {
@@ -1719,10 +1717,7 @@ mod tests {
             let profile = &outcome.profile;
             let (c1, c2) = (profile.pool_of(Cloud::C1), profile.pool_of(Cloud::C2));
             let sent = profile.total_ops().ciphertexts_from_c2;
-            match protocol {
-                Protocol::Basic => assert_eq!(c2.hits + c2.fallbacks, sent),
-                Protocol::Secure => assert!(c2.hits + c2.fallbacks < sent),
-            }
+            assert_eq!(c2.hits + c2.fallbacks, sent, "{protocol:?}");
             assert!(
                 c1.hits + c1.fallbacks > 0,
                 "C1 masks the result with fresh units"

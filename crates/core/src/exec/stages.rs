@@ -146,8 +146,8 @@ impl<'a> SsedStage<'a> {
     }
 
     /// Runs SSED over the records at physical indices `live`, against the
-    /// session `c2`. Packing (if configured on the cloud, supported by the
-    /// session, and able to hold the distance domain) is applied per run.
+    /// session `c2`. Packing (if configured on the cloud and able to hold
+    /// the distance domain) is applied per run.
     ///
     /// # Errors
     /// Propagates protocol-level failures from the packed path.
@@ -158,7 +158,7 @@ impl<'a> SsedStage<'a> {
         live: Vec<usize>,
         rng: &mut R,
     ) -> Result<ShardDistances<'a>, SknnError> {
-        let packing = self.c1.effective_packing(c2, self.distance_bits);
+        let packing = self.c1.effective_packing(self.distance_bits);
         let distances =
             compute_distances(self.c1, c2, query, packing, self.parallelism, &live, rng)?;
         Ok(ShardDistances { live, distances })

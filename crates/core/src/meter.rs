@@ -104,10 +104,6 @@ impl<K: KeyHolder + ?Sized> KeyHolder for OpMeter<'_, K> {
         self.inner.decrypt_masked_batch(masked)
     }
 
-    fn supports_packing(&self) -> bool {
-        self.inner.supports_packing()
-    }
-
     fn sm_packed_square_batch(
         &self,
         layout: &SlotLayout,
@@ -189,7 +185,6 @@ mod tests {
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let holder = LocalKeyHolder::new(sk, 604);
         let meter = OpMeter::new(&holder);
-        assert!(meter.supports_packing());
 
         let layout = SlotLayout::new(14, 14, 4).unwrap();
         let xs: Vec<BigUint> = (0..4).map(BigUint::from_u64).collect();

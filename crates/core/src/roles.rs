@@ -221,9 +221,8 @@ impl CloudC1 {
 
     /// Routes the SSED and SBD stages of both protocols through the
     /// slot-packed fast paths (see [`sknn_protocols::PackedParams`]).
-    /// Queries still fall back to the scalar paths when the key holder does
-    /// not speak the packed requests or a query's bit length exceeds the
-    /// layout.
+    /// Queries still fall back to the scalar paths when a query's bit
+    /// length exceeds the layout.
     pub fn with_packing(mut self, params: PackedParams) -> Self {
         self.packing = Some(params);
         self
@@ -243,18 +242,13 @@ impl CloudC1 {
         self
     }
 
-    /// The packing parameters to use against a concrete key holder: `None`
-    /// when packing is off, the key holder lacks the fast path, or (for the
-    /// secure protocol, which passes its distance bit length) the layout
-    /// cannot hold `l`-bit values.
-    pub(crate) fn effective_packing<K: KeyHolder + ?Sized>(
-        &self,
-        c2: &K,
-        l: Option<usize>,
-    ) -> Option<&PackedParams> {
+    /// The packing parameters for one run: `None` when packing is off or
+    /// (for the secure protocol, which passes its distance bit length) the
+    /// layout cannot hold `l`-bit values.
+    pub(crate) fn effective_packing(&self, l: Option<usize>) -> Option<&PackedParams> {
         self.packing
             .as_ref()
-            .filter(|p| c2.supports_packing() && l.is_none_or(|l| p.supports_bit_length(l)))
+            .filter(|p| l.is_none_or(|l| p.supports_bit_length(l)))
     }
 
     /// The hosted encrypted database.
@@ -353,6 +347,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sknn_paillier::{Ciphertext, SlotLayout};
     use sknn_protocols::LocalKeyHolder;
 
     fn small_table() -> Table {
@@ -431,43 +426,71 @@ mod tests {
         }
         fn sm_mask_multiply_batch(
             &self,
-            pairs: &[(sknn_paillier::Ciphertext, sknn_paillier::Ciphertext)],
-        ) -> Result<Vec<sknn_paillier::Ciphertext>, ProtocolError> {
+            pairs: &[(Ciphertext, Ciphertext)],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
             self.inner.sm_mask_multiply_batch(pairs)
         }
         fn lsb_of_masked_batch(
             &self,
-            masked: &[sknn_paillier::Ciphertext],
-        ) -> Result<Vec<sknn_paillier::Ciphertext>, ProtocolError> {
+            masked: &[Ciphertext],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
             self.inner.lsb_of_masked_batch(masked)
         }
         fn smin_round(
             &self,
-            gamma: &[sknn_paillier::Ciphertext],
-            l: &[sknn_paillier::Ciphertext],
+            gamma: &[Ciphertext],
+            l: &[Ciphertext],
         ) -> Result<sknn_protocols::SminRoundResponse, ProtocolError> {
             self.inner.smin_round(gamma, l)
         }
-        fn min_selection(
-            &self,
-            beta: &[sknn_paillier::Ciphertext],
-        ) -> Result<Vec<sknn_paillier::Ciphertext>, ProtocolError> {
+        fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
             self.inner.min_selection(beta)
         }
         fn top_k_indices(
             &self,
-            distances: &[sknn_paillier::Ciphertext],
+            distances: &[Ciphertext],
             k: usize,
         ) -> Result<Vec<usize>, ProtocolError> {
             self.inner.top_k_indices(distances, k)
         }
         fn decrypt_masked_batch(
             &self,
-            masked: &[sknn_paillier::Ciphertext],
+            masked: &[Ciphertext],
         ) -> Result<Vec<BigUint>, ProtocolError> {
             let mut reply = self.inner.decrypt_masked_batch(masked)?;
             (self.tamper)(self.inner.public_key(), &mut reply);
             Ok(reply)
+        }
+        fn sm_packed_square_batch(
+            &self,
+            layout: &SlotLayout,
+            packed: &[Ciphertext],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
+            self.inner.sm_packed_square_batch(layout, packed)
+        }
+        fn sm_packed_multiply_batch(
+            &self,
+            layout: &SlotLayout,
+            pairs: &[(Ciphertext, Ciphertext)],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
+            self.inner.sm_packed_multiply_batch(layout, pairs)
+        }
+        fn lsb_packed_batch(
+            &self,
+            layout: &SlotLayout,
+            masked: &[Ciphertext],
+            slot_counts: &[usize],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
+            self.inner.lsb_packed_batch(layout, masked, slot_counts)
+        }
+        fn top_k_indices_packed(
+            &self,
+            layout: &SlotLayout,
+            packed: &[Ciphertext],
+            count: usize,
+            k: usize,
+        ) -> Result<Vec<usize>, ProtocolError> {
+            self.inner.top_k_indices_packed(layout, packed, count, k)
         }
     }
 

@@ -91,7 +91,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sknn_bigint::BigUint;
-    use sknn_paillier::{Ciphertext, PublicKey};
+    use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
     use sknn_protocols::transport::TransportError;
     use sknn_protocols::{LocalKeyHolder, ProtocolError, SminRoundResponse};
 
@@ -391,6 +391,37 @@ mod tests {
             masked: &[Ciphertext],
         ) -> Result<Vec<BigUint>, ProtocolError> {
             self.inner.decrypt_masked_batch(masked)
+        }
+        fn sm_packed_square_batch(
+            &self,
+            layout: &SlotLayout,
+            packed: &[Ciphertext],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
+            self.inner.sm_packed_square_batch(layout, packed)
+        }
+        fn sm_packed_multiply_batch(
+            &self,
+            layout: &SlotLayout,
+            pairs: &[(Ciphertext, Ciphertext)],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
+            self.inner.sm_packed_multiply_batch(layout, pairs)
+        }
+        fn lsb_packed_batch(
+            &self,
+            layout: &SlotLayout,
+            masked: &[Ciphertext],
+            slot_counts: &[usize],
+        ) -> Result<Vec<Ciphertext>, ProtocolError> {
+            self.inner.lsb_packed_batch(layout, masked, slot_counts)
+        }
+        fn top_k_indices_packed(
+            &self,
+            layout: &SlotLayout,
+            packed: &[Ciphertext],
+            count: usize,
+            k: usize,
+        ) -> Result<Vec<usize>, ProtocolError> {
+            self.inner.top_k_indices_packed(layout, packed, count, k)
         }
     }
 

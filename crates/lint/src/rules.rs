@@ -9,7 +9,7 @@
 //! | `decrypt-containment` | R1: `PrivateKey` decryption only in key-holder (C2) modules |
 //! | `secret-format`       | R2: no printing / `Debug` of secret material in library code |
 //! | `panic-free`          | R3: no panic paths in non-test `protocols` + `core` code |
-//! | `wire-conformance`    | R4: every wire tag has encoder, handler, and feature gate |
+//! | `wire-conformance`    | R4: every request has a unique wire tag, codec arms, handler and encoder |
 //! | `rng-discipline`      | R5: engine/exec RNGs only via the derived-seed helpers |
 //! | `named-thread`        | R6: library threads spawn only through a named `thread::Builder` |
 
@@ -105,11 +105,6 @@ const R3_SCOPE: &[&str] = &["crates/protocols/src/", "crates/core/src/"];
 const WIRE_RS: &str = "crates/protocols/src/transport/wire.rs";
 const SERVER_RS: &str = "crates/protocols/src/transport/server.rs";
 const SESSION_RS: &str = "crates/protocols/src/transport/session.rs";
-/// Wire tags below this value shipped in the v1 scalar protocol; tags at
-/// or above it were added later and must be gated behind a feature
-/// revision in `Request::required_features` so old servers answer them
-/// like unknown tags instead of mis-decoding.
-const POST_V1_TAG_START: u64 = 8;
 
 // ── R5: RNG discipline ──────────────────────────────────────────────────
 
@@ -489,10 +484,6 @@ fn rule_wire_conformance(files: &[SourceFile], sink: &mut Sink) {
             );
         }
     }
-    // required_features: which variants are feature-gated.
-    let gated: Vec<String> = fn_body(impl_code, "required_features")
-        .map(|(a, b)| gated_variants(&impl_code[a..b]))
-        .unwrap_or_default();
     let encode_span = fn_body(impl_code, "encode");
     let decode_span = fn_body(impl_code, "decode");
 
@@ -549,29 +540,6 @@ fn rule_wire_conformance(files: &[SourceFile], sink: &mut Sink) {
                     format!("`Request::{name}` has no client encoder in transport/session.rs"),
                 );
             }
-        }
-        let is_gated = gated.iter().any(|g| g == name);
-        if tag >= POST_V1_TAG_START && !is_gated {
-            sink.push(
-                wire,
-                "wire-conformance",
-                line,
-                format!(
-                    "post-v1 `Request::{name}` (tag {tag}) is not gated in `required_features`; \
-                     an old server would mis-handle it instead of replying unknown-tag"
-                ),
-            );
-        }
-        if tag < POST_V1_TAG_START && is_gated {
-            sink.push(
-                wire,
-                "wire-conformance",
-                line,
-                format!(
-                    "v1 `Request::{name}` (tag {tag}) is feature-gated in `required_features`; \
-                     v1 peers could no longer issue it"
-                ),
-            );
         }
     }
 }
@@ -746,30 +714,6 @@ fn arm_tag_present(body: &str, tag: u64) -> bool {
         }
     }
     false
-}
-
-/// Variants whose `required_features` arm evaluates to
-/// `FEATURE_VERSION_PACKED` (or any non-default feature constant).
-fn gated_variants(body: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for pos in find_words(body, "Request") {
-        let rest = &body[pos..];
-        let Some(after) = rest.strip_prefix("Request::") else {
-            continue;
-        };
-        let name: String = after
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        let Some(arrow) = rest.find("=>") else {
-            continue;
-        };
-        let value = rest[arrow + 2..].trim_start();
-        if value.starts_with("FEATURE_VERSION_") && !value.starts_with("FEATURE_VERSION_SCALAR") {
-            out.push(name);
-        }
-    }
-    out
 }
 
 // ── R5 ──────────────────────────────────────────────────────────────────

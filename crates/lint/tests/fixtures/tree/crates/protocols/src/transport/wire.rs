@@ -1,6 +1,5 @@
-//! Fixture: wire protocol with two deliberate conformance holes —
-//! `Shutdown` has no server handler arm, and post-v1 `Drain` (tag 10)
-//! is not feature-gated.
+//! Fixture: wire protocol with one deliberate conformance hole —
+//! `Shutdown` has no server handler arm.
 
 pub enum Request {
     Ping,
@@ -18,13 +17,6 @@ impl Request {
             Request::Shutdown => 3,
             Request::Shard(..) => 9,
             Request::Drain => 10,
-        }
-    }
-
-    pub fn required_features(&self) -> u32 {
-        match self {
-            Request::Shard(..) => FEATURE_VERSION_PACKED,
-            _ => 0,
         }
     }
 

@@ -115,19 +115,13 @@ fn panic_free_flags_typed_unwinds() {
 }
 
 #[test]
-fn wire_conformance_finds_missing_handler_and_ungated_post_v1_tag() {
+fn wire_conformance_finds_missing_server_handler() {
     let (findings, _) = fixture_findings();
     let hits = of_rule(&findings, "wire-conformance");
-    assert_eq!(hits.len(), 2, "{hits:?}");
+    assert_eq!(hits.len(), 1, "{hits:?}");
     assert!(
-        hits.iter()
-            .any(|f| f.message.contains("Shutdown") && f.message.contains("server-side handler")),
+        hits[0].message.contains("Shutdown") && hits[0].message.contains("server-side handler"),
         "server.rs omits Request::Shutdown (comment mentions must not count): {hits:?}"
-    );
-    assert!(
-        hits.iter()
-            .any(|f| f.message.contains("Drain") && f.message.contains("not gated")),
-        "tag 10 is post-v1 and must require a feature gate: {hits:?}"
     );
 }
 

@@ -41,10 +41,6 @@ pub enum ProtocolError {
         /// Number of candidate values that were inspected.
         candidates: usize,
     },
-    /// The key holder does not implement the slot-packed fast paths (an
-    /// older peer behind the transport, or a third-party [`crate::KeyHolder`]
-    /// without the packed methods). Callers fall back to the scalar paths.
-    PackingUnsupported,
     /// A slot-packing invariant was violated (layout overflow, a value too
     /// wide for its slot, a packed value with carried slots).
     Packing(PackingError),
@@ -89,9 +85,6 @@ impl fmt::Display for ProtocolError {
                 "min-selection invariant violated: none of the {candidates} randomized \
                  distance differences decrypted to zero"
             ),
-            ProtocolError::PackingUnsupported => {
-                write!(f, "the key holder does not support slot-packed requests")
-            }
             ProtocolError::Packing(e) => write!(f, "slot packing failed: {e}"),
             ProtocolError::Invariant { message } => {
                 write!(f, "protocol invariant violated: {message}")

@@ -476,69 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_key_holder_is_a_typed_error() {
-        struct Scalar(LocalKeyHolder);
-        impl KeyHolder for Scalar {
-            fn public_key(&self) -> &PublicKey {
-                self.0.public_key()
-            }
-            fn sm_mask_multiply_batch(
-                &self,
-                pairs: &[(Ciphertext, Ciphertext)],
-            ) -> Result<Vec<Ciphertext>, ProtocolError> {
-                self.0.sm_mask_multiply_batch(pairs)
-            }
-            fn lsb_of_masked_batch(
-                &self,
-                masked: &[Ciphertext],
-            ) -> Result<Vec<Ciphertext>, ProtocolError> {
-                self.0.lsb_of_masked_batch(masked)
-            }
-            fn smin_round(
-                &self,
-                gamma: &[Ciphertext],
-                l_vec: &[Ciphertext],
-            ) -> Result<crate::SminRoundResponse, ProtocolError> {
-                self.0.smin_round(gamma, l_vec)
-            }
-            fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-                self.0.min_selection(beta)
-            }
-            fn top_k_indices(
-                &self,
-                distances: &[Ciphertext],
-                k: usize,
-            ) -> Result<Vec<usize>, ProtocolError> {
-                self.0.top_k_indices(distances, k)
-            }
-            fn decrypt_masked_batch(
-                &self,
-                masked: &[Ciphertext],
-            ) -> Result<Vec<BigUint>, ProtocolError> {
-                self.0.decrypt_masked_batch(masked)
-            }
-        }
-        let (pk, holder, mut rng) = setup();
-        let scalar = Scalar(holder);
-        assert!(!scalar.supports_packing());
-        let p = params(&pk, 6, 4);
-        let e = pk.encrypt_u64(1, &mut rng);
-        assert_eq!(
-            packed_squared_distances(
-                &pk,
-                &scalar,
-                std::slice::from_ref(&e),
-                &[std::slice::from_ref(&e)],
-                &p,
-                &mut rng,
-                None
-            )
-            .unwrap_err(),
-            ProtocolError::PackingUnsupported
-        );
-    }
-
-    #[test]
     fn layout_and_length_violations() {
         let (pk, holder, mut rng) = setup();
         let p = params(&pk, 6, 2);

@@ -21,8 +21,9 @@ const UNIT_SEED_SALT: u64 = 0xC2C2_0000_5EED_0001;
 /// The response to one SMIN evaluation round (Algorithm 3, step 2).
 #[derive(Clone, Debug)]
 pub struct SminRoundResponse {
-    /// `M′_i = Γ′_i^α` — the (still permuted) randomized bit differences,
-    /// exponentiated by the comparison outcome.
+    /// `M′_i = Γ′_i^α`, rerandomized with a fresh unit — the (still
+    /// permuted) randomized bit differences, exponentiated by the
+    /// comparison outcome.
     pub m_prime: Vec<Ciphertext>,
     /// `E(α)` — the encrypted, functionality-oblivious comparison outcome.
     pub alpha: Ciphertext,
@@ -113,17 +114,8 @@ pub trait KeyHolder: Send + Sync {
     // The packed methods carry σ values per ciphertext (see
     // `sknn_paillier::packing`), cutting C2's decryption count and the
     // C1↔C2 ciphertext volume by the packing factor. They have scalar
-    // semantics — the decrypted results are bit-identical to the unpacked
-    // methods above — and default to `PackingUnsupported` so existing
-    // `KeyHolder` implementations (and pre-packing peers behind a
-    // transport) keep working: callers probe `supports_packing` and fall
-    // back to the scalar paths.
-
-    /// Whether this key holder serves the packed methods below. Transports
-    /// report the *negotiated* capability of the remote peer.
-    fn supports_packing(&self) -> bool {
-        false
-    }
+    // semantics: the decrypted results are bit-identical to the unpacked
+    // methods above.
 
     /// Packed SM, square form (the SSED pattern where both operands of each
     /// product are equal): each input ciphertext packs blinded operands
@@ -131,17 +123,14 @@ pub trait KeyHolder: Send + Sync {
     /// plaintext, and returns one fresh ciphertext packing the `xᵢ²`.
     ///
     /// # Errors
-    /// [`ProtocolError::PackingUnsupported`] without a packed
-    /// implementation; [`ProtocolError::Packing`] when a decrypted value
-    /// violates the layout.
+    /// [`ProtocolError::Packing`] when a decrypted value violates the
+    /// layout; a remote key holder's transport failure as for
+    /// [`KeyHolder::sm_mask_multiply_batch`].
     fn sm_packed_square_batch(
         &self,
         layout: &SlotLayout,
         packed: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let _ = (layout, packed);
-        Err(ProtocolError::PackingUnsupported)
-    }
+    ) -> Result<Vec<Ciphertext>, ProtocolError>;
 
     /// Packed SM, general form: for each pair of packed-operand ciphertexts
     /// C2 returns one fresh ciphertext packing the slot-wise products
@@ -153,10 +142,7 @@ pub trait KeyHolder: Send + Sync {
         &self,
         layout: &SlotLayout,
         pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let _ = (layout, pairs);
-        Err(ProtocolError::PackingUnsupported)
-    }
+    ) -> Result<Vec<Ciphertext>, ProtocolError>;
 
     /// Packed SBD round oracle: each input ciphertext packs masked values
     /// `yᵢ = xᵢ + rᵢ` (slot-aligned, no inter-slot carries);
@@ -173,10 +159,7 @@ pub trait KeyHolder: Send + Sync {
         layout: &SlotLayout,
         masked: &[Ciphertext],
         slot_counts: &[usize],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let _ = (layout, masked, slot_counts);
-        Err(ProtocolError::PackingUnsupported)
-    }
+    ) -> Result<Vec<Ciphertext>, ProtocolError>;
 
     /// Packed SkNN_b top-k: the `count` encrypted distances arrive packed σ
     /// per ciphertext; C2 decrypts ⌈count/σ⌉ ciphertexts instead of
@@ -192,10 +175,7 @@ pub trait KeyHolder: Send + Sync {
         packed: &[Ciphertext],
         count: usize,
         k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
-        let _ = (layout, packed, count, k);
-        Err(ProtocolError::PackingUnsupported)
-    }
+    ) -> Result<Vec<usize>, ProtocolError>;
 }
 
 /// An in-process key holder: executes C2's side of every protocol directly.
@@ -409,24 +389,25 @@ impl KeyHolder for LocalKeyHolder {
             BigUint::zero()
         };
 
+        // Every reply carries a fresh unit: `M′ᵢ = Γ′ᵢ^α · uᵢ`. Without it
+        // C1 would read α off the reply (its own `Γ′ᵢ` back, or the
+        // trivial `1`) without decrypting.
+        let mut units = self.fresh_units(gamma_permuted.len() + 1);
+        let unit = units.pop().ok_or_else(|| ProtocolError::Invariant {
+            message: "encryption units requested, none produced".to_string(),
+        })?;
         let m_prime = gamma_permuted
             .iter()
-            .map(|g| {
+            .zip(units)
+            .map(|(g, u)| {
                 if alpha_is_one {
-                    g.clone()
+                    self.pk.rerandomize_with_unit(g, &u)
                 } else {
-                    // Γ′^0 = a trivial encryption of zero.
-                    self.pk.mul_plain(g, &BigUint::zero())
+                    // Γ′^0 = E(0), a fresh one.
+                    Ciphertext::from_raw(u)
                 }
             })
             .collect();
-
-        let unit = self
-            .fresh_units(1)
-            .pop()
-            .ok_or_else(|| ProtocolError::Invariant {
-                message: "one encryption unit requested, none produced".to_string(),
-            })?;
         Ok(SminRoundResponse {
             m_prime,
             alpha: self.encrypt_own(&alpha_plain, &unit),
@@ -484,10 +465,6 @@ impl KeyHolder for LocalKeyHolder {
 
     fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
         Ok(masked.iter().map(|c| self.sk.decrypt(c)).collect())
-    }
-
-    fn supports_packing(&self) -> bool {
-        true
     }
 
     fn sm_packed_square_batch(
@@ -675,6 +652,30 @@ mod tests {
             .m_prime
             .iter()
             .all(|c| holder.debug_decrypt(c).is_zero()));
+    }
+
+    #[test]
+    fn smin_round_replies_carry_a_fresh_unit() {
+        // C1 must not read α off `M′`: neither its own `Γ′ᵢ` nor the raw
+        // trivial `1` may come back, yet every `M′ᵢ` decrypts to `Γ′ᵢ^α`.
+        let (pk, holder, mut rng) = setup();
+        let gamma: Vec<_> = (0..4).map(|v| pk.encrypt_u64(v + 10, &mut rng)).collect();
+        for (l, alpha) in [(1u64, 1u64), (5, 0)] {
+            let l_vec = vec![pk.encrypt_u64(923, &mut rng), pk.encrypt_u64(l, &mut rng)];
+            let l_vec = [l_vec.clone(), l_vec].concat();
+            let resp = holder.smin_round(&gamma, &l_vec).unwrap();
+            assert_eq!(holder.debug_decrypt_u64(&resp.alpha).unwrap(), alpha);
+            for (g, m) in gamma.iter().zip(&resp.m_prime) {
+                assert_ne!(m, g, "α = {alpha}: M′ is C1's own Γ′");
+                assert_ne!(m.as_raw(), &BigUint::one(), "α = {alpha}: M′ is the raw 1");
+                let expect = if alpha == 1 {
+                    holder.debug_decrypt_u64(g).unwrap()
+                } else {
+                    0
+                };
+                assert_eq!(holder.debug_decrypt_u64(m).unwrap(), expect);
+            }
+        }
     }
 
     #[test]

@@ -41,13 +41,10 @@ mod tcp;
 pub use fault::{FaultKind, FaultPlan};
 pub use pool::{Loopback, SessionPool};
 pub use reactor::{BackpressureConfig, ChannelServer, Conn, Reactor};
-pub use server::{serve, serve_with_features};
+pub use server::serve;
 pub use session::{CoalesceConfig, SessionKeyHolder};
 pub use tcp::TcpTransport;
-pub use wire::{
-    Frame, FrameKind, TransportError, FEATURE_VERSION, FEATURE_VERSION_LIVENESS,
-    FEATURE_VERSION_SCALAR, WIRE_VERSION,
-};
+pub use wire::{Frame, FrameKind, TransportError, WIRE_VERSION};
 
 use crate::stats::CommStats;
 use sknn_bigint::BigUint;
@@ -128,18 +125,16 @@ mod tests {
         (pk, oracle, pool, rng)
     }
 
-    /// A channel-wire connection to a server speaking feature revision
-    /// `features`, plus the server's join handle.
+    /// A channel-wire connection to a key-holder server, plus the
+    /// server's join handle.
     fn channel_server(
         reactor: &Reactor,
         holder: LocalKeyHolder,
-        features: u8,
     ) -> (Conn, JoinHandle<Result<(), TransportError>>) {
         let (conn, server_end) = reactor
             .channel_pair(BackpressureConfig::default(), None)
             .unwrap();
-        let server =
-            std::thread::spawn(move || serve_with_features(&server_end, &holder, 1, features));
+        let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         (conn, server)
     }
 
@@ -178,9 +173,8 @@ mod tests {
         let (pk, _oracle, pool, mut rng) = setup();
         let client = pool.session(0);
         let stats = client.stats();
-        // Connecting costs exactly one round trip: the feature probe.
-        assert_eq!(stats.requests(), 1);
-        assert_eq!(client.features(), FEATURE_VERSION);
+        // Connecting sends no frame.
+        assert_eq!(stats.requests(), 0);
         let baseline = stats.snapshot();
 
         let e_a = pk.encrypt_u64(3, &mut rng);
@@ -202,8 +196,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(139);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let reactor = Reactor::new().unwrap();
-        let (conn, server) =
-            channel_server(&reactor, LocalKeyHolder::new(sk, 140), FEATURE_VERSION);
+        let (conn, server) = channel_server(&reactor, LocalKeyHolder::new(sk, 140));
         let client = SessionKeyHolder::connect(pk, conn, CoalesceConfig::disabled());
         drop(client);
         let result = server.join().expect("server thread exits cleanly");
@@ -235,12 +228,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(135);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let reactor = Reactor::new().unwrap();
-        let (conn, server) =
-            channel_server(&reactor, LocalKeyHolder::new(sk, 136), FEATURE_VERSION);
+        let (conn, server) = channel_server(&reactor, LocalKeyHolder::new(sk, 136));
         let client = SessionKeyHolder::connect_handshake(conn, CoalesceConfig::disabled())
             .expect("handshake succeeds");
         assert_eq!(client.public_key().n(), pk.n());
-        assert_eq!(client.ping(), Ok(()));
+        // The fetched key serves a real request.
+        let masked = pk.encrypt_u64(7, &mut rng);
+        assert_eq!(
+            client.decrypt_masked_batch(&[masked]),
+            Ok(vec![BigUint::from_u64(7)])
+        );
         drop(client);
         assert_eq!(server.join().unwrap(), Ok(()));
         reactor.shutdown();
@@ -251,7 +248,6 @@ mod tests {
         use crate::packed::{packed_bit_decompose, PackedParams};
         let (pk, oracle, pool, mut rng) = setup();
         let client = pool.session(0);
-        assert!(client.supports_packing());
         // 128-bit key, 14-bit operands → 28-bit stride → 4 slots.
         let params = PackedParams::derive(pk.bits(), 6, 6, 4).unwrap();
         assert_eq!(params.slots(), 4);
@@ -381,19 +377,17 @@ mod tests {
 
     #[test]
     fn severed_wire_is_a_typed_error_for_every_request() {
-        // Frame 0 (the feature probe) goes through, so the session
-        // negotiates packing; the sever then strikes the first real
-        // request, and every request after it finds the wire closed.
+        // The sever strikes the first request (connecting sends nothing),
+        // and every request after it finds the wire closed.
         let mut rng = StdRng::seed_from_u64(143);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let reactor = Reactor::new().unwrap();
         let (conn, server_end) = reactor
-            .channel_pair(BackpressureConfig::default(), Some(FaultPlan::sever_at(1)))
+            .channel_pair(BackpressureConfig::default(), Some(FaultPlan::sever_at(0)))
             .unwrap();
         let holder = LocalKeyHolder::new(sk, 144);
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
-        assert!(client.supports_packing());
         for (name, call) in every_request(&pk, &mut rng) {
             assert_eq!(
                 call(&client),
@@ -401,15 +395,13 @@ mod tests {
                 "{name}"
             );
         }
-        assert_eq!(client.ping(), Err(TransportError::Closed));
         drop(client);
         assert_eq!(server.join().unwrap(), Ok(()));
         reactor.shutdown();
     }
 
-    /// A hand-written C2 end that answers the feature probe honestly and
-    /// every other request with `reply(request)`, until the client hangs
-    /// up.
+    /// A hand-written C2 end that answers every request with
+    /// `reply(request)`, until the client hangs up.
     fn misbehaving_server(
         reactor: &Reactor,
         reply: fn(wire::Request) -> wire::Response,
@@ -419,12 +411,7 @@ mod tests {
             .unwrap();
         let server = std::thread::spawn(move || {
             while let Ok(frame) = server_end.recv_frame() {
-                let response = match wire::Request::decode(frame.payload).unwrap() {
-                    wire::Request::Features { max } => wire::Response::Features {
-                        version: max.min(FEATURE_VERSION),
-                    },
-                    request => reply(request),
-                };
+                let response = reply(wire::Request::decode(frame.payload).unwrap());
                 let sent = server_end
                     .send_frame(&Frame::response(frame.correlation_id, response.encode()));
                 if sent.is_err() {
@@ -512,53 +499,6 @@ mod tests {
             drop(client);
             server.join().unwrap();
         }
-        reactor.shutdown();
-    }
-
-    #[test]
-    fn old_server_negotiates_down_to_scalar() {
-        use crate::packed::PackedParams;
-        let mut rng = StdRng::seed_from_u64(141);
-        let (pk, sk) = Keypair::generate(128, &mut rng).split();
-        let reactor = Reactor::new().unwrap();
-        // A server pinned to the pre-packing feature revision answers the
-        // probe like an old build: with an unknown-tag error reply.
-        let (conn, server) = channel_server(
-            &reactor,
-            LocalKeyHolder::new(sk, 142),
-            FEATURE_VERSION_SCALAR,
-        );
-        let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
-        assert_eq!(client.features(), FEATURE_VERSION_SCALAR);
-        assert!(!client.supports_packing());
-        // The liveness probe falls back to the capability probe, whose
-        // unknown-tag error reply still proves the peer alive.
-        assert_eq!(client.ping(), Ok(()));
-
-        // Packed calls surface the typed fallback error without touching
-        // the wire…
-        let params = PackedParams::derive(pk.bits(), 6, 8, 4).unwrap();
-        let e = pk.encrypt_u64(5, &mut rng);
-        assert_eq!(
-            client
-                .sm_packed_square_batch(&params.layout, std::slice::from_ref(&e))
-                .unwrap_err(),
-            crate::ProtocolError::PackingUnsupported
-        );
-
-        // …while every scalar protocol still works against the old peer.
-        let e_a = pk.encrypt_u64(59, &mut rng);
-        let e_b = pk.encrypt_u64(58, &mut rng);
-        let prod = secure_multiply(&pk, &client, &e_a, &e_b, &mut rng).unwrap();
-        let oracle = LocalKeyHolder::new(
-            Keypair::generate(128, &mut StdRng::seed_from_u64(141))
-                .split()
-                .1,
-            143,
-        );
-        assert_eq!(oracle.debug_decrypt_u64(&prod).unwrap(), 3422);
-        drop(client);
-        assert_eq!(server.join().unwrap(), Ok(()));
         reactor.shutdown();
     }
 

@@ -171,7 +171,8 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Starts the event-loop thread.
+    /// Starts the event-loop thread and waits until it runs, so the named
+    /// `sknn-reactor` thread is visible as soon as this returns.
     ///
     /// # Errors
     /// [`TransportError::Io`] when the poller or the thread cannot be
@@ -191,10 +192,18 @@ impl Reactor {
             thread: Mutex::new(None),
         });
         let loop_inner = Arc::clone(&inner);
+        let (started, running) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("sknn-reactor".into())
-            .spawn(move || event_loop(&loop_inner))
+            .spawn(move || {
+                // The thread takes its name before this closure runs.
+                let _ = started.send(());
+                event_loop(&loop_inner)
+            })
             .map_err(|e| TransportError::Io(e.to_string()))?;
+        // Nothing else makes the new thread run before the first request
+        // (connecting a session sends no frame), so wait for it here.
+        let _ = running.recv();
         *lock(&inner.thread) = Some(handle);
         Ok(Reactor { inner })
     }
@@ -1052,9 +1061,13 @@ mod tests {
         (pk, LocalKeyHolder::new(sk, seed ^ 0xC2))
     }
 
-    /// One raw ping round trip through a conn.
-    fn ping_once(conn: &Conn, corr: u64, deadline_ms: u64) -> Result<Response, TransportError> {
-        conn.round_trip(&Frame::request(corr, Request::Ping.encode()), deadline_ms)
+    /// One raw round trip through a conn, carrying the cheapest request
+    /// (`PublicKey`: no cryptography on the server).
+    fn key_once(conn: &Conn, corr: u64, deadline_ms: u64) -> Result<Response, TransportError> {
+        conn.round_trip(
+            &Frame::request(corr, Request::PublicKey.encode()),
+            deadline_ms,
+        )
     }
 
     #[test]
@@ -1065,8 +1078,8 @@ mod tests {
             .channel_pair(BackpressureConfig::default(), None)
             .unwrap();
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-        let reply = ping_once(&conn, 7, 0).unwrap();
-        assert!(matches!(reply, Response::Pong));
+        let reply = key_once(&conn, 7, 0).unwrap();
+        assert!(matches!(reply, Response::PublicKey(_)));
         // Stats counted the request and the response on this endpoint.
         let snap = conn.stats().snapshot();
         assert_eq!(snap.requests, 1);
@@ -1091,8 +1104,8 @@ mod tests {
             .connect_tcp(stream, BackpressureConfig::default(), None)
             .unwrap();
         for corr in 0..8u64 {
-            let reply = ping_once(&conn, corr, 2_000).unwrap();
-            assert!(matches!(reply, Response::Pong));
+            let reply = key_once(&conn, corr, 2_000).unwrap();
+            assert!(matches!(reply, Response::PublicKey(_)));
         }
         conn.close();
         let _ = server.join().unwrap();
@@ -1107,11 +1120,11 @@ mod tests {
             .channel_pair(BackpressureConfig::default(), None)
             .unwrap();
         let start = Instant::now();
-        let err = ping_once(&conn, 1, 50).unwrap_err();
+        let err = key_once(&conn, 1, 50).unwrap_err();
         assert_eq!(err, TransportError::Timeout { after_ms: 50 });
         assert!(start.elapsed() < Duration::from_secs(2));
         // The window slot was reclaimed: a second request still submits.
-        let err = ping_once(&conn, 2, 50).unwrap_err();
+        let err = key_once(&conn, 2, 50).unwrap_err();
         assert_eq!(err, TransportError::Timeout { after_ms: 50 });
         reactor.shutdown();
     }
@@ -1130,7 +1143,7 @@ mod tests {
         // 2 in the window + 2 queued all accept...
         for corr in 0..4u64 {
             let rx = conn.register(corr);
-            conn.submit(&Frame::request(corr, Request::Ping.encode()), 0)
+            conn.submit(&Frame::request(corr, Request::PublicKey.encode()), 0)
                 .unwrap();
             rxs.push(rx);
         }
@@ -1138,7 +1151,7 @@ mod tests {
         let _rx = conn.register(9);
         let start = Instant::now();
         let err = conn
-            .submit(&Frame::request(9, Request::Ping.encode()), 0)
+            .submit(&Frame::request(9, Request::PublicKey.encode()), 0)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1172,12 +1185,12 @@ mod tests {
         let mut rxs = Vec::new();
         for corr in 0..16u64 {
             let rx = conn.register(corr);
-            conn.submit(&Frame::request(corr, Request::Ping.encode()), 5_000)
+            conn.submit(&Frame::request(corr, Request::PublicKey.encode()), 5_000)
                 .unwrap();
             rxs.push(rx);
         }
         for rx in rxs {
-            assert!(matches!(rx.recv().unwrap(), Ok(Response::Pong)));
+            assert!(matches!(rx.recv().unwrap(), Ok(Response::PublicKey(_))));
         }
         conn.close();
         let _ = server.join().unwrap();
@@ -1191,7 +1204,7 @@ mod tests {
             .channel_pair(BackpressureConfig::default(), None)
             .unwrap();
         let rx = conn.register(1);
-        conn.submit(&Frame::request(1, Request::Ping.encode()), 0)
+        conn.submit(&Frame::request(1, Request::PublicKey.encode()), 0)
             .unwrap();
         reactor.shutdown();
         assert_eq!(rx.recv().unwrap(), Err(TransportError::Closed));
@@ -1207,7 +1220,7 @@ mod tests {
             .channel_pair(BackpressureConfig::default(), Some(FaultPlan::sever_at(0)))
             .unwrap();
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-        let err = ping_once(&conn, 1, 1_000).unwrap_err();
+        let err = key_once(&conn, 1, 1_000).unwrap_err();
         assert_eq!(err, TransportError::Closed);
         // The sever reaches the server too: its loop exits cleanly.
         assert_eq!(server.join().unwrap(), Ok(()));
@@ -1222,12 +1235,12 @@ mod tests {
             .channel_pair(BackpressureConfig::default(), Some(FaultPlan::drop_at(0)))
             .unwrap();
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-        let err = ping_once(&conn, 1, 100).unwrap_err();
+        let err = key_once(&conn, 1, 100).unwrap_err();
         assert_eq!(err, TransportError::Timeout { after_ms: 100 });
         // The next frame passes untouched.
         assert!(matches!(
-            ping_once(&conn, 2, 1_000).unwrap(),
-            Response::Pong
+            key_once(&conn, 2, 1_000).unwrap(),
+            Response::PublicKey(_)
         ));
         conn.close();
         let _ = server.join().unwrap();
@@ -1248,8 +1261,8 @@ mod tests {
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         let start = Instant::now();
         assert!(matches!(
-            ping_once(&conn, 1, 2_000).unwrap(),
-            Response::Pong
+            key_once(&conn, 1, 2_000).unwrap(),
+            Response::PublicKey(_)
         ));
         assert!(start.elapsed() >= Duration::from_millis(55));
         conn.close();
@@ -1268,13 +1281,16 @@ mod tests {
             )
             .unwrap();
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-        let err = ping_once(&conn, 1, 2_000).unwrap_err();
+        let err = key_once(&conn, 1, 2_000).unwrap_err();
         assert!(
             !matches!(err, TransportError::Closed | TransportError::Timeout { .. }),
             "a corrupt frame draws an error reply, not a dead wire: {err}"
         );
         // Only the struck request failed: the connection still serves.
-        assert!(matches!(ping_once(&conn, 2, 2_000), Ok(Response::Pong)));
+        assert!(matches!(
+            key_once(&conn, 2, 2_000),
+            Ok(Response::PublicKey(_))
+        ));
         conn.close();
         let _ = server.join().unwrap();
         reactor.shutdown();
@@ -1292,12 +1308,12 @@ mod tests {
             .unwrap();
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         assert!(matches!(
-            ping_once(&conn, 1, 2_000).unwrap(),
-            Response::Pong
+            key_once(&conn, 1, 2_000).unwrap(),
+            Response::PublicKey(_)
         ));
         assert!(matches!(
-            ping_once(&conn, 2, 2_000).unwrap(),
-            Response::Pong
+            key_once(&conn, 2, 2_000).unwrap(),
+            Response::PublicKey(_)
         ));
         conn.close();
         let _ = server.join().unwrap();
@@ -1319,8 +1335,8 @@ mod tests {
         }
         for (i, conn) in conns.iter().enumerate() {
             assert!(matches!(
-                ping_once(conn, i as u64, 5_000).unwrap(),
-                Response::Pong
+                key_once(conn, i as u64, 5_000).unwrap(),
+                Response::PublicKey(_)
             ));
         }
         for conn in &conns {
@@ -1337,12 +1353,45 @@ mod tests {
         // Guards the constant the clobber path relies on: the header is 14
         // bytes with the length in the last 4.
         assert_eq!(FRAME_HEADER_LEN, 14);
-        let frame = Frame::request(9, Request::Ping.encode());
+        let frame = Frame::request(9, Request::PublicKey.encode());
         let bytes = frame.encode().unwrap();
         let (kind, corr, len) =
             parse_header(bytes[..FRAME_HEADER_LEN].try_into().unwrap()).unwrap();
         assert_eq!(kind, FrameKind::Request);
         assert_eq!(corr, 9);
         assert_eq!(len, bytes.len() - FRAME_HEADER_LEN);
+    }
+
+    #[test]
+    fn old_wire_version_is_refused_typed_on_both_ends() {
+        // A hand-written frame from a revision-1 peer: a well-formed
+        // request whose envelope byte is 1.
+        let (_pk, holder) = small_holder(47);
+        let reactor = Reactor::new().unwrap();
+        let (conn, server_end) = reactor
+            .channel_pair(BackpressureConfig::default(), None)
+            .unwrap();
+        let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
+        let mut bytes = Frame::request(1, Request::PublicKey.encode())
+            .encode()
+            .unwrap();
+        bytes[0] = 1;
+        let rx = conn.register(1);
+        {
+            let mut io = lock(&conn.shared.io);
+            io.inflight.insert(1);
+            conn.shared.stage_outbound(&mut io, &bytes).unwrap();
+        }
+        // The server refuses the envelope and hangs up...
+        assert_eq!(
+            server.join().unwrap(),
+            Err(TransportError::BadVersion { got: 1 })
+        );
+        // ...and the client's waiter completes with a closed wire.
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(Err(TransportError::Closed))
+        );
+        reactor.shutdown();
     }
 }

@@ -11,23 +11,14 @@
 //! corruption (bad version byte, oversized frame) tears the connection down
 //! with an error return value instead.
 
-use super::wire::{
-    Frame, FrameKind, Request, Response, TransportError, WireError, FEATURE_VERSION,
-};
+use super::wire::{Frame, FrameKind, Request, Response, TransportError, WireError};
 use super::{to_ciphertexts, to_raw, Transport};
 use crate::error::ProtocolError;
 use crate::party::{KeyHolder, LocalKeyHolder};
 use sknn_paillier::Ciphertext;
 
 /// Dispatches one decoded request against the local key holder.
-/// `features` is the highest request revision this server admits — a
-/// request beyond it is answered exactly like an unknown tag, which is
-/// what a genuinely old server would do.
-fn handle(
-    holder: &LocalKeyHolder,
-    request: Request,
-    features: u8,
-) -> Result<Response, ProtocolError> {
+fn handle(holder: &LocalKeyHolder, request: Request) -> Result<Response, ProtocolError> {
     Ok(match request {
         Request::SmBatch(pairs) => {
             let pairs: Vec<(Ciphertext, Ciphertext)> = pairs
@@ -94,20 +85,10 @@ fn handle(
                 .map(|i| i as u32)
                 .collect(),
         ),
-        Request::Features { max } => Response::Features {
-            version: max.min(features),
-        },
-        // Liveness probe: answered without touching the key holder, so a
-        // health check costs one round trip and no cryptography.
-        Request::Ping => Response::Pong,
     })
 }
 
-fn worker_loop(
-    transport: &dyn Transport,
-    holder: &LocalKeyHolder,
-    features: u8,
-) -> Result<(), TransportError> {
+fn worker_loop(transport: &dyn Transport, holder: &LocalKeyHolder) -> Result<(), TransportError> {
     loop {
         let frame = match transport.recv_frame() {
             Ok(frame) => frame,
@@ -122,18 +103,7 @@ fn worker_loop(
         };
         let reply = match frame.kind {
             FrameKind::Request => match Request::decode(frame.payload) {
-                // A request beyond this server's feature revision is
-                // answered exactly like an unknown tag — the reply a
-                // genuinely old build would send — so capability probes
-                // degrade gracefully instead of killing the connection.
-                Ok(request) if request.required_features() > features => Frame::error(
-                    frame.correlation_id,
-                    WireError::malformed_request(&TransportError::UnknownRequestTag {
-                        tag: request.wire_tag(),
-                    })
-                    .encode(),
-                ),
-                Ok(request) => match handle(holder, request, features) {
+                Ok(request) => match handle(holder, request) {
                     Ok(response) => Frame::response(frame.correlation_id, response.encode()),
                     Err(protocol_err) => Frame::error(
                         frame.correlation_id,
@@ -162,7 +132,9 @@ fn worker_loop(
 
 /// Serves requests from `transport` against `holder` until the peer hangs
 /// up, using `workers` concurrent request-handling threads (clamped to at
-/// least 1). Speaks the full current feature set ([`FEATURE_VERSION`]).
+/// least 1). Every request tag is served; a frame from a peer on another
+/// [`super::WIRE_VERSION`] tears the connection down with
+/// [`TransportError::BadVersion`].
 ///
 /// # Errors
 /// Returns the first transport-level error a worker hit; a clean peer
@@ -172,26 +144,9 @@ pub fn serve(
     holder: &LocalKeyHolder,
     workers: usize,
 ) -> Result<(), TransportError> {
-    serve_with_features(transport, holder, workers, FEATURE_VERSION)
-}
-
-/// [`serve`] pinned to an explicit feature revision. Passing
-/// [`super::wire::FEATURE_VERSION_SCALAR`] makes the server behave like a
-/// pre-packing build — packed requests and capability probes get
-/// unknown-tag error replies — which is how the interop tests exercise the
-/// new-client/old-server path without an actual old binary.
-///
-/// # Errors
-/// See [`serve`].
-pub fn serve_with_features(
-    transport: &dyn Transport,
-    holder: &LocalKeyHolder,
-    workers: usize,
-    features: u8,
-) -> Result<(), TransportError> {
     let workers = workers.max(1);
     if workers == 1 {
-        return worker_loop(transport, holder, features);
+        return worker_loop(transport, holder);
     }
     std::thread::scope(|scope| {
         let mut result = Ok(());
@@ -199,7 +154,7 @@ pub fn serve_with_features(
         for i in 0..workers {
             let spawned = std::thread::Builder::new()
                 .name(format!("sknn-c2-work-{i}"))
-                .spawn_scoped(scope, || worker_loop(transport, holder, features));
+                .spawn_scoped(scope, || worker_loop(transport, holder));
             match spawned {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {

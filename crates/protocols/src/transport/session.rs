@@ -21,10 +21,7 @@
 //!   round-trip optimization.
 
 use super::reactor::Conn;
-use super::wire::{
-    Frame, Request, Response, TransportError, FEATURE_VERSION, FEATURE_VERSION_LIVENESS,
-    FEATURE_VERSION_PACKED, FEATURE_VERSION_SCALAR,
-};
+use super::wire::{Frame, Request, Response, TransportError};
 use super::{to_ciphertexts, to_raw};
 use crate::error::ProtocolError;
 use crate::party::{KeyHolder, SminRoundResponse};
@@ -197,19 +194,15 @@ pub struct SessionKeyHolder {
     coalesce: CoalesceConfig,
     sm_lane: CoalesceLane<(BigUint, BigUint)>,
     lsb_lane: CoalesceLane<BigUint>,
-    /// Feature revision negotiated with the peer at connect time
-    /// ([`FEATURE_VERSION_SCALAR`] for peers that predate negotiation).
-    features: u8,
 }
 
 impl SessionKeyHolder {
     /// Attaches to a reactor-serviced connection with a locally known
-    /// public key, probing the peer's feature revision with one extra round
-    /// trip. No thread is spawned: the shared reactor routes responses into
-    /// this session's completion slots, so a pool of N sessions costs one
-    /// event-loop thread, not N.
+    /// public key; connecting sends no frame. No thread is spawned: the
+    /// shared reactor routes responses into this session's completion
+    /// slots, so a pool of N sessions costs one event-loop thread, not N.
     pub fn connect(pk: PublicKey, conn: Conn, coalesce: CoalesceConfig) -> SessionKeyHolder {
-        let mut session = SessionKeyHolder {
+        SessionKeyHolder {
             pk,
             conn,
             next_id: AtomicU64::new(1),
@@ -217,10 +210,7 @@ impl SessionKeyHolder {
             coalesce,
             sm_lane: CoalesceLane::new(),
             lsb_lane: CoalesceLane::new(),
-            features: FEATURE_VERSION_SCALAR,
-        };
-        session.features = session.negotiate_features();
-        session
+        }
     }
 
     /// Attaches to `conn` and fetches the public key from the server with a
@@ -248,28 +238,9 @@ impl SessionKeyHolder {
         Ok(SessionKeyHolder::connect(pk, conn, coalesce))
     }
 
-    /// Probes the peer's feature revision with one [`Request::Features`]
-    /// round trip. A peer from before capability negotiation answers with
-    /// an unknown-tag error reply, which reads as "scalar requests only";
-    /// genuine transport failures also degrade to scalar — the next real
-    /// request will surface them properly.
-    fn negotiate_features(&self) -> u8 {
-        match self.round_trip(&Request::Features {
-            max: FEATURE_VERSION,
-        }) {
-            Ok(Response::Features { version }) => version.min(FEATURE_VERSION),
-            _ => FEATURE_VERSION_SCALAR,
-        }
-    }
-
     /// Traffic counters of the underlying transport (this endpoint's view).
     pub fn stats(&self) -> Arc<CommStats> {
         self.conn.stats()
-    }
-
-    /// The feature revision negotiated with the peer.
-    pub fn features(&self) -> u8 {
-        self.features
     }
 
     /// Hangs up the underlying transport deliberately. Every in-flight and
@@ -291,36 +262,6 @@ impl SessionKeyHolder {
             u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(1)
         });
         self.deadline_ms.store(ms, Ordering::Relaxed);
-    }
-
-    /// Liveness probe: one round trip that proves the peer is alive and
-    /// serving. On a peer with feature revision ≥ 3 this is a
-    /// [`Request::Ping`]/[`Response::Pong`] exchange (no cryptography);
-    /// older peers are probed with a [`Request::Features`] round trip
-    /// instead, where *any* well-formed reply — including the unknown-tag
-    /// error a pre-negotiation build sends — proves liveness.
-    ///
-    /// # Errors
-    /// Returns the transport error when the peer is actually unreachable:
-    /// [`TransportError::Closed`], [`TransportError::Io`], or (with a
-    /// deadline configured) [`TransportError::Timeout`].
-    pub fn ping(&self) -> Result<(), TransportError> {
-        let result = if self.features >= FEATURE_VERSION_LIVENESS {
-            self.round_trip(&Request::Ping)
-        } else {
-            // Probe-on-error fallback: an old peer answers the capability
-            // probe (possibly with an unknown-tag error reply), and a reply
-            // of any shape means the peer is alive.
-            self.round_trip(&Request::Features {
-                max: FEATURE_VERSION,
-            })
-        };
-        match result {
-            Ok(_) => Ok(()),
-            // The peer produced a reply — alive, just old or confused.
-            Err(e) if peer_answered(&e) => Ok(()),
-            Err(e) => Err(e),
-        }
     }
 
     /// One pipelined round trip under a fresh correlation id.
@@ -361,20 +302,6 @@ impl SessionKeyHolder {
         })?;
         check_batch(sent, values)
     }
-}
-
-/// Does this error mean the peer replied (i.e. it is alive), as opposed to
-/// the connection being dead or the peer silent past its deadline?
-fn peer_answered(e: &TransportError) -> bool {
-    // `Overloaded` is a local backpressure verdict — the request never
-    // reached the wire, so it proves nothing about the peer.
-    !matches!(
-        e,
-        TransportError::Closed
-            | TransportError::Io(_)
-            | TransportError::Timeout { .. }
-            | TransportError::Overloaded { .. }
-    )
 }
 
 impl Drop for SessionKeyHolder {
@@ -463,18 +390,11 @@ impl KeyHolder for SessionKeyHolder {
         Ok(check_batch(masked.len(), values)?)
     }
 
-    fn supports_packing(&self) -> bool {
-        self.features >= FEATURE_VERSION_PACKED
-    }
-
     fn sm_packed_square_batch(
         &self,
         layout: &SlotLayout,
         packed: &[Ciphertext],
     ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        if !self.supports_packing() {
-            return Err(ProtocolError::PackingUnsupported);
-        }
         let values = self.batch_round_trip(
             packed.len(),
             Request::SmPackedSquares {
@@ -490,9 +410,6 @@ impl KeyHolder for SessionKeyHolder {
         layout: &SlotLayout,
         pairs: &[(Ciphertext, Ciphertext)],
     ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        if !self.supports_packing() {
-            return Err(ProtocolError::PackingUnsupported);
-        }
         let raw: Vec<(BigUint, BigUint)> = pairs
             .iter()
             .map(|(a, b)| (a.as_raw().clone(), b.as_raw().clone()))
@@ -513,9 +430,6 @@ impl KeyHolder for SessionKeyHolder {
         masked: &[Ciphertext],
         slot_counts: &[usize],
     ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        if !self.supports_packing() {
-            return Err(ProtocolError::PackingUnsupported);
-        }
         let values = self.batch_round_trip(
             slot_counts.iter().sum(),
             Request::LsbPacked {
@@ -534,9 +448,6 @@ impl KeyHolder for SessionKeyHolder {
         count: usize,
         k: usize,
     ) -> Result<Vec<usize>, ProtocolError> {
-        if !self.supports_packing() {
-            return Err(ProtocolError::PackingUnsupported);
-        }
         let result = self.round_trip(&Request::TopKPacked {
             layout: *layout,
             packed: to_raw(packed),

@@ -10,6 +10,9 @@
 //! └─────────┴──────┴────────────────┴─────────────┴─────────┘
 //! ```
 //!
+//! The **version** byte ([`WIRE_VERSION`]) is the protocol's only version:
+//! nothing is negotiated per connection.
+//!
 //! The **correlation id** is what makes the transport pipelined: many
 //! requests can be in flight on one connection, responses may come back in
 //! any order, and each response carries the id of the request it answers.
@@ -29,41 +32,15 @@ use sknn_bigint::BigUint;
 use sknn_paillier::SlotLayout;
 use std::fmt;
 
-/// Version byte stamped on every frame. Bump when the encoding changes.
+/// Version byte stamped on every frame: the one version of the whole
+/// protocol, envelope and request set alike.
 ///
-/// Note the two-level versioning scheme: this byte covers the frame
-/// *envelope* (header layout, error frames) and is deliberately frozen —
-/// a peer that rejects an unknown envelope version tears the connection
-/// down, so bumping it would strand every older peer. New *capabilities*
-/// (the slot-packed request tags) are negotiated per connection at the
-/// request level instead: see [`Request::Features`] and
-/// [`FEATURE_VERSION`]. An old server answers the probe with an
-/// unknown-tag error reply, which the client reads as "feature version 1,
-/// scalar requests only" — old and new peers interoperate in both
-/// directions.
-pub const WIRE_VERSION: u8 = 1;
-
-/// Highest request-level feature revision this build speaks.
-///
-/// * `1` — the scalar request set (SmBatch … PublicKey).
-/// * `2` — adds the slot-packed requests ([`Request::SmPackedSquares`],
-///   [`Request::SmPackedPairs`], [`Request::LsbPacked`],
-///   [`Request::TopKPacked`]) and the [`Request::Features`] probe itself.
-/// * `3` — adds the [`Request::Ping`] liveness probe.
-pub const FEATURE_VERSION: u8 = 3;
-
-/// The feature revision of peers that predate negotiation (scalar only).
-pub const FEATURE_VERSION_SCALAR: u8 = 1;
-
-/// The feature revision that introduced the slot-packed request tags —
-/// the gate [`super::SessionKeyHolder`] checks before sending them.
-pub const FEATURE_VERSION_PACKED: u8 = 2;
-
-/// The feature revision that introduced the [`Request::Ping`] liveness
-/// probe. Older peers answer it with an unknown-tag error reply, which a
-/// health checker still reads as "the peer is alive" (it produced a
-/// well-formed reply) — see [`super::SessionKeyHolder::ping`].
-pub const FEATURE_VERSION_LIVENESS: u8 = 3;
+/// Both ends ship from one workspace, so nothing is negotiated: every key
+/// holder serves every request tag. A peer built for another revision
+/// fails at the envelope with a typed [`TransportError::BadVersion`]
+/// before any request is decoded. Bump this whenever the frame layout or
+/// any request/response encoding changes; never renumber a surviving tag.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frame header size in bytes (version + kind + correlation id + length).
 pub const FRAME_HEADER_LEN: usize = 1 + 1 + 8 + 4;
@@ -533,14 +510,14 @@ pub enum Request {
     /// Bootstrap: ask the key holder for the public key's modulus `N`.
     PublicKey,
     /// Packed SM in square form: each ciphertext packs blinded operands;
-    /// C2 squares every slot and repacks. Feature revision ≥ 2.
+    /// C2 squares every slot and repacks.
     SmPackedSquares {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
         /// The packed-operand ciphertexts.
         packed: Vec<BigUint>,
     },
-    /// Packed SM over pairs: slot-wise products `aᵢ·bᵢ`. Feature ≥ 2.
+    /// Packed SM over pairs: slot-wise products `aᵢ·bᵢ`.
     SmPackedPairs {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
@@ -548,7 +525,6 @@ pub enum Request {
         pairs: Vec<(BigUint, BigUint)>,
     },
     /// Packed SBD round oracle: per-slot LSBs of the masked packed state.
-    /// Feature ≥ 2.
     LsbPacked {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
@@ -558,7 +534,7 @@ pub enum Request {
         /// used slot, flattened).
         slot_counts: Vec<u32>,
     },
-    /// Packed SkNN_b top-k over packed distances. Feature ≥ 2.
+    /// Packed SkNN_b top-k over packed distances.
     TopKPacked {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
@@ -569,18 +545,6 @@ pub enum Request {
         /// How many indices to return.
         k: u32,
     },
-    /// Capability probe: the client's highest feature revision. A peer that
-    /// predates negotiation answers with an unknown-tag error, which the
-    /// client reads as [`FEATURE_VERSION_SCALAR`].
-    Features {
-        /// The sender's [`FEATURE_VERSION`].
-        max: u8,
-    },
-    /// Liveness probe: the server answers with [`Response::Pong`] without
-    /// touching the key holder, so a health check costs one round trip and
-    /// no cryptography. Feature revision ≥ 3; older peers answer with an
-    /// unknown-tag error reply, which still proves they are alive.
-    Ping,
 }
 
 impl Request {
@@ -598,21 +562,6 @@ impl Request {
             Request::SmPackedPairs { .. } => "SmPackedPairs",
             Request::LsbPacked { .. } => "LsbPacked",
             Request::TopKPacked { .. } => "TopKPacked",
-            Request::Features { .. } => "Features",
-            Request::Ping => "Ping",
-        }
-    }
-
-    /// The feature revision a peer must speak to serve this request.
-    pub fn required_features(&self) -> u8 {
-        match self {
-            Request::SmPackedSquares { .. }
-            | Request::SmPackedPairs { .. }
-            | Request::LsbPacked { .. }
-            | Request::TopKPacked { .. }
-            | Request::Features { .. } => FEATURE_VERSION_PACKED,
-            Request::Ping => FEATURE_VERSION_LIVENESS,
-            _ => FEATURE_VERSION_SCALAR,
         }
     }
 
@@ -631,8 +580,6 @@ impl Request {
             Request::SmPackedPairs { .. } => 9,
             Request::LsbPacked { .. } => 10,
             Request::TopKPacked { .. } => 11,
-            Request::Features { .. } => 12,
-            Request::Ping => 13,
         }
     }
 
@@ -712,13 +659,6 @@ impl Request {
                 buf.put_u32(*k);
                 put_vec(&mut buf, packed);
             }
-            Request::Features { max } => {
-                buf.put_u8(12);
-                buf.put_u8(*max);
-            }
-            Request::Ping => {
-                buf.put_u8(13);
-            }
         }
         buf.freeze()
     }
@@ -790,8 +730,6 @@ impl Request {
                     k,
                 }
             }
-            12 => Request::Features { max: r.u8()? },
-            13 => Request::Ping,
             tag => return Err(TransportError::UnknownRequestTag { tag }),
         };
         r.finish()?;
@@ -817,14 +755,6 @@ pub enum Response {
     Plaintexts(Vec<BigUint>),
     /// The public key's modulus `N`.
     PublicKey(BigUint),
-    /// The feature revision the server agrees to speak (the minimum of the
-    /// client's probe and the server's own [`FEATURE_VERSION`]).
-    Features {
-        /// The negotiated feature revision.
-        version: u8,
-    },
-    /// Answer to [`Request::Ping`]: the peer is alive and serving.
-    Pong,
 }
 
 impl Response {
@@ -836,8 +766,6 @@ impl Response {
             Response::Indices(_) => "Indices",
             Response::Plaintexts(_) => "Plaintexts",
             Response::PublicKey(_) => "PublicKey",
-            Response::Features { .. } => "Features",
-            Response::Pong => "Pong",
         }
     }
 
@@ -869,13 +797,6 @@ impl Response {
                 buf.put_u8(5);
                 put_biguint(&mut buf, n);
             }
-            Response::Features { version } => {
-                buf.put_u8(6);
-                buf.put_u8(*version);
-            }
-            Response::Pong => {
-                buf.put_u8(7);
-            }
         }
         buf.freeze()
     }
@@ -900,8 +821,6 @@ impl Response {
             }
             4 => Response::Plaintexts(r.biguint_vec()?),
             5 => Response::PublicKey(r.biguint()?),
-            6 => Response::Features { version: r.u8()? },
-            7 => Response::Pong,
             tag => return Err(TransportError::UnknownResponseTag { tag }),
         };
         r.finish()?;
@@ -915,8 +834,6 @@ pub const ERR_CODE_GENERIC: u8 = 0;
 pub const ERR_CODE_MIN_SELECTION: u8 = 1;
 /// Error code for a request the server could not decode.
 pub const ERR_CODE_MALFORMED_REQUEST: u8 = 2;
-/// Error code for [`ProtocolError::PackingUnsupported`].
-pub const ERR_CODE_PACKING_UNSUPPORTED: u8 = 3;
 
 /// The payload of a [`FrameKind::Error`] frame: a stable error code, an
 /// optional numeric detail, and a human-readable message.
@@ -937,11 +854,6 @@ impl WireError {
             ProtocolError::MinSelectionFailed { candidates } => WireError {
                 code: ERR_CODE_MIN_SELECTION,
                 detail: *candidates as u64,
-                message: e.to_string(),
-            },
-            ProtocolError::PackingUnsupported => WireError {
-                code: ERR_CODE_PACKING_UNSUPPORTED,
-                detail: 0,
                 message: e.to_string(),
             },
             other => WireError {
@@ -992,9 +904,6 @@ impl WireError {
             ERR_CODE_MIN_SELECTION => TransportError::Protocol(ProtocolError::MinSelectionFailed {
                 candidates: self.detail as usize,
             }),
-            ERR_CODE_PACKING_UNSUPPORTED => {
-                TransportError::Protocol(ProtocolError::PackingUnsupported)
-            }
             code => TransportError::Remote {
                 code,
                 message: self.message,
@@ -1046,7 +955,6 @@ mod tests {
         roundtrip_response(Response::Indices(vec![0, 5, 2]));
         roundtrip_response(Response::Plaintexts(vec![BigUint::zero(), b.clone()]));
         roundtrip_response(Response::PublicKey(b.clone()));
-        roundtrip_response(Response::Features { version: 2 });
     }
 
     #[test]
@@ -1073,15 +981,6 @@ mod tests {
             count: 13,
             k: 4,
         });
-        roundtrip_request(Request::Features {
-            max: FEATURE_VERSION,
-        });
-    }
-
-    #[test]
-    fn liveness_codecs_roundtrip() {
-        roundtrip_request(Request::Ping);
-        roundtrip_response(Response::Pong);
     }
 
     #[test]
@@ -1120,8 +1019,6 @@ mod tests {
                 count: 0,
                 k: 0,
             },
-            Request::Features { max: 2 },
-            Request::Ping,
         ];
         for request in requests {
             assert_eq!(
@@ -1131,23 +1028,6 @@ mod tests {
                 request.name()
             );
         }
-    }
-
-    #[test]
-    fn required_features_split_scalar_from_packed() {
-        assert_eq!(Request::PublicKey.required_features(), 1);
-        assert_eq!(Request::LsbBatch(vec![]).required_features(), 1);
-        let layout = SlotLayout::new(8, 8, 2).unwrap();
-        assert_eq!(
-            Request::SmPackedSquares {
-                layout,
-                packed: vec![]
-            }
-            .required_features(),
-            2
-        );
-        assert_eq!(Request::Features { max: 2 }.required_features(), 2);
-        assert_eq!(Request::Ping.required_features(), FEATURE_VERSION_LIVENESS);
     }
 
     #[test]
@@ -1164,17 +1044,6 @@ mod tests {
             Err(TransportError::InvalidField {
                 field: "SlotLayout"
             })
-        );
-    }
-
-    #[test]
-    fn packing_unsupported_survives_the_wire() {
-        let wire = WireError::from_protocol(&ProtocolError::PackingUnsupported);
-        assert_eq!(wire.code, ERR_CODE_PACKING_UNSUPPORTED);
-        let back = WireError::decode(wire.encode()).expect("decodes");
-        assert_eq!(
-            back.into_transport_error(),
-            TransportError::Protocol(ProtocolError::PackingUnsupported)
         );
     }
 

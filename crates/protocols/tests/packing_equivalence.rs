@@ -160,7 +160,6 @@ fn assert_sbd_equivalence(f: &Fixture) {
 #[test]
 fn packed_paths_match_scalar_over_channel_transport() {
     let f = channel_fixture();
-    assert!(f.client().supports_packing());
     assert_sm_equivalence(&f);
     assert_sbd_equivalence(&f);
 }
@@ -168,7 +167,6 @@ fn packed_paths_match_scalar_over_channel_transport() {
 #[test]
 fn packed_paths_match_scalar_over_tcp_transport() {
     let f = tcp_fixture();
-    assert!(f.client().supports_packing());
     assert_sm_equivalence(&f);
     assert_sbd_equivalence(&f);
 }

@@ -98,9 +98,9 @@ fn concurrent_clients_share_one_session() {
     assert_eq!(mismatches.load(Ordering::Relaxed), 0);
 
     // Stats consistency: every SM call is one round trip (coalescing off),
-    // plus the connect-time feature probe, and requests/responses balance.
+    // connecting sends nothing, and requests/responses balance.
     let stats = client.stats();
-    assert_eq!(stats.requests(), (threads * per_thread) as u64 + 1);
+    assert_eq!(stats.requests(), (threads * per_thread) as u64);
     assert_eq!(stats.responses(), stats.requests());
     assert_eq!(stats.round_trips(), stats.requests());
     assert!(stats.request_bytes() > 0 && stats.response_bytes() > 0);

@@ -22,7 +22,8 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
 
     // A dataset big enough for threading to matter but small enough to finish
-    // in seconds (the paper uses n up to 10 000 and hours of CPU time).
+    // in seconds (the paper uses n up to 10 000; here SkNN_b at that size
+    // takes minutes, and only SkNN_m's full grid takes hours).
     let n = 400;
     let m = 6;
     let l = 12;

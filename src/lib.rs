@@ -207,9 +207,9 @@
 //! `packing` knob (`Off` / `Auto(σ)` / `Fixed(σ)`) routes the SSED and SBD
 //! stages of both protocols through the packed paths;
 //! [`QueryProfile`]`::ops` reports per-stage ciphertexts-on-wire and C2
-//! decryption counts, and new wire request tags are negotiated per
-//! connection (`Features` probe) so pre-packing peers interoperate
-//! untouched.
+//! decryption counts. Every key holder serves the packed requests:
+//! the wire has one revision, and a peer on another one is refused with
+//! a typed `BadVersion` error.
 //!
 //! ## Quickstart
 //!

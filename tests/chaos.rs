@@ -175,13 +175,13 @@ fn fault_matrix_recovers_or_errors_typed() {
         for protocol in [Protocol::Basic, Protocol::Secure] {
             for shards in [1usize, 4] {
                 for kind in FaultKind::ALL {
-                    // Frame 0 is the connect-time feature probe; frame 3
-                    // lands inside query traffic.
+                    // Connecting sends nothing; frame 2 lands inside
+                    // query traffic.
                     let mut rng = StdRng::seed_from_u64(0xC4A0_5000);
                     let engine = build_engine(
                         wire,
                         shards,
-                        &[Some(FaultPlan::new(kind, 3))],
+                        &[Some(FaultPlan::new(kind, 2))],
                         policy(),
                         &mut rng,
                     );
@@ -195,7 +195,7 @@ fn fault_matrix_recovers_or_errors_typed() {
                     match run {
                         Ok(outcome) => {
                             assert_eq!(outcome.result, expected, "{label}: wrong answer");
-                            // Frame 3 lands in a scatter task, which the
+                            // Frame 2 lands in a scatter task, which the
                             // executor re-runs in place at every shard
                             // count; the gather never re-runs.
                             if matches!(kind, FaultKind::Drop | FaultKind::Corrupt) {
@@ -244,7 +244,7 @@ fn sever_without_survivor_is_a_typed_error() {
     let engine = build_engine(
         TransportKind::Channel,
         4,
-        &[Some(FaultPlan::sever_at(2))],
+        &[Some(FaultPlan::sever_at(1))],
         policy(),
         &mut rng,
     );
@@ -273,7 +273,7 @@ fn sever_one_of_two_sessions_completes_batch_on_survivor() {
     let engine = build_engine(
         TransportKind::Channel,
         4,
-        &[None, Some(FaultPlan::sever_at(2))],
+        &[None, Some(FaultPlan::sever_at(1))],
         policy(),
         &mut rng,
     );
@@ -327,7 +327,7 @@ fn secure_failover_matches_reference() {
     let engine = build_engine(
         TransportKind::Tcp,
         4,
-        &[None, Some(FaultPlan::sever_at(2))],
+        &[None, Some(FaultPlan::sever_at(1))],
         policy(),
         &mut rng,
     );
@@ -414,7 +414,7 @@ fn disabled_policy_fails_fast_with_typed_error() {
     let engine = build_engine(
         TransportKind::Channel,
         1,
-        &[Some(FaultPlan::corrupt_at(2))],
+        &[Some(FaultPlan::corrupt_at(1))],
         RetryPolicy::none(),
         &mut rng,
     );
@@ -478,7 +478,7 @@ fn sever_fails_over_and_leaks_no_threads() {
         let engine = build_engine(
             wire,
             4,
-            &[None, Some(FaultPlan::sever_at(2))],
+            &[None, Some(FaultPlan::sever_at(1))],
             policy(),
             &mut rng,
         );
