@@ -6,9 +6,9 @@
 //! 1. With the pipelined session client, the record-parallel SkNN_b run
 //!    (6 threads, as in the paper's Figure 3) speeds up over *remote*
 //!    transports too, not only against the in-process key holder.
-//! 2. Request coalescing cuts the number of C1↔C2 round trips — the
-//!    dominant communication cost — at identical results; the round-trip
-//!    counts per query are printed next to the timings.
+//! 2. Every C1↔C2 call is one pipelined round trip, so the round trips per
+//!    query depend on the query plan alone: the serial and parallel rows
+//!    print the same count next to their timings.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sknn_bench::{build_instance, time_basic, Instance, InstanceSpec};
@@ -21,11 +21,10 @@ const DISTANCE_BITS: usize = 10;
 const KEY_BITS: usize = 128;
 const K: usize = 5;
 
-fn spec(transport: TransportKind, threads: usize, coalesce: bool) -> InstanceSpec {
+fn spec(transport: TransportKind, threads: usize) -> InstanceSpec {
     InstanceSpec {
         threads,
         transport,
-        coalesce,
         ..InstanceSpec::new(RECORDS, ATTRIBUTES, DISTANCE_BITS, KEY_BITS)
     }
 }
@@ -51,7 +50,7 @@ fn bench_transports(c: &mut Criterion) {
         ("tcp", TransportKind::Tcp),
     ] {
         for threads in [1usize, 6] {
-            let instance = build_instance(spec(transport, threads, true));
+            let instance = build_instance(spec(transport, threads));
             group.bench_with_input(BenchmarkId::new(label, threads), &threads, |bench, _| {
                 bench.iter(|| black_box(time_basic(&instance, K)))
             });
@@ -65,31 +64,5 @@ fn bench_transports(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_coalescing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("transport/coalescing");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    let mut round_trips = Vec::new();
-    for (label, coalesce) in [("off", false), ("on", true)] {
-        let instance = build_instance(spec(TransportKind::Channel, 6, coalesce));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &coalesce, |bench, _| {
-            bench.iter(|| black_box(time_basic(&instance, K)))
-        });
-        if let Some((trips, bytes)) = query_comm(&instance) {
-            println!("    coalescing {label}: {trips} round trips, {bytes} bytes per query");
-            round_trips.push(trips);
-        }
-    }
-    if let [off, on] = round_trips[..] {
-        println!(
-            "    coalescing saves {} of {} round trips per query",
-            off.saturating_sub(on),
-            off
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_transports, bench_coalescing);
+criterion_group!(benches, bench_transports);
 criterion_main!(benches);

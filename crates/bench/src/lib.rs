@@ -145,8 +145,6 @@ pub struct InstanceSpec {
     pub threads: usize,
     /// Transport between the clouds.
     pub transport: TransportKind,
-    /// Whether the remote transports coalesce concurrent small batches.
-    pub coalesce: bool,
 }
 
 impl InstanceSpec {
@@ -159,7 +157,6 @@ impl InstanceSpec {
             key_bits,
             threads: 1,
             transport: TransportKind::InProcess,
-            coalesce: true,
         }
     }
 }
@@ -206,7 +203,6 @@ pub fn build_instance(spec: InstanceSpec) -> Instance {
             max_query_value: dataset.max_value,
             threads: spec.threads,
             transport: spec.transport,
-            coalesce: spec.coalesce,
             ..Default::default()
         },
     )

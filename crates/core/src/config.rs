@@ -134,14 +134,6 @@ pub struct FederationConfig {
     /// number of request-handling workers, so C2 keeps up with a parallel
     /// C1.
     pub threads: usize,
-    /// Merge small concurrent `SmBatch`/`LsbBatch` requests into one round
-    /// trip (remote transports only; see
-    /// [`sknn_protocols::transport::CoalesceConfig`]). The paper's dominant
-    /// communication cost is round trips, so this is on by default. Only
-    /// effective with `threads > 1` — a serial C1 never issues concurrent
-    /// requests, so the setup skips the coalescing window entirely rather
-    /// than taxing every round trip with it.
-    pub coalesce: bool,
     /// Seed for cloud C2's internal randomness (kept deterministic so
     /// experiments are reproducible).
     pub c2_seed: u64,
@@ -179,15 +171,6 @@ pub struct FederationConfig {
     /// all of it — requests wait forever and the first failure is final —
     /// reproducing the pre-resilience behavior exactly.
     pub retry: RetryPolicy,
-    /// Per-connection in-flight window of the remote transports (clamped to
-    /// ≥ 1): how many requests one session keeps on the wire before new
-    /// submissions start queueing.
-    pub inflight_window: usize,
-    /// Per-connection overflow queue of the remote transports: submissions
-    /// beyond the window wait here (their deadline clock already running).
-    /// When the queue is also full, submitters block briefly and then fail
-    /// with a typed `Overloaded` error instead of hanging.
-    pub inflight_queue: usize,
     /// Per-query admission control: how many queries may run concurrently
     /// per engine before `run_batch` callers wait at the gate. `0` (the
     /// default) disables the gate entirely. With remote transports this
@@ -212,7 +195,6 @@ impl Default for FederationConfig {
             max_query_value: 0,
             transport: TransportKind::InProcess,
             threads: 1,
-            coalesce: true,
             c2_seed: 0x5EC0_0D02,
             pool: PoolConfig::default(),
             pool_prewarm: 64,
@@ -220,8 +202,6 @@ impl Default for FederationConfig {
             packing_blind_bits: 40,
             sharding: ShardingConfig::default(),
             retry: RetryPolicy::none(),
-            inflight_window: 64,
-            inflight_queue: 256,
             admission: 0,
             store_root: None,
         }
@@ -247,7 +227,6 @@ mod tests {
         assert_eq!(c.key_bits, 512);
         assert_eq!(c.transport, TransportKind::InProcess);
         assert_eq!(c.threads, 1);
-        assert!(c.coalesce);
         assert!(c.distance_bits.is_none());
         assert!(c.pool.capacity > 0, "pooling is on by default");
         assert!(c.pool_prewarm <= c.pool.capacity);
@@ -258,8 +237,6 @@ mod tests {
         assert_eq!(c.sharding.sessions, 1);
         assert_eq!(c.retry, RetryPolicy::none());
         assert!(!c.retry.is_enabled(), "resilience is opt-in");
-        assert_eq!(c.inflight_window, 64);
-        assert_eq!(c.inflight_queue, 256);
         assert_eq!(c.admission, 0, "admission control is opt-in");
         assert!(c.store_root.is_none(), "durability is opt-in");
     }

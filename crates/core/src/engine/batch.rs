@@ -3,13 +3,13 @@
 //! The paper's evaluation times one query at a time; a deployment serving
 //! many users wants to push *batches* through the machinery the earlier
 //! PRs built: the pipelined session clients keep every worker's requests
-//! in flight, request coalescing merges small concurrent batches into
-//! shared round trips, and the offline randomness pools absorb the
-//! encryption spikes. [`SknnEngine::run_batch`] schedules **shard-stage
-//! tasks**, not whole queries: the outer fan-out runs queries
-//! concurrently, and each query's scatter half ([`crate::exec`]) fans its
-//! per-shard SSED/candidate stages across the remaining thread budget and
-//! onto the shard-pinned C2 sessions. With `b` queries over `S` shards the
+//! in flight (one round trip per call, overlapping on the wire), and the
+//! offline randomness pools absorb the encryption spikes.
+//! [`SknnEngine::run_batch`] schedules **shard-stage tasks**, not whole
+//! queries: the outer fan-out runs queries concurrently, and each query's
+//! scatter half ([`crate::exec`]) fans its per-shard SSED/candidate stages
+//! across the remaining thread budget and onto the shard-pinned C2
+//! sessions. With `b` queries over `S` shards the
 //! pool therefore schedules up to `b·S` independent scatter tasks — a
 //! batch of one over a sharded dataset saturates the thread pool just
 //! like a large batch over an unsharded one.

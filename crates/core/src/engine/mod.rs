@@ -53,7 +53,7 @@ use sknn_paillier::{
     Ciphertext, PoolConfig, PoolStats, PooledEncryptor, PublicKey, RandomnessPool,
 };
 use sknn_protocols::stats::CommSnapshot;
-use sknn_protocols::transport::{BackpressureConfig, CoalesceConfig, Loopback, SessionPool};
+use sknn_protocols::transport::{Loopback, SessionPool};
 use sknn_protocols::{KeyHolder, LocalKeyHolder, PackedParams};
 use sknn_store::{
     key_fingerprint, validate_dataset_name, CompactionReport, DatasetMeta, DatasetStore, Manifest,
@@ -330,23 +330,9 @@ impl SknnEngine {
             }
             holder
         };
-        let workers = config.threads.max(1);
-        // A serial C1 has nothing to merge with: coalescing would only add
-        // the collection-window latency to every round trip.
-        let coalesce = if config.coalesce && workers > 1 {
-            CoalesceConfig::enabled()
-        } else {
-            CoalesceConfig::disabled()
-        };
         let loopback = Loopback {
-            workers,
-            coalesce,
-            backpressure: BackpressureConfig {
-                window: config.inflight_window,
-                queue: config.inflight_queue,
-                ..BackpressureConfig::default()
-            },
-            faults: Vec::new(),
+            workers: config.threads.max(1),
+            ..Loopback::default()
         };
         // Both remote kinds run every session on one reactor thread; the C2
         // servers (one per session, each its own wire) stay blocking.
@@ -1591,44 +1577,37 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_reduces_round_trips() {
+    fn round_trips_do_not_depend_on_threads() {
+        // Every C2 call is one round trip of its own, so six workers that
+        // overlap on the wire send exactly the requests one worker sends.
+        // Record i sits at squared distance 5i² from the query: all distinct.
+        let table = Table::new((0..24).map(|i| vec![i, 2 * i]).collect()).unwrap();
         let mut rng = StdRng::seed_from_u64(408);
-        let round_trips = |coalesce: bool, rng: &mut StdRng| {
+        let requests = |threads: usize, rng: &mut StdRng| {
             let config = FederationConfig {
                 key_bits: 96,
                 max_query_value: 10,
                 transport: TransportKind::Channel,
-                threads: 6,
-                coalesce,
+                threads,
                 ..Default::default()
             };
-            let outcome = run(&single(config, rng), Protocol::Basic, 2, rng);
+            let mut engine = engine(config, rng);
+            engine.register_dataset("d", &table, rng).unwrap();
+            let outcome = engine
+                .query("d")
+                .k(3)
+                .point(&[0, 0])
+                .protocol(Protocol::Basic)
+                .run(rng)
+                .unwrap();
             assert_eq!(
                 outcome.result,
-                plain_knn_records(&table(), &[2, 2], 2).unwrap()
+                plain_knn_records(&table, &[0, 0], 3).unwrap(),
+                "threads = {threads}"
             );
             outcome.comm.expect("traffic").requests
         };
-        // Merging depends on workers overlapping inside the coalescing
-        // window, so on a heavily loaded machine a single attempt can
-        // legitimately see no overlap; retry a few times before declaring
-        // the mechanism broken.
-        let without = round_trips(false, &mut rng);
-        for attempt in 0.. {
-            let with = round_trips(true, &mut rng);
-            assert!(
-                with <= without,
-                "coalescing must never add round trips: {with} vs {without}"
-            );
-            if with < without {
-                break;
-            }
-            assert!(
-                attempt < 5,
-                "coalescing never merged a single batch in {attempt} attempts \
-                 ({with} vs {without} round trips)"
-            );
-        }
+        assert_eq!(requests(1, &mut rng), requests(6, &mut rng));
     }
 
     #[test]

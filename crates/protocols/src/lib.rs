@@ -23,8 +23,8 @@
 //!   set of well-defined requests. P2's logic is the [`KeyHolder`] trait; the
 //!   in-process implementation is [`LocalKeyHolder`], and
 //!   [`transport::SessionKeyHolder`] speaks the same interface over any
-//!   [`transport::Transport`] (in-process channel or TCP) with pipelining,
-//!   request coalescing and traffic accounting.
+//!   [`transport::Transport`] (in-process channel or TCP): one pipelined
+//!   round trip per call, with traffic accounting.
 //!
 //! The [`KeyHolder`] trait deliberately exposes **only** the messages the
 //! paper's algorithms send to P2, so any implementation sees exactly the view

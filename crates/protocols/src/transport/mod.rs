@@ -7,8 +7,8 @@
 //! ```text
 //!   protocol drivers (SM, SBD, SMIN, SkNN_b/m)     crate::KeyHolder trait
 //!        │
-//!   SessionKeyHolder        pipelining (correlation ids) + request
-//!        │                  coalescing (merge small concurrent batches)
+//!   SessionKeyHolder        one pipelined round trip per call; requests
+//!        │                  overlap on the wire under correlation ids
 //!   Conn                    one connection: in-flight window, queue,
 //!        │                  deadlines, fault plans
 //!   Reactor                 one `sknn-reactor` thread services every
@@ -42,7 +42,7 @@ pub use fault::{FaultKind, FaultPlan};
 pub use pool::{Loopback, SessionPool};
 pub use reactor::{BackpressureConfig, ChannelServer, Conn, Reactor};
 pub use server::serve;
-pub use session::{CoalesceConfig, SessionKeyHolder};
+pub use session::SessionKeyHolder;
 pub use tcp::TcpTransport;
 pub use wire::{Frame, FrameKind, TransportError, WIRE_VERSION};
 
@@ -197,7 +197,7 @@ mod tests {
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let reactor = Reactor::new().unwrap();
         let (conn, server) = channel_server(&reactor, LocalKeyHolder::new(sk, 140));
-        let client = SessionKeyHolder::connect(pk, conn, CoalesceConfig::disabled());
+        let client = SessionKeyHolder::connect(pk, conn);
         drop(client);
         let result = server.join().expect("server thread exits cleanly");
         assert_eq!(result, Ok(()));
@@ -229,8 +229,7 @@ mod tests {
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         let reactor = Reactor::new().unwrap();
         let (conn, server) = channel_server(&reactor, LocalKeyHolder::new(sk, 136));
-        let client = SessionKeyHolder::connect_handshake(conn, CoalesceConfig::disabled())
-            .expect("handshake succeeds");
+        let client = SessionKeyHolder::connect_handshake(conn).expect("handshake succeeds");
         assert_eq!(client.public_key().n(), pk.n());
         // The fetched key serves a real request.
         let masked = pk.encrypt_u64(7, &mut rng);
@@ -387,7 +386,7 @@ mod tests {
             .unwrap();
         let holder = LocalKeyHolder::new(sk, 144);
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
-        let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
+        let client = SessionKeyHolder::connect(pk.clone(), conn);
         for (name, call) in every_request(&pk, &mut rng) {
             assert_eq!(
                 call(&client),
@@ -456,19 +455,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(145);
         let (pk, _sk) = Keypair::generate(128, &mut rng).split();
         let reactor = Reactor::new().unwrap();
-        for coalesce in [CoalesceConfig::disabled(), CoalesceConfig::enabled()] {
-            let (conn, server) = misbehaving_server(&reactor, one_short);
-            let client = SessionKeyHolder::connect(pk.clone(), conn, coalesce);
-            for (name, call) in every_request(&pk, &mut rng) {
-                let result = call(&client);
-                assert!(
-                    matches!(result, Err(crate::ProtocolError::Transport { .. })),
-                    "{name}: {result:?}"
-                );
-            }
-            drop(client);
-            server.join().unwrap();
+        let (conn, server) = misbehaving_server(&reactor, one_short);
+        let client = SessionKeyHolder::connect(pk.clone(), conn);
+        for (name, call) in every_request(&pk, &mut rng) {
+            let result = call(&client);
+            assert!(
+                matches!(result, Err(crate::ProtocolError::Transport { .. })),
+                "{name}: {result:?}"
+            );
         }
+        drop(client);
+        server.join().unwrap();
         reactor.shutdown();
     }
 
@@ -486,7 +483,7 @@ mod tests {
         ];
         for reply in replies {
             let (conn, server) = misbehaving_server(&reactor, reply);
-            let client = SessionKeyHolder::connect(pk.clone(), conn, CoalesceConfig::disabled());
+            let client = SessionKeyHolder::connect(pk.clone(), conn);
             for (name, call) in every_request(&pk, &mut rng) {
                 if name.starts_with("TopK") {
                     let result = call(&client);

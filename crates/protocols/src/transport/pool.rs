@@ -19,7 +19,7 @@
 use super::fault::FaultPlan;
 use super::reactor::{BackpressureConfig, Conn, Reactor};
 use super::server::serve;
-use super::session::{CoalesceConfig, SessionKeyHolder};
+use super::session::SessionKeyHolder;
 use super::tcp::TcpTransport;
 use super::wire::TransportError;
 use crate::error::ProtocolError;
@@ -58,13 +58,11 @@ type ServerHandle = JoinHandle<Result<(), TransportError>>;
 
 /// How [`SessionPool::channel`] and [`SessionPool::tcp`] stand up their
 /// in-process key-holder servers and sessions. The default is one worker
-/// per server, no coalescing, default backpressure and no faults.
+/// per server, default backpressure and no faults.
 #[derive(Clone, Debug, Default)]
 pub struct Loopback {
     /// Request-handling threads per server (clamped to ≥ 1 by [`serve`]).
     pub workers: usize,
-    /// Coalescing policy of every session.
-    pub coalesce: CoalesceConfig,
     /// Flow-control limits of every connection.
     pub backpressure: BackpressureConfig,
     /// Fault plan for session `i`'s client connection, by index; sessions
@@ -184,8 +182,7 @@ impl SessionPool {
             let plan = options.faults.get(i).copied().flatten();
             let (conn, server) = attach(&reactor, i, holder, plan)?;
             pool.servers.push(server);
-            pool.sessions
-                .push(SessionKeyHolder::connect(pk, conn, options.coalesce));
+            pool.sessions.push(SessionKeyHolder::connect(pk, conn));
         }
         Ok(pool)
     }
@@ -384,8 +381,7 @@ mod tests {
             .unwrap();
         let holder = LocalKeyHolder::new(sk, 950);
         let server = std::thread::spawn(move || serve(&server_end, &holder, 2));
-        let session =
-            SessionKeyHolder::connect_handshake(conn, CoalesceConfig::disabled()).unwrap();
+        let session = SessionKeyHolder::connect_handshake(conn).unwrap();
         let pool = SessionPool::from_parts(vec![session], vec![server])
             .unwrap()
             .with_reactor(reactor);

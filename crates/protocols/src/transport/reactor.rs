@@ -1035,7 +1035,12 @@ fn complete_frame(conn: &ConnShared, corr: u64, frame: Result<Frame, TransportEr
         Ok(frame) => match frame.kind {
             FrameKind::Response => Response::decode(frame.payload),
             FrameKind::Error => match WireError::decode(frame.payload) {
-                Ok(wire_err) => Err(wire_err.into_transport_error()),
+                // The server refused this connection's wire version and
+                // hangs up: every waiter, not just one, gets the cause.
+                Ok(wire_err) => match wire_err.into_transport_error() {
+                    refused @ TransportError::BadVersion { .. } => return conn.teardown(refused),
+                    e => Err(e),
+                },
                 Err(decode_err) => Err(decode_err),
             },
             FrameKind::Request => return,
@@ -1387,10 +1392,10 @@ mod tests {
             server.join().unwrap(),
             Err(TransportError::BadVersion { got: 1 })
         );
-        // ...and the client's waiter completes with a closed wire.
+        // ...after naming the cause, which the client's waiter receives.
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)),
-            Ok(Err(TransportError::Closed))
+            Ok(Err(TransportError::BadVersion { got: 1 }))
         );
         reactor.shutdown();
     }

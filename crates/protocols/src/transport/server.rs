@@ -9,7 +9,8 @@
 //! A malformed frame from the peer can never panic this loop: payloads that
 //! fail to decode get a typed [`FrameKind::Error`] reply, and transport-level
 //! corruption (bad version byte, oversized frame) tears the connection down
-//! with an error return value instead.
+//! with an error return value instead. A bad version byte is named to the
+//! peer first, in one last error frame, so its callers see the cause too.
 
 use super::wire::{Frame, FrameKind, Request, Response, TransportError, WireError};
 use super::{to_ciphertexts, to_raw, Transport};
@@ -97,6 +98,12 @@ fn worker_loop(transport: &dyn Transport, holder: &LocalKeyHolder) -> Result<(),
             // Transport-level corruption: tear down the whole connection so
             // sibling workers blocked in recv_frame wake up too.
             Err(e) => {
+                if let TransportError::BadVersion { got } = e {
+                    // The frame's correlation id cannot be trusted, so the
+                    // refusal goes out under id 0; the peer acts on the code.
+                    let refusal = WireError::bad_version(got).encode();
+                    let _ = transport.send_frame(&Frame::error(0, refusal));
+                }
                 transport.close();
                 return Err(e);
             }
@@ -133,8 +140,9 @@ fn worker_loop(transport: &dyn Transport, holder: &LocalKeyHolder) -> Result<(),
 /// Serves requests from `transport` against `holder` until the peer hangs
 /// up, using `workers` concurrent request-handling threads (clamped to at
 /// least 1). Every request tag is served; a frame from a peer on another
-/// [`super::WIRE_VERSION`] tears the connection down with
-/// [`TransportError::BadVersion`].
+/// [`super::WIRE_VERSION`] is answered with one
+/// [`super::wire::ERR_CODE_BAD_VERSION`] error frame, then tears the
+/// connection down with [`TransportError::BadVersion`].
 ///
 /// # Errors
 /// Returns the first transport-level error a worker hit; a clean peer

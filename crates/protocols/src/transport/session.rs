@@ -1,24 +1,14 @@
-//! The client side of a key-holder connection: pipelining and coalescing.
+//! The client side of a key-holder connection: pipelined round trips.
 //!
 //! [`SessionKeyHolder`] implements [`KeyHolder`] over one reactor-serviced
-//! connection ([`Conn`]). Two mechanisms let many concurrent protocol
-//! executions share that connection — the capability the paper's
-//! record-parallel evaluation (Figure 3) needs from a real two-cloud
-//! deployment:
-//!
-//! * **Pipelining.** Every request carries a fresh correlation id; the
-//!   shared [`Reactor`](super::Reactor) routes each response to the waiting
-//!   caller. Callers never serialize on a request/response lock, so six
-//!   worker threads keep six requests in flight on one connection.
-//!
-//! * **Coalescing.** The record-parallel stages issue many *small*
-//!   `SmBatch`/`LsbBatch` requests concurrently (one per record). Since the
-//!   dominant cost of the protocols is round trips, not bytes, a
-//!   [`CoalesceLane`] merges requests submitted within a short window into
-//!   one wire round trip and splits the response back per caller. The
-//!   merged plaintext results are identical to the unmerged ones — the key
-//!   holder is stateless across batch boundaries — so coalescing is purely a
-//!   round-trip optimization.
+//! connection ([`Conn`]). Every call is exactly one round trip under a
+//! fresh correlation id; the shared [`Reactor`](super::Reactor) routes each
+//! response to the waiting caller. Callers never serialize on a
+//! request/response lock, so six worker threads keep six requests in
+//! flight on one connection — the capability the paper's record-parallel
+//! evaluation (Figure 3) needs from a real two-cloud deployment. The number
+//! of requests a query sends is therefore a function of its plan alone,
+//! not of thread timing.
 
 use super::reactor::Conn;
 use super::wire::{Frame, Request, Response, TransportError};
@@ -26,143 +16,11 @@ use super::{to_ciphertexts, to_raw};
 use crate::error::ProtocolError;
 use crate::party::{KeyHolder, SminRoundResponse};
 use crate::stats::CommStats;
-use parking_lot::Mutex;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Policy for merging concurrent small batch requests into one round trip.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// Whether coalescing is active at all.
-    pub enabled: bool,
-    /// How long the first submitter of a batch waits for concurrent
-    /// submitters to join before flushing. Zero flushes immediately (still
-    /// merging whatever arrived while the previous flush was in flight).
-    pub window: Duration,
-}
-
-impl CoalesceConfig {
-    /// Coalescing disabled: every batch is its own round trip.
-    pub fn disabled() -> CoalesceConfig {
-        CoalesceConfig {
-            enabled: false,
-            window: Duration::ZERO,
-        }
-    }
-
-    /// Coalescing with the default 100 µs collection window — much shorter
-    /// than one Paillier decryption, so serial callers lose almost nothing
-    /// and parallel callers merge reliably.
-    pub fn enabled() -> CoalesceConfig {
-        CoalesceConfig {
-            enabled: true,
-            window: Duration::from_micros(100),
-        }
-    }
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        CoalesceConfig::disabled()
-    }
-}
-
-/// One lane of the coalescer: accumulates items of one request shape.
-struct CoalesceLane<Item> {
-    state: Mutex<LaneState<Item>>,
-}
-
-struct LaneState<Item> {
-    items: Vec<Item>,
-    waiters: Vec<LaneWaiter>,
-    leader_active: bool,
-}
-
-struct LaneWaiter {
-    start: usize,
-    len: usize,
-    tx: mpsc::Sender<Result<Vec<BigUint>, TransportError>>,
-}
-
-impl<Item: Send> CoalesceLane<Item> {
-    fn new() -> CoalesceLane<Item> {
-        CoalesceLane {
-            state: Mutex::new(LaneState {
-                items: Vec::new(),
-                waiters: Vec::new(),
-                leader_active: false,
-            }),
-        }
-    }
-
-    /// Submits `items`, returning their slice of the merged response.
-    ///
-    /// The first submitter while no flush is pending becomes the *leader*:
-    /// it waits `window`, takes everything accumulated (its own items plus
-    /// whatever other threads added meanwhile), performs one round trip via
-    /// `send_merged`, and distributes the result slices.
-    fn submit(
-        &self,
-        items: Vec<Item>,
-        window: Duration,
-        send_merged: impl Fn(Vec<Item>) -> Result<Vec<BigUint>, TransportError>,
-    ) -> Result<Vec<BigUint>, TransportError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (tx, rx) = mpsc::channel();
-        let is_leader = {
-            let mut state = self.state.lock();
-            let start = state.items.len();
-            let len = items.len();
-            state.items.extend(items);
-            state.waiters.push(LaneWaiter { start, len, tx });
-            if state.leader_active {
-                false
-            } else {
-                state.leader_active = true;
-                true
-            }
-        };
-
-        if is_leader {
-            if !window.is_zero() {
-                std::thread::sleep(window);
-            }
-            let (batch, waiters) = {
-                let mut state = self.state.lock();
-                state.leader_active = false;
-                (
-                    std::mem::take(&mut state.items),
-                    std::mem::take(&mut state.waiters),
-                )
-            };
-            let sent = batch.len();
-            let result = send_merged(batch).and_then(|values| check_batch(sent, values));
-            match result {
-                Ok(values) => {
-                    for w in waiters {
-                        let slice = values[w.start..w.start + w.len].to_vec();
-                        let _ = w.tx.send(Ok(slice));
-                    }
-                }
-                Err(e) => {
-                    for w in waiters {
-                        let _ = w.tx.send(Err(e.clone()));
-                    }
-                }
-            }
-        }
-
-        match rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(TransportError::Closed),
-        }
-    }
-}
 
 /// A [`KeyHolder`] client multiplexing concurrent protocol executions over
 /// one reactor-serviced connection.
@@ -191,9 +49,6 @@ pub struct SessionKeyHolder {
     /// pre-deadline behavior). Atomic so callers can tighten or clear it on
     /// a live session without a lock on the hot path.
     deadline_ms: AtomicU64,
-    coalesce: CoalesceConfig,
-    sm_lane: CoalesceLane<(BigUint, BigUint)>,
-    lsb_lane: CoalesceLane<BigUint>,
 }
 
 impl SessionKeyHolder {
@@ -201,15 +56,12 @@ impl SessionKeyHolder {
     /// public key; connecting sends no frame. No thread is spawned: the
     /// shared reactor routes responses into this session's completion
     /// slots, so a pool of N sessions costs one event-loop thread, not N.
-    pub fn connect(pk: PublicKey, conn: Conn, coalesce: CoalesceConfig) -> SessionKeyHolder {
+    pub fn connect(pk: PublicKey, conn: Conn) -> SessionKeyHolder {
         SessionKeyHolder {
             pk,
             conn,
             next_id: AtomicU64::new(1),
             deadline_ms: AtomicU64::new(0),
-            coalesce,
-            sm_lane: CoalesceLane::new(),
-            lsb_lane: CoalesceLane::new(),
         }
     }
 
@@ -219,10 +71,7 @@ impl SessionKeyHolder {
     ///
     /// # Errors
     /// Returns the transport error when the handshake round trip fails.
-    pub fn connect_handshake(
-        conn: Conn,
-        coalesce: CoalesceConfig,
-    ) -> Result<SessionKeyHolder, TransportError> {
+    pub fn connect_handshake(conn: Conn) -> Result<SessionKeyHolder, TransportError> {
         // Correlation id 0 is never issued by a session (ids start at 1).
         let reply = conn.round_trip(&Frame::request(0, Request::PublicKey.encode()), 0);
         let pk = match Self::expect("PublicKey", reply, |r| match r {
@@ -235,7 +84,7 @@ impl SessionKeyHolder {
                 return Err(e);
             }
         };
-        Ok(SessionKeyHolder::connect(pk, conn, coalesce))
+        Ok(SessionKeyHolder::connect(pk, conn))
     }
 
     /// Traffic counters of the underlying transport (this endpoint's view).
@@ -323,26 +172,13 @@ impl KeyHolder for SessionKeyHolder {
             .iter()
             .map(|(a, b)| (a.as_raw().clone(), b.as_raw().clone()))
             .collect();
-        let result = if self.coalesce.enabled {
-            self.sm_lane.submit(raw, self.coalesce.window, |merged| {
-                self.batch_round_trip(merged.len(), Request::SmBatch(merged))
-            })
-        } else {
-            self.batch_round_trip(raw.len(), Request::SmBatch(raw))
-        };
-        Ok(to_ciphertexts(result?))
+        let values = self.batch_round_trip(raw.len(), Request::SmBatch(raw))?;
+        Ok(to_ciphertexts(values))
     }
 
     fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let raw = to_raw(masked);
-        let result = if self.coalesce.enabled {
-            self.lsb_lane.submit(raw, self.coalesce.window, |merged| {
-                self.batch_round_trip(merged.len(), Request::LsbBatch(merged))
-            })
-        } else {
-            self.batch_round_trip(raw.len(), Request::LsbBatch(raw))
-        };
-        Ok(to_ciphertexts(result?))
+        let values = self.batch_round_trip(masked.len(), Request::LsbBatch(to_raw(masked)))?;
+        Ok(to_ciphertexts(values))
     }
 
     fn smin_round(

@@ -16,8 +16,8 @@
 //! The **correlation id** is what makes the transport pipelined: many
 //! requests can be in flight on one connection, responses may come back in
 //! any order, and each response carries the id of the request it answers.
-//! (The paper's cost model is dominated by C1↔C2 round trips, so the
-//! client coalesces and pipelines aggressively; see
+//! (Each client call is exactly one round trip; concurrent callers overlap
+//! on the wire through these ids — see
 //! [`super::session::SessionKeyHolder`].)
 //!
 //! All integers are big-endian; big integers are length-prefixed big-endian
@@ -834,6 +834,9 @@ pub const ERR_CODE_GENERIC: u8 = 0;
 pub const ERR_CODE_MIN_SELECTION: u8 = 1;
 /// Error code for a request the server could not decode.
 pub const ERR_CODE_MALFORMED_REQUEST: u8 = 2;
+/// Error code for a frame on another [`WIRE_VERSION`]; the detail is the
+/// version byte the server got. The server hangs up right after sending it.
+pub const ERR_CODE_BAD_VERSION: u8 = 3;
 
 /// The payload of a [`FrameKind::Error`] frame: a stable error code, an
 /// optional numeric detail, and a human-readable message.
@@ -873,6 +876,15 @@ impl WireError {
         }
     }
 
+    /// Encodes the refusal of a frame stamped with wire version `got`.
+    pub fn bad_version(got: u8) -> WireError {
+        WireError {
+            code: ERR_CODE_BAD_VERSION,
+            detail: u64::from(got),
+            message: TransportError::BadVersion { got }.to_string(),
+        }
+    }
+
     /// Serializes into a frame payload.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
@@ -904,6 +916,9 @@ impl WireError {
             ERR_CODE_MIN_SELECTION => TransportError::Protocol(ProtocolError::MinSelectionFailed {
                 candidates: self.detail as usize,
             }),
+            ERR_CODE_BAD_VERSION => TransportError::BadVersion {
+                got: self.detail as u8,
+            },
             code => TransportError::Remote {
                 code,
                 message: self.message,

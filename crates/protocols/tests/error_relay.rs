@@ -9,7 +9,7 @@ use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, Keypair, PrivateKey, PublicKey};
 use sknn_protocols::transport::wire::TransportError;
 use sknn_protocols::transport::{
-    serve, BackpressureConfig, CoalesceConfig, Conn, Reactor, SessionKeyHolder, TcpTransport,
+    serve, BackpressureConfig, Conn, Reactor, SessionKeyHolder, TcpTransport,
 };
 use sknn_protocols::{secure_multiply, KeyHolder, LocalKeyHolder, ProtocolError};
 use std::sync::OnceLock;
@@ -46,7 +46,7 @@ fn beta_without_zero(rng: &mut StdRng) -> Vec<Ciphertext> {
 fn assert_min_selection_relay(reactor: Reactor, conn: Conn, server: Server, seed: u64) {
     let f = fixture();
     let rng = &mut StdRng::seed_from_u64(seed);
-    let client = SessionKeyHolder::connect(f.pk.clone(), conn, CoalesceConfig::disabled());
+    let client = SessionKeyHolder::connect(f.pk.clone(), conn);
     let beta = beta_without_zero(rng);
     assert_eq!(
         client.min_selection(&beta),

@@ -5,8 +5,9 @@
 //! demonstrates a ~6× speedup of SkNN_b with 6 OpenMP threads. This example
 //! measures the same effect with scoped threads on a synthetic dataset, first
 //! against the in-process key holder, then over the pipelined channel and TCP
-//! transports where every parallel worker multiplexes onto one connection and
-//! small concurrent requests are coalesced into shared round trips.
+//! transports where every parallel worker multiplexes onto one connection: each
+//! call stays one round trip, and concurrent calls overlap on the wire under
+//! their correlation ids.
 //!
 //! Run with:
 //! ```text

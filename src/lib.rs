@@ -114,9 +114,8 @@
 //!       │   · pipelining: every request gets a correlation id; the
 //!       │     reactor routes responses, so N worker threads keep N
 //!       │     requests in flight on ONE connection
-//!       │   · coalescing: concurrent small SmBatch/LsbBatch requests
-//!       │     merge into one round trip (CoalesceConfig); the paper's
-//!       │     dominant cost is round trips, not bytes
+//!       │   · every call is exactly one round trip, so a query's
+//!       │     request count depends on its plan, not on thread timing
 //!       │
 //!  Reactor                                    protocols::transport::Reactor
 //!       │   one `sknn-reactor` thread services every connection:
@@ -143,9 +142,8 @@
 //! evaluation), [`TransportKind::Channel`] (in-process frames with
 //! byte-accurate accounting) or [`TransportKind::Tcp`] (a real loopback
 //! socket with the key-holder server on a background thread) — both remote
-//! kinds run on the one reactor thread; `threads`
-//! sets both C1's record-parallel workers and C2's serving workers; and
-//! `coalesce` toggles request coalescing on the remote transports.
+//! kinds run on the one reactor thread; and `threads`
+//! sets both C1's record-parallel workers and C2's serving workers.
 //! [`QueryOutcome::comm`] then reports per-query round trips and bytes for
 //! any remote transport.
 //!

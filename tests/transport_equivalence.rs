@@ -22,8 +22,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::protocols::stats::CommStats;
 use sknn::protocols::transport::{
-    serve, BackpressureConfig, CoalesceConfig, Loopback, Reactor, SessionKeyHolder, SessionPool,
-    TcpTransport, Transport,
+    serve, BackpressureConfig, Loopback, Reactor, SessionKeyHolder, SessionPool, TcpTransport,
+    Transport,
 };
 use sknn::{
     plain_knn_records, DataOwner, FederationConfig, LocalKeyHolder, PoolConfig, Protocol,
@@ -193,8 +193,7 @@ fn engine_with_server_stats(
         }
         TransportKind::InProcess => unreachable!("no wire to count"),
     };
-    let client =
-        SessionKeyHolder::connect(owner.public_key().clone(), conn, CoalesceConfig::disabled());
+    let client = SessionKeyHolder::connect(owner.public_key().clone(), conn);
     let pool = SessionPool::from_parts(vec![client], vec![server])
         .expect("pool")
         .with_reactor(reactor);
