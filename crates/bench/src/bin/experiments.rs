@@ -791,8 +791,8 @@ fn keysize(scale: Scale, report: &mut BenchReport) {
 /// time, so the recovery cost is tracked across PRs like any other curve.
 fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
     use sknn_core::{
-        DataOwner, FederationConfig, LocalKeyHolder, PoolConfig, Protocol, RetryPolicy,
-        ShardingConfig, SknnEngine, TransportKind,
+        DataOwner, DatasetOptions, FederationConfig, LocalKeyHolder, PoolConfig, Protocol,
+        RetryPolicy, ShardingConfig, SknnEngine, TransportKind,
     };
     use sknn_data::{uniform_query, SyntheticDataset};
     use sknn_protocols::transport::{FaultPlan, Loopback, SessionPool};
@@ -818,6 +818,10 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
     let mut rng = StdRng::seed_from_u64(HARNESS_SEED ^ 0xC4A0);
     let dataset = SyntheticDataset::uniform(n, 6, 12, &mut rng);
     let owner = DataOwner::from_keypair(cached_keypair(small));
+    let options = DatasetOptions {
+        max_query_value: dataset.max_value,
+        ..Default::default()
+    };
 
     // Stands up an engine whose session `i` runs over a fault-injecting
     // wire when `plans[i]` is set; `plans.len()` sessions in total.
@@ -833,7 +837,6 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
         let pool = SessionPool::channel(holders, &loopback).expect("assemble pool");
         let config = FederationConfig {
             key_bits: small,
-            max_query_value: dataset.max_value,
             transport: TransportKind::Channel,
             threads: 2,
             sharding: ShardingConfig {
@@ -851,7 +854,7 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
         let mut engine = SknnEngine::setup_with_sessions(owner.clone(), config, pool)
             .expect("chaos engine setup");
         engine
-            .register_dataset("chaos", &dataset.table, rng)
+            .register_dataset_with("chaos", &dataset.table, options, rng)
             .expect("register dataset");
         engine
     };
@@ -932,7 +935,9 @@ fn chaos_smoke(scale: Scale, report: &mut BenchReport) {
 /// without any Paillier work), so those rows track disk-format cost,
 /// not crypto.
 fn store_io(scale: Scale, report: &mut BenchReport) {
-    use sknn_core::{DataOwner, FederationConfig, ShardingConfig, SknnEngine, TransportKind};
+    use sknn_core::{
+        DataOwner, DatasetOptions, FederationConfig, ShardingConfig, SknnEngine, TransportKind,
+    };
     use sknn_data::{uniform_query, SyntheticDataset};
 
     let (small, _) = scale.key_sizes();
@@ -970,9 +975,12 @@ fn store_io(scale: Scale, report: &mut BenchReport) {
     let mut rng = StdRng::seed_from_u64(HARNESS_SEED ^ 0x570);
     let dataset = SyntheticDataset::uniform(n, m, 12, &mut rng);
     let owner = DataOwner::from_keypair(cached_keypair(small));
+    let options = DatasetOptions {
+        max_query_value: dataset.max_value,
+        ..Default::default()
+    };
     let config = FederationConfig {
         key_bits: small,
-        max_query_value: dataset.max_value,
         transport: TransportKind::InProcess,
         sharding: ShardingConfig {
             shards,
@@ -1007,7 +1015,7 @@ fn store_io(scale: Scale, report: &mut BenchReport) {
         SknnEngine::open_dir(owner.clone(), config.clone(), &root).expect("open store root");
     let start = Instant::now();
     engine
-        .register_dataset_persistent("store-io", &dataset.table, &mut rng)
+        .register_dataset_persistent_with("store-io", &dataset.table, options, &mut rng)
         .expect("persistent registration");
     row("persist", start.elapsed(), n, log_bytes(&root));
 

@@ -16,7 +16,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn_core::{
-    DataOwner, FederationConfig, Keypair, Protocol, QueryOutcome, SknnEngine, TransportKind,
+    DataOwner, DatasetOptions, FederationConfig, Keypair, Protocol, QueryOutcome, SknnEngine,
+    TransportKind,
 };
 use sknn_data::{uniform_query, SyntheticDataset};
 use std::collections::HashMap;
@@ -199,16 +200,18 @@ pub fn build_instance(spec: InstanceSpec) -> Instance {
         owner,
         FederationConfig {
             key_bits: spec.key_bits,
-            distance_bits: Some(spec.distance_bits),
-            max_query_value: dataset.max_value,
             threads: spec.threads,
             transport: spec.transport,
             ..Default::default()
         },
     )
     .expect("benchmark instance setup");
+    let options = DatasetOptions {
+        distance_bits: Some(spec.distance_bits),
+        max_query_value: dataset.max_value,
+    };
     engine
-        .register_dataset(Instance::DATASET, &dataset.table, &mut rng)
+        .register_dataset_with(Instance::DATASET, &dataset.table, options, &mut rng)
         .expect("benchmark dataset registration");
     Instance {
         engine,
@@ -571,7 +574,8 @@ pub mod report {
             use rand::rngs::StdRng;
             use rand::SeedableRng;
             use sknn_core::{
-                DataOwner, FederationConfig, Protocol, ShardingConfig, SknnEngine, Table,
+                DataOwner, DatasetOptions, FederationConfig, Protocol, ShardingConfig, SknnEngine,
+                Table,
             };
 
             let mut rng = StdRng::seed_from_u64(42);
@@ -580,7 +584,6 @@ pub mod report {
                 owner,
                 FederationConfig {
                     key_bits: 128,
-                    max_query_value: 9,
                     sharding: ShardingConfig {
                         shards: 2,
                         sessions: 1,
@@ -590,7 +593,13 @@ pub mod report {
             )
             .unwrap();
             let table = Table::new(vec![vec![1, 1], vec![5, 5], vec![9, 9], vec![2, 3]]).unwrap();
-            engine.register_dataset("d", &table, &mut rng).unwrap();
+            let options = DatasetOptions {
+                max_query_value: 9,
+                ..Default::default()
+            };
+            engine
+                .register_dataset_with("d", &table, options, &mut rng)
+                .unwrap();
             let outcome = engine
                 .query("d")
                 .k(1)

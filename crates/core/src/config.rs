@@ -119,13 +119,6 @@ pub struct FederationConfig {
     /// Paillier modulus size in bits (the paper's `K`; 512 and 1024 in the
     /// evaluation, smaller values are practical for tests).
     pub key_bits: usize,
-    /// Bit length of the squared-distance domain (the paper's `l`).
-    /// `None` derives the smallest safe value from the outsourced table and
-    /// the expected query domain.
-    pub distance_bits: Option<usize>,
-    /// Largest attribute value queries are expected to contain; only used
-    /// when `distance_bits` is derived automatically.
-    pub max_query_value: u64,
     /// Transport between the clouds.
     pub transport: TransportKind,
     /// Worker threads used by C1's record-parallel stages (1 = serial,
@@ -191,8 +184,6 @@ impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             key_bits: 512,
-            distance_bits: None,
-            max_query_value: 0,
             transport: TransportKind::InProcess,
             threads: 1,
             c2_seed: 0x5EC0_0D02,
@@ -227,7 +218,6 @@ mod tests {
         assert_eq!(c.key_bits, 512);
         assert_eq!(c.transport, TransportKind::InProcess);
         assert_eq!(c.threads, 1);
-        assert!(c.distance_bits.is_none());
         assert!(c.pool.capacity > 0, "pooling is on by default");
         assert!(c.pool_prewarm <= c.pool.capacity);
         assert_eq!(c.packing, PackingKind::Off);

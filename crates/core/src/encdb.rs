@@ -1,7 +1,7 @@
 //! Encrypted database, query and result-transfer types.
 
 use crate::error::{DurableUpdateError, UpdateRejected};
-use crate::storage::BackingStore;
+use crate::storage::DatasetStoreHandle;
 use crate::SknnError;
 use sknn_bigint::BigUint;
 use sknn_paillier::{Ciphertext, PublicKey};
@@ -46,7 +46,7 @@ pub struct EncryptedDatabase {
     /// Durable write-ahead sink; `None` (the default) keeps the database
     /// purely in-memory with zero behavior change. Clones share the same
     /// backing — the backing mirrors whichever clone keeps writing.
-    backing: Option<Arc<dyn BackingStore>>,
+    backing: Option<Arc<DatasetStoreHandle>>,
 }
 
 impl EncryptedDatabase {
@@ -130,7 +130,7 @@ impl EncryptedDatabase {
     /// queries. The backing is expected to already mirror the database's
     /// current contents (the engine loads one from the other).
     #[must_use]
-    pub fn with_backing(mut self, backing: Arc<dyn BackingStore>) -> Self {
+    pub fn with_backing(mut self, backing: Arc<DatasetStoreHandle>) -> Self {
         self.backing = Some(backing);
         self
     }

@@ -96,9 +96,14 @@ impl SknnEngine {
 mod tests {
     use super::*;
     use crate::engine::Protocol;
-    use crate::{plain_knn_records, FederationConfig, Table, TransportKind};
+    use crate::{plain_knn_records, DatasetOptions, FederationConfig, Table, TransportKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    const OPTS: DatasetOptions = DatasetOptions {
+        distance_bits: None,
+        max_query_value: 10,
+    };
 
     fn table() -> Table {
         // Distances from (2, 2): 68, 29, 18, 98, 2 — all distinct, so every
@@ -119,7 +124,6 @@ mod tests {
         let mut engine = SknnEngine::setup(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 threads: 4,
                 transport: TransportKind::Channel,
                 ..Default::default()
@@ -128,7 +132,9 @@ mod tests {
         )
         .unwrap();
         let t = table();
-        engine.register_dataset("d", &t, &mut rng).unwrap();
+        engine
+            .register_dataset_with("d", &t, OPTS, &mut rng)
+            .unwrap();
 
         let queries: Vec<PreparedQuery> = [
             (1usize, Protocol::Basic),
@@ -166,14 +172,15 @@ mod tests {
         let mut engine = SknnEngine::setup(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 threads: 2,
                 ..Default::default()
             },
             &mut rng,
         )
         .unwrap();
-        engine.register_dataset("d", &table(), &mut rng).unwrap();
+        engine
+            .register_dataset_with("d", &table(), OPTS, &mut rng)
+            .unwrap();
         let good = engine
             .query("d")
             .k(1)

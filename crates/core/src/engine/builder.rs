@@ -202,7 +202,7 @@ impl<'e> QueryBuilder<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FederationConfig, Table};
+    use crate::{DatasetOptions, FederationConfig, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -210,14 +210,23 @@ mod tests {
         let mut engine = SknnEngine::setup(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 ..Default::default()
             },
             rng,
         )
         .unwrap();
         let table = Table::new(vec![vec![1, 1], vec![5, 5], vec![9, 9]]).unwrap();
-        engine.register_dataset("d", &table, rng).unwrap();
+        engine
+            .register_dataset_with(
+                "d",
+                &table,
+                DatasetOptions {
+                    max_query_value: 10,
+                    ..Default::default()
+                },
+                rng,
+            )
+            .unwrap();
         engine
     }
 

@@ -41,11 +41,11 @@ pub use builder::{PreparedQuery, Protocol, QueryBuilder};
 
 use crate::config::{FederationConfig, PackingKind, SecureQueryParams, TransportKind};
 use crate::error::DurableUpdateError;
-use crate::exec::SessionSet;
+use crate::exec::{execute_basic, execute_secure, SessionSet};
 use crate::parallel::{Admission, ParallelismConfig};
 use crate::profile::{Cloud, PoolActivity};
 use crate::roles::{CloudC1, DataOwner, QueryUser};
-use crate::storage::{BackingStore, DatasetStoreHandle};
+use crate::storage::DatasetStoreHandle;
 use crate::{EncryptedDatabase, EncryptedRecord, SknnError, Table, UpdateRejected};
 use rand::RngCore;
 use sknn_bigint::BigUint;
@@ -115,7 +115,9 @@ impl C2Handle {
 }
 
 /// Per-dataset registration options for
-/// [`SknnEngine::register_dataset_with`].
+/// [`SknnEngine::register_dataset_with`] and
+/// [`SknnEngine::register_dataset_persistent_with`]: the only place a
+/// dataset's `l` and query value bound are set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DatasetOptions {
     /// Bit length of the squared-distance domain (the paper's `l`).
@@ -126,6 +128,19 @@ pub struct DatasetOptions {
     /// Together with the table's own maximum it fixes the dataset's value
     /// bound, which the [`QueryBuilder`] enforces up front.
     pub max_query_value: u64,
+}
+
+impl DatasetOptions {
+    /// `(l, required, value bound)` for `table`: `required` is the
+    /// smallest `l` holding the table's worst-case squared distance, `l`
+    /// defaults to it, and the bound is the larger of the table's maximum
+    /// and `max_query_value`.
+    fn resolve(&self, table: &Table) -> (usize, usize, u64) {
+        let required = table.required_distance_bits(self.max_query_value);
+        let distance_bits = self.distance_bits.unwrap_or(required);
+        let value_bound = table.max_attribute_value().max(self.max_query_value);
+        (distance_bits, required, value_bound)
+    }
 }
 
 /// One hosted dataset: an encrypted database plus the query-domain
@@ -182,8 +197,9 @@ impl Dataset {
         self.c1.database().shard_count()
     }
 
-    /// Cloud C1's view of this dataset (for driving the lower-level API
-    /// directly).
+    /// Cloud C1's state for this dataset: the encrypted database, the
+    /// encryptor and the packing. Queries against it go through
+    /// [`SknnEngine::query`].
     pub fn cloud(&self) -> &CloudC1 {
         &self.c1
     }
@@ -284,90 +300,66 @@ impl SknnEngine {
     /// `gcd(N, φ(N)) = 1` (no generated key does).
     pub fn setup_with_owner(
         owner: DataOwner,
-        mut config: FederationConfig,
+        config: FederationConfig,
     ) -> Result<SknnEngine, SknnError> {
-        config.key_bits = owner.public_key().bits();
-        let public_key = owner.public_key().clone();
-        let user = QueryUser::new(public_key.clone());
-
-        // Offline/online split: one randomness pool per cloud, pre-warmed so
-        // the first query already encrypts with one multiplication per unit.
-        let c1_pool = c1_pool(&config, &public_key);
-        // One offline pool serves every C2 session: the holders share the
-        // secret key, so sharing the precomputed `r^N` units is safe and
-        // keeps the prewarm cost independent of the session count. C2 holds
-        // the factorization, so its units are computed by CRT.
-        let c2_pool = match config.pool.capacity {
-            0 => None,
-            _ => {
-                let pool = RandomnessPool::for_key_holder(
-                    owner.private_key(),
-                    pool_config(&config, 0xC2),
-                )?;
-                pool.prewarm(config.pool_prewarm);
-                Some(pool)
-            }
-        };
-
-        let sessions = config.sharding.sessions.max(1);
-        // Session 0 keeps the configured seed exactly (bit-compatible with
-        // single-session deployments); extra sessions derive distinct
-        // streams so their tie-breaking randomness is uncorrelated.
-        let holder_for = |i: usize| {
-            let seed = if i == 0 {
-                config.c2_seed
-            } else {
-                config
-                    .c2_seed
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64))
+        Self::assemble(owner, config, |owner, config| {
+            // One offline pool serves every C2 session: the holders share
+            // the secret key, so sharing the precomputed `r^N` units is safe
+            // and keeps the prewarm cost independent of the session count.
+            // C2 holds the factorization, so its units are computed by CRT.
+            let c2_pool = match config.pool.capacity {
+                0 => None,
+                _ => {
+                    let pool = RandomnessPool::for_key_holder(
+                        owner.private_key(),
+                        pool_config(config, 0xC2),
+                    )?;
+                    pool.prewarm(config.pool_prewarm);
+                    Some(pool)
+                }
             };
-            let mut holder = LocalKeyHolder::new(owner.private_key().clone(), seed);
-            if let Some(pool) = &c2_pool {
-                // The pool is built from this deployment's own key, so the
-                // key check cannot fail; unpooled encryption is the correct
-                // degradation if it ever did.
-                let _ = holder.attach_pool(Arc::clone(pool));
-            }
-            holder
-        };
-        let loopback = Loopback {
-            workers: config.threads.max(1),
-            ..Loopback::default()
-        };
-        // Both remote kinds run every session on one reactor thread; the C2
-        // servers (one per session, each its own wire) stay blocking.
-        let holders = (0..sessions).map(holder_for).collect();
-        let c2 = match config.transport {
-            TransportKind::InProcess => C2Handle::Local(holders),
-            TransportKind::Channel => C2Handle::Pool(
-                SessionPool::channel(holders, &loopback)
-                    .map_err(|e| transport_setup_error(&e.to_string()))?,
-            ),
-            TransportKind::Tcp => C2Handle::Pool(
-                SessionPool::tcp(holders, &loopback)
-                    .map_err(|e| transport_setup_error(&e.to_string()))?,
-            ),
-        };
-        // The per-request deadline is the liveness half of the retry
-        // policy: without it a dropped frame parks a worker forever and no
-        // amount of retrying ever runs.
-        if let C2Handle::Pool(pool) = &c2 {
-            pool.set_deadline(config.retry.deadline);
-        }
 
-        Ok(SknnEngine {
-            owner,
-            user,
-            c2,
-            c1_pool,
-            c2_pool,
-            datasets: BTreeMap::new(),
-            recovery: BTreeMap::new(),
-            parallelism: ParallelismConfig {
-                threads: config.threads.max(1),
-            },
-            admission: (config.admission > 0).then(|| Admission::new(config.admission)),
-            config,
+            let sessions = config.sharding.sessions.max(1);
+            // Session 0 keeps the configured seed exactly (bit-compatible
+            // with single-session deployments); extra sessions derive
+            // distinct streams so their tie-breaking randomness is
+            // uncorrelated.
+            let holder_for = |i: usize| {
+                let seed = if i == 0 {
+                    config.c2_seed
+                } else {
+                    config
+                        .c2_seed
+                        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64))
+                };
+                let mut holder = LocalKeyHolder::new(owner.private_key().clone(), seed);
+                if let Some(pool) = &c2_pool {
+                    // The pool is built from this deployment's own key, so
+                    // the key check cannot fail; unpooled encryption is the
+                    // correct degradation if it ever did.
+                    let _ = holder.attach_pool(Arc::clone(pool));
+                }
+                holder
+            };
+            let loopback = Loopback {
+                workers: config.threads.max(1),
+                ..Loopback::default()
+            };
+            // Both remote kinds run every session on one reactor thread; the
+            // C2 servers (one per session, each its own wire) stay blocking.
+            let holders = (0..sessions).map(holder_for).collect();
+            let c2 = match config.transport {
+                TransportKind::InProcess => C2Handle::Local(holders),
+                TransportKind::Channel => C2Handle::Pool(
+                    SessionPool::channel(holders, &loopback)
+                        .map_err(|e| transport_setup_error(&e.to_string()))?,
+                ),
+                TransportKind::Tcp => C2Handle::Pool(
+                    SessionPool::tcp(holders, &loopback)
+                        .map_err(|e| transport_setup_error(&e.to_string()))?,
+                ),
+            };
+            Ok((c2, c2_pool))
         })
     }
 
@@ -389,20 +381,45 @@ impl SknnEngine {
     /// call sites are uniform.
     pub fn setup_with_sessions(
         owner: DataOwner,
-        mut config: FederationConfig,
+        config: FederationConfig,
         sessions: SessionPool,
     ) -> Result<SknnEngine, SknnError> {
+        Self::assemble(owner, config, |_, _| Ok((C2Handle::Pool(sessions), None)))
+    }
+
+    /// Builds the engine; both setup paths end here and differ only in
+    /// `connect`, which yields C2's handle and (for in-process key holders)
+    /// C2's randomness pool. Sizes everything from the owner's real
+    /// modulus, stands up C1's pre-warmed randomness pool *before*
+    /// connecting, so C1's slower public-key refill starts first and the
+    /// first query already encrypts with one multiplication per unit, and
+    /// installs the retry deadline on pooled sessions — the liveness half
+    /// of the retry policy: without it a dropped frame parks a worker
+    /// forever and no amount of retrying ever runs.
+    fn assemble<F>(
+        owner: DataOwner,
+        mut config: FederationConfig,
+        connect: F,
+    ) -> Result<SknnEngine, SknnError>
+    where
+        F: FnOnce(
+            &DataOwner,
+            &FederationConfig,
+        ) -> Result<(C2Handle, Option<Arc<RandomnessPool>>), SknnError>,
+    {
         config.key_bits = owner.public_key().bits();
-        let public_key = owner.public_key().clone();
-        let user = QueryUser::new(public_key.clone());
-        let c1_pool = c1_pool(&config, &public_key);
-        sessions.set_deadline(config.retry.deadline);
+        let user = QueryUser::new(owner.public_key().clone());
+        let c1_pool = c1_pool(&config, owner.public_key());
+        let (c2, c2_pool) = connect(&owner, &config)?;
+        if let Some(pool) = c2.pool() {
+            pool.set_deadline(config.retry.deadline);
+        }
         Ok(SknnEngine {
             owner,
             user,
-            c2: C2Handle::Pool(sessions),
+            c2,
             c1_pool,
-            c2_pool: None,
+            c2_pool,
             datasets: BTreeMap::new(),
             recovery: BTreeMap::new(),
             parallelism: ParallelismConfig {
@@ -441,29 +458,19 @@ impl SknnEngine {
     ) -> Result<SknnEngine, SknnError> {
         config.store_root = Some(root.to_path_buf());
         let mut engine = Self::setup_with_owner(owner, config)?;
-        std::fs::create_dir_all(root).map_err(|e| {
-            SknnError::Storage(StoreError::Io {
-                path: root.display().to_string(),
-                operation: "create store root",
-                message: e.to_string(),
-            })
-        })?;
-        let mut names = Vec::new();
-        let entries = std::fs::read_dir(root).map_err(|e| {
-            SknnError::Storage(StoreError::Io {
-                path: root.display().to_string(),
-                operation: "read store root",
-                message: e.to_string(),
-            })
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|e| {
+        let io_error = |operation| {
+            move |e: std::io::Error| {
                 SknnError::Storage(StoreError::Io {
                     path: root.display().to_string(),
-                    operation: "read store root",
+                    operation,
                     message: e.to_string(),
                 })
-            })?;
+            }
+        };
+        std::fs::create_dir_all(root).map_err(io_error("create store root"))?;
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(root).map_err(io_error("read store root"))? {
+            let entry = entry.map_err(io_error("read store root"))?;
             if !entry.path().join(MANIFEST_FILE).is_file() {
                 continue;
             }
@@ -485,9 +492,8 @@ impl SknnEngine {
     }
 
     /// Encrypts `table` under the deployment's key and registers it as the
-    /// dataset `name`, using the engine-wide defaults from
-    /// [`FederationConfig`]: `distance_bits` (derived from the table when
-    /// `None`) and `max_query_value`.
+    /// dataset `name` with [`DatasetOptions::default`]: `l` derived from
+    /// the table, and queries bounded by the table's own largest value.
     ///
     /// # Errors
     /// See [`SknnEngine::register_dataset_with`].
@@ -497,11 +503,7 @@ impl SknnEngine {
         table: &Table,
         rng: &mut R,
     ) -> Result<(), SknnError> {
-        let opts = DatasetOptions {
-            distance_bits: self.config.distance_bits,
-            max_query_value: self.config.max_query_value,
-        };
-        self.register_dataset_with(name, table, opts, rng)
+        self.register_dataset_with(name, table, DatasetOptions::default(), rng)
     }
 
     /// [`SknnEngine::register_dataset`] with explicit per-dataset options.
@@ -526,42 +528,15 @@ impl SknnEngine {
                 name: name.to_string(),
             });
         }
-        let required = table.required_distance_bits(opts.max_query_value);
-        let distance_bits = opts.distance_bits.unwrap_or(required);
-        if distance_bits < required {
-            return Err(SknnError::InsufficientDistanceBits {
-                l: distance_bits,
-                required,
-            });
-        }
-        if distance_bits + 2 >= self.config.key_bits {
-            return Err(SknnError::InsufficientDistanceBits {
-                l: distance_bits,
-                required: self.config.key_bits.saturating_sub(2),
-            });
-        }
-        let packing = derive_packing(&self.config, distance_bits)?;
-
-        let db = self
-            .owner
-            .encrypt_table(table, rng)?
-            .with_shards(self.config.sharding.shards);
-        let mut c1 = CloudC1::new(db);
-        if let Some(pool) = &self.c1_pool {
-            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)))?;
-        }
-        if let Some(params) = packing {
-            c1 = c1.with_packing(params);
-        }
-        self.datasets.insert(
-            name.to_string(),
-            Dataset {
-                c1,
-                distance_bits,
-                value_bound: table.max_attribute_value().max(opts.max_query_value),
-                store: None,
-            },
-        );
+        let (distance_bits, required, value_bound) = opts.resolve(table);
+        let dataset = self.assemble_dataset(distance_bits, required, value_bound, || {
+            let db = self
+                .owner
+                .encrypt_table(table, rng)?
+                .with_shards(self.config.sharding.shards);
+            Ok((db, None))
+        })?;
+        self.datasets.insert(name.to_string(), dataset);
         Ok(())
     }
 
@@ -585,11 +560,7 @@ impl SknnEngine {
         table: &Table,
         rng: &mut R,
     ) -> Result<(), SknnError> {
-        let opts = DatasetOptions {
-            distance_bits: self.config.distance_bits,
-            max_query_value: self.config.max_query_value,
-        };
-        self.register_dataset_persistent_with(name, table, opts, rng)
+        self.register_dataset_persistent_with(name, table, DatasetOptions::default(), rng)
     }
 
     /// [`SknnEngine::register_dataset_persistent`] with explicit
@@ -627,71 +598,39 @@ impl SknnEngine {
                 ),
             }));
         }
-        let required = table.required_distance_bits(opts.max_query_value);
-        let distance_bits = opts.distance_bits.unwrap_or(required);
-        if distance_bits < required {
-            return Err(SknnError::InsufficientDistanceBits {
-                l: distance_bits,
-                required,
-            });
-        }
-        if distance_bits + 2 >= self.config.key_bits {
-            return Err(SknnError::InsufficientDistanceBits {
-                l: distance_bits,
-                required: self.config.key_bits.saturating_sub(2),
-            });
-        }
-        let packing = derive_packing(&self.config, distance_bits)?;
-
-        let db = self
-            .owner
-            .encrypt_table(table, rng)?
-            .with_shards(self.config.sharding.shards);
-        let value_bound = table.max_attribute_value().max(opts.max_query_value);
-        let meta = DatasetMeta {
-            key_fingerprint: key_fingerprint(&self.owner.public_key().n().to_bytes_be()),
-            shards: self.config.sharding.shards as u32,
-            attributes: db.num_attributes() as u32,
-            value_bound,
-            distance_bits: distance_bits as u32,
-        };
-        // Write-ahead the full table; a failure anywhere leaves no
-        // half-created dataset directory behind.
-        let created = (|| {
-            let mut store = DatasetStore::create(&dir, meta)?;
-            let raw: Vec<Vec<BigUint>> = db
-                .records()
-                .iter()
-                .map(|r| r.iter().map(|c| c.as_raw().clone()).collect())
-                .collect();
-            store.append_batch(0, &raw)?;
-            Ok(store)
-        })();
-        let store = match created {
-            Ok(store) => store,
-            Err(e) => {
-                let _ = std::fs::remove_dir_all(&dir);
-                return Err(SknnError::Storage(e));
-            }
-        };
-        let handle = Arc::new(DatasetStoreHandle::new(store));
-        let db = db.with_backing(Arc::clone(&handle) as Arc<dyn BackingStore>);
-        let mut c1 = CloudC1::new(db);
-        if let Some(pool) = &self.c1_pool {
-            c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)))?;
-        }
-        if let Some(params) = packing {
-            c1 = c1.with_packing(params);
-        }
-        self.datasets.insert(
-            name.to_string(),
-            Dataset {
-                c1,
-                distance_bits,
+        let (distance_bits, required, value_bound) = opts.resolve(table);
+        let dataset = self.assemble_dataset(distance_bits, required, value_bound, || {
+            let db = self
+                .owner
+                .encrypt_table(table, rng)?
+                .with_shards(self.config.sharding.shards);
+            let meta = DatasetMeta {
+                key_fingerprint: key_fingerprint(&self.owner.public_key().n().to_bytes_be()),
+                shards: self.config.sharding.shards as u32,
+                attributes: db.num_attributes() as u32,
                 value_bound,
-                store: Some(handle),
-            },
-        );
+                distance_bits: distance_bits as u32,
+            };
+            // Write-ahead the full table; a failure anywhere leaves no
+            // half-created dataset directory behind.
+            let created = (|| {
+                let mut store = DatasetStore::create(&dir, meta)?;
+                let raw: Vec<Vec<BigUint>> = db
+                    .records()
+                    .iter()
+                    .map(|r| r.iter().map(|c| c.as_raw().clone()).collect())
+                    .collect();
+                store.append_batch(0, &raw)?;
+                Ok(store)
+            })();
+            let store = created.map_err(|e| {
+                let _ = std::fs::remove_dir_all(&dir);
+                SknnError::Storage(e)
+            })?;
+            let handle = Arc::new(DatasetStoreHandle::new(store));
+            Ok((db.with_backing(Arc::clone(&handle)), Some(handle)))
+        })?;
+        self.datasets.insert(name.to_string(), dataset);
         Ok(())
     }
 
@@ -720,7 +659,50 @@ impl SknnEngine {
                 found: shards,
             }));
         }
+        // The manifest's `l` was checked against the table when the
+        // dataset was created, so only the key's headroom is re-checked.
         let distance_bits = manifest.meta.distance_bits as usize;
+        let mut report = RecoveryReport::default();
+        let dataset = self.assemble_dataset(distance_bits, 0, manifest.meta.value_bound, || {
+            let (store, recovered) =
+                DatasetStore::open(&dir, &manifest.meta).map_err(SknnError::Storage)?;
+            report = recovered;
+            let handle = Arc::new(DatasetStoreHandle::new(store));
+            let db = database_from_store(
+                &handle,
+                manifest.meta.attributes as usize,
+                self.owner.public_key(),
+                self.config.sharding.shards,
+            )?;
+            Ok((db, Some(handle)))
+        })?;
+        self.recovery.insert(name.to_string(), report);
+        self.datasets.insert(name.to_string(), dataset);
+        Ok(())
+    }
+
+    /// The one place a dataset is assembled: every registration and reload
+    /// ends here. Checks the distance-bit length `l` against `required`
+    /// (the table's worst-case squared distance) and against the key's
+    /// headroom, derives the slot packing, and only then builds the
+    /// database (and its durable store, if any) with `build` and cloud C1's
+    /// view of it: the pooled encryptor and the packing.
+    fn assemble_dataset<F>(
+        &self,
+        distance_bits: usize,
+        required: usize,
+        value_bound: u64,
+        build: F,
+    ) -> Result<Dataset, SknnError>
+    where
+        F: FnOnce() -> Result<(EncryptedDatabase, Option<Arc<DatasetStoreHandle>>), SknnError>,
+    {
+        if distance_bits < required {
+            return Err(SknnError::InsufficientDistanceBits {
+                l: distance_bits,
+                required,
+            });
+        }
         if distance_bits + 2 >= self.config.key_bits {
             return Err(SknnError::InsufficientDistanceBits {
                 l: distance_bits,
@@ -728,31 +710,7 @@ impl SknnEngine {
             });
         }
         let packing = derive_packing(&self.config, distance_bits)?;
-        let (store, report) =
-            DatasetStore::open(&dir, &manifest.meta).map_err(SknnError::Storage)?;
-
-        let records: Vec<EncryptedRecord> = store
-            .records()
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .map(|raw| Ciphertext::from_raw(raw.clone()))
-                    .collect()
-            })
-            .collect();
-        let live = store.live().to_vec();
-        let attributes = manifest.meta.attributes as usize;
-        let value_bound = manifest.meta.value_bound;
-        let handle = Arc::new(DatasetStoreHandle::new(store));
-        let db = EncryptedDatabase::from_parts(
-            records,
-            live,
-            attributes,
-            self.owner.public_key().clone(),
-        )
-        .map_err(SknnError::Storage)?
-        .with_shards(self.config.sharding.shards)
-        .with_backing(Arc::clone(&handle) as Arc<dyn BackingStore>);
+        let (db, store) = build()?;
         let mut c1 = CloudC1::new(db);
         if let Some(pool) = &self.c1_pool {
             c1 = c1.with_encryptor(PooledEncryptor::new(Arc::clone(pool)))?;
@@ -760,17 +718,12 @@ impl SknnEngine {
         if let Some(params) = packing {
             c1 = c1.with_packing(params);
         }
-        self.recovery.insert(name.to_string(), report);
-        self.datasets.insert(
-            name.to_string(),
-            Dataset {
-                c1,
-                distance_bits,
-                value_bound,
-                store: Some(handle),
-            },
-        );
-        Ok(())
+        Ok(Dataset {
+            c1,
+            distance_bits,
+            value_bound,
+            store,
+        })
     }
 
     /// What crash recovery had to do for dataset `name` when it was
@@ -821,28 +774,12 @@ impl SknnEngine {
             .map_err(SknnError::Storage)?;
         // Rebuild C1's in-memory view from the compacted store so the
         // physical indices match the rewritten logs.
-        let (records, live) = handle.with(|s| {
-            let records: Vec<EncryptedRecord> = s
-                .records()
-                .iter()
-                .map(|r| {
-                    r.iter()
-                        .map(|raw| Ciphertext::from_raw(raw.clone()))
-                        .collect()
-                })
-                .collect();
-            (records, s.live().to_vec())
-        });
-        let attributes = dataset.c1.database().num_attributes();
-        let db = EncryptedDatabase::from_parts(
-            records,
-            live,
-            attributes,
-            self.owner.public_key().clone(),
-        )
-        .map_err(SknnError::Storage)?
-        .with_shards(self.config.sharding.shards)
-        .with_backing(Arc::clone(handle) as Arc<dyn BackingStore>);
+        let db = database_from_store(
+            handle,
+            dataset.c1.database().num_attributes(),
+            self.owner.public_key(),
+            self.config.sharding.shards,
+        )?;
         *dataset.c1.database_mut() = db;
         Ok(report)
     }
@@ -1029,33 +966,24 @@ impl SknnEngine {
         let comm_before = self.comm_stats();
         let pools_before = Cloud::ALL.map(|cloud| self.pool_stats_of(cloud));
         let enc_q = self.user.encrypt_query(query.point(), rng)?;
-        let policy = self.config.retry;
-        let secure_params = SecureQueryParams {
-            k: query.k(),
-            l: query
-                .requested_distance_bits()
-                .unwrap_or(dataset.distance_bits),
-        };
+        let policy = &self.config.retry;
         // The executor owns all failure handling: failed stages re-run per
         // the policy, re-pinned off sessions it finds dead.
         let sessions = SessionSet::new(self.c2.key_holders())?;
+        let c1 = &dataset.c1;
         let (masked, mut profile, audit, report) = match query.protocol() {
-            Protocol::Basic => dataset.c1.process_basic_sharded(
-                &sessions,
-                &enc_q,
-                query.k(),
-                parallelism,
-                &policy,
-                rng,
-            )?,
-            Protocol::Secure => dataset.c1.process_secure_sharded(
-                &sessions,
-                &enc_q,
-                secure_params,
-                parallelism,
-                &policy,
-                rng,
-            )?,
+            Protocol::Basic => {
+                execute_basic(c1, &sessions, &enc_q, query.k(), parallelism, policy, rng)?
+            }
+            Protocol::Secure => {
+                let params = SecureQueryParams {
+                    k: query.k(),
+                    l: query
+                        .requested_distance_bits()
+                        .unwrap_or(dataset.distance_bits),
+                };
+                execute_secure(c1, &sessions, &enc_q, params, parallelism, policy, rng)?
+            }
         };
         if let Some(pool) = self.c2.pool() {
             for r in &report.stage_retries {
@@ -1201,6 +1129,34 @@ fn derive_packing(
     }
 }
 
+/// Rebuilds a durable dataset's encrypted database from its store (records,
+/// live flags), sharded as configured and writing ahead through `handle`.
+fn database_from_store(
+    handle: &Arc<DatasetStoreHandle>,
+    attributes: usize,
+    key: &PublicKey,
+    shards: usize,
+) -> Result<EncryptedDatabase, SknnError> {
+    let (records, live) = handle.with(|store| {
+        let records: Vec<EncryptedRecord> = store
+            .records()
+            .iter()
+            .map(|r| {
+                r.iter()
+                    .map(|raw| Ciphertext::from_raw(raw.clone()))
+                    .collect()
+            })
+            .collect();
+        (records, store.live().to_vec())
+    });
+    Ok(
+        EncryptedDatabase::from_parts(records, live, attributes, key.clone())
+            .map_err(SknnError::Storage)?
+            .with_shards(shards)
+            .with_backing(Arc::clone(handle)),
+    )
+}
+
 /// The pool configuration of one cloud. `seed: None` keeps the PoolConfig
 /// contract — OS entropy, the right default for anything
 /// security-relevant. An explicit seed (for reproducible experiments) is
@@ -1254,6 +1210,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Every test dataset admits query values up to 10.
+    const OPTS: DatasetOptions = DatasetOptions {
+        distance_bits: None,
+        max_query_value: 10,
+    };
+
     fn table() -> Table {
         // Distances from the query (2, 2) are 68, 29, 18, 98, 2 — all
         // distinct, so every k has a unique expected result set.
@@ -1274,7 +1236,9 @@ mod tests {
     /// The paper's deployment: an engine with `table()` as its one dataset.
     fn single(config: FederationConfig, rng: &mut StdRng) -> SknnEngine {
         let mut engine = engine(config, rng);
-        engine.register_dataset("d", &table(), rng).unwrap();
+        engine
+            .register_dataset_with("d", &table(), OPTS, rng)
+            .unwrap();
         engine
     }
 
@@ -1299,19 +1263,19 @@ mod tests {
         let mut engine = engine(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 ..Default::default()
             },
             &mut rng,
         );
         assert!(engine.dataset_names().is_empty());
         engine
-            .register_dataset("alpha", &table(), &mut rng)
+            .register_dataset_with("alpha", &table(), OPTS, &mut rng)
             .unwrap();
         engine
-            .register_dataset(
+            .register_dataset_with(
                 "beta",
                 &Table::new(vec![vec![1], vec![4]]).unwrap(),
+                OPTS,
                 &mut rng,
             )
             .unwrap();
@@ -1322,7 +1286,7 @@ mod tests {
 
         // Duplicate names are rejected, not silently replaced.
         assert!(matches!(
-            engine.register_dataset("alpha", &table(), &mut rng),
+            engine.register_dataset_with("alpha", &table(), OPTS, &mut rng),
             Err(SknnError::DatasetAlreadyRegistered { .. })
         ));
 
@@ -1341,15 +1305,18 @@ mod tests {
         let mut engine = engine(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 ..Default::default()
             },
             &mut rng,
         );
         let t = table();
         let shifted = Table::new(vec![vec![7, 7], vec![3, 3]]).unwrap();
-        engine.register_dataset("near", &t, &mut rng).unwrap();
-        engine.register_dataset("far", &shifted, &mut rng).unwrap();
+        engine
+            .register_dataset_with("near", &t, OPTS, &mut rng)
+            .unwrap();
+        engine
+            .register_dataset_with("far", &shifted, OPTS, &mut rng)
+            .unwrap();
 
         let near = engine
             .query("near")
@@ -1377,12 +1344,13 @@ mod tests {
         let mut engine = engine(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 ..Default::default()
             },
             &mut rng,
         );
-        engine.register_dataset("d", &table(), &mut rng).unwrap();
+        engine
+            .register_dataset_with("d", &table(), OPTS, &mut rng)
+            .unwrap();
 
         // Append a record nearer to the query than everything else.
         let record = engine.owner().encrypt_record(&[2, 2], &mut rng).unwrap();
@@ -1434,40 +1402,35 @@ mod tests {
         let mut engine = engine(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 ..Default::default()
             },
             &mut rng,
         );
-        assert!(matches!(
-            engine.register_dataset_with(
-                "tiny-l",
-                &table(),
-                DatasetOptions {
-                    distance_bits: Some(3),
-                    max_query_value: 10,
-                },
-                &mut rng,
-            ),
-            Err(SknnError::InsufficientDistanceBits { .. })
-        ));
-        assert!(matches!(
-            engine.register_dataset_with(
-                "huge-l",
-                &table(),
-                DatasetOptions {
-                    distance_bits: Some(95),
-                    max_query_value: 10,
-                },
-                &mut rng,
-            ),
-            Err(SknnError::InsufficientDistanceBits { .. })
-        ));
+        // Both registration paths refuse an `l` below the table's need or
+        // without key headroom, and the durable one writes nothing first.
+        let root = tmp_root("bad-l");
+        let owner = DataOwner::new(96, &mut rng);
+        let mut durable = SknnEngine::open_dir(owner, durable_config(), &root).unwrap();
+        for (name, l) in [("tiny-l", 3), ("huge-l", 95)] {
+            let opts = DatasetOptions {
+                distance_bits: Some(l),
+                max_query_value: 10,
+            };
+            assert!(matches!(
+                engine.register_dataset_with(name, &table(), opts, &mut rng),
+                Err(SknnError::InsufficientDistanceBits { .. })
+            ));
+            assert!(matches!(
+                durable.register_dataset_persistent_with(name, &table(), opts, &mut rng),
+                Err(SknnError::InsufficientDistanceBits { .. })
+            ));
+            assert!(!root.join(name).exists(), "{name} left a directory");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
 
         let mut fixed = SknnEngine::setup(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 packing: PackingKind::Fixed(64),
                 ..Default::default()
             },
@@ -1475,14 +1438,14 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            fixed.register_dataset("d", &table(), &mut rng),
+            fixed.register_dataset_with("d", &table(), OPTS, &mut rng),
             Err(SknnError::PackingInfeasible { requested: 64, .. })
         ));
 
         // Without an override, l is derived from the table's domain; an
         // override with headroom is taken as given.
         engine
-            .register_dataset("derived", &table(), &mut rng)
+            .register_dataset_with("derived", &table(), OPTS, &mut rng)
             .unwrap();
         let derived = engine.dataset("derived").unwrap();
         assert_eq!(derived.distance_bits(), table().required_distance_bits(10));
@@ -1501,7 +1464,6 @@ mod tests {
         let auto = single(
             FederationConfig {
                 key_bits: 64,
-                max_query_value: 10,
                 packing: PackingKind::Auto(64),
                 ..Default::default()
             },
@@ -1516,7 +1478,6 @@ mod tests {
         // answers both protocols exactly as a scalar engine does.
         let config = |packing| FederationConfig {
             key_bits: 192,
-            max_query_value: 10,
             packing,
             packing_blind_bits: 10,
             ..Default::default()
@@ -1551,7 +1512,6 @@ mod tests {
             let engine = single(
                 FederationConfig {
                     key_bits: 192,
-                    max_query_value: 10,
                     transport,
                     packing: PackingKind::Fixed(2),
                     packing_blind_bits: 10,
@@ -1586,13 +1546,14 @@ mod tests {
         let requests = |threads: usize, rng: &mut StdRng| {
             let config = FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 transport: TransportKind::Channel,
                 threads,
                 ..Default::default()
             };
             let mut engine = engine(config, rng);
-            engine.register_dataset("d", &table, rng).unwrap();
+            engine
+                .register_dataset_with("d", &table, OPTS, rng)
+                .unwrap();
             let outcome = engine
                 .query("d")
                 .k(3)
@@ -1616,7 +1577,6 @@ mod tests {
         let engine = single(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 pool: PoolConfig {
                     capacity: 64,
                     background_refill: false,
@@ -1659,7 +1619,6 @@ mod tests {
         let unpooled = single(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 pool: PoolConfig {
                     capacity: 0,
                     ..Default::default()
@@ -1686,7 +1645,6 @@ mod tests {
         let engine = single(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 ..Default::default()
             },
             &mut rng,
@@ -1718,7 +1676,6 @@ mod tests {
         let mut engine = single(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 threads: 4,
                 ..Default::default()
             },
@@ -1737,12 +1694,13 @@ mod tests {
         let mut engine = engine(
             FederationConfig {
                 key_bits: 96,
-                max_query_value: 10,
                 ..Default::default()
             },
             &mut rng,
         );
-        engine.register_dataset("d", &table(), &mut rng).unwrap();
+        engine
+            .register_dataset_with("d", &table(), OPTS, &mut rng)
+            .unwrap();
         let prepared = engine.query("d").k(1).point(&[2, 2]).build().unwrap();
         engine.remove_dataset("d").unwrap();
         assert!(matches!(
@@ -1765,7 +1723,6 @@ mod tests {
     fn durable_config() -> FederationConfig {
         FederationConfig {
             key_bits: 96,
-            max_query_value: 10,
             ..Default::default()
         }
     }
@@ -1778,7 +1735,7 @@ mod tests {
 
         let mut engine = SknnEngine::open_dir(owner.clone(), durable_config(), &root).unwrap();
         engine
-            .register_dataset_persistent("d", &table(), &mut rng)
+            .register_dataset_persistent_with("d", &table(), OPTS, &mut rng)
             .unwrap();
         assert!(engine.dataset("d").unwrap().is_durable());
         let record = engine.owner().encrypt_record(&[2, 2], &mut rng).unwrap();
@@ -1816,7 +1773,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(507);
         let mut plain = engine(durable_config(), &mut rng);
         assert!(matches!(
-            plain.register_dataset_persistent("d", &table(), &mut rng),
+            plain.register_dataset_persistent_with("d", &table(), OPTS, &mut rng),
             Err(SknnError::Storage(StoreError::Invariant { .. }))
         ));
 
@@ -1824,15 +1781,17 @@ mod tests {
         let owner = DataOwner::new(96, &mut rng);
         let mut durable = SknnEngine::open_dir(owner, durable_config(), &root).unwrap();
         assert!(matches!(
-            durable.register_dataset_persistent("../escape", &table(), &mut rng),
+            durable.register_dataset_persistent_with("../escape", &table(), OPTS, &mut rng),
             Err(SknnError::Storage(StoreError::InvalidDatasetName { .. }))
         ));
         // In-memory registration still works on a durable engine, and the
         // two paths reject each other's duplicates.
-        durable.register_dataset("mem", &table(), &mut rng).unwrap();
+        durable
+            .register_dataset_with("mem", &table(), OPTS, &mut rng)
+            .unwrap();
         assert!(!durable.dataset("mem").unwrap().is_durable());
         assert!(matches!(
-            durable.register_dataset_persistent("mem", &table(), &mut rng),
+            durable.register_dataset_persistent_with("mem", &table(), OPTS, &mut rng),
             Err(SknnError::DatasetAlreadyRegistered { .. })
         ));
         std::fs::remove_dir_all(&root).unwrap();
@@ -1845,7 +1804,7 @@ mod tests {
         let owner = DataOwner::new(96, &mut rng);
         let mut engine = SknnEngine::open_dir(owner, durable_config(), &root).unwrap();
         engine
-            .register_dataset_persistent("d", &table(), &mut rng)
+            .register_dataset_persistent_with("d", &table(), OPTS, &mut rng)
             .unwrap();
         drop(engine);
 
@@ -1864,7 +1823,7 @@ mod tests {
         let owner = DataOwner::new(96, &mut rng);
         let mut engine = SknnEngine::open_dir(owner.clone(), durable_config(), &root).unwrap();
         engine
-            .register_dataset_persistent("d", &table(), &mut rng)
+            .register_dataset_persistent_with("d", &table(), OPTS, &mut rng)
             .unwrap();
         // Kill the two nearest records so compaction genuinely rewrites.
         engine.tombstone_record("d", 4).unwrap();

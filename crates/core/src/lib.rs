@@ -10,18 +10,18 @@
 //! * **Bob** — the [`QueryUser`]: encrypts his query record, sends it to `C1`,
 //!   and later combines the masks from `C1` with the masked plaintexts
 //!   decrypted by `C2` to learn exactly the k nearest records and nothing else.
-//! * **C1** — [`CloudC1`]: stores the encrypted database and drives the query
-//!   protocols, interacting with `C2` only through the
-//!   [`sknn_protocols::KeyHolder`] interface.
+//! * **C1** — [`CloudC1`]: stores the encrypted database, interacting with
+//!   `C2` only through the [`sknn_protocols::KeyHolder`] interface.
 //! * **C2** — any [`sknn_protocols::KeyHolder`] implementation
 //!   (in-process or channel-based with traffic accounting).
 //!
-//! Two protocols are provided:
+//! Two protocols are provided, chosen per query with [`Protocol`] and run
+//! through [`SknnEngine::query`]:
 //!
-//! * [`CloudC1::process_basic`] — **SkNN_b** (Algorithm 5): fast, but reveals
+//! * [`Protocol::Basic`] — **SkNN_b** (Algorithm 5): fast, but reveals
 //!   the plaintext distances to `C2` and the data-access pattern to both
 //!   clouds.
-//! * [`CloudC1::process_secure`] — **SkNN_m** (Algorithm 6): reveals nothing
+//! * [`Protocol::Secure`] — **SkNN_m** (Algorithm 6): reveals nothing
 //!   beyond ciphertexts and protocol-mandated random values; distances stay
 //!   encrypted, the winning records are selected obliviously, and access
 //!   patterns are hidden.
@@ -74,8 +74,6 @@ mod profile;
 mod retry;
 mod roles;
 mod seed;
-mod sknn_basic;
-mod sknn_secure;
 pub mod storage;
 mod table;
 
@@ -92,7 +90,7 @@ pub use plain::{plain_knn, plain_knn_records, squared_euclidean_distance};
 pub use profile::{Cloud, OpCounters, PoolActivity, QueryProfile, Stage};
 pub use retry::{RetryPolicy, RetryReport, RetryUnit, StageRetry};
 pub use roles::{CloudC1, DataOwner, QueryUser};
-pub use storage::{BackingStore, DatasetStoreHandle};
+pub use storage::DatasetStoreHandle;
 pub use table::Table;
 
 // Re-export the lower layers so downstream users need a single dependency.

@@ -2,8 +2,8 @@
 //! the query user (Bob), and the two clouds.
 //!
 //! Cloud C2 is any [`sknn_protocols::KeyHolder`]; cloud C1 is [`CloudC1`],
-//! whose two query-processing entry points live in the `sknn_basic` and
-//! `sknn_secure` modules.
+//! the state the executor ([`crate::exec`]) runs both query protocols
+//! over.
 
 use crate::{EncryptedDatabase, EncryptedQuery, MaskedResult, SknnError, Table};
 use rand::RngCore;
@@ -176,7 +176,8 @@ impl QueryUser {
     }
 }
 
-/// Cloud C1: hosts the encrypted database and drives both query protocols.
+/// Cloud C1: hosts the encrypted database, plus the encryptor and packing
+/// the executor runs both query protocols with.
 #[derive(Clone, Debug)]
 pub struct CloudC1 {
     db: EncryptedDatabase,

@@ -1,47 +1,26 @@
-//! The pluggable durable backing of an [`crate::EncryptedDatabase`].
+//! The durable backing of an [`crate::EncryptedDatabase`].
 //!
 //! By default a database is purely in-memory — the paper's model, and
-//! zero-cost. Attaching a [`BackingStore`]
+//! zero-cost. Attaching a [`DatasetStoreHandle`]
 //! ([`crate::EncryptedDatabase::with_backing`]) makes every update
 //! **write-ahead**: the store must acknowledge durability before the
 //! update becomes visible to queries, so anything a query can return has
-//! already survived a crash.
-//!
-//! [`DatasetStoreHandle`] is the one provided implementation, wrapping the
-//! `sknn-store` crate's [`DatasetStore`] (per-shard append-only ciphertext
-//! logs with crash-safe recovery and compaction). The trait exists so
-//! embedders can substitute their own durability layer — a remote blob
-//! store, a database — without the engine caring.
+//! already survived a crash. The handle wraps the `sknn-store` crate's
+//! [`DatasetStore`] (per-shard append-only ciphertext logs with crash-safe
+//! recovery and compaction). Records cross this boundary as raw Paillier
+//! ciphertext residues (`Vec<BigUint>`, one per attribute), so the storage
+//! layer needs no knowledge of keys or protocols.
 
 use sknn_bigint::BigUint;
 use sknn_store::{DatasetStore, StoreError};
 use std::sync::Mutex;
 
-/// A durability sink for one dataset's updates. Implementations must make
-/// each call durable before returning `Ok` — the caller applies the update
-/// to the queryable in-memory state only afterwards.
-///
-/// Records cross this boundary as raw Paillier ciphertext residues
-/// (`Vec<BigUint>`, one per attribute), so the storage layer needs no
-/// knowledge of keys or protocols.
-pub trait BackingStore: std::fmt::Debug + Send + Sync {
-    /// Durably appends `records` starting at physical index `base` (which
-    /// the store should verify against its own record count to catch
-    /// divergence). All-or-nothing: a failed batch must leave the store as
-    /// if the call never happened.
-    fn append(&self, base: u64, records: &[Vec<BigUint>]) -> Result<(), StoreError>;
-
-    /// Durably tombstones the record at physical index `physical`.
-    fn tombstone(&self, physical: u64) -> Result<(), StoreError>;
-
-    /// Forces everything acknowledged so far onto stable storage.
-    fn flush(&self) -> Result<(), StoreError>;
-}
-
-/// [`BackingStore`] over the `sknn-store` durable shard store, shareable
-/// between an [`crate::EncryptedDatabase`] (which writes through the trait)
-/// and the engine (which reaches the full [`DatasetStore`] API — stable
-/// index resolution, compaction — through [`DatasetStoreHandle::with`]).
+/// The `sknn-store` durable shard store, shareable between an
+/// [`crate::EncryptedDatabase`] (which writes ahead through
+/// [`append`](Self::append), [`tombstone`](Self::tombstone) and
+/// [`flush`](Self::flush)) and the engine (which reaches the full
+/// [`DatasetStore`] API — stable index resolution, compaction — through
+/// [`DatasetStoreHandle::with`]).
 #[derive(Debug)]
 pub struct DatasetStoreHandle {
     inner: Mutex<DatasetStore>,
@@ -65,18 +44,31 @@ impl DatasetStoreHandle {
         });
         f(&mut guard)
     }
-}
 
-impl BackingStore for DatasetStoreHandle {
-    fn append(&self, base: u64, records: &[Vec<BigUint>]) -> Result<(), StoreError> {
+    /// Durably appends `records` starting at physical index `base`, which
+    /// the store verifies against its own record count to catch
+    /// divergence. All-or-nothing: a failed batch leaves the store as if
+    /// the call never happened.
+    ///
+    /// # Errors
+    /// A stale `base`, or an I/O failure.
+    pub fn append(&self, base: u64, records: &[Vec<BigUint>]) -> Result<(), StoreError> {
         self.with(|store| store.append_batch(base, records))
     }
 
-    fn tombstone(&self, physical: u64) -> Result<(), StoreError> {
+    /// Durably tombstones the record at physical index `physical`.
+    ///
+    /// # Errors
+    /// An out-of-range index, or an I/O failure.
+    pub fn tombstone(&self, physical: u64) -> Result<(), StoreError> {
         self.with(|store| store.tombstone(physical))
     }
 
-    fn flush(&self) -> Result<(), StoreError> {
+    /// Forces everything acknowledged so far onto stable storage.
+    ///
+    /// # Errors
+    /// An I/O failure.
+    pub fn flush(&self) -> Result<(), StoreError> {
         self.with(DatasetStore::flush)
     }
 }
@@ -109,16 +101,15 @@ mod tests {
             distance_bits: 8,
         };
         let handle = DatasetStoreHandle::new(DatasetStore::create(&dir, meta).unwrap());
-        let store: &dyn BackingStore = &handle;
-        store
+        handle
             .append(0, &[vec![BigUint::from_u64(5)], vec![BigUint::from_u64(6)]])
             .unwrap();
-        store.tombstone(1).unwrap();
-        store.flush().unwrap();
+        handle.tombstone(1).unwrap();
+        handle.flush().unwrap();
         assert_eq!(handle.with(|s| s.record_count()), 2);
         assert_eq!(handle.with(|s| s.live_count()), 1);
-        // Stale base is a typed error through the trait, too.
-        assert!(store.append(0, &[vec![BigUint::from_u64(8)]]).is_err());
+        // Stale base is a typed error through the handle, too.
+        assert!(handle.append(0, &[vec![BigUint::from_u64(8)]]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //!   "findings": [
 //!     {"rule": "...", "file": "...", "line": 1, "message": "...", "status": "failing"}
 //!   ],
-//!   "summary": {"failing": 1, "baselined": 0, "suppressed": 0}
+//!   "summary": {"failing": 1, "suppressed": 0}
 //! }
 //! ```
 
@@ -29,27 +29,23 @@ fn escape(s: &str) -> String {
     out
 }
 
-fn finding_json(f: &Finding, status: &str) -> String {
+fn finding_json(f: &Finding) -> String {
     format!(
-        "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"status\": \"{}\"}}",
+        "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"status\": \"failing\"}}",
         escape(f.rule),
         escape(&f.file),
         f.line,
         escape(&f.message),
-        status
     )
 }
 
 /// Renders the full report document.
-pub fn report(failing: &[Finding], baselined: &[Finding], suppressed: usize) -> String {
-    let mut rows: Vec<String> = Vec::with_capacity(failing.len() + baselined.len());
-    rows.extend(failing.iter().map(|f| finding_json(f, "failing")));
-    rows.extend(baselined.iter().map(|f| finding_json(f, "baselined")));
+pub fn report(failing: &[Finding], suppressed: usize) -> String {
+    let rows: Vec<String> = failing.iter().map(finding_json).collect();
     format!(
-        "{{\n  \"findings\": [\n{}\n  ],\n  \"summary\": {{\"failing\": {}, \"baselined\": {}, \"suppressed\": {}}}\n}}\n",
+        "{{\n  \"findings\": [\n{}\n  ],\n  \"summary\": {{\"failing\": {}, \"suppressed\": {}}}\n}}\n",
         rows.join(",\n"),
         failing.len(),
-        baselined.len(),
         suppressed
     )
 }
@@ -66,7 +62,7 @@ mod tests {
             line: 3,
             message: "line1\nline2".into(),
         };
-        let doc = report(std::slice::from_ref(&f), &[], 2);
+        let doc = report(std::slice::from_ref(&f), 2);
         assert!(doc.contains("\\\"b.rs"));
         assert!(doc.contains("line1\\nline2"));
         assert!(doc.contains("\"failing\": 1"));

@@ -18,8 +18,9 @@
 //! ```bash
 //! cargo run -p sknn-lint                     # human-readable diagnostics
 //! cargo run -p sknn-lint -- --json out.json  # plus machine-readable report
-//! cargo run -p sknn-lint -- --update-baseline
 //! ```
+//!
+//! Any finding fails the run: there is no baseline of tolerated sites.
 //!
 //! Findings can be suppressed inline, always with a reason:
 //!
@@ -29,7 +30,6 @@
 //!
 //! A suppression covers its own line and the next line.
 
-pub mod baseline;
 pub mod json;
 pub mod lexer;
 pub mod rules;

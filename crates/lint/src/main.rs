@@ -1,41 +1,34 @@
 //! CLI driver for the sknn trust-boundary linter. See the library docs
-//! for the rule catalogue; this binary adds baseline handling, JSON
-//! output, and process exit codes for CI:
+//! for the rule catalogue; this binary adds JSON output and process exit
+//! codes for CI:
 //!
-//! - `0` — no findings outside the baseline
-//! - `1` — at least one failing finding
+//! - `0` — no findings
+//! - `1` — at least one finding
 //! - `2` — usage or I/O error
 
-use sknn_lint::baseline::Baseline;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
-    update_baseline: bool,
 }
 
-const USAGE: &str = "usage: sknn-lint [--root DIR] [--baseline FILE] [--json FILE] [--update-baseline] [--list-rules]
+const USAGE: &str = "usage: sknn-lint [--root DIR] [--json FILE] [--list-rules]
 
-Scans the workspace for trust-boundary violations. The baseline file
-defaults to <root>/lint-baseline.txt when present.";
+Scans the workspace for trust-boundary violations. Any finding not
+suppressed inline fails the run.";
 
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
-        baseline: None,
         json: None,
-        update_baseline: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => opts.root = need(&mut args, "--root")?.into(),
-            "--baseline" => opts.baseline = Some(need(&mut args, "--baseline")?.into()),
             "--json" => opts.json = Some(need(&mut args, "--json")?.into()),
-            "--update-baseline" => opts.update_baseline = true,
             "--list-rules" => {
                 for rule in sknn_lint::rules::RULE_IDS {
                     println!("{rule}");
@@ -74,66 +67,25 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint-baseline.txt"));
-
-    if opts.update_baseline {
-        let next = Baseline::from_findings(&analysis.findings);
-        if let Err(e) = std::fs::write(&baseline_path, next.serialize()) {
-            eprintln!("sknn-lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "wrote {} ({} findings across {} files baselined)",
-            baseline_path.display(),
-            next.total(),
-            analysis.files_scanned
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("sknn-lint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        // Missing baseline just means "no budget anywhere".
-        Err(_) => Baseline::default(),
-    };
-
-    let parts = baseline.partition(analysis.findings);
-
-    for f in &parts.failing {
+    for f in &analysis.findings {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
-    for (rule, path, budget, current) in &parts.slack {
-        println!(
-            "note: {path} is below its `{rule}` baseline ({current} of {budget}); \
-             run --update-baseline to lock in the burn-down"
-        );
-    }
     println!(
-        "sknn-lint: {} files scanned, {} failing, {} baselined, {} suppressed",
+        "sknn-lint: {} files scanned, {} failing, {} suppressed",
         analysis.files_scanned,
-        parts.failing.len(),
-        parts.baselined.len(),
+        analysis.findings.len(),
         analysis.suppressed
     );
 
     if let Some(json_path) = &opts.json {
-        let doc = sknn_lint::json::report(&parts.failing, &parts.baselined, analysis.suppressed);
+        let doc = sknn_lint::json::report(&analysis.findings, analysis.suppressed);
         if let Err(e) = std::fs::write(json_path, doc) {
             eprintln!("sknn-lint: writing {}: {e}", json_path.display());
             return ExitCode::from(2);
         }
     }
 
-    if parts.failing.is_empty() {
+    if analysis.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

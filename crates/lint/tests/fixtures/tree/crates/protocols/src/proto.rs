@@ -1,4 +1,4 @@
-//! Fixture: panic-free violations for baseline diffing (exactly two
+//! Fixture: panic-free violations in library code (exactly two
 //! non-test sites).
 
 pub fn step_one(x: Option<u64>) -> u64 {

@@ -1,12 +1,11 @@
 //! End-to-end rule tests against the checked-in fixture tree, plus the
-//! acceptance gate that the real workspace stays clean modulo baseline.
+//! acceptance gate that the real workspace has no findings.
 //!
 //! The fixture tree under `tests/fixtures/tree/` is a miniature workspace
 //! with one deliberate violation (or deliberate negative) per rule; these
 //! tests pin both that each rule fires where it must and that the
 //! test-region, suppression, and allowlist escape hatches hold.
 
-use sknn_lint::baseline::Baseline;
 use sknn_lint::rules::Finding;
 use std::path::{Path, PathBuf};
 
@@ -139,53 +138,14 @@ fn rng_discipline_flags_direct_seeding_but_not_the_helpers() {
 }
 
 #[test]
-fn baseline_diffing_accepts_budget_and_fails_regressions() {
-    let (findings, _) = fixture_findings();
-    let panics: Vec<Finding> = findings
-        .into_iter()
-        .filter(|f| f.rule == "panic-free" && f.file == "crates/protocols/src/proto.rs")
-        .collect();
-    assert_eq!(panics.len(), 2);
-
-    // Exact budget: both sites ride the baseline.
-    let exact = Baseline::parse("panic-free 2 crates/protocols/src/proto.rs").unwrap();
-    let part = exact.partition(panics.clone());
-    assert!(part.failing.is_empty());
-    assert_eq!(part.baselined.len(), 2);
-    assert!(part.slack.is_empty());
-
-    // Over budget: count-based attribution fails the whole file.
-    let tight = Baseline::parse("panic-free 1 crates/protocols/src/proto.rs").unwrap();
-    let part = tight.partition(panics.clone());
-    assert_eq!(part.failing.len(), 2, "a new site must fail the file");
-
-    // Under budget: the unused allowance is reported as slack to shrink.
-    let loose = Baseline::parse("panic-free 3 crates/protocols/src/proto.rs").unwrap();
-    let part = loose.partition(panics);
-    assert!(part.failing.is_empty());
-    assert_eq!(
-        part.slack,
-        vec![(
-            "panic-free".into(),
-            "crates/protocols/src/proto.rs".into(),
-            3,
-            2
-        )]
-    );
-}
-
-#[test]
-fn real_workspace_is_clean_modulo_checked_in_baseline() {
+fn real_workspace_has_no_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let analysis = sknn_lint::analyze(&root).expect("workspace must scan");
-    let text = std::fs::read_to_string(root.join("lint-baseline.txt"))
-        .expect("lint-baseline.txt must be checked in");
-    let baseline = Baseline::parse(&text).expect("baseline must parse");
-    let part = baseline.partition(analysis.findings);
     assert!(
-        part.failing.is_empty(),
-        "workspace has non-baselined findings:\n{}",
-        part.failing
+        analysis.findings.is_empty(),
+        "workspace has findings:\n{}",
+        analysis
+            .findings
             .iter()
             .map(|f| format!("  {}:{} [{}] {}", f.file, f.line, f.rule, f.message))
             .collect::<Vec<_>>()

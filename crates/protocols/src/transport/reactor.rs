@@ -322,7 +322,7 @@ impl Reactor {
                 write_buf: VecDeque::new(),
                 inflight: HashSet::new(),
                 queued: VecDeque::new(),
-                closed: None,
+                closed: false,
                 want_write: false,
             }),
             space: Condvar::new(),
@@ -467,7 +467,11 @@ struct ConnIo {
     inflight: HashSet<u64>,
     /// Submissions waiting for a window slot: `(corr, encoded frame)`.
     queued: VecDeque<(u64, Vec<u8>)>,
-    closed: Option<TransportError>,
+    /// Set once the connection is torn down (or its socket failed). Only
+    /// the waiters in flight at teardown hear the specific reason; every
+    /// later submission fails with [`TransportError::Closed`], so callers
+    /// see a dead connection as dead.
+    closed: bool,
     /// Whether `EPOLLOUT` is currently armed (TCP only).
     want_write: bool,
 }
@@ -542,8 +546,8 @@ impl Conn {
         let corr = frame.correlation_id;
         let mut io = lock(&shared.io);
         loop {
-            if let Some(err) = &io.closed {
-                return Err(err.clone());
+            if io.closed {
+                return Err(TransportError::Closed);
             }
             if io.inflight.len() < shared.backpressure.window {
                 io.inflight.insert(corr);
@@ -661,28 +665,20 @@ impl ConnShared {
         let Some(Source::Tcp(stream)) = &mut io.source else {
             return;
         };
-        let mut failed = None;
         while !io.write_buf.is_empty() {
             let (front, _) = io.write_buf.as_slices();
             match stream.write(front) {
-                Ok(0) => {
-                    failed = Some(TransportError::Closed);
-                    break;
-                }
-                Ok(n) => {
+                Ok(n) if n > 0 => {
                     io.write_buf.drain(..n);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    failed = Some(TransportError::from(e));
-                    break;
+                // A zero-length write or a hard error: the socket is gone.
+                _ => {
+                    io.closed = true;
+                    return;
                 }
             }
-        }
-        if let Some(err) = failed {
-            io.closed.get_or_insert(err);
-            return;
         }
         let want = !io.write_buf.is_empty();
         if want != io.want_write {
@@ -726,7 +722,7 @@ impl ConnShared {
     /// queued submissions onto the wire in order. Caller holds the lock;
     /// returns an error the caller must tear the connection down with.
     fn promote_queued(&self, io: &mut ConnIo) -> Result<(), TransportError> {
-        while io.closed.is_none() && io.inflight.len() < self.backpressure.window {
+        while !io.closed && io.inflight.len() < self.backpressure.window {
             let Some((corr, bytes)) = io.queued.pop_front() else {
                 break;
             };
@@ -751,7 +747,7 @@ impl ConnShared {
     fn teardown(&self, err: TransportError) {
         {
             let mut io = lock(&self.io);
-            io.closed.get_or_insert(err.clone());
+            io.closed = true;
             match io.source.take() {
                 Some(Source::Tcp(stream)) => {
                     use std::os::fd::AsRawFd;
@@ -878,7 +874,7 @@ fn event_loop(inner: &Arc<Inner>) {
                     let conn = lock(&inner.state).conns.get(&token).cloned();
                     let Some(conn) = conn else { continue };
                     let mut io = lock(&conn.io);
-                    if io.closed.is_none() {
+                    if !io.closed {
                         match &io.source {
                             Some(Source::Channel { out, .. }) => {
                                 let _ = out.push(bytes);
@@ -928,7 +924,7 @@ fn service_conn(conn: &Arc<ConnShared>) {
     let mut dead: Option<TransportError> = None;
     {
         let mut io = lock(&conn.io);
-        if io.closed.is_some() {
+        if io.closed {
             drop(io);
             // A late kick on a closed conn: make sure teardown ran.
             conn.teardown(TransportError::Closed);
@@ -1397,6 +1393,9 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)),
             Ok(Err(TransportError::BadVersion { got: 1 }))
         );
+        // Every later request finds the connection dead, so the executor
+        // re-pins it instead of retrying it as transient.
+        assert_eq!(key_once(&conn, 2, 0), Err(TransportError::Closed));
         reactor.shutdown();
     }
 }

@@ -18,7 +18,7 @@
 
 use rand::SeedableRng;
 use sknn::data::{perturbed_query, SyntheticDataset};
-use sknn::{FederationConfig, Protocol, QueryOutcome, SknnEngine, TransportKind};
+use sknn::{DatasetOptions, FederationConfig, Protocol, QueryOutcome, SknnEngine, TransportKind};
 
 fn describe(label: &str, result: &QueryOutcome) {
     println!("── {label} ──");
@@ -73,10 +73,13 @@ fn main() {
     let query = perturbed_query(&dataset.table, 2, dataset.max_value, &mut rng);
     let k = 3;
 
+    let options = DatasetOptions {
+        max_query_value: dataset.max_value,
+        ..Default::default()
+    };
     let mut engine = SknnEngine::setup(
         FederationConfig {
             key_bits: 256,
-            max_query_value: dataset.max_value,
             transport: TransportKind::Channel,
             ..Default::default()
         },
@@ -84,7 +87,7 @@ fn main() {
     )
     .expect("setup");
     engine
-        .register_dataset("synthetic", &dataset.table, &mut rng)
+        .register_dataset_with("synthetic", &dataset.table, options, &mut rng)
         .expect("outsource");
 
     println!(

@@ -18,14 +18,17 @@ use rand::SeedableRng;
 use sknn::data::heart::{
     example_query, heart_disease_table, HeartDiseaseGenerator, ATTRIBUTE_NAMES,
 };
-use sknn::{FederationConfig, PreparedQuery, Protocol, SknnEngine};
+use sknn::{DatasetOptions, FederationConfig, PreparedQuery, Protocol, SknnEngine};
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2014);
 
+    let options = DatasetOptions {
+        max_query_value: 564, // the largest value in Table 2 (cholesterol)
+        ..Default::default()
+    };
     let config = FederationConfig {
         key_bits: 256,
-        max_query_value: 564, // the largest value in Table 2 (cholesterol)
         ..Default::default()
     };
     let mut engine = SknnEngine::setup(config, &mut rng).expect("setup");
@@ -34,11 +37,11 @@ fn main() {
     // The hospital's Table 1 (six patients) and a 60-patient synthetic
     // cohort share the clouds, the key pair, and the C2 session.
     engine
-        .register_dataset("table1", &heart_disease_table(), &mut rng)
+        .register_dataset_with("table1", &heart_disease_table(), options, &mut rng)
         .expect("register table1");
     let cohort = HeartDiseaseGenerator.table(60, &mut rng);
     engine
-        .register_dataset("cohort", &cohort, &mut rng)
+        .register_dataset_with("cohort", &cohort, options, &mut rng)
         .expect("register cohort");
     for name in engine.dataset_names() {
         let ds = engine.dataset(name).expect("registered");

@@ -16,7 +16,7 @@
 
 use rand::SeedableRng;
 use sknn::data::{uniform_query, SyntheticDataset};
-use sknn::{FederationConfig, Protocol, SknnEngine, TransportKind};
+use sknn::{DatasetOptions, FederationConfig, Protocol, SknnEngine, TransportKind};
 use std::time::Instant;
 
 fn main() {
@@ -38,10 +38,13 @@ fn main() {
         ("channel", TransportKind::Channel),
         ("tcp", TransportKind::Tcp),
     ] {
+        let options = DatasetOptions {
+            max_query_value: dataset.max_value,
+            ..Default::default()
+        };
         let mut engine = SknnEngine::setup(
             FederationConfig {
                 key_bits: 256,
-                max_query_value: dataset.max_value,
                 transport,
                 // Sizes C2's request-serving pool for the widest sweep point
                 // below; set_threads() then only rescales C1's workers.
@@ -52,7 +55,7 @@ fn main() {
         )
         .expect("setup");
         engine
-            .register_dataset("synthetic", &dataset.table, &mut rng)
+            .register_dataset_with("synthetic", &dataset.table, options, &mut rng)
             .expect("outsource");
 
         println!("SkNN_b over n = {n}, m = {m}, k = {k}, K = 256 bits — {label} transport\n");

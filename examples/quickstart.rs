@@ -9,7 +9,9 @@
 //! ```
 
 use rand::SeedableRng;
-use sknn::{FederationConfig, Protocol, QueryOutcome, SknnEngine, Table, TransportKind};
+use sknn::{
+    DatasetOptions, FederationConfig, Protocol, QueryOutcome, SknnEngine, Table, TransportKind,
+};
 
 /// Per-stage wall time plus the transport-independent operation counters
 /// (`QueryProfile::ops`): ciphertexts over the C1↔C2 wire and C2
@@ -46,9 +48,12 @@ fn main() {
 
     // ── The deployment ──────────────────────────────────────────────────────
     // 256-bit keys keep the example fast; the paper evaluates 512 and 1024.
+    let options = DatasetOptions {
+        max_query_value: 200,
+        ..Default::default()
+    };
     let config = FederationConfig {
         key_bits: 256,
-        max_query_value: 200,
         transport: TransportKind::Channel, // count inter-cloud traffic too
         ..Default::default()
     };
@@ -69,7 +74,7 @@ fn main() {
     ])
     .expect("well-formed table");
     engine
-        .register_dataset("vitals", &table, &mut rng)
+        .register_dataset_with("vitals", &table, options, &mut rng)
         .expect("register");
     let dataset = engine.dataset("vitals").expect("registered");
     println!(
@@ -179,14 +184,13 @@ fn main() {
     let owner = engine.owner().clone();
     let durable_config = FederationConfig {
         key_bits: 256,
-        max_query_value: 200,
         transport: TransportKind::Channel,
         ..Default::default()
     };
     let mut durable =
         SknnEngine::open_dir(owner.clone(), durable_config.clone(), &root).expect("open store");
     durable
-        .register_dataset_persistent("vitals", &table, &mut rng)
+        .register_dataset_persistent_with("vitals", &table, options, &mut rng)
         .expect("persistent register");
     durable.tombstone_record("vitals", 5).expect("tombstone");
     durable.flush().expect("flush");

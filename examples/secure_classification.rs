@@ -16,7 +16,7 @@
 
 use rand::SeedableRng;
 use sknn::data::heart::HeartDiseaseGenerator;
-use sknn::{plain_knn_records, FederationConfig, Protocol, SknnEngine};
+use sknn::{plain_knn_records, DatasetOptions, FederationConfig, Protocol, SknnEngine};
 
 /// Index of the diagnosis attribute (`num`, 0 = no disease, 1–4 = disease).
 const LABEL: usize = 9;
@@ -32,14 +32,17 @@ fn main() {
 
     // ── Training data: synthetic patients in the Table-2 attribute ranges ──
     let training = HeartDiseaseGenerator.table(30, &mut rng);
+    let options = DatasetOptions {
+        max_query_value: 564,
+        ..Default::default()
+    };
     let config = FederationConfig {
         key_bits: 256,
-        max_query_value: 564,
         ..Default::default()
     };
     let mut engine = SknnEngine::setup(config, &mut rng).expect("setup");
     engine
-        .register_dataset("training", &training, &mut rng)
+        .register_dataset_with("training", &training, options, &mut rng)
         .expect("outsource");
     println!(
         "outsourced {} encrypted training records ({} attributes, {}-bit key)",

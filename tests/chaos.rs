@@ -18,8 +18,8 @@ use rand::SeedableRng;
 use sknn::protocols::transport::{FaultKind, FaultPlan, Loopback, SessionPool};
 use sknn::protocols::ProtocolError;
 use sknn::{
-    plain_knn_records, DataOwner, FederationConfig, LocalKeyHolder, PoolConfig, Protocol,
-    RetryPolicy, RetryUnit, ShardingConfig, SknnEngine, SknnError, StageRetry, Table,
+    plain_knn_records, DataOwner, DatasetOptions, FederationConfig, LocalKeyHolder, PoolConfig,
+    Protocol, RetryPolicy, RetryUnit, ShardingConfig, SknnEngine, SknnError, StageRetry, Table,
     TransportKind,
 };
 use std::sync::{Mutex, OnceLock};
@@ -54,6 +54,10 @@ fn table() -> Table {
 
 const QUERY: [u64; 2] = [3, 3];
 const MAX_VALUE: u64 = 22;
+const OPTIONS: DatasetOptions = DatasetOptions {
+    distance_bits: None,
+    max_query_value: MAX_VALUE,
+};
 
 /// The remote wires the matrix runs over.
 const WIRES: [TransportKind; 2] = [TransportKind::Channel, TransportKind::Tcp];
@@ -111,7 +115,6 @@ fn engine_over(
 ) -> SknnEngine {
     let config = FederationConfig {
         key_bits: 96,
-        max_query_value: MAX_VALUE,
         transport: wire,
         threads: 2,
         sharding: ShardingConfig {
@@ -128,7 +131,7 @@ fn engine_over(
     };
     let mut engine = SknnEngine::setup_with_sessions(owner(), config, pool).expect("engine");
     engine
-        .register_dataset("t", &table(), rng)
+        .register_dataset_with("t", &table(), OPTIONS, rng)
         .expect("register");
     engine
 }
@@ -518,7 +521,6 @@ fn engine_configured_remote_round_trips_and_reaps() {
             owner(),
             FederationConfig {
                 key_bits: 96,
-                max_query_value: MAX_VALUE,
                 transport,
                 threads: 2,
                 sharding: ShardingConfig {
@@ -535,7 +537,7 @@ fn engine_configured_remote_round_trips_and_reaps() {
         )
         .expect("remote engine");
         engine
-            .register_dataset("t", &table(), &mut rng)
+            .register_dataset_with("t", &table(), OPTIONS, &mut rng)
             .expect("register");
         let outcome = engine
             .query("t")

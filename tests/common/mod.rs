@@ -6,31 +6,50 @@
 #![allow(dead_code)]
 
 use rand::rngs::StdRng;
-use sknn::{DataOwner, FederationConfig, Protocol, QueryOutcome, SknnEngine, SknnError, Table};
+use sknn::{
+    DataOwner, DatasetOptions, FederationConfig, Protocol, QueryOutcome, SknnEngine, SknnError,
+    Table,
+};
 
 /// The name the one outsourced table is registered under.
 pub const DATASET: &str = "table";
 
-/// A one-dataset engine over `table` under a fresh key pair.
+/// A one-dataset engine over `table` under a fresh key pair, admitting
+/// query values up to `max_query_value`.
 pub fn setup(
     table: &Table,
     config: FederationConfig,
+    max_query_value: u64,
     rng: &mut StdRng,
 ) -> Result<SknnEngine, SknnError> {
-    let mut engine = SknnEngine::setup(config, rng)?;
-    engine.register_dataset(DATASET, table, rng)?;
-    Ok(engine)
+    let engine = SknnEngine::setup(config, rng)?;
+    register(engine, table, max_query_value, rng)
 }
 
-/// A one-dataset engine over `table` under `owner`'s key pair.
+/// A one-dataset engine over `table` under `owner`'s key pair, admitting
+/// query values up to `max_query_value`.
 pub fn setup_with_owner(
     owner: DataOwner,
     table: &Table,
     config: FederationConfig,
+    max_query_value: u64,
     rng: &mut StdRng,
 ) -> Result<SknnEngine, SknnError> {
-    let mut engine = SknnEngine::setup_with_owner(owner, config)?;
-    engine.register_dataset(DATASET, table, rng)?;
+    let engine = SknnEngine::setup_with_owner(owner, config)?;
+    register(engine, table, max_query_value, rng)
+}
+
+fn register(
+    mut engine: SknnEngine,
+    table: &Table,
+    max_query_value: u64,
+    rng: &mut StdRng,
+) -> Result<SknnEngine, SknnError> {
+    let options = DatasetOptions {
+        max_query_value,
+        ..Default::default()
+    };
+    engine.register_dataset_with(DATASET, table, options, rng)?;
     Ok(engine)
 }
 

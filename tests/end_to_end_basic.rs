@@ -13,10 +13,9 @@ use sknn::{
     TransportKind,
 };
 
-fn config(key_bits: usize, max_query_value: u64) -> FederationConfig {
+fn config(key_bits: usize) -> FederationConfig {
     FederationConfig {
         key_bits,
-        max_query_value,
         ..Default::default()
     }
 }
@@ -32,7 +31,7 @@ fn reason(result: Result<QueryOutcome, SknnError>) -> InvalidQueryReason {
 fn synthetic_dataset_queries_match_plaintext_knn() {
     let mut rng = StdRng::seed_from_u64(1001);
     let dataset = SyntheticDataset::uniform(40, 4, 10, &mut rng);
-    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128), dataset.max_value, &mut rng).unwrap();
 
     for trial in 0..5 {
         let query = uniform_query(4, dataset.max_value, &mut rng);
@@ -56,10 +55,10 @@ fn perturbed_queries_over_channel_transport() {
         &dataset.table,
         FederationConfig {
             key_bits: 128,
-            max_query_value: dataset.max_value,
             transport: TransportKind::Channel,
             ..Default::default()
         },
+        dataset.max_value,
         &mut rng,
     )
     .unwrap();
@@ -83,7 +82,7 @@ fn perturbed_queries_over_channel_transport() {
 fn basic_protocol_leaks_access_pattern_by_design() {
     let mut rng = StdRng::seed_from_u64(1003);
     let dataset = SyntheticDataset::uniform(20, 3, 10, &mut rng);
-    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128), dataset.max_value, &mut rng).unwrap();
     let query = uniform_query(3, dataset.max_value, &mut rng);
     let result = run(&engine, Protocol::Basic, &query, 5, &mut rng).unwrap();
 
@@ -101,7 +100,7 @@ fn basic_protocol_leaks_access_pattern_by_design() {
 fn query_validation_errors_are_reported() {
     let mut rng = StdRng::seed_from_u64(1004);
     let dataset = SyntheticDataset::uniform(10, 3, 10, &mut rng);
-    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128), dataset.max_value, &mut rng).unwrap();
 
     assert_eq!(
         reason(run(&engine, Protocol::Basic, &[1, 2], 3, &mut rng)),
@@ -124,7 +123,7 @@ fn query_validation_errors_are_reported() {
 fn repeated_queries_reuse_the_same_outsourced_database() {
     let mut rng = StdRng::seed_from_u64(1005);
     let dataset = SyntheticDataset::uniform(25, 3, 10, &mut rng);
-    let engine = setup(&dataset.table, config(128, dataset.max_value), &mut rng).unwrap();
+    let engine = setup(&dataset.table, config(128), dataset.max_value, &mut rng).unwrap();
 
     // Ask the same query twice and a different query once; results must be
     // consistent and independent.

@@ -49,9 +49,9 @@ fn secure_queries_match_plaintext_knn_distances() {
         &dataset.table,
         FederationConfig {
             key_bits: 128,
-            max_query_value: dataset.max_value,
             ..Default::default()
         },
+        dataset.max_value,
         &mut rng,
     )
     .unwrap();
@@ -72,9 +72,9 @@ fn secure_and_basic_protocols_agree() {
         &dataset.table,
         FederationConfig {
             key_bits: 128,
-            max_query_value: dataset.max_value,
             ..Default::default()
         },
+        dataset.max_value,
         &mut rng,
     )
     .unwrap();
@@ -96,10 +96,10 @@ fn secure_query_over_channel_transport_counts_traffic_and_hides_pattern() {
         &dataset.table,
         FederationConfig {
             key_bits: 128,
-            max_query_value: dataset.max_value,
             transport: TransportKind::Channel,
             ..Default::default()
         },
+        dataset.max_value,
         &mut rng,
     )
     .unwrap();
@@ -129,9 +129,9 @@ fn all_records_identical_edge_case() {
         &table,
         FederationConfig {
             key_bits: 128,
-            max_query_value: 15,
             ..Default::default()
         },
+        15,
         &mut rng,
     )
     .unwrap();
@@ -147,9 +147,9 @@ fn query_identical_to_a_record_returns_it_first() {
         &table,
         FederationConfig {
             key_bits: 128,
-            max_query_value: 9,
             ..Default::default()
         },
+        9,
         &mut rng,
     )
     .unwrap();

@@ -8,8 +8,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::{
-    plain_knn_records, FederationConfig, InvalidQueryReason, PreparedQuery, Protocol, SknnEngine,
-    SknnError, Table, TransportKind,
+    plain_knn_records, DatasetOptions, FederationConfig, InvalidQueryReason, PreparedQuery,
+    Protocol, SknnEngine, SknnError, Table, TransportKind,
 };
 
 /// Distances from the query (2, 2) are 68, 29, 18, 98, 2 — all distinct,
@@ -42,12 +42,16 @@ fn labs_table() -> Table {
 fn config(transport: TransportKind) -> FederationConfig {
     FederationConfig {
         key_bits: 96,
-        max_query_value: 10,
         transport,
         threads: 4,
         ..Default::default()
     }
 }
+
+const OPTIONS: DatasetOptions = DatasetOptions {
+    distance_bits: None,
+    max_query_value: 10,
+};
 
 #[test]
 fn two_dataset_mixed_batch_over_channel_matches_single_dataset_engines() {
@@ -57,9 +61,11 @@ fn two_dataset_mixed_batch_over_channel_matches_single_dataset_engines() {
 
     let mut engine = SknnEngine::setup(config(TransportKind::Channel), &mut rng).unwrap();
     engine
-        .register_dataset("vitals", &vitals, &mut rng)
+        .register_dataset_with("vitals", &vitals, OPTIONS, &mut rng)
         .unwrap();
-    engine.register_dataset("labs", &labs, &mut rng).unwrap();
+    engine
+        .register_dataset_with("labs", &labs, OPTIONS, &mut rng)
+        .unwrap();
 
     // 16 queries: both datasets, both protocols, several k values.
     let specs: [(&str, &[u64], usize, Protocol); 16] = [
@@ -101,7 +107,9 @@ fn two_dataset_mixed_batch_over_channel_matches_single_dataset_engines() {
     // agree record for record.
     let mut single = |name: &str, table: &Table| {
         let mut engine = SknnEngine::setup(config(TransportKind::Channel), &mut rng).unwrap();
-        engine.register_dataset(name, table, &mut rng).unwrap();
+        engine
+            .register_dataset_with(name, table, OPTIONS, &mut rng)
+            .unwrap();
         engine
     };
     let vitals_only = single("vitals", &vitals);
@@ -143,7 +151,7 @@ fn builder_validation_is_typed_over_both_transports() {
     for transport in [TransportKind::InProcess, TransportKind::Channel] {
         let mut engine = SknnEngine::setup(config(transport), &mut rng).unwrap();
         engine
-            .register_dataset("vitals", &vitals_table(), &mut rng)
+            .register_dataset_with("vitals", &vitals_table(), OPTIONS, &mut rng)
             .unwrap();
 
         // Unknown dataset name.
@@ -222,7 +230,7 @@ fn append_and_tombstone_round_trips_are_reflected_in_queries() {
     let vitals = vitals_table();
     let mut engine = SknnEngine::setup(config(TransportKind::Channel), &mut rng).unwrap();
     engine
-        .register_dataset("vitals", &vitals, &mut rng)
+        .register_dataset_with("vitals", &vitals, OPTIONS, &mut rng)
         .unwrap();
 
     // Append: the new record is the exact query point, so it must win k = 1
@@ -290,10 +298,10 @@ fn mixed_batch_after_updates_matches_sequential_runs() {
     let mut rng = StdRng::seed_from_u64(7004);
     let mut engine = SknnEngine::setup(config(TransportKind::Channel), &mut rng).unwrap();
     engine
-        .register_dataset("vitals", &vitals_table(), &mut rng)
+        .register_dataset_with("vitals", &vitals_table(), OPTIONS, &mut rng)
         .unwrap();
     engine
-        .register_dataset("labs", &labs_table(), &mut rng)
+        .register_dataset_with("labs", &labs_table(), OPTIONS, &mut rng)
         .unwrap();
 
     // Mutate both datasets, then batch across them. The appended (2, 2)

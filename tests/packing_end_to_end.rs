@@ -44,11 +44,10 @@ fn setup(owner: DataOwner, table: &Table, packing: PackingKind) -> SknnEngine {
     let mut rng = StdRng::seed_from_u64(0x4EA8);
     let config = FederationConfig {
         key_bits: KEY_BITS,
-        max_query_value: 600,
         packing,
         ..Default::default()
     };
-    common::setup_with_owner(owner, table, config, &mut rng).expect("engine setup")
+    common::setup_with_owner(owner, table, config, 600, &mut rng).expect("engine setup")
 }
 
 fn ssed_sbd_ops(result: &QueryOutcome) -> OpCounters {

@@ -15,8 +15,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::{
-    plain_knn_records, DataOwner, FederationConfig, Protocol, ShardingConfig, SknnEngine, Table,
-    TransportKind,
+    plain_knn_records, DataOwner, DatasetOptions, FederationConfig, Protocol, ShardingConfig,
+    SknnEngine, Table, TransportKind,
 };
 use std::path::PathBuf;
 
@@ -40,11 +40,14 @@ fn table() -> Table {
 
 const QUERY: [u64; 2] = [3, 3];
 const MAX_VALUE: u64 = 22;
+const OPTIONS: DatasetOptions = DatasetOptions {
+    distance_bits: None,
+    max_query_value: MAX_VALUE,
+};
 
 fn config(transport: TransportKind) -> FederationConfig {
     FederationConfig {
         key_bits: 96,
-        max_query_value: MAX_VALUE,
         transport,
         sharding: ShardingConfig {
             shards: 3,
@@ -80,7 +83,7 @@ fn round_trip_is_bit_identical_across_restart() {
         let mut engine = SknnEngine::open_dir(owner.clone(), config(transport), &root)
             .expect("open empty store root");
         engine
-            .register_dataset_persistent("d", &table(), &mut rng)
+            .register_dataset_persistent_with("d", &table(), OPTIONS, &mut rng)
             .expect("persistent registration");
         engine.tombstone_record("d", 1).expect("tombstone");
         let extra = owner.encrypt_record(&[3, 4], &mut rng).expect("encrypt");
@@ -139,7 +142,7 @@ fn compaction_then_restart_preserves_results_and_stable_indices() {
     let mut engine = SknnEngine::open_dir(owner.clone(), config(TransportKind::InProcess), &root)
         .expect("open empty store root");
     engine
-        .register_dataset_persistent("d", &table(), &mut rng)
+        .register_dataset_persistent_with("d", &table(), OPTIONS, &mut rng)
         .expect("persistent registration");
     let dead = [0usize, 2, 5];
     for &i in &dead {
@@ -218,7 +221,7 @@ fn reloaded_store_remains_writable() {
     let mut engine =
         SknnEngine::open_dir(owner.clone(), config(TransportKind::InProcess), &root).expect("open");
     engine
-        .register_dataset_persistent("d", &table(), &mut rng)
+        .register_dataset_persistent_with("d", &table(), OPTIONS, &mut rng)
         .expect("register");
     engine.flush().expect("flush");
     drop(engine);

@@ -28,10 +28,9 @@ fn setup(table: &Table, rng: &mut StdRng) -> SknnEngine {
     let owner = DataOwner::from_keypair(shared_keypair().clone());
     let config = FederationConfig {
         key_bits: 128,
-        max_query_value: 16,
         ..Default::default()
     };
-    common::setup_with_owner(owner, table, config, rng).unwrap()
+    common::setup_with_owner(owner, table, config, 16, rng).unwrap()
 }
 
 fn sorted_distances(records: &[Vec<u64>], query: &[u64]) -> Vec<u128> {

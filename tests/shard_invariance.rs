@@ -13,8 +13,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sknn::{
-    plain_knn_records, FederationConfig, Protocol, ShardingConfig, SknnEngine, Stage, Table,
-    TransportKind,
+    plain_knn_records, DatasetOptions, FederationConfig, Protocol, ShardingConfig, SknnEngine,
+    Stage, Table, TransportKind,
 };
 
 /// 16 records whose squared distances from the query (3, 3) are all
@@ -32,6 +32,10 @@ fn table() -> Table {
 
 const QUERY: [u64; 2] = [3, 3];
 const MAX_VALUE: u64 = 22;
+const OPTIONS: DatasetOptions = DatasetOptions {
+    distance_bits: None,
+    max_query_value: MAX_VALUE,
+};
 
 fn engine_with(
     sharding: ShardingConfig,
@@ -42,7 +46,6 @@ fn engine_with(
     let mut engine = SknnEngine::setup(
         FederationConfig {
             key_bits: 96,
-            max_query_value: MAX_VALUE,
             transport,
             threads,
             sharding,
@@ -52,7 +55,7 @@ fn engine_with(
     )
     .expect("engine setup");
     engine
-        .register_dataset("t", &table(), rng)
+        .register_dataset_with("t", &table(), OPTIONS, rng)
         .expect("register dataset");
     engine
 }
@@ -217,7 +220,7 @@ fn last_selection_round_skips_the_freeze() {
             &mut rng,
         );
         engine
-            .register_dataset("small", &small, &mut rng)
+            .register_dataset_with("small", &small, OPTIONS, &mut rng)
             .expect("register dataset");
         let outcome = engine
             .query("small")
@@ -421,7 +424,7 @@ fn one_populated_shard_elides_the_gather() {
         &mut rng,
     );
     unsharded
-        .register_dataset("live", &live, &mut rng)
+        .register_dataset_with("live", &live, OPTIONS, &mut rng)
         .expect("register dataset");
 
     let k = 2;

@@ -22,9 +22,9 @@ fn profile_shows_smin_dominating_as_in_the_paper() {
         &dataset.table,
         FederationConfig {
             key_bits: 128,
-            max_query_value: dataset.max_value,
             ..Default::default()
         },
+        dataset.max_value,
         &mut rng,
     )
     .unwrap();

@@ -23,8 +23,8 @@ use sknn::store::{
     decode_entry, DatasetStore, EntryDecode, Manifest, StoreError, LOG_HEADER_LEN, MANIFEST_FILE,
 };
 use sknn::{
-    DataOwner, FederationConfig, Protocol, ShardingConfig, SknnEngine, SknnError, Table,
-    TransportKind,
+    DataOwner, DatasetOptions, FederationConfig, Protocol, ShardingConfig, SknnEngine, SknnError,
+    Table, TransportKind,
 };
 use std::path::{Path, PathBuf};
 
@@ -46,7 +46,6 @@ fn table() -> Table {
 fn config() -> FederationConfig {
     FederationConfig {
         key_bits: 96,
-        max_query_value: 10,
         transport: TransportKind::InProcess,
         sharding: ShardingConfig {
             shards: 3,
@@ -56,13 +55,18 @@ fn config() -> FederationConfig {
     }
 }
 
+const OPTIONS: DatasetOptions = DatasetOptions {
+    distance_bits: None,
+    max_query_value: 10,
+};
+
 /// Writes a churned dataset to `<root>/d` through the real engine
 /// (register → tombstone → append → flush) and returns the dataset dir.
 fn write_fixture(root: &Path, owner: &DataOwner) -> PathBuf {
     let mut rng = StdRng::seed_from_u64(0x5AFE);
     let mut engine = SknnEngine::open_dir(owner.clone(), config(), root).expect("open root");
     engine
-        .register_dataset_persistent("d", &table(), &mut rng)
+        .register_dataset_persistent_with("d", &table(), OPTIONS, &mut rng)
         .expect("register");
     engine.tombstone_record("d", 2).expect("tombstone");
     engine.tombstone_record("d", 7).expect("tombstone");

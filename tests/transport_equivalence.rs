@@ -26,8 +26,8 @@ use sknn::protocols::transport::{
     Transport,
 };
 use sknn::{
-    plain_knn_records, DataOwner, FederationConfig, LocalKeyHolder, PoolConfig, Protocol,
-    ShardingConfig, SknnEngine, Table, TransportKind,
+    plain_knn_records, DataOwner, DatasetOptions, FederationConfig, LocalKeyHolder, PoolConfig,
+    Protocol, ShardingConfig, SknnEngine, Table, TransportKind,
 };
 use std::net::TcpListener;
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -62,11 +62,14 @@ fn table() -> Table {
 
 const QUERY: [u64; 2] = [4, 4];
 const MAX_VALUE: u64 = 28;
+const OPTIONS: DatasetOptions = DatasetOptions {
+    distance_bits: None,
+    max_query_value: MAX_VALUE,
+};
 
 fn config(transport: TransportKind, shards: usize, sessions: usize) -> FederationConfig {
     FederationConfig {
         key_bits: 96,
-        max_query_value: MAX_VALUE,
         transport,
         threads: 2,
         sharding: ShardingConfig { shards, sessions },
@@ -82,7 +85,7 @@ fn config(transport: TransportKind, shards: usize, sessions: usize) -> Federatio
 fn register(mut engine: SknnEngine) -> SknnEngine {
     let mut rng = StdRng::seed_from_u64(0xD47A);
     engine
-        .register_dataset("t", &table(), &mut rng)
+        .register_dataset_with("t", &table(), OPTIONS, &mut rng)
         .expect("register");
     engine
 }
@@ -369,7 +372,7 @@ fn window_of_one_serializes_but_never_hangs() {
     };
     let mut engine = SknnEngine::setup_with_sessions(owner, config, pool).expect("engine");
     engine
-        .register_dataset("t", &table(), &mut rng)
+        .register_dataset_with("t", &table(), OPTIONS, &mut rng)
         .expect("register");
     let queries: Vec<_> = (0..16usize)
         .map(|_| {
@@ -407,7 +410,7 @@ fn admission_gate_bounds_remote_batches() {
     };
     let mut engine = SknnEngine::setup_with_owner(owner(), config).expect("engine");
     engine
-        .register_dataset("t", &table(), &mut rng)
+        .register_dataset_with("t", &table(), OPTIONS, &mut rng)
         .expect("register");
     let queries: Vec<_> = (0..16usize)
         .map(|_| {
