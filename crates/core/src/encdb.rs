@@ -24,7 +24,7 @@ pub type EncryptedRecord = Vec<Ciphertext>;
 /// # Sharding
 ///
 /// The database is partitioned into `shards` **shards** so the staged
-/// query executor ([`crate::exec`]) can scatter per-shard work across
+/// query executor (`exec`) can scatter per-shard work across
 /// independent C2 sessions. Placement is round-robin over the physical
 /// index — record `i` belongs to shard `i mod shards` — which keeps
 /// placement a pure function of the index: appends route to the owning
@@ -346,7 +346,7 @@ impl EncryptedDatabase {
 }
 
 /// One shard's read view of an [`EncryptedDatabase`] — the unit of work
-/// the staged executor ([`crate::exec`]) scatters across C2 sessions.
+/// the staged executor (`exec`) scatters across C2 sessions.
 ///
 /// A view exposes exactly the shard's *live* records (tombstoned records
 /// are filtered here, before any protocol message is formed), always in

@@ -29,7 +29,7 @@
 //! failed one — on the same session or re-pinned onto a survivor — with
 //! bit-identical protocol behavior.
 
-use super::stages::{FinalizeStage, SsedStage, TopKStage};
+use super::stages::{SsedStage, TopKStage};
 use super::{record_ops, run_plan, SessionSet};
 use crate::meter::OpMeter;
 use crate::parallel::ParallelismConfig;
@@ -134,7 +134,7 @@ pub(crate) fn execute_basic<R: RngCore + ?Sized>(
                 .map(|&i| db.record(i).clone())
                 .collect();
             let masked = p.time(Stage::Finalization, || {
-                FinalizeStage.run(c1, &meter, &chosen, rng)
+                c1.mask_and_reveal(&meter, &chosen, rng)
             })?;
             p.record_ops(Stage::Finalization, meter.take());
             Ok((p, (masked, top_k_physical)))
@@ -151,7 +151,7 @@ mod tests {
     use crate::{plain_knn_records, DataOwner, QueryUser, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sknn_protocols::LocalKeyHolder;
+    use sknn_protocols::{LocalKeyHolder, ProtocolError, Request, Response};
 
     fn setup(table: &Table) -> (CloudC1, LocalKeyHolder, QueryUser, StdRng) {
         let mut rng = StdRng::seed_from_u64(201);
@@ -172,7 +172,7 @@ mod tests {
         parallelism: ParallelismConfig,
         rng: &mut StdRng,
     ) -> Result<(MaskedResult, QueryProfile, AccessPatternAudit), SknnError> {
-        let sessions = SessionSet::single(c2);
+        let sessions = SessionSet::new(vec![c2])?;
         let (masked, profile, audit, _report) = execute_basic(
             c1,
             &sessions,
@@ -346,5 +346,42 @@ mod tests {
             run_single(&c1, &c2, &ok_q, 7, ParallelismConfig::serial(), &mut rng),
             Err(SknnError::InvalidK { .. })
         ));
+    }
+
+    /// C2 that answers every request honestly except top-k, where it names
+    /// a record index past the end of the distance list.
+    struct OutOfRangeTopK(LocalKeyHolder);
+
+    impl KeyHolder for OutOfRangeTopK {
+        fn public_key(&self) -> &sknn_paillier::PublicKey {
+            self.0.public_key()
+        }
+        fn call(&self, request: Request) -> Result<Response, ProtocolError> {
+            match request {
+                Request::TopK { distances, .. } => {
+                    Ok(Response::Indices(vec![distances.len() as u32]))
+                }
+                other => self.0.call(other),
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_top_k_reply_is_a_typed_error() {
+        // C1 indexes its records with C2's reply; an index past the end
+        // must stop at the key holder's shape check, for an in-process
+        // key holder as much as for a remote one.
+        let table = heart_disease_table();
+        let (c1, honest, user, mut rng) = setup(&table);
+        let c2 = OutOfRangeTopK(honest);
+        let enc_q = user
+            .encrypt_query(&[58, 1, 4, 133, 196, 1, 2, 1, 6, 0], &mut rng)
+            .unwrap();
+        let err =
+            run_single(&c1, &c2, &enc_q, 1, ParallelismConfig::serial(), &mut rng).unwrap_err();
+        assert!(
+            matches!(err, SknnError::Protocol(ProtocolError::Invariant { .. })),
+            "{err:?}"
+        );
     }
 }

@@ -4,10 +4,11 @@
 //! table over one C1↔C2 conversation. This module decomposes both
 //! protocols into **stage operators** that run against one
 //! [`ShardView`](crate::EncryptedDatabase) each —
-//! [`SsedStage`] (secure squared distances), [`SbdStage`] (bit
-//! decomposition), [`TopKStage`] (SkNN_b candidate selection) and
-//! [`FinalizeStage`] (the two-share reveal) — and drives them as a
-//! **scatter–gather plan**:
+//! [`SsedStage`](stages::SsedStage) (secure squared distances),
+//! [`SbdStage`](stages::SbdStage) (bit decomposition) and
+//! [`TopKStage`](stages::TopKStage) (SkNN_b candidate selection), with
+//! [`CloudC1::mask_and_reveal`](crate::CloudC1) (the two-share reveal) at
+//! the end — and drives them as a **scatter–gather plan**:
 //!
 //! ```text
 //!             scatter (one task per shard, pinned session)        gather
@@ -47,8 +48,6 @@ mod basic;
 mod secure;
 mod stages;
 
-pub use stages::{FinalizeStage, SbdStage, ShardDistances, SsedStage, TopKStage};
-
 pub(crate) use basic::execute_basic;
 pub(crate) use secure::execute_secure;
 
@@ -65,10 +64,10 @@ use sknn_protocols::{KeyHolder, ProtocolError};
 ///
 /// Shard `s` is pinned to session `s mod sessions.len()`; the *primary*
 /// session (index 0) additionally runs the gather and finalize stages
-/// unless it was found dead during the scatter. A [`SessionSet::single`]
-/// set reproduces the pre-sharding behavior of one conversation carrying
-/// the whole query.
-pub struct SessionSet<'a> {
+/// unless it was found dead during the scatter. A set of one session
+/// reproduces the pre-sharding behavior of one conversation carrying the
+/// whole query.
+pub(crate) struct SessionSet<'a> {
     sessions: Vec<&'a dyn KeyHolder>,
 }
 
@@ -78,7 +77,7 @@ impl<'a> SessionSet<'a> {
     /// # Errors
     /// [`ProtocolError::Invariant`] on an empty list — a query cannot run
     /// without C2.
-    pub fn new(sessions: Vec<&'a dyn KeyHolder>) -> Result<Self, SknnError> {
+    pub(crate) fn new(sessions: Vec<&'a dyn KeyHolder>) -> Result<Self, SknnError> {
         if sessions.is_empty() {
             return Err(SknnError::Protocol(ProtocolError::Invariant {
                 message: "a SessionSet needs at least one session".to_string(),
@@ -87,34 +86,23 @@ impl<'a> SessionSet<'a> {
         Ok(SessionSet { sessions })
     }
 
-    /// A set of one session: every shard (and the gather) uses `c2`.
-    pub fn single(c2: &'a dyn KeyHolder) -> Self {
-        SessionSet { sessions: vec![c2] }
-    }
-
     /// Number of sessions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sessions.len()
     }
 
-    /// Always false (construction rejects empty sets); provided for
-    /// `len`/`is_empty` API symmetry.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
     /// The session shard `shard` is pinned to.
-    pub fn for_shard(&self, shard: usize) -> &'a dyn KeyHolder {
+    pub(crate) fn for_shard(&self, shard: usize) -> &'a dyn KeyHolder {
         self.sessions[shard % self.sessions.len()]
     }
 
     /// The session-set index shard `shard` is pinned to.
-    pub fn index_for_shard(&self, shard: usize) -> usize {
+    pub(crate) fn index_for_shard(&self, shard: usize) -> usize {
         shard % self.sessions.len()
     }
 
     /// The session at set index `idx` (wrapping).
-    pub fn session_at(&self, idx: usize) -> &'a dyn KeyHolder {
+    pub(crate) fn session_at(&self, idx: usize) -> &'a dyn KeyHolder {
         self.sessions[idx % self.sessions.len()]
     }
 }
@@ -355,7 +343,6 @@ mod tests {
         let set = SessionSet::new(vec![&a, &b]).unwrap();
         let thin = |k: &dyn KeyHolder| k as *const dyn KeyHolder as *const ();
         assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
         assert_eq!(thin(set.for_shard(0)), thin(set.session_at(0)));
         assert_eq!(
             thin(set.for_shard(1)),
@@ -363,7 +350,7 @@ mod tests {
         );
         assert_eq!(thin(set.for_shard(2)), thin(set.session_at(0)));
 
-        let single = SessionSet::single(&a);
+        let single = SessionSet::new(vec![&a]).unwrap();
         assert_eq!(single.len(), 1);
         assert_eq!(thin(single.for_shard(7)), thin(single.session_at(0)));
     }

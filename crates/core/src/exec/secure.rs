@@ -41,7 +41,7 @@
 //! caveat `SknnEngine::run_batch` documents — both outcomes are correct
 //! kNN sets.
 
-use super::stages::{FinalizeStage, SbdStage, SsedStage};
+use super::stages::{SbdStage, SsedStage};
 use super::{record_ops, run_plan, SessionSet};
 use crate::config::SecureQueryParams;
 use crate::meter::OpMeter;
@@ -133,8 +133,7 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         // zero violates the protocol invariant and surfaces as a
         // typed error instead of a silent all-zero indicator.
         let u = meter.min_selection(&beta)?;
-        // 3(d): undo the permutation; V has E(1) at the winning record. A
-        // reply of the wrong length is a typed error here.
+        // 3(d): undo the permutation; V has E(1) at the winning record.
         let v = pi.apply_inverse(&u)?;
 
         // V′_{i,j} = SM(V_i, E(t_{i,j})); E(t′_{s,j}) = Π_i V′_{i,j}.
@@ -289,7 +288,7 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
             };
 
             let masked = p.time(Stage::Finalization, || {
-                FinalizeStage.run(c1, &meter, &results, rng)
+                c1.mask_and_reveal(&meter, &results, rng)
             })?;
             p.record_ops(Stage::Finalization, meter.take());
             Ok((p, masked))
@@ -307,12 +306,13 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
 mod tests {
     use super::*;
     use crate::{plain_knn_records, DataOwner, QueryUser, Table};
+    use parking_lot::Mutex;
     use rand::rngs::StdRng;
+    use rand::Rng;
     use rand::SeedableRng;
-    use sknn_bigint::BigUint;
-    use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
+    use sknn_paillier::PublicKey;
     use sknn_protocols::transport::TransportError;
-    use sknn_protocols::{LocalKeyHolder, ProtocolError, SminRoundResponse};
+    use sknn_protocols::{LocalKeyHolder, ProtocolError, Request, Response};
 
     fn setup(table: &Table) -> (CloudC1, LocalKeyHolder, QueryUser, StdRng) {
         let mut rng = StdRng::seed_from_u64(301);
@@ -333,7 +333,7 @@ mod tests {
         parallelism: ParallelismConfig,
         rng: &mut StdRng,
     ) -> Result<(MaskedResult, QueryProfile, AccessPatternAudit), SknnError> {
-        let sessions = SessionSet::single(c2);
+        let sessions = SessionSet::new(vec![c2])?;
         let (masked, profile, audit, _report) = execute_secure(
             c1,
             &sessions,
@@ -572,97 +572,28 @@ mod tests {
         assert!(matches!(err, SknnError::Protocol(_)));
     }
 
-    /// Which C2 reply [`ShortReply`] cuts one ciphertext from.
-    #[derive(Clone, Copy)]
-    enum Cut {
-        MinSelection,
-        SminRound,
-    }
-
     /// C2 that answers every request honestly, then drops the last
-    /// ciphertext of one kind of reply.
+    /// ciphertext of the reply to the request named `cut`.
     struct ShortReply {
         inner: LocalKeyHolder,
-        cut: Cut,
+        cut: &'static str,
     }
 
     impl KeyHolder for ShortReply {
         fn public_key(&self) -> &PublicKey {
             self.inner.public_key()
         }
-        fn sm_mask_multiply_batch(
-            &self,
-            pairs: &[(Ciphertext, Ciphertext)],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.sm_mask_multiply_batch(pairs)
-        }
-        fn lsb_of_masked_batch(
-            &self,
-            masked: &[Ciphertext],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.lsb_of_masked_batch(masked)
-        }
-        fn smin_round(
-            &self,
-            gamma: &[Ciphertext],
-            l: &[Ciphertext],
-        ) -> Result<SminRoundResponse, ProtocolError> {
-            let mut response = self.inner.smin_round(gamma, l)?;
-            if let Cut::SminRound = self.cut {
-                response.m_prime.pop();
-            }
-            Ok(response)
-        }
-        fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-            let mut reply = self.inner.min_selection(beta)?;
-            if let Cut::MinSelection = self.cut {
+        fn call(&self, request: Request) -> Result<Response, ProtocolError> {
+            let cut = request.name() == self.cut;
+            let mut response = self.inner.call(request)?;
+            if let (
+                true,
+                Response::Ciphertexts(reply) | Response::SminRound { m_prime: reply, .. },
+            ) = (cut, &mut response)
+            {
                 reply.pop();
             }
-            Ok(reply)
-        }
-        fn top_k_indices(
-            &self,
-            distances: &[Ciphertext],
-            k: usize,
-        ) -> Result<Vec<usize>, ProtocolError> {
-            self.inner.top_k_indices(distances, k)
-        }
-        fn decrypt_masked_batch(
-            &self,
-            masked: &[Ciphertext],
-        ) -> Result<Vec<BigUint>, ProtocolError> {
-            self.inner.decrypt_masked_batch(masked)
-        }
-        fn sm_packed_square_batch(
-            &self,
-            layout: &SlotLayout,
-            packed: &[Ciphertext],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.sm_packed_square_batch(layout, packed)
-        }
-        fn sm_packed_multiply_batch(
-            &self,
-            layout: &SlotLayout,
-            pairs: &[(Ciphertext, Ciphertext)],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.sm_packed_multiply_batch(layout, pairs)
-        }
-        fn lsb_packed_batch(
-            &self,
-            layout: &SlotLayout,
-            masked: &[Ciphertext],
-            slot_counts: &[usize],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.lsb_packed_batch(layout, masked, slot_counts)
-        }
-        fn top_k_indices_packed(
-            &self,
-            layout: &SlotLayout,
-            packed: &[Ciphertext],
-            count: usize,
-            k: usize,
-        ) -> Result<Vec<usize>, ProtocolError> {
-            self.inner.top_k_indices_packed(layout, packed, count, k)
+            Ok(response)
         }
     }
 
@@ -673,7 +604,7 @@ mod tests {
         // mismatch: n = 4 indicator entries, or one M′ entry per bit of l.
         let table = Table::new(vec![vec![1], vec![3], vec![5], vec![9]]).unwrap();
         let l = table.required_distance_bits(10);
-        for (cut, sent) in [(Cut::MinSelection, 4), (Cut::SminRound, l)] {
+        for (cut, sent) in [("MinSelection", 4), ("SminRound", l)] {
             let (c1, honest, user, mut rng) = setup(&table);
             let c2 = ShortReply { inner: honest, cut };
             let enc_q = user.encrypt_query(&[4], &mut rng).unwrap();
@@ -694,5 +625,104 @@ mod tests {
                 }))
             );
         }
+    }
+
+    /// A curious but protocol-following C2: it answers every request
+    /// honestly, and uses its secret key to read the Paillier unit
+    /// `c·(1 − m·N) mod N²` of every ciphertext it sends or receives.
+    /// It remembers the unit of the `E(1)` entry of each `MinSelection`
+    /// reply, then looks for that unit among the first SM operands of the
+    /// next `SmBatch` — C1's extraction products `SM(Vᵢ, E(tᵢ,ⱼ))`, `m`
+    /// pairs per record, in record order.
+    struct CuriousKeyHolder {
+        inner: LocalKeyHolder,
+        marked_unit: Mutex<Option<BigUint>>,
+        named_record: Mutex<Option<usize>>,
+        records: usize,
+    }
+
+    impl CuriousKeyHolder {
+        fn unit(&self, c: &Ciphertext) -> BigUint {
+            let pk = self.inner.public_key();
+            let (n, nn) = (pk.n(), pk.n_squared());
+            let m = self.inner.debug_decrypt(c);
+            let inverse = BigUint::one().mod_sub(&m.mul_ref(n).rem_ref(nn), nn);
+            c.as_raw().mod_mul(&inverse, nn)
+        }
+    }
+
+    impl KeyHolder for CuriousKeyHolder {
+        fn public_key(&self) -> &PublicKey {
+            self.inner.public_key()
+        }
+        fn call(&self, request: Request) -> Result<Response, ProtocolError> {
+            if let Request::SmBatch(pairs) = &request {
+                if let Some(marked) = self.marked_unit.lock().take() {
+                    let per_record = pairs.len() / self.records;
+                    let hit = pairs.iter().position(|(a, _)| self.unit(a) == marked);
+                    *self.named_record.lock() = hit.map(|p| p / per_record);
+                }
+            }
+            let selection = matches!(request, Request::MinSelection(_));
+            let response = self.inner.call(request)?;
+            if let (true, Response::Ciphertexts(u)) = (selection, &response) {
+                let one = BigUint::one();
+                let marked = u.iter().find(|c| self.inner.debug_decrypt(c) == one);
+                *self.marked_unit.lock() = marked.map(|c| self.unit(c));
+            }
+            Ok(response)
+        }
+    }
+
+    #[test]
+    fn curious_c2_links_the_selected_record_through_sm_units() {
+        // Today's leak (ROADMAP item 1): SM masks its operands with
+        // `add_plain`, which keeps the Paillier unit, so C1's extraction
+        // requests carry the very units of C2's indicator reply. Once
+        // every mask carries a fresh unit (item 1's fix), this assertion
+        // becomes "C2 names the record no more often than
+        // `AccessPatternAudit` declares" — i.e. at chance, 1/n.
+        const QUERIES: u64 = 20;
+        let (n, m) = (12, 3);
+        let mut named = 0;
+        for seed in 0..QUERIES {
+            let mut rng = StdRng::seed_from_u64(0xC0_0000 + seed);
+            let rows: Vec<Vec<u64>> = (0..n)
+                .map(|_| (0..m).map(|_| rng.gen_range(0..16)).collect())
+                .collect();
+            let table = Table::new(rows).unwrap();
+            let owner = DataOwner::new(96, &mut rng);
+            let c1 = CloudC1::new(owner.encrypt_table(&table, &mut rng).unwrap());
+            let c2 = CuriousKeyHolder {
+                inner: LocalKeyHolder::new(owner.private_key().clone(), seed),
+                marked_unit: Mutex::new(None),
+                named_record: Mutex::new(None),
+                records: n,
+            };
+            let user = QueryUser::new(owner.public_key().clone());
+            let query: Vec<u64> = (0..m).map(|_| rng.gen_range(0..16)).collect();
+            let enc_q = user.encrypt_query(&query, &mut rng).unwrap();
+            let l = table.required_distance_bits(15);
+            let (masked, _, audit) = run_single(
+                &c1,
+                &c2,
+                &enc_q,
+                SecureQueryParams { k: 1, l },
+                ParallelismConfig::serial(),
+                &mut rng,
+            )
+            .unwrap();
+            assert!(audit.is_oblivious());
+            let returned = user.recover_records(&masked).unwrap();
+            let guess = c2.named_record.lock().take();
+            if guess.is_some_and(|i| table.record(i) == returned[0].as_slice()) {
+                named += 1;
+            }
+        }
+        // A guessing C2 would name it in about QUERIES/n ≈ 1.7 queries.
+        assert_eq!(
+            named, QUERIES,
+            "C2 named the returned record {named}/{QUERIES} times"
+        );
     }
 }

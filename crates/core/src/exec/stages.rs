@@ -6,7 +6,7 @@
 use crate::parallel::{parallel_map, ParallelismConfig};
 use crate::roles::CloudC1;
 use crate::seed::{derive_seeds, derived_rng};
-use crate::{EncryptedQuery, MaskedResult, SknnError};
+use crate::{EncryptedQuery, SknnError};
 use rand::RngCore;
 use sknn_paillier::Ciphertext;
 use sknn_protocols::{
@@ -103,22 +103,15 @@ pub(crate) fn compute_distances<'p, K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
 /// one shard's live records, plus the physical indices they belong to.
 /// Opaque — the representation (scalar vs slot-packed) is an executor
 /// detail the downstream stages resolve themselves.
-pub struct ShardDistances<'p> {
+pub(crate) struct ShardDistances<'p> {
     /// Physical indices, parallel to the distances.
     pub(crate) live: Vec<usize>,
     pub(crate) distances: Distances<'p>,
 }
 
-impl ShardDistances<'_> {
-    /// Number of records the distances cover.
-    pub fn num_records(&self) -> usize {
-        self.live.len()
-    }
-}
-
 /// Stage operator: SSED — the encrypted squared distance of every live
 /// record of one shard (step 2 of both Algorithms 5 and 6).
-pub struct SsedStage<'a> {
+pub(crate) struct SsedStage<'a> {
     c1: &'a CloudC1,
     /// `Some(l)` for the secure protocol, which additionally requires the
     /// packed layout (if any) to hold `l`-bit values.
@@ -128,7 +121,7 @@ pub struct SsedStage<'a> {
 
 impl<'a> SsedStage<'a> {
     /// An SSED stage for the basic protocol.
-    pub fn for_basic(c1: &'a CloudC1, parallelism: ParallelismConfig) -> Self {
+    pub(crate) fn for_basic(c1: &'a CloudC1, parallelism: ParallelismConfig) -> Self {
         SsedStage {
             c1,
             distance_bits: None,
@@ -137,7 +130,7 @@ impl<'a> SsedStage<'a> {
     }
 
     /// An SSED stage for the secure protocol with distance domain `l`.
-    pub fn for_secure(c1: &'a CloudC1, l: usize, parallelism: ParallelismConfig) -> Self {
+    pub(crate) fn for_secure(c1: &'a CloudC1, l: usize, parallelism: ParallelismConfig) -> Self {
         SsedStage {
             c1,
             distance_bits: Some(l),
@@ -151,7 +144,7 @@ impl<'a> SsedStage<'a> {
     ///
     /// # Errors
     /// Propagates protocol-level failures from the packed path.
-    pub fn run<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+    pub(crate) fn run<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         &self,
         c2: &K,
         query: &EncryptedQuery,
@@ -168,7 +161,7 @@ impl<'a> SsedStage<'a> {
 /// Stage operator: SBD — bit decomposition of one shard's distances
 /// (step 2a of Algorithm 6). Output `i` is the `l`-bit vector of
 /// `distances.live[i]`'s squared distance, most significant bit first.
-pub struct SbdStage<'a> {
+pub(crate) struct SbdStage<'a> {
     c1: &'a CloudC1,
     l: usize,
     parallelism: ParallelismConfig,
@@ -176,7 +169,7 @@ pub struct SbdStage<'a> {
 
 impl<'a> SbdStage<'a> {
     /// An SBD stage decomposing into `l` bits.
-    pub fn new(c1: &'a CloudC1, l: usize, parallelism: ParallelismConfig) -> Self {
+    pub(crate) fn new(c1: &'a CloudC1, l: usize, parallelism: ParallelismConfig) -> Self {
         SbdStage { c1, l, parallelism }
     }
 
@@ -184,7 +177,7 @@ impl<'a> SbdStage<'a> {
     ///
     /// # Errors
     /// Propagates SBD protocol failures (e.g. an unusable bit length).
-    pub fn run<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+    pub(crate) fn run<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         &self,
         c2: &K,
         distances: &ShardDistances,
@@ -221,13 +214,13 @@ impl<'a> SbdStage<'a> {
 /// Stage operator: SkNN_b record selection — C2 decrypts distances and
 /// returns the indices of the `k` smallest (step 3 of Algorithm 5), per
 /// shard or globally.
-pub struct TopKStage {
+pub(crate) struct TopKStage {
     k: usize,
 }
 
 impl TopKStage {
     /// A top-k stage selecting `k` records.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         TopKStage { k }
     }
 
@@ -237,7 +230,7 @@ impl TopKStage {
     ///
     /// # Errors
     /// Propagates the key holder's error.
-    pub fn run<K: KeyHolder + ?Sized>(
+    pub(crate) fn run<K: KeyHolder + ?Sized>(
         &self,
         c2: &K,
         distances: &ShardDistances<'_>,
@@ -293,27 +286,5 @@ impl TopKStage {
                     .collect()
             }
         }
-    }
-}
-
-/// Stage operator: the two-share reveal both protocols end with
-/// (steps 4–6 of Algorithm 5): mask every result attribute, have C2
-/// decrypt the masked values, and hand Bob the shares.
-pub struct FinalizeStage;
-
-impl FinalizeStage {
-    /// Runs the reveal over the selected encrypted records.
-    ///
-    /// # Errors
-    /// Returns a typed protocol error when the C2 call fails or its reply
-    /// does not carry one plaintext per masked attribute.
-    pub fn run<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
-        &self,
-        c1: &CloudC1,
-        c2: &K,
-        results: &[Vec<Ciphertext>],
-        rng: &mut R,
-    ) -> Result<MaskedResult, SknnError> {
-        c1.mask_and_reveal(c2, results, rng)
     }
 }

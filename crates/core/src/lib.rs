@@ -66,7 +66,7 @@ mod config;
 mod encdb;
 pub mod engine;
 mod error;
-pub mod exec;
+mod exec;
 mod meter;
 mod parallel;
 mod plain;
@@ -84,7 +84,6 @@ pub use engine::{
     Dataset, DatasetOptions, PreparedQuery, Protocol, QueryBuilder, QueryOutcome, SknnEngine,
 };
 pub use error::{DurableUpdateError, InvalidQueryReason, SknnError, UpdateRejected};
-pub use exec::SessionSet;
 pub use parallel::ParallelismConfig;
 pub use plain::{plain_knn, plain_knn_records, squared_euclidean_distance};
 pub use profile::{Cloud, OpCounters, PoolActivity, QueryProfile, Stage};

@@ -1,17 +1,18 @@
 //! Transport-independent accounting of C1↔C2 protocol operations.
 //!
-//! [`OpMeter`] wraps any [`KeyHolder`] and counts, per call, how many
+//! [`OpMeter`] wraps any [`KeyHolder`] and counts, per request, how many
 //! ciphertexts cross the cloud boundary and how many decryptions C2
 //! performs — the two quantities slot packing is designed to shrink. The
-//! counts are a pure function of each call's shape (batch sizes, packing
-//! factor), so an in-process deployment reports exactly what a TCP one
-//! would, and the query drivers can attribute them to the profile stage
-//! that issued the call even when several worker threads share the meter.
+//! counts are a pure function of each request's shape
+//! ([`Request::op_counts`]: batch sizes, packing factor), so an in-process
+//! deployment reports exactly what a TCP one would, and the query drivers
+//! can attribute them to the profile stage that issued the call even when
+//! several worker threads share the meter.
 
 use crate::profile::OpCounters;
-use sknn_bigint::BigUint;
-use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
-use sknn_protocols::{KeyHolder, ProtocolError, SminRoundResponse};
+use sknn_paillier::PublicKey;
+use sknn_protocols::transport::wire::{Request, Response};
+use sknn_protocols::{KeyHolder, ProtocolError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A counting [`KeyHolder`] wrapper (see the module docs).
@@ -40,13 +41,6 @@ impl<'a, K: KeyHolder + ?Sized> OpMeter<'a, K> {
             c2_decryptions: self.decryptions.swap(0, Ordering::Relaxed),
         }
     }
-
-    fn record(&self, to_c2: usize, from_c2: usize, decryptions: usize) {
-        self.to_c2.fetch_add(to_c2 as u64, Ordering::Relaxed);
-        self.from_c2.fetch_add(from_c2 as u64, Ordering::Relaxed);
-        self.decryptions
-            .fetch_add(decryptions as u64, Ordering::Relaxed);
-    }
 }
 
 impl<K: KeyHolder + ?Sized> KeyHolder for OpMeter<'_, K> {
@@ -54,97 +48,13 @@ impl<K: KeyHolder + ?Sized> KeyHolder for OpMeter<'_, K> {
         self.inner.public_key()
     }
 
-    fn sm_mask_multiply_batch(
-        &self,
-        pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        // Two masked operands out and two decryptions per pair, one
-        // product ciphertext back.
-        self.record(2 * pairs.len(), pairs.len(), 2 * pairs.len());
-        self.inner.sm_mask_multiply_batch(pairs)
-    }
-
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.record(masked.len(), masked.len(), masked.len());
-        self.inner.lsb_of_masked_batch(masked)
-    }
-
-    fn smin_round(
-        &self,
-        gamma_permuted: &[Ciphertext],
-        l_permuted: &[Ciphertext],
-    ) -> Result<SminRoundResponse, ProtocolError> {
-        // Γ′ and L′ out; C2 decrypts L′ only; M′ and E(α) back.
-        self.record(
-            gamma_permuted.len() + l_permuted.len(),
-            gamma_permuted.len() + 1,
-            l_permuted.len(),
-        );
-        self.inner.smin_round(gamma_permuted, l_permuted)
-    }
-
-    fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.record(beta.len(), beta.len(), beta.len());
-        self.inner.min_selection(beta)
-    }
-
-    fn top_k_indices(
-        &self,
-        distances: &[Ciphertext],
-        k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
-        // The reply is a plain index list — no ciphertexts come back.
-        self.record(distances.len(), 0, distances.len());
-        self.inner.top_k_indices(distances, k)
-    }
-
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
-        // The reply is plaintexts, not ciphertexts.
-        self.record(masked.len(), 0, masked.len());
-        self.inner.decrypt_masked_batch(masked)
-    }
-
-    fn sm_packed_square_batch(
-        &self,
-        layout: &SlotLayout,
-        packed: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.record(packed.len(), packed.len(), packed.len());
-        self.inner.sm_packed_square_batch(layout, packed)
-    }
-
-    fn sm_packed_multiply_batch(
-        &self,
-        layout: &SlotLayout,
-        pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        self.record(2 * pairs.len(), pairs.len(), 2 * pairs.len());
-        self.inner.sm_packed_multiply_batch(layout, pairs)
-    }
-
-    fn lsb_packed_batch(
-        &self,
-        layout: &SlotLayout,
-        masked: &[Ciphertext],
-        slot_counts: &[usize],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        // One packed request and one decryption per group; one bit
-        // ciphertext back per used slot (the response-side floor — see
-        // DESIGN.md).
-        let bits: usize = slot_counts.iter().sum();
-        self.record(masked.len(), bits, masked.len());
-        self.inner.lsb_packed_batch(layout, masked, slot_counts)
-    }
-
-    fn top_k_indices_packed(
-        &self,
-        layout: &SlotLayout,
-        packed: &[Ciphertext],
-        count: usize,
-        k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
-        self.record(packed.len(), 0, packed.len());
-        self.inner.top_k_indices_packed(layout, packed, count, k)
+    fn call(&self, request: Request) -> Result<Response, ProtocolError> {
+        let (to_c2, from_c2, decryptions) = request.op_counts();
+        self.to_c2.fetch_add(to_c2 as u64, Ordering::Relaxed);
+        self.from_c2.fetch_add(from_c2 as u64, Ordering::Relaxed);
+        self.decryptions
+            .fetch_add(decryptions as u64, Ordering::Relaxed);
+        self.inner.call(request)
     }
 }
 
@@ -153,7 +63,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sknn_paillier::Keypair;
+    use sknn_bigint::BigUint;
+    use sknn_paillier::{Keypair, SlotLayout};
     use sknn_protocols::LocalKeyHolder;
 
     #[test]

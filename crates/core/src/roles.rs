@@ -149,7 +149,13 @@ impl QueryUser {
         let shape = |v: &[Vec<BigUint>]| v.iter().map(Vec::len).collect::<Vec<_>>();
         let (sent, received) = (shape(&result.masks), shape(&result.masked_values));
         if sent != received {
-            return Err(batch_mismatch(sent.iter().sum(), received.iter().sum()));
+            // The typed error a short batched C2 reply gets.
+            return Err(SknnError::Protocol(ProtocolError::from(
+                TransportError::BatchMismatch {
+                    sent: sent.iter().sum(),
+                    received: received.iter().sum(),
+                },
+            )));
         }
         result
             .masked_values
@@ -291,8 +297,9 @@ impl CloudC1 {
     /// values, and return the two shares Bob needs.
     ///
     /// # Errors
-    /// Returns [`ProtocolError::Transport`] (a batch mismatch) when C2's
-    /// reply does not carry exactly one plaintext per masked attribute.
+    /// Returns [`ProtocolError::Transport`] (a batch mismatch, refused by
+    /// [`KeyHolder::decrypt_masked_batch`]) when C2's reply does not carry
+    /// exactly one plaintext per masked attribute.
     pub(crate) fn mask_and_reveal<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         &self,
         c2: &K,
@@ -319,9 +326,6 @@ impl CloudC1 {
         }
 
         let mut decrypted = c2.decrypt_masked_batch(&gammas_flat)?.into_iter();
-        if decrypted.len() != gammas_flat.len() {
-            return Err(batch_mismatch(gammas_flat.len(), decrypted.len()));
-        }
         let masked_values = masks
             .iter()
             .map(|record| decrypted.by_ref().take(record.len()).collect())
@@ -334,22 +338,12 @@ impl CloudC1 {
     }
 }
 
-/// A C2 reply whose plaintext count differs from the request's: the same
-/// typed error the session layer raises for a short batched reply.
-fn batch_mismatch(sent: usize, received: usize) -> SknnError {
-    SknnError::Protocol(ProtocolError::from(TransportError::BatchMismatch {
-        sent,
-        received,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sknn_paillier::{Ciphertext, SlotLayout};
-    use sknn_protocols::LocalKeyHolder;
+    use sknn_protocols::{LocalKeyHolder, Request, Response};
 
     fn small_table() -> Table {
         Table::new(vec![vec![1, 2], vec![3, 4], vec![5, 6]]).unwrap()
@@ -414,8 +408,8 @@ mod tests {
         assert!(own.encryptor().is_some());
     }
 
-    /// C2 with a tampered `decrypt_masked_batch` reply; every other request
-    /// is answered honestly.
+    /// C2 with a tampered `DecryptBatch` reply; every other request is
+    /// answered honestly.
     struct TamperedReveal<F> {
         inner: LocalKeyHolder,
         tamper: F,
@@ -425,73 +419,12 @@ mod tests {
         fn public_key(&self) -> &PublicKey {
             self.inner.public_key()
         }
-        fn sm_mask_multiply_batch(
-            &self,
-            pairs: &[(Ciphertext, Ciphertext)],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.sm_mask_multiply_batch(pairs)
-        }
-        fn lsb_of_masked_batch(
-            &self,
-            masked: &[Ciphertext],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.lsb_of_masked_batch(masked)
-        }
-        fn smin_round(
-            &self,
-            gamma: &[Ciphertext],
-            l: &[Ciphertext],
-        ) -> Result<sknn_protocols::SminRoundResponse, ProtocolError> {
-            self.inner.smin_round(gamma, l)
-        }
-        fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.min_selection(beta)
-        }
-        fn top_k_indices(
-            &self,
-            distances: &[Ciphertext],
-            k: usize,
-        ) -> Result<Vec<usize>, ProtocolError> {
-            self.inner.top_k_indices(distances, k)
-        }
-        fn decrypt_masked_batch(
-            &self,
-            masked: &[Ciphertext],
-        ) -> Result<Vec<BigUint>, ProtocolError> {
-            let mut reply = self.inner.decrypt_masked_batch(masked)?;
-            (self.tamper)(self.inner.public_key(), &mut reply);
-            Ok(reply)
-        }
-        fn sm_packed_square_batch(
-            &self,
-            layout: &SlotLayout,
-            packed: &[Ciphertext],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.sm_packed_square_batch(layout, packed)
-        }
-        fn sm_packed_multiply_batch(
-            &self,
-            layout: &SlotLayout,
-            pairs: &[(Ciphertext, Ciphertext)],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.sm_packed_multiply_batch(layout, pairs)
-        }
-        fn lsb_packed_batch(
-            &self,
-            layout: &SlotLayout,
-            masked: &[Ciphertext],
-            slot_counts: &[usize],
-        ) -> Result<Vec<Ciphertext>, ProtocolError> {
-            self.inner.lsb_packed_batch(layout, masked, slot_counts)
-        }
-        fn top_k_indices_packed(
-            &self,
-            layout: &SlotLayout,
-            packed: &[Ciphertext],
-            count: usize,
-            k: usize,
-        ) -> Result<Vec<usize>, ProtocolError> {
-            self.inner.top_k_indices_packed(layout, packed, count, k)
+        fn call(&self, request: Request) -> Result<Response, ProtocolError> {
+            let mut response = self.inner.call(request)?;
+            if let Response::Plaintexts(reply) = &mut response {
+                (self.tamper)(self.inner.public_key(), reply);
+            }
+            Ok(response)
         }
     }
 

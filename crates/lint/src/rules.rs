@@ -9,7 +9,7 @@
 //! | `decrypt-containment` | R1: `PrivateKey` decryption only in key-holder (C2) modules |
 //! | `secret-format`       | R2: no printing / `Debug` of secret material in library code |
 //! | `panic-free`          | R3: no panic paths in non-test `protocols` + `core` code |
-//! | `wire-conformance`    | R4: every request has a unique wire tag, codec arms, handler and encoder |
+//! | `wire-conformance`    | R4: every request has a unique wire tag, codec arms and a key-holder dispatch arm |
 //! | `rng-discipline`      | R5: engine/exec RNGs only via the derived-seed helpers |
 //! | `named-thread`        | R6: library threads spawn only through a named `thread::Builder` |
 
@@ -54,15 +54,11 @@ const DECRYPT_METHODS: &[&str] = &[
 ];
 
 /// Files allowed to decrypt outside `#[cfg(test)]`: the Paillier
-/// implementation itself and the two C2-side modules (the local key
-/// holder and the transport server that dispatches onto it). Everything
-/// else in the workspace plays C1 or the data owner, for whom a decrypt
-/// call voids the paper's simulation argument.
-const R1_ALLOWED_FILES: &[&str] = &[
-    "crates/paillier/src/decrypt.rs",
-    "crates/protocols/src/party.rs",
-    "crates/protocols/src/transport/server.rs",
-];
+/// implementation itself and the C2-side module (the local key holder,
+/// whose `call` the transport server dispatches onto). Everything else in
+/// the workspace plays C1 or the data owner, for whom a decrypt call voids
+/// the paper's simulation argument.
+const R1_ALLOWED_FILES: &[&str] = &["crates/paillier/src/decrypt.rs", PARTY_RS];
 
 // ── R2: secret formatting ───────────────────────────────────────────────
 
@@ -103,8 +99,9 @@ const R3_SCOPE: &[&str] = &["crates/protocols/src/", "crates/core/src/"];
 // ── R4: wire conformance ────────────────────────────────────────────────
 
 const WIRE_RS: &str = "crates/protocols/src/transport/wire.rs";
-const SERVER_RS: &str = "crates/protocols/src/transport/server.rs";
-const SESSION_RS: &str = "crates/protocols/src/transport/session.rs";
+/// Home of `KeyHolder`: the one dispatch (`LocalKeyHolder::call`) and the
+/// typed helper of every request.
+const PARTY_RS: &str = "crates/protocols/src/party.rs";
 
 // ── R5: RNG discipline ──────────────────────────────────────────────────
 
@@ -445,8 +442,7 @@ fn rule_wire_conformance(files: &[SourceFile], sink: &mut Sink) {
     let Some(wire) = files.iter().find(|f| f.rel == WIRE_RS) else {
         return; // No wire protocol in this tree (e.g. a rule fixture).
     };
-    let server = files.iter().find(|f| f.rel == SERVER_RS);
-    let session = files.iter().find(|f| f.rel == SESSION_RS);
+    let party = files.iter().find(|f| f.rel == PARTY_RS);
 
     let Some(enum_span) = enum_body(&wire.code, "Request") else {
         sink.push(
@@ -519,25 +515,13 @@ fn rule_wire_conformance(files: &[SourceFile], sink: &mut Sink) {
                 );
             }
         }
-        if let Some(server) = server {
-            if !file_mentions_variant(server, name) {
+        if let Some(party) = party {
+            if !file_mentions_variant(party, name) {
                 sink.push(
                     wire,
                     "wire-conformance",
                     line,
-                    format!(
-                        "`Request::{name}` has no server-side handler arm in transport/server.rs"
-                    ),
-                );
-            }
-        }
-        if let Some(session) = session {
-            if !file_mentions_variant(session, name) {
-                sink.push(
-                    wire,
-                    "wire-conformance",
-                    line,
-                    format!("`Request::{name}` has no client encoder in transport/session.rs"),
+                    format!("`Request::{name}` has no server-side handler arm in party.rs"),
                 );
             }
         }

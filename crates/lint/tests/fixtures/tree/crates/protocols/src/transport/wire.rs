@@ -1,5 +1,5 @@
 //! Fixture: wire protocol with one deliberate conformance hole —
-//! `Shutdown` has no server handler arm.
+//! `Shutdown` has no dispatch arm in `party.rs`.
 
 pub enum Request {
     Ping,

@@ -120,7 +120,7 @@ fn wire_conformance_finds_missing_server_handler() {
     assert_eq!(hits.len(), 1, "{hits:?}");
     assert!(
         hits[0].message.contains("Shutdown") && hits[0].message.contains("server-side handler"),
-        "server.rs omits Request::Shutdown (comment mentions must not count): {hits:?}"
+        "party.rs omits Request::Shutdown (comment and test mentions must not count): {hits:?}"
     );
 }
 

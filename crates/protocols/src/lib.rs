@@ -20,15 +20,18 @@
 //! * **P1** (the cloud `C1` in the paper) holds ciphertexts and drives the
 //!   protocol. In this crate, P1's logic is the free functions listed above.
 //! * **P2** (the cloud `C2`) holds the Paillier secret key and answers a small
-//!   set of well-defined requests. P2's logic is the [`KeyHolder`] trait; the
+//!   set of well-defined requests. That set is [`Request`] (one variant per
+//!   message the paper's algorithms send P2), and [`KeyHolder::call`] —
+//!   request in, [`Response`] out — is the only thing a P2 implements; the
+//!   typed [`KeyHolder`] methods the protocols call are built on it. The
 //!   in-process implementation is [`LocalKeyHolder`], and
-//!   [`transport::SessionKeyHolder`] speaks the same interface over any
-//!   [`transport::Transport`] (in-process channel or TCP): one pipelined
-//!   round trip per call, with traffic accounting.
+//!   [`transport::SessionKeyHolder`] makes each call one pipelined round
+//!   trip over any [`transport::Transport`] (in-process channel or TCP),
+//!   with traffic accounting.
 //!
-//! The [`KeyHolder`] trait deliberately exposes **only** the messages the
-//! paper's algorithms send to P2, so any implementation sees exactly the view
-//! the security analysis of Section 4.3 reasons about.
+//! Because [`Request`] holds **only** the messages the paper's algorithms
+//! send to P2, any implementation sees exactly the view the security
+//! analysis of Section 4.3 reasons about.
 //!
 //! ## Bit-vector convention
 //!
@@ -82,6 +85,7 @@ pub use sm::{secure_multiply, secure_multiply_batch};
 pub use smin::secure_min;
 pub use smin_n::secure_min_n;
 pub use ssed::{secure_squared_distance, secure_squared_distance_to_negated};
+pub use transport::wire::{Request, Response};
 
 /// Encrypted bit vector (`[z]` in the paper): most-significant bit first.
 pub type EncryptedBits = Vec<sknn_paillier::Ciphertext>;

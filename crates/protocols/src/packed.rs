@@ -196,12 +196,6 @@ pub fn packed_squared_distances<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
 
     // One round trip: C2 squares every slot of every attribute ciphertext.
     let squared = key_holder.sm_packed_square_batch(layout, &requests)?;
-    if squared.len() != m {
-        return Err(ProtocolError::DimensionMismatch {
-            left: m,
-            right: squared.len(),
-        });
-    }
 
     // Strip the blinding slot-wise: (d + r)² − 2rd − r² = d², so subtract
     // the packed cross term Σ 2rᵢdᵢ·2^{stride·i} (a Horner walk over
@@ -318,12 +312,6 @@ pub fn packed_bit_decompose<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
 
         // One round trip for every group at once.
         let parities = key_holder.lsb_packed_batch(layout, &masked, slot_counts)?;
-        if parities.len() != total {
-            return Err(ProtocolError::DimensionMismatch {
-                left: total,
-                right: parities.len(),
-            });
-        }
 
         // Un-mask each parity: x₀ = y₀ ⊕ r₀, linear in E(y₀) since C1
         // knows r₀ — identical to the scalar path.

@@ -1,12 +1,19 @@
 //! The key-holding party (P2 / cloud C2).
 //!
-//! The [`KeyHolder`] trait is the complete interface P1 (cloud C1) has to the
-//! party holding the Paillier secret key. Each method corresponds to exactly
-//! one message exchange in the paper's algorithms — nothing beyond those
-//! messages is observable by C2, which is what the semi-honest security
-//! argument of Section 4.3 relies on.
+//! [`Request`] is the complete set of messages P1 (cloud C1) may send the
+//! party holding the Paillier secret key, and [`KeyHolder::call`] — one
+//! request in, one [`Response`] out — is the only thing a key holder
+//! implements. Nothing beyond those messages is observable by C2, which is
+//! what the semi-honest security argument of Section 4.3 relies on.
+//!
+//! The protocols never build requests themselves: they call the typed
+//! helpers [`KeyHolder`] provides on top of `call` (one per request), which
+//! narrow each reply and check its shape once, for every implementation.
+//! [`LocalKeyHolder::call`] is the one dispatch onto C2's logic, in process
+//! or behind [`crate::transport::serve`].
 
 use crate::error::ProtocolError;
+use crate::transport::wire::{Request, Response, TransportError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +36,18 @@ pub struct SminRoundResponse {
     pub alpha: Ciphertext,
 }
 
-/// The operations cloud C2 (holder of the Paillier secret key) performs on
-/// behalf of cloud C1.
+/// Cloud C2 (holder of the Paillier secret key), as cloud C1 sees it.
+///
+/// An implementation defines [`KeyHolder::public_key`] and
+/// [`KeyHolder::call`]; the typed methods are provided. Each builds one
+/// [`Request`] (documented per variant), makes one `call` and refuses a
+/// reply of the wrong shape — the wrong variant
+/// ([`TransportError::ResponseMismatch`]), a batch with more or fewer
+/// results than the request had items ([`TransportError::BatchMismatch`]),
+/// or a top-k index list naming an index twice or out of range
+/// ([`ProtocolError::Invariant`]) — before any caller can index into it.
+/// So each typed method fails with its `call`'s error (C2's refusals are
+/// documented per [`Request`] variant) or with one of those shape errors.
 ///
 /// All methods take `&self` so a single key holder can serve concurrent
 /// protocol executions (the parallel SkNN variants of Figure 3 rely on this);
@@ -39,143 +56,196 @@ pub trait KeyHolder: Send + Sync {
     /// The public key both clouds operate under.
     fn public_key(&self) -> &PublicKey;
 
-    /// SM, step 2 (Algorithm 1): for each pair `(a′, b′)` of masked
-    /// ciphertexts, decrypt both, multiply the plaintexts modulo `N` and
-    /// return a fresh encryption of the product.
+    /// Answers one request. This is C2's whole interface.
     ///
     /// # Errors
-    /// A remote key holder returns its transport failure (or a reply of
-    /// the wrong shape) as a typed error; the in-process one never fails.
+    /// A remote key holder returns its transport failure as a typed error;
+    /// C2's own refusals (see the [`Request`] variants) are typed errors on
+    /// every implementation.
+    fn call(&self, request: Request) -> Result<Response, ProtocolError>;
+
+    /// [`Request::SmBatch`].
     fn sm_mask_multiply_batch(
         &self,
         pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError>;
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
+        ciphertexts(pairs.len(), self.call(Request::SmBatch(pairs.to_vec())))
+    }
 
-    /// SBD's Encrypted-LSB oracle: for each masked ciphertext `E(z + r)`,
-    /// decrypt and return a fresh encryption of the least-significant bit of
-    /// the plaintext.
-    ///
-    /// # Errors
-    /// See [`KeyHolder::sm_mask_multiply_batch`].
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError>;
+    /// [`Request::LsbBatch`].
+    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
+        ciphertexts(masked.len(), self.call(Request::LsbBatch(masked.to_vec())))
+    }
 
-    /// SMIN, step 2 (Algorithm 3): decrypt the permuted `L′` vector, decide
-    /// `α` (1 if any entry decrypts to exactly 1), exponentiate the permuted
-    /// `Γ′` vector by `α` and return it together with `E(α)`.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::DimensionMismatch`] when the two permuted
-    /// vectors disagree in length — they are produced together in step 1, so
-    /// a mismatch means corrupted input, not a recoverable condition.
+    /// [`Request::SminRound`].
     fn smin_round(
         &self,
         gamma_permuted: &[Ciphertext],
         l_permuted: &[Ciphertext],
-    ) -> Result<SminRoundResponse, ProtocolError>;
+    ) -> Result<SminRoundResponse, ProtocolError> {
+        let reply = self.call(Request::SminRound {
+            gamma: gamma_permuted.to_vec(),
+            l_vec: l_permuted.to_vec(),
+        });
+        let (m_prime, alpha) = expect("SminRound", reply, |r| match r {
+            Response::SminRound { m_prime, alpha } => Some((m_prime, alpha)),
+            _ => None,
+        })?;
+        Ok(SminRoundResponse {
+            m_prime: check_batch(gamma_permuted.len(), m_prime)?,
+            alpha,
+        })
+    }
 
-    /// SkNN_m, step 3(c) (Algorithm 6): decrypt the permuted, randomized
-    /// distance differences `β` and return the indicator vector `U` with
-    /// `U_i = E(1)` for exactly one position where the plaintext is zero
-    /// (chosen uniformly when several are zero) and `E(0)` elsewhere.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::MinSelectionFailed`] when *no* entry
-    /// decrypts to zero. The protocol guarantees at least one zero (the
-    /// global minimum always matches itself), so this signals corrupted
-    /// input or a protocol-logic bug — returning an all-zero indicator
-    /// instead would silently extract a zero record and violate the
-    /// protocol invariant.
-    fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError>;
+    /// [`Request::MinSelection`].
+    fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
+        ciphertexts(beta.len(), self.call(Request::MinSelection(beta.to_vec())))
+    }
 
-    /// SkNN_b, step 3 (Algorithm 5): decrypt every distance and return the
-    /// indices of the `k` smallest (ties broken by index). This deliberately
-    /// leaks the distances and the access pattern — that is the documented
-    /// weakness of the basic protocol.
-    ///
-    /// # Errors
-    /// See [`KeyHolder::sm_mask_multiply_batch`].
+    /// [`Request::TopK`].
     fn top_k_indices(
         &self,
         distances: &[Ciphertext],
         k: usize,
-    ) -> Result<Vec<usize>, ProtocolError>;
+    ) -> Result<Vec<usize>, ProtocolError> {
+        let reply = self.call(Request::TopK {
+            distances: distances.to_vec(),
+            k: k as u32,
+        });
+        check_indices(reply, distances.len(), k)
+    }
 
-    /// Final step of both protocols (steps 5 of Algorithm 5): decrypt the
-    /// masked result attributes `γ` so they can be forwarded to Bob. The
-    /// plaintexts are uniformly random values masked by C1, so nothing about
-    /// the real records is revealed to the key holder.
-    ///
-    /// # Errors
-    /// See [`KeyHolder::sm_mask_multiply_batch`].
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError>;
+    /// [`Request::DecryptBatch`].
+    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
+        let reply = self.call(Request::DecryptBatch(masked.to_vec()));
+        let values = expect("Plaintexts", reply, |r| match r {
+            Response::Plaintexts(values) => Some(values),
+            _ => None,
+        })?;
+        Ok(check_batch(masked.len(), values)?)
+    }
 
-    // ── Slot-packed fast paths ──────────────────────────────────────────
-    //
-    // The packed methods carry σ values per ciphertext (see
-    // `sknn_paillier::packing`), cutting C2's decryption count and the
-    // C1↔C2 ciphertext volume by the packing factor. They have scalar
-    // semantics: the decrypted results are bit-identical to the unpacked
-    // methods above.
-
-    /// Packed SM, square form (the SSED pattern where both operands of each
-    /// product are equal): each input ciphertext packs blinded operands
-    /// `xᵢ < 2^slot_bits`; C2 decrypts it once, squares every slot in
-    /// plaintext, and returns one fresh ciphertext packing the `xᵢ²`.
-    ///
-    /// # Errors
-    /// [`ProtocolError::Packing`] when a decrypted value violates the
-    /// layout; a remote key holder's transport failure as for
-    /// [`KeyHolder::sm_mask_multiply_batch`].
+    /// [`Request::SmPackedSquares`].
     fn sm_packed_square_batch(
         &self,
         layout: &SlotLayout,
         packed: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, ProtocolError>;
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
+        let reply = self.call(Request::SmPackedSquares {
+            layout: *layout,
+            packed: packed.to_vec(),
+        });
+        ciphertexts(packed.len(), reply)
+    }
 
-    /// Packed SM, general form: for each pair of packed-operand ciphertexts
-    /// C2 returns one fresh ciphertext packing the slot-wise products
-    /// `aᵢ·bᵢ`.
-    ///
-    /// # Errors
-    /// See [`KeyHolder::sm_packed_square_batch`].
+    /// [`Request::SmPackedPairs`].
     fn sm_packed_multiply_batch(
         &self,
         layout: &SlotLayout,
         pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError>;
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
+        let reply = self.call(Request::SmPackedPairs {
+            layout: *layout,
+            pairs: pairs.to_vec(),
+        });
+        ciphertexts(pairs.len(), reply)
+    }
 
-    /// Packed SBD round oracle: each input ciphertext packs masked values
-    /// `yᵢ = xᵢ + rᵢ` (slot-aligned, no inter-slot carries);
-    /// `slot_counts[g]` says how many slots of input `g` are in use. C2
-    /// decrypts each input once and returns a fresh encryption of the
-    /// least-significant bit of **every used slot**, flattened in slot
-    /// order (the per-bit ciphertexts are what SMIN consumes downstream,
-    /// which is why the response side stays scalar — see `DESIGN.md`).
-    ///
-    /// # Errors
-    /// See [`KeyHolder::sm_packed_square_batch`].
+    /// [`Request::LsbPacked`]: `slot_counts[g]` says how many slots of
+    /// `masked[g]` are in use.
     fn lsb_packed_batch(
         &self,
         layout: &SlotLayout,
         masked: &[Ciphertext],
         slot_counts: &[usize],
-    ) -> Result<Vec<Ciphertext>, ProtocolError>;
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
+        let reply = self.call(Request::LsbPacked {
+            layout: *layout,
+            masked: masked.to_vec(),
+            slot_counts: slot_counts.iter().map(|&c| c as u32).collect(),
+        });
+        ciphertexts(slot_counts.iter().sum(), reply)
+    }
 
-    /// Packed SkNN_b top-k: the `count` encrypted distances arrive packed σ
-    /// per ciphertext; C2 decrypts ⌈count/σ⌉ ciphertexts instead of
-    /// `count`, unpacks, and returns the indices of the `k` smallest (ties
-    /// by index) — the same deliberate distance leak as
-    /// [`KeyHolder::top_k_indices`], at a fraction of the traffic.
-    ///
-    /// # Errors
-    /// See [`KeyHolder::sm_packed_square_batch`].
+    /// [`Request::TopKPacked`] over `count` distances.
     fn top_k_indices_packed(
         &self,
         layout: &SlotLayout,
         packed: &[Ciphertext],
         count: usize,
         k: usize,
-    ) -> Result<Vec<usize>, ProtocolError>;
+    ) -> Result<Vec<usize>, ProtocolError> {
+        let reply = self.call(Request::TopKPacked {
+            layout: *layout,
+            packed: packed.to_vec(),
+            count: count as u32,
+            k: k as u32,
+        });
+        check_indices(reply, count, k)
+    }
+}
+
+/// Narrows a reply to the expected response variant; `extract` returns
+/// `None` for any other variant.
+pub(crate) fn expect<T, E: From<TransportError>>(
+    expected: &'static str,
+    reply: Result<Response, E>,
+    extract: impl FnOnce(Response) -> Option<T>,
+) -> Result<T, E> {
+    let response = reply?;
+    let got = response.name();
+    extract(response).ok_or_else(|| TransportError::ResponseMismatch { expected, got }.into())
+}
+
+/// Verifies a batched reply has one result per request item.
+fn check_batch<T>(sent: usize, values: Vec<T>) -> Result<Vec<T>, TransportError> {
+    if values.len() == sent {
+        Ok(values)
+    } else {
+        Err(TransportError::BatchMismatch {
+            sent,
+            received: values.len(),
+        })
+    }
+}
+
+/// Narrows a reply to `sent` ciphertexts.
+fn ciphertexts(
+    sent: usize,
+    reply: Result<Response, ProtocolError>,
+) -> Result<Vec<Ciphertext>, ProtocolError> {
+    let values = expect("Ciphertexts", reply, |r| match r {
+        Response::Ciphertexts(values) => Some(values),
+        _ => None,
+    })?;
+    Ok(check_batch(sent, values)?)
+}
+
+/// Narrows a top-k reply over `count` distances to its index list and
+/// verifies its shape: `min(k, count)` distinct indices, each `< count`.
+/// C1 indexes its records with these, so a bad one must stop here.
+fn check_indices(
+    reply: Result<Response, ProtocolError>,
+    count: usize,
+    k: usize,
+) -> Result<Vec<usize>, ProtocolError> {
+    let indices = expect("Indices", reply, |r| match r {
+        Response::Indices(indices) => Some(indices),
+        _ => None,
+    })?;
+    let indices = check_batch(k.min(count), indices)?;
+    let mut seen = vec![false; count];
+    for &i in &indices {
+        match seen.get_mut(i as usize) {
+            Some(slot) if !*slot => *slot = true,
+            _ => {
+                return Err(ProtocolError::Invariant {
+                    message: format!("top-k reply names index {i} twice or outside 0..{count}"),
+                })
+            }
+        }
+    }
+    Ok(indices.into_iter().map(|i| i as usize).collect())
 }
 
 /// An in-process key holder: executes C2's side of every protocol directly.
@@ -331,16 +401,47 @@ impl KeyHolder for LocalKeyHolder {
         &self.pk
     }
 
-    fn sm_mask_multiply_batch(
-        &self,
-        pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
+    fn call(&self, request: Request) -> Result<Response, ProtocolError> {
+        Ok(match request {
+            Request::SmBatch(pairs) => Response::Ciphertexts(self.sm_batch(&pairs)),
+            Request::LsbBatch(masked) => Response::Ciphertexts(self.lsb_batch(&masked)),
+            Request::SminRound { gamma, l_vec } => self.smin(&gamma, &l_vec)?,
+            Request::MinSelection(beta) => Response::Ciphertexts(self.select_min(&beta)?),
+            Request::TopK { distances, k } => Response::Indices(self.top_k(&distances, k)),
+            Request::DecryptBatch(masked) => {
+                Response::Plaintexts(masked.iter().map(|c| self.sk.decrypt(c)).collect())
+            }
+            Request::PublicKey => Response::PublicKey(self.pk.n().clone()),
+            Request::SmPackedSquares { layout, packed } => {
+                Response::Ciphertexts(self.packed_squares(&layout, &packed)?)
+            }
+            Request::SmPackedPairs { layout, pairs } => {
+                Response::Ciphertexts(self.packed_products(&layout, &pairs)?)
+            }
+            Request::LsbPacked {
+                layout,
+                masked,
+                slot_counts,
+            } => Response::Ciphertexts(self.packed_lsbs(&layout, &masked, &slot_counts)?),
+            Request::TopKPacked {
+                layout,
+                packed,
+                count,
+                k,
+            } => Response::Indices(self.packed_top_k(&layout, &packed, count as usize, k)?),
+        })
+    }
+}
+
+/// C2's answer to each request ([`Request`] documents what each computes).
+impl LocalKeyHolder {
+    fn sm_batch(&self, pairs: &[(Ciphertext, Ciphertext)]) -> Vec<Ciphertext> {
         // Draw all encryption units up front (one queue lock with a pool, a
         // short rng lock without) so concurrent protocol executions (the
         // record-parallel stages of Figure 3) are not serialized behind the
         // expensive decrypt/encrypt work.
         let units = self.fresh_units(pairs.len());
-        Ok(pairs
+        pairs
             .iter()
             .zip(units)
             .map(|((a, b), unit)| {
@@ -349,12 +450,12 @@ impl KeyHolder for LocalKeyHolder {
                 let h = ha.mod_mul(&hb, self.pk.n());
                 self.encrypt_own(&h, &unit)
             })
-            .collect())
+            .collect()
     }
 
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
+    fn lsb_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
         let units = self.fresh_units(masked.len());
-        Ok(masked
+        masked
             .iter()
             .zip(units)
             .map(|(y, unit)| {
@@ -366,14 +467,14 @@ impl KeyHolder for LocalKeyHolder {
                 };
                 self.encrypt_own(&bit, &unit)
             })
-            .collect())
+            .collect()
     }
 
-    fn smin_round(
+    fn smin(
         &self,
         gamma_permuted: &[Ciphertext],
         l_permuted: &[Ciphertext],
-    ) -> Result<SminRoundResponse, ProtocolError> {
+    ) -> Result<Response, ProtocolError> {
         if gamma_permuted.len() != l_permuted.len() {
             return Err(ProtocolError::DimensionMismatch {
                 left: gamma_permuted.len(),
@@ -408,13 +509,13 @@ impl KeyHolder for LocalKeyHolder {
                 }
             })
             .collect();
-        Ok(SminRoundResponse {
+        Ok(Response::SminRound {
             m_prime,
             alpha: self.encrypt_own(&alpha_plain, &unit),
         })
     }
 
-    fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
+    fn select_min(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
         let zero_positions: Vec<usize> = beta
             .iter()
             .enumerate()
@@ -449,25 +550,21 @@ impl KeyHolder for LocalKeyHolder {
             .collect())
     }
 
-    fn top_k_indices(
-        &self,
-        distances: &[Ciphertext],
-        k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
-        let mut decrypted: Vec<(BigUint, usize)> = distances
+    fn top_k(&self, distances: &[Ciphertext], k: u32) -> Vec<u32> {
+        let mut decrypted: Vec<(BigUint, u32)> = distances
             .iter()
-            .enumerate()
-            .map(|(i, c)| (self.sk.decrypt(c), i))
+            .zip(0..)
+            .map(|(c, i)| (self.sk.decrypt(c), i))
             .collect();
         decrypted.sort();
-        Ok(decrypted.into_iter().take(k).map(|(_, i)| i).collect())
+        decrypted
+            .into_iter()
+            .take(k as usize)
+            .map(|(_, i)| i)
+            .collect()
     }
 
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
-        Ok(masked.iter().map(|c| self.sk.decrypt(c)).collect())
-    }
-
-    fn sm_packed_square_batch(
+    fn packed_squares(
         &self,
         layout: &SlotLayout,
         packed: &[Ciphertext],
@@ -492,7 +589,7 @@ impl KeyHolder for LocalKeyHolder {
             .collect()
     }
 
-    fn sm_packed_multiply_batch(
+    fn packed_products(
         &self,
         layout: &SlotLayout,
         pairs: &[(Ciphertext, Ciphertext)],
@@ -515,11 +612,11 @@ impl KeyHolder for LocalKeyHolder {
             .collect()
     }
 
-    fn lsb_packed_batch(
+    fn packed_lsbs(
         &self,
         layout: &SlotLayout,
         masked: &[Ciphertext],
-        slot_counts: &[usize],
+        slot_counts: &[u32],
     ) -> Result<Vec<Ciphertext>, ProtocolError> {
         layout
             .require_fits_pk(&self.pk)
@@ -530,11 +627,12 @@ impl KeyHolder for LocalKeyHolder {
                 right: slot_counts.len(),
             });
         }
-        let total: usize = slot_counts.iter().sum();
+        let total: usize = slot_counts.iter().map(|&c| c as usize).sum();
         let units = self.fresh_units(total);
         let mut out = Vec::with_capacity(total);
         let mut unit_iter = units.into_iter();
         for (ct, &count) in masked.iter().zip(slot_counts) {
+            let count = count as usize;
             let slots = layout.unpack(&self.sk.decrypt(ct), layout.slots_per_ct)?;
             if count > slots.len() {
                 return Err(ProtocolError::Packing(
@@ -559,13 +657,13 @@ impl KeyHolder for LocalKeyHolder {
         Ok(out)
     }
 
-    fn top_k_indices_packed(
+    fn packed_top_k(
         &self,
         layout: &SlotLayout,
         packed: &[Ciphertext],
         count: usize,
-        k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
+        k: u32,
+    ) -> Result<Vec<u32>, ProtocolError> {
         layout
             .require_fits_pk(&self.pk)
             .map_err(ProtocolError::from)?;
@@ -577,18 +675,22 @@ impl KeyHolder for LocalKeyHolder {
                 },
             ));
         }
-        let mut decrypted: Vec<(BigUint, usize)> = Vec::with_capacity(count);
+        let mut decrypted: Vec<(BigUint, u32)> = Vec::with_capacity(count);
         for (g, ct) in packed.iter().enumerate() {
             let slots = layout.unpack(&self.sk.decrypt(ct), layout.slots_per_ct)?;
             for (s, value) in slots.into_iter().enumerate() {
                 let index = g * layout.slots_per_ct + s;
                 if index < count {
-                    decrypted.push((value, index));
+                    decrypted.push((value, index as u32));
                 }
             }
         }
         decrypted.sort();
-        Ok(decrypted.into_iter().take(k).map(|(_, i)| i).collect())
+        Ok(decrypted
+            .into_iter()
+            .take(k as usize)
+            .map(|(_, i)| i)
+            .collect())
     }
 }
 

@@ -116,7 +116,6 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     let response = key_holder.smin_round(&gamma_permuted, &l_permuted)?;
 
     // Step 3: undo the permutation, strip the r̂ masks, and select the bits.
-    // A reply of the wrong length is a typed error here.
     let m_tilde = pi1.apply_inverse(&response.m_prime)?;
     let e_alpha = response.alpha;
 

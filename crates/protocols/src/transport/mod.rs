@@ -5,10 +5,11 @@
 //! the protocol logic above it never cares which wire is underneath:
 //!
 //! ```text
-//!   protocol drivers (SM, SBD, SMIN, SkNN_b/m)     crate::KeyHolder trait
+//!   protocol drivers (SM, SBD, SMIN, SkNN_b/m)     typed crate::KeyHolder methods
 //!        │
-//!   SessionKeyHolder        one pipelined round trip per call; requests
-//!        │                  overlap on the wire under correlation ids
+//!   SessionKeyHolder        each KeyHolder::call is one pipelined round
+//!        │                  trip; requests overlap on the wire under
+//!        │                  correlation ids
 //!   Conn                    one connection: in-flight window, queue,
 //!        │                  deadlines, fault plans
 //!   Reactor                 one `sknn-reactor` thread services every
@@ -19,9 +20,10 @@
 //! ```
 //!
 //! On the other side, [`serve`] runs the key-holder server loop — over any
-//! blocking [`Transport`] ([`ChannelServer`], [`TcpTransport`]) — against a
-//! [`crate::LocalKeyHolder`], with a configurable number of worker threads
-//! so concurrent pipelined requests are also *served* concurrently.
+//! blocking [`Transport`] ([`ChannelServer`], [`TcpTransport`]) — handing
+//! each decoded request to [`crate::LocalKeyHolder`]'s `call`, with a
+//! configurable number of worker threads so concurrent pipelined requests
+//! are also *served* concurrently.
 //! [`SessionPool::channel`] and [`SessionPool::tcp`] stand up both sides in
 //! one process.
 //!
@@ -47,8 +49,6 @@ pub use tcp::TcpTransport;
 pub use wire::{Frame, FrameKind, TransportError, WIRE_VERSION};
 
 use crate::stats::CommStats;
-use sknn_bigint::BigUint;
-use sknn_paillier::Ciphertext;
 use std::sync::Arc;
 
 /// Records one frame in `stats` by its kind: requests count as C1→C2
@@ -59,16 +59,6 @@ pub(crate) fn record_frame(stats: &CommStats, kind: FrameKind, bytes: usize) {
         FrameKind::Request => stats.record_request(bytes),
         FrameKind::Response | FrameKind::Error => stats.record_response(bytes),
     }
-}
-
-/// Restores typed ciphertexts from the raw wire values.
-pub(crate) fn to_ciphertexts(values: Vec<BigUint>) -> Vec<Ciphertext> {
-    values.into_iter().map(Ciphertext::from_raw).collect()
-}
-
-/// Strips typed ciphertexts down to the raw values the wire carries.
-pub(crate) fn to_raw(values: &[Ciphertext]) -> Vec<BigUint> {
-    values.iter().map(|c| c.as_raw().clone()).collect()
 }
 
 /// The key-holder server's end of a connection: a blocking, concurrently
@@ -312,66 +302,121 @@ mod tests {
         );
     }
 
-    /// One call per [`KeyHolder`] request kind, each reduced to its error.
-    type Call = (
-        &'static str,
-        Box<dyn Fn(&SessionKeyHolder) -> Result<(), crate::ProtocolError>>,
-    );
-
-    /// Every [`KeyHolder`] request over three distances (or operands).
-    fn every_request(pk: &PublicKey, rng: &mut StdRng) -> Vec<Call> {
+    /// Every request C1 can make (all but the bootstrap), over three
+    /// distances (or operands).
+    fn every_request(pk: &PublicKey, rng: &mut StdRng) -> Vec<wire::Request> {
         use crate::packed::PackedParams;
+        use wire::Request;
         let cts: Vec<Ciphertext> = (0..3u64).map(|v| pk.encrypt_u64(v, rng)).collect();
         let pairs: Vec<(Ciphertext, Ciphertext)> =
             cts.iter().map(|c| (c.clone(), c.clone())).collect();
         let layout = PackedParams::derive(pk.bits(), 6, 6, 4).unwrap().layout;
-        let (c, p) = (cts.clone(), pairs.clone());
-        let mut calls: Vec<Call> = vec![
-            (
-                "SmBatch",
-                Box::new(move |s| s.sm_mask_multiply_batch(&p).map(drop)),
-            ),
-            (
-                "LsbBatch",
-                Box::new(move |s| s.lsb_of_masked_batch(&c).map(drop)),
-            ),
-        ];
-        let c = cts.clone();
-        calls.push((
-            "SminRound",
-            Box::new(move |s| s.smin_round(&c, &c).map(drop)),
-        ));
-        let c = cts.clone();
-        calls.push((
-            "MinSelection",
-            Box::new(move |s| s.min_selection(&c).map(drop)),
-        ));
-        let c = cts.clone();
-        calls.push(("TopK", Box::new(move |s| s.top_k_indices(&c, 2).map(drop))));
-        let c = cts.clone();
-        calls.push((
-            "DecryptBatch",
-            Box::new(move |s| s.decrypt_masked_batch(&c).map(drop)),
-        ));
-        let c = cts.clone();
-        calls.push((
-            "SmPackedSquares",
-            Box::new(move |s| s.sm_packed_square_batch(&layout, &c).map(drop)),
-        ));
-        calls.push((
-            "SmPackedPairs",
-            Box::new(move |s| s.sm_packed_multiply_batch(&layout, &pairs).map(drop)),
-        ));
-        let c = cts.clone();
-        calls.push((
-            "LsbPacked",
-            Box::new(move |s| s.lsb_packed_batch(&layout, &c, &[1, 1, 1]).map(drop)),
-        ));
-        calls.push((
-            "TopKPacked",
-            Box::new(move |s| s.top_k_indices_packed(&layout, &cts, 3, 2).map(drop)),
-        ));
-        calls
+        vec![
+            Request::SmBatch(pairs.clone()),
+            Request::LsbBatch(cts.clone()),
+            Request::SminRound {
+                gamma: cts.clone(),
+                l_vec: cts.clone(),
+            },
+            Request::MinSelection(cts.clone()),
+            Request::TopK {
+                distances: cts.clone(),
+                k: 2,
+            },
+            Request::DecryptBatch(cts.clone()),
+            Request::SmPackedSquares {
+                layout,
+                packed: cts.clone(),
+            },
+            Request::SmPackedPairs { layout, pairs },
+            Request::LsbPacked {
+                layout,
+                masked: cts.clone(),
+                slot_counts: vec![1, 1, 1],
+            },
+            Request::TopKPacked {
+                layout,
+                packed: cts,
+                count: 3,
+                k: 2,
+            },
+        ]
+    }
+
+    /// Makes `request` through the typed [`KeyHolder`] method that sends
+    /// it, so the reply passes that method's shape check.
+    fn typed_call(c2: &dyn KeyHolder, request: &wire::Request) -> Result<(), crate::ProtocolError> {
+        use wire::Request;
+        match request {
+            Request::SmBatch(pairs) => c2.sm_mask_multiply_batch(pairs).map(drop),
+            Request::LsbBatch(cts) => c2.lsb_of_masked_batch(cts).map(drop),
+            Request::SminRound { gamma, l_vec } => c2.smin_round(gamma, l_vec).map(drop),
+            Request::MinSelection(cts) => c2.min_selection(cts).map(drop),
+            Request::TopK { distances, k } => c2.top_k_indices(distances, *k as usize).map(drop),
+            Request::DecryptBatch(cts) => c2.decrypt_masked_batch(cts).map(drop),
+            Request::PublicKey => Ok(()),
+            Request::SmPackedSquares { layout, packed } => {
+                c2.sm_packed_square_batch(layout, packed).map(drop)
+            }
+            Request::SmPackedPairs { layout, pairs } => {
+                c2.sm_packed_multiply_batch(layout, pairs).map(drop)
+            }
+            Request::LsbPacked {
+                layout,
+                masked,
+                slot_counts,
+            } => {
+                let counts: Vec<usize> = slot_counts.iter().map(|&c| c as usize).collect();
+                c2.lsb_packed_batch(layout, masked, &counts).map(drop)
+            }
+            Request::TopKPacked {
+                layout,
+                packed,
+                count,
+                k,
+            } => c2
+                .top_k_indices_packed(layout, packed, *count as usize, *k as usize)
+                .map(drop),
+        }
+    }
+
+    /// An in-process C2 that answers every request with `reply(request)`
+    /// and remembers the last request it got.
+    struct Scripted {
+        pk: PublicKey,
+        reply: fn(wire::Request) -> wire::Response,
+        last: std::sync::Mutex<Option<wire::Request>>,
+    }
+
+    impl Scripted {
+        fn new(pk: &PublicKey, reply: fn(wire::Request) -> wire::Response) -> Self {
+            Scripted {
+                pk: pk.clone(),
+                reply,
+                last: std::sync::Mutex::new(None),
+            }
+        }
+    }
+
+    impl KeyHolder for Scripted {
+        fn public_key(&self) -> &PublicKey {
+            &self.pk
+        }
+        fn call(&self, request: wire::Request) -> Result<wire::Response, crate::ProtocolError> {
+            *self.last.lock().unwrap() = Some(request.clone());
+            Ok((self.reply)(request))
+        }
+    }
+
+    #[test]
+    fn typed_methods_send_exactly_their_request() {
+        let mut rng = StdRng::seed_from_u64(141);
+        let (pk, _sk) = Keypair::generate(128, &mut rng).split();
+        let c2 = Scripted::new(&pk, one_short);
+        for request in every_request(&pk, &mut rng) {
+            let _ = typed_call(&c2, &request);
+            assert_eq!(c2.last.lock().unwrap().take(), Some(request));
+        }
     }
 
     #[test]
@@ -387,11 +432,12 @@ mod tests {
         let holder = LocalKeyHolder::new(sk, 144);
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         let client = SessionKeyHolder::connect(pk.clone(), conn);
-        for (name, call) in every_request(&pk, &mut rng) {
+        for request in every_request(&pk, &mut rng) {
             assert_eq!(
-                call(&client),
+                typed_call(&client, &request),
                 Err(crate::ProtocolError::TransportClosed),
-                "{name}"
+                "{}",
+                request.name()
             );
         }
         drop(client);
@@ -421,16 +467,35 @@ mod tests {
         (conn, server)
     }
 
+    /// Runs `check` against a C2 answering `reply(request)` twice: over
+    /// the channel wire and in process, so every [`KeyHolder`] gets the
+    /// same reply-shape checks.
+    fn with_scripted_c2(
+        pk: &PublicKey,
+        reply: fn(wire::Request) -> wire::Response,
+        check: impl Fn(&str, &dyn KeyHolder),
+    ) {
+        let reactor = Reactor::new().unwrap();
+        let (conn, server) = misbehaving_server(&reactor, reply);
+        let client = SessionKeyHolder::connect(pk.clone(), conn);
+        check("channel", &client);
+        drop(client);
+        server.join().unwrap();
+        reactor.shutdown();
+        check("in-process", &Scripted::new(pk, reply));
+    }
+
     /// One result fewer than the request had items.
     fn one_short(request: wire::Request) -> wire::Response {
+        let one = || Ciphertext::from_raw(BigUint::one());
         let n = match request {
             wire::Request::DecryptBatch(values) => {
                 return wire::Response::Plaintexts(vec![BigUint::one(); values.len() - 1])
             }
             wire::Request::SminRound { gamma, .. } => {
                 return wire::Response::SminRound {
-                    m_prime: vec![BigUint::one(); gamma.len() - 1],
-                    alpha: BigUint::one(),
+                    m_prime: vec![one(); gamma.len() - 1],
+                    alpha: one(),
                 }
             }
             wire::Request::TopK { k, .. } | wire::Request::TopKPacked { k, .. } => {
@@ -447,26 +512,24 @@ mod tests {
             }
             other => panic!("unexpected request {}", other.name()),
         };
-        wire::Response::Ciphertexts(vec![BigUint::one(); n - 1])
+        wire::Response::Ciphertexts(vec![one(); n - 1])
     }
 
     #[test]
     fn short_replies_are_typed_errors_for_every_request() {
         let mut rng = StdRng::seed_from_u64(145);
         let (pk, _sk) = Keypair::generate(128, &mut rng).split();
-        let reactor = Reactor::new().unwrap();
-        let (conn, server) = misbehaving_server(&reactor, one_short);
-        let client = SessionKeyHolder::connect(pk.clone(), conn);
-        for (name, call) in every_request(&pk, &mut rng) {
-            let result = call(&client);
-            assert!(
-                matches!(result, Err(crate::ProtocolError::Transport { .. })),
-                "{name}: {result:?}"
-            );
-        }
-        drop(client);
-        server.join().unwrap();
-        reactor.shutdown();
+        let requests = every_request(&pk, &mut rng);
+        with_scripted_c2(&pk, one_short, |via, c2| {
+            for request in &requests {
+                let result = typed_call(c2, request);
+                assert!(
+                    matches!(result, Err(crate::ProtocolError::Transport { .. })),
+                    "{via} {}: {result:?}",
+                    request.name()
+                );
+            }
+        });
     }
 
     #[test]
@@ -476,27 +539,25 @@ mod tests {
         // reveal one record twice.
         let mut rng = StdRng::seed_from_u64(147);
         let (pk, _sk) = Keypair::generate(128, &mut rng).split();
-        let reactor = Reactor::new().unwrap();
+        let requests = every_request(&pk, &mut rng);
         let replies: [fn(wire::Request) -> wire::Response; 2] = [
             |_| wire::Response::Indices(vec![0, 3]),
             |_| wire::Response::Indices(vec![1, 1]),
         ];
         for reply in replies {
-            let (conn, server) = misbehaving_server(&reactor, reply);
-            let client = SessionKeyHolder::connect(pk.clone(), conn);
-            for (name, call) in every_request(&pk, &mut rng) {
-                if name.starts_with("TopK") {
-                    let result = call(&client);
-                    assert!(
-                        matches!(result, Err(crate::ProtocolError::Invariant { .. })),
-                        "{name}: {result:?}"
-                    );
+            with_scripted_c2(&pk, reply, |via, c2| {
+                for request in &requests {
+                    if request.name().starts_with("TopK") {
+                        let result = typed_call(c2, request);
+                        assert!(
+                            matches!(result, Err(crate::ProtocolError::Invariant { .. })),
+                            "{via} {}: {result:?}",
+                            request.name()
+                        );
+                    }
                 }
-            }
-            drop(client);
-            server.join().unwrap();
+            });
         }
-        reactor.shutdown();
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The key-holder server loop: decode, dispatch, reply.
+//! The key-holder server loop: decode, call, reply.
 //!
-//! [`serve`] runs C2's side of the connection against a [`LocalKeyHolder`].
+//! [`serve`] runs C2's side of the connection against a [`LocalKeyHolder`],
+//! whose [`KeyHolder::call`] is the dispatch.
 //! Requests are independent (the key holder is stateless across requests),
 //! so with `workers > 1` several threads pull frames off the same transport
 //! and serve them concurrently — responses are matched back to callers by
@@ -12,82 +13,9 @@
 //! with an error return value instead. A bad version byte is named to the
 //! peer first, in one last error frame, so its callers see the cause too.
 
-use super::wire::{Frame, FrameKind, Request, Response, TransportError, WireError};
-use super::{to_ciphertexts, to_raw, Transport};
-use crate::error::ProtocolError;
+use super::wire::{Frame, FrameKind, Request, TransportError, WireError};
+use super::Transport;
 use crate::party::{KeyHolder, LocalKeyHolder};
-use sknn_paillier::Ciphertext;
-
-/// Dispatches one decoded request against the local key holder.
-fn handle(holder: &LocalKeyHolder, request: Request) -> Result<Response, ProtocolError> {
-    Ok(match request {
-        Request::SmBatch(pairs) => {
-            let pairs: Vec<(Ciphertext, Ciphertext)> = pairs
-                .into_iter()
-                .map(|(a, b)| (Ciphertext::from_raw(a), Ciphertext::from_raw(b)))
-                .collect();
-            Response::Ciphertexts(to_raw(&holder.sm_mask_multiply_batch(&pairs)?))
-        }
-        Request::LsbBatch(values) => Response::Ciphertexts(to_raw(
-            &holder.lsb_of_masked_batch(&to_ciphertexts(values))?,
-        )),
-        Request::SminRound { gamma, l_vec } => {
-            let resp = holder.smin_round(&to_ciphertexts(gamma), &to_ciphertexts(l_vec))?;
-            Response::SminRound {
-                m_prime: to_raw(&resp.m_prime),
-                alpha: resp.alpha.into_raw(),
-            }
-        }
-        Request::MinSelection(values) => {
-            Response::Ciphertexts(to_raw(&holder.min_selection(&to_ciphertexts(values))?))
-        }
-        Request::TopK { distances, k } => Response::Indices(
-            holder
-                .top_k_indices(&to_ciphertexts(distances), k as usize)?
-                .into_iter()
-                .map(|i| i as u32)
-                .collect(),
-        ),
-        Request::DecryptBatch(values) => {
-            Response::Plaintexts(holder.decrypt_masked_batch(&to_ciphertexts(values))?)
-        }
-        Request::PublicKey => Response::PublicKey(holder.public_key().n().clone()),
-        Request::SmPackedSquares { layout, packed } => Response::Ciphertexts(to_raw(
-            &holder.sm_packed_square_batch(&layout, &to_ciphertexts(packed))?,
-        )),
-        Request::SmPackedPairs { layout, pairs } => {
-            let pairs: Vec<(Ciphertext, Ciphertext)> = pairs
-                .into_iter()
-                .map(|(a, b)| (Ciphertext::from_raw(a), Ciphertext::from_raw(b)))
-                .collect();
-            Response::Ciphertexts(to_raw(&holder.sm_packed_multiply_batch(&layout, &pairs)?))
-        }
-        Request::LsbPacked {
-            layout,
-            masked,
-            slot_counts,
-        } => {
-            let counts: Vec<usize> = slot_counts.iter().map(|&c| c as usize).collect();
-            Response::Ciphertexts(to_raw(&holder.lsb_packed_batch(
-                &layout,
-                &to_ciphertexts(masked),
-                &counts,
-            )?))
-        }
-        Request::TopKPacked {
-            layout,
-            packed,
-            count,
-            k,
-        } => Response::Indices(
-            holder
-                .top_k_indices_packed(&layout, &to_ciphertexts(packed), count as usize, k as usize)?
-                .into_iter()
-                .map(|i| i as u32)
-                .collect(),
-        ),
-    })
-}
 
 fn worker_loop(transport: &dyn Transport, holder: &LocalKeyHolder) -> Result<(), TransportError> {
     loop {
@@ -110,7 +38,7 @@ fn worker_loop(transport: &dyn Transport, holder: &LocalKeyHolder) -> Result<(),
         };
         let reply = match frame.kind {
             FrameKind::Request => match Request::decode(frame.payload) {
-                Ok(request) => match handle(holder, request) {
+                Ok(request) => match holder.call(request) {
                     Ok(response) => Frame::response(frame.correlation_id, response.encode()),
                     Err(protocol_err) => Frame::error(
                         frame.correlation_id,

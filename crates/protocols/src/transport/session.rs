@@ -12,12 +12,10 @@
 
 use super::reactor::Conn;
 use super::wire::{Frame, Request, Response, TransportError};
-use super::{to_ciphertexts, to_raw};
 use crate::error::ProtocolError;
-use crate::party::{KeyHolder, SminRoundResponse};
+use crate::party::{expect, KeyHolder};
 use crate::stats::CommStats;
-use sknn_bigint::BigUint;
-use sknn_paillier::{Ciphertext, PublicKey, SlotLayout};
+use sknn_paillier::PublicKey;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,15 +30,12 @@ use std::time::Duration;
 ///
 /// # Failure behavior
 ///
-/// Every [`KeyHolder`] method returns its failure as a value: a transport
-/// failure becomes [`ProtocolError::TransportClosed`] (the connection is
-/// gone) or [`ProtocolError::Transport`] (timeout, corrupted exchange,
-/// remote error reply), and a reply of the wrong shape — a batch with more
-/// or fewer results than the request had items, or a top-k index list
-/// with the wrong length, an index out of range or a repeated index — is
-/// refused here, once, before any caller can index into it. Deciding what
-/// to do about a failed call (retry, fail over, give up) is the
-/// executor's job.
+/// [`KeyHolder::call`] returns its failure as a value: a transport failure
+/// becomes [`ProtocolError::TransportClosed`] (the connection is gone) or
+/// [`ProtocolError::Transport`] (timeout, corrupted exchange, remote error
+/// reply). A reply of the wrong shape is refused by the typed
+/// [`KeyHolder`] methods, as for every key holder. Deciding what to do
+/// about a failed call (retry, fail over, give up) is the executor's job.
 pub struct SessionKeyHolder {
     pk: PublicKey,
     conn: Conn,
@@ -74,7 +69,7 @@ impl SessionKeyHolder {
     pub fn connect_handshake(conn: Conn) -> Result<SessionKeyHolder, TransportError> {
         // Correlation id 0 is never issued by a session (ids start at 1).
         let reply = conn.round_trip(&Frame::request(0, Request::PublicKey.encode()), 0);
-        let pk = match Self::expect("PublicKey", reply, |r| match r {
+        let pk = match expect("PublicKey", reply, |r| match r {
             Response::PublicKey(n) => Some(PublicKey::from_n(n)),
             _ => None,
         }) {
@@ -112,45 +107,6 @@ impl SessionKeyHolder {
         });
         self.deadline_ms.store(ms, Ordering::Relaxed);
     }
-
-    /// One pipelined round trip under a fresh correlation id.
-    ///
-    /// With a deadline configured, a silent peer surfaces as a typed
-    /// [`TransportError::Timeout`] instead of blocking forever; the
-    /// reactor forgets the correlation id, so a straggling response is
-    /// dropped and the session stays usable for later requests.
-    fn round_trip(&self, request: &Request) -> Result<Response, TransportError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.conn.round_trip(
-            &Frame::request(id, request.encode()),
-            self.deadline_ms.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Narrows a round-trip result to the expected response variant;
-    /// `extract` returns `None` for any other variant.
-    fn expect<T>(
-        expected: &'static str,
-        result: Result<Response, TransportError>,
-        extract: impl FnOnce(Response) -> Option<T>,
-    ) -> Result<T, TransportError> {
-        let response = result?;
-        let got = response.name();
-        extract(response).ok_or(TransportError::ResponseMismatch { expected, got })
-    }
-
-    /// One round trip whose reply must be `sent` ciphertexts.
-    fn batch_round_trip(
-        &self,
-        sent: usize,
-        request: Request,
-    ) -> Result<Vec<BigUint>, TransportError> {
-        let values = Self::expect("Ciphertexts", self.round_trip(&request), |r| match r {
-            Response::Ciphertexts(values) => Some(values),
-            _ => None,
-        })?;
-        check_batch(sent, values)
-    }
 }
 
 impl Drop for SessionKeyHolder {
@@ -164,171 +120,17 @@ impl KeyHolder for SessionKeyHolder {
         &self.pk
     }
 
-    fn sm_mask_multiply_batch(
-        &self,
-        pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let raw: Vec<(BigUint, BigUint)> = pairs
-            .iter()
-            .map(|(a, b)| (a.as_raw().clone(), b.as_raw().clone()))
-            .collect();
-        let values = self.batch_round_trip(raw.len(), Request::SmBatch(raw))?;
-        Ok(to_ciphertexts(values))
+    /// One pipelined round trip under a fresh correlation id.
+    ///
+    /// With a deadline configured, a silent peer surfaces as a typed
+    /// [`TransportError::Timeout`] instead of blocking forever; the
+    /// reactor forgets the correlation id, so a straggling response is
+    /// dropped and the session stays usable for later requests.
+    fn call(&self, request: Request) -> Result<Response, ProtocolError> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        Ok(self.conn.round_trip(
+            &Frame::request(id, request.encode()),
+            self.deadline_ms.load(Ordering::Relaxed),
+        )?)
     }
-
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let values = self.batch_round_trip(masked.len(), Request::LsbBatch(to_raw(masked)))?;
-        Ok(to_ciphertexts(values))
-    }
-
-    fn smin_round(
-        &self,
-        gamma_permuted: &[Ciphertext],
-        l_permuted: &[Ciphertext],
-    ) -> Result<SminRoundResponse, ProtocolError> {
-        let result = self.round_trip(&Request::SminRound {
-            gamma: to_raw(gamma_permuted),
-            l_vec: to_raw(l_permuted),
-        });
-        let (m_prime, alpha) = Self::expect("SminRound", result, |r| match r {
-            Response::SminRound { m_prime, alpha } => Some((m_prime, alpha)),
-            _ => None,
-        })?;
-        Ok(SminRoundResponse {
-            m_prime: to_ciphertexts(check_batch(gamma_permuted.len(), m_prime)?),
-            alpha: Ciphertext::from_raw(alpha),
-        })
-    }
-
-    fn min_selection(&self, beta: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let values = self.batch_round_trip(beta.len(), Request::MinSelection(to_raw(beta)))?;
-        Ok(to_ciphertexts(values))
-    }
-
-    fn top_k_indices(
-        &self,
-        distances: &[Ciphertext],
-        k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
-        let result = self.round_trip(&Request::TopK {
-            distances: to_raw(distances),
-            k: k as u32,
-        });
-        check_indices(result, distances.len(), k)
-    }
-
-    fn decrypt_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<BigUint>, ProtocolError> {
-        let result = self.round_trip(&Request::DecryptBatch(to_raw(masked)));
-        let values = Self::expect("Plaintexts", result, |r| match r {
-            Response::Plaintexts(values) => Some(values),
-            _ => None,
-        })?;
-        Ok(check_batch(masked.len(), values)?)
-    }
-
-    fn sm_packed_square_batch(
-        &self,
-        layout: &SlotLayout,
-        packed: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let values = self.batch_round_trip(
-            packed.len(),
-            Request::SmPackedSquares {
-                layout: *layout,
-                packed: to_raw(packed),
-            },
-        )?;
-        Ok(to_ciphertexts(values))
-    }
-
-    fn sm_packed_multiply_batch(
-        &self,
-        layout: &SlotLayout,
-        pairs: &[(Ciphertext, Ciphertext)],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let raw: Vec<(BigUint, BigUint)> = pairs
-            .iter()
-            .map(|(a, b)| (a.as_raw().clone(), b.as_raw().clone()))
-            .collect();
-        let values = self.batch_round_trip(
-            pairs.len(),
-            Request::SmPackedPairs {
-                layout: *layout,
-                pairs: raw,
-            },
-        )?;
-        Ok(to_ciphertexts(values))
-    }
-
-    fn lsb_packed_batch(
-        &self,
-        layout: &SlotLayout,
-        masked: &[Ciphertext],
-        slot_counts: &[usize],
-    ) -> Result<Vec<Ciphertext>, ProtocolError> {
-        let values = self.batch_round_trip(
-            slot_counts.iter().sum(),
-            Request::LsbPacked {
-                layout: *layout,
-                masked: to_raw(masked),
-                slot_counts: slot_counts.iter().map(|&c| c as u32).collect(),
-            },
-        )?;
-        Ok(to_ciphertexts(values))
-    }
-
-    fn top_k_indices_packed(
-        &self,
-        layout: &SlotLayout,
-        packed: &[Ciphertext],
-        count: usize,
-        k: usize,
-    ) -> Result<Vec<usize>, ProtocolError> {
-        let result = self.round_trip(&Request::TopKPacked {
-            layout: *layout,
-            packed: to_raw(packed),
-            count: count as u32,
-            k: k as u32,
-        });
-        check_indices(result, count, k)
-    }
-}
-
-/// Verifies a batched reply has one result per request item.
-fn check_batch<T>(sent: usize, values: Vec<T>) -> Result<Vec<T>, TransportError> {
-    if values.len() == sent {
-        Ok(values)
-    } else {
-        Err(TransportError::BatchMismatch {
-            sent,
-            received: values.len(),
-        })
-    }
-}
-
-/// Narrows a top-k reply over `count` distances to its index list and
-/// verifies its shape: `min(k, count)` distinct indices, each `< count`.
-/// C1 indexes its records with these, so a bad one must stop here.
-fn check_indices(
-    result: Result<Response, TransportError>,
-    count: usize,
-    k: usize,
-) -> Result<Vec<usize>, ProtocolError> {
-    let indices = SessionKeyHolder::expect("Indices", result, |r| match r {
-        Response::Indices(indices) => Some(indices),
-        _ => None,
-    })?;
-    let indices = check_batch(k.min(count), indices)?;
-    let mut seen = vec![false; count];
-    for &i in &indices {
-        match seen.get_mut(i as usize) {
-            Some(slot) if !*slot => *slot = true,
-            _ => {
-                return Err(ProtocolError::Invariant {
-                    message: format!("top-k reply names index {i} twice or outside 0..{count}"),
-                })
-            }
-        }
-    }
-    Ok(indices.into_iter().map(|i| i as usize).collect())
 }

@@ -29,7 +29,7 @@
 use crate::error::ProtocolError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sknn_bigint::BigUint;
-use sknn_paillier::SlotLayout;
+use sknn_paillier::{Ciphertext, SlotLayout};
 use std::fmt;
 
 /// Version byte stamped on every frame: the one version of the whole
@@ -409,11 +409,29 @@ impl Reader {
         Ok(BigUint::from_bytes_be(&bytes))
     }
 
-    fn biguint_vec(&mut self) -> Result<Vec<BigUint>, TransportError> {
+    fn ciphertext(&mut self) -> Result<Ciphertext, TransportError> {
+        self.biguint().map(Ciphertext::from_raw)
+    }
+
+    /// A `u32`-counted vector of `item`s, each at least `min_len` bytes
+    /// long on the wire (the sanity bound on the announced count).
+    fn vec_of<T>(
+        &mut self,
+        min_len: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, TransportError>,
+    ) -> Result<Vec<T>, TransportError> {
         let count = self.u32()? as usize;
-        // Sanity bound: each element costs at least its 4-byte length prefix.
-        self.need(count.saturating_mul(4))?;
-        (0..count).map(|_| self.biguint()).collect()
+        self.need(count.saturating_mul(min_len))?;
+        (0..count).map(|_| item(self)).collect()
+    }
+
+    /// Each ciphertext costs at least its 4-byte length prefix.
+    fn ciphertext_vec(&mut self) -> Result<Vec<Ciphertext>, TransportError> {
+        self.vec_of(4, Self::ciphertext)
+    }
+
+    fn ciphertext_pairs(&mut self) -> Result<Vec<(Ciphertext, Ciphertext)>, TransportError> {
+        self.vec_of(8, |r| Ok((r.ciphertext()?, r.ciphertext()?)))
     }
 
     fn rest_as_utf8(&mut self) -> String {
@@ -439,10 +457,22 @@ fn put_biguint(buf: &mut BytesMut, v: &BigUint) {
     buf.put_slice(&bytes);
 }
 
-fn put_vec(buf: &mut BytesMut, values: &[BigUint]) {
+fn put_vec<'a>(buf: &mut BytesMut, values: impl ExactSizeIterator<Item = &'a BigUint>) {
     buf.put_u32(values.len() as u32);
     for v in values {
         put_biguint(buf, v);
+    }
+}
+
+fn put_cts(buf: &mut BytesMut, values: &[Ciphertext]) {
+    put_vec(buf, values.iter().map(Ciphertext::as_raw));
+}
+
+fn put_pairs(buf: &mut BytesMut, pairs: &[(Ciphertext, Ciphertext)]) {
+    buf.put_u32(pairs.len() as u32);
+    for (a, b) in pairs {
+        put_biguint(buf, a.as_raw());
+        put_biguint(buf, b.as_raw());
     }
 }
 
@@ -477,69 +507,101 @@ impl Reader {
     }
 }
 
-/// Requests C1 sends to C2. Mirrors the [`crate::KeyHolder`] methods
-/// one-to-one, plus a [`Request::PublicKey`] bootstrap for transports (TCP)
-/// where the client has no out-of-band copy of the key.
+/// Everything C1 may ask C2: one variant per message the paper's
+/// algorithms send to the key holder, plus a [`Request::PublicKey`]
+/// bootstrap for transports (TCP) where the client has no out-of-band copy
+/// of the key. Nothing beyond these messages is observable by C2, which is
+/// what the semi-honest security argument of Section 4.3 relies on.
 ///
-/// Big integers are raw ciphertext/plaintext values; the typed
-/// [`sknn_paillier::Ciphertext`] wrappers are restored at the endpoints.
+/// The packed variants carry σ values per ciphertext (see
+/// `sknn_paillier::packing`), cutting C2's decryption count and the C1↔C2
+/// ciphertext volume by the packing factor; their decrypted results are
+/// bit-identical to the scalar variants'. A decrypted value that violates
+/// the layout is a [`ProtocolError::Packing`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// SM step 2: decrypt each masked pair, multiply, re-encrypt.
-    SmBatch(Vec<(BigUint, BigUint)>),
-    /// SBD's encrypted-LSB oracle over a batch of masked values.
-    LsbBatch(Vec<BigUint>),
-    /// SMIN step 2: the permuted `Γ′` and `L′` vectors.
+    /// SM, step 2 (Algorithm 1): for each pair `(a′, b′)` of masked
+    /// ciphertexts, decrypt both, multiply the plaintexts modulo `N` and
+    /// return a fresh encryption of the product.
+    SmBatch(Vec<(Ciphertext, Ciphertext)>),
+    /// SBD's Encrypted-LSB oracle: for each masked ciphertext `E(z + r)`,
+    /// decrypt and return a fresh encryption of the plaintext's
+    /// least-significant bit.
+    LsbBatch(Vec<Ciphertext>),
+    /// SMIN, step 2 (Algorithm 3): decrypt `L′`, decide `α` (1 if any entry
+    /// decrypts to exactly 1), and return `Γ′` exponentiated by `α`
+    /// together with `E(α)`. Vectors of different lengths are a
+    /// [`ProtocolError::DimensionMismatch`].
     SminRound {
         /// Permuted randomized bit differences `Γ′`.
-        gamma: Vec<BigUint>,
+        gamma: Vec<Ciphertext>,
         /// Permuted comparison gadget `L′`.
-        l_vec: Vec<BigUint>,
+        l_vec: Vec<Ciphertext>,
     },
-    /// SkNN_m step 3(c): the permuted randomized distance differences `β`.
-    MinSelection(Vec<BigUint>),
-    /// SkNN_b step 3: every encrypted distance, asking for the k smallest.
+    /// SkNN_m, step 3(c) (Algorithm 6): decrypt the permuted, randomized
+    /// distance differences `β` and return the indicator vector `U` with
+    /// `E(1)` at exactly one zero position (chosen uniformly among ties)
+    /// and `E(0)` elsewhere. No zero at all is
+    /// [`ProtocolError::MinSelectionFailed`]: the global minimum always
+    /// matches itself, so its absence means corrupted input.
+    MinSelection(Vec<Ciphertext>),
+    /// SkNN_b, step 3 (Algorithm 5): decrypt every distance and return the
+    /// indices of the `k` smallest (ties broken by index). This
+    /// deliberately leaks the distances and the access pattern — the
+    /// documented weakness of the basic protocol.
     TopK {
         /// The encrypted distances.
-        distances: Vec<BigUint>,
+        distances: Vec<Ciphertext>,
         /// How many indices to return.
         k: u32,
     },
-    /// Final reveal step: decrypt the masked result attributes.
-    DecryptBatch(Vec<BigUint>),
+    /// Final step of both protocols (step 5 of Algorithm 5): decrypt the
+    /// masked result attributes `γ` for Bob. The plaintexts are uniformly
+    /// random values masked by C1, so nothing about the records is
+    /// revealed to the key holder.
+    DecryptBatch(Vec<Ciphertext>),
     /// Bootstrap: ask the key holder for the public key's modulus `N`.
     PublicKey,
-    /// Packed SM in square form: each ciphertext packs blinded operands;
-    /// C2 squares every slot and repacks.
+    /// Packed SM in square form (SSED, where both operands of each product
+    /// are equal): C2 decrypts each ciphertext once, squares every slot in
+    /// plaintext and returns one fresh ciphertext packing the squares.
     SmPackedSquares {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
         /// The packed-operand ciphertexts.
-        packed: Vec<BigUint>,
+        packed: Vec<Ciphertext>,
     },
-    /// Packed SM over pairs: slot-wise products `aᵢ·bᵢ`.
+    /// Packed SM over pairs: one fresh ciphertext per pair, packing the
+    /// slot-wise products `aᵢ·bᵢ`.
     SmPackedPairs {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
         /// Packed-operand ciphertext pairs.
-        pairs: Vec<(BigUint, BigUint)>,
+        pairs: Vec<(Ciphertext, Ciphertext)>,
     },
-    /// Packed SBD round oracle: per-slot LSBs of the masked packed state.
+    /// Packed SBD round oracle: each input packs masked values `yᵢ = xᵢ + rᵢ`
+    /// (slot-aligned, no inter-slot carries); C2 decrypts each once and
+    /// returns a fresh encryption of the LSB of **every used slot**,
+    /// flattened in slot order. The reply stays scalar because SMIN
+    /// consumes per-bit ciphertexts downstream (see `DESIGN.md`).
     LsbPacked {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
         /// One masked packed ciphertext per value group.
-        masked: Vec<BigUint>,
+        masked: Vec<Ciphertext>,
         /// Used slots per group (the reply carries one bit ciphertext per
         /// used slot, flattened).
         slot_counts: Vec<u32>,
     },
-    /// Packed SkNN_b top-k over packed distances.
+    /// Packed SkNN_b top-k: the `count` distances arrive packed σ per
+    /// ciphertext, so C2 decrypts ⌈count/σ⌉ ciphertexts instead of `count`
+    /// — the same deliberate distance leak as [`Request::TopK`], at a
+    /// fraction of the traffic.
     TopKPacked {
         /// The slot layout both ends must agree on.
         layout: SlotLayout,
         /// The packed distance ciphertexts.
-        packed: Vec<BigUint>,
+        packed: Vec<Ciphertext>,
         /// Total number of distances across the packed ciphertexts.
         count: u32,
         /// How many indices to return.
@@ -562,6 +624,44 @@ impl Request {
             Request::SmPackedPairs { .. } => "SmPackedPairs",
             Request::LsbPacked { .. } => "LsbPacked",
             Request::TopKPacked { .. } => "TopKPacked",
+        }
+    }
+
+    /// What the request costs, as a pure function of its shape:
+    /// `(ciphertexts to C2, ciphertexts back, C2 decryptions)`. Every
+    /// transport moves the same counts, so an in-process run reports
+    /// exactly what a TCP one would.
+    pub fn op_counts(&self) -> (usize, usize, usize) {
+        match self {
+            // Two masked operands out and two decryptions per pair, one
+            // product ciphertext back.
+            Request::SmBatch(pairs) | Request::SmPackedPairs { pairs, .. } => {
+                (2 * pairs.len(), pairs.len(), 2 * pairs.len())
+            }
+            Request::LsbBatch(cts)
+            | Request::MinSelection(cts)
+            | Request::SmPackedSquares { packed: cts, .. } => (cts.len(), cts.len(), cts.len()),
+            // Γ′ and L′ out; C2 decrypts L′ only; M′ and E(α) back.
+            Request::SminRound { gamma, l_vec } => {
+                (gamma.len() + l_vec.len(), gamma.len() + 1, l_vec.len())
+            }
+            // The reply is a plain index list or plaintexts — no
+            // ciphertexts come back.
+            Request::TopK { distances: cts, .. }
+            | Request::TopKPacked { packed: cts, .. }
+            | Request::DecryptBatch(cts) => (cts.len(), 0, cts.len()),
+            // One packed request and one decryption per group; one bit
+            // ciphertext back per used slot (the response-side floor — see
+            // DESIGN.md).
+            Request::LsbPacked {
+                masked,
+                slot_counts,
+                ..
+            } => {
+                let bits = slot_counts.iter().map(|&c| c as usize).sum();
+                (masked.len(), bits, masked.len())
+            }
+            Request::PublicKey => (0, 0, 0),
         }
     }
 
@@ -589,33 +689,29 @@ impl Request {
         match self {
             Request::SmBatch(pairs) => {
                 buf.put_u8(1);
-                buf.put_u32(pairs.len() as u32);
-                for (a, b) in pairs {
-                    put_biguint(&mut buf, a);
-                    put_biguint(&mut buf, b);
-                }
+                put_pairs(&mut buf, pairs);
             }
             Request::LsbBatch(values) => {
                 buf.put_u8(2);
-                put_vec(&mut buf, values);
+                put_cts(&mut buf, values);
             }
             Request::SminRound { gamma, l_vec } => {
                 buf.put_u8(3);
-                put_vec(&mut buf, gamma);
-                put_vec(&mut buf, l_vec);
+                put_cts(&mut buf, gamma);
+                put_cts(&mut buf, l_vec);
             }
             Request::MinSelection(values) => {
                 buf.put_u8(4);
-                put_vec(&mut buf, values);
+                put_cts(&mut buf, values);
             }
             Request::TopK { distances, k } => {
                 buf.put_u8(5);
                 buf.put_u32(*k);
-                put_vec(&mut buf, distances);
+                put_cts(&mut buf, distances);
             }
             Request::DecryptBatch(values) => {
                 buf.put_u8(6);
-                put_vec(&mut buf, values);
+                put_cts(&mut buf, values);
             }
             Request::PublicKey => {
                 buf.put_u8(7);
@@ -623,16 +719,12 @@ impl Request {
             Request::SmPackedSquares { layout, packed } => {
                 buf.put_u8(8);
                 put_layout(&mut buf, layout);
-                put_vec(&mut buf, packed);
+                put_cts(&mut buf, packed);
             }
             Request::SmPackedPairs { layout, pairs } => {
                 buf.put_u8(9);
                 put_layout(&mut buf, layout);
-                buf.put_u32(pairs.len() as u32);
-                for (a, b) in pairs {
-                    put_biguint(&mut buf, a);
-                    put_biguint(&mut buf, b);
-                }
+                put_pairs(&mut buf, pairs);
             }
             Request::LsbPacked {
                 layout,
@@ -641,7 +733,7 @@ impl Request {
             } => {
                 buf.put_u8(10);
                 put_layout(&mut buf, layout);
-                put_vec(&mut buf, masked);
+                put_cts(&mut buf, masked);
                 buf.put_u32(slot_counts.len() as u32);
                 for &c in slot_counts {
                     buf.put_u32(c);
@@ -657,7 +749,7 @@ impl Request {
                 put_layout(&mut buf, layout);
                 buf.put_u32(*count);
                 buf.put_u32(*k);
-                put_vec(&mut buf, packed);
+                put_cts(&mut buf, packed);
             }
         }
         buf.freeze()
@@ -671,61 +763,42 @@ impl Request {
     pub fn decode(payload: Bytes) -> Result<Request, TransportError> {
         let mut r = Reader::new(payload);
         let request = match r.u8()? {
-            1 => {
-                let count = r.u32()? as usize;
-                r.need(count.saturating_mul(8))?;
-                let pairs = (0..count)
-                    .map(|_| Ok((r.biguint()?, r.biguint()?)))
-                    .collect::<Result<Vec<_>, TransportError>>()?;
-                Request::SmBatch(pairs)
-            }
-            2 => Request::LsbBatch(r.biguint_vec()?),
+            1 => Request::SmBatch(r.ciphertext_pairs()?),
+            2 => Request::LsbBatch(r.ciphertext_vec()?),
             3 => Request::SminRound {
-                gamma: r.biguint_vec()?,
-                l_vec: r.biguint_vec()?,
+                gamma: r.ciphertext_vec()?,
+                l_vec: r.ciphertext_vec()?,
             },
-            4 => Request::MinSelection(r.biguint_vec()?),
+            4 => Request::MinSelection(r.ciphertext_vec()?),
             5 => {
                 let k = r.u32()?;
                 Request::TopK {
-                    distances: r.biguint_vec()?,
+                    distances: r.ciphertext_vec()?,
                     k,
                 }
             }
-            6 => Request::DecryptBatch(r.biguint_vec()?),
+            6 => Request::DecryptBatch(r.ciphertext_vec()?),
             7 => Request::PublicKey,
             8 => Request::SmPackedSquares {
                 layout: r.layout()?,
-                packed: r.biguint_vec()?,
+                packed: r.ciphertext_vec()?,
             },
-            9 => {
-                let layout = r.layout()?;
-                let count = r.u32()? as usize;
-                r.need(count.saturating_mul(8))?;
-                let pairs = (0..count)
-                    .map(|_| Ok((r.biguint()?, r.biguint()?)))
-                    .collect::<Result<Vec<_>, TransportError>>()?;
-                Request::SmPackedPairs { layout, pairs }
-            }
-            10 => {
-                let layout = r.layout()?;
-                let masked = r.biguint_vec()?;
-                let count = r.u32()? as usize;
-                r.need(count.saturating_mul(4))?;
-                let slot_counts = (0..count).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                Request::LsbPacked {
-                    layout,
-                    masked,
-                    slot_counts,
-                }
-            }
+            9 => Request::SmPackedPairs {
+                layout: r.layout()?,
+                pairs: r.ciphertext_pairs()?,
+            },
+            10 => Request::LsbPacked {
+                layout: r.layout()?,
+                masked: r.ciphertext_vec()?,
+                slot_counts: r.vec_of(4, Reader::u32)?,
+            },
             11 => {
                 let layout = r.layout()?;
                 let count = r.u32()?;
                 let k = r.u32()?;
                 Request::TopKPacked {
                     layout,
-                    packed: r.biguint_vec()?,
+                    packed: r.ciphertext_vec()?,
                     count,
                     k,
                 }
@@ -741,13 +814,13 @@ impl Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Fresh ciphertexts (SM products, LSB encryptions, indicator vectors…).
-    Ciphertexts(Vec<BigUint>),
+    Ciphertexts(Vec<Ciphertext>),
     /// The SMIN round result: `M′` and `E(α)`.
     SminRound {
-        /// `M′_i = Γ′_i^α`.
-        m_prime: Vec<BigUint>,
+        /// `M′_i = Γ′_i^α`, rerandomized with a fresh unit.
+        m_prime: Vec<Ciphertext>,
         /// `E(α)`.
-        alpha: BigUint,
+        alpha: Ciphertext,
     },
     /// Record indices (SkNN_b top-k).
     Indices(Vec<u32>),
@@ -775,12 +848,12 @@ impl Response {
         match self {
             Response::Ciphertexts(values) => {
                 buf.put_u8(1);
-                put_vec(&mut buf, values);
+                put_cts(&mut buf, values);
             }
             Response::SminRound { m_prime, alpha } => {
                 buf.put_u8(2);
-                put_vec(&mut buf, m_prime);
-                put_biguint(&mut buf, alpha);
+                put_cts(&mut buf, m_prime);
+                put_biguint(&mut buf, alpha.as_raw());
             }
             Response::Indices(indices) => {
                 buf.put_u8(3);
@@ -791,7 +864,7 @@ impl Response {
             }
             Response::Plaintexts(values) => {
                 buf.put_u8(4);
-                put_vec(&mut buf, values);
+                put_vec(&mut buf, values.iter());
             }
             Response::PublicKey(n) => {
                 buf.put_u8(5);
@@ -809,17 +882,13 @@ impl Response {
     pub fn decode(payload: Bytes) -> Result<Response, TransportError> {
         let mut r = Reader::new(payload);
         let response = match r.u8()? {
-            1 => Response::Ciphertexts(r.biguint_vec()?),
+            1 => Response::Ciphertexts(r.ciphertext_vec()?),
             2 => Response::SminRound {
-                m_prime: r.biguint_vec()?,
-                alpha: r.biguint()?,
+                m_prime: r.ciphertext_vec()?,
+                alpha: r.ciphertext()?,
             },
-            3 => {
-                let count = r.u32()? as usize;
-                r.need(count.saturating_mul(4))?;
-                Response::Indices((0..count).map(|_| r.u32()).collect::<Result<_, _>>()?)
-            }
-            4 => Response::Plaintexts(r.biguint_vec()?),
+            3 => Response::Indices(r.vec_of(4, Reader::u32)?),
+            4 => Response::Plaintexts(r.vec_of(4, Reader::biguint)?),
             5 => Response::PublicKey(r.biguint()?),
             tag => return Err(TransportError::UnknownResponseTag { tag }),
         };
@@ -943,13 +1012,16 @@ mod tests {
 
     #[test]
     fn request_response_codecs_roundtrip() {
-        let a = BigUint::from_u64(12345);
-        let b = BigUint::from_u128(u128::MAX);
+        let a = Ciphertext::from_raw(BigUint::from_u64(12345));
+        let b = Ciphertext::from_raw(BigUint::from_u128(u128::MAX));
         roundtrip_request(Request::SmBatch(vec![
             (a.clone(), b.clone()),
             (b.clone(), a.clone()),
         ]));
-        roundtrip_request(Request::LsbBatch(vec![a.clone(), BigUint::zero()]));
+        roundtrip_request(Request::LsbBatch(vec![
+            a.clone(),
+            Ciphertext::from_raw(BigUint::zero()),
+        ]));
         roundtrip_request(Request::SminRound {
             gamma: vec![a.clone()],
             l_vec: vec![b.clone()],
@@ -965,17 +1037,20 @@ mod tests {
         roundtrip_response(Response::Ciphertexts(vec![a.clone()]));
         roundtrip_response(Response::SminRound {
             m_prime: vec![b.clone(), a.clone()],
-            alpha: BigUint::one(),
+            alpha: Ciphertext::from_raw(BigUint::one()),
         });
         roundtrip_response(Response::Indices(vec![0, 5, 2]));
-        roundtrip_response(Response::Plaintexts(vec![BigUint::zero(), b.clone()]));
-        roundtrip_response(Response::PublicKey(b.clone()));
+        roundtrip_response(Response::Plaintexts(vec![
+            BigUint::zero(),
+            b.as_raw().clone(),
+        ]));
+        roundtrip_response(Response::PublicKey(b.into_raw()));
     }
 
     #[test]
     fn packed_request_codecs_roundtrip() {
-        let a = BigUint::from_u64(12345);
-        let b = BigUint::from_u128(u128::MAX);
+        let a = Ciphertext::from_raw(BigUint::from_u64(12345));
+        let b = Ciphertext::from_raw(BigUint::from_u128(u128::MAX));
         let layout = SlotLayout::new(51, 51, 8).unwrap();
         roundtrip_request(Request::SmPackedSquares {
             layout,

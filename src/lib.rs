@@ -69,15 +69,15 @@
 //!    └─ ShardView                    per-shard live/tombstone view, stable indices
 //!
 //!  scatter (per shard, pinned to session shard mod sessions):
-//!    SkNN_b:  SsedStage → TopKStage          shard's k candidates + distance cts
-//!    SkNN_m:  SsedStage → SbdStage →         shard's k candidates, extracted with
+//!    SkNN_b:  SSED → top-k                   shard's k candidates + distance cts
+//!    SkNN_m:  SSED → SBD →                   shard's k candidates, extracted with
 //!             k oblivious SMIN_n rounds      the paper's own randomize-permute
 //!                                            machinery (nothing decrypted)
-//!  gather (primary session):
+//!  gather (primary session, or the first live one):
 //!    SkNN_b:  one top-k over the ≤ k·S candidate distances
 //!    SkNN_m:  the same k SMIN_n/selection rounds — over ≤ k·S candidates
 //!             instead of all n
-//!    FinalizeStage: the usual two-share reveal to Bob
+//!    then:    the usual two-share reveal to Bob
 //! ```
 //!
 //! Results are bit-identical to the paper's linear scan for every shard
@@ -101,15 +101,20 @@
 //!
 //! The paper's setting has two non-colluding clouds: C1 holds the encrypted
 //! database and drives the query protocols; C2 holds the Paillier secret key
-//! and answers a small, fixed set of requests (the
-//! [`KeyHolder`] trait — exactly the
-//! messages the Section 4.3 security argument reasons about). Everything
-//! between the two is the *transport stack*, layered so protocol logic never
-//! depends on the wire underneath:
+//! and answers a small, fixed set of requests
+//! ([`protocols::Request`] — exactly the messages the Section 4.3 security
+//! argument reasons about). A C2 is any [`KeyHolder`]: it implements one
+//! method, `call(Request) -> Response`, and the typed methods the protocols
+//! use are built on it. Everything between the two clouds is the
+//! *transport stack*, layered so protocol logic never depends on the wire
+//! underneath:
 //!
 //! ```text
-//!  SkNN_b / SkNN_m, SM, SBD, SMIN_n, …        work against &dyn KeyHolder
-//!       │
+//!  SkNN_b / SkNN_m, SM, SBD, SMIN_n, …        typed KeyHolder methods: one
+//!       │                                     Request each, reply shape
+//!       │                                     checked once, for every C2
+//!  KeyHolder::call(Request) -> Response       LocalKeyHolder answers in
+//!       │                                     process; over a wire:
 //!  SessionKeyHolder                           protocols::transport::SessionKeyHolder
 //!       │   · pipelining: every request gets a correlation id; the
 //!       │     reactor routes responses, so N worker threads keep N
@@ -127,7 +132,8 @@
 //!       └─ connect_tcp                        one non-blocking TCP socket
 //!                                             (epoll), TCP_NODELAY
 //!
-//!  C2: serve() over a blocking Transport      ChannelServer / TcpTransport
+//!  C2: serve() over a blocking Transport      ChannelServer / TcpTransport,
+//!      decode → LocalKeyHolder::call → reply
 //! ```
 //!
 //! Frames are versioned and length-prefixed (`protocols::transport::wire`);
@@ -268,8 +274,8 @@ pub use sknn_core::{
     CompactionReport, DataOwner, Dataset, DatasetOptions, DurableUpdateError, FederationConfig,
     InvalidQueryReason, KeyHolder, LocalKeyHolder, OpCounters, ParallelismConfig, PoolActivity,
     PreparedQuery, Protocol, QueryBuilder, QueryOutcome, QueryProfile, QueryUser, RecoveryReport,
-    RetryPolicy, RetryReport, RetryUnit, SessionSet, ShardView, ShardingConfig, SknnEngine,
-    SknnError, Stage, StageRetry, StoreError, Table, TransportKind, UpdateRejected,
+    RetryPolicy, RetryReport, RetryUnit, ShardView, ShardingConfig, SknnEngine, SknnError, Stage,
+    StageRetry, StoreError, Table, TransportKind, UpdateRejected,
 };
 pub use sknn_paillier::{
     Ciphertext, Keypair, PoolConfig, PoolStats, PooledEncryptor, PrivateKey, PublicKey,
