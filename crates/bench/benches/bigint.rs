@@ -49,7 +49,8 @@ fn bench_modexp(c: &mut Criterion) {
 
 /// SSED's per-record cross terms at K = 512: six 512-bit exponents (one per
 /// attribute, each below N) on bases mod the 1024-bit N², as one
-/// interleaved multi-exponentiation against six `pow`s and their product.
+/// interleaved multi-exponentiation against six `pow`s and their product;
+/// and SMIN's λ step, one base to eight exponents.
 fn bench_multi_pow(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut group = c.benchmark_group("bigint/multi_pow");
@@ -73,6 +74,16 @@ fn bench_multi_pow(c: &mut Criterion) {
                     .fold(BigUint::one(), |acc, (b, e)| ctx.mul(&acc, &ctx.pow(b, e))),
             )
         })
+    });
+    // SMIN's λ step at K = 512, l = 8: one base, eight 512-bit exponents,
+    // as one fixed-base table against eight `pow`s.
+    let base = &bases[0];
+    let exps: Vec<BigUint> = (0..8).map(|_| random_bits_exact(&mut rng, 512)).collect();
+    group.bench_function("fixed_base_8x512_mod_1024", |bench| {
+        bench.iter(|| black_box(ctx.pow_many(base, &exps)))
+    });
+    group.bench_function("eight_pows_8x512_mod_1024", |bench| {
+        bench.iter(|| black_box(exps.iter().map(|e| ctx.pow(base, e)).collect::<Vec<_>>()))
     });
     group.finish();
 }

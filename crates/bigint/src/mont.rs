@@ -20,6 +20,11 @@
 //! Both run the same algorithms (CIOS multiplication, a dedicated squaring,
 //! the same sliding-window schedule) and return fully reduced values, so the
 //! results are bit-identical whichever kernel serves a context.
+//!
+//! Three exponentiation shapes share those kernels: [`Montgomery::pow`]
+//! (one base, one exponent), [`Montgomery::multi_pow`] (a product of many
+//! bases, one squaring chain for all of them) and [`Montgomery::pow_many`]
+//! (one base, many exponents, one fixed-base table for all of them).
 
 use crate::BigUint;
 
@@ -38,6 +43,15 @@ const MULTI_BASES: usize = 8;
 
 /// Scratch residues [`Montgomery::multi_pow`]'s tables take.
 const MULTI_TABLE: usize = MULTI_BASES * ODD_POWERS;
+
+/// Digit width in bits of [`Montgomery::pow_many`]'s fixed-base table. A
+/// fifth bit would trade a fifth of the per-digit products for 16 more
+/// bucket products per exponent, about even at 512 bits; 4 divides the
+/// limb width, so no digit straddles a limb.
+const FIXED_DIGIT: usize = 4;
+
+/// Values a [`FIXED_DIGIT`]-bit digit takes.
+const DIGIT_VALUES: usize = 1 << FIXED_DIGIT;
 
 /// A reusable Montgomery context for a fixed odd modulus.
 #[derive(Clone, Debug)]
@@ -148,6 +162,29 @@ impl Montgomery {
             Kernel::W16(k) => multi_pow(&**k, &mut [[0; 16]; MULTI_TABLE], m, terms),
             Kernel::W32(k) => multi_pow(&**k, &mut [[0; 32]; MULTI_TABLE], m, terms),
             Kernel::Slice(k) => multi_pow(k, &mut vec![Vec::new(); MULTI_TABLE], m, terms),
+        }
+    }
+
+    /// Computes `base^eᵢ mod modulus` for every exponent of `exps`, sharing
+    /// one fixed-base table (Brickell, Gordon, McCurley and Wilson, "Fast
+    /// exponentiation with precomputation", EUROCRYPT '92, with Yao's
+    /// digit buckets).
+    ///
+    /// The table holds `base^{16^j}` for every radix-16 digit position of
+    /// the longest exponent, one squaring per exponent bit paid once for
+    /// the whole list. Each exponent then costs one multiplication per
+    /// nonzero digit plus at most 30 to combine its 15 digit buckets as
+    /// `Π_d (Π_{d′ ≥ d} B_{d′})`, instead of a squaring per bit. Results
+    /// are those of [`Montgomery::pow`] term by term: bases may be
+    /// `≥ modulus`, a zero exponent gives 1, and exponents may differ in
+    /// length.
+    pub fn pow_many(&self, base: &BigUint, exps: &[BigUint]) -> Vec<BigUint> {
+        let m = &self.modulus;
+        match &self.kernel {
+            Kernel::W8(k) => pow_many(&**k, m, base, exps),
+            Kernel::W16(k) => pow_many(&**k, m, base, exps),
+            Kernel::W32(k) => pow_many(&**k, m, base, exps),
+            Kernel::Slice(k) => pow_many(k, m, base, exps),
         }
     }
 
@@ -301,6 +338,67 @@ fn interleaved_pow<A: Arith>(
         acc = k.mont_sqr(&acc);
     }
     Some(acc)
+}
+
+/// `base^eᵢ mod m` for every `eᵢ` of `exps` from one table of
+/// `base^{2^{FIXED_DIGIT·j}}` (see [`Montgomery::pow_many`]).
+fn pow_many<A: Arith>(k: &A, m: &BigUint, base: &BigUint, exps: &[BigUint]) -> Vec<BigUint> {
+    let positions = exps
+        .iter()
+        .map(BigUint::bits)
+        .max()
+        .unwrap_or(0)
+        .div_ceil(FIXED_DIGIT);
+    let mut table: Vec<A::Elem> = Vec::with_capacity(positions);
+    for _ in 0..positions {
+        let power = match table.last() {
+            None => k.mont_mul(&k.load(&base.rem_ref(m)), k.r2()),
+            Some(prev) => (0..FIXED_DIGIT).fold(prev.clone(), |p, _| k.mont_sqr(&p)),
+        };
+        table.push(power);
+    }
+    let times = |acc: Option<A::Elem>, x: &A::Elem| match acc {
+        Some(a) => k.mont_mul(&a, x),
+        None => x.clone(),
+    };
+    let one = k.load(&BigUint::one());
+    exps.iter()
+        .map(|exp| {
+            // Bucket d − 1 collects the table entries at exp's digits d.
+            let mut buckets: [Option<A::Elem>; DIGIT_VALUES - 1] = std::array::from_fn(|_| None);
+            for (j, power) in table.iter().enumerate() {
+                let digit = radix_digit(exp, j);
+                if digit != 0 {
+                    buckets[digit - 1] = Some(times(buckets[digit - 1].take(), power));
+                }
+            }
+            // Π_d B_d^d as the product of the suffix products, d = 15 … 1.
+            let (mut suffix, mut acc) = (None, None);
+            for bucket in buckets.iter().rev() {
+                if let Some(b) = bucket {
+                    suffix = Some(times(suffix, b));
+                }
+                if let Some(s) = &suffix {
+                    acc = Some(times(acc, s));
+                }
+            }
+            match acc {
+                // Leaving the Montgomery domain is a product with plain 1.
+                Some(a) => k.store(&k.mont_mul(&a, &one)),
+                // A zero exponent: 1 (m > 1).
+                None => BigUint::one(),
+            }
+        })
+        .collect()
+}
+
+/// Digit `j` of `exp` in radix `2^FIXED_DIGIT`; digits never straddle a
+/// limb, since the digit width divides 64.
+fn radix_digit(exp: &BigUint, j: usize) -> usize {
+    let bit = j * FIXED_DIGIT;
+    exp.limbs()
+        .get(bit / 64)
+        .map_or(0, |limb| (limb >> (bit % 64)) as usize & (DIGIT_VALUES - 1))
 }
 
 /// The highest sliding window of `exp` at or below bit `from`: the widest
@@ -873,6 +971,40 @@ mod tests {
                         expected,
                         "{limbs} limbs, {n} terms"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pow_many_matches_pow_on_both_kernels() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for limbs in [3usize, 8, 16, 32] {
+            let mut m = crate::random_bits_exact(&mut rng, 64 * limbs);
+            m.set_bit(0, true);
+            let exps: Vec<BigUint> = (0..9)
+                .map(|i| match i {
+                    0 => BigUint::zero(),
+                    1 => BigUint::one(),
+                    2 => BigUint::from_u64(0xF0), // a zero low digit
+                    3 => BigUint::one().shl_bits(64 * limbs - 1),
+                    _ => crate::random_bits(&mut rng, 60 * i),
+                })
+                .collect();
+            let bases = [
+                crate::random_below(&mut rng, &m),
+                m.add_ref(&BigUint::from_u64(7)), // ≥ modulus
+                BigUint::zero(),
+            ];
+            for ctx in [
+                Montgomery::new(m.clone()),
+                Montgomery::build(m.clone(), false),
+            ] {
+                for base in &bases {
+                    let expected: Vec<BigUint> = exps.iter().map(|e| ctx.pow(base, e)).collect();
+                    assert_eq!(ctx.pow_many(base, &exps), expected, "{limbs} limbs");
+                    assert_eq!(ctx.pow_many(base, &exps[..1]), [BigUint::one()]);
+                    assert!(ctx.pow_many(base, &[]).is_empty());
                 }
             }
         }

@@ -253,6 +253,28 @@ proptest! {
     }
 
     #[test]
+    fn pow_many_matches_pow(
+        (limbs, m_limbs) in (0usize..4).prop_flat_map(|w| {
+            let l = [3usize, 8, 16, 32][w];
+            (Just(l), prop::collection::vec(any::<u64>(), l))
+        }),
+        base in prop::collection::vec(any::<u64>(), 0..=33),
+        exps in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..=8), 0..=6),
+        m_kind in 0u8..3,
+    ) {
+        // Limb counts 8/16/32 run the fixed-width kernels and 3 the slice
+        // kernel; a base up to 33 limbs is often ≥ the modulus, exponents
+        // of 0–8 limbs are often zero and rarely all the same length, and
+        // the list is sometimes empty.
+        let m = fixed_width_modulus(limbs, m_limbs, m_kind);
+        let ctx = Montgomery::new(m);
+        let base = BigUint::from_limbs(base);
+        let exps: Vec<BigUint> = exps.into_iter().map(BigUint::from_limbs).collect();
+        let expected: Vec<BigUint> = exps.iter().map(|e| ctx.pow(&base, e)).collect();
+        prop_assert_eq!(ctx.pow_many(&base, &exps), expected);
+    }
+
+    #[test]
     fn binary_gcd_matches_euclid(
         (a_limbs, b_limbs) in (0usize..4).prop_flat_map(|w| {
             let l = [1usize, 2, 8, 16][w];

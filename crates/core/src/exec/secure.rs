@@ -53,7 +53,9 @@ use crate::{AccessPatternAudit, EncryptedQuery, MaskedResult, SknnError};
 use rand::RngCore;
 use sknn_bigint::{random_range, BigUint};
 use sknn_paillier::Ciphertext;
-use sknn_protocols::{recompose_bits, secure_multiply_batch, KeyHolder, Permutation};
+use sknn_protocols::{
+    recompose_bits, secure_multiply_batch, secure_weighted_column_sums, KeyHolder, Permutation,
+};
 
 /// One encrypted candidate a shard's scatter rounds produced: the
 /// obliviously extracted record and its distance-bit vector (the SMIN_n
@@ -93,7 +95,6 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     let stage = |paper: Stage| shard.map_or(paper, |_| Stage::ShardCandidates);
     let pk = c1.public_key();
     let n = records.len();
-    let m = records.first().map_or(0, |r| r.len());
     let l = distance_bits.first().map_or(0, |b| b.len());
     let one = BigUint::one();
 
@@ -136,20 +137,10 @@ fn oblivious_select_round<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         // 3(d): undo the permutation; V has E(1) at the winning record.
         let v = pi.apply_inverse(&u)?;
 
-        // V′_{i,j} = SM(V_i, E(t_{i,j})); E(t′_{s,j}) = Π_i V′_{i,j}.
-        let pairs: Vec<(Ciphertext, Ciphertext)> = (0..n)
-            .flat_map(|i| {
-                let v_i = v[i].clone();
-                records[i]
-                    .iter()
-                    .map(move |attr| (v_i.clone(), attr.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let products = secure_multiply_batch(pk, meter, &pairs, rng)?;
-        let record: Vec<Ciphertext> = (0..m)
-            .map(|j| pk.sum((0..n).map(|i| &products[i * m + j])))
-            .collect();
+        // V′_{i,j} = SM(V_i, E(t_{i,j})); E(t′_{s,j}) = Π_i V′_{i,j}: one
+        // batched SM round over the n·m pairs, each column's n products
+        // unmasked and summed together as one multi-exponentiation.
+        let record = secure_weighted_column_sums(pk, meter, &v, records, rng)?;
         Ok::<_, SknnError>((record, v))
     });
     record_ops(profile, shard, stage(Stage::RecordSelection), meter.take());

@@ -52,6 +52,20 @@ impl PublicKey {
         Ciphertext(Montgomery::new(self.n_squared.clone()).multi_pow(&pairs))
     }
 
+    /// Plaintext multiplication of one ciphertext by many constants:
+    /// returns `E(a·kᵢ mod N)` for every `kᵢ`, bit-identical to a
+    /// [`PublicKey::mul_plain`] per constant but computed from one
+    /// fixed-base table ([`Montgomery::pow_many`]), which pays the
+    /// squarings once for all of them.
+    pub fn mul_plain_many(&self, a: &Ciphertext, ks: &[BigUint]) -> Vec<Ciphertext> {
+        let ks: Vec<BigUint> = ks.iter().map(|k| k.rem_ref(&self.n)).collect();
+        Montgomery::new(self.n_squared.clone())
+            .pow_many(a.as_raw(), &ks)
+            .into_iter()
+            .map(Ciphertext)
+            .collect()
+    }
+
     /// Plaintext multiplication by a `u64` constant.
     pub fn mul_plain_u64(&self, a: &Ciphertext, k: u64) -> Ciphertext {
         self.mul_plain(a, &BigUint::from_u64(k))
@@ -222,6 +236,28 @@ mod tests {
         });
         assert_eq!(sk.decrypt(&combined), expected.rem_ref(pk.n()));
         assert_eq!(pk.mul_plain_sum(&[]), pk.sum([]));
+    }
+
+    #[test]
+    fn mul_plain_many_is_a_mul_plain_per_constant_bit_for_bit() {
+        let (pk, sk, mut rng) = setup();
+        let a = pk.encrypt_u64(13, &mut rng);
+        // Zero, one, N − 1, ≥ N (reduced mod N like `mul_plain`), random.
+        let ks: Vec<BigUint> = (0..6u64)
+            .map(|i| match i {
+                0 => BigUint::zero(),
+                1 => BigUint::one(),
+                2 => pk.n().sub_ref(&BigUint::one()),
+                3 => pk.n().add_ref(&BigUint::from_u64(5)),
+                _ => sknn_bigint::random_below(&mut rng, pk.n()),
+            })
+            .collect();
+        let many = pk.mul_plain_many(&a, &ks);
+        let direct: Vec<Ciphertext> = ks.iter().map(|k| pk.mul_plain(&a, k)).collect();
+        assert_eq!(many, direct);
+        assert_eq!(sk.try_decrypt_u64(&many[3]), Ok(65));
+        assert_eq!(sk.decrypt(&many[2]), pk.n().sub_ref(&BigUint::from_u64(13)));
+        assert!(pk.mul_plain_many(&a, &[]).is_empty());
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use sbd::{
     secure_bit_decompose_batch_with, secure_bit_decompose_with,
 };
 pub use sbor::{secure_bit_and, secure_bit_or};
-pub use sm::{secure_multiply, secure_multiply_batch};
+pub use sm::{secure_multiply, secure_multiply_batch, secure_weighted_column_sums};
 pub use smin::secure_min;
 pub use smin_n::secure_min_n;
 pub use ssed::{secure_squared_distance, secure_squared_distance_to_negated};

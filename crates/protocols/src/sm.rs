@@ -10,6 +10,23 @@
 //! P1 additively masks both ciphertexts with fresh randomness, P2 decrypts and
 //! multiplies the masked values, and P1 removes the cross terms
 //! homomorphically.
+//!
+//! Step 3, the unmasking, is one two-base multi-exponentiation per pair:
+//!
+//! ```text
+//! E(a·b) = h · E(a)^{−r_b}·E(b)^{−r_a} · E(−r_a·r_b)
+//! ```
+//!
+//! with both cross terms in one shared squaring chain
+//! ([`PublicKey::mul_plain_sum`]) instead of two `mul_plain`s. Callers that
+//! only want the sums of SM products along a table's columns (record
+//! extraction in SkNN_m) call [`secure_weighted_column_sums`], which runs
+//! the same request and the same masks but unmasks each column's n pairs
+//! together: `Π hᵢ · Π E(aᵢ)^{−r_bᵢ}·E(bᵢ)^{−r_aᵢ} · E(−Σ r_aᵢ·r_bᵢ)`,
+//! the 2n cross terms as one multi-exponentiation. Both are bit-identical
+//! to unmasking each pair with two `mul_plain`s and summing: the factors
+//! are the same group elements, and `(1 + xN)(1 + yN) ≡ 1 + (x + y)N
+//! (mod N²)` merges the plaintext offsets.
 
 use crate::{KeyHolder, ProtocolError};
 use rand::RngCore;
@@ -52,20 +69,82 @@ pub fn secure_multiply_batch<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     let (products, masks) =
         mask_and_multiply(pk, key_holder, pairs.iter().map(|(a, b)| (a, b)), rng)?;
 
-    // Step 3: remove the cross terms: E(ab) = h · E(a)^{-r_b} · E(b)^{-r_a} · E(-r_a·r_b).
+    // Step 3: remove the cross terms, one pair at a time.
     Ok(pairs
         .iter()
-        .zip(products)
-        .zip(masks)
-        .map(|(((e_a, e_b), h), (r_a, r_b))| {
-            let minus_r_b = r_b.mod_neg(pk.n());
-            let minus_r_a = r_a.mod_neg(pk.n());
-            let s = pk.add(&h, &pk.mul_plain(e_a, &minus_r_b));
-            let s = pk.add(&s, &pk.mul_plain(e_b, &minus_r_a));
-            let r_a_r_b = r_a.mod_mul(&r_b, pk.n());
-            pk.sub_plain(&s, &r_a_r_b)
+        .zip(&products)
+        .zip(&masks)
+        .map(|(((e_a, e_b), h), masks)| unmask_sum(pk, [((e_a, e_b), h, masks)]))
+        .collect())
+}
+
+/// Runs SM on every pair `(wᵢ, t_{i,j})` of a weight vector and a table of
+/// n rows and m columns, in one round trip, and returns the m column sums
+/// `E(Σᵢ wᵢ·t_{i,j})`: an encrypted indicator `w` extracts the row it
+/// marks. The request, its row-major pair order and the mask draws are
+/// those of [`secure_multiply_batch`] over the same pairs; only the
+/// unmasking differs, fused per column (module docs).
+///
+/// # Errors
+/// Returns [`ProtocolError::DimensionMismatch`] when the weights are not
+/// one per row or the rows differ in length, and propagates the key
+/// holder's error.
+pub fn secure_weighted_column_sums<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
+    pk: &PublicKey,
+    key_holder: &K,
+    weights: &[Ciphertext],
+    rows: &[&[Ciphertext]],
+    rng: &mut R,
+) -> Result<Vec<Ciphertext>, ProtocolError> {
+    if weights.len() != rows.len() {
+        return Err(ProtocolError::DimensionMismatch {
+            left: weights.len(),
+            right: rows.len(),
+        });
+    }
+    let m = rows.first().map_or(0, |row| row.len());
+    if let Some(row) = rows.iter().find(|row| row.len() != m) {
+        return Err(ProtocolError::DimensionMismatch {
+            left: m,
+            right: row.len(),
+        });
+    }
+    let pairs: Vec<(&Ciphertext, &Ciphertext)> = weights
+        .iter()
+        .zip(rows)
+        .flat_map(|(w, row)| row.iter().map(move |t| (w, t)))
+        .collect();
+    let (products, masks) = mask_and_multiply(pk, key_holder, pairs.iter().copied(), rng)?;
+    Ok((0..m)
+        .map(|j| {
+            let column = (j..pairs.len()).step_by(m);
+            unmask_sum(pk, column.map(|c| (pairs[c], &products[c], &masks[c])))
         })
         .collect())
+}
+
+/// Step 3 of SM over a set of pairs, summed: `E(Σ aᵢ·bᵢ)` from each pair's
+/// operands, C2's product `hᵢ` and P1's masks, as
+/// `Π hᵢ · Π E(aᵢ)^{−r_bᵢ}·E(bᵢ)^{−r_aᵢ} · E(−Σ r_aᵢ·r_bᵢ)` with every
+/// cross term in one multi-exponentiation.
+fn unmask_sum<'a>(
+    pk: &PublicKey,
+    cells: impl IntoIterator<Item = ((&'a Ciphertext, &'a Ciphertext), &'a Ciphertext, &'a Masks)>,
+) -> Ciphertext {
+    let n = pk.n();
+    let mut products = Vec::new();
+    let mut bases = Vec::new();
+    let mut exponents = Vec::new();
+    let mut offset = BigUint::zero();
+    for ((e_a, e_b), h, (r_a, r_b)) in cells {
+        products.push(h);
+        bases.extend([e_a, e_b]);
+        exponents.extend([r_b.mod_neg(n), r_a.mod_neg(n)]);
+        offset = offset.mod_add(&r_a.mod_mul(r_b, n), n);
+    }
+    let terms: Vec<(&Ciphertext, &BigUint)> = bases.into_iter().zip(&exponents).collect();
+    let cross = pk.mul_plain_sum(&terms);
+    pk.sub_plain(&pk.add(&pk.sum(products), &cross), &offset)
 }
 
 /// P1's masks `(r_a, r_b)` for one pair.
@@ -106,6 +185,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let (pk, sk) = Keypair::generate(128, &mut rng).split();
         (pk, LocalKeyHolder::new(sk, 72), rng)
+    }
+
+    /// A key holder with `holder`'s key and seed: given the same requests
+    /// it answers with the same ciphertexts.
+    fn twin(holder: &LocalKeyHolder) -> LocalKeyHolder {
+        LocalKeyHolder::new(holder.private_key().clone(), 72)
+    }
+
+    /// Step 3 with one `mul_plain` per cross term: the unfused form, kept
+    /// as the oracle the two-base chain is tested bit-for-bit against.
+    fn unmask_by_two_pows(
+        pk: &PublicKey,
+        (e_a, e_b): (&Ciphertext, &Ciphertext),
+        h: &Ciphertext,
+        (r_a, r_b): &Masks,
+    ) -> Ciphertext {
+        let n = pk.n();
+        let s = pk.add(h, &pk.mul_plain(e_a, &r_b.mod_neg(n)));
+        let s = pk.add(&s, &pk.mul_plain(e_b, &r_a.mod_neg(n)));
+        pk.sub_plain(&s, &r_a.mod_mul(r_b, n))
     }
 
     #[test]
@@ -164,6 +263,95 @@ mod tests {
         assert_eq!(
             holder.debug_decrypt(&product),
             pk.n().sub_ref(&BigUint::two())
+        );
+    }
+
+    #[test]
+    fn two_base_unmasking_is_bit_identical_to_two_pows() {
+        let (pk, holder, mut rng) = setup();
+        // Operands E(0) and E(N − 1) next to small values.
+        let n_minus_1 = pk.n().sub_ref(&BigUint::one());
+        let values = [BigUint::zero(), n_minus_1, BigUint::from_u64(7)];
+        let cts: Vec<Ciphertext> = values.iter().map(|v| pk.encrypt(v, &mut rng)).collect();
+        let pairs: Vec<(Ciphertext, Ciphertext)> = cts
+            .iter()
+            .flat_map(|a| cts.iter().map(move |b| (a.clone(), b.clone())))
+            .collect();
+        // Replay the batch's SM round (a clone of the rng, a twin key
+        // holder) to recover its masks and C2's products.
+        let mut replay = rng.clone();
+        let fused = secure_multiply_batch(&pk, &twin(&holder), &pairs, &mut rng).unwrap();
+        let (products, masks) = mask_and_multiply(
+            &pk,
+            &twin(&holder),
+            pairs.iter().map(|(a, b)| (a, b)),
+            &mut replay,
+        )
+        .unwrap();
+        for (i, (a, b)) in pairs.iter().enumerate() {
+            let oracle = unmask_by_two_pows(&pk, (a, b), &products[i], &masks[i]);
+            assert_eq!(fused[i], oracle, "pair {i}");
+            let (x, y) = (&values[i / 3], &values[i % 3]);
+            assert_eq!(holder.debug_decrypt(&fused[i]), x.mod_mul(y, pk.n()));
+        }
+    }
+
+    #[test]
+    fn column_sums_are_bit_identical_to_sm_then_sum() {
+        let (pk, holder, mut rng) = setup();
+        for (n, m) in [(1usize, 1usize), (5, 1), (1, 4), (4, 3)] {
+            // An indicator with E(1) at row n / 2, over random rows.
+            let weights: Vec<Ciphertext> = (0..n)
+                .map(|i| pk.encrypt_u64(u64::from(i == n / 2), &mut rng))
+                .collect();
+            let values: Vec<Vec<u64>> = (0..n)
+                .map(|_| (0..m).map(|_| rng.next_u64() >> 40).collect())
+                .collect();
+            let table: Vec<Vec<Ciphertext>> = values
+                .iter()
+                .map(|row| row.iter().map(|&v| pk.encrypt_u64(v, &mut rng)).collect())
+                .collect();
+            let rows: Vec<&[Ciphertext]> = table.iter().map(Vec::as_slice).collect();
+
+            let mut replay = rng.clone();
+            let fused = secure_weighted_column_sums(&pk, &twin(&holder), &weights, &rows, &mut rng)
+                .unwrap();
+            let pairs: Vec<(Ciphertext, Ciphertext)> = (0..n)
+                .flat_map(|i| (0..m).map(move |j| (i, j)))
+                .map(|(i, j)| (weights[i].clone(), table[i][j].clone()))
+                .collect();
+            let products = secure_multiply_batch(&pk, &twin(&holder), &pairs, &mut replay).unwrap();
+            let oracle: Vec<Ciphertext> = (0..m)
+                .map(|j| pk.sum((0..n).map(|i| &products[i * m + j])))
+                .collect();
+            assert_eq!(fused, oracle, "{n}×{m}");
+            let selected: Vec<u64> = fused
+                .iter()
+                .map(|c| holder.debug_decrypt_u64(c).unwrap())
+                .collect();
+            assert_eq!(selected, values[n / 2], "{n}×{m}");
+        }
+    }
+
+    #[test]
+    fn column_sums_reject_ragged_shapes() {
+        let (pk, holder, mut rng) = setup();
+        let e = pk.encrypt_u64(1, &mut rng);
+        let row = [e.clone(), e.clone()];
+        let short = [e.clone()];
+        let weights = [e.clone(), e];
+        assert_eq!(
+            secure_weighted_column_sums(&pk, &holder, &weights[..1], &[&row, &row], &mut rng),
+            Err(ProtocolError::DimensionMismatch { left: 1, right: 2 })
+        );
+        assert_eq!(
+            secure_weighted_column_sums(&pk, &holder, &weights, &[&row, &short], &mut rng),
+            Err(ProtocolError::DimensionMismatch { left: 2, right: 1 })
+        );
+        assert!(
+            secure_weighted_column_sums(&pk, &holder, &[], &[], &mut rng)
+                .unwrap()
+                .is_empty()
         );
     }
 

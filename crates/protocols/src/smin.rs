@@ -11,6 +11,13 @@
 //! blindly (it does not know `F`, so the bit `α` it learns is meaningless to
 //! it), and P1 combines `E(α)` with the gadget to select each output bit as
 //! `uᵢ + α(vᵢ − uᵢ)` (or the symmetric expression, depending on `F`).
+//!
+//! C1's exponentiations: the `uᵢvᵢ` products are one batched SM round (a
+//! two-base chain per bit to unmask), the `Hᵢ` chain and the `Lᵢ` gadget
+//! are one `mul_plain` per bit each, and step 3's unmasking
+//! `λᵢ = M̃ᵢ · E(α)^{−r̂ᵢ}` raises the one base `E(α)` to l exponents, so
+//! it runs as [`PublicKey::mul_plain_many`]: one fixed-base table for all
+//! l bits, bit-identical to a `mul_plain` per bit.
 
 use crate::{KeyHolder, Permutation, ProtocolError};
 use rand::{Rng, RngCore};
@@ -119,18 +126,14 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     let m_tilde = pi1.apply_inverse(&response.m_prime)?;
     let e_alpha = response.alpha;
 
+    // λᵢ = M̃ᵢ · E(α)^{N − r̂ᵢ} = E(α·(other − this)ᵢ). The exponent is
+    // −r̂ᵢ mod N (0 stays 0); all l powers share E(α) as their base, so
+    // they come from one fixed-base table.
+    let neg_masks: Vec<BigUint> = gamma_masks.iter().map(|r_hat| r_hat.mod_neg(n)).collect();
+    let unmasks = pk.mul_plain_many(&e_alpha, &neg_masks);
+    let selected = if f_is_u_gt_v { u_bits } else { v_bits };
     let min_bits = (0..l)
-        .map(|i| {
-            // λᵢ = M̃ᵢ · E(α)^{N − r̂ᵢ} = E(α·(other − this)ᵢ)
-            let neg_mask = gamma_masks[i].mod_neg(n);
-            // Careful: exponent must be N − r̂ᵢ, i.e. −r̂ᵢ mod N (0 stays 0).
-            let lambda_i = pk.add(&m_tilde[i], &pk.mul_plain(&e_alpha, &neg_mask));
-            if f_is_u_gt_v {
-                pk.add(&u_bits[i], &lambda_i)
-            } else {
-                pk.add(&v_bits[i], &lambda_i)
-            }
-        })
+        .map(|i| pk.add(&selected[i], &pk.add(&m_tilde[i], &unmasks[i])))
         .collect();
     Ok(min_bits)
 }
