@@ -1543,7 +1543,7 @@ mod tests {
         // Record i sits at squared distance 5i² from the query: all distinct.
         let table = Table::new((0..24).map(|i| vec![i, 2 * i]).collect()).unwrap();
         let mut rng = StdRng::seed_from_u64(408);
-        let requests = |threads: usize, rng: &mut StdRng| {
+        let requests = |protocol: Protocol, threads: usize, rng: &mut StdRng| {
             let config = FederationConfig {
                 key_bits: 96,
                 transport: TransportKind::Channel,
@@ -1558,17 +1558,33 @@ mod tests {
                 .query("d")
                 .k(3)
                 .point(&[0, 0])
-                .protocol(Protocol::Basic)
+                .protocol(protocol)
                 .run(rng)
                 .unwrap();
             assert_eq!(
                 outcome.result,
                 plain_knn_records(&table, &[0, 0], 3).unwrap(),
+                "{protocol:?}, threads = {threads}"
+            );
+            let l = engine.dataset("d").unwrap().distance_bits() as u64;
+            (outcome.comm.expect("traffic").requests, l)
+        };
+        assert_eq!(
+            requests(Protocol::Basic, 1, &mut rng),
+            requests(Protocol::Basic, 6, &mut rng)
+        );
+        // SkNN_m: SBD sends one request per bit for the whole shard, so
+        // the count is n SSEDs + l + per round (2 per SMIN of SMIN_n,
+        // MinSelection, extraction) + a freeze per round but the last +
+        // the final decryption, at any thread count.
+        for threads in [1, 6] {
+            let (sent, l) = requests(Protocol::Secure, threads, &mut rng);
+            assert_eq!(
+                sent,
+                24 + l + 3 * (2 * 23 + 2) + 2 + 1,
                 "threads = {threads}"
             );
-            outcome.comm.expect("traffic").requests
-        };
-        assert_eq!(requests(1, &mut rng), requests(6, &mut rng));
+        }
     }
 
     #[test]

@@ -218,7 +218,7 @@ pub(crate) fn execute_secure<R: RngCore + ?Sized>(
             record_ops(&mut p, shard, Stage::DistanceComputation, meter.take());
 
             let mut bits = p.time(Stage::BitDecomposition, || {
-                SbdStage::new(c1, l, task.parallelism).run(&meter, &distances, &mut rng)
+                SbdStage::new(c1, l).run(&meter, &distances, &mut rng)
             })?;
             record_ops(&mut p, shard, Stage::BitDecomposition, meter.take());
 

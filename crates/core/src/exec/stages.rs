@@ -10,7 +10,7 @@ use crate::{EncryptedQuery, SknnError};
 use rand::RngCore;
 use sknn_paillier::Ciphertext;
 use sknn_protocols::{
-    packed_bit_decompose, packed_squared_distances, secure_bit_decompose_with,
+    packed_bit_decompose, packed_squared_distances, secure_bit_decompose_batch_with,
     secure_squared_distance_to_negated, KeyHolder, PackedParams,
 };
 
@@ -164,13 +164,12 @@ impl<'a> SsedStage<'a> {
 pub(crate) struct SbdStage<'a> {
     c1: &'a CloudC1,
     l: usize,
-    parallelism: ParallelismConfig,
 }
 
 impl<'a> SbdStage<'a> {
     /// An SBD stage decomposing into `l` bits.
-    pub(crate) fn new(c1: &'a CloudC1, l: usize, parallelism: ParallelismConfig) -> Self {
-        SbdStage { c1, l, parallelism }
+    pub(crate) fn new(c1: &'a CloudC1, l: usize) -> Self {
+        SbdStage { c1, l }
     }
 
     /// Runs SBD over one shard's distances against the session `c2`.
@@ -185,29 +184,21 @@ impl<'a> SbdStage<'a> {
     ) -> Result<Vec<Vec<Ciphertext>>, SknnError> {
         let pk = self.c1.public_key();
         let l = self.l;
-        match &distances.distances {
-            // Packed state: all groups advance in lockstep, one packed
-            // request per group per round.
+        // Either way all records advance in lockstep, one request per
+        // round; the per-round mask encryptions draw from C1's offline
+        // randomness pool when one is attached.
+        let enc = self.c1.encryptor();
+        let bits = match &distances.distances {
             Distances::Packed {
                 params,
                 groups,
                 counts,
-            } => packed_bit_decompose(pk, c2, groups, counts, l, params, rng, self.c1.encryptor())
-                .map_err(SknnError::from),
+            } => packed_bit_decompose(pk, c2, groups, counts, l, params, rng, enc),
             Distances::Scalar(scalar) => {
-                let seeds = derive_seeds(rng, scalar.len());
-                let decomposed = parallel_map(self.parallelism.threads, scalar, |i, dist| {
-                    let mut thread_rng = derived_rng(seeds[i]);
-                    // The per-round mask encryptions draw from C1's
-                    // offline randomness pool when one is attached.
-                    secure_bit_decompose_with(pk, c2, dist, l, &mut thread_rng, self.c1.encryptor())
-                });
-                decomposed
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(SknnError::from)
+                secure_bit_decompose_batch_with(pk, c2, scalar, l, rng, enc)
             }
-        }
+        };
+        bits.map_err(SknnError::from)
     }
 }
 

@@ -79,7 +79,7 @@ mod tests {
             .collect();
         let _ = meter.sm_mask_multiply_batch(&pairs);
         let masked: Vec<_> = (0..2).map(|v| pk.encrypt_u64(v, &mut rng)).collect();
-        let _ = meter.lsb_of_masked_batch(&masked);
+        let _ = meter.bit_of_masked_batch(3, &masked);
         let _ = meter.top_k_indices(&masked, 1);
 
         let ops = meter.take();

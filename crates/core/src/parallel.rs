@@ -5,7 +5,8 @@
 //! SkNN_b with a 6-thread OpenMP build (Figure 3). This module provides the
 //! equivalent building block: a deterministic, ordered parallel map over
 //! records using scoped OS threads. Both protocols use it for their per-record
-//! stages (SSED, and SBD in SkNN_m).
+//! stage, SSED. SkNN_m's SBD runs all of a shard's records in lockstep
+//! instead, one request per bit.
 
 /// How many worker threads the per-record stages may use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -78,7 +78,7 @@ pub use party::{KeyHolder, LocalKeyHolder, SminRoundResponse};
 pub use permutation::Permutation;
 pub use sbd::{
     recompose_bits, secure_bit_decompose, secure_bit_decompose_batch,
-    secure_bit_decompose_batch_with, secure_bit_decompose_with,
+    secure_bit_decompose_batch_with,
 };
 pub use sbor::{secure_bit_and, secure_bit_or};
 pub use sm::{secure_multiply, secure_multiply_batch, secure_weighted_column_sums};

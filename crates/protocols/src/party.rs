@@ -72,9 +72,17 @@ pub trait KeyHolder: Send + Sync {
         ciphertexts(pairs.len(), self.call(Request::SmBatch(pairs.to_vec())))
     }
 
-    /// [`Request::LsbBatch`].
-    fn lsb_of_masked_batch(&self, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
-        ciphertexts(masked.len(), self.call(Request::LsbBatch(masked.to_vec())))
+    /// [`Request::LsbBatch`]: bit `bit` of each masked plaintext.
+    fn bit_of_masked_batch(
+        &self,
+        bit: u32,
+        masked: &[Ciphertext],
+    ) -> Result<Vec<Ciphertext>, ProtocolError> {
+        let request = Request::LsbBatch {
+            bit,
+            masked: masked.to_vec(),
+        };
+        ciphertexts(masked.len(), self.call(request))
     }
 
     /// [`Request::SminRound`].
@@ -404,7 +412,9 @@ impl KeyHolder for LocalKeyHolder {
     fn call(&self, request: Request) -> Result<Response, ProtocolError> {
         Ok(match request {
             Request::SmBatch(pairs) => Response::Ciphertexts(self.sm_batch(&pairs)),
-            Request::LsbBatch(masked) => Response::Ciphertexts(self.lsb_batch(&masked)),
+            Request::LsbBatch { bit, masked } => {
+                Response::Ciphertexts(self.bit_batch(bit, &masked)?)
+            }
             Request::SminRound { gamma, l_vec } => self.smin(&gamma, &l_vec)?,
             Request::MinSelection(beta) => Response::Ciphertexts(self.select_min(&beta)?),
             Request::TopK { distances, k } => Response::Indices(self.top_k(&distances, k)),
@@ -453,21 +463,25 @@ impl LocalKeyHolder {
             .collect()
     }
 
-    fn lsb_batch(&self, masked: &[Ciphertext]) -> Vec<Ciphertext> {
+    fn bit_batch(&self, bit: u32, masked: &[Ciphertext]) -> Result<Vec<Ciphertext>, ProtocolError> {
+        // Every plaintext is below N, so a bit at or past the key size is a
+        // constant 0: no honest SBD round asks for one.
+        let bit = bit as usize;
+        if bit >= self.pk.bits() {
+            return Err(ProtocolError::InvalidBitLength {
+                l: bit,
+                key_bits: self.pk.bits(),
+            });
+        }
         let units = self.fresh_units(masked.len());
-        masked
+        Ok(masked
             .iter()
             .zip(units)
             .map(|(y, unit)| {
-                let plain = self.sk.decrypt(y);
-                let bit = if plain.is_odd() {
-                    BigUint::one()
-                } else {
-                    BigUint::zero()
-                };
-                self.encrypt_own(&bit, &unit)
+                let value = BigUint::from_u64(u64::from(self.sk.decrypt(y).bit(bit)));
+                self.encrypt_own(&value, &unit)
             })
-            .collect()
+            .collect())
     }
 
     fn smin(
@@ -716,13 +730,23 @@ mod tests {
     }
 
     #[test]
-    fn lsb_oracle() {
+    fn bit_oracle() {
         let (pk, holder, mut rng) = setup();
-        let evens = pk.encrypt_u64(44, &mut rng);
-        let odds = pk.encrypt_u64(45, &mut rng);
-        let bits = holder.lsb_of_masked_batch(&[evens, odds]).unwrap();
-        assert_eq!(holder.debug_decrypt_u64(&bits[0]).unwrap(), 0);
-        assert_eq!(holder.debug_decrypt_u64(&bits[1]).unwrap(), 1);
+        // 44 = 0b101100, 45 = 0b101101
+        let masked = [pk.encrypt_u64(44, &mut rng), pk.encrypt_u64(45, &mut rng)];
+        for (bit, expected) in [(0, [0, 1]), (2, [1, 1]), (4, [0, 0]), (127, [0, 0])] {
+            let bits = holder.bit_of_masked_batch(bit, &masked).unwrap();
+            for (b, e) in bits.iter().zip(expected) {
+                assert_eq!(holder.debug_decrypt_u64(b).unwrap(), e, "bit {bit}");
+            }
+        }
+        assert_eq!(
+            holder.bit_of_masked_batch(128, &masked),
+            Err(ProtocolError::InvalidBitLength {
+                l: 128,
+                key_bits: 128
+            })
+        );
     }
 
     #[test]
@@ -864,7 +888,7 @@ mod tests {
         let product = holder.sm_mask_multiply_batch(&[(a, b)]).unwrap();
         assert_eq!(holder.debug_decrypt_u64(&product[0]).unwrap(), 3660);
         let odd = pk.encrypt_u64(45, &mut rng);
-        let bit = holder.lsb_of_masked_batch(&[odd]).unwrap();
+        let bit = holder.bit_of_masked_batch(0, &[odd]).unwrap();
         assert_eq!(holder.debug_decrypt_u64(&bit[0]).unwrap(), 1);
         let beta = vec![pk.encrypt_u64(5, &mut rng), pk.encrypt_u64(0, &mut rng)];
         let u = holder.min_selection(&beta).unwrap();

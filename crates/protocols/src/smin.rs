@@ -13,11 +13,12 @@
 //! `uᵢ + α(vᵢ − uᵢ)` (or the symmetric expression, depending on `F`).
 //!
 //! C1's exponentiations: the `uᵢvᵢ` products are one batched SM round (a
-//! two-base chain per bit to unmask), the `Hᵢ` chain and the `Lᵢ` gadget
-//! are one `mul_plain` per bit each, and step 3's unmasking
-//! `λᵢ = M̃ᵢ · E(α)^{−r̂ᵢ}` raises the one base `E(α)` to l exponents, so
-//! it runs as [`PublicKey::mul_plain_many`]: one fixed-base table for all
-//! l bits, bit-identical to a `mul_plain` per bit.
+//! two-base chain per bit to unmask); `Lᵢ`'s power `Φᵢ^{r′ᵢ}` and the next
+//! link `Hᵢ^{r_{i+1}}` of the `Hᵢ` chain share the base `Hᵢ`, so they come
+//! from one fixed-base table per bit ([`PublicKey::mul_plain_many`]); and
+//! step 3's unmasking `λᵢ = M̃ᵢ · E(α)^{−r̂ᵢ}` raises the one base `E(α)`
+//! to l exponents from one more table. Each is bit-identical to a
+//! `mul_plain` per power.
 
 use crate::{KeyHolder, Permutation, ProtocolError};
 use rand::{Rng, RngCore};
@@ -49,7 +50,6 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
     }
 
     let n = pk.n();
-    let one = BigUint::one();
 
     // Step 1(a): P1 picks the functionality F by a private coin flip.
     let f_is_u_gt_v: bool = rng.gen();
@@ -62,56 +62,7 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         .collect();
     let uv_products = crate::secure_multiply_batch(pk, key_holder, &pairs, rng)?;
 
-    let mut gamma = Vec::with_capacity(l);
-    let mut gamma_masks = Vec::with_capacity(l);
-    let mut h_prev: Option<Ciphertext> = None;
-    let mut l_vec = Vec::with_capacity(l);
-
-    for i in 0..l {
-        let e_u = &u_bits[i];
-        let e_v = &v_bits[i];
-
-        // E(uᵢ − uᵢvᵢ) and E(vᵢ − uᵢvᵢ) from one negation of E(uᵢvᵢ).
-        let e_neg_uv = pk.negate(&uv_products[i]);
-        let u_not_v = pk.add(e_u, &e_neg_uv);
-        let v_not_u = pk.add(e_v, &e_neg_uv);
-
-        // Gᵢ = E(uᵢ ⊕ vᵢ) = E(uᵢ + vᵢ − 2·uᵢ·vᵢ)
-        let g_i = pk.add(&u_not_v, &v_not_u);
-
-        // Wᵢ and the randomized bit difference Γᵢ depend on F.
-        let (w_i, diff) = if f_is_u_gt_v {
-            // Wᵢ = E(uᵢ·(1 − vᵢ)),  Γᵢ = E(vᵢ − uᵢ + r̂ᵢ)
-            (u_not_v, pk.sub(e_v, e_u))
-        } else {
-            // Wᵢ = E(vᵢ·(1 − uᵢ)),  Γᵢ = E(uᵢ − vᵢ + r̂ᵢ)
-            (v_not_u, pk.sub(e_u, e_v))
-        };
-        let r_hat = random_below(rng, n);
-        let gamma_i = pk.add_plain(&diff, &r_hat);
-
-        // Hᵢ = H_{i−1}^{rᵢ} · Gᵢ with rᵢ ∈ [1, N): preserves the first 1 in G.
-        // H₀ = E(0) with randomness 1, so H₁ = 1^{r₁} · G₁ = G₁.
-        let h_i = match h_prev {
-            None => g_i,
-            Some(h_prev) => {
-                let r_i = random_range(rng, &one, n);
-                pk.add(&pk.mul_plain(&h_prev, &r_i), &g_i)
-            }
-        };
-
-        // Φᵢ = E(−1) · Hᵢ = E(Hᵢ − 1): zero exactly at the first differing bit.
-        let phi_i = pk.sub_plain(&h_i, &one);
-
-        // Lᵢ = Wᵢ · Φᵢ^{r′ᵢ} with r′ᵢ ∈ [1, N): reveals Wᵢ only where Φᵢ = 0.
-        let r_prime = random_range(rng, &one, n);
-        let l_i = pk.add(&w_i, &pk.mul_plain(&phi_i, &r_prime));
-
-        gamma.push(gamma_i);
-        gamma_masks.push(r_hat);
-        h_prev = Some(h_i);
-        l_vec.push(l_i);
-    }
+    let (gamma, gamma_masks, l_vec) = gadget(pk, u_bits, v_bits, &uv_products, f_is_u_gt_v, rng);
 
     // Step 1(c)-(d): permute Γ and L with two independent permutations.
     let pi1 = Permutation::random(rng, l);
@@ -136,6 +87,87 @@ pub fn secure_min<K: KeyHolder + ?Sized, R: RngCore + ?Sized>(
         .map(|i| pk.add(&selected[i], &pk.add(&m_tilde[i], &unmasks[i])))
         .collect();
     Ok(min_bits)
+}
+
+/// Step 1(b) of Algorithm 3 for every bit position: the randomized bit
+/// differences `Γ`, their masks `r̂`, and the comparison gadget `L`.
+///
+/// `Lᵢ` and `H_{i+1}` raise the same base: `Φᵢ = Hᵢ·E(−1)`, so
+/// `Φᵢ^{r′ᵢ} = Hᵢ^{r′ᵢ}·E(−r′ᵢ)` (the plaintext offset `1 − r′ᵢN` is no
+/// exponentiation), and `H_{i+1} = Hᵢ^{r_{i+1}}·G_{i+1}`. Both powers of
+/// `Hᵢ` come from one fixed-base table; only the last `H_l^{r′_l}` is a
+/// lone power. The masks are drawn up front in the order a per-bit loop
+/// draws them, so the output is bit-identical to one `mul_plain` per power.
+fn gadget<R: RngCore + ?Sized>(
+    pk: &PublicKey,
+    u_bits: &[Ciphertext],
+    v_bits: &[Ciphertext],
+    uv_products: &[Ciphertext],
+    f_is_u_gt_v: bool,
+    rng: &mut R,
+) -> (Vec<Ciphertext>, Vec<BigUint>, Vec<Ciphertext>) {
+    let n = pk.n();
+    let one = BigUint::one();
+    let l = u_bits.len();
+    // rᵢ and r′ᵢ (both in [1, N)) blind zero tests, so they stay full-size.
+    // r_next[i] takes position i's H to position i + 1's.
+    let mut gamma_masks = Vec::with_capacity(l);
+    let mut r_next = Vec::with_capacity(l);
+    let mut r_primes = Vec::with_capacity(l);
+    for i in 0..l {
+        gamma_masks.push(random_below(rng, n));
+        if i > 0 {
+            r_next.push(random_range(rng, &one, n));
+        }
+        r_primes.push(random_range(rng, &one, n));
+    }
+
+    let mut gamma = Vec::with_capacity(l);
+    let mut l_vec = Vec::with_capacity(l);
+    // H_{i−1}^{rᵢ}; H₀ = E(0) with randomness 1, so H₁ = 1^{r₁} · G₁ = G₁.
+    let mut h_pow: Option<Ciphertext> = None;
+    for i in 0..l {
+        let e_u = &u_bits[i];
+        let e_v = &v_bits[i];
+
+        // E(uᵢ − uᵢvᵢ) and E(vᵢ − uᵢvᵢ) from one negation of E(uᵢvᵢ).
+        let e_neg_uv = pk.negate(&uv_products[i]);
+        let u_not_v = pk.add(e_u, &e_neg_uv);
+        let v_not_u = pk.add(e_v, &e_neg_uv);
+
+        // Gᵢ = E(uᵢ ⊕ vᵢ) = E(uᵢ + vᵢ − 2·uᵢ·vᵢ)
+        let g_i = pk.add(&u_not_v, &v_not_u);
+
+        // Wᵢ and the randomized bit difference Γᵢ depend on F.
+        let (w_i, diff) = if f_is_u_gt_v {
+            // Wᵢ = E(uᵢ·(1 − vᵢ)),  Γᵢ = E(vᵢ − uᵢ + r̂ᵢ)
+            (u_not_v, pk.sub(e_v, e_u))
+        } else {
+            // Wᵢ = E(vᵢ·(1 − uᵢ)),  Γᵢ = E(uᵢ − vᵢ + r̂ᵢ)
+            (v_not_u, pk.sub(e_u, e_v))
+        };
+        gamma.push(pk.add_plain(&diff, &gamma_masks[i]));
+
+        // Hᵢ = H_{i−1}^{rᵢ} · Gᵢ with rᵢ ∈ [1, N): preserves the first 1 in G.
+        let h_i = match h_pow.take() {
+            None => g_i,
+            Some(h_pow) => pk.add(&h_pow, &g_i),
+        };
+        let r_prime = &r_primes[i];
+        let h_r_prime = match r_next.get(i) {
+            Some(r) => {
+                let powers = pk.mul_plain_many(&h_i, &[r_prime.clone(), r.clone()]);
+                h_pow = Some(powers[1].clone());
+                powers[0].clone()
+            }
+            None => pk.mul_plain(&h_i, r_prime),
+        };
+
+        // Lᵢ = Wᵢ · Φᵢ^{r′ᵢ} with r′ᵢ ∈ [1, N): reveals Wᵢ only where
+        // Φᵢ = E(Hᵢ − 1) is zero, i.e. at the first differing bit.
+        l_vec.push(pk.add(&w_i, &pk.sub_plain(&h_r_prime, r_prime)));
+    }
+    (gamma, gamma_masks, l_vec)
 }
 
 #[cfg(test)]
@@ -163,6 +195,75 @@ mod tests {
         bits.iter().fold(0u64, |acc, b| {
             (acc << 1) | holder.debug_decrypt_u64(b).unwrap()
         })
+    }
+
+    /// Step 1(b) as one `mul_plain` per power, drawing each bit's masks
+    /// in turn: the oracle [`gadget`] must match bit for bit.
+    fn gadget_reference(
+        pk: &PublicKey,
+        u_bits: &[Ciphertext],
+        v_bits: &[Ciphertext],
+        uv_products: &[Ciphertext],
+        f_is_u_gt_v: bool,
+        rng: &mut StdRng,
+    ) -> (Vec<Ciphertext>, Vec<BigUint>, Vec<Ciphertext>) {
+        let (n, one) = (pk.n(), BigUint::one());
+        let (mut gamma, mut gamma_masks, mut l_vec) = (Vec::new(), Vec::new(), Vec::new());
+        let mut h_prev: Option<Ciphertext> = None;
+        for i in 0..u_bits.len() {
+            let e_u = &u_bits[i];
+            let e_v = &v_bits[i];
+            let e_neg_uv = pk.negate(&uv_products[i]);
+            let u_not_v = pk.add(e_u, &e_neg_uv);
+            let v_not_u = pk.add(e_v, &e_neg_uv);
+            let g_i = pk.add(&u_not_v, &v_not_u);
+            let (w_i, diff) = if f_is_u_gt_v {
+                (u_not_v, pk.sub(e_v, e_u))
+            } else {
+                (v_not_u, pk.sub(e_u, e_v))
+            };
+            let r_hat = random_below(rng, n);
+            let gamma_i = pk.add_plain(&diff, &r_hat);
+            let h_i = match h_prev {
+                None => g_i,
+                Some(h_prev) => {
+                    let r_i = random_range(rng, &one, n);
+                    pk.add(&pk.mul_plain(&h_prev, &r_i), &g_i)
+                }
+            };
+            let phi_i = pk.sub_plain(&h_i, &one);
+            let r_prime = random_range(rng, &one, n);
+            let l_i = pk.add(&w_i, &pk.mul_plain(&phi_i, &r_prime));
+            gamma.push(gamma_i);
+            gamma_masks.push(r_hat);
+            h_prev = Some(h_i);
+            l_vec.push(l_i);
+        }
+        (gamma, gamma_masks, l_vec)
+    }
+
+    #[test]
+    fn shared_h_powers_are_bit_identical_to_one_pow_each() {
+        let (pk, _holder, mut rng) = setup();
+        for (l, u, v) in [
+            (1, 0u64, 1u64),
+            (2, 3, 3),
+            (6, 55, 58),
+            (8, 200, 13),
+            (8, 0, 255),
+        ] {
+            let eu = encrypt_bits(&pk, u, l, &mut rng);
+            let ev = encrypt_bits(&pk, v, l, &mut rng);
+            let uv = encrypt_bits(&pk, u & v, l, &mut rng);
+            for (seed, f) in [(103, true), (104, false)] {
+                let (mut fast_rng, mut ref_rng) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let fast = gadget(&pk, &eu, &ev, &uv, f, &mut fast_rng);
+                let reference = gadget_reference(&pk, &eu, &ev, &uv, f, &mut ref_rng);
+                assert_eq!(fast, reference, "l = {l}, u = {u}, v = {v}, F = {f}");
+                assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "same draws");
+            }
+        }
     }
 
     #[test]

@@ -313,7 +313,10 @@ mod tests {
         let layout = PackedParams::derive(pk.bits(), 6, 6, 4).unwrap().layout;
         vec![
             Request::SmBatch(pairs.clone()),
-            Request::LsbBatch(cts.clone()),
+            Request::LsbBatch {
+                bit: 2,
+                masked: cts.clone(),
+            },
             Request::SminRound {
                 gamma: cts.clone(),
                 l_vec: cts.clone(),
@@ -349,7 +352,7 @@ mod tests {
         use wire::Request;
         match request {
             Request::SmBatch(pairs) => c2.sm_mask_multiply_batch(pairs).map(drop),
-            Request::LsbBatch(cts) => c2.lsb_of_masked_batch(cts).map(drop),
+            Request::LsbBatch { bit, masked } => c2.bit_of_masked_batch(*bit, masked).map(drop),
             Request::SminRound { gamma, l_vec } => c2.smin_round(gamma, l_vec).map(drop),
             Request::MinSelection(cts) => c2.min_selection(cts).map(drop),
             Request::TopK { distances, k } => c2.top_k_indices(distances, *k as usize).map(drop),
@@ -504,7 +507,7 @@ mod tests {
             wire::Request::SmBatch(pairs) | wire::Request::SmPackedPairs { pairs, .. } => {
                 pairs.len()
             }
-            wire::Request::LsbBatch(values)
+            wire::Request::LsbBatch { masked: values, .. }
             | wire::Request::MinSelection(values)
             | wire::Request::SmPackedSquares { packed: values, .. } => values.len(),
             wire::Request::LsbPacked { slot_counts, .. } => {
@@ -558,6 +561,37 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn bit_past_the_key_size_is_a_typed_error_on_every_key_holder() {
+        // Every plaintext is below N, so no SBD round asks for such a bit.
+        let (pk, oracle, pool, mut rng) = setup();
+        let masked = vec![pk.encrypt_u64(5, &mut rng)];
+        for bit in [pk.bits() as u32, u32::MAX] {
+            let refused = crate::ProtocolError::InvalidBitLength {
+                l: bit as usize,
+                key_bits: pk.bits(),
+            };
+            assert_eq!(
+                oracle.bit_of_masked_batch(bit, &masked),
+                Err(refused.clone())
+            );
+            // The server relays its refusal as a generic error frame.
+            assert_eq!(
+                pool.session(0).bit_of_masked_batch(bit, &masked),
+                Err(crate::ProtocolError::Transport {
+                    message: TransportError::Remote {
+                        code: wire::ERR_CODE_GENERIC,
+                        message: refused.to_string(),
+                    }
+                    .to_string(),
+                })
+            );
+        }
+        // The session survives the refusal.
+        let bits = pool.session(0).bit_of_masked_batch(2, &masked).unwrap();
+        assert_eq!(oracle.debug_decrypt_u64(&bits[0]).unwrap(), 1);
     }
 
     #[test]

@@ -1365,8 +1365,8 @@ mod tests {
 
     #[test]
     fn old_wire_version_is_refused_typed_on_both_ends() {
-        // A hand-written frame from a revision-1 peer: a well-formed
-        // request whose envelope byte is 1.
+        // A hand-written frame from a revision-2 peer (whose LsbBatch had
+        // no bit field): a well-formed request whose envelope byte is 2.
         let (_pk, holder) = small_holder(47);
         let reactor = Reactor::new().unwrap();
         let (conn, server_end) = reactor
@@ -1376,7 +1376,7 @@ mod tests {
         let mut bytes = Frame::request(1, Request::PublicKey.encode())
             .encode()
             .unwrap();
-        bytes[0] = 1;
+        bytes[0] = 2;
         let rx = conn.register(1);
         {
             let mut io = lock(&conn.shared.io);
@@ -1386,12 +1386,12 @@ mod tests {
         // The server refuses the envelope and hangs up...
         assert_eq!(
             server.join().unwrap(),
-            Err(TransportError::BadVersion { got: 1 })
+            Err(TransportError::BadVersion { got: 2 })
         );
         // ...after naming the cause, which the client's waiter receives.
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)),
-            Ok(Err(TransportError::BadVersion { got: 1 }))
+            Ok(Err(TransportError::BadVersion { got: 2 }))
         );
         // Every later request finds the connection dead, so the executor
         // re-pins it instead of retrying it as transient.

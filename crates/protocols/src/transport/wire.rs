@@ -40,7 +40,7 @@ use std::fmt;
 /// fails at the envelope with a typed [`TransportError::BadVersion`]
 /// before any request is decoded. Bump this whenever the frame layout or
 /// any request/response encoding changes; never renumber a surviving tag.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Frame header size in bytes (version + kind + correlation id + length).
 pub const FRAME_HEADER_LEN: usize = 1 + 1 + 8 + 4;
@@ -524,10 +524,16 @@ pub enum Request {
     /// ciphertexts, decrypt both, multiply the plaintexts modulo `N` and
     /// return a fresh encryption of the product.
     SmBatch(Vec<(Ciphertext, Ciphertext)>),
-    /// SBD's Encrypted-LSB oracle: for each masked ciphertext `E(z + r)`,
-    /// decrypt and return a fresh encryption of the plaintext's
-    /// least-significant bit.
-    LsbBatch(Vec<Ciphertext>),
+    /// SBD's encrypted-bit oracle, round `bit`: for each masked ciphertext
+    /// `E(x + r)` (`x` a multiple of `2^bit`), decrypt and return a fresh
+    /// encryption of bit `bit` of the plaintext. A `bit` at or beyond the
+    /// key size is a [`ProtocolError::InvalidBitLength`].
+    LsbBatch {
+        /// The bit position asked for: SBD's round index.
+        bit: u32,
+        /// The masked ciphertexts.
+        masked: Vec<Ciphertext>,
+    },
     /// SMIN, step 2 (Algorithm 3): decrypt `L′`, decide `α` (1 if any entry
     /// decrypts to exactly 1), and return `Γ′` exponentiated by `α`
     /// together with `E(α)`. Vectors of different lengths are a
@@ -614,7 +620,7 @@ impl Request {
     pub fn name(&self) -> &'static str {
         match self {
             Request::SmBatch(_) => "SmBatch",
-            Request::LsbBatch(_) => "LsbBatch",
+            Request::LsbBatch { .. } => "LsbBatch",
             Request::SminRound { .. } => "SminRound",
             Request::MinSelection(_) => "MinSelection",
             Request::TopK { .. } => "TopK",
@@ -638,7 +644,7 @@ impl Request {
             Request::SmBatch(pairs) | Request::SmPackedPairs { pairs, .. } => {
                 (2 * pairs.len(), pairs.len(), 2 * pairs.len())
             }
-            Request::LsbBatch(cts)
+            Request::LsbBatch { masked: cts, .. }
             | Request::MinSelection(cts)
             | Request::SmPackedSquares { packed: cts, .. } => (cts.len(), cts.len(), cts.len()),
             // Γ′ and L′ out; C2 decrypts L′ only; M′ and E(α) back.
@@ -670,7 +676,7 @@ impl Request {
     pub fn wire_tag(&self) -> u8 {
         match self {
             Request::SmBatch(_) => 1,
-            Request::LsbBatch(_) => 2,
+            Request::LsbBatch { .. } => 2,
             Request::SminRound { .. } => 3,
             Request::MinSelection(_) => 4,
             Request::TopK { .. } => 5,
@@ -691,9 +697,10 @@ impl Request {
                 buf.put_u8(1);
                 put_pairs(&mut buf, pairs);
             }
-            Request::LsbBatch(values) => {
+            Request::LsbBatch { bit, masked } => {
                 buf.put_u8(2);
-                put_cts(&mut buf, values);
+                buf.put_u32(*bit);
+                put_cts(&mut buf, masked);
             }
             Request::SminRound { gamma, l_vec } => {
                 buf.put_u8(3);
@@ -764,7 +771,10 @@ impl Request {
         let mut r = Reader::new(payload);
         let request = match r.u8()? {
             1 => Request::SmBatch(r.ciphertext_pairs()?),
-            2 => Request::LsbBatch(r.ciphertext_vec()?),
+            2 => Request::LsbBatch {
+                bit: r.u32()?,
+                masked: r.ciphertext_vec()?,
+            },
             3 => Request::SminRound {
                 gamma: r.ciphertext_vec()?,
                 l_vec: r.ciphertext_vec()?,
@@ -1018,10 +1028,10 @@ mod tests {
             (a.clone(), b.clone()),
             (b.clone(), a.clone()),
         ]));
-        roundtrip_request(Request::LsbBatch(vec![
-            a.clone(),
-            Ciphertext::from_raw(BigUint::zero()),
-        ]));
+        roundtrip_request(Request::LsbBatch {
+            bit: 5,
+            masked: vec![a.clone(), Ciphertext::from_raw(BigUint::zero())],
+        });
         roundtrip_request(Request::SminRound {
             gamma: vec![a.clone()],
             l_vec: vec![b.clone()],
@@ -1078,7 +1088,10 @@ mod tests {
         let layout = SlotLayout::new(8, 8, 2).unwrap();
         let requests = [
             Request::SmBatch(vec![]),
-            Request::LsbBatch(vec![]),
+            Request::LsbBatch {
+                bit: 0,
+                masked: vec![],
+            },
             Request::SminRound {
                 gamma: vec![],
                 l_vec: vec![],
@@ -1174,9 +1187,9 @@ mod tests {
 
     #[test]
     fn truncated_and_trailing_payloads_are_rejected() {
-        // Announces 5 vector entries but carries none.
+        // A MinSelection that announces 5 vector entries but carries none.
         let mut buf = BytesMut::new();
-        buf.put_u8(2);
+        buf.put_u8(4);
         buf.put_u32(5);
         assert!(matches!(
             Request::decode(buf.freeze()),

@@ -135,14 +135,14 @@ fn heterogeneous_concurrent_workloads_share_one_session() {
                             let p = secure_multiply(&f.pk, client, &e_a, &e_b, &mut rng).unwrap();
                             f.sk.decrypt(&p) == BigUint::from_u64(a * b)
                         }
-                        // LSB of a masked value.
+                        // Bit 1 of a masked value.
                         1 => {
                             let v = (t * 7 + i) as u64;
                             let masked = f.pk.encrypt_u64(v, &mut rng);
                             let bits = client
-                                .lsb_of_masked_batch(std::slice::from_ref(&masked))
+                                .bit_of_masked_batch(1, std::slice::from_ref(&masked))
                                 .unwrap();
-                            f.sk.decrypt(&bits[0]) == BigUint::from_u64(v & 1)
+                            f.sk.decrypt(&bits[0]) == BigUint::from_u64((v >> 1) & 1)
                         }
                         // Masked decryption (the finalization exchange).
                         2 => {
