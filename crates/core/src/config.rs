@@ -7,28 +7,27 @@ use sknn_paillier::PoolConfig;
 ///
 /// Both remote variants go through the same transport stack
 /// ([`sknn_protocols::transport`]): pipelined, correlation-ID-framed
-/// sessions whose connections are all serviced by one readiness-driven
-/// event loop ([`sknn_protocols::transport::Reactor`]), with per-connection
-/// in-flight windows, backpressure and byte-accurate traffic accounting.
-/// The key-holder servers run in background threads of this process. The
-/// protocol code is identical in all cases — only the wire underneath
-/// changes.
+/// sessions over a connected stream socket, all serviced by one
+/// readiness-driven event loop ([`sknn_protocols::transport::Reactor`]),
+/// with per-connection in-flight windows, backpressure and byte-accurate
+/// traffic accounting. The key-holder servers run in background threads of
+/// this process. The protocol code is identical in all cases — only the
+/// socket underneath changes. Socket readiness needs epoll, so both remote
+/// variants work on Linux only; elsewhere engine setup fails with a typed
+/// transport error, and only `InProcess` works.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
     /// Direct in-process calls (the configuration matching the paper's
     /// single-machine evaluation; fastest, no traffic accounting).
     #[default]
     InProcess,
-    /// An in-process byte channel
+    /// An in-process Unix socketpair
     /// ([`sknn_protocols::transport::Reactor::channel_pair`]): real wire
-    /// bytes and round-trip counts without sockets.
+    /// bytes and round-trip counts without a port.
     Channel,
     /// A real TCP socket over loopback
     /// ([`sknn_protocols::transport::Reactor::connect_tcp`]): non-blocking
     /// client sockets on the reactor, one blocking server per session.
-    /// Socket readiness needs epoll, so this kind works on Linux only;
-    /// elsewhere engine setup fails with a typed transport error
-    /// (`Channel` and `InProcess` work everywhere).
     Tcp,
 }
 

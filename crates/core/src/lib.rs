@@ -97,6 +97,6 @@ pub use sknn_paillier::{
     Ciphertext, Keypair, PackingError, PoolConfig, PoolStats, PooledEncryptor, PrivateKey,
     PublicKey, RandomnessPool, SlotLayout,
 };
-pub use sknn_protocols::transport::{SessionKeyHolder, Transport, TransportError};
+pub use sknn_protocols::transport::{SessionKeyHolder, TransportError};
 pub use sknn_protocols::{KeyHolder, LocalKeyHolder, PackedParams, ProtocolError};
 pub use sknn_store::{CompactionReport, DatasetMeta, DatasetStore, RecoveryReport, StoreError};

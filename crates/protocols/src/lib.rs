@@ -26,8 +26,8 @@
 //!   typed [`KeyHolder`] methods the protocols call are built on it. The
 //!   in-process implementation is [`LocalKeyHolder`], and
 //!   [`transport::SessionKeyHolder`] makes each call one pipelined round
-//!   trip over any [`transport::Transport`] (in-process channel or TCP),
-//!   with traffic accounting.
+//!   trip over a stream socket (an in-process socketpair or TCP), with
+//!   traffic accounting.
 //!
 //! Because [`Request`] holds **only** the messages the paper's algorithms
 //! send to P2, any implementation sees exactly the view the security

@@ -4,8 +4,10 @@
 //! ([`Reactor::channel_pair`](super::Reactor::channel_pair) or
 //! [`Reactor::connect_tcp`](super::Reactor::connect_tcp)) strikes one
 //! outbound frame: the plan names a fault class and the 0-based index of
-//! the frame it strikes. Everything is deterministic — no ambient
-//! randomness — so a failing chaos test replays bit-for-bit.
+//! the frame it strikes. It sits on the connection's write path, which both
+//! kinds of socket share, so a plan strikes the same way on either.
+//! Everything is deterministic — no ambient randomness — so a failing chaos
+//! test replays bit-for-bit.
 //!
 //! The plan sits on the **client** endpoint, where outbound frames are
 //! requests. Fault classes map to real-world failures as follows:

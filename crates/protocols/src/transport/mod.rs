@@ -13,15 +13,15 @@
 //!   Conn                    one connection: in-flight window, queue,
 //!        │                  deadlines, fault plans
 //!   Reactor                 one `sknn-reactor` thread services every
-//!        │                  connection; the wire is either
-//!        ├─ channel_pair    in-process byte queues (byte-accurate
-//!        │                  traffic accounting without sockets), or
-//!        └─ connect_tcp     a real non-blocking socket (epoll)
+//!        │                  connection, each a non-blocking stream
+//!        │                  socket on epoll; the socket is either
+//!        ├─ channel_pair    an in-process Unix socketpair (no port), or
+//!        └─ connect_tcp     a TCP connection
 //! ```
 //!
-//! On the other side, [`serve`] runs the key-holder server loop — over any
-//! blocking [`Transport`] ([`ChannelServer`], [`TcpTransport`]) — handing
-//! each decoded request to [`crate::LocalKeyHolder`]'s `call`, with a
+//! On the other side, [`serve`] runs the key-holder server loop over the
+//! blocking server end of either socket, a [`TcpTransport`], handing each
+//! decoded request to [`crate::LocalKeyHolder`]'s `call`, with a
 //! configurable number of worker threads so concurrent pipelined requests
 //! are also *served* concurrently.
 //! [`SessionPool::channel`] and [`SessionPool::tcp`] stand up both sides in
@@ -42,14 +42,13 @@ mod tcp;
 
 pub use fault::{FaultKind, FaultPlan};
 pub use pool::{Loopback, SessionPool};
-pub use reactor::{BackpressureConfig, ChannelServer, Conn, Reactor};
+pub use reactor::{BackpressureConfig, Conn, Reactor};
 pub use server::serve;
 pub use session::SessionKeyHolder;
 pub use tcp::TcpTransport;
 pub use wire::{Frame, FrameKind, TransportError, WIRE_VERSION};
 
 use crate::stats::CommStats;
-use std::sync::Arc;
 
 /// Records one frame in `stats` by its kind: requests count as C1→C2
 /// traffic, responses and error replies as C2→C1. Both endpoints use this
@@ -59,39 +58,6 @@ pub(crate) fn record_frame(stats: &CommStats, kind: FrameKind, bytes: usize) {
         FrameKind::Request => stats.record_request(bytes),
         FrameKind::Response | FrameKind::Error => stats.record_response(bytes),
     }
-}
-
-/// The key-holder server's end of a connection: a blocking, concurrently
-/// usable frame wire that [`serve`] runs its workers over.
-///
-/// Implementations must allow `send_frame` and `recv_frame` from many
-/// threads at once (internal locking is fine; the server runs many
-/// receivers and senders). [`Transport::close`] must unblock every thread
-/// parked in `recv_frame` on **both** endpoints, after which all operations
-/// return [`TransportError::Closed`].
-pub trait Transport: Send + Sync {
-    /// Sends one frame.
-    ///
-    /// # Errors
-    /// [`TransportError::Closed`] after a hang-up, [`TransportError::Io`]
-    /// on socket failure.
-    fn send_frame(&self, frame: &Frame) -> Result<(), TransportError>;
-
-    /// Receives the next frame, blocking until one arrives or the
-    /// connection dies.
-    ///
-    /// # Errors
-    /// [`TransportError::Closed`] on clean hang-up; other variants on
-    /// corruption or I/O failure.
-    fn recv_frame(&self) -> Result<Frame, TransportError>;
-
-    /// This endpoint's traffic counters. Frames are recorded by kind
-    /// (request vs response) regardless of direction, so client and server
-    /// endpoints report identical numbers.
-    fn stats(&self) -> Arc<CommStats>;
-
-    /// Hangs up: wakes all blocked receivers on both endpoints.
-    fn close(&self);
 }
 
 #[cfg(test)]
@@ -566,32 +532,33 @@ mod tests {
     #[test]
     fn bit_past_the_key_size_is_a_typed_error_on_every_key_holder() {
         // Every plaintext is below N, so no SBD round asks for such a bit.
-        let (pk, oracle, pool, mut rng) = setup();
+        let (pk, oracle, channel, mut rng) = setup();
+        let tcp = SessionPool::tcp(
+            vec![LocalKeyHolder::new(oracle.private_key().clone(), 134)],
+            &Loopback::default(),
+        )
+        .unwrap();
         let masked = vec![pk.encrypt_u64(5, &mut rng)];
-        for bit in [pk.bits() as u32, u32::MAX] {
-            let refused = crate::ProtocolError::InvalidBitLength {
-                l: bit as usize,
-                key_bits: pk.bits(),
-            };
-            assert_eq!(
-                oracle.bit_of_masked_batch(bit, &masked),
-                Err(refused.clone())
-            );
-            // The server relays its refusal as a generic error frame.
-            assert_eq!(
-                pool.session(0).bit_of_masked_batch(bit, &masked),
-                Err(crate::ProtocolError::Transport {
-                    message: TransportError::Remote {
-                        code: wire::ERR_CODE_GENERIC,
-                        message: refused.to_string(),
-                    }
-                    .to_string(),
-                })
-            );
+        let holders: [(&str, &dyn KeyHolder); 3] = [
+            ("in-process", &oracle),
+            ("channel", channel.session(0)),
+            ("tcp", tcp.session(0)),
+        ];
+        for (via, c2) in holders {
+            for bit in [pk.bits() as u32, u32::MAX] {
+                assert_eq!(
+                    c2.bit_of_masked_batch(bit, &masked),
+                    Err(crate::ProtocolError::InvalidBitLength {
+                        l: bit as usize,
+                        key_bits: pk.bits(),
+                    }),
+                    "{via}"
+                );
+            }
+            // The session survives the refusal.
+            let bits = c2.bit_of_masked_batch(2, &masked).unwrap();
+            assert_eq!(oracle.debug_decrypt_u64(&bits[0]).unwrap(), 1, "{via}");
         }
-        // The session survives the refusal.
-        let bits = pool.session(0).bit_of_masked_batch(2, &masked).unwrap();
-        assert_eq!(oracle.debug_decrypt_u64(&bits[0]).unwrap(), 1);
     }
 
     #[test]

@@ -6,16 +6,18 @@
 //! connection is therefore owned by **one** event-loop thread
 //! (`sknn-reactor`), whatever the number of sessions or in-flight requests:
 //!
-//! * **Readiness, not threads.** TCP sockets run non-blocking and are
-//!   registered with an epoll instance (a hand-rolled shim over the raw
-//!   syscalls — the build carries no async runtime). The loop sleeps in
-//!   `epoll_wait` until a socket is readable/writable, a timer is due, or
-//!   another thread rings the eventfd waker.
+//! * **Readiness, not threads.** Every connection is a connected stream
+//!   socket — TCP, or the in-process Unix socketpair of
+//!   [`Reactor::channel_pair`] — run non-blocking and registered with an
+//!   epoll instance (a hand-rolled shim over the raw syscalls — the build
+//!   carries no async runtime). The loop sleeps in `epoll_wait` until a
+//!   socket is readable/writable, a timer is due, or another thread rings
+//!   the eventfd waker.
 //! * **Ring buffers + partial-frame reassembly.** Each connection keeps a
 //!   byte ring per direction. Reads append whatever the socket yields;
 //!   frames are peeled off the front with the same
 //!   [`parse_header`](super::wire) validation the server's wire uses, so a
-//!   frame split across arbitrarily many TCP segments reassembles
+//!   frame split across arbitrarily many socket reads reassembles
 //!   correctly. Writes drain opportunistically (submitters flush inline
 //!   while the socket has room; `EPOLLOUT` is armed only while bytes
 //!   remain).
@@ -43,16 +45,19 @@
 //!
 //! The reactor is deliberately *client-side only*: the key-holder server
 //! keeps its blocking worker loop ([`super::serve`] over a
-//! [`super::Transport`]), because its per-request work is CPU-bound
+//! [`super::TcpTransport`]), because its per-request work is CPU-bound
 //! Paillier, where a readiness loop buys nothing.
 
 use super::fault::{FaultKind, FaultPlan};
 use super::record_frame;
+use super::tcp::{Stream, TcpTransport};
 use super::wire::{parse_header, Frame, Response, TransportError, FRAME_HEADER_LEN};
 use crate::stats::CommStats;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -90,7 +95,7 @@ impl Default for BackpressureConfig {
 }
 
 /// Token identifying one connection inside the reactor. Doubles as the
-/// poller registration key for TCP sources.
+/// connection's poller registration key.
 type Token = u64;
 
 /// What a due timer does.
@@ -139,14 +144,12 @@ impl Eq for TimerEntry {}
 /// State the reactor thread and submitters share under the global lock.
 ///
 /// Lock order: a connection's `io` lock may be taken *before* this lock
-/// (submitters kick tokens while holding their connection), never after —
-/// the loop always releases this lock before touching a connection.
+/// (a delayed frame arms its release timer while holding its connection),
+/// never after — the loop always releases this lock before touching a
+/// connection.
 struct ReactorState {
     conns: HashMap<Token, Arc<ConnShared>>,
     timers: BinaryHeap<TimerEntry>,
-    /// Tokens with work the poller cannot see: fresh channel-queue bytes,
-    /// or newly staged output. Drained (and handled) every loop pass.
-    kicked: Vec<Token>,
 }
 
 struct Inner {
@@ -184,7 +187,6 @@ impl Reactor {
             state: Mutex::new(ReactorState {
                 conns: HashMap::new(),
                 timers: BinaryHeap::new(),
-                kicked: Vec::new(),
             }),
             shutdown: AtomicBool::new(false),
             next_token: AtomicU64::new(0),
@@ -230,22 +232,8 @@ impl Reactor {
         backpressure: BackpressureConfig,
         fault: Option<FaultPlan>,
     ) -> Result<Conn, TransportError> {
-        let io_err = |e: std::io::Error| TransportError::Io(e.to_string());
         stream.set_nodelay(true).map_err(io_err)?;
-        stream.set_nonblocking(true).map_err(io_err)?;
-        let fd = {
-            use std::os::fd::AsRawFd;
-            stream.as_raw_fd()
-        };
-        let conn = self.new_conn(Source::Tcp(stream), backpressure, fault);
-        self.inner
-            .poller
-            .add(fd, polling::Event::readable(conn.shared.token as usize))
-            .map_err(|e| {
-                lock(&self.inner.state).conns.remove(&conn.shared.token);
-                io_err(e)
-            })?;
-        Ok(conn)
+        self.register(Stream::Tcp(stream), backpressure, fault)
     }
 
     /// Dials `addr` (blocking connect) and registers the stream.
@@ -257,51 +245,39 @@ impl Reactor {
         addr: &str,
         backpressure: BackpressureConfig,
     ) -> Result<Conn, TransportError> {
-        let stream = TcpStream::connect(addr).map_err(|e| TransportError::Io(e.to_string()))?;
+        let stream = TcpStream::connect(addr).map_err(io_err)?;
         self.connect_tcp(stream, backpressure, None)
     }
 
-    /// An in-process wire: the client side is a reactor-serviced
-    /// [`Conn`], the server side a blocking [`super::Transport`] that
-    /// plugs straight into [`super::serve`]. Frames cross as encoded bytes
-    /// (byte-accurate traffic accounting without sockets) and the client
-    /// side runs them through the same reassembly path as TCP, so
-    /// everything but the socket syscalls is exercised.
+    /// An in-process wire with no port: a Unix socketpair whose client end
+    /// is a reactor-serviced [`Conn`] on the same non-blocking fd path as
+    /// TCP, and whose server end is a [`TcpTransport`] that plugs straight
+    /// into [`super::serve`].
     ///
     /// # Errors
-    /// Currently infallible; the `Result` keeps the signature uniform with
-    /// [`Reactor::connect_tcp`].
+    /// [`TransportError::Io`] when the socketpair cannot be created or
+    /// registered (fd exhaustion, or a platform without epoll).
     pub fn channel_pair(
         &self,
         backpressure: BackpressureConfig,
         fault: Option<FaultPlan>,
-    ) -> Result<(Conn, ChannelServer), TransportError> {
-        let to_server = Arc::new(ByteQueue::new());
-        let to_client = Arc::new(ByteQueue::new());
-        let conn = self.new_conn(
-            Source::Channel {
-                out: Arc::clone(&to_server),
-                inc: Arc::clone(&to_client),
-            },
-            backpressure,
-            fault,
-        );
-        let server = ChannelServer {
-            reactor: Arc::clone(&self.inner),
-            token: conn.shared.token,
-            inc: to_server,
-            out: to_client,
-            stats: CommStats::new_shared(),
-        };
+    ) -> Result<(Conn, TcpTransport), TransportError> {
+        let (client, server) = UnixStream::pair().map_err(io_err)?;
+        let server = TcpTransport::over(Stream::Unix(server))?;
+        let conn = self.register(Stream::Unix(client), backpressure, fault)?;
         Ok((conn, server))
     }
 
-    fn new_conn(
+    /// Makes `stream` non-blocking and hands it to the loop as a new
+    /// connection.
+    fn register(
         &self,
-        source: Source,
+        stream: Stream,
         backpressure: BackpressureConfig,
         fault: Option<FaultPlan>,
-    ) -> Conn {
+    ) -> Result<Conn, TransportError> {
+        stream.set_nonblocking().map_err(io_err)?;
+        let fd = stream.as_raw_fd();
         let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(ConnShared {
             token,
@@ -317,7 +293,7 @@ impl Reactor {
                 sent: AtomicU64::new(0),
             }),
             io: Mutex::new(ConnIo {
-                source: Some(source),
+                stream: Some(stream),
                 read_buf: Vec::new(),
                 write_buf: VecDeque::new(),
                 inflight: HashSet::new(),
@@ -330,121 +306,21 @@ impl Reactor {
         lock(&self.inner.state)
             .conns
             .insert(token, Arc::clone(&shared));
-        Conn { shared }
+        self.inner
+            .poller
+            .add(fd, polling::Event::readable(token as usize))
+            .map_err(|e| {
+                lock(&self.inner.state).conns.remove(&token);
+                io_err(e)
+            })?;
+        Ok(Conn { shared })
     }
 }
 
-/// A byte-chunk queue for the in-process wire. Chunks pushed by the
-/// blocking server side survive a close (queued frames are still
-/// deliverable after hang-up, like bytes already in a socket buffer).
-struct ByteQueue {
-    state: Mutex<ByteQueueState>,
-    readable: Condvar,
-}
-
-struct ByteQueueState {
-    chunks: VecDeque<Vec<u8>>,
-    closed: bool,
-}
-
-impl ByteQueue {
-    fn new() -> ByteQueue {
-        ByteQueue {
-            state: Mutex::new(ByteQueueState {
-                chunks: VecDeque::new(),
-                closed: false,
-            }),
-            readable: Condvar::new(),
-        }
-    }
-
-    fn push(&self, chunk: Vec<u8>) -> Result<(), TransportError> {
-        let mut state = lock(&self.state);
-        if state.closed {
-            return Err(TransportError::Closed);
-        }
-        state.chunks.push_back(chunk);
-        drop(state);
-        self.readable.notify_one();
-        Ok(())
-    }
-
-    fn pop_blocking(&self) -> Result<Vec<u8>, TransportError> {
-        let mut state = lock(&self.state);
-        loop {
-            if let Some(chunk) = state.chunks.pop_front() {
-                return Ok(chunk);
-            }
-            if state.closed {
-                return Err(TransportError::Closed);
-            }
-            state = self.readable.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn pop_nonblocking(&self) -> Option<Vec<u8>> {
-        lock(&self.state).chunks.pop_front()
-    }
-
-    fn is_drained_and_closed(&self) -> bool {
-        let state = lock(&self.state);
-        state.closed && state.chunks.is_empty()
-    }
-
-    fn close(&self) {
-        lock(&self.state).closed = true;
-        self.readable.notify_all();
-    }
-}
-
-/// The blocking server end of [`Reactor::channel_pair`].
-pub struct ChannelServer {
-    reactor: Arc<Inner>,
-    token: Token,
-    inc: Arc<ByteQueue>,
-    out: Arc<ByteQueue>,
-    stats: Arc<CommStats>,
-}
-
-impl super::Transport for ChannelServer {
-    fn send_frame(&self, frame: &Frame) -> Result<(), TransportError> {
-        let bytes = frame.encode()?;
-        let len = bytes.len();
-        self.out.push(bytes)?;
-        record_frame(&self.stats, frame.kind, len);
-        // The poller cannot see an in-process queue; kick the token so the
-        // loop drains it.
-        self.reactor.kick(self.token);
-        Ok(())
-    }
-
-    fn recv_frame(&self) -> Result<Frame, TransportError> {
-        let chunk = self.inc.pop_blocking()?;
-        let frame = Frame::decode(&chunk)?;
-        record_frame(&self.stats, frame.kind, chunk.len());
-        Ok(frame)
-    }
-
-    fn stats(&self) -> Arc<CommStats> {
-        Arc::clone(&self.stats)
-    }
-
-    fn close(&self) {
-        self.inc.close();
-        self.out.close();
-        self.reactor.kick(self.token);
-    }
-}
-
-/// Where a connection's bytes come from and go to.
-enum Source {
-    Tcp(TcpStream),
-    Channel {
-        /// Client → server frame chunks (popped by the blocking server).
-        out: Arc<ByteQueue>,
-        /// Server → client frame chunks (drained by the reactor).
-        inc: Arc<ByteQueue>,
-    },
+/// An I/O failure setting up a connection, kept as [`TransportError::Io`]
+/// whatever its kind.
+fn io_err(e: std::io::Error) -> TransportError {
+    TransportError::Io(e.to_string())
 }
 
 /// Where the reactor delivers one request's outcome.
@@ -457,8 +333,9 @@ struct FaultState {
 
 /// Per-connection mutable state, behind the connection's own lock.
 struct ConnIo {
-    /// `None` once the connection is torn down (sources dropped/closed).
-    source: Option<Source>,
+    /// `None` once the connection is torn down (socket shut down and
+    /// dropped).
+    stream: Option<Stream>,
     /// Inbound ring: raw bytes as they arrive; frames peel off the front.
     read_buf: Vec<u8>,
     /// Outbound ring: encoded frames waiting for socket room.
@@ -472,7 +349,7 @@ struct ConnIo {
     /// later submission fails with [`TransportError::Closed`], so callers
     /// see a dead connection as dead.
     closed: bool,
-    /// Whether `EPOLLOUT` is currently armed (TCP only).
+    /// Whether `EPOLLOUT` is currently armed.
     want_write: bool,
 }
 
@@ -504,8 +381,8 @@ impl Conn {
     }
 
     /// Hangs up: fails all in-flight and queued requests with
-    /// [`TransportError::Closed`], closes the underlying source (the peer
-    /// sees EOF / a closed queue) and removes the connection from the loop.
+    /// [`TransportError::Closed`], shuts the socket down (the peer sees EOF)
+    /// and removes the connection from the loop.
     pub fn close(&self) {
         self.shared.teardown(TransportError::Closed);
     }
@@ -642,27 +519,14 @@ impl ConnShared {
     }
 
     fn push_outbound(&self, io: &mut ConnIo, bytes: &[u8]) {
-        match &io.source {
-            Some(Source::Channel { out, .. }) => {
-                // Whole frames cross the in-process wire directly; a closed
-                // peer is discovered on the next read pass.
-                if out.push(bytes.to_vec()).is_err() {
-                    return;
-                }
-                record_frame(&self.stats, super::wire::FrameKind::Request, bytes.len());
-            }
-            Some(Source::Tcp(_)) => {
-                io.write_buf.extend(bytes);
-                record_frame(&self.stats, super::wire::FrameKind::Request, bytes.len());
-            }
-            None => {}
-        }
+        io.write_buf.extend(bytes);
+        record_frame(&self.stats, super::wire::FrameKind::Request, bytes.len());
     }
 
     /// Drains as much of the write ring as the socket accepts; arms or
     /// disarms `EPOLLOUT` to match what is left. Caller holds the lock.
     fn flush(&self, io: &mut ConnIo) {
-        let Some(Source::Tcp(stream)) = &mut io.source else {
+        let Some(stream) = &mut io.stream else {
             return;
         };
         while !io.write_buf.is_empty() {
@@ -683,17 +547,14 @@ impl ConnShared {
         let want = !io.write_buf.is_empty();
         if want != io.want_write {
             io.want_write = want;
-            if let Some(Source::Tcp(stream)) = &io.source {
-                use std::os::fd::AsRawFd;
-                let _ = self.reactor.poller.modify(
-                    stream.as_raw_fd(),
-                    if want {
-                        polling::Event::all(self.token as usize)
-                    } else {
-                        polling::Event::readable(self.token as usize)
-                    },
-                );
-            }
+            let _ = self.reactor.poller.modify(
+                stream.as_raw_fd(),
+                if want {
+                    polling::Event::all(self.token as usize)
+                } else {
+                    polling::Event::readable(self.token as usize)
+                },
+            );
         }
     }
 
@@ -742,27 +603,18 @@ impl ConnShared {
         }
     }
 
-    /// Fails every waiter, closes the source, and removes the connection
+    /// Fails every waiter, shuts the socket down, and removes the connection
     /// from the loop. Safe to call from any thread, repeatedly.
     fn teardown(&self, err: TransportError) {
         {
             let mut io = lock(&self.io);
             io.closed = true;
-            match io.source.take() {
-                Some(Source::Tcp(stream)) => {
-                    use std::os::fd::AsRawFd;
-                    let _ = self.reactor.poller.delete(stream.as_raw_fd());
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-                Some(Source::Channel { out, inc }) => {
-                    out.close();
-                    inc.close();
-                }
-                None => {
-                    // Already torn down.
-                    return;
-                }
-            }
+            let Some(stream) = io.stream.take() else {
+                // Already torn down.
+                return;
+            };
+            let _ = self.reactor.poller.delete(stream.as_raw_fd());
+            stream.shutdown();
             io.queued.clear();
             io.inflight.clear();
         }
@@ -777,15 +629,6 @@ impl ConnShared {
 }
 
 impl Inner {
-    fn kick(&self, token: Token) {
-        let mut state = lock(&self.state);
-        if !state.kicked.contains(&token) {
-            state.kicked.push(token);
-        }
-        drop(state);
-        self.poller.notify();
-    }
-
     fn arm_timer(&self, due: Instant, action: TimerAction) {
         let seq = self.timer_seq.fetch_add(1, Ordering::Relaxed);
         let mut state = lock(&self.state);
@@ -809,17 +652,10 @@ fn event_loop(inner: &Arc<Inner>) {
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let timeout = {
-            let state = lock(&inner.state);
-            if !state.kicked.is_empty() {
-                Some(Duration::ZERO)
-            } else {
-                state
-                    .timers
-                    .peek()
-                    .map(|t| t.due.saturating_duration_since(Instant::now()))
-            }
-        };
+        let timeout = lock(&inner.state)
+            .timers
+            .peek()
+            .map(|t| t.due.saturating_duration_since(Instant::now()));
         if inner.poller.wait(&mut events, timeout).is_err() {
             // A broken poller cannot recover; fail everything and stop.
             break;
@@ -875,27 +711,10 @@ fn event_loop(inner: &Arc<Inner>) {
                     let Some(conn) = conn else { continue };
                     let mut io = lock(&conn.io);
                     if !io.closed {
-                        match &io.source {
-                            Some(Source::Channel { out, .. }) => {
-                                let _ = out.push(bytes);
-                            }
-                            Some(Source::Tcp(_)) => {
-                                io.write_buf.extend(bytes);
-                                conn.flush(&mut io);
-                            }
-                            None => {}
-                        }
+                        io.write_buf.extend(bytes);
+                        conn.flush(&mut io);
                     }
                 }
-            }
-        }
-
-        // Explicitly kicked connections (channel bytes, staged output).
-        let kicked = std::mem::take(&mut lock(&inner.state).kicked);
-        for token in kicked {
-            let conn = lock(&inner.state).conns.get(&token).cloned();
-            if let Some(conn) = conn {
-                service_conn(&conn);
             }
         }
 
@@ -922,49 +741,40 @@ fn event_loop(inner: &Arc<Inner>) {
 fn service_conn(conn: &Arc<ConnShared>) {
     let mut completions: Vec<(u64, Result<Frame, TransportError>)> = Vec::new();
     let mut dead: Option<TransportError> = None;
+    // Set when the socket reports EOF or an error. Frames that arrived
+    // before it are still delivered; then the connection is torn down.
+    let mut hangup: Option<TransportError> = None;
     {
         let mut io = lock(&conn.io);
         if io.closed {
             drop(io);
-            // A late kick on a closed conn: make sure teardown ran.
+            // A wake-up after a failed write: make sure teardown ran.
             conn.teardown(TransportError::Closed);
             return;
         }
 
-        // Ingest. (Destructured so the source and the read ring can be
+        // Ingest. (Destructured so the socket and the read ring can be
         // borrowed simultaneously.)
         {
             let ConnIo {
-                source, read_buf, ..
+                stream, read_buf, ..
             } = &mut *io;
-            match source {
-                Some(Source::Tcp(stream)) => {
-                    let mut chunk = [0u8; 64 * 1024];
-                    loop {
-                        match stream.read(&mut chunk) {
-                            Ok(0) => {
-                                dead = Some(TransportError::Closed);
-                                break;
-                            }
-                            Ok(n) => read_buf.extend_from_slice(&chunk[..n]),
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(e) => {
-                                dead = Some(TransportError::from(e));
-                                break;
-                            }
-                        }
+            let Some(stream) = stream else { return };
+            let mut chunk = [0u8; 64 * 1024];
+            loop {
+                match stream.read(&mut chunk) {
+                    Ok(0) => {
+                        hangup = Some(TransportError::Closed);
+                        break;
+                    }
+                    Ok(n) => read_buf.extend_from_slice(&chunk[..n]),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => {
+                        hangup = Some(TransportError::from(e));
+                        break;
                     }
                 }
-                Some(Source::Channel { inc, .. }) => {
-                    while let Some(chunk) = inc.pop_nonblocking() {
-                        read_buf.extend_from_slice(&chunk);
-                    }
-                    if inc.is_drained_and_closed() && read_buf.is_empty() {
-                        dead = Some(TransportError::Closed);
-                    }
-                }
-                None => return,
             }
         }
 
@@ -1009,7 +819,7 @@ fn service_conn(conn: &Arc<ConnShared>) {
             }
         }
 
-        if dead.is_none() {
+        if dead.is_none() && hangup.is_none() {
             conn.flush(&mut io);
         }
     }
@@ -1019,7 +829,7 @@ fn service_conn(conn: &Arc<ConnShared>) {
     for (corr, frame) in completions {
         complete_frame(conn, corr, frame);
     }
-    if let Some(err) = dead {
+    if let Some(err) = dead.or(hangup) {
         conn.teardown(err);
     }
 }
@@ -1054,6 +864,7 @@ mod tests {
     use crate::party::LocalKeyHolder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sknn_bigint::BigUint;
     use sknn_paillier::Keypair;
 
     fn small_holder(seed: u64) -> (sknn_paillier::PublicKey, LocalKeyHolder) {
@@ -1073,11 +884,12 @@ mod tests {
 
     #[test]
     fn channel_round_trip_and_reassembly() {
-        let (_pk, holder) = small_holder(31);
+        let (pk, holder) = small_holder(31);
         let reactor = Reactor::new().unwrap();
         let (conn, server_end) = reactor
             .channel_pair(BackpressureConfig::default(), None)
             .unwrap();
+        let server_stats = server_end.stats();
         let server = std::thread::spawn(move || serve(&server_end, &holder, 1));
         let reply = key_once(&conn, 7, 0).unwrap();
         assert!(matches!(reply, Response::PublicKey(_)));
@@ -1085,8 +897,22 @@ mod tests {
         let snap = conn.stats().snapshot();
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.responses, 1);
+
+        // A request larger than the socketpair's send buffer leaves in
+        // partial writes (with EPOLLOUT armed until it drains), and its
+        // reply reassembles from many reads.
+        let seven = pk.encrypt_u64(7, &mut StdRng::seed_from_u64(32));
+        let count = 32_768;
+        let big = Frame::request(8, Request::DecryptBatch(vec![seven; count]).encode());
+        assert!(big.payload.len() >= 1 << 20);
+        assert_eq!(
+            conn.round_trip(&big, 0).unwrap(),
+            Response::Plaintexts(vec![BigUint::from_u64(7); count])
+        );
         conn.close();
         let _ = server.join().unwrap();
+        // Both ends counted the same frames, byte for byte.
+        assert_eq!(conn.stats().snapshot(), server_stats.snapshot());
         reactor.shutdown();
     }
 

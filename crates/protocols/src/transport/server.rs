@@ -13,11 +13,11 @@
 //! with an error return value instead. A bad version byte is named to the
 //! peer first, in one last error frame, so its callers see the cause too.
 
+use super::tcp::TcpTransport;
 use super::wire::{Frame, FrameKind, Request, TransportError, WireError};
-use super::Transport;
 use crate::party::{KeyHolder, LocalKeyHolder};
 
-fn worker_loop(transport: &dyn Transport, holder: &LocalKeyHolder) -> Result<(), TransportError> {
+fn worker_loop(transport: &TcpTransport, holder: &LocalKeyHolder) -> Result<(), TransportError> {
     loop {
         let frame = match transport.recv_frame() {
             Ok(frame) => frame,
@@ -76,7 +76,7 @@ fn worker_loop(transport: &dyn Transport, holder: &LocalKeyHolder) -> Result<(),
 /// Returns the first transport-level error a worker hit; a clean peer
 /// hang-up returns `Ok(())`.
 pub fn serve(
-    transport: &dyn Transport,
+    transport: &TcpTransport,
     holder: &LocalKeyHolder,
     workers: usize,
 ) -> Result<(), TransportError> {

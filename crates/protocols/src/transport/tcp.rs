@@ -1,34 +1,96 @@
-//! TCP socket transport (`std::net`).
+//! The key-holder server's end of a connection.
 //!
-//! The key-holder server's end of a TCP connection (C1's end is a
-//! non-blocking socket on the [`super::Reactor`]). The real deployment the
-//! paper assumes: C1 and C2 are separate cloud providers exchanging
-//! protocol frames over a network connection. One [`TcpTransport`] wraps
-//! one connected socket; concurrent senders serialize
-//! on a write lock, concurrent receivers on a read lock, and the
-//! correlation-ID framing (see [`super::wire`]) lets responses return in any
-//! order — which is what makes one connection enough for the record-parallel
-//! protocol stages.
+//! C1's end is a non-blocking socket on the [`super::Reactor`]; C2's end is
+//! one [`TcpTransport`] over a connected stream socket. In the deployment
+//! the paper assumes, that socket is TCP: C1 and C2 are separate cloud
+//! providers exchanging protocol frames over a network connection. In
+//! process it is one end of the Unix socketpair behind
+//! [`Reactor::channel_pair`](super::Reactor::channel_pair), so both wires
+//! run the same code. Concurrent senders serialize on a write lock,
+//! concurrent receivers on a read lock, and the correlation-ID framing (see
+//! [`super::wire`]) lets responses return in any order — which is what
+//! makes one connection enough for the record-parallel protocol stages.
 //!
-//! `TCP_NODELAY` is enabled: the protocols are round-trip-bound and Nagle's
-//! algorithm would add artificial latency to every small frame.
+//! `TCP_NODELAY` is enabled on TCP sockets: the protocols are
+//! round-trip-bound and Nagle's algorithm would add artificial latency to
+//! every small frame.
 
+use super::record_frame;
 use super::wire::{self, Frame, TransportError, FRAME_HEADER_LEN};
-use super::{record_frame, Transport};
 use crate::stats::CommStats;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-/// A frame transport over one TCP connection.
+/// A connected stream socket: a TCP connection, or one end of the
+/// in-process socketpair.
+pub(crate) enum Stream {
+    Tcp(TcpStream),
+    Unix(UnixStream),
+}
+
+/// Evaluates `$body` with `$s` bound to the socket inside `$stream`.
+macro_rules! on_socket {
+    ($stream:expr, $s:ident => $body:expr) => {
+        match $stream {
+            Stream::Tcp($s) => $body,
+            Stream::Unix($s) => $body,
+        }
+    };
+}
+
+impl Stream {
+    fn try_clone(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+        })
+    }
+
+    pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
+        on_socket!(self, s => s.set_nonblocking(true))
+    }
+
+    /// Shuts both directions down: local readers and the peer see EOF.
+    pub(crate) fn shutdown(&self) {
+        let _ = on_socket!(self, s => s.shutdown(Shutdown::Both));
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        on_socket!(self, s => s.read(buf))
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        on_socket!(self, s => s.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        on_socket!(self, s => s.flush())
+    }
+}
+
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        on_socket!(self, s => s.as_raw_fd())
+    }
+}
+
+/// A blocking frame transport over one connected stream socket, usable
+/// from many threads at once: [`super::serve`] runs its workers over it.
 pub struct TcpTransport {
-    reader: Mutex<BufReader<TcpStream>>,
-    writer: Mutex<BufWriter<TcpStream>>,
+    reader: Mutex<BufReader<Stream>>,
+    writer: Mutex<BufWriter<Stream>>,
     /// Kept unbuffered for `shutdown`, which must work while the reader and
     /// writer locks are held by blocked threads.
-    shutdown_handle: TcpStream,
+    shutdown_handle: Stream,
     stats: Arc<CommStats>,
 }
 
@@ -49,6 +111,11 @@ impl TcpTransport {
     /// independent read/write halves.
     pub fn from_stream(stream: TcpStream) -> Result<TcpTransport, TransportError> {
         stream.set_nodelay(true)?;
+        TcpTransport::over(Stream::Tcp(stream))
+    }
+
+    /// Wraps a connected stream socket of either kind.
+    pub(crate) fn over(stream: Stream) -> Result<TcpTransport, TransportError> {
         let reader = BufReader::new(stream.try_clone()?);
         let writer = BufWriter::new(stream.try_clone()?);
         Ok(TcpTransport {
@@ -58,10 +125,13 @@ impl TcpTransport {
             stats: CommStats::new_shared(),
         })
     }
-}
 
-impl Transport for TcpTransport {
-    fn send_frame(&self, frame: &Frame) -> Result<(), TransportError> {
+    /// Sends one frame.
+    ///
+    /// # Errors
+    /// [`TransportError::Closed`] after a hang-up, [`TransportError::Io`]
+    /// on socket failure.
+    pub fn send_frame(&self, frame: &Frame) -> Result<(), TransportError> {
         let encoded = frame.encode()?;
         let bytes = encoded.len();
         let mut writer = self.writer.lock();
@@ -76,7 +146,13 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn recv_frame(&self) -> Result<Frame, TransportError> {
+    /// Receives the next frame, blocking until one arrives or the
+    /// connection dies.
+    ///
+    /// # Errors
+    /// [`TransportError::Closed`] on clean hang-up; other variants on
+    /// corruption or I/O failure.
+    pub fn recv_frame(&self) -> Result<Frame, TransportError> {
         let mut reader = self.reader.lock();
         let mut header = [0u8; FRAME_HEADER_LEN];
         reader.read_exact(&mut header)?;
@@ -93,14 +169,17 @@ impl Transport for TcpTransport {
         })
     }
 
-    fn stats(&self) -> Arc<CommStats> {
+    /// This endpoint's traffic counters. Frames are recorded by kind
+    /// (request vs response) regardless of direction, so client and server
+    /// endpoints report identical numbers.
+    pub fn stats(&self) -> Arc<CommStats> {
         Arc::clone(&self.stats)
     }
 
-    fn close(&self) {
-        // Both directions: unblocks our own readers (EOF) and tells the peer
-        // (FIN -> their read returns 0 -> Closed).
-        let _ = self.shutdown_handle.shutdown(Shutdown::Both);
+    /// Hangs up: unblocks our own readers (EOF) and tells the peer, whose
+    /// reads return 0 and surface as [`TransportError::Closed`].
+    pub fn close(&self) {
+        self.shutdown_handle.shutdown();
     }
 }
 

@@ -52,7 +52,8 @@ pub const MAX_FRAME_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Errors raised by the transport layer and the wire codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// The connection was closed (cleanly) by the peer or by [`super::Transport::close`].
+    /// The connection was closed (cleanly) by the peer or by a local hang-up
+    /// ([`super::Conn::close`], [`super::TcpTransport::close`]).
     Closed,
     /// An I/O error from the underlying socket.
     Io(String),
@@ -916,6 +917,15 @@ pub const ERR_CODE_MALFORMED_REQUEST: u8 = 2;
 /// Error code for a frame on another [`WIRE_VERSION`]; the detail is the
 /// version byte the server got. The server hangs up right after sending it.
 pub const ERR_CODE_BAD_VERSION: u8 = 3;
+/// Error code for [`ProtocolError::InvalidBitLength`]; the detail is
+/// `(l << 32) | key_bits`.
+pub const ERR_CODE_INVALID_BIT_LENGTH: u8 = 4;
+/// Error code for [`ProtocolError::DimensionMismatch`]; the detail is
+/// `(left << 32) | right`.
+pub const ERR_CODE_DIMENSION_MISMATCH: u8 = 5;
+/// Error code for [`ProtocolError::Invariant`]; the message is the
+/// invariant's own message.
+pub const ERR_CODE_INVARIANT: u8 = 6;
 
 /// The payload of a [`FrameKind::Error`] frame: a stable error code, an
 /// optional numeric detail, and a human-readable message.
@@ -930,19 +940,39 @@ pub struct WireError {
 }
 
 impl WireError {
-    /// Encodes a [`ProtocolError`] the server wants to relay.
+    /// Encodes a [`ProtocolError`] the server wants to relay, under its own
+    /// code where it has one, so the client gets back the same typed error
+    /// an in-process key holder returns.
     pub fn from_protocol(e: &ProtocolError) -> WireError {
-        match e {
-            ProtocolError::MinSelectionFailed { candidates } => WireError {
-                code: ERR_CODE_MIN_SELECTION,
-                detail: *candidates as u64,
-                message: e.to_string(),
-            },
-            other => WireError {
-                code: ERR_CODE_GENERIC,
-                detail: 0,
-                message: other.to_string(),
-            },
+        // Both numbers of a two-number refusal reach C2 as `u32` wire
+        // fields or length prefixes, so they fit the detail; should one
+        // not, the refusal still crosses, as a generic message.
+        let typed = match e {
+            ProtocolError::MinSelectionFailed { candidates } => {
+                Some((ERR_CODE_MIN_SELECTION, *candidates as u64))
+            }
+            ProtocolError::InvalidBitLength { l, key_bits } => {
+                join_detail(*l, *key_bits).map(|d| (ERR_CODE_INVALID_BIT_LENGTH, d))
+            }
+            ProtocolError::DimensionMismatch { left, right } => {
+                join_detail(*left, *right).map(|d| (ERR_CODE_DIMENSION_MISMATCH, d))
+            }
+            ProtocolError::Invariant { message } => {
+                return WireError {
+                    code: ERR_CODE_INVARIANT,
+                    detail: 0,
+                    message: message.clone(),
+                }
+            }
+            // `Packing(..)` variants carry several fields each (and may go
+            // with the packed paths), so they cross as a generic message.
+            _ => None,
+        };
+        let (code, detail) = typed.unwrap_or((ERR_CODE_GENERIC, 0));
+        WireError {
+            code,
+            detail,
+            message: e.to_string(),
         }
     }
 
@@ -998,12 +1028,35 @@ impl WireError {
             ERR_CODE_BAD_VERSION => TransportError::BadVersion {
                 got: self.detail as u8,
             },
+            ERR_CODE_INVALID_BIT_LENGTH => {
+                let (l, key_bits) = split_detail(self.detail);
+                TransportError::Protocol(ProtocolError::InvalidBitLength { l, key_bits })
+            }
+            ERR_CODE_DIMENSION_MISMATCH => {
+                let (left, right) = split_detail(self.detail);
+                TransportError::Protocol(ProtocolError::DimensionMismatch { left, right })
+            }
+            ERR_CODE_INVARIANT => TransportError::Protocol(ProtocolError::Invariant {
+                message: self.message,
+            }),
             code => TransportError::Remote {
                 code,
                 message: self.message,
             },
         }
     }
+}
+
+/// Puts two numbers into one error detail, `a` in the high half; `None`
+/// when either is ≥ 2³².
+fn join_detail(a: usize, b: usize) -> Option<u64> {
+    let (a, b) = (u32::try_from(a).ok()?, u32::try_from(b).ok()?);
+    Some((u64::from(a) << 32) | u64::from(b))
+}
+
+/// The two numbers [`join_detail`] put into `detail`.
+fn split_detail(detail: u64) -> (usize, usize) {
+    ((detail >> 32) as usize, (detail & 0xFFFF_FFFF) as usize)
 }
 
 #[cfg(test)]
@@ -1257,14 +1310,54 @@ mod tests {
     }
 
     #[test]
-    fn min_selection_error_survives_the_wire() {
-        let proto = ProtocolError::MinSelectionFailed { candidates: 11 };
-        let wire = WireError::from_protocol(&proto);
-        let back = WireError::decode(wire.encode()).expect("decodes");
-        assert_eq!(
-            back.into_transport_error(),
-            TransportError::Protocol(ProtocolError::MinSelectionFailed { candidates: 11 })
-        );
+    fn typed_protocol_errors_survive_the_wire() {
+        for proto in [
+            ProtocolError::MinSelectionFailed { candidates: 11 },
+            ProtocolError::InvalidBitLength {
+                l: u32::MAX as usize,
+                key_bits: 1024,
+            },
+            ProtocolError::DimensionMismatch { left: 6, right: 0 },
+            ProtocolError::Invariant {
+                message: "empty reduction".into(),
+            },
+        ] {
+            let wire = WireError::from_protocol(&proto);
+            assert_ne!(wire.code, ERR_CODE_GENERIC, "{proto}");
+            let back = WireError::decode(wire.encode()).expect("decodes");
+            assert_eq!(back.into_transport_error(), TransportError::Protocol(proto));
+        }
+    }
+
+    #[test]
+    fn numbers_past_u32_and_packing_errors_cross_as_generic() {
+        let past = u32::MAX as usize + 1;
+        for proto in [
+            ProtocolError::InvalidBitLength {
+                l: past,
+                key_bits: 128,
+            },
+            ProtocolError::DimensionMismatch {
+                left: 3,
+                right: past,
+            },
+            ProtocolError::Packing(sknn_paillier::PackingError::TooManyValues {
+                given: 5,
+                slots: 4,
+            }),
+        ] {
+            let wire = WireError::from_protocol(&proto);
+            assert_eq!((wire.code, wire.detail), (ERR_CODE_GENERIC, 0), "{proto}");
+            assert_eq!(
+                WireError::decode(wire.encode())
+                    .unwrap()
+                    .into_transport_error(),
+                TransportError::Remote {
+                    code: ERR_CODE_GENERIC,
+                    message: proto.to_string(),
+                }
+            );
+        }
     }
 
     #[test]

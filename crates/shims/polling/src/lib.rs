@@ -11,9 +11,9 @@
 //! readiness polling; everything above it stays `#![forbid(unsafe_code)]`.
 //!
 //! On non-Linux platforms the fallback [`Poller`] supports only
-//! [`Poller::notify`]/[`Poller::wait`] (a condvar park) — enough for
-//! in-process transports; registering a descriptor reports
-//! [`std::io::ErrorKind::Unsupported`].
+//! [`Poller::notify`]/[`Poller::wait`] (a condvar park); registering a
+//! descriptor reports [`std::io::ErrorKind::Unsupported`], so no socket
+//! transport runs there.
 
 #![cfg_attr(not(target_os = "linux"), forbid(unsafe_code))]
 

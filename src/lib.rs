@@ -126,14 +126,14 @@
 //!       │   one `sknn-reactor` thread services every connection:
 //!       │   in-flight windows, backpressure, deadlines, fault plans
 //!       │
-//!       ├─ channel_pair                       in-process byte queues:
-//!       │                                     real wire bytes + traffic
-//!       │                                     accounting without sockets
-//!       └─ connect_tcp                        one non-blocking TCP socket
-//!                                             (epoll), TCP_NODELAY
+//!       │   every connection is one non-blocking stream socket (epoll):
+//!       ├─ channel_pair                       an in-process Unix
+//!       │                                     socketpair: real wire bytes
+//!       │                                     + traffic accounting, no port
+//!       └─ connect_tcp                        a TCP socket, TCP_NODELAY
 //!
-//!  C2: serve() over a blocking Transport      ChannelServer / TcpTransport,
-//!      decode → LocalKeyHolder::call → reply
+//!  C2: serve() over the blocking server end   TcpTransport, for either
+//!      decode → LocalKeyHolder::call → reply  socket
 //! ```
 //!
 //! Frames are versioned and length-prefixed (`protocols::transport::wire`);
@@ -145,10 +145,10 @@
 //!
 //! [`FederationConfig`] selects the deployment shape: `transport` picks
 //! [`TransportKind::InProcess`] (direct calls, the paper's single-machine
-//! evaluation), [`TransportKind::Channel`] (in-process frames with
+//! evaluation), [`TransportKind::Channel`] (an in-process socketpair with
 //! byte-accurate accounting) or [`TransportKind::Tcp`] (a real loopback
-//! socket with the key-holder server on a background thread) — both remote
-//! kinds run on the one reactor thread; and `threads`
+//! socket) — both remote kinds put the key-holder server on a background
+//! thread and run on the one reactor thread; and `threads`
 //! sets both C1's record-parallel workers and C2's serving workers.
 //! [`QueryOutcome::comm`] then reports per-query round trips and bytes for
 //! any remote transport.

@@ -2,8 +2,8 @@
 //! reference and the plaintext oracle.
 //!
 //! `Channel` and `Tcp` run every C1 session on one readiness-driven reactor
-//! thread; only the bytes' path differs (in-process queues vs loopback
-//! sockets). The contract under test is strict:
+//! thread; only the socket differs (an in-process socketpair vs loopback
+//! TCP). The contract under test is strict:
 //!
 //! 1. **Identical answers**: both wires return exactly what `InProcess`
 //!    and `plain_knn_records` return, across {Basic, Secure} × shards
@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use sknn::protocols::stats::CommStats;
 use sknn::protocols::transport::{
     serve, BackpressureConfig, Loopback, Reactor, SessionKeyHolder, SessionPool, TcpTransport,
-    Transport,
 };
 use sknn::{
     plain_knn_records, DataOwner, DatasetOptions, FederationConfig, LocalKeyHolder, PoolConfig,
